@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
-use ahl_crypto::{hmac_sha256, sha256, KeyRegistry, MerkleTree, Sha256};
+use ahl_crypto::{hmac_sha256, kernels, sha256, sha256_parts, KeyRegistry, MerkleTree, Sha256};
 
 fn bench_sha256(c: &mut Criterion) {
     let mut g = c.benchmark_group("sha256");
@@ -12,6 +12,38 @@ fn bench_sha256(c: &mut Criterion) {
         g.throughput(Throughput::Bytes(size as u64));
         g.bench_function(format!("{size}B"), |b| {
             b.iter(|| sha256(std::hint::black_box(&data)));
+        });
+    }
+    // The sparse Merkle tree's branch hash: three framed parts, 89 bytes,
+    // the message `smt.update` hashes ~17 times per write at 32k keys.
+    let (left, right) = (sha256(b"left"), sha256(b"right"));
+    g.throughput(Throughput::Bytes(89));
+    g.bench_function("node_89B_framed", |b| {
+        b.iter(|| {
+            let (l, r) = std::hint::black_box((&left, &right));
+            sha256_parts(&[&[0x01], &l.0, &r.0])
+        });
+    });
+    g.finish();
+}
+
+/// One block through the portable kernel and through whichever kernel the
+/// CPU selects — equal on a host without SHA extensions.
+fn bench_kernels(c: &mut Criterion) {
+    let mut g = c.benchmark_group("kernel");
+    let block = [0xabu8; 64];
+    g.throughput(Throughput::Bytes(64));
+    type Kernel = fn(&mut [u32; 8], &[u8]);
+    for (name, kernel) in [
+        ("scalar_64B", kernels::scalar as Kernel),
+        ("dispatch_64B", kernels::dispatch as Kernel),
+    ] {
+        g.bench_function(name, |b| {
+            let mut state = [0x6a09_e667u32; 8];
+            b.iter(|| {
+                kernel(&mut state, std::hint::black_box(&block));
+                state[0]
+            });
         });
     }
     g.finish();
@@ -73,6 +105,7 @@ fn bench_merkle(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_sha256,
+    bench_kernels,
     bench_incremental_hash,
     bench_hmac,
     bench_sign_verify,

@@ -51,6 +51,20 @@ fn bench_updates(c: &mut Criterion) {
             BatchSize::SmallInput,
         );
     });
+    // The host-time benchmark's shape: one block of 64 single-key writes,
+    // keys uniform over a steady 32 768-key tree that is updated in place.
+    g.throughput(Throughput::Elements(64));
+    g.bench_function("smt_64_updates_32k", |b| {
+        let mut t = tree_with(32_768);
+        let mut next = 0u64;
+        b.iter(|| {
+            for _ in 0..64 {
+                next = next.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                t.insert(&format!("acc{}", (next >> 33) % 32_768), vhash(next));
+            }
+            t.root_hash()
+        });
+    });
     g.finish();
 }
 

@@ -15,6 +15,7 @@
 //! targets. See EXPERIMENTS.md for the paper-vs-measured record.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cluster;
 pub mod figs;

@@ -15,6 +15,7 @@
 //!   that turns the paper's security claims into executable invariants.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod adversary;
 pub mod clients;

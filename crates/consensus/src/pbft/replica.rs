@@ -25,9 +25,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use ahl_crypto::{Hash, KeyRegistry, SigningKey};
-use ahl_ledger::{
-    Block as LedgerBlock, Chain, Key, StateSidecar, StateSnapshot, StateStore, Value,
-};
+use ahl_ledger::{Key, StateSidecar, StateSnapshot, StateStore, Value};
 use ahl_mempool::{Admission, BatchBuilder, BatchConfig, Mempool};
 use ahl_simkit::{Actor, Ctx, NodeId, Phase, Scope, SimDuration, SimTime};
 use ahl_store::{
@@ -163,15 +161,12 @@ pub struct Replica {
     me: usize,
     /// Report global throughput/latency stats from this replica only.
     reporter: bool,
-    /// Maintain a full ledger chain (disable for very large sweeps).
-    maintain_chain: bool,
 
     key: SigningKey,
     registry: Arc<KeyRegistry>,
     tee: AttestedLog,
 
     state: StateStore,
-    chain: Chain,
 
     view: u64,
     next_seq: u64,
@@ -293,7 +288,6 @@ impl Replica {
             timeout: cfg.batch_timeout,
         });
         Replica {
-            maintain_chain: cfg.n <= 24,
             byzantine,
             cfg,
             group,
@@ -303,7 +297,6 @@ impl Replica {
             registry,
             tee: AttestedLog::new(tee_key),
             state,
-            chain: Chain::new(),
             view: 0,
             next_seq: 1,
             exec_seq: 0,
@@ -335,19 +328,9 @@ impl Replica {
         }
     }
 
-    /// Override chain maintenance (tests force it on; big sweeps off).
-    pub fn set_maintain_chain(&mut self, on: bool) {
-        self.maintain_chain = on;
-    }
-
     /// The replica's ledger state (post-run inspection).
     pub fn state(&self) -> &StateStore {
         &self.state
-    }
-
-    /// The replica's chain (post-run inspection).
-    pub fn chain(&self) -> &Chain {
-        &self.chain
     }
 
     /// Current view.
@@ -1287,7 +1270,6 @@ impl Replica {
         let _prof = ahl_telemetry::Profiler::span("pbft.exec");
         let mut committed = 0u64;
         let mut aborted = 0u64;
-        let mut receipts = Vec::with_capacity(block.reqs.len());
         let mut weight = 0usize;
         // WAL intent record before applying (recovery re-executes it);
         // the 2PC transition journal entries follow as execution decides
@@ -1319,8 +1301,7 @@ impl Replica {
         // the same canonical batch order as before.
         for (req, outcome) in fresh.iter().zip(outcomes) {
             let had_pending = outcome.had_pending;
-            let receipt = outcome.receipt;
-            let ok = receipt.status.is_committed();
+            let ok = outcome.receipt.status.is_committed();
             if let Some(ck) = &checker {
                 ck.observe_exec(self.cfg.committee_id, self.me, req.id, &req.op, had_pending, ok);
             }
@@ -1339,7 +1320,6 @@ impl Replica {
                     store.log_twopc(txid.0, kind);
                 }
             }
-            receipts.push(receipt);
             if ok {
                 committed += 1;
             } else {
@@ -1362,18 +1342,6 @@ impl Replica {
             self.cfg.exec_cost_per_op.saturating_mul(weight as u64),
             true,
         );
-        if self.maintain_chain {
-            let ops = block.reqs.iter().map(|r| r.op.clone()).collect::<Vec<_>>();
-            let lb = LedgerBlock::build(
-                self.chain.len() as u64,
-                self.chain.tip_digest(),
-                ops,
-                self.state.state_digest(),
-                ctx.now().as_nanos(),
-                block.proposer as u64,
-            );
-            self.chain.append(lb, receipts).expect("chain append is sequential");
-        }
         if self.reporter {
             let now = ctx.now();
             let scope = Scope::committee(self.cfg.committee_id);
@@ -2075,8 +2043,6 @@ impl Replica {
             self.insts.retain(|s, _| *s > cert.seq);
             self.next_seq = self.next_seq.max(cert.seq + 1);
         }
-        // The local chain is no longer contiguous after a jump.
-        self.maintain_chain = false;
         self.ckpt.adopt(cert);
         if view > self.view {
             self.enter_view(view, ctx);
@@ -2546,8 +2512,6 @@ impl Replica {
             }
         }
         self.crashed = false;
-        self.chain = Chain::new();
-        self.maintain_chain = false;
         self.insts.clear();
         self.executed_reqs = ExecutedCache::new();
         self.ingested.clear();

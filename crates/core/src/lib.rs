@@ -19,6 +19,7 @@
 //! * [`table1`] — the methodology comparison data.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod compare;
 pub mod formation;

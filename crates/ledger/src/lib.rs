@@ -26,6 +26,7 @@
 //!   byte-identical to sequential execution at any worker count.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod access;
 mod block;

@@ -7,7 +7,7 @@
 //! which is expressive enough for KVStore, SmallBank, and the prepare /
 //! commit / abort split of §6.3, while staying analyzable.
 
-use ahl_crypto::{sha256_parts, Hash};
+use ahl_crypto::{sha256_parts, Hash, Sha256};
 
 /// A state key (Hyperledger-style string key).
 pub type Key = String;
@@ -65,34 +65,35 @@ impl Value {
         }
     }
 
-    fn digest_bytes(&self) -> Vec<u8> {
+    /// Run `f` on the canonical encoding, a variant tag and its payload,
+    /// without materialising the two as one buffer.
+    fn with_encoding<R>(&self, f: impl FnOnce(u8, &[u8]) -> R) -> R {
         match self {
-            Value::Int(i) => {
-                let mut v = vec![0u8];
-                v.extend_from_slice(&i.to_be_bytes());
-                v
-            }
-            Value::Bytes(b) => {
-                let mut v = vec![1u8];
-                v.extend_from_slice(b);
-                v
-            }
-            Value::Bool(b) => vec![2u8, *b as u8],
+            Value::Int(i) => f(0, &i.to_be_bytes()),
+            Value::Bytes(b) => f(1, b),
+            Value::Bool(b) => f(2, &[*b as u8]),
             Value::Opaque { size, tag } => {
-                let mut v = vec![3u8];
-                v.extend_from_slice(&size.to_be_bytes());
-                v.extend_from_slice(&tag.to_be_bytes());
-                v
+                let mut payload = [0u8; 16];
+                payload[..8].copy_from_slice(&size.to_be_bytes());
+                payload[8..].copy_from_slice(&tag.to_be_bytes());
+                f(3, &payload)
             }
         }
     }
 
     /// Canonical content digest — the SMT leaf value hash ([`StateStore`]'s
-    /// authenticated index commits to it per key).
+    /// authenticated index commits to it per key): `sha256_parts` of the
+    /// single part `tag ‖ payload`.
     ///
     /// [`StateStore`]: crate::StateStore
     pub fn digest(&self) -> Hash {
-        sha256_parts(&[&self.digest_bytes()])
+        self.with_encoding(|tag, payload| {
+            let mut h = Sha256::new();
+            h.update((1 + payload.len() as u64).to_be_bytes());
+            h.update([tag]);
+            h.update(payload);
+            h.finalize()
+        })
     }
 }
 
@@ -345,7 +346,10 @@ fn state_op_bytes(op: &StateOp) -> Vec<u8> {
         match m {
             Mutation::Set(v) => {
                 out.push(0);
-                out.extend_from_slice(&v.digest_bytes());
+                v.with_encoding(|tag, payload| {
+                    out.push(tag);
+                    out.extend_from_slice(payload);
+                });
             }
             Mutation::Add(d) => {
                 out.push(1);

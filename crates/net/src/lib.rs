@@ -24,6 +24,7 @@
 //! the deterministic simulator exercises runs as N OS processes.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod gcp;
 pub mod runtime;

@@ -17,6 +17,7 @@
 //!   liveness constraint B ≤ f.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod assign;
 pub mod beacon_proto;

@@ -97,6 +97,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod checkpoint;
 mod smt;

@@ -29,6 +29,7 @@
 //! or mint [`ahl_crypto::Signature`]s for enclave keys they do not hold.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod attestation;
 mod attested_log;

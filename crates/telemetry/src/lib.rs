@@ -19,6 +19,7 @@
 //! every subsystem crate can instrument itself without dependency cycles.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod liveness;
 pub mod profiler;

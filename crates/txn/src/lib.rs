@@ -19,6 +19,7 @@
 //!   protocol surface that shows the BFT reference committee masks them.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod adversary;
 pub mod baselines;

@@ -109,6 +109,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod cache;
 pub mod codec;

@@ -14,6 +14,7 @@
 //! consensus clients as factory closures.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod zipf;
 

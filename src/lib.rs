@@ -204,6 +204,8 @@
 //! [`consensus::adversary`] for the catalogue and how to script a new
 //! attack in a few lines.
 
+#![forbid(unsafe_code)]
+
 pub use ahl_consensus as consensus;
 pub use ahl_core as system;
 pub use ahl_crypto as crypto;
