@@ -1,10 +1,9 @@
-//! Benchmarks of the ledger substrate: state execution (2PL path), block
-//! construction and chain verification.
+//! Benchmarks of the ledger substrate: state execution (the 2PL path and
+//! the blind-write path).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
-use ahl_crypto::Hash;
-use ahl_ledger::{smallbank, Block, Chain, Op, StateStore, TxId};
+use ahl_ledger::{kvstore, smallbank, Op, StateStore, TxId};
 
 fn store_with_accounts(n: usize) -> StateStore {
     let mut s = StateStore::new();
@@ -55,43 +54,30 @@ fn bench_direct_execution(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_block_build(c: &mut Criterion) {
-    let ops: Vec<Op> = (0..100)
-        .map(|i| Op::Direct {
-            txid: TxId(i),
-            op: smallbank::send_payment("acc0", "acc1", 1),
-        })
-        .collect();
-    c.bench_function("block_build_100_txns", |b| {
+/// The host-time benchmark's `inproc_kv_sat` shape at the ledger: one block
+/// of 64 single-key 16-byte `kv_write`s, keys uniform over a warm
+/// 32 768-key store.
+fn bench_kv_write(c: &mut Criterion) {
+    const KEYS: u64 = 32_768;
+    let mut g = c.benchmark_group("state_execute");
+    g.throughput(Throughput::Elements(64));
+    g.bench_function("kv_write_32k", |b| {
+        let mut s = StateStore::new();
+        for k in 0..KEYS {
+            s.execute(&Op::Direct { txid: TxId(k), op: kvstore::kv_write(&[k], 16) });
+        }
+        let mut next = 0u64;
         b.iter(|| {
-            Block::build(
-                0,
-                Hash::ZERO,
-                std::hint::black_box(ops.clone()),
-                Hash::ZERO,
-                0,
-                0,
-            )
+            for _ in 0..64 {
+                next = next.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let op = kvstore::kv_write(&[(next >> 33) % KEYS], 16);
+                s.execute(&Op::Direct { txid: TxId(next), op });
+            }
+            s.state_digest()
         });
     });
+    g.finish();
 }
 
-fn bench_chain_verify(c: &mut Criterion) {
-    let mut chain = Chain::new();
-    for h in 0..50u64 {
-        let ops: Vec<Op> = (0..20)
-            .map(|i| Op::Direct {
-                txid: TxId(h * 100 + i),
-                op: smallbank::send_payment("acc0", "acc1", 1),
-            })
-            .collect();
-        let b = Block::build(h, chain.tip_digest(), ops, Hash::ZERO, h, 0);
-        chain.append(b, vec![]).expect("sequential");
-    }
-    c.bench_function("chain_verify_50_blocks", |b| {
-        b.iter(|| std::hint::black_box(&chain).verify());
-    });
-}
-
-criterion_group!(benches, bench_direct_execution, bench_block_build, bench_chain_verify);
+criterion_group!(benches, bench_direct_execution, bench_kv_write);
 criterion_main!(benches);

@@ -20,8 +20,8 @@ fn tree_with(n: u64) -> SparseMerkleTree {
 fn bench_updates(c: &mut Criterion) {
     let mut g = c.benchmark_group("store_update");
     g.throughput(Throughput::Elements(100));
-    // The flat map: what StateStore pays per mutation without
-    // authentication — the read-cache half of the hybrid.
+    // A plain hash map: what a mutation costs without authentication —
+    // the yardstick the SMT rows below are read against.
     g.bench_function("flat_map_100_updates", |b| {
         b.iter_batched(
             || {

@@ -8,7 +8,7 @@
 //!
 //! [`system_report_json`] converts a full-system run
 //! ([`ahl_core::SystemReport`]) into the stable report shape consumed by
-//! CI and described in EXPERIMENTS.md: run config, aggregate metrics,
+//! CI and described in BENCHMARKS.md: run config, aggregate metrics,
 //! per-shard labeled counters, per-phase latency percentiles, raw global
 //! counters, and flight-recorder occupancy.
 

@@ -12,7 +12,7 @@
 //! Absolute numbers are not expected to match the paper (our substrate is
 //! a discrete-event simulator, not the authors' testbed); the *shapes* —
 //! who wins, by what factor, where curves collapse — are the reproduction
-//! targets. See EXPERIMENTS.md for the paper-vs-measured record.
+//! targets. See BENCHMARKS.md for the measured record.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

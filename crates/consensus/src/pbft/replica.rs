@@ -78,7 +78,7 @@ struct Instance {
 ///
 /// Capture is O(1) in the state size: [`StateStore::snapshot`] hands out a
 /// frozen copy-on-write tree handle whose leaves carry the values, so the
-/// snapshot serves complete chunks without a deep clone of the flat map.
+/// snapshot serves complete chunks without a deep clone of the state.
 /// Retaining several of these is what makes diff sync serveable.
 #[derive(Clone)]
 struct CkptSnapshot {
@@ -2658,30 +2658,30 @@ impl Replica {
                     // and those broke out of the loop below.
                     skipping = false;
                     expected.clear();
-                    let mut weight = 0usize;
                     let checker = if self.byzantine { None } else { self.cfg.safety.clone() };
                     let replay_now = ctx.now();
-                    for req in &reqs {
-                        if !self.executed_reqs.insert(req.id, replay_now) {
-                            continue;
-                        }
-                        weight += req.op.weight();
-                        let had_pending = match &req.op {
-                            ahl_ledger::Op::Abort { txid } => self.state.has_pending(*txid),
-                            _ => false,
-                        };
-                        let receipt = self.state.execute(&req.op);
+                    // Same engine as `execute_block`, fresh requests only.
+                    let fresh: Vec<&Request> = reqs
+                        .iter()
+                        .filter(|r| self.executed_reqs.insert(r.id, replay_now))
+                        .collect();
+                    let weight: usize = fresh.iter().map(|r| r.op.weight()).sum();
+                    let ops: Vec<&ahl_ledger::Op> = fresh.iter().map(|r| &r.op).collect();
+                    let outcomes =
+                        ahl_ledger::execute_ops(&mut self.state, &ops, self.cfg.exec_workers);
+                    for (req, outcome) in fresh.iter().zip(outcomes) {
+                        let ok = outcome.receipt.status.is_committed();
                         if let Some(ck) = &checker {
                             ck.observe_exec(
                                 self.cfg.committee_id,
                                 self.me,
                                 req.id,
                                 &req.op,
-                                had_pending,
-                                receipt.status.is_committed(),
+                                outcome.had_pending,
+                                ok,
                             );
                         }
-                        if receipt.status.is_committed() {
+                        if ok {
                             if let (Some(k), Some(txid)) = (twopc_kind(&req.op), req.op.txid()) {
                                 expected.push_back((txid.0, k));
                             }

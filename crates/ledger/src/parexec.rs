@@ -52,41 +52,34 @@ pub fn dense_schedule(n_ops: usize, n_waves: usize) -> bool {
     n_ops < 2 * n_waves
 }
 
+/// Plan and apply `ops` one at a time, in batch order.
+fn execute_in_order(state: &mut StateStore, ops: &[&Op]) -> Vec<ExecOutcome> {
+    ops.iter()
+        .map(|op| {
+            let plan = state.plan(op);
+            let had_pending = plan.had_pending();
+            ExecOutcome { receipt: state.apply_plan(plan), had_pending }
+        })
+        .collect()
+}
+
 /// Execute a batch against `state`, identical in every observable way to
-/// executing the operations sequentially in order, but using up to
-/// `workers` threads on conflict-free waves. `workers <= 1` *is* the
-/// sequential path.
+/// executing the operations one at a time in order, but planning
+/// conflict-free waves on up to `workers` threads. Every worker count runs
+/// the same plan/apply code; `workers <= 1` skips the scheduling.
 pub fn execute_ops(state: &mut StateStore, ops: &[&Op], workers: usize) -> Vec<ExecOutcome> {
     if workers <= 1 || ops.len() < 2 {
-        return ops
-            .iter()
-            .map(|op| {
-                let had_pending = match op {
-                    Op::Abort { txid } => state.has_pending(*txid),
-                    _ => false,
-                };
-                ExecOutcome { receipt: state.execute(op), had_pending }
-            })
-            .collect();
+        return execute_in_order(state, ops);
     }
 
     let waves = crate::access::schedule(ops, |t| state.pending_info(t));
     let n_waves = waves.iter().copied().max().map_or(0, |w| w + 1);
     if dense_schedule(ops.len(), n_waves) {
         // Contention-adaptive fallback: a dense conflict graph yields
-        // mostly single-op waves, where per-wave plan/apply framing is
-        // pure overhead over the plain sequential loop. Both paths are
-        // observably identical, so this is a wall-clock decision only.
-        return ops
-            .iter()
-            .map(|op| {
-                let had_pending = match op {
-                    Op::Abort { txid } => state.has_pending(*txid),
-                    _ => false,
-                };
-                ExecOutcome { receipt: state.execute(op), had_pending }
-            })
-            .collect();
+        // mostly single-op waves, where per-wave framing is pure overhead.
+        // Both schedules are observably identical, so this is a
+        // wall-clock decision only.
+        return execute_in_order(state, ops);
     }
     let mut by_wave: Vec<Vec<usize>> = vec![Vec::new(); n_waves];
     for (i, w) in waves.iter().enumerate() {

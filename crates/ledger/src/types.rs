@@ -369,6 +369,9 @@ pub enum AbortReason {
     LockConflict(Key),
     /// A guard failed (e.g. insufficient balance).
     ConditionFailed(Condition),
+    /// A `Direct`/`Prepare` mutation names a lock-marker key
+    /// ([`crate::LOCK_PREFIX`]); only the 2PC lifecycle writes those.
+    ReservedKey(Key),
     /// Commit/Abort for a transaction with no pending prepare.
     NoPendingTx,
     /// A prepare for a txid that already has a pending prepare.

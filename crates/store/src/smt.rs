@@ -28,7 +28,7 @@
 //!
 //! The tree is generic over the leaf *value* `V` (any [`StateValue`]), so a
 //! snapshot alone can serve complete state-sync chunks — keys, values and
-//! proofs — without a side copy of the flat map. The default `V = Hash`
+//! proofs — without a side copy of the state. The default `V = Hash`
 //! (where a value is its own digest) keeps the classic authenticated-index
 //! shape.
 //!
@@ -293,30 +293,27 @@ impl<V> SparseMerkleTree<V> {
         self.root.hash()
     }
 
-    /// The value stored for `key`, if present.
-    pub fn get(&self, key: &str) -> Option<&V> {
-        let path = key_path(key);
+    /// The leaf stored at `path`, if any — the one descent every point
+    /// lookup shares.
+    fn find(&self, path: &Hash) -> Option<&Leaf<V>> {
         let mut node = &self.root;
         loop {
             match node {
                 Node::Empty => return None,
-                Node::Leaf(l) => return (l.path == path).then_some(&l.value),
-                Node::Branch(b) => node = &b.children[path_bit(&path, b.bit)],
+                Node::Leaf(l) => return (l.path == *path).then_some(&**l),
+                Node::Branch(b) => node = &b.children[path_bit(path, b.bit)],
             }
         }
     }
 
+    /// The value stored for `key`, if present.
+    pub fn get(&self, key: &str) -> Option<&V> {
+        self.find(&key_path(key)).map(|l| &l.value)
+    }
+
     /// The value hash committed for `key`, if present.
     pub fn get_hash(&self, key: &str) -> Option<Hash> {
-        let path = key_path(key);
-        let mut node = &self.root;
-        loop {
-            match node {
-                Node::Empty => return None,
-                Node::Leaf(l) => return (l.path == path).then_some(l.vhash),
-                Node::Branch(b) => node = &b.children[path_bit(&path, b.bit)],
-            }
-        }
+        self.find(&key_path(key)).map(|l| l.vhash)
     }
 
     /// Produce a proof for `key`: an inclusion proof when the key is live,
@@ -699,11 +696,11 @@ impl<V: StateValue + Clone> SparseMerkleTree<V> {
     /// Remove `key`. Returns whether it was present. O(log n) hashes;
     /// copy-on-write like [`SparseMerkleTree::insert`].
     pub fn remove(&mut self, key: &str) -> bool {
+        let path = key_path(key);
         // Probe first: a miss must not copy-on-write any shared node.
-        if self.get_hash(key).is_none() {
+        if self.find(&path).is_none() {
             return false;
         }
-        let path = key_path(key);
         Self::remove_rec(&mut self.root, &path);
         self.len -= 1;
         true
@@ -756,17 +753,6 @@ impl<V: StateValue + Clone> SparseMerkleTree<V> {
                 let b = Arc::make_mut(b);
                 let dir = path_bit(path, b.bit);
                 Self::get_mut_rec(&mut b.children[dir], path)
-            }
-        }
-    }
-
-    fn contains_path(&self, path: &Hash) -> bool {
-        let mut node = &self.root;
-        loop {
-            match node {
-                Node::Empty => return false,
-                Node::Leaf(l) => return l.path == *path,
-                Node::Branch(b) => node = &b.children[path_bit(path, b.bit)],
             }
         }
     }
@@ -830,7 +816,7 @@ impl<V: StateValue + Clone + Send + Sync> SparseMerkleTree<V> {
         // every surviving removal routes to a live leaf, which keeps the
         // recursive split well-defined (only *inserts* can diverge above a
         // subtree) and makes the length delta exact.
-        slots.retain(|(path, _, v)| v.is_some() || self.contains_path(path));
+        slots.retain(|(path, _, v)| v.is_some() || self.find(path).is_some());
         if slots.is_empty() {
             return;
         }

@@ -419,8 +419,8 @@ impl PageStore {
             // All-or-nothing on real I/O errors too: a short write must
             // not leave file bytes ahead of `active_bytes`/the index, or
             // every later frame lands at a lying offset. Same
-            // check-before-mutate discipline as `exec_prepare`: no state
-            // advances unless the whole write did.
+            // check-before-mutate discipline as the ledger's prepare: no
+            // state advances unless the whole write did.
             self.rollback_active();
             return Err(e);
         }

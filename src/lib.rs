@@ -108,9 +108,12 @@
 //! lock markers (`"L_" + key`), and one bookkeeping slot per transaction
 //! id — and partitions the batch into conflict-free *waves*: an op lands
 //! one wave past the last earlier op that writes what it touches (or
-//! reads what it writes). Waves execute on scoped worker threads
-//! (plan phase is read-only), and effects merge in canonical batch
-//! order.
+//! reads what it writes). Each wave is planned on scoped worker threads
+//! (`StateStore::plan` is read-only) and its effects are applied in
+//! canonical batch order. There is one implementation of the §6.3
+//! semantics: `exec_workers = 1` runs the same `plan` and `apply_plan`
+//! one operation at a time (`StateStore::execute` is exactly that), so
+//! the option selects a thread count, never a second code path.
 //!
 //! **Determinism guarantee**: the receipt stream, state root, lock
 //! table, 2PC sidecar and flight-recorder event stream are byte-identical

@@ -1,6 +1,6 @@
 //! Reproducibility: every protocol simulation is bit-for-bit deterministic
 //! in its seed — the property that makes the throughput numbers in
-//! EXPERIMENTS.md regression-testable.
+//! BENCHMARKS.md regression-testable.
 
 use ahl::consensus::harness::{run_shard_experiment, ClientMode, NetChoice, ShardExperiment};
 use ahl::consensus::pbft::{BftVariant, PbftConfig};

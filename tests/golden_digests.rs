@@ -6,7 +6,7 @@
 use ahl::consensus::pbft::PbftBlock;
 use ahl::consensus::Request;
 use ahl::crypto::{hmac_sha256, sha256, Hash};
-use ahl::ledger::{kvstore, BlockHeader, Condition, Mutation, Op, StateOp, TxId, Value};
+use ahl::ledger::{kvstore, Condition, Mutation, Op, StateOp, TxId, Value};
 use ahl::simkit::SimTime;
 use ahl::store::SparseMerkleTree;
 
@@ -90,22 +90,6 @@ fn op_digest_over_every_value_variant() {
     assert_eq!(
         op.digest().to_hex(),
         "d6211736b40e2db159ed22e931dc24d79fecd4a815fcceb36ded80c3b22e1b89"
-    );
-}
-
-#[test]
-fn block_header_digest() {
-    let header = BlockHeader {
-        height: 12,
-        prev: sha256(b"prev"),
-        txn_root: sha256(b"txns"),
-        state_digest: sha256(b"state"),
-        timestamp: 1_234_567_890,
-        proposer: 3,
-    };
-    assert_eq!(
-        header.digest().to_hex(),
-        "758bd4bc2c64d5bd7ca0315b8083dc8f136565b45666a35a175ea6917619dda7"
     );
 }
 

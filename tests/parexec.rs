@@ -30,7 +30,8 @@ fn seeded_store() -> StateStore {
 /// Decode one generated tuple into an operation. Kinds cover the whole
 /// `Op` surface: direct transfers, the 2PC lifecycle (prepare / commit /
 /// abort, including decisions for transactions that never prepared),
-/// reads (of live keys and lock markers), and no-ops.
+/// reads (of live keys and lock markers), client writes to lock-marker
+/// keys (refused as `ReservedKey`), and no-ops.
 fn build_op(kind: u8, a: u64, b: u64, amt: i64, txid: u64) -> Op {
     let transfer = StateOp {
         conditions: vec![Condition::IntAtLeast { key: account(a), min: amt }],
@@ -52,6 +53,19 @@ fn build_op(kind: u8, a: u64, b: u64, amt: i64, txid: u64) -> Op {
                 mutations: vec![(account(a), Mutation::Set(Value::Int(amt)))],
             },
         },
+        6 => {
+            let forge =
+                if amt % 2 == 0 { Mutation::Set(Value::Bool(true)) } else { Mutation::Delete };
+            let op = StateOp {
+                conditions: vec![],
+                mutations: vec![(account(b), Mutation::Add(amt)), (lock_key(&account(a)), forge)],
+            };
+            if b % 2 == 0 {
+                Op::Direct { txid: TxId(4_000 + txid), op }
+            } else {
+                Op::Prepare { txid: TxId(txid), op }
+            }
+        }
         _ => Op::Noop,
     }
 }
@@ -91,7 +105,7 @@ proptest::proptest! {
     #[test]
     fn random_mixed_batches_parallel_equals_sequential(
         batch in proptest::collection::vec(
-            (0u8..7, 0u64..ACCOUNTS, 0u64..ACCOUNTS, 1i64..60, 0u64..24),
+            (0u8..8, 0u64..ACCOUNTS, 0u64..ACCOUNTS, 1i64..60, 0u64..24),
             1..80,
         ),
     ) {
