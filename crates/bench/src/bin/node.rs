@@ -1,10 +1,10 @@
 //! One real replica process: `node <cluster.cfg> <replica-index>`.
 //!
-//! Reads the cluster config, rebuilds the committee's key registry the
-//! way `pbft::build_group` does (so every process agrees on every
-//! replica's keys without any key exchange), and runs the unmodified
-//! [`Replica`] on a [`NodeRuntime`] over [`TcpTransport`]. If the
-//! replica's data directory already holds a journal, the process
+//! Reads the cluster config, derives the committee's key material through
+//! [`derive_committee`] exactly as the simulator does (so every process
+//! agrees on every replica's keys without any key exchange), and runs the
+//! unmodified [`Replica`] on a [`NodeRuntime`] over [`TcpTransport`]. If
+//! the replica's data directory already holds a journal, the process
 //! self-delivers [`PbftMsg::Restart`] after startup: the replica then
 //! recovers from disk and state-syncs the remainder from its peers —
 //! exactly the crash/restart path the simulator batteries exercise.
@@ -13,14 +13,11 @@
 //! (internal invariant violation) aborts nonzero.
 
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
 use ahl_bench::cluster::ClusterFile;
-use ahl_consensus::pbft::{PbftMsg, Replica};
-use ahl_crypto::KeyRegistry;
+use ahl_consensus::pbft::{derive_committee, PbftMsg, Replica};
 use ahl_net::{NodeRuntime, StatusReport, Stopped, TcpConfig, TcpTransport};
-use ahl_simkit::rng::derive_seed;
 use ahl_simkit::Actor;
 
 fn run() -> Result<(), String> {
@@ -39,37 +36,17 @@ fn run() -> Result<(), String> {
     let pbft = cf.pbft_config();
     let seed = cf.seed;
 
-    // Key material: the exact `build_group` derivation — all replica
-    // keys first, then all TEE keys, so key ids and public keys agree
-    // across every process and with the simulator.
-    let mut registry = KeyRegistry::new();
-    let n = pbft.n;
-    let mut keys: Vec<_> = (0..n).map(|i| registry.generate(seed ^ (i as u64) << 8)).collect();
-    let mut tee_keys: Vec<_> =
-        (0..n).map(|i| registry.generate(seed ^ ((i as u64) << 8) ^ 1)).collect();
-    let registry = Arc::new(registry);
-    let group: Vec<usize> = (0..n).collect();
-    let reporter = if n == 1 { me == 0 } else { me == 1 };
-    let mut rcfg = pbft.clone();
-    rcfg.pool_seed = derive_seed(seed, 0x4D45_4D50 ^ me as u64);
-
-    // Restart detection must precede Replica::new (which creates the
-    // node directory when absent).
-    let node_dir = rcfg.data_dir.as_ref().map(|d| d.join(format!("node-{me}")));
+    // Restart detection must precede building the replica (which creates
+    // the node directory when absent).
+    let node_dir = pbft.data_dir.as_ref().map(|d| d.join(format!("node-{me}")));
     let restarting = node_dir.as_ref().is_some_and(|d| {
         std::fs::read_dir(d).map(|mut it| it.next().is_some()).unwrap_or(false)
     });
 
-    let replica = Replica::new(
-        rcfg,
-        group,
-        me,
-        keys.swap_remove(me),
-        tee_keys.swap_remove(me),
-        registry,
-        &[],
-        reporter,
-    );
+    // Key material, pool seed and reporter flag: the simulator's own
+    // derivation, so key ids and public keys agree across every process.
+    let member = derive_committee(pbft.n, seed).swap_remove(me);
+    let replica = member.into_replica(&pbft, (0..pbft.n).collect(), &[]);
 
     let (my_id, listen) = cf.replicas[me];
     let peers: Vec<_> = cf

@@ -1022,8 +1022,8 @@ pub fn byzantine(scale: Scale) {
         cfg.byzantine = 1;
         cfg.attack = attack;
         cfg.safety = Some(checker.clone());
-        cfg.timeout_commit = SimDuration::from_millis(200);
-        cfg.timeout_round = SimDuration::from_millis(800);
+        cfg.block_period = SimDuration::from_millis(200);
+        cfg.round_timeout = SimDuration::from_millis(800);
         let net = Box::new(UniformNetwork::new(SimDuration::from_micros(300)));
         let (mut sim, group) = build_tm_group(&cfg, net, Some(1e9), 2027);
         let stop = SimTime::ZERO + SimDuration::from_secs(secs.max(5));

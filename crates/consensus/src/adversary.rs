@@ -3,8 +3,9 @@
 //! ## Attack catalogue
 //!
 //! [`Attack`] selects what the Byzantine replicas of a committee do.
-//! Every protocol (PBFT and its variants, IBFT, Tendermint) interprets
-//! the same catalogue at its own attack surfaces:
+//! Both BFT engines (PBFT and its variants; the lockstep engine, hence
+//! IBFT and Tendermint) interpret the same catalogue at their own attack
+//! surfaces:
 //!
 //! | Attack | Leader/proposer | Voter |
 //! |--------|-----------------|-------|
@@ -22,11 +23,10 @@
 //! ## Scripting a new attack
 //!
 //! 1. Add a variant to [`Attack`].
-//! 2. Teach the protocols' attack sites about it — proposals go through
-//!    the leader's `propose`/`propose_batch`, votes through the
-//!    `send_prepare`/`send_commit` (PBFT), `broadcast_prevote`/
-//!    `broadcast_precommit` (Tendermint) and `send_prepare`/`send_commit`
-//!    (IBFT) paths, checkpoints through PBFT's `send_checkpoint`.
+//! 2. Teach the two engines' attack sites about it — proposals go through
+//!    `propose_batch` (PBFT) / `propose` (the lockstep engine behind IBFT
+//!    and Tendermint), votes through each engine's `byzantine_vote`,
+//!    checkpoints through PBFT's `send_checkpoint`.
 //! 3. Add a cell to `tests/byzantine.rs`: run the protocol with the
 //!    attack at `f ≤ ⌊(n−1)/3⌋` and assert `checker.assert_clean()` plus
 //!    progress. Network-level misbehaviour (partitions, message
@@ -56,8 +56,6 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use ahl_crypto::Hash;
-
-use crate::common::Request;
 
 /// The scripted misbehaviour of a committee's Byzantine members.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -112,8 +110,8 @@ pub fn equivocation_half(group_index: usize) -> usize {
 
 /// The bookkeeping a colluding equivocator keeps per consensus slot:
 /// which conflicting proposals it has seen, and which committee half each
-/// one's votes target. Shared by the PBFT, IBFT and Tendermint colluders
-/// so the double-signing logic cannot drift between protocols.
+/// one's votes target. Shared by the PBFT and lockstep colluders so the
+/// double-signing logic cannot drift between engines.
 #[derive(Clone, Debug, Default)]
 pub struct EquivocationTracker {
     seen: HashMap<u128, Vec<Hash>>,
@@ -146,119 +144,6 @@ impl EquivocationTracker {
         sorted.sort_by_key(|d| d.0);
         let half = sorted.iter().position(|d| *d == digest).unwrap_or(0) % 2;
         Some((half, sorted.len() > 1))
-    }
-}
-
-/// Proposer-side double-sign equivocation, shared by IBFT and Tendermint
-/// (PBFT's attested variants equivocate at the sequence-number layer
-/// instead). Builds the conflicting sibling block (the original minus
-/// its first request), orders the two stories by digest, and calls
-/// `emit(g, digest, block)` once per (peer, story): Byzantine colleagues
-/// get both stories, honest peers the one their [`equivocation_half`]
-/// assigns. `digest` is the protocol's block-digest function for the
-/// slot; `emit` sends the proposal plus the proposer's own votes.
-pub fn equivocate_propose(
-    block: Arc<Vec<Request>>,
-    digest: impl Fn(&[Request]) -> Hash,
-    n: usize,
-    me: usize,
-    is_byzantine: impl Fn(usize) -> bool,
-    mut emit: impl FnMut(usize, Hash, &Arc<Vec<Request>>),
-) {
-    let alt: Arc<Vec<Request>> = Arc::new(block[1..].to_vec());
-    let da = digest(block.as_slice());
-    let db = digest(alt.as_slice());
-    let (lo, hi) = if da.0 <= db.0 { ((da, block), (db, alt)) } else { ((db, alt), (da, block)) };
-    for g in 0..n {
-        if g == me {
-            continue;
-        }
-        let sides: Vec<&(Hash, Arc<Vec<Request>>)> = if is_byzantine(g) {
-            vec![&lo, &hi] // colluders see both stories
-        } else if equivocation_half(g) == 0 {
-            vec![&lo]
-        } else {
-            vec![&hi]
-        };
-        for (d, blk) in sides {
-            emit(g, *d, blk);
-        }
-    }
-}
-
-/// Colluding-voter echo targets for one proposal, shared by IBFT and
-/// Tendermint: packs `(height, round)` into the tracker's slot key,
-/// records `digest`, and returns the group indices the colluder's votes
-/// for it should go to — `None` for a duplicate (already echoed). While
-/// only one proposal is known at the slot the votes go to everyone
-/// (covert mode); once a conflict appears they go per committee half.
-pub fn equivocation_echo_targets(
-    tracker: &mut EquivocationTracker,
-    height: u64,
-    round: u32,
-    digest: Hash,
-    n: usize,
-    me: usize,
-) -> Option<Vec<usize>> {
-    let slot = ((height as u128) << 32) | round as u128;
-    let (half, split) = tracker.observe(slot, digest)?;
-    Some((0..n).filter(|&g| g != me && (!split || equivocation_half(g) == half)).collect())
-}
-
-/// What a Byzantine voter does at one vote site, as decided by
-/// [`byzantine_vote`]. The caller executes the plan — charging signing
-/// CPU, bumping stats, and sending — so the shared attack logic stays
-/// generic over the protocol's message type.
-pub enum VoteAttackPlan<M> {
-    /// Say nothing ([`Attack::WithholdVotes`]; [`Attack::Equivocate`]
-    /// votes ride the proposal-echo path instead).
-    Silent,
-    /// Replay the previous slot's parked vote to every peer (`None` on
-    /// the first slot, when nothing stale exists yet). The current vote
-    /// has been parked for the next slot either way.
-    Replay(Option<M>),
-    /// Send each `(group_index, vote)` pair: corrupt-digest votes,
-    /// conflicting per committee half ([`Attack::PaperFlood`]) or
-    /// uniformly bogus ([`Attack::BogusCheckpoint`]).
-    Corrupt(Vec<(usize, M)>),
-}
-
-/// Byzantine vote emission, shared by IBFT (prepare/commit) and
-/// Tendermint (prevote/precommit). `first_phase` distinguishes the
-/// protocol's two vote rounds (separate stale-vote parking slots);
-/// `make` builds the protocol's vote message for a digest.
-pub fn byzantine_vote<M>(
-    attack: Attack,
-    stale_votes: &mut [Option<M>; 2],
-    first_phase: bool,
-    digest: Hash,
-    n: usize,
-    me: usize,
-    make: impl Fn(Hash) -> M,
-) -> VoteAttackPlan<M> {
-    match attack {
-        Attack::Equivocate | Attack::WithholdVotes => VoteAttackPlan::Silent,
-        Attack::StaleReplay => {
-            let slot = usize::from(!first_phase);
-            let stale = stale_votes[slot].replace(make(digest));
-            VoteAttackPlan::Replay(stale)
-        }
-        Attack::PaperFlood | Attack::BogusCheckpoint => {
-            let mut bad = digest;
-            bad.0[0] ^= 0xff;
-            let votes = (0..n)
-                .filter(|&g| g != me)
-                .map(|g| {
-                    let d = if attack == Attack::BogusCheckpoint || equivocation_half(g) == 1 {
-                        bad
-                    } else {
-                        digest
-                    };
-                    (g, make(d))
-                })
-                .collect();
-            VoteAttackPlan::Corrupt(votes)
-        }
     }
 }
 
@@ -450,12 +335,11 @@ impl SafetyChecker {
 
     /// One honest execution, fully observed: exactly-once bookkeeping plus
     /// the 2PC decision, when the executed op resolves a prepared
-    /// cross-shard transaction. This is the single entry point every
-    /// protocol's exec path reports through (PBFT live path, PBFT WAL
-    /// replay, IBFT, Tendermint) — the caller supplies `had_pending`
-    /// (whether the shard held a prepared write set *before* executing,
-    /// so no-op abort deliveries are not reported) and `committed`
-    /// (whether a `Commit` op actually applied).
+    /// cross-shard transaction. Every engine's exec path reports through
+    /// here via [`crate::common::BlockExecutor`], which supplies
+    /// `had_pending` (whether the shard held a prepared write set *before*
+    /// executing, so no-op abort deliveries are not reported) and
+    /// `committed` (whether a `Commit` op actually applied).
     pub fn observe_exec(
         &self,
         committee: usize,

@@ -1,8 +1,16 @@
-//! Types shared by all consensus protocol implementations.
+//! What every consensus protocol implementation shares: the request and
+//! stat vocabulary, the executed-request replay cache, and the
+//! **committed-block shell** ([`BlockExecutor`]) — the one place a decided
+//! batch becomes executed state, safety-oracle observations and
+//! throughput/latency reports, for PBFT (live execution and WAL replay)
+//! and the lockstep engine alike.
 
-use ahl_ledger::Op;
-use ahl_simkit::{NodeId, SimDuration, SimTime};
+use ahl_ledger::{Op, StateStore};
+use ahl_mempool::Mempool;
+use ahl_simkit::{Ctx, NodeId, Phase, Scope, SimDuration, SimTime};
 use rand::rngs::SmallRng;
+
+use crate::adversary::{commit_digest, SafetyChecker};
 
 /// A client request: an identified ledger operation.
 #[derive(Clone, Debug)]
@@ -53,6 +61,18 @@ pub enum CryptoMode {
     Real,
     /// Charge latencies only.
     CostOnly,
+}
+
+/// The two vote rounds every BFT engine here runs per block: a quorum of
+/// `Prepare` votes locks a proposal, a quorum of `Commit` votes decides it
+/// (Tendermint calls them prevote and precommit). Doubles as the index
+/// into per-phase vote state (`phase as usize`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum VotePhase {
+    /// First round: prepare / prevote.
+    Prepare = 0,
+    /// Second round: commit / precommit.
+    Commit = 1,
 }
 
 /// Generates the next ledger operation for a client. Implemented by the
@@ -235,6 +255,166 @@ impl ExecutedCache {
     /// wire form).
     pub fn to_set(&self) -> std::collections::HashSet<u64> {
         self.ids.keys().copied().collect()
+    }
+}
+
+/// The stores a decided batch is executed against — each engine lends its
+/// own for the duration of one block.
+pub struct Stores<'a> {
+    /// The replica's ledger.
+    pub state: &'a mut StateStore,
+    /// Its executed-request replay cache.
+    pub executed: &'a mut ExecutedCache,
+    /// Its transaction pool (executed requests leave it).
+    pub pool: &'a mut Mempool<Request>,
+}
+
+/// The committed-block shell: who executes a decided batch and where the
+/// observations go. Built once per replica; its two entry points are the
+/// only callers of [`ahl_ledger::execute_ops`] and
+/// [`SafetyChecker::observe_exec`] in this crate.
+pub struct BlockExecutor {
+    /// Committee id in scoped stats and the checker's records.
+    pub committee_id: usize,
+    /// This replica's group index.
+    pub me: usize,
+    /// Whether this replica reports the committee's throughput/latency.
+    pub reporter: bool,
+    /// Worker threads for block execution (`1` = the sequential loop).
+    pub exec_workers: usize,
+    /// The safety oracle honest replicas report into (`None` for a
+    /// Byzantine replica: the oracle only hears honest ones).
+    pub checker: Option<SafetyChecker>,
+}
+
+impl BlockExecutor {
+    /// Bring `reqs` into `stores.state`: skip replays via the executed-id
+    /// cache, drop the rest from the pool, run them through the
+    /// conflict-aware engine in batch order, and report each outcome to
+    /// the safety oracle before handing it to `each(request, committed)`.
+    /// Returns the summed op weight of what ran, for the caller's
+    /// execution-cost model. Stamps and counts nothing — WAL replay, which
+    /// re-derives state a live commit already reported, calls this
+    /// directly; a live commit goes through [`BlockExecutor::commit`].
+    pub fn execute<'r>(
+        &self,
+        reqs: &'r [Request],
+        stores: Stores<'_>,
+        now: SimTime,
+        mut each: impl FnMut(&'r Request, bool),
+    ) -> usize {
+        let mut weight = 0usize;
+        let mut fresh = Vec::with_capacity(reqs.len());
+        for req in reqs {
+            if !stores.executed.insert(req.id, now) {
+                continue; // replay of an already-executed request
+            }
+            stores.pool.remove(req.id);
+            weight += req.op.weight();
+            fresh.push(req);
+        }
+        // `exec_workers <= 1` is the sequential loop; above that the batch
+        // is wave-scheduled with receipts, state root and the per-abort
+        // `had_pending` signal identical to sequential by construction.
+        let ops: Vec<&Op> = fresh.iter().map(|r| &r.op).collect();
+        let outcomes = ahl_ledger::execute_ops(stores.state, &ops, self.exec_workers);
+        for (req, outcome) in fresh.into_iter().zip(outcomes) {
+            let ok = outcome.receipt.status.is_committed();
+            if let Some(ck) = &self.checker {
+                ck.observe_exec(self.committee_id, self.me, req.id, &req.op, outcome.had_pending, ok);
+            }
+            each(req, ok);
+        }
+        weight
+    }
+
+    /// A live commit of the batch decided at `height`:
+    /// [`BlockExecutor::execute`], plus everything a commit reports — the
+    /// `Exec` stamp per request (then the caller's own per-request work,
+    /// `each(request, committed, ctx)`), the reporter's latency,
+    /// committed / aborted / blocks counters and commit series, and the
+    /// safety oracle's commit record over the ordered request ids (the
+    /// *content* of the batch, so a re-proposal in a later view or round
+    /// is no fork while any divergence at one height is).
+    pub fn commit<M: Clone>(
+        &self,
+        height: u64,
+        reqs: &[Request],
+        stores: Stores<'_>,
+        ctx: &mut Ctx<'_, M>,
+        mut each: impl FnMut(&Request, bool, &mut Ctx<'_, M>),
+    ) -> usize {
+        let scope = Scope::committee(self.committee_id);
+        let mut committed = 0u64;
+        let mut aborted = 0u64;
+        let weight = self.execute(reqs, stores, ctx.now(), |req, ok| {
+            ctx.trace(req.id, Phase::Exec);
+            if ok {
+                committed += 1;
+            } else {
+                aborted += 1;
+            }
+            if self.reporter {
+                let lat = ctx.now().since(req.submitted);
+                ctx.stats().record_latency_scoped(stat::TXN_LATENCY, scope, lat);
+            }
+            each(req, ok, ctx);
+        });
+        if self.reporter {
+            let now = ctx.now();
+            ctx.stats().inc_scoped(stat::TXN_COMMITTED, scope, committed);
+            ctx.stats().inc_scoped(stat::TXN_ABORTED, scope, aborted);
+            ctx.stats().inc_scoped(stat::BLOCKS_COMMITTED, scope, 1);
+            ctx.stats().record_point(stat::COMMIT_SERIES, now, committed as f64);
+        }
+        if let Some(ck) = &self.checker {
+            ck.record_commit(self.committee_id, height, commit_digest(reqs.iter().map(|r| r.id)));
+        }
+        weight
+    }
+}
+
+/// Minimal [`ahl_simkit::Host`] for driving one actor handler at a time —
+/// the same entry point `ahl_net::NodeRuntime` uses — so a test can
+/// inspect exactly what each delivery does.
+#[cfg(test)]
+pub(crate) mod testkit {
+    use ahl_simkit::{Host, NodeId, SimDuration, SimTime, Stats};
+    use rand::{rngs::SmallRng, SeedableRng};
+
+    pub(crate) struct TestHost {
+        now: SimTime,
+        pub stats: Stats,
+        rng: SmallRng,
+        nodes: usize,
+    }
+
+    impl TestHost {
+        pub(crate) fn new(nodes: usize) -> Self {
+            TestHost {
+                now: SimTime::ZERO + SimDuration::from_millis(1),
+                stats: Stats::new(),
+                rng: SmallRng::seed_from_u64(42),
+                nodes,
+            }
+        }
+    }
+
+    impl Host for TestHost {
+        fn now(&self) -> SimTime {
+            self.now
+        }
+        fn num_nodes(&self) -> usize {
+            self.nodes
+        }
+        fn set_timer(&mut self, _node: NodeId, _delay: SimDuration, _kind: u64) {}
+        fn rng(&mut self, _node: NodeId) -> &mut SmallRng {
+            &mut self.rng
+        }
+        fn stats(&mut self) -> &mut Stats {
+            &mut self.stats
+        }
+        fn halt(&mut self) {}
     }
 }
 

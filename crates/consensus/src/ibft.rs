@@ -1,4 +1,5 @@
-//! Istanbul BFT as integrated in Quorum (Figure 2 baseline).
+//! Istanbul BFT as integrated in Quorum (Figure 2 baseline): one rule set
+//! of the lockstep round engine ([`crate::lockstep`]).
 //!
 //! Three-phase (pre-prepare / prepare / commit) like PBFT, but — as the
 //! paper observes in Appendix C.2 — **lockstep**: the proposer for height
@@ -7,883 +8,62 @@
 //! the EVM with Merkle-tree updates, which the paper identifies as the
 //! other reason Quorum trails Tendermint's bare key-value store.
 //!
-//! Round changes replace a stalled proposer. The documented IBFT locking
-//! bug (locks not always released, occasionally deadlocking Quorum) is
-//! reproducible via [`IbftConfig::sticky_locks`].
+//! What is IBFT's own, next to Tendermint: a validator locked on a block
+//! *refuses* a conflicting proposal (counted as `ibft.lock_refusals`); a
+//! stalled round is left only on a 2f+1 quorum of `RoundChange` votes; and
+//! the names and defaults below. The first two are the `Protocol::Ibft`
+//! arms of the engine.
 
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use ahl_simkit::SimDuration;
 
-use ahl_crypto::{sha256_parts, Hash};
-use ahl_ledger::StateStore;
-use ahl_mempool::{Mempool, MempoolConfig};
-use ahl_simkit::{Actor, Ctx, MsgClass, NodeId, Phase, Scope, SimDuration};
+use crate::lockstep::{LockstepConfig, Profile, Protocol};
 
-use crate::adversary::{
-    self, commit_digest, Attack, EquivocationTracker, SafetyChecker, VoteAttackPlan,
+pub use crate::lockstep::build_group as build_ibft_group;
+
+pub(crate) const PROFILE: Profile = Profile {
+    digest_tag: b"ibft-block",
+    pool_tag: 0x1BF7_0000,
+    exec_span: "ibft.exec",
+    round_changes: "ibft.round_changes",
+    // The gas-limit analogue.
+    max_block_txns: 500,
+    // "A transaction in Quorum is expensive because of its execution in
+    // the EVM and updates to various Merkle trees."
+    exec_cost_per_op: SimDuration::from_micros(500),
 };
-use crate::clients::ClientProtocol;
-use crate::common::{stat, Request};
 
-/// IBFT wire messages.
-#[derive(Clone, Debug)]
-pub enum IbftMsg {
-    /// Client → node: transaction submission (RPC).
-    Request(Request),
-    /// Node → all: transaction gossip.
-    GossipTx(Request),
-    /// Proposer → all: block proposal.
-    PrePrepare {
-        /// Height ("sequence" in IBFT terms).
-        height: u64,
-        /// Round.
-        round: u32,
-        /// Transactions.
-        block: Arc<Vec<Request>>,
-        /// Digest.
-        digest: Hash,
-        /// Proposer index.
-        proposer: usize,
-    },
-    /// Prepare vote.
-    Prepare {
-        /// Height.
-        height: u64,
-        /// Round.
-        round: u32,
-        /// Digest.
-        digest: Hash,
-        /// Voter.
-        replica: usize,
-    },
-    /// Commit vote.
-    Commit {
-        /// Height.
-        height: u64,
-        /// Round.
-        round: u32,
-        /// Digest.
-        digest: Hash,
-        /// Voter.
-        replica: usize,
-    },
-    /// Round-change vote.
-    RoundChange {
-        /// Height.
-        height: u64,
-        /// Proposed round.
-        round: u32,
-        /// Voter.
-        replica: usize,
-    },
-    /// Reply to client.
-    Reply {
-        /// Request id.
-        req_id: u64,
-        /// Commit status.
-        committed: bool,
-    },
-}
-
-impl IbftMsg {
-    /// Queue class.
-    pub fn class(&self) -> MsgClass {
-        match self {
-            IbftMsg::Request(_) | IbftMsg::GossipTx(_) | IbftMsg::Reply { .. } => MsgClass::REQUEST,
-            _ => MsgClass::CONSENSUS,
-        }
-    }
-
-    /// Approximate wire size.
-    pub fn wire_size(&self) -> usize {
-        match self {
-            IbftMsg::Request(r) | IbftMsg::GossipTx(r) => 250 + r.op.wire_size(),
-            IbftMsg::PrePrepare { block, .. } => {
-                120 + block.iter().map(|r| 64 + r.op.wire_size()).sum::<usize>()
-            }
-            IbftMsg::Prepare { .. } | IbftMsg::Commit { .. } | IbftMsg::RoundChange { .. } => 120,
-            IbftMsg::Reply { .. } => 100,
-        }
-    }
-}
-
-impl ClientProtocol for IbftMsg {
-    fn make_request(req: Request) -> Self {
-        IbftMsg::Request(req)
-    }
-    fn reply_id(&self) -> Option<u64> {
-        match self {
-            IbftMsg::Reply { req_id, .. } => Some(*req_id),
-            _ => None,
-        }
-    }
-}
-
-/// IBFT node configuration.
-#[derive(Clone, Debug)]
-pub struct IbftConfig {
-    /// Committee size (N = 3f + 1).
-    pub n: usize,
-    /// Max transactions per block (gas-limit analogue).
-    pub max_block_txns: usize,
-    /// Block period (Quorum default 1 s).
-    pub block_period: SimDuration,
-    /// Round-change timeout.
-    pub round_timeout: SimDuration,
-    /// Signature cost.
-    pub sign_cost: SimDuration,
-    /// Verification cost.
-    pub verify_cost: SimDuration,
-    /// RPC ingest cost.
-    pub ingest_cost: SimDuration,
-    /// EVM execution + Merkle update cost per state access (the paper:
-    /// "a transaction in Quorum is expensive because of its execution in
-    /// the EVM and updates to various Merkle trees").
-    pub exec_cost_per_op: SimDuration,
-    /// Reproduce the observed Quorum lock-release bug: locks survive round
-    /// changes and can deadlock a height.
-    pub sticky_locks: bool,
-    /// Per-node transaction pool (capacity + admission policy).
-    pub mempool: MempoolConfig,
-    /// Pool eviction/ordering seed (set per node by `build_ibft_group` so
-    /// it derives from the run seed).
-    pub pool_seed: u64,
-    /// Number of Byzantine validators (the highest indices).
-    pub byzantine: usize,
-    /// What the Byzantine validators do (see [`Attack`]; equivocation
-    /// fires whenever a Byzantine validator's proposer turn comes up).
-    pub attack: Attack,
-    /// Global safety oracle honest validators report commits into.
-    pub safety: Option<SafetyChecker>,
-    /// This committee's id in the checker's records.
-    pub committee_id: usize,
-    /// Worker threads for block execution (`1` = the sequential loop;
-    /// above that the batch goes through the deterministic conflict-aware
-    /// engine with byte-identical results).
-    pub exec_workers: usize,
-    /// Re-derive every cached hash of the authenticated index across the
-    /// worker pool every this-many committed heights when
-    /// `exec_workers > 1` (the same paranoia audit PBFT runs at each
-    /// checkpoint; IBFT has no checkpoint machinery, so the cadence is
-    /// its own knob).
-    pub audit_interval: u64,
-}
+/// IBFT's entry point to [`LockstepConfig`].
+pub struct IbftConfig;
 
 impl IbftConfig {
-    /// Defaults matching the Figure 2 comparison.
-    pub fn new(n: usize) -> Self {
-        IbftConfig {
-            n,
-            max_block_txns: 500,
-            block_period: SimDuration::from_secs(1),
-            round_timeout: SimDuration::from_secs(3),
-            sign_cost: SimDuration::from_micros(150),
-            verify_cost: SimDuration::from_micros(200),
-            ingest_cost: SimDuration::from_millis(1),
-            exec_cost_per_op: SimDuration::from_micros(500),
-            sticky_locks: false,
-            mempool: MempoolConfig::default(),
-            pool_seed: 0,
-            byzantine: 0,
-            attack: Attack::default(),
-            safety: None,
-            committee_id: 0,
-            exec_workers: 1,
-            audit_interval: 128,
-        }
+    /// Defaults matching the Figure 2 comparison (block period 1 s).
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new(n: usize) -> LockstepConfig {
+        LockstepConfig::new(Protocol::Ibft, n)
     }
-
-    /// Byzantine quorum (2f + 1).
-    pub fn quorum(&self) -> usize {
-        2 * ((self.n.saturating_sub(1)) / 3) + 1
-    }
-
-    /// Whether validator `i` is Byzantine (highest indices).
-    pub fn is_byzantine(&self, i: usize) -> bool {
-        self.byzantine > 0 && i >= self.n - self.byzantine
-    }
-}
-
-const TIMER_ROUND: u64 = 1;
-const TIMER_PERIOD: u64 = 2;
-
-/// Proposals buffered by (height, round).
-type ProposalBuf = HashMap<(u64, u32), (Hash, Arc<Vec<Request>>)>;
-
-/// An IBFT validator.
-pub struct IbftNode {
-    cfg: IbftConfig,
-    group: Vec<NodeId>,
-    me: usize,
-    reporter: bool,
-
-    height: u64,
-    round: u32,
-    proposal: Option<(Hash, Arc<Vec<Request>>)>,
-    locked: Option<(Hash, Arc<Vec<Request>>)>,
-    /// Buffered proposals for heights/rounds not yet entered.
-    proposal_buf: ProposalBuf,
-    prepares: HashMap<(u64, u32), HashMap<Hash, HashSet<usize>>>,
-    commits: HashMap<(u64, u32), HashMap<Hash, HashSet<usize>>>,
-    round_changes: HashMap<(u64, u32), HashSet<usize>>,
-    sent_prepare: HashSet<(u64, u32)>,
-    sent_commit: HashSet<(u64, u32)>,
-    epoch: u64,
-    /// Between finalization and the block-period expiry: no proposing.
-    waiting_period: bool,
-
-    pool: Mempool<Request>,
-    executed: HashSet<u64>,
-    state: StateStore,
-
-    byzantine: bool,
-    /// Stale-replay attack state: previous (prepare, commit) votes.
-    stale_votes: [Option<IbftMsg>; 2],
-    /// Equivocation-collusion state (shared double-signing bookkeeping).
-    byz_equiv: EquivocationTracker,
-}
-
-impl IbftNode {
-    /// Create a validator.
-    pub fn new(cfg: IbftConfig, group: Vec<NodeId>, me: usize, reporter: bool) -> Self {
-        let pool = Mempool::new(cfg.mempool.clone(), cfg.pool_seed ^ me as u64);
-        IbftNode {
-            byzantine: cfg.is_byzantine(me),
-            stale_votes: [None, None],
-            byz_equiv: EquivocationTracker::new(),
-            cfg,
-            group,
-            me,
-            reporter,
-            height: 1,
-            round: 0,
-            proposal: None,
-            locked: None,
-            proposal_buf: HashMap::new(),
-            prepares: HashMap::new(),
-            commits: HashMap::new(),
-            round_changes: HashMap::new(),
-            sent_prepare: HashSet::new(),
-            sent_commit: HashSet::new(),
-            epoch: 0,
-            waiting_period: false,
-            pool,
-            executed: HashSet::new(),
-            state: StateStore::new(),
-        }
-    }
-
-    /// Current height (post-run inspection).
-    pub fn height(&self) -> u64 {
-        self.height
-    }
-
-    fn proposer(&self, height: u64, round: u32) -> usize {
-        // Quorum IBFT rotates the proposer every block and every round.
-        ((height + round as u64) % self.cfg.n as u64) as usize
-    }
-
-    fn others(&self) -> Vec<NodeId> {
-        let mine = self.group[self.me];
-        self.group.iter().copied().filter(|&g| g != mine).collect()
-    }
-
-    fn charge(&self, ctx: &mut Ctx<'_, IbftMsg>, d: SimDuration) {
-        ctx.consume_cpu(d);
-        ctx.stats().inc(stat::CONSENSUS_CPU_NS, d.as_nanos());
-    }
-
-    fn enter_round(&mut self, ctx: &mut Ctx<'_, IbftMsg>) {
-        // Keep the previous round's proposal: a commit quorum for it may
-        // still complete after the round change.
-        if let Some((d, b)) = self.proposal.take() {
-            self.proposal_buf.entry((self.height, self.round)).or_insert((d, b));
-        }
-        self.waiting_period = false;
-        self.epoch += 1;
-        ctx.set_timer(self.cfg.round_timeout, TIMER_ROUND | (self.epoch << 8));
-        let key = (self.height, self.round);
-        if let Some((digest, block)) = self.proposal_buf.remove(&key) {
-            let lock_conflict = matches!(&self.locked, Some((d, _)) if *d != digest);
-            if !lock_conflict {
-                self.proposal = Some((digest, block));
-                self.send_prepare(digest, ctx);
-            }
-        }
-        if self.proposer(self.height, self.round) == self.me && self.proposal.is_none() {
-            self.propose(ctx);
-        }
-        self.recheck_votes(ctx);
-    }
-
-    /// Quorums may already exist from early-arriving votes.
-    fn recheck_votes(&mut self, ctx: &mut Ctx<'_, IbftMsg>) {
-        let key = (self.height, self.round);
-        if let Some(by_digest) = self.prepares.get(&key) {
-            let ready: Vec<Hash> = by_digest
-                .iter()
-                .filter(|(_, v)| v.len() >= self.cfg.quorum())
-                .map(|(d, _)| *d)
-                .collect();
-            for d in ready {
-                self.record_prepare(key, d, self.me, ctx);
-            }
-        }
-        self.try_finalize_any_round(ctx);
-    }
-
-    /// Finalize from a commit quorum at any round of the current height
-    /// (nodes that raced past the deciding round must still finalize).
-    fn try_finalize_any_round(&mut self, ctx: &mut Ctx<'_, IbftMsg>) {
-        let h = self.height;
-        let quorum = self.cfg.quorum();
-        let mut decided: Option<(Hash, u32)> = None;
-        for ((hh, r), by_digest) in &self.commits {
-            if *hh != h {
-                continue;
-            }
-            for (d, votes) in by_digest {
-                if votes.len() >= quorum {
-                    decided = Some((*d, *r));
-                    break;
-                }
-            }
-            if decided.is_some() {
-                break;
-            }
-        }
-        let Some((digest, round)) = decided else { return };
-        let block = match (&self.proposal, &self.locked) {
-            (Some((d, b)), _) if *d == digest => Some(b.clone()),
-            (_, Some((d, b))) if *d == digest => Some(b.clone()),
-            _ => {
-                let _ = round;
-                self.proposal_buf
-                    .iter()
-                    .find(|((hh, _), (d, _))| *hh == h && *d == digest)
-                    .map(|(_, (_, b))| b.clone())
-            }
-        };
-        if let Some(block) = block {
-            self.finalize(block, ctx);
-        }
-    }
-
-    /// Double-sign equivocation (proposer side): two conflicting blocks
-    /// for the same (height, round), lower digest to committee half 0,
-    /// higher to half 1, both to Byzantine colleagues, plus the
-    /// proposer's own per-half votes. Forks exactly when f > ⌊(n−1)/3⌋.
-    fn equivocate_propose(&mut self, block: Arc<Vec<Request>>, ctx: &mut Ctx<'_, IbftMsg>) {
-        let (height, round, me) = (self.height, self.round, self.me);
-        self.charge(ctx, self.cfg.sign_cost);
-        let (group, cfg) = (&self.group, &self.cfg);
-        adversary::equivocate_propose(
-            block,
-            |b| digest_of(height, round, b),
-            cfg.n,
-            me,
-            |g| cfg.is_byzantine(g),
-            |g, digest, blk| {
-                let peer = group[g];
-                ctx.send(
-                    peer,
-                    IbftMsg::PrePrepare { height, round, block: blk.clone(), digest, proposer: me },
-                );
-                ctx.send(peer, IbftMsg::Prepare { height, round, digest, replica: me });
-                ctx.send(peer, IbftMsg::Commit { height, round, digest, replica: me });
-            },
-        );
-    }
-
-    /// Double-sign equivocation (colluding voter side).
-    fn equivocate_echo(&mut self, height: u64, round: u32, digest: Hash, ctx: &mut Ctx<'_, IbftMsg>) {
-        let Some(targets) = adversary::equivocation_echo_targets(
-            &mut self.byz_equiv,
-            height,
-            round,
-            digest,
-            self.cfg.n,
-            self.me,
-        ) else {
-            return;
-        };
-        self.charge(ctx, self.cfg.sign_cost);
-        let me = self.me;
-        let targets: Vec<NodeId> = targets.into_iter().map(|g| self.group[g]).collect();
-        ctx.multicast(targets.clone(), IbftMsg::Prepare { height, round, digest, replica: me });
-        ctx.multicast(targets, IbftMsg::Commit { height, round, digest, replica: me });
-    }
-
-    /// Byzantine vote emission, dispatched by the configured [`Attack`]
-    /// through the shared [`adversary::byzantine_vote`] planner.
-    fn byzantine_vote(&mut self, prepare: bool, digest: Hash, ctx: &mut Ctx<'_, IbftMsg>) {
-        let (height, round, me) = (self.height, self.round, self.me);
-        let make = |digest: Hash| {
-            if prepare {
-                IbftMsg::Prepare { height, round, digest, replica: me }
-            } else {
-                IbftMsg::Commit { height, round, digest, replica: me }
-            }
-        };
-        let plan = adversary::byzantine_vote(
-            self.cfg.attack,
-            &mut self.stale_votes,
-            prepare,
-            digest,
-            self.cfg.n,
-            me,
-            make,
-        );
-        match plan {
-            VoteAttackPlan::Silent | VoteAttackPlan::Replay(None) => {}
-            VoteAttackPlan::Replay(Some(stale)) => {
-                ctx.stats().inc("adv.stale_replays", 1);
-                self.charge(ctx, self.cfg.sign_cost);
-                ctx.multicast(self.others(), stale);
-            }
-            VoteAttackPlan::Corrupt(votes) => {
-                self.charge(ctx, self.cfg.sign_cost);
-                for (g, vote) in votes {
-                    ctx.send(self.group[g], vote);
-                }
-            }
-        }
-    }
-
-    fn propose(&mut self, ctx: &mut Ctx<'_, IbftMsg>) {
-        if self.waiting_period {
-            return;
-        }
-        // A validator locked on a block must re-propose it.
-        let block: Arc<Vec<Request>> = if let Some((_, b)) = &self.locked {
-            b.clone()
-        } else {
-            let now = ctx.now();
-            Arc::new(self.pool.take_batch(
-                self.cfg.max_block_txns,
-                usize::MAX,
-                now,
-                ctx.stats(),
-            ))
-        };
-        if block.is_empty() {
-            return;
-        }
-        if self.byzantine && self.cfg.attack == Attack::Equivocate {
-            self.equivocate_propose(block, ctx);
-            return;
-        }
-        for r in block.iter() {
-            ctx.trace(r.id, Phase::Propose);
-        }
-        let digest = digest_of(self.height, self.round, &block);
-        self.charge(ctx, self.cfg.sign_cost);
-        ctx.multicast(
-            self.others(),
-            IbftMsg::PrePrepare {
-                height: self.height,
-                round: self.round,
-                block: block.clone(),
-                digest,
-                proposer: self.me,
-            },
-        );
-        self.proposal = Some((digest, block));
-        self.send_prepare(digest, ctx);
-    }
-
-    fn send_prepare(&mut self, digest: Hash, ctx: &mut Ctx<'_, IbftMsg>) {
-        let key = (self.height, self.round);
-        if !self.sent_prepare.insert(key) {
-            return;
-        }
-        if self.byzantine {
-            self.byzantine_vote(true, digest, ctx);
-            return;
-        }
-        self.charge(ctx, self.cfg.sign_cost);
-        ctx.multicast(
-            self.others(),
-            IbftMsg::Prepare { height: key.0, round: key.1, digest, replica: self.me },
-        );
-        self.record_prepare(key, digest, self.me, ctx);
-    }
-
-    fn record_prepare(&mut self, key: (u64, u32), digest: Hash, who: usize, ctx: &mut Ctx<'_, IbftMsg>) {
-        let votes = self.prepares.entry(key).or_default().entry(digest).or_default();
-        votes.insert(who);
-        if votes.len() >= self.cfg.quorum() && key == (self.height, self.round) {
-            // Lock on the prepared block.
-            if let Some((d, b)) = &self.proposal {
-                if *d == digest {
-                    self.locked = Some((digest, b.clone()));
-                }
-            }
-            self.send_commit(digest, ctx);
-        }
-    }
-
-    fn send_commit(&mut self, digest: Hash, ctx: &mut Ctx<'_, IbftMsg>) {
-        let key = (self.height, self.round);
-        if !self.sent_commit.insert(key) {
-            return;
-        }
-        if self.byzantine {
-            self.byzantine_vote(false, digest, ctx);
-            return;
-        }
-        self.charge(ctx, self.cfg.sign_cost);
-        ctx.multicast(
-            self.others(),
-            IbftMsg::Commit { height: key.0, round: key.1, digest, replica: self.me },
-        );
-        self.record_commit(key, digest, self.me, ctx);
-    }
-
-    fn record_commit(&mut self, key: (u64, u32), digest: Hash, who: usize, ctx: &mut Ctx<'_, IbftMsg>) {
-        let votes = self.commits.entry(key).or_default().entry(digest).or_default();
-        votes.insert(who);
-        if votes.len() >= self.cfg.quorum() && key == (self.height, self.round) {
-            let block = match (&self.proposal, &self.locked) {
-                (Some((d, b)), _) if *d == digest => Some(b.clone()),
-                (_, Some((d, b))) if *d == digest => Some(b.clone()),
-                _ => None,
-            };
-            if let Some(b) = block {
-                self.finalize(b, ctx);
-            }
-        }
-    }
-
-    fn finalize(&mut self, block: Arc<Vec<Request>>, ctx: &mut Ctx<'_, IbftMsg>) {
-        let _prof = ahl_telemetry::Profiler::span("ibft.exec");
-        let mut committed = 0u64;
-        let mut weight = 0usize;
-        let checker = if self.byzantine { None } else { self.cfg.safety.clone() };
-        // Pre-pass admission, conflict-aware batch execution, post-pass
-        // observation — same canonical order and outputs as the old
-        // per-request loop (`exec_workers <= 1` is that loop).
-        let mut fresh = Vec::with_capacity(block.len());
-        for req in block.iter() {
-            if !self.executed.insert(req.id) {
-                continue;
-            }
-            self.pool.remove(req.id);
-            weight += req.op.weight();
-            fresh.push(req);
-        }
-        let ops: Vec<&ahl_ledger::Op> = fresh.iter().map(|r| &r.op).collect();
-        let outcomes = ahl_ledger::execute_ops(&mut self.state, &ops, self.cfg.exec_workers);
-        for (req, outcome) in fresh.iter().zip(outcomes) {
-            let had_pending = outcome.had_pending;
-            let receipt = outcome.receipt;
-            if let Some(ck) = &checker {
-                ck.observe_exec(
-                    self.cfg.committee_id,
-                    self.me,
-                    req.id,
-                    &req.op,
-                    had_pending,
-                    receipt.status.is_committed(),
-                );
-            }
-            ctx.trace(req.id, Phase::Exec);
-            if receipt.status.is_committed() {
-                committed += 1;
-            }
-            if self.reporter {
-                let lat = ctx.now().since(req.submitted);
-                let scope = Scope::committee(self.cfg.committee_id);
-                ctx.stats().record_latency_scoped(stat::TXN_LATENCY, scope, lat);
-            }
-        }
-        if let Some(ck) = &checker {
-            let digest = commit_digest(block.iter().map(|r| r.id));
-            ck.record_commit(self.cfg.committee_id, self.height, digest);
-        }
-        // EVM + Merkle-tree execution cost.
-        let exec = self.cfg.exec_cost_per_op.saturating_mul(weight as u64);
-        ctx.consume_cpu(exec);
-        ctx.stats().inc(stat::EXEC_CPU_NS, exec.as_nanos());
-        if self.reporter {
-            let now = ctx.now();
-            let scope = Scope::committee(self.cfg.committee_id);
-            ctx.stats().inc_scoped(stat::TXN_COMMITTED, scope, committed);
-            ctx.stats().inc_scoped(stat::BLOCKS_COMMITTED, scope, 1);
-            ctx.stats().record_point(stat::COMMIT_SERIES, now, committed as f64);
-        }
-        self.height += 1;
-        // Parallel-execution paranoia, mirroring the PBFT checkpoint-time
-        // audit: periodically re-derive every cached hash of the
-        // authenticated index across the worker pool and compare. Proven
-        // equivalent to sequential execution, so a hit means engine
-        // corruption — count it loudly, don't mask it.
-        if self.cfg.exec_workers > 1
-            && self.cfg.audit_interval > 0
-            && self.height.is_multiple_of(self.cfg.audit_interval)
-            && !self.state.rehash_audit(self.cfg.exec_workers)
-        {
-            ctx.stats().inc(stat::CKPT_AUDIT_FAILURES, 1);
-        }
-        self.round = 0;
-        if !self.cfg.sticky_locks {
-            self.locked = None;
-        }
-        self.proposal = None;
-        let h = self.height;
-        self.prepares.retain(|(hh, _), _| *hh >= h);
-        self.commits.retain(|(hh, _), _| *hh >= h);
-        self.round_changes.retain(|(hh, _), _| *hh >= h);
-        self.sent_prepare.retain(|(hh, _)| *hh >= h);
-        self.sent_commit.retain(|(hh, _)| *hh >= h);
-        self.proposal_buf.retain(|(hh, _), _| *hh >= h);
-        self.epoch += 1;
-        self.waiting_period = true;
-        ctx.set_timer(self.cfg.block_period, TIMER_PERIOD | (self.epoch << 8));
-    }
-
-    fn pool_tx(&mut self, req: Request, ctx: &mut Ctx<'_, IbftMsg>) {
-        if self.executed.contains(&req.id) {
-            return;
-        }
-        let now = ctx.now();
-        let _ = self.pool.insert(req, now, ctx.stats());
-    }
-}
-
-fn digest_of(height: u64, round: u32, block: &[Request]) -> Hash {
-    let mut parts: Vec<Vec<u8>> = vec![
-        b"ibft-block".to_vec(),
-        height.to_be_bytes().to_vec(),
-        round.to_be_bytes().to_vec(),
-    ];
-    for r in block {
-        parts.push(r.id.to_be_bytes().to_vec());
-    }
-    let refs: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
-    sha256_parts(&refs)
-}
-
-impl Actor for IbftNode {
-    type Msg = IbftMsg;
-
-    fn on_start(&mut self, ctx: &mut Ctx<'_, IbftMsg>) {
-        self.enter_round(ctx);
-    }
-
-    fn on_message(&mut self, _from: NodeId, msg: IbftMsg, ctx: &mut Ctx<'_, IbftMsg>) {
-        match msg {
-            IbftMsg::Request(req) => {
-                self.charge(ctx, self.cfg.ingest_cost);
-                // Client-facing ingest on the contacted replica only (the
-                // gossip fan-out below doesn't re-stamp), so the liveness
-                // oracle sees each request admitted exactly once.
-                ctx.trace(req.id, Phase::Ingest);
-                ctx.multicast(self.others(), IbftMsg::GossipTx(req.clone()));
-                let id = req.id;
-                self.pool_tx(req, ctx);
-                ctx.trace(id, Phase::Admit);
-                if self.proposer(self.height, self.round) == self.me && self.proposal.is_none() {
-                    self.propose(ctx);
-                }
-            }
-            IbftMsg::GossipTx(req) => {
-                self.charge(ctx, self.cfg.verify_cost);
-                self.pool_tx(req, ctx);
-                if self.proposer(self.height, self.round) == self.me && self.proposal.is_none() {
-                    self.propose(ctx);
-                }
-            }
-            IbftMsg::PrePrepare { height, round, block, digest, proposer } => {
-                if height < self.height || proposer != self.proposer(height, round) {
-                    return;
-                }
-                self.charge(ctx, self.cfg.verify_cost);
-                // A colluding equivocator first emits its two-faced echo
-                // votes, then keeps processing like everyone else — it
-                // must track the committee's height (via the observed
-                // quorums) or its own proposer turns would equivocate at
-                // a stale height nobody accepts. Its honest-path votes
-                // stay suppressed by `byzantine_vote`.
-                if self.byzantine && self.cfg.attack == Attack::Equivocate {
-                    self.equivocate_echo(height, round, digest, ctx);
-                }
-                if (height, round) != (self.height, self.round) {
-                    self.proposal_buf.insert((height, round), (digest, block));
-                    return;
-                }
-                // A validator locked on a different block refuses the
-                // proposal (sticky_locks reproduces the deadlock).
-                if let Some((locked_digest, _)) = &self.locked {
-                    if *locked_digest != digest {
-                        ctx.stats().inc("ibft.lock_refusals", 1);
-                        return;
-                    }
-                }
-                self.proposal = Some((digest, block));
-                self.send_prepare(digest, ctx);
-                self.recheck_votes(ctx);
-            }
-            IbftMsg::Prepare { height, round, digest, replica } => {
-                if height < self.height {
-                    return;
-                }
-                self.charge(ctx, self.cfg.verify_cost);
-                self.prepares.entry((height, round)).or_default().entry(digest).or_default().insert(replica);
-                if (height, round) == (self.height, self.round) {
-                    self.record_prepare((height, round), digest, replica, ctx);
-                }
-            }
-            IbftMsg::Commit { height, round, digest, replica } => {
-                if height < self.height {
-                    return;
-                }
-                self.charge(ctx, self.cfg.verify_cost);
-                self.commits.entry((height, round)).or_default().entry(digest).or_default().insert(replica);
-                if (height, round) == (self.height, self.round) {
-                    self.record_commit((height, round), digest, replica, ctx);
-                } else if height == self.height {
-                    self.try_finalize_any_round(ctx);
-                }
-            }
-            IbftMsg::RoundChange { height, round, replica } => {
-                if height != self.height || round <= self.round {
-                    return;
-                }
-                self.charge(ctx, self.cfg.verify_cost);
-                let votes = self.round_changes.entry((height, round)).or_default();
-                votes.insert(replica);
-                if votes.len() >= self.cfg.quorum() {
-                    self.round = round;
-                    ctx.stats().inc("ibft.round_changes", 1);
-                    self.enter_round(ctx);
-                }
-            }
-            IbftMsg::Reply { .. } => {}
-        }
-    }
-
-    fn on_timer(&mut self, kind: u64, ctx: &mut Ctx<'_, IbftMsg>) {
-        if (kind >> 8) != self.epoch {
-            return;
-        }
-        match kind & 0xff {
-            TIMER_ROUND => {
-                // Stalled: vote for a round change.
-                let next = self.round + 1;
-                self.charge(ctx, self.cfg.sign_cost);
-                ctx.multicast(
-                    self.others(),
-                    IbftMsg::RoundChange { height: self.height, round: next, replica: self.me },
-                );
-                let votes = self.round_changes.entry((self.height, next)).or_default();
-                votes.insert(self.me);
-                if votes.len() >= self.cfg.quorum() {
-                    self.round = next;
-                    self.enter_round(ctx);
-                } else {
-                    // Re-arm while waiting for quorum.
-                    self.epoch += 1;
-                    ctx.set_timer(self.cfg.round_timeout, TIMER_ROUND | (self.epoch << 8));
-                }
-            }
-            TIMER_PERIOD => self.enter_round(ctx),
-            _ => {}
-        }
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-}
-
-/// Build an IBFT committee simulation (clients added by caller).
-pub fn build_ibft_group(
-    cfg: &IbftConfig,
-    network: Box<dyn ahl_simkit::Network>,
-    uplink_bps: Option<f64>,
-    seed: u64,
-) -> (ahl_simkit::Sim<IbftMsg>, Vec<NodeId>) {
-    fn classify(m: &IbftMsg) -> MsgClass {
-        m.class()
-    }
-    fn size_of(m: &IbftMsg) -> usize {
-        m.wire_size()
-    }
-    let mut sim_cfg = ahl_simkit::SimConfig::new(seed);
-    sim_cfg.network = network;
-    sim_cfg.classify = classify;
-    sim_cfg.size_of = size_of;
-    sim_cfg.uplink_bps = uplink_bps;
-    let mut sim = ahl_simkit::Sim::new(sim_cfg);
-    let group: Vec<NodeId> = (0..cfg.n).collect();
-    for i in 0..cfg.n {
-        let mut ncfg = cfg.clone();
-        ncfg.pool_seed = ahl_simkit::rng::derive_seed(seed, 0x1BF7_0000 | i as u64);
-        let node = IbftNode::new(ncfg, group.clone(), i, i == 0);
-        sim.add_actor(Box::new(node), ahl_simkit::QueueConfig::shared(8192));
-    }
-    (sim, group)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clients::OpenLoopClient;
-    use ahl_ledger::{kvstore, Op, TxId};
-    use ahl_simkit::{QueueConfig, SimTime, UniformNetwork};
+    use crate::lockstep::tests as battery;
 
-    fn run_ibft(n: usize, secs: u64) -> (u64, u64) {
-        run_ibft_cfg(IbftConfig::new(n), secs).0
-    }
+    /// Seed and open-loop request interval (ms) of the IBFT cells.
+    const LOAD: (u64, u64) = (23, 3);
 
-    fn run_ibft_cfg(cfg: IbftConfig, secs: u64) -> ((u64, u64), u64) {
-        let net = Box::new(UniformNetwork::new(SimDuration::from_micros(300)));
-        let (mut sim, group) = build_ibft_group(&cfg, net, Some(1e9), 23);
-        let stop = SimTime::ZERO + SimDuration::from_secs(secs);
-        let mut i = 0u64;
-        let factory = Box::new(move |_r: &mut rand::rngs::SmallRng| {
-            i += 1;
-            Op::Direct { txid: TxId(i), op: kvstore::kv_write(&[i % 50], 16) }
-        });
-        let client = OpenLoopClient::new(group.clone(), SimDuration::from_millis(3), stop, factory);
-        sim.add_actor(Box::new(client), QueueConfig::unbounded());
-        sim.run_until(stop + SimDuration::from_secs(3));
-        (
-            (
-                sim.stats().counter(stat::TXN_COMMITTED),
-                sim.stats().counter(stat::BLOCKS_COMMITTED),
-            ),
-            sim.stats().counter(stat::CKPT_AUDIT_FAILURES),
-        )
-    }
-
-    /// With parallel block execution the per-height rehash audit must run
-    /// (and pass) without perturbing commits: parallel execution is
-    /// byte-identical to sequential by contract.
     #[test]
     fn parallel_exec_audit_stays_clean() {
-        let mut cfg = IbftConfig::new(4);
-        cfg.exec_workers = 4;
-        cfg.audit_interval = 1; // audit at every committed height
-        let ((committed, blocks), audit_failures) = run_ibft_cfg(cfg, 5);
-        let (seq_committed, seq_blocks) = run_ibft(4, 5);
-        assert_eq!((committed, blocks), (seq_committed, seq_blocks), "workers leaked into sim");
-        assert!(committed > 500, "committed {committed}");
-        assert_eq!(audit_failures, 0, "hash-cache divergence under parallel execution");
+        battery::parallel_exec_audit_stays_clean(IbftConfig::new(4), LOAD, 500);
     }
 
     #[test]
     fn commits_transactions() {
-        let (committed, blocks) = run_ibft(4, 5);
-        assert!(committed > 500, "committed {committed}");
-        assert!(blocks >= 4);
+        battery::commits_transactions(IbftConfig::new(4), LOAD, 500);
     }
 
     #[test]
     fn lockstep_block_rate() {
-        let (_, blocks) = run_ibft(4, 6);
-        assert!(blocks <= 8, "blocks {blocks}");
+        battery::block_rate_is_capped(IbftConfig::new(4), LOAD);
     }
 
     #[test]
@@ -895,32 +75,6 @@ mod tests {
 
     #[test]
     fn nodes_reach_same_height() {
-        let cfg = IbftConfig::new(4);
-        let net = Box::new(UniformNetwork::new(SimDuration::from_micros(300)));
-        let (mut sim, group) = build_ibft_group(&cfg, net, Some(1e9), 5);
-        let stop = SimTime::ZERO + SimDuration::from_secs(4);
-        let mut i = 0u64;
-        let factory = Box::new(move |_r: &mut rand::rngs::SmallRng| {
-            i += 1;
-            Op::Direct { txid: TxId(i), op: kvstore::kv_write(&[i], 16) }
-        });
-        let client = OpenLoopClient::new(group.clone(), SimDuration::from_millis(5), stop, factory);
-        sim.add_actor(Box::new(client), QueueConfig::unbounded());
-        sim.run_until(stop + SimDuration::from_secs(5));
-        let heights: Vec<u64> = group
-            .iter()
-            .map(|&id| {
-                sim.actor(id)
-                    .as_any()
-                    .expect("inspectable")
-                    .downcast_ref::<IbftNode>()
-                    .expect("ibft node")
-                    .height()
-            })
-            .collect();
-        let max = *heights.iter().max().expect("non-empty");
-        let min = *heights.iter().min().expect("non-empty");
-        assert!(max > 1);
-        assert!(max - min <= 1, "heights {heights:?}");
+        battery::validators_reach_same_height(IbftConfig::new(4), 5);
     }
 }

@@ -12,9 +12,76 @@ pub use replica::Replica;
 
 use std::sync::Arc;
 
-use ahl_crypto::KeyRegistry;
+use ahl_crypto::{KeyRegistry, SigningKey};
 use ahl_ledger::Value;
-use ahl_simkit::{MsgClass, Network, NodeId, QueueConfig, Sim, SimConfig};
+use ahl_simkit::{Network, NodeId, QueueConfig, Sim, SimConfig};
+
+/// Everything about one committee member that derives from the run seed.
+/// [`derive_committee`] is the only statement of that derivation: the
+/// simulator's builders and the `node` binary both go through it, so
+/// separately started processes agree on every key with no key exchange.
+pub struct Member {
+    /// Group index.
+    pub index: usize,
+    /// The replica's signing key.
+    pub key: SigningKey,
+    /// Its enclave's signing key.
+    pub tee_key: SigningKey,
+    /// The committee's shared verification oracle (all 2n keys).
+    pub registry: Arc<KeyRegistry>,
+    /// Seed of its transaction pool's eviction/ordering.
+    pub pool_seed: u64,
+    /// Whether it reports the committee's throughput/latency: the
+    /// lowest-index replica that is never Byzantine and is not the initial
+    /// leader (index 1; index 0 in a committee of one).
+    pub reporter: bool,
+}
+
+/// Derive the `n` members of the committee seeded with `seed`: all replica
+/// keys first, then all TEE keys (registry key ids follow that order).
+pub fn derive_committee(n: usize, seed: u64) -> Vec<Member> {
+    let mut registry = KeyRegistry::new();
+    let keys: Vec<_> = (0..n).map(|i| registry.generate(seed ^ ((i as u64) << 8))).collect();
+    let tee_keys: Vec<_> =
+        (0..n).map(|i| registry.generate(seed ^ ((i as u64) << 8) ^ 1)).collect();
+    let registry = Arc::new(registry);
+    keys.into_iter()
+        .zip(tee_keys)
+        .enumerate()
+        .map(|(index, (key, tee_key))| Member {
+            index,
+            key,
+            tee_key,
+            registry: registry.clone(),
+            pool_seed: ahl_simkit::rng::derive_seed(seed, 0x4D45_4D50 ^ index as u64),
+            reporter: if n == 1 { index == 0 } else { index == 1 },
+        })
+        .collect()
+}
+
+impl Member {
+    /// Build this member's replica for the committee `group` (actor ids in
+    /// group-index order) running `cfg` from `genesis`.
+    pub fn into_replica(
+        self,
+        cfg: &PbftConfig,
+        group: Vec<NodeId>,
+        genesis: &[(String, Value)],
+    ) -> Replica {
+        let mut cfg = cfg.clone();
+        cfg.pool_seed = self.pool_seed;
+        Replica::new(
+            cfg,
+            group,
+            self.index,
+            self.key,
+            self.tee_key,
+            self.registry,
+            genesis,
+            self.reporter,
+        )
+    }
+}
 
 /// Build a simulation containing one PBFT committee.
 ///
@@ -27,53 +94,13 @@ pub fn build_group(
     genesis: &[(String, Value)],
     seed: u64,
 ) -> (Sim<PbftMsg>, Vec<NodeId>) {
-    fn classify(m: &PbftMsg) -> MsgClass {
-        m.class()
-    }
-    fn size_of(m: &PbftMsg) -> usize {
-        m.wire_size()
-    }
     let mut sim_cfg = SimConfig::new(seed);
     sim_cfg.network = network;
-    sim_cfg.classify = classify;
-    sim_cfg.size_of = size_of;
+    sim_cfg.classify = PbftMsg::class;
+    sim_cfg.size_of = PbftMsg::wire_size;
     sim_cfg.uplink_bps = uplink_bps;
     let mut sim = Sim::new(sim_cfg);
-
-    let mut registry = KeyRegistry::new();
-    let keys: Vec<_> = (0..cfg.n).map(|i| registry.generate(seed ^ (i as u64) << 8)).collect();
-    let tee_keys: Vec<_> = (0..cfg.n)
-        .map(|i| registry.generate(seed ^ ((i as u64) << 8) ^ 1))
-        .collect();
-    let registry = Arc::new(registry);
-
-    let group: Vec<NodeId> = (0..cfg.n).collect();
-    let mut keys = keys.into_iter();
-    let mut tee_keys = tee_keys.into_iter();
-    for i in 0..cfg.n {
-        // Reporter: lowest-index replica that is never Byzantine and is not
-        // the initial leader (when the committee is bigger than one).
-        let reporter = if cfg.n == 1 { i == 0 } else { i == 1 };
-        let mut rcfg = cfg.clone();
-        rcfg.pool_seed = ahl_simkit::rng::derive_seed(seed, 0x4D45_4D50 ^ i as u64);
-        let replica = Replica::new(
-            rcfg,
-            group.clone(),
-            i,
-            keys.next().expect("one key per replica"),
-            tee_keys.next().expect("one TEE key per replica"),
-            registry.clone(),
-            genesis,
-            reporter,
-        );
-        let queues = if cfg.split_queues {
-            QueueConfig::split(cfg.queue_capacity, cfg.queue_capacity)
-        } else {
-            QueueConfig::shared(cfg.queue_capacity)
-        };
-        let id = sim.add_actor(Box::new(replica), queues);
-        debug_assert_eq!(id, group[i]);
-    }
+    let group = add_committee(&mut sim, cfg, genesis, seed);
     (sim, group)
 }
 
@@ -88,37 +115,15 @@ pub fn add_committee(
 ) -> Vec<NodeId> {
     let start = sim.num_actors();
     let group: Vec<NodeId> = (start..start + cfg.n).collect();
-    let mut registry = KeyRegistry::new();
-    let keys: Vec<_> = (0..cfg.n)
-        .map(|i| registry.generate(seed ^ ((i as u64) << 8)))
-        .collect();
-    let tee_keys: Vec<_> = (0..cfg.n)
-        .map(|i| registry.generate(seed ^ ((i as u64) << 8) ^ 1))
-        .collect();
-    let registry = Arc::new(registry);
-    let mut keys = keys.into_iter();
-    let mut tee_keys = tee_keys.into_iter();
-    for i in 0..cfg.n {
-        let reporter = if cfg.n == 1 { i == 0 } else { i == 1 };
-        let mut rcfg = cfg.clone();
-        rcfg.pool_seed = ahl_simkit::rng::derive_seed(seed, 0x4D45_4D50 ^ i as u64);
-        let replica = Replica::new(
-            rcfg,
-            group.clone(),
-            i,
-            keys.next().expect("one key per replica"),
-            tee_keys.next().expect("one TEE key per replica"),
-            registry.clone(),
-            genesis,
-            reporter,
-        );
+    for member in derive_committee(cfg.n, seed) {
         let queues = if cfg.split_queues {
             QueueConfig::split(cfg.queue_capacity, cfg.queue_capacity)
         } else {
             QueueConfig::shared(cfg.queue_capacity)
         };
-        let id = sim.add_actor(Box::new(replica), queues);
-        debug_assert_eq!(id, group[i]);
+        let expected = group[member.index];
+        let id = sim.add_actor(Box::new(member.into_replica(cfg, group.clone(), genesis)), queues);
+        debug_assert_eq!(id, expected);
     }
     group
 }
@@ -127,6 +132,7 @@ pub fn add_committee(
 mod tests {
     use super::*;
     use crate::clients::OpenLoopClient;
+    use crate::common::testkit::TestHost;
     use crate::common::{stat, CryptoMode};
     use ahl_ledger::{kvstore, Op, TxId};
     use ahl_simkit::{SimDuration, SimTime, UniformNetwork};
@@ -254,30 +260,38 @@ mod tests {
         }
     }
 
-    /// Minimal [`ahl_simkit::Host`] for driving one replica handler at a
-    /// time — the same entry point [`ahl_net::NodeRuntime`] uses — so a
-    /// test can inspect the exact outbox each delivery produces.
-    struct TestHost {
-        now: SimTime,
-        rng: rand::rngs::SmallRng,
-        stats: ahl_simkit::Stats,
-    }
-
-    impl ahl_simkit::Host for TestHost {
-        fn now(&self) -> SimTime {
-            self.now
-        }
-        fn num_nodes(&self) -> usize {
-            4
-        }
-        fn set_timer(&mut self, _node: NodeId, _delay: SimDuration, _kind: u64) {}
-        fn rng(&mut self, _node: NodeId) -> &mut rand::rngs::SmallRng {
-            &mut self.rng
-        }
-        fn stats(&mut self) -> &mut ahl_simkit::Stats {
-            &mut self.stats
-        }
-        fn halt(&mut self) {}
+    /// `derive_committee` is the one statement of how keys, pool seeds and
+    /// the reporter follow from `(n, seed)`; spawned `node` processes and
+    /// the benchmark's in-process replicas must go on agreeing on all of
+    /// it, so the derivation is pinned here against its written-out form —
+    /// for one member picked the way `node` picks its own, and for every
+    /// member the way `add_committee` walks them.
+    #[test]
+    fn committee_derivation_is_the_documented_one() {
+        let (n, seed) = (4usize, 0xC0FFEE_u64);
+        let mut reference = KeyRegistry::new();
+        let keys: Vec<_> = (0..n).map(|i| reference.generate(seed ^ ((i as u64) << 8))).collect();
+        let tee_keys: Vec<_> =
+            (0..n).map(|i| reference.generate(seed ^ ((i as u64) << 8) ^ 1)).collect();
+        let digest = ahl_crypto::sha256(b"any message");
+        let check = |m: &Member| {
+            let i = m.index;
+            assert_eq!((m.key.id(), m.tee_key.id()), (keys[i].id(), tee_keys[i].id()));
+            assert_eq!(m.key.sign(&digest), keys[i].sign(&digest), "signing key {i}");
+            assert_eq!(m.tee_key.sign(&digest), tee_keys[i].sign(&digest), "TEE key {i}");
+            // Same registry contents: each side verifies the other's keys.
+            assert_eq!(m.registry.len(), 2 * n);
+            assert!(m.registry.verify(&digest, &tee_keys[i].sign(&digest)));
+            assert!(reference.verify(&digest, &m.tee_key.sign(&digest)));
+            assert_eq!(m.pool_seed, ahl_simkit::rng::derive_seed(seed, 0x4D45_4D50 ^ i as u64));
+            assert_eq!(m.reporter, i == 1);
+        };
+        let me = 2;
+        check(&derive_committee(n, seed).swap_remove(me)); // the `node` way
+        let all = derive_committee(n, seed); // the `add_committee` way
+        assert_eq!(all.iter().map(|m| m.index).collect::<Vec<_>>(), [0, 1, 2, 3]);
+        all.iter().for_each(check);
+        assert!(derive_committee(1, seed)[0].reporter, "a committee of one reports itself");
     }
 
     /// Deferred batch verification must not let a forged signature vote
@@ -289,17 +303,11 @@ mod tests {
     #[test]
     fn forged_sig_vote_is_evicted_at_quorum_settle() {
         use ahl_simkit::{Actor, Ctx};
-        use rand::SeedableRng;
 
-        let seed = 42u64;
         let mut cfg = PbftConfig::new(BftVariant::Hl, 4);
         cfg.crypto = CryptoMode::Real;
-        let mut registry = KeyRegistry::new();
-        let mut keys: Vec<_> =
-            (0..cfg.n).map(|i| registry.generate(seed ^ (i as u64) << 8)).collect();
-        let tee_keys: Vec<_> =
-            (0..cfg.n).map(|i| registry.generate(seed ^ ((i as u64) << 8) ^ 1)).collect();
-        let registry = Arc::new(registry);
+        let mut committee = derive_committee(cfg.n, 42);
+        let keys: Vec<SigningKey> = committee.iter().map(|m| m.key.clone()).collect();
 
         let block = Arc::new(PbftBlock::new(0, 1, 0, vec![]));
         let leader_cert = MsgCert::Sig(keys[0].sign(&block.digest));
@@ -320,22 +328,8 @@ mod tests {
             ..vote3_good.clone()
         };
 
-        let mut tee_keys = tee_keys.into_iter();
-        let mut replica = Replica::new(
-            cfg,
-            (0..4).collect(),
-            1,
-            keys.swap_remove(1),
-            tee_keys.nth(1).expect("tee key"),
-            registry,
-            &[],
-            false,
-        );
-        let mut host = TestHost {
-            now: SimTime::ZERO + SimDuration::from_millis(1),
-            rng: rand::rngs::SmallRng::seed_from_u64(seed),
-            stats: ahl_simkit::Stats::new(),
-        };
+        let mut replica = committee.swap_remove(1).into_replica(&cfg, (0..4).collect(), &[]);
+        let mut host = TestHost::new(4);
         let deliver = |r: &mut Replica, host: &mut TestHost, from: NodeId, msg: PbftMsg| {
             let mut ctx = Ctx::for_host(host, 1);
             r.on_message(from, msg, &mut ctx);

@@ -34,7 +34,7 @@ use ahl_store::{
 use ahl_tee::{verify_attestation, AttestedLog, LogId, Slot, TeeOp};
 
 use crate::adversary::{equivocation_half, Attack, EquivocationTracker};
-use crate::common::{stat, CryptoMode, ExecutedCache, Request};
+use crate::common::{stat, BlockExecutor, CryptoMode, ExecutedCache, Request, Stores, VotePhase};
 use crate::pbft::config::{PbftConfig, ReplyPolicy};
 use crate::pbft::durable::{twopc_kind, NodeStore, TwoPcKind, WalRecord};
 use crate::pbft::msg::{chunk_entry_bytes, AggProof, MsgCert, PbftBlock, PbftMsg, ViewChangeMsg, Vote};
@@ -53,20 +53,20 @@ const PREPREPARE_LOG: LogId = LogId(3);
 struct Instance {
     view: u64,
     block: Option<Arc<PbftBlock>>,
-    prepares: HashMap<Hash, HashSet<usize>>,
-    commits: HashMap<Hash, HashSet<usize>>,
-    relay_prepares: HashMap<Hash, HashSet<usize>>,
-    relay_commits: HashMap<Hash, HashSet<usize>>,
+    /// Votes per [`VotePhase`]: digest → voters.
+    votes: [HashMap<Hash, HashSet<usize>>; 2],
+    /// AHLR: votes relayed to this (leader) replica for aggregation.
+    relay_votes: [HashMap<Hash, HashSet<usize>>; 2],
     /// Signature certificates admitted tentatively, awaiting quorum-time
     /// batch verification ([`KeyRegistry::verify_batch`]): digest → voter
     /// → signature. Only populated for `MsgCert::Sig` votes (HL under
     /// real crypto); prepare and commit votes by one replica sign the
     /// same block digest, so one pool covers both phases.
     pending_sigs: HashMap<Hash, HashMap<usize, ahl_crypto::Signature>>,
-    sent_prepare: bool,
-    sent_commit: bool,
-    agg_prepare_sent: bool,
-    agg_commit_sent: bool,
+    /// Whether this replica has cast its own vote, per phase.
+    sent: [bool; 2],
+    /// AHLR: whether the aggregated proof went out, per phase.
+    agg_sent: [bool; 2],
     committed: bool,
     executed: bool,
 }
@@ -159,8 +159,9 @@ pub struct Replica {
     group: Vec<NodeId>,
     /// My group index.
     me: usize,
-    /// Report global throughput/latency stats from this replica only.
-    reporter: bool,
+    /// The committed-block shell this replica executes through (identity,
+    /// reporter flag, safety oracle).
+    exec: BlockExecutor,
 
     key: SigningKey,
     registry: Arc<KeyRegistry>,
@@ -248,6 +249,12 @@ pub struct Replica {
     byz_equiv: EquivocationTracker,
 }
 
+impl Instance {
+    fn votes_for(&self, phase: VotePhase, digest: &Hash) -> usize {
+        self.votes[phase as usize].get(digest).map_or(0, HashSet::len)
+    }
+}
+
 impl Replica {
     /// Create a replica.
     ///
@@ -288,11 +295,17 @@ impl Replica {
             timeout: cfg.batch_timeout,
         });
         Replica {
+            exec: BlockExecutor {
+                committee_id: cfg.committee_id,
+                me,
+                reporter,
+                exec_workers: cfg.exec_workers,
+                checker: if byzantine { None } else { cfg.safety.clone() },
+            },
             byzantine,
             cfg,
             group,
             me,
-            reporter,
             key,
             registry,
             tee: AttestedLog::new(tee_key),
@@ -720,21 +733,16 @@ impl Replica {
             inst.view = view;
             inst.block = Some(block);
             // The pre-prepare counts as the leader's prepare vote.
-            inst.prepares.entry(digest).or_default().insert(leader);
+            inst.votes[VotePhase::Prepare as usize].entry(digest).or_default().insert(leader);
         }
-        if me != leader && !self.insts[&seq].sent_prepare {
+        if me != leader && !self.insts[&seq].sent[VotePhase::Prepare as usize] {
             self.send_prepare(view, seq, digest, ctx);
         } else {
             // Leader: its "prepare" is implicit; in AHLR it seeds the relay
             // aggregation set.
             if self.cfg.leader_aggregation {
-                self.insts
-                    .entry(seq)
-                    .or_default()
-                    .relay_prepares
-                    .entry(digest)
-                    .or_default()
-                    .insert(me);
+                let inst = self.insts.entry(seq).or_default();
+                inst.relay_votes[VotePhase::Prepare as usize].entry(digest).or_default().insert(me);
             }
             self.check_prepared(seq, digest, ctx);
         }
@@ -745,15 +753,15 @@ impl Replica {
             return;
         };
         if let Some(inst) = self.insts.get_mut(&seq) {
-            inst.sent_prepare = true;
-            inst.prepares.entry(digest).or_default().insert(self.me);
+            inst.sent[VotePhase::Prepare as usize] = true;
+            inst.votes[VotePhase::Prepare as usize].entry(digest).or_default().insert(self.me);
         }
         let vote = Vote { view, seq, digest, replica: self.me, cert };
         if self.cfg.leader_aggregation {
             let leader = self.group[self.leader_of(view)];
             ctx.send(leader, PbftMsg::RelayPrepare(vote));
         } else if self.byzantine {
-            self.byzantine_vote(vote, true, ctx);
+            self.byzantine_vote(vote, VotePhase::Prepare, ctx);
         } else {
             ctx.multicast(self.others(), PbftMsg::Prepare(vote));
         }
@@ -843,49 +851,34 @@ impl Replica {
     /// conflicting messages (with different sequence numbers) to different
     /// nodes" — equivocate (HL) or withhold (attested), plus a flood of
     /// junk votes at shifted sequence numbers that loads honest queues.
-    fn byzantine_vote(&mut self, vote: Vote, prepare: bool, ctx: &mut Ctx<'_, PbftMsg>) {
+    fn byzantine_vote(&mut self, vote: Vote, phase: VotePhase, ctx: &mut Ctx<'_, PbftMsg>) {
         match self.cfg.attack {
-            Attack::PaperFlood => self.paper_flood_vote(vote, prepare, ctx),
+            Attack::PaperFlood => self.paper_flood_vote(vote, phase, ctx),
             // Equivocation votes are emitted by the proposal-echo path;
             // withholders say nothing at all.
             Attack::Equivocate | Attack::WithholdVotes => {}
             Attack::StaleReplay => {
-                let slot = usize::from(!prepare);
-                if let Some(stale) = self.stale_votes[slot].clone() {
+                if let Some(stale) = self.stale_votes[phase as usize].replace(vote) {
                     ctx.stats().inc("adv.stale_replays", 1);
-                    // Charge the send like IBFT/Tendermint do, so attacker
-                    // CPU accounting is comparable across matrix cells.
+                    // Charge the send like the lockstep engine does, so
+                    // attacker CPU accounting is comparable across cells.
                     self.charge(ctx, self.cfg.native_sign, false);
-                    let msg = if prepare {
-                        PbftMsg::Prepare(stale)
-                    } else {
-                        PbftMsg::Commit(stale)
-                    };
-                    ctx.multicast(self.others(), msg);
+                    ctx.multicast(self.others(), vote_msg(phase, stale));
                 }
-                self.stale_votes[slot] = Some(vote);
             }
             // The checkpoint attack leaves normal-case votes honest.
-            Attack::BogusCheckpoint => {
-                let msg = if prepare { PbftMsg::Prepare(vote) } else { PbftMsg::Commit(vote) };
-                ctx.multicast(self.others(), msg);
-            }
+            Attack::BogusCheckpoint => ctx.multicast(self.others(), vote_msg(phase, vote)),
         }
     }
 
     /// The §7.2 composite vote attack (see [`Replica::byzantine_vote`]).
-    fn paper_flood_vote(&mut self, vote: Vote, prepare: bool, ctx: &mut Ctx<'_, PbftMsg>) {
+    fn paper_flood_vote(&mut self, vote: Vote, phase: VotePhase, ctx: &mut Ctx<'_, PbftMsg>) {
         let others = self.others();
         for (i, peer) in others.iter().copied().enumerate() {
             if self.cfg.attested {
                 // Cannot equivocate: withhold from odd half.
                 if i % 2 == 0 {
-                    let msg = if prepare {
-                        PbftMsg::Prepare(vote.clone())
-                    } else {
-                        PbftMsg::Commit(vote.clone())
-                    };
-                    ctx.send(peer, msg);
+                    ctx.send(peer, vote_msg(phase, vote.clone()));
                 }
             } else {
                 // Conflicting digests to different peers.
@@ -893,8 +886,7 @@ impl Replica {
                 if i % 2 == 1 {
                     v.digest.0[0] ^= 0xff;
                 }
-                let msg = if prepare { PbftMsg::Prepare(v) } else { PbftMsg::Commit(v) };
-                ctx.send(peer, msg);
+                ctx.send(peer, vote_msg(phase, v));
             }
         }
         // Sequence-number flooding inside the watermark window: honest
@@ -905,18 +897,12 @@ impl Replica {
             let mut junk = vote.clone();
             junk.seq = vote.seq.wrapping_add(j);
             junk.digest.0[1] ^= j as u8;
-            let msg = if prepare {
-                PbftMsg::Prepare(junk)
-            } else {
-                PbftMsg::Commit(junk)
-            };
-            ctx.multicast(others.clone(), msg);
+            ctx.multicast(others.clone(), vote_msg(phase, junk));
         }
         // Plus a far-out-of-window burst (crowds queues; cheap to reject).
         let mut far = vote.clone();
         far.seq = vote.seq.wrapping_add(1_000_000);
-        let msg = if prepare { PbftMsg::Prepare(far) } else { PbftMsg::Commit(far) };
-        ctx.multicast(others.clone(), msg);
+        ctx.multicast(others, vote_msg(phase, far));
     }
 
     /// PBFT watermark window `(h, h + L]` anchored at the *stable
@@ -985,18 +971,18 @@ impl Replica {
             .collect();
         for r in &forged {
             pending.remove(r);
-            if let Some(set) = inst.prepares.get_mut(digest) {
-                set.remove(r);
-            }
-            if let Some(set) = inst.commits.get_mut(digest) {
-                set.remove(r);
+            for votes in &mut inst.votes {
+                if let Some(set) = votes.get_mut(digest) {
+                    set.remove(r);
+                }
             }
             ctx.stats().inc("consensus.invalid_msg", 1);
         }
         false
     }
 
-    fn on_prepare(&mut self, vote: Vote, ctx: &mut Ctx<'_, PbftMsg>) {
+    /// A peer's prepare or commit vote.
+    fn on_vote(&mut self, phase: VotePhase, vote: Vote, ctx: &mut Ctx<'_, PbftMsg>) {
         if vote.view != self.view || vote.seq <= self.low_mark {
             return;
         }
@@ -1010,11 +996,14 @@ impl Replica {
             return;
         };
         let inst = self.insts.entry(vote.seq).or_default();
-        inst.prepares.entry(vote.digest).or_default().insert(vote.replica);
+        inst.votes[phase as usize].entry(vote.digest).or_default().insert(vote.replica);
         if let Some(sig) = deferred {
             inst.pending_sigs.entry(vote.digest).or_default().insert(vote.replica, sig);
         }
-        self.check_prepared(vote.seq, vote.digest, ctx);
+        match phase {
+            VotePhase::Prepare => self.check_prepared(vote.seq, vote.digest, ctx),
+            VotePhase::Commit => self.check_committed(vote.seq, vote.digest, ctx),
+        }
     }
 
     fn check_prepared(&mut self, seq: u64, digest: Hash, ctx: &mut Ctx<'_, PbftMsg>) {
@@ -1031,8 +1020,8 @@ impl Replica {
                 let Some(inst) = self.insts.get(&seq) else { return };
                 let Some(block) = &inst.block else { return };
                 block.digest == digest
-                    && !inst.sent_commit
-                    && inst.prepares.get(&digest).map_or(0, HashSet::len) >= quorum
+                    && !inst.sent[VotePhase::Commit as usize]
+                    && inst.votes_for(VotePhase::Prepare, &digest) >= quorum
             };
             if !ready {
                 return;
@@ -1050,44 +1039,23 @@ impl Replica {
             return;
         };
         if let Some(inst) = self.insts.get_mut(&seq) {
-            inst.sent_commit = true;
-            inst.commits.entry(digest).or_default().insert(self.me);
+            inst.sent[VotePhase::Commit as usize] = true;
+            inst.votes[VotePhase::Commit as usize].entry(digest).or_default().insert(self.me);
         }
         let vote = Vote { view, seq, digest, replica: self.me, cert };
         if self.cfg.leader_aggregation {
             let leader = self.group[self.leader_of(view)];
             if self.leader_of(view) == self.me {
-                self.on_relay_commit(vote, ctx);
+                self.on_relay_vote(VotePhase::Commit, vote, ctx);
             } else {
                 ctx.send(leader, PbftMsg::RelayCommit(vote));
             }
         } else if self.byzantine {
-            self.byzantine_vote(vote, false, ctx);
+            self.byzantine_vote(vote, VotePhase::Commit, ctx);
         } else {
             ctx.multicast(self.others(), PbftMsg::Commit(vote));
         }
         self.check_committed(seq, digest, ctx);
-    }
-
-    fn on_commit(&mut self, vote: Vote, ctx: &mut Ctx<'_, PbftMsg>) {
-        if vote.view != self.view || vote.seq <= self.low_mark {
-            return;
-        }
-        if !self.in_watermarks(vote.seq) {
-            self.charge(ctx, SimDuration::from_micros(20), false);
-            ctx.stats().inc("consensus.out_of_window", 1);
-            return;
-        }
-        let Ok(deferred) = self.admit_vote(&vote, ctx) else {
-            ctx.stats().inc("consensus.invalid_msg", 1);
-            return;
-        };
-        let inst = self.insts.entry(vote.seq).or_default();
-        inst.commits.entry(vote.digest).or_default().insert(vote.replica);
-        if let Some(sig) = deferred {
-            inst.pending_sigs.entry(vote.digest).or_default().insert(vote.replica, sig);
-        }
-        self.check_committed(vote.seq, vote.digest, ctx);
     }
 
     fn check_committed(&mut self, seq: u64, digest: Hash, ctx: &mut Ctx<'_, PbftMsg>) {
@@ -1100,7 +1068,7 @@ impl Replica {
                 let Some(block) = &inst.block else { return };
                 block.digest == digest
                     && !inst.committed
-                    && inst.commits.get(&digest).map_or(0, HashSet::len) >= quorum
+                    && inst.votes_for(VotePhase::Commit, &digest) >= quorum
             };
             if !ready {
                 break false;
@@ -1124,7 +1092,9 @@ impl Replica {
 
     // ---------- AHLR aggregation ----------
 
-    fn on_relay_prepare(&mut self, vote: Vote, ctx: &mut Ctx<'_, PbftMsg>) {
+    /// AHLR, leader side: collect a relayed prepare or commit vote; at
+    /// quorum the enclave verifies the f+1 votes and emits one proof.
+    fn on_relay_vote(&mut self, phase: VotePhase, vote: Vote, ctx: &mut Ctx<'_, PbftMsg>) {
         if vote.view != self.view || self.leader_of(vote.view) != self.me {
             return;
         }
@@ -1132,28 +1102,31 @@ impl Replica {
             return;
         }
         let quorum = self.quorum();
+        let inst = self.insts.entry(vote.seq).or_default();
+        let relayed = inst.relay_votes[phase as usize].entry(vote.digest).or_default();
+        relayed.insert(vote.replica);
+        if inst.agg_sent[phase as usize] || relayed.len() < quorum {
+            return;
+        }
+        inst.agg_sent[phase as usize] = true;
         let f = self.cfg.f();
-        let ready = {
-            let inst = self.insts.entry(vote.seq).or_default();
-            inst.relay_prepares.entry(vote.digest).or_default().insert(vote.replica);
-            !inst.agg_prepare_sent
-                && inst.relay_prepares.get(&vote.digest).map_or(0, HashSet::len) >= quorum
+        self.charge(ctx, self.cfg.costs.cost(TeeOp::MessageAggregation { f }), false);
+        let proof = AggProof {
+            view: vote.view,
+            seq: vote.seq,
+            digest: vote.digest,
+            count: quorum,
+            sig: None,
         };
-        if ready {
-            if let Some(inst) = self.insts.get_mut(&vote.seq) {
-                inst.agg_prepare_sent = true;
+        match phase {
+            VotePhase::Prepare => {
+                ctx.multicast(self.others(), PbftMsg::AggPrepare(proof.clone()));
+                self.on_agg_prepare(proof, ctx);
             }
-            // Enclave verifies the f+1 votes and emits one proof.
-            self.charge(ctx, self.cfg.costs.cost(TeeOp::MessageAggregation { f }), false);
-            let proof = AggProof {
-                view: vote.view,
-                seq: vote.seq,
-                digest: vote.digest,
-                count: quorum,
-                sig: None,
-            };
-            ctx.multicast(self.others(), PbftMsg::AggPrepare(proof.clone()));
-            self.on_agg_prepare(proof, ctx);
+            VotePhase::Commit => {
+                ctx.multicast(self.others(), PbftMsg::AggCommit(proof.clone()));
+                self.on_agg_commit(proof, ctx);
+            }
         }
     }
 
@@ -1170,41 +1143,9 @@ impl Replica {
         if !has_block {
             return;
         }
-        let already = self.insts.get(&proof.seq).map(|i| i.sent_commit).unwrap_or(false);
+        let already = self.insts.get(&proof.seq).is_some_and(|i| i.sent[VotePhase::Commit as usize]);
         if !already {
             self.send_commit(proof.seq, proof.digest, ctx);
-        }
-    }
-
-    fn on_relay_commit(&mut self, vote: Vote, ctx: &mut Ctx<'_, PbftMsg>) {
-        if vote.view != self.view || self.leader_of(vote.view) != self.me {
-            return;
-        }
-        if !self.verify_cert(ctx, &vote.cert, vote.view, vote.seq, &vote.digest) {
-            return;
-        }
-        let quorum = self.quorum();
-        let f = self.cfg.f();
-        let ready = {
-            let inst = self.insts.entry(vote.seq).or_default();
-            inst.relay_commits.entry(vote.digest).or_default().insert(vote.replica);
-            !inst.agg_commit_sent
-                && inst.relay_commits.get(&vote.digest).map_or(0, HashSet::len) >= quorum
-        };
-        if ready {
-            if let Some(inst) = self.insts.get_mut(&vote.seq) {
-                inst.agg_commit_sent = true;
-            }
-            self.charge(ctx, self.cfg.costs.cost(TeeOp::MessageAggregation { f }), false);
-            let proof = AggProof {
-                view: vote.view,
-                seq: vote.seq,
-                digest: vote.digest,
-                count: quorum,
-                sig: None,
-            };
-            ctx.multicast(self.others(), PbftMsg::AggCommit(proof.clone()));
-            self.on_agg_commit(proof, ctx);
         }
     }
 
@@ -1268,44 +1209,20 @@ impl Replica {
 
     fn execute_block(&mut self, block: &PbftBlock, ctx: &mut Ctx<'_, PbftMsg>) {
         let _prof = ahl_telemetry::Profiler::span("pbft.exec");
-        let mut committed = 0u64;
-        let mut aborted = 0u64;
-        let mut weight = 0usize;
         // WAL intent record before applying (recovery re-executes it);
         // the 2PC transition journal entries follow as execution decides
         // them, and one group commit below makes the batch durable.
         if let Some(store) = self.durable_store.as_mut() {
             store.log_batch(block);
         }
-        let checker = if self.byzantine { None } else { self.cfg.safety.clone() };
-        let exec_now = ctx.now();
-        // Pre-pass: admission bookkeeping in batch order. Replays are
-        // skipped exactly as the sequential loop skipped them, so the
-        // execution engine only ever sees fresh requests.
-        let mut fresh = Vec::with_capacity(block.reqs.len());
-        for req in block.reqs.iter() {
-            if !self.executed_reqs.insert(req.id, exec_now) {
-                continue; // replay of an already-executed request
-            }
-            self.pool.remove(req.id);
-            weight += req.op.weight();
-            fresh.push(req);
-        }
-        // Execute the whole batch through the conflict-aware engine.
-        // `exec_workers <= 1` is the sequential loop; above that the batch
-        // is wave-scheduled, but receipts, state root, and the per-abort
-        // `had_pending` signal are identical to sequential by construction.
-        let ops: Vec<&ahl_ledger::Op> = fresh.iter().map(|r| &r.op).collect();
-        let outcomes = ahl_ledger::execute_ops(&mut self.state, &ops, self.cfg.exec_workers);
-        // Post-pass: observation, tracing, durability, and replies — in
-        // the same canonical batch order as before.
-        for (req, outcome) in fresh.iter().zip(outcomes) {
-            let had_pending = outcome.had_pending;
-            let ok = outcome.receipt.status.is_committed();
-            if let Some(ck) = &checker {
-                ck.observe_exec(self.cfg.committee_id, self.me, req.id, &req.op, had_pending, ok);
-            }
-            ctx.trace(req.id, Phase::Exec);
+        let stores = Stores {
+            state: &mut self.state,
+            executed: &mut self.executed_reqs,
+            pool: &mut self.pool,
+        };
+        // PBFT's own per-request work, in batch order after the shell's
+        // `Exec` stamp: 2PC stamps and journal records, client replies.
+        let weight = self.exec.commit(block.seq, &block.reqs, stores, ctx, |req, ok, ctx| {
             match &req.op {
                 ahl_ledger::Op::Prepare { txid, .. } => ctx.trace(txid.0, Phase::TwoPcPrepare),
                 ahl_ledger::Op::Commit { txid } | ahl_ledger::Op::Abort { txid } => {
@@ -1320,44 +1237,14 @@ impl Replica {
                     store.log_twopc(txid.0, kind);
                 }
             }
-            if ok {
-                committed += 1;
-            } else {
-                aborted += 1;
-            }
-            if self.reporter {
-                let lat = ctx.now().since(req.submitted);
-                let scope = Scope::committee(self.cfg.committee_id);
-                ctx.stats().record_latency_scoped(stat::TXN_LATENCY, scope, lat);
-            }
             if self.cfg.reply_policy == ReplyPolicy::IngestReplica {
                 if let Some(client) = self.ingested.remove(&req.id) {
                     ctx.send(client, PbftMsg::Reply { req_id: req.id, committed: ok });
                 }
             }
-        }
+        });
         // Execution cost: chaincode + validation per state access.
-        self.charge(
-            ctx,
-            self.cfg.exec_cost_per_op.saturating_mul(weight as u64),
-            true,
-        );
-        if self.reporter {
-            let now = ctx.now();
-            let scope = Scope::committee(self.cfg.committee_id);
-            ctx.stats().inc_scoped(stat::TXN_COMMITTED, scope, committed);
-            ctx.stats().inc_scoped(stat::TXN_ABORTED, scope, aborted);
-            ctx.stats().inc_scoped(stat::BLOCKS_COMMITTED, scope, 1);
-            ctx.stats().record_point(stat::COMMIT_SERIES, now, committed as f64);
-        }
-        // Safety oracle: an honest replica committed this batch at `seq`.
-        // The record is the *content* digest (ordered request ids), so a
-        // re-proposal of the same batch in a later view is no fork, while
-        // any divergence in committed content at one height is.
-        if let Some(ck) = &checker {
-            let digest = crate::adversary::commit_digest(block.reqs.iter().map(|r| r.id));
-            ck.record_commit(self.cfg.committee_id, block.seq, digest);
-        }
+        self.charge(ctx, self.cfg.exec_cost_per_op.saturating_mul(weight as u64), true);
         // Group commit: one write+policy-fsync for the batch record plus
         // its 2PC journal. An I/O failure here is a crash — the node goes
         // dark and recovers from whatever reached the disk.
@@ -1822,13 +1709,6 @@ impl Replica {
         } else {
             run.anchor = None;
         }
-        if std::env::var("AHL_DEBUG").is_ok() {
-            eprintln!(
-                "[{}] node {} manifest: cert seq {} bits {} plan {} chunks{}",
-                ctx.now(), self.me, session.seq(), session.bits(), session.total_chunks(),
-                if session.is_diff() { " (diff)" } else { "" },
-            );
-        }
         let done = session.is_complete();
         run.phase = SyncPhase::Chunks { session, sidecar, executed, view, inflight: Vec::new() };
         if done {
@@ -2051,9 +1931,6 @@ impl Replica {
         let ex = std::mem::take(&mut self.executed_reqs);
         self.pool.retain(|r| !ex.contains(r.id));
         self.executed_reqs = ex;
-        if std::env::var("AHL_DEBUG").is_ok() {
-            eprintln!("[{}] node {} installed chunks at seq {}", ctx.now(), self.me, self.exec_seq);
-        }
         // Catch up the blocks committed above the certificate. Advertise
         // the retained window (headed by the root just installed): if a
         // newer certificate formed mid-transfer, the server re-anchors us
@@ -2088,9 +1965,6 @@ impl Replica {
             return;
         }
         run.last_activity = ctx.now();
-        if std::env::var("AHL_DEBUG").is_ok() {
-            eprintln!("[{}] node {} tail: {} blocks from {}", ctx.now(), self.me, blocks.len(), self.exec_seq);
-        }
         for block in blocks {
             if block.seq == self.exec_seq + 1 {
                 self.execute_block(&block, ctx);
@@ -2123,10 +1997,6 @@ impl Replica {
         let (n, me, now) = (self.cfg.n, self.me, ctx.now());
         let act = {
             let Some(run) = self.sync.as_mut() else { return };
-            if std::env::var("AHL_DEBUG").is_ok() {
-                eprintln!("[{}] node {} sync nack (phase {})", now, me,
-                    match run.phase { SyncPhase::AwaitManifest => "manifest", SyncPhase::Chunks{..} => "chunks", SyncPhase::AwaitTail => "tail" });
-            }
             match &mut run.phase {
                 // Nothing above the certificate (or we were already
                 // current).
@@ -2341,14 +2211,6 @@ impl Replica {
                 } else {
                     (None, None)
                 };
-                if std::env::var("AHL_DEBUG").is_ok() {
-                    eprintln!(
-                        "[server {}] sync_request from {} have {} full {} old_roots {} -> cert {} diff {:?}",
-                        self.me, requester, have_seq, full,
-                        old_roots.len(), cert.seq,
-                        diff.as_ref().map(|d| d.len()),
-                    );
-                }
                 let sidecar = Arc::new(snap.snap.sidecar().clone());
                 // Diff computation walks both trees' chunk roots (hash
                 // compares only — shared subtrees never hash again).
@@ -2532,27 +2394,33 @@ impl Replica {
         if self.store_dir.is_some() {
             self.restart_from_disk(ctx);
         } else {
-            match self.durable.clone() {
-                Some((cert, snap)) => {
-                    // Resume from the certified checkpoint: O(fetched)
-                    // recovery instead of re-transferring the whole state.
-                    self.state = StateStore::from_snapshot(&snap.snap);
-                    self.executed_reqs = ExecutedCache::from_set(&snap.executed, ctx.now());
-                    self.exec_seq = cert.seq;
-                    self.next_seq = cert.seq + 1;
-                    self.low_mark = cert.seq;
-                    self.insts_floor = cert.seq;
-                    self.ckpt.adopt(cert.clone());
-                    // The restored snapshot is servable again (and is the
-                    // diff anchor the sync request advertises).
-                    self.serving = vec![(cert, snap)];
-                }
-                None => self.cold_start_state(),
-            }
+            // Resume from the certified checkpoint: O(fetched) recovery
+            // instead of re-transferring the whole state.
+            self.resume_from_durable(ctx.now());
         }
         // Timer chains kept alive through the dark period resume driving
         // batching/view-change/heartbeat once sync completes.
         self.begin_sync(false, false, None, ctx);
+    }
+
+    /// Put the replica at its durable checkpoint — state, replay cache,
+    /// sequence marks, checkpoint tracker, and the snapshot as the one
+    /// servable (and diff-anchor) certificate — or at genesis when it has
+    /// none. Every restart path lands here: in-memory restart, restart from
+    /// disk, and the rollback of a WAL replay that failed its cross-checks.
+    fn resume_from_durable(&mut self, now: SimTime) {
+        let Some((cert, snap)) = self.durable.clone() else {
+            self.cold_start_state();
+            return;
+        };
+        self.state = StateStore::from_snapshot(&snap.snap);
+        self.executed_reqs = ExecutedCache::from_set(&snap.executed, now);
+        self.exec_seq = cert.seq;
+        self.next_seq = cert.seq + 1;
+        self.low_mark = cert.seq;
+        self.insts_floor = cert.seq;
+        self.ckpt.adopt(cert.clone());
+        self.serving = vec![(cert, snap)];
     }
 
     /// Reset the ledger to genesis (no durable checkpoint to resume from).
@@ -2587,43 +2455,21 @@ impl Replica {
             }
         };
         self.durable_store = Some(store);
-        match recovered {
-            Some(d) => {
-                let cert = d.cert;
-                let snap = Arc::new(d.snapshot);
-                self.state = StateStore::from_snapshot(&snap);
-                self.executed_reqs = ExecutedCache::from_set(&d.executed, ctx.now());
-                self.exec_seq = cert.seq;
-                self.next_seq = cert.seq + 1;
-                self.low_mark = cert.seq;
-                self.insts_floor = cert.seq;
-                self.ckpt.adopt(cert.clone());
-                let ckpt_snap = CkptSnapshot {
-                    seq: cert.seq,
-                    snap,
-                    executed: Arc::new(d.executed),
-                    approx_bytes: 0,
-                };
-                self.serving = vec![(cert.clone(), ckpt_snap.clone())];
-                self.durable = Some((cert, ckpt_snap));
-            }
-            None => self.cold_start_state(),
-        }
+        self.durable = recovered.map(|d| {
+            let snap = CkptSnapshot {
+                seq: d.cert.seq,
+                snap: Arc::new(d.snapshot),
+                executed: Arc::new(d.executed),
+                approx_bytes: 0,
+            };
+            (d.cert, snap)
+        });
+        self.resume_from_durable(ctx.now());
         let replayed = self.replay_wal_tail(tail, ctx);
         ctx.stats().inc(stat::WAL_REPLAYED, replayed);
         // Replayed writes are part of the recovered base, not churn to
         // charge against the next snapshot's byte budget.
         self.state.take_write_bytes();
-        if std::env::var("AHL_DEBUG").is_ok() {
-            eprintln!(
-                "[{}] node {} reopened dir: durable seq {:?}, replayed {} batches -> exec {}",
-                ctx.now(),
-                self.me,
-                self.durable.as_ref().map(|(c, _)| c.seq),
-                replayed,
-                self.exec_seq,
-            );
-        }
     }
 
     /// Re-execute the decoded WAL tail contiguously above the recovered
@@ -2658,40 +2504,20 @@ impl Replica {
                     // and those broke out of the loop below.
                     skipping = false;
                     expected.clear();
-                    let checker = if self.byzantine { None } else { self.cfg.safety.clone() };
-                    let replay_now = ctx.now();
-                    // Same engine as `execute_block`, fresh requests only.
-                    let fresh: Vec<&Request> = reqs
-                        .iter()
-                        .filter(|r| self.executed_reqs.insert(r.id, replay_now))
-                        .collect();
-                    let weight: usize = fresh.iter().map(|r| r.op.weight()).sum();
-                    let ops: Vec<&ahl_ledger::Op> = fresh.iter().map(|r| &r.op).collect();
-                    let outcomes =
-                        ahl_ledger::execute_ops(&mut self.state, &ops, self.cfg.exec_workers);
-                    for (req, outcome) in fresh.iter().zip(outcomes) {
-                        let ok = outcome.receipt.status.is_committed();
-                        if let Some(ck) = &checker {
-                            ck.observe_exec(
-                                self.cfg.committee_id,
-                                self.me,
-                                req.id,
-                                &req.op,
-                                outcome.had_pending,
-                                ok,
-                            );
+                    // Same shell as `execute_block`, minus what a live
+                    // commit reports; the journal each 2PC transition
+                    // must have left is queued for the records that follow.
+                    let stores = Stores {
+                        state: &mut self.state,
+                        executed: &mut self.executed_reqs,
+                        pool: &mut self.pool,
+                    };
+                    let weight = self.exec.execute(&reqs, stores, ctx.now(), |req, ok| {
+                        if let (true, Some(k), Some(txid)) = (ok, twopc_kind(&req.op), req.op.txid()) {
+                            expected.push_back((txid.0, k));
                         }
-                        if ok {
-                            if let (Some(k), Some(txid)) = (twopc_kind(&req.op), req.op.txid()) {
-                                expected.push_back((txid.0, k));
-                            }
-                        }
-                    }
-                    self.charge(
-                        ctx,
-                        self.cfg.exec_cost_per_op.saturating_mul(weight as u64),
-                        true,
-                    );
+                    });
+                    self.charge(ctx, self.cfg.exec_cost_per_op.saturating_mul(weight as u64), true);
                     self.exec_seq = seq;
                     self.next_seq = seq + 1;
                     replayed += 1;
@@ -2720,17 +2546,7 @@ impl Replica {
             // The tail lied about a batch that is already applied: fall
             // back to exactly the verified checkpoint (or genesis) and
             // let state sync re-fetch the rest with proofs.
-            match &self.durable {
-                Some((cert, snap)) => {
-                    self.state = StateStore::from_snapshot(&snap.snap);
-                    self.executed_reqs = ExecutedCache::from_set(&snap.executed, ctx.now());
-                    self.exec_seq = cert.seq;
-                    self.next_seq = cert.seq + 1;
-                }
-                None => {
-                    self.cold_start_state();
-                }
-            }
+            self.resume_from_durable(ctx.now());
             debug_assert_eq!(self.exec_seq, checkpoint_exec, "rollback lands on the checkpoint");
             return 0;
         }
@@ -2738,28 +2554,6 @@ impl Replica {
     }
 
     fn start_view_change(&mut self, target: u64, ctx: &mut Ctx<'_, PbftMsg>) {
-        if std::env::var("AHL_DEBUG").is_ok() {
-            let next = self.exec_seq + 1;
-            let detail = self.insts.get(&next).map(|i| {
-                (
-                    i.block.is_some(),
-                    i.view,
-                    i.prepares.values().map(HashSet::len).max().unwrap_or(0),
-                    i.commits.values().map(HashSet::len).max().unwrap_or(0),
-                    i.committed,
-                )
-            });
-            eprintln!(
-                "[{}] node {} VC -> view {} (exec {}, pool {}, insts {}, next inst {:?})",
-                ctx.now(),
-                self.me,
-                target,
-                self.exec_seq,
-                self.pool.len(),
-                self.insts.len(),
-                detail
-            );
-        }
         self.highest_vc_sent = target;
         // A prepared claim in a view-change message is a safety-relevant
         // assertion, so tentatively admitted (deferred-Sig) votes must be
@@ -2777,9 +2571,9 @@ impl Replica {
         let prepared: Vec<(u64, Hash)> = candidates
             .into_iter()
             .filter(|(s, d)| {
-                self.insts.get(s).is_some_and(|i| {
-                    i.prepares.get(d).map_or(0, HashSet::len) >= self.quorum()
-                })
+                self.insts
+                    .get(s)
+                    .is_some_and(|i| i.votes_for(VotePhase::Prepare, d) >= self.quorum())
             })
             .collect();
         self.charge(ctx, self.cfg.native_sign, false);
@@ -2992,6 +2786,14 @@ impl Replica {
     }
 }
 
+/// The wire form of `vote` cast in `phase`.
+fn vote_msg(phase: VotePhase, vote: Vote) -> PbftMsg {
+    match phase {
+        VotePhase::Prepare => PbftMsg::Prepare(vote),
+        VotePhase::Commit => PbftMsg::Commit(vote),
+    }
+}
+
 /// The next sync-serving peer in a round-robin over the group, skipping
 /// the requester itself.
 fn next_sync_peer(n: usize, me: usize, cur: usize) -> usize {
@@ -3059,10 +2861,10 @@ impl Actor for Replica {
                 let Some(idx) = self.group_index(from) else { return };
                 self.on_preprepare(block, cert, idx, ctx);
             }
-            PbftMsg::Prepare(v) => self.on_prepare(v, ctx),
-            PbftMsg::Commit(v) => self.on_commit(v, ctx),
-            PbftMsg::RelayPrepare(v) => self.on_relay_prepare(v, ctx),
-            PbftMsg::RelayCommit(v) => self.on_relay_commit(v, ctx),
+            PbftMsg::Prepare(v) => self.on_vote(VotePhase::Prepare, v, ctx),
+            PbftMsg::Commit(v) => self.on_vote(VotePhase::Commit, v, ctx),
+            PbftMsg::RelayPrepare(v) => self.on_relay_vote(VotePhase::Prepare, v, ctx),
+            PbftMsg::RelayCommit(v) => self.on_relay_vote(VotePhase::Commit, v, ctx),
             PbftMsg::AggPrepare(p) => self.on_agg_prepare(p, ctx),
             PbftMsg::AggCommit(p) => self.on_agg_commit(p, ctx),
             PbftMsg::Checkpoint { vote } => self.on_checkpoint(vote, ctx),

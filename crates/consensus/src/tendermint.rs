@@ -1,924 +1,79 @@
-//! Tendermint consensus (Figure 2 baseline).
+//! Tendermint consensus (Figure 2 baseline): one rule set of the lockstep
+//! round engine ([`crate::lockstep`]).
 //!
 //! Simplified but structurally faithful: heights proceed in **lockstep**
 //! (a new block is proposed only after the previous one commits — the
 //! property the paper identifies as Tendermint's scalability limiter,
 //! Appendix C.2), proposers rotate round-robin per (height + round),
 //! safety uses polka-locking, and liveness uses round timeouts. The
-//! `timeout_commit` pause (Tendermint's default 1 s between blocks) is the
-//! main throughput cap at small N.
+//! `timeout_commit` pause (Tendermint's default 1 s between blocks,
+//! [`LockstepConfig::block_period`]) is the main throughput cap at small N.
 //!
-//! Omissions relative to full Tendermint (documented for reviewers):
-//! nil-prevotes/nil-precommits are collapsed into round timeouts, and
-//! evidence/slashing is absent — neither affects throughput shape in the
-//! fault-free Figure 2 setting.
+//! What is Tendermint's own, next to IBFT: a locked validator *accepts* a
+//! conflicting proposal and prevotes its lock instead; a stalled round is
+//! left on the validator's own timeout, no vote needed; and the names and
+//! defaults below. The first two are the `Protocol::Tendermint` arms of
+//! the engine.
 
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use ahl_simkit::SimDuration;
 
-use ahl_crypto::{sha256_parts, Hash};
-use ahl_ledger::StateStore;
-use ahl_mempool::{Mempool, MempoolConfig};
-use ahl_simkit::{Actor, Ctx, MsgClass, NodeId, Phase, Scope, SimDuration};
+use crate::lockstep::{LockstepConfig, Profile, Protocol};
 
-use crate::adversary::{
-    self, commit_digest, Attack, EquivocationTracker, SafetyChecker, VoteAttackPlan,
+pub use crate::lockstep::build_group as build_tm_group;
+
+pub(crate) const PROFILE: Profile = Profile {
+    digest_tag: b"tm-block",
+    pool_tag: 0x7E4D_0000,
+    exec_span: "tendermint.exec",
+    round_changes: "tendermint.round_changes",
+    max_block_txns: 1000,
+    // tm-bench's KV app is in-memory.
+    exec_cost_per_op: SimDuration::from_micros(20),
 };
-use crate::clients::ClientProtocol;
-use crate::common::{stat, Request};
 
-/// Tendermint wire messages.
-#[derive(Clone, Debug)]
-pub enum TmMsg {
-    /// Client → node: new transaction.
-    Request(Request),
-    /// Node → all: mempool gossip.
-    GossipTx(Request),
-    /// Proposer → all: block proposal.
-    Proposal {
-        /// Height.
-        height: u64,
-        /// Round within the height.
-        round: u32,
-        /// Batched transactions.
-        block: Arc<Vec<Request>>,
-        /// Block digest.
-        digest: Hash,
-        /// Proposer index.
-        proposer: usize,
-    },
-    /// Prevote for a digest.
-    Prevote {
-        /// Height.
-        height: u64,
-        /// Round.
-        round: u32,
-        /// Voted digest.
-        digest: Hash,
-        /// Voter index.
-        replica: usize,
-    },
-    /// Precommit for a digest.
-    Precommit {
-        /// Height.
-        height: u64,
-        /// Round.
-        round: u32,
-        /// Voted digest.
-        digest: Hash,
-        /// Voter index.
-        replica: usize,
-    },
-    /// Execution acknowledgement to the client.
-    Reply {
-        /// Request id.
-        req_id: u64,
-        /// Commit status.
-        committed: bool,
-    },
-}
-
-impl TmMsg {
-    /// Queue class (Tendermint uses one reactor per channel; we model the
-    /// consensus channel as higher-integrity like HL's).
-    pub fn class(&self) -> MsgClass {
-        match self {
-            TmMsg::Request(_) | TmMsg::GossipTx(_) | TmMsg::Reply { .. } => MsgClass::REQUEST,
-            _ => MsgClass::CONSENSUS,
-        }
-    }
-
-    /// Approximate wire size.
-    pub fn wire_size(&self) -> usize {
-        match self {
-            TmMsg::Request(r) | TmMsg::GossipTx(r) => 250 + r.op.wire_size(),
-            TmMsg::Proposal { block, .. } => {
-                120 + block.iter().map(|r| 64 + r.op.wire_size()).sum::<usize>()
-            }
-            TmMsg::Prevote { .. } | TmMsg::Precommit { .. } => 120,
-            TmMsg::Reply { .. } => 100,
-        }
-    }
-}
-
-impl ClientProtocol for TmMsg {
-    fn make_request(req: Request) -> Self {
-        TmMsg::Request(req)
-    }
-    fn reply_id(&self) -> Option<u64> {
-        match self {
-            TmMsg::Reply { req_id, .. } => Some(*req_id),
-            _ => None,
-        }
-    }
-}
-
-/// Tendermint node configuration.
-#[derive(Clone, Debug)]
-pub struct TmConfig {
-    /// Committee size (N = 3f + 1 tolerance).
-    pub n: usize,
-    /// Maximum transactions per block.
-    pub max_block_txns: usize,
-    /// Pause after a commit before the next proposal (`timeout_commit`,
-    /// Tendermint default 1 s).
-    pub timeout_commit: SimDuration,
-    /// Round timeout before moving to the next proposer.
-    pub timeout_round: SimDuration,
-    /// Signature creation cost.
-    pub sign_cost: SimDuration,
-    /// Signature verification cost.
-    pub verify_cost: SimDuration,
-    /// RPC ingest cost per transaction.
-    pub ingest_cost: SimDuration,
-    /// Execution cost per state access (tm-bench's KV app is in-memory).
-    pub exec_cost_per_op: SimDuration,
-    /// Per-node transaction pool (capacity + admission policy).
-    pub mempool: MempoolConfig,
-    /// Pool eviction/ordering seed (set per node by `build_tm_group` so
-    /// it derives from the run seed).
-    pub pool_seed: u64,
-    /// Number of Byzantine validators (the highest indices).
-    pub byzantine: usize,
-    /// What the Byzantine validators do (see [`Attack`]; equivocation
-    /// fires whenever a Byzantine validator's turn as proposer comes up).
-    pub attack: Attack,
-    /// Global safety oracle honest validators report commits into.
-    pub safety: Option<SafetyChecker>,
-    /// This committee's id in the checker's records.
-    pub committee_id: usize,
-    /// Worker threads for block execution (`1` = the sequential loop;
-    /// above that the batch goes through the deterministic conflict-aware
-    /// engine with byte-identical results).
-    pub exec_workers: usize,
-    /// Re-derive every cached hash of the authenticated index across the
-    /// worker pool every this-many committed heights when
-    /// `exec_workers > 1` (the same paranoia audit PBFT runs at each
-    /// checkpoint; Tendermint has no checkpoint machinery, so the
-    /// cadence is its own knob).
-    pub audit_interval: u64,
-}
+/// Tendermint's entry point to [`LockstepConfig`].
+pub struct TmConfig;
 
 impl TmConfig {
-    /// Defaults matching the Figure 2 comparison.
-    pub fn new(n: usize) -> Self {
-        TmConfig {
-            n,
-            max_block_txns: 1000,
-            timeout_commit: SimDuration::from_secs(1),
-            timeout_round: SimDuration::from_secs(3),
-            sign_cost: SimDuration::from_micros(150),
-            verify_cost: SimDuration::from_micros(200),
-            ingest_cost: SimDuration::from_millis(1),
-            exec_cost_per_op: SimDuration::from_micros(20),
-            mempool: MempoolConfig::default(),
-            pool_seed: 0,
-            byzantine: 0,
-            attack: Attack::default(),
-            safety: None,
-            committee_id: 0,
-            exec_workers: 1,
-            audit_interval: 128,
-        }
+    /// Defaults matching the Figure 2 comparison (`timeout_commit` 1 s).
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new(n: usize) -> LockstepConfig {
+        LockstepConfig::new(Protocol::Tendermint, n)
     }
-
-    /// Byzantine quorum (2f + 1).
-    pub fn quorum(&self) -> usize {
-        2 * ((self.n.saturating_sub(1)) / 3) + 1
-    }
-
-    /// Whether validator `i` is Byzantine (highest indices).
-    pub fn is_byzantine(&self, i: usize) -> bool {
-        self.byzantine > 0 && i >= self.n - self.byzantine
-    }
-}
-
-const TIMER_ROUND: u64 = 1;
-const TIMER_COMMIT: u64 = 2;
-
-type RoundKey = (u64, u32);
-
-/// A Tendermint validator.
-pub struct TmNode {
-    cfg: TmConfig,
-    group: Vec<NodeId>,
-    me: usize,
-    reporter: bool,
-
-    height: u64,
-    round: u32,
-    locked: Option<(u32, Hash, Arc<Vec<Request>>)>,
-    proposal: Option<(Hash, Arc<Vec<Request>>)>,
-    /// Proposals for rounds we have not entered yet (nodes run at slightly
-    /// different heights; real Tendermint buffers and gossips).
-    proposal_buf: HashMap<RoundKey, (Hash, Arc<Vec<Request>>)>,
-    prevotes: HashMap<RoundKey, HashMap<Hash, HashSet<usize>>>,
-    precommits: HashMap<RoundKey, HashMap<Hash, HashSet<usize>>>,
-    sent_prevote: HashSet<RoundKey>,
-    sent_precommit: HashSet<RoundKey>,
-    round_epoch: u64,
-    /// Between a commit and the timeout_commit expiry: no proposing.
-    waiting_commit: bool,
-
-    pool: Mempool<Request>,
-    executed: HashSet<u64>,
-    state: StateStore,
-
-    byzantine: bool,
-    /// Stale-replay attack state: previous (prevote, precommit).
-    stale_votes: [Option<TmMsg>; 2],
-    /// Equivocation-collusion state (shared double-signing bookkeeping).
-    byz_equiv: EquivocationTracker,
-}
-
-impl TmNode {
-    /// Create a validator with group index `me`.
-    pub fn new(cfg: TmConfig, group: Vec<NodeId>, me: usize, reporter: bool) -> Self {
-        let pool = Mempool::new(cfg.mempool.clone(), cfg.pool_seed ^ me as u64);
-        TmNode {
-            byzantine: cfg.is_byzantine(me),
-            stale_votes: [None, None],
-            byz_equiv: EquivocationTracker::new(),
-            cfg,
-            group,
-            me,
-            reporter,
-            height: 1,
-            round: 0,
-            locked: None,
-            proposal: None,
-            proposal_buf: HashMap::new(),
-            prevotes: HashMap::new(),
-            precommits: HashMap::new(),
-            sent_prevote: HashSet::new(),
-            sent_precommit: HashSet::new(),
-            round_epoch: 0,
-            waiting_commit: false,
-            pool,
-            executed: HashSet::new(),
-            state: StateStore::new(),
-        }
-    }
-
-    /// Current height (post-run inspection).
-    pub fn height(&self) -> u64 {
-        self.height
-    }
-
-    /// Current round (post-run inspection).
-    pub fn round(&self) -> u32 {
-        self.round
-    }
-
-    /// Debug snapshot: (has proposal, locked, buffered proposals,
-    /// max precommit votes seen for the current height, waiting_commit).
-    pub fn debug_snapshot(&self) -> (bool, bool, usize, usize, bool) {
-        let max_pc = self
-            .precommits
-            .iter()
-            .filter(|((h, _), _)| *h == self.height)
-            .flat_map(|(_, by)| by.values().map(|v| v.len()))
-            .max()
-            .unwrap_or(0);
-        (
-            self.proposal.is_some(),
-            self.locked.is_some(),
-            self.proposal_buf.len(),
-            max_pc,
-            self.waiting_commit,
-        )
-    }
-
-    fn proposer(&self, height: u64, round: u32) -> usize {
-        ((height + round as u64) % self.cfg.n as u64) as usize
-    }
-
-    fn others(&self) -> Vec<NodeId> {
-        let mine = self.group[self.me];
-        self.group.iter().copied().filter(|&g| g != mine).collect()
-    }
-
-    fn charge(&self, ctx: &mut Ctx<'_, TmMsg>, d: SimDuration) {
-        ctx.consume_cpu(d);
-        ctx.stats().inc(stat::CONSENSUS_CPU_NS, d.as_nanos());
-    }
-
-    fn enter_round(&mut self, ctx: &mut Ctx<'_, TmMsg>) {
-        // Keep the previous round's proposal: a precommit quorum for it may
-        // still arrive (Tendermint's commit rule is round-agnostic).
-        if let Some((d, b)) = self.proposal.take() {
-            self.proposal_buf.entry((self.height, self.round)).or_insert((d, b));
-        }
-        self.waiting_commit = false;
-        self.round_epoch += 1;
-        let epoch = self.round_epoch;
-        ctx.set_timer(self.cfg.timeout_round, TIMER_ROUND | (epoch << 8));
-        // Adopt a buffered proposal for this round, if one arrived early.
-        let key = (self.height, self.round);
-        if let Some((digest, block)) = self.proposal_buf.remove(&key) {
-            self.proposal = Some((digest, block));
-            self.broadcast_prevote(digest, ctx);
-        }
-        if self.proposer(self.height, self.round) == self.me && self.proposal.is_none() {
-            self.propose(ctx);
-        }
-        self.recheck_votes(ctx);
-    }
-
-    /// Re-evaluate buffered votes for the current (height, round): quorums
-    /// may already exist from messages that arrived while we lagged.
-    fn recheck_votes(&mut self, ctx: &mut Ctx<'_, TmMsg>) {
-        let key = (self.height, self.round);
-        if let Some(by_digest) = self.prevotes.get(&key) {
-            let ready: Vec<Hash> = by_digest
-                .iter()
-                .filter(|(_, votes)| votes.len() >= self.cfg.quorum())
-                .map(|(d, _)| *d)
-                .collect();
-            for d in ready {
-                self.record_prevote(key, d, self.me, ctx);
-            }
-        }
-        self.try_commit_any_round(ctx);
-    }
-
-    /// Tendermint's commit rule is round-agnostic: 2f+1 precommits for a
-    /// block at *any* round of the current height commit it (a node that
-    /// moved past the deciding round must still be able to commit).
-    fn try_commit_any_round(&mut self, ctx: &mut Ctx<'_, TmMsg>) {
-        let h = self.height;
-        let quorum = self.cfg.quorum();
-        let mut decided: Option<(Hash, u32)> = None;
-        for ((hh, r), by_digest) in &self.precommits {
-            if *hh != h {
-                continue;
-            }
-            for (d, votes) in by_digest {
-                if votes.len() >= quorum {
-                    decided = Some((*d, *r));
-                    break;
-                }
-            }
-            if decided.is_some() {
-                break;
-            }
-        }
-        let Some((digest, round)) = decided else { return };
-        let block = match (&self.proposal, &self.locked) {
-            (Some((d, b)), _) if *d == digest => Some(b.clone()),
-            (_, Some((_, d, b))) if *d == digest => Some(b.clone()),
-            _ => {
-                let _ = round;
-                // Any stashed proposal at this height with the right digest.
-                self.proposal_buf
-                    .iter()
-                    .find(|((hh, _), (d, _))| *hh == h && *d == digest)
-                    .map(|(_, (_, b))| b.clone())
-            }
-        };
-        if let Some(block) = block {
-            self.commit(block, ctx);
-        }
-    }
-
-    /// Double-sign equivocation (proposer side): two conflicting blocks
-    /// for the same (height, round), the lower digest to committee half 0
-    /// and the higher to half 1, both to Byzantine colleagues — plus the
-    /// proposer's own per-half prevotes/precommits. With the colluders'
-    /// echoes this forks the chain exactly when f > ⌊(n−1)/3⌋.
-    fn equivocate_propose(&mut self, block: Arc<Vec<Request>>, ctx: &mut Ctx<'_, TmMsg>) {
-        let (height, round, me) = (self.height, self.round, self.me);
-        self.charge(ctx, self.cfg.sign_cost);
-        let (group, cfg) = (&self.group, &self.cfg);
-        adversary::equivocate_propose(
-            block,
-            |b| block_digest(height, round, b),
-            cfg.n,
-            me,
-            |g| cfg.is_byzantine(g),
-            |g, digest, blk| {
-                let peer = group[g];
-                ctx.send(
-                    peer,
-                    TmMsg::Proposal { height, round, block: blk.clone(), digest, proposer: me },
-                );
-                ctx.send(peer, TmMsg::Prevote { height, round, digest, replica: me });
-                ctx.send(peer, TmMsg::Precommit { height, round, digest, replica: me });
-            },
-        );
-    }
-
-    /// Double-sign equivocation (colluding voter side): echo prevotes and
-    /// precommits for every proposal seen at a slot, each to the half its
-    /// digest rank assigns.
-    fn equivocate_echo(&mut self, height: u64, round: u32, digest: Hash, ctx: &mut Ctx<'_, TmMsg>) {
-        let Some(targets) = adversary::equivocation_echo_targets(
-            &mut self.byz_equiv,
-            height,
-            round,
-            digest,
-            self.cfg.n,
-            self.me,
-        ) else {
-            return;
-        };
-        self.charge(ctx, self.cfg.sign_cost);
-        let me = self.me;
-        let targets: Vec<NodeId> = targets.into_iter().map(|g| self.group[g]).collect();
-        ctx.multicast(targets.clone(), TmMsg::Prevote { height, round, digest, replica: me });
-        ctx.multicast(targets, TmMsg::Precommit { height, round, digest, replica: me });
-    }
-
-    /// Byzantine vote emission, dispatched by the configured [`Attack`]
-    /// through the shared [`adversary::byzantine_vote`] planner.
-    fn byzantine_vote(&mut self, prevote: bool, digest: Hash, ctx: &mut Ctx<'_, TmMsg>) {
-        let (height, round, me) = (self.height, self.round, self.me);
-        let make = |digest: Hash| {
-            if prevote {
-                TmMsg::Prevote { height, round, digest, replica: me }
-            } else {
-                TmMsg::Precommit { height, round, digest, replica: me }
-            }
-        };
-        let plan = adversary::byzantine_vote(
-            self.cfg.attack,
-            &mut self.stale_votes,
-            prevote,
-            digest,
-            self.cfg.n,
-            me,
-            make,
-        );
-        match plan {
-            VoteAttackPlan::Silent | VoteAttackPlan::Replay(None) => {}
-            VoteAttackPlan::Replay(Some(stale)) => {
-                ctx.stats().inc("adv.stale_replays", 1);
-                self.charge(ctx, self.cfg.sign_cost);
-                ctx.multicast(self.others(), stale);
-            }
-            VoteAttackPlan::Corrupt(votes) => {
-                self.charge(ctx, self.cfg.sign_cost);
-                for (g, vote) in votes {
-                    ctx.send(self.group[g], vote);
-                }
-            }
-        }
-    }
-
-    fn propose(&mut self, ctx: &mut Ctx<'_, TmMsg>) {
-        if self.waiting_commit {
-            return;
-        }
-        let block: Arc<Vec<Request>> = if let Some((_, _, b)) = &self.locked {
-            b.clone()
-        } else {
-            let now = ctx.now();
-            Arc::new(self.pool.take_batch(
-                self.cfg.max_block_txns,
-                usize::MAX,
-                now,
-                ctx.stats(),
-            ))
-        };
-        if block.is_empty() {
-            // Nothing to propose: empty blocks are skipped (tm-bench mode);
-            // the round timer will re-trigger.
-            return;
-        }
-        if self.byzantine && self.cfg.attack == Attack::Equivocate {
-            self.equivocate_propose(block, ctx);
-            return;
-        }
-        for r in block.iter() {
-            ctx.trace(r.id, Phase::Propose);
-        }
-        let digest = block_digest(self.height, self.round, &block);
-        self.charge(ctx, self.cfg.sign_cost);
-        let msg = TmMsg::Proposal {
-            height: self.height,
-            round: self.round,
-            block: block.clone(),
-            digest,
-            proposer: self.me,
-        };
-        ctx.multicast(self.others(), msg);
-        self.proposal = Some((digest, block));
-        self.broadcast_prevote(digest, ctx);
-    }
-
-    fn broadcast_prevote(&mut self, digest: Hash, ctx: &mut Ctx<'_, TmMsg>) {
-        let key = (self.height, self.round);
-        if !self.sent_prevote.insert(key) {
-            return;
-        }
-        // Locked validators prevote their lock.
-        let digest = match &self.locked {
-            Some((_, d, _)) => *d,
-            None => digest,
-        };
-        if self.byzantine {
-            self.byzantine_vote(true, digest, ctx);
-            return;
-        }
-        self.charge(ctx, self.cfg.sign_cost);
-        let msg = TmMsg::Prevote {
-            height: self.height,
-            round: self.round,
-            digest,
-            replica: self.me,
-        };
-        ctx.multicast(self.others(), msg);
-        self.record_prevote(key, digest, self.me, ctx);
-    }
-
-    fn record_prevote(&mut self, key: RoundKey, digest: Hash, who: usize, ctx: &mut Ctx<'_, TmMsg>) {
-        let votes = self.prevotes.entry(key).or_default().entry(digest).or_default();
-        votes.insert(who);
-        let polka = votes.len() >= self.cfg.quorum();
-        if polka && key == (self.height, self.round) {
-            // Lock on the polka block if we have it.
-            if let Some((d, b)) = &self.proposal {
-                if *d == digest {
-                    self.locked = Some((self.round, digest, b.clone()));
-                }
-            }
-            self.broadcast_precommit(digest, ctx);
-        }
-    }
-
-    fn broadcast_precommit(&mut self, digest: Hash, ctx: &mut Ctx<'_, TmMsg>) {
-        let key = (self.height, self.round);
-        if !self.sent_precommit.insert(key) {
-            return;
-        }
-        if self.byzantine {
-            self.byzantine_vote(false, digest, ctx);
-            return;
-        }
-        self.charge(ctx, self.cfg.sign_cost);
-        let msg = TmMsg::Precommit {
-            height: self.height,
-            round: self.round,
-            digest,
-            replica: self.me,
-        };
-        ctx.multicast(self.others(), msg);
-        self.record_precommit(key, digest, self.me, ctx);
-    }
-
-    fn record_precommit(&mut self, key: RoundKey, digest: Hash, who: usize, ctx: &mut Ctx<'_, TmMsg>) {
-        let votes = self.precommits.entry(key).or_default().entry(digest).or_default();
-        votes.insert(who);
-        if votes.len() >= self.cfg.quorum() && key == (self.height, self.round) {
-            let block = match (&self.proposal, &self.locked) {
-                (Some((d, b)), _) if *d == digest => Some(b.clone()),
-                (_, Some((_, d, b))) if *d == digest => Some(b.clone()),
-                _ => None,
-            };
-            if let Some(block) = block {
-                self.commit(block, ctx);
-            }
-        }
-    }
-
-    fn commit(&mut self, block: Arc<Vec<Request>>, ctx: &mut Ctx<'_, TmMsg>) {
-        let _prof = ahl_telemetry::Profiler::span("tendermint.exec");
-        let mut committed = 0u64;
-        let mut weight = 0usize;
-        let checker = if self.byzantine { None } else { self.cfg.safety.clone() };
-        // Pre-pass admission, conflict-aware batch execution, post-pass
-        // observation — same canonical order and outputs as the old
-        // per-request loop (`exec_workers <= 1` is that loop).
-        let mut fresh = Vec::with_capacity(block.len());
-        for req in block.iter() {
-            if !self.executed.insert(req.id) {
-                continue;
-            }
-            self.pool.remove(req.id);
-            weight += req.op.weight();
-            fresh.push(req);
-        }
-        let ops: Vec<&ahl_ledger::Op> = fresh.iter().map(|r| &r.op).collect();
-        let outcomes = ahl_ledger::execute_ops(&mut self.state, &ops, self.cfg.exec_workers);
-        for (req, outcome) in fresh.iter().zip(outcomes) {
-            let had_pending = outcome.had_pending;
-            let receipt = outcome.receipt;
-            if let Some(ck) = &checker {
-                ck.observe_exec(
-                    self.cfg.committee_id,
-                    self.me,
-                    req.id,
-                    &req.op,
-                    had_pending,
-                    receipt.status.is_committed(),
-                );
-            }
-            ctx.trace(req.id, Phase::Exec);
-            if receipt.status.is_committed() {
-                committed += 1;
-            }
-            if self.reporter {
-                let lat = ctx.now().since(req.submitted);
-                let scope = Scope::committee(self.cfg.committee_id);
-                ctx.stats().record_latency_scoped(stat::TXN_LATENCY, scope, lat);
-            }
-        }
-        if let Some(ck) = &checker {
-            let digest = commit_digest(block.iter().map(|r| r.id));
-            ck.record_commit(self.cfg.committee_id, self.height, digest);
-        }
-        let exec = self.cfg.exec_cost_per_op.saturating_mul(weight as u64);
-        ctx.consume_cpu(exec);
-        ctx.stats().inc(stat::EXEC_CPU_NS, exec.as_nanos());
-        if self.reporter {
-            let now = ctx.now();
-            let scope = Scope::committee(self.cfg.committee_id);
-            ctx.stats().inc_scoped(stat::TXN_COMMITTED, scope, committed);
-            ctx.stats().inc_scoped(stat::BLOCKS_COMMITTED, scope, 1);
-            ctx.stats().record_point(stat::COMMIT_SERIES, now, committed as f64);
-        }
-        // Advance height; lockstep: wait timeout_commit before next round.
-        self.height += 1;
-        // Parallel-execution paranoia, mirroring the PBFT checkpoint-time
-        // audit: periodically re-derive every cached hash of the
-        // authenticated index across the worker pool and compare. Proven
-        // equivalent to sequential execution, so a hit means engine
-        // corruption — count it loudly, don't mask it.
-        if self.cfg.exec_workers > 1
-            && self.cfg.audit_interval > 0
-            && self.height.is_multiple_of(self.cfg.audit_interval)
-            && !self.state.rehash_audit(self.cfg.exec_workers)
-        {
-            ctx.stats().inc(stat::CKPT_AUDIT_FAILURES, 1);
-        }
-        self.round = 0;
-        self.locked = None;
-        self.proposal = None;
-        let h = self.height;
-        self.prevotes.retain(|(hh, _), _| *hh >= h);
-        self.precommits.retain(|(hh, _), _| *hh >= h);
-        self.sent_prevote.retain(|(hh, _)| *hh >= h);
-        self.sent_precommit.retain(|(hh, _)| *hh >= h);
-        self.proposal_buf.retain(|(hh, _), _| *hh >= h);
-        self.round_epoch += 1;
-        self.waiting_commit = true;
-        ctx.set_timer(self.cfg.timeout_commit, TIMER_COMMIT | (self.round_epoch << 8));
-    }
-
-    fn pool_tx(&mut self, req: Request, ctx: &mut Ctx<'_, TmMsg>) {
-        if self.executed.contains(&req.id) {
-            return;
-        }
-        let now = ctx.now();
-        let _ = self.pool.insert(req, now, ctx.stats());
-    }
-}
-
-fn block_digest(height: u64, round: u32, block: &[Request]) -> Hash {
-    let mut parts: Vec<Vec<u8>> = vec![
-        b"tm-block".to_vec(),
-        height.to_be_bytes().to_vec(),
-        round.to_be_bytes().to_vec(),
-    ];
-    for r in block {
-        parts.push(r.id.to_be_bytes().to_vec());
-    }
-    let refs: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
-    sha256_parts(&refs)
-}
-
-impl Actor for TmNode {
-    type Msg = TmMsg;
-
-    fn on_start(&mut self, ctx: &mut Ctx<'_, TmMsg>) {
-        self.enter_round(ctx);
-    }
-
-    fn on_message(&mut self, _from: NodeId, msg: TmMsg, ctx: &mut Ctx<'_, TmMsg>) {
-        match msg {
-            TmMsg::Request(req) => {
-                self.charge(ctx, self.cfg.ingest_cost);
-                // Client-facing ingest on the contacted replica only (the
-                // gossip fan-out below doesn't re-stamp), so the liveness
-                // oracle sees each request admitted exactly once.
-                ctx.trace(req.id, Phase::Ingest);
-                ctx.multicast(self.others(), TmMsg::GossipTx(req.clone()));
-                let id = req.id;
-                self.pool_tx(req, ctx);
-                ctx.trace(id, Phase::Admit);
-                // A proposer idling on an empty pool proposes as soon as
-                // transactions show up.
-                if self.proposer(self.height, self.round) == self.me && self.proposal.is_none() {
-                    self.propose(ctx);
-                }
-            }
-            TmMsg::GossipTx(req) => {
-                self.charge(ctx, self.cfg.verify_cost);
-                self.pool_tx(req, ctx);
-                if self.proposer(self.height, self.round) == self.me && self.proposal.is_none() {
-                    self.propose(ctx);
-                }
-            }
-            TmMsg::Proposal { height, round, block, digest, proposer } => {
-                if height < self.height || proposer != self.proposer(height, round) {
-                    return;
-                }
-                self.charge(ctx, self.cfg.verify_cost);
-                // A colluding equivocator first emits its two-faced echo
-                // votes, then keeps processing like everyone else — it
-                // must track the committee's height (via the observed
-                // quorums) or its own proposer turns would equivocate at
-                // a stale height nobody accepts. Its honest-path votes
-                // stay suppressed by `byzantine_vote`.
-                if self.byzantine && self.cfg.attack == Attack::Equivocate {
-                    self.equivocate_echo(height, round, digest, ctx);
-                }
-                if (height, round) == (self.height, self.round) {
-                    self.proposal = Some((digest, block));
-                    self.broadcast_prevote(digest, ctx);
-                    self.recheck_votes(ctx);
-                } else {
-                    // Buffer proposals we have not caught up to yet.
-                    self.proposal_buf.insert((height, round), (digest, block));
-                }
-            }
-            TmMsg::Prevote { height, round, digest, replica } => {
-                if height < self.height {
-                    return;
-                }
-                self.charge(ctx, self.cfg.verify_cost);
-                self.prevotes.entry((height, round)).or_default().entry(digest).or_default().insert(replica);
-                if (height, round) == (self.height, self.round) {
-                    self.record_prevote((height, round), digest, replica, ctx);
-                }
-            }
-            TmMsg::Precommit { height, round, digest, replica } => {
-                if height < self.height {
-                    return;
-                }
-                self.charge(ctx, self.cfg.verify_cost);
-                self.precommits.entry((height, round)).or_default().entry(digest).or_default().insert(replica);
-                if (height, round) == (self.height, self.round) {
-                    self.record_precommit((height, round), digest, replica, ctx);
-                } else if height == self.height {
-                    self.try_commit_any_round(ctx);
-                }
-            }
-            TmMsg::Reply { .. } => {}
-        }
-    }
-
-    fn on_timer(&mut self, kind: u64, ctx: &mut Ctx<'_, TmMsg>) {
-        let epoch = kind >> 8;
-        if epoch != self.round_epoch {
-            return; // stale timer from an earlier round
-        }
-        match kind & 0xff {
-            TIMER_ROUND => {
-                // No commit this round: rotate proposer.
-                self.round += 1;
-                ctx.stats().inc("tendermint.round_changes", 1);
-                self.enter_round(ctx);
-            }
-            TIMER_COMMIT => {
-                self.enter_round(ctx);
-            }
-            _ => {}
-        }
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-}
-
-/// Build a Tendermint committee simulation (clients added by caller).
-pub fn build_tm_group(
-    cfg: &TmConfig,
-    network: Box<dyn ahl_simkit::Network>,
-    uplink_bps: Option<f64>,
-    seed: u64,
-) -> (ahl_simkit::Sim<TmMsg>, Vec<NodeId>) {
-    fn classify(m: &TmMsg) -> MsgClass {
-        m.class()
-    }
-    fn size_of(m: &TmMsg) -> usize {
-        m.wire_size()
-    }
-    let mut sim_cfg = ahl_simkit::SimConfig::new(seed);
-    sim_cfg.network = network;
-    sim_cfg.classify = classify;
-    sim_cfg.size_of = size_of;
-    sim_cfg.uplink_bps = uplink_bps;
-    let mut sim = ahl_simkit::Sim::new(sim_cfg);
-    let group: Vec<NodeId> = (0..cfg.n).collect();
-    for i in 0..cfg.n {
-        let mut ncfg = cfg.clone();
-        ncfg.pool_seed = ahl_simkit::rng::derive_seed(seed, 0x7E4D_0000 | i as u64);
-        let node = TmNode::new(ncfg, group.clone(), i, i == 0);
-        sim.add_actor(
-            Box::new(node),
-            ahl_simkit::QueueConfig::shared(8192),
-        );
-    }
-    (sim, group)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clients::OpenLoopClient;
-    use ahl_ledger::{kvstore, Op, TxId};
-    use ahl_simkit::{QueueConfig, SimTime, UniformNetwork};
+    use crate::lockstep::tests as battery;
 
-    fn run_tm(n: usize, secs: u64) -> (u64, u64) {
-        run_tm_cfg(TmConfig::new(n), secs).0
-    }
+    /// Seed and open-loop request interval (ms) of the Tendermint cells.
+    const LOAD: (u64, u64) = (11, 2);
 
-    fn run_tm_cfg(cfg: TmConfig, secs: u64) -> ((u64, u64), u64) {
-        let net = Box::new(UniformNetwork::new(SimDuration::from_micros(300)));
-        let (mut sim, group) = build_tm_group(&cfg, net, Some(1e9), 11);
-        let stop = SimTime::ZERO + SimDuration::from_secs(secs);
-        let mut i = 0u64;
-        let factory = Box::new(move |_r: &mut rand::rngs::SmallRng| {
-            i += 1;
-            Op::Direct { txid: TxId(i), op: kvstore::kv_write(&[i % 50], 16) }
-        });
-        let client = OpenLoopClient::new(group.clone(), SimDuration::from_millis(2), stop, factory);
-        sim.add_actor(Box::new(client), QueueConfig::unbounded());
-        sim.run_until(stop + SimDuration::from_secs(3));
-        (
-            (
-                sim.stats().counter(stat::TXN_COMMITTED),
-                sim.stats().counter(stat::BLOCKS_COMMITTED),
-            ),
-            sim.stats().counter(stat::CKPT_AUDIT_FAILURES),
-        )
-    }
-
-    /// With parallel block execution the per-height rehash audit must run
-    /// (and pass) without perturbing commits: parallel execution is
-    /// byte-identical to sequential by contract.
     #[test]
     fn parallel_exec_audit_stays_clean() {
-        let mut cfg = TmConfig::new(4);
-        cfg.exec_workers = 4;
-        cfg.audit_interval = 1; // audit at every committed height
-        let ((committed, blocks), audit_failures) = run_tm_cfg(cfg, 5);
-        let (seq_committed, seq_blocks) = run_tm(4, 5);
-        assert_eq!((committed, blocks), (seq_committed, seq_blocks), "workers leaked into sim");
-        assert!(committed > 1000, "committed {committed}");
-        assert_eq!(audit_failures, 0, "hash-cache divergence under parallel execution");
+        battery::parallel_exec_audit_stays_clean(TmConfig::new(4), LOAD, 1000);
     }
 
     #[test]
     fn commits_transactions() {
-        let (committed, blocks) = run_tm(4, 5);
-        assert!(committed > 1000, "committed {committed}");
-        assert!(blocks >= 4, "blocks {blocks}");
+        battery::commits_transactions(TmConfig::new(4), LOAD, 1000);
     }
 
     #[test]
     fn lockstep_limits_block_rate() {
         // With timeout_commit = 1 s, block rate ≈ 1/s regardless of load.
-        let (_, blocks) = run_tm(4, 6);
-        assert!(blocks <= 8, "blocks {blocks}");
+        battery::block_rate_is_capped(TmConfig::new(4), LOAD);
     }
 
     #[test]
     fn single_validator_works() {
-        let (committed, _) = run_tm(1, 4);
+        let ((committed, _), _) = battery::run(TmConfig::new(1), LOAD, 4);
         assert!(committed > 500, "committed {committed}");
     }
 
     #[test]
     fn validators_reach_same_height() {
-        let cfg = TmConfig::new(4);
-        let net = Box::new(UniformNetwork::new(SimDuration::from_micros(300)));
-        let (mut sim, group) = build_tm_group(&cfg, net, Some(1e9), 3);
-        let stop = SimTime::ZERO + SimDuration::from_secs(4);
-        let mut i = 0u64;
-        let factory = Box::new(move |_r: &mut rand::rngs::SmallRng| {
-            i += 1;
-            Op::Direct { txid: TxId(i), op: kvstore::kv_write(&[i], 16) }
-        });
-        let client = OpenLoopClient::new(group.clone(), SimDuration::from_millis(5), stop, factory);
-        sim.add_actor(Box::new(client), QueueConfig::unbounded());
-        sim.run_until(stop + SimDuration::from_secs(5));
-        let heights: Vec<u64> = group
-            .iter()
-            .map(|&id| {
-                sim.actor(id)
-                    .as_any()
-                    .expect("inspectable")
-                    .downcast_ref::<TmNode>()
-                    .expect("tm node")
-                    .height()
-            })
-            .collect();
-        let max = *heights.iter().max().expect("non-empty");
-        let min = *heights.iter().min().expect("non-empty");
-        assert!(max > 1);
-        assert!(max - min <= 1, "heights {heights:?}");
+        battery::validators_reach_same_height(TmConfig::new(4), 3);
     }
 }

@@ -15,7 +15,7 @@
 //! | [`wal`] | durable write-ahead log with segment retention caps, content-addressed page store with checkpoint-gated GC/compaction and sidecar segment indexes, byte-bounded lazy page cache ([`wal::PageCache`]), manifests, crash-kill recovery |
 //! | [`ledger`] | blocks, KV state with 2PL + SMT state roots, KVStore & SmallBank chaincode; conflict-aware parallel execution ([`ledger::access`], [`ledger::execute_ops`]) |
 //! | [`mempool`] | per-shard transaction pool: dedup, admission control, per-sender quotas, batch pipeline |
-//! | [`consensus`] | PBFT (HL/AHL/AHL+/AHLR), Tendermint, IBFT, Raft, PoET; the scripted Byzantine attack catalogue ([`consensus::Attack`]) and the global [`consensus::SafetyChecker`] |
+//! | [`consensus`] | PBFT (HL/AHL/AHL+/AHLR); IBFT and Tendermint as two rule sets of one lockstep round engine ([`consensus::lockstep`]); Raft, PoET; the committed-block shell every BFT engine executes through ([`consensus::common::BlockExecutor`]); the scripted Byzantine attack catalogue ([`consensus::Attack`]) and the global [`consensus::SafetyChecker`] |
 //! | [`shard`] | committee sizing (Eq 1), beacon protocol, reconfiguration |
 //! | [`txn`] | 2PC reference committee, cross-shard protocol, baselines, malicious 2PC participants |
 //! | [`workload`] | BLOCKBENCH KVStore / SmallBank generators |
@@ -102,8 +102,10 @@
 //!
 //! Each replica can execute a committed block's batch across a fixed
 //! worker pool — `SystemConfig::exec_workers` (default 1, or the
-//! `AHL_EXEC_WORKERS` env var) threads through PBFT, IBFT and Tendermint
-//! into [`ledger::execute_ops`]. The scheduler ([`ledger::access`])
+//! `AHL_EXEC_WORKERS` env var) threads through both BFT engines (PBFT,
+//! and the lockstep engine behind IBFT and Tendermint) into the one call
+//! of [`ledger::execute_ops`] they share, in
+//! [`consensus::common::BlockExecutor`]. The scheduler ([`ledger::access`])
 //! infers a conservative read/write set per operation — state keys, 2PL
 //! lock markers (`"L_" + key`), and one bookkeeping slot per transaction
 //! id — and partitions the batch into conflict-free *waves*: an op lands
@@ -193,8 +195,9 @@
 //! The paper's security section is executable: [`consensus::Attack`]
 //! selects what a committee's Byzantine members do (same-slot
 //! equivocation with colluding double-voters, vote withholding,
-//! stale-vote replay, bogus checkpoint votes — interpreted by PBFT, IBFT
-//! and Tendermint alike), [`txn::RelayAttack`] covers malicious 2PC
+//! stale-vote replay, bogus checkpoint votes — interpreted by PBFT and by
+//! the lockstep engine, hence by IBFT and Tendermint alike),
+//! [`txn::RelayAttack`] covers malicious 2PC
 //! participants (lying votes, decision equivocation, selective delivery,
 //! replay storms), and [`simkit::adversary::ScriptedFaults`] scripts
 //! network-level schedules (partition/heal windows, predicate drops,

@@ -208,8 +208,8 @@ fn tm_cell(n: usize, byz: usize, attack: Attack, secs: u64, seed: u64) -> (Safet
     cfg.byzantine = byz;
     cfg.attack = attack;
     cfg.safety = Some(checker.clone());
-    cfg.timeout_commit = SimDuration::from_millis(200);
-    cfg.timeout_round = SimDuration::from_millis(800);
+    cfg.block_period = SimDuration::from_millis(200);
+    cfg.round_timeout = SimDuration::from_millis(800);
     let net = Box::new(UniformNetwork::new(SimDuration::from_micros(300)));
     let (mut sim, group) = build_tm_group(&cfg, net, Some(1e9), seed);
     let stop = SimTime::ZERO + SimDuration::from_secs(secs);

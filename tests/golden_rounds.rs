@@ -68,8 +68,8 @@ fn tm_cell(byz: usize, attack: Attack) -> Cell {
     cfg.byzantine = byz;
     cfg.attack = attack;
     cfg.safety = Some(checker.clone());
-    cfg.timeout_commit = SimDuration::from_millis(200);
-    cfg.timeout_round = SimDuration::from_millis(800);
+    cfg.block_period = SimDuration::from_millis(200);
+    cfg.round_timeout = SimDuration::from_millis(800);
     drive(build_tm_group(&cfg, net(), Some(1e9), 81), &checker)
 }
 

@@ -60,7 +60,7 @@ fn build_op(kind: u8, a: u64, b: u64, amt: i64, txid: u64) -> Op {
                 conditions: vec![],
                 mutations: vec![(account(b), Mutation::Add(amt)), (lock_key(&account(a)), forge)],
             };
-            if b % 2 == 0 {
+            if b.is_multiple_of(2) {
                 Op::Direct { txid: TxId(4_000 + txid), op }
             } else {
                 Op::Prepare { txid: TxId(txid), op }

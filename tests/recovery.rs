@@ -472,3 +472,36 @@ fn staggered_restarts_both_diff_sync() {
     assert_recovered(&sim, &group, 3, expected);
     assert_recovered(&sim, &group, 1, expected);
 }
+
+/// What a restart lands on *before* any peer helps: the whole committee
+/// goes dark at a quiet moment, and one node alone comes back. Nobody can
+/// answer its sync request, so what it holds is exactly what the resume
+/// path produced — the durable checkpoint (state, replay cache, sequence
+/// marks) plus the replayed WAL tail — and that must be the committee's
+/// own execution point, state and replay-protection set.
+#[test]
+fn lone_restart_resumes_from_checkpoint_and_wal_alone() {
+    let dir = TempDir::new("recovery-lone");
+    let mut cfg = PbftConfig::new(BftVariant::AhlPlus, 5);
+    cfg.checkpoint_interval = 50;
+    cfg.sync_chunk_target = 64;
+    // Load stops at 1 s, so by 2 s every replica has executed everything.
+    let mut schedule: Vec<_> =
+        (0..5).map(|i| (SimDuration::from_secs(2), i, PbftMsg::Crash)).collect();
+    schedule.push((SimDuration::from_secs(3), 3, PbftMsg::Restart));
+    let (sim, group, expected) =
+        run_persistent_scenario(cfg, dir.path(), 20, 1, 5, schedule, 45);
+    let stats = sim.stats();
+    assert!(stats.counter(stat::WAL_CHECKPOINTS) > 0, "a durable checkpoint to resume from");
+    assert!(stats.counter(stat::WAL_REPLAYED) >= 1, "and a WAL tail past it");
+    assert_eq!(stats.counter(stat::WAL_REPLAY_MISMATCHES), 0);
+    assert_eq!(
+        stats.counter(stat::SYNC_COMPLETED) + stats.counter(stat::SYNC_TAILS),
+        0,
+        "no peer was up to sync from"
+    );
+    let (restarted, dark_peer) = (replica(&sim, group[3]), replica(&sim, group[0]));
+    assert_eq!(restarted.exec_seq(), dark_peer.exec_seq());
+    assert_eq!(restarted.executed_len(), dark_peer.executed_len());
+    assert_recovered(&sim, &group, 3, expected);
+}
