@@ -1,5 +1,6 @@
 //! Benchmarks of the durability subsystem: group-commit throughput under
-//! each fsync policy, and on-disk page sharing between consecutive
+//! each fsync policy, the CRC every record, page, manifest and TCP frame
+//! is framed with, and on-disk page sharing between consecutive
 //! checkpoints.
 //!
 //! The fsync axis is the classic WAL trade: `Always` pays one `fdatasync`
@@ -10,11 +11,12 @@
 //! than half the pages of a full persist (the ≥2× acceptance bar), since
 //! unchanged subtrees are referenced, not rewritten.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 use ahl_crypto::sha256_parts;
 use ahl_ledger::Value;
 use ahl_store::SparseMerkleTree;
+use ahl_wal::codec::crc32;
 use ahl_wal::{FsyncPolicy, PageStore, TempDir, Wal, WalConfig};
 
 /// One ~220-byte record, shaped like a small executed-batch entry.
@@ -61,6 +63,14 @@ fn bench_group_commit(c: &mut Criterion) {
             stats.bytes as f64 / 1e6
         );
     }
+    g.finish();
+
+    // The framing CRC alone, over a buffer the size of a large frame: the
+    // fixed per-byte cost under all of the rows above.
+    let mut g = c.benchmark_group("wal_codec");
+    let buf: Vec<u8> = (0..64 * 1024u32).map(|i| (i * 31) as u8).collect();
+    g.throughput(Throughput::Bytes(buf.len() as u64));
+    g.bench_function("crc32_64KiB", |b| b.iter(|| crc32(black_box(&buf))));
     g.finish();
 }
 

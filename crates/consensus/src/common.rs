@@ -5,9 +5,13 @@
 //! throughput/latency reports, for PBFT (live execution and WAL replay)
 //! and the lockstep engine alike.
 
+use std::collections::{HashSet, VecDeque};
+use std::sync::Arc;
+
 use ahl_ledger::{Op, StateStore};
 use ahl_mempool::Mempool;
 use ahl_simkit::{Ctx, NodeId, Phase, Scope, SimDuration, SimTime};
+use ahl_wal::codec::{Reader, Writer};
 use rand::rngs::SmallRng;
 
 use crate::adversary::{commit_digest, SafetyChecker};
@@ -192,10 +196,55 @@ pub mod stat {
 /// to pass admission (requests older than the same horizon are refused)
 /// is still remembered here, so the replay window is provably closed:
 /// a copy is either too old to admit or young enough to dedup.
-#[derive(Clone, Debug, Default)]
+///
+/// # Layout: an ordered window, not a map to be scanned
+///
+/// The cache is a membership index plus the log of ids in execution
+/// order, cut into immutable [`Arc`]-shared segments (one per captured
+/// [`ExecutedWindow`], i.e. per checkpoint interval). Both tags the prune
+/// rule reads are non-decreasing along that log — the epoch only ever
+/// advances, and ids are inserted at the caller's clock, which does not
+/// run backwards — so the ids the rule `epoch < current && age >= min_age`
+/// selects are always a **prefix** of the log: once one entry is too young
+/// or too recent an epoch, so is every later one. Popping that prefix is
+/// therefore the same set a scan of every entry would remove, and costs
+/// what it removes. (Were a caller's clock ever to step back, the pop
+/// stops early and keeps ids *longer* than a scan would — the safe
+/// direction for replay protection.) Ids executed at the same
+/// `(epoch, time)` — one block — share one tag run instead of carrying
+/// the pair each.
+///
+/// A cache rebuilt from a transferred window
+/// ([`ExecutedCache::from_window`]) restarts every id at `(epoch 0, now)`:
+/// one run, trivially ordered, with the full protection window ahead.
+#[derive(Debug, Default)]
 pub struct ExecutedCache {
-    ids: std::collections::HashMap<u64, (u64, SimTime)>,
+    /// Membership: exactly the ids of the live log.
+    index: HashSet<u64>,
+    /// Sealed segments, oldest first; shared with every window captured
+    /// since each was sealed.
+    sealed: VecDeque<Arc<Segment>>,
+    /// Ids at the front of `sealed[0]` already pruned.
+    skip: usize,
+    /// Ids executed since the last seal.
+    open: Segment,
     epoch: u64,
+}
+
+/// A stretch of the execution-ordered id log with its tag runs.
+#[derive(Debug, Default)]
+struct Segment {
+    ids: Vec<u64>,
+    /// `runs[i]` tags `ids[runs[i - 1].end..runs[i].end]`.
+    runs: Vec<Run>,
+}
+
+/// The `(insertion epoch, execution time)` tag of consecutive log entries.
+#[derive(Clone, Copy, Debug)]
+struct Run {
+    end: usize,
+    epoch: u64,
+    at: SimTime,
 }
 
 impl ExecutedCache {
@@ -204,57 +253,173 @@ impl ExecutedCache {
         Self::default()
     }
 
-    /// Rebuild from a transferred id set (state-sync install); every id
-    /// lands in the current epoch and enjoys the full protection window
-    /// from `now`.
-    pub fn from_set(ids: &std::collections::HashSet<u64>, now: SimTime) -> Self {
-        ExecutedCache { ids: ids.iter().map(|id| (*id, (0, now))).collect(), epoch: 0 }
+    /// Rebuild from a transferred window (state-sync install, restart from
+    /// a checkpoint); every id lands in the current epoch and enjoys the
+    /// full protection window from `now`.
+    pub fn from_window(window: &ExecutedWindow, now: SimTime) -> Self {
+        let mut cache = ExecutedCache::new();
+        cache.index.reserve(window.len());
+        cache.open.ids.reserve(window.len());
+        for id in window.iter() {
+            cache.insert(id, now);
+        }
+        cache
     }
 
     /// Record `id` as executed at `now`. Returns `false` if it was
     /// already known (a replay), refreshing nothing — the original
     /// epoch/time tags stand.
     pub fn insert(&mut self, id: u64, now: SimTime) -> bool {
-        match self.ids.entry(id) {
-            std::collections::hash_map::Entry::Occupied(_) => false,
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert((self.epoch, now));
-                true
-            }
+        if !self.index.insert(id) {
+            return false;
         }
+        self.open.ids.push(id);
+        let end = self.open.ids.len();
+        match self.open.runs.last_mut() {
+            Some(run) if run.epoch == self.epoch && run.at == now => run.end = end,
+            _ => self.open.runs.push(Run { end, epoch: self.epoch, at: now }),
+        }
+        true
     }
 
     /// Whether `id` executed within the protection window.
     pub fn contains(&self, id: u64) -> bool {
-        self.ids.contains_key(&id)
+        self.index.contains(&id)
     }
 
     /// Number of remembered ids (bounded by pruning).
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.index.len()
     }
 
     /// True when no ids are remembered.
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.index.is_empty()
     }
 
     /// Checkpoint-boundary maintenance: forget ids older than one full
     /// interval *and* at least `min_age` old (see the type docs for why
-    /// both conditions are required), then advance the epoch. Returns how
-    /// many ids were pruned.
+    /// both conditions are required, and why they select a prefix of the
+    /// log), then advance the epoch. Returns how many ids were pruned.
     pub fn checkpoint_prune(&mut self, now: SimTime, min_age: SimDuration) -> usize {
         let epoch = self.epoch;
-        let before = self.ids.len();
-        self.ids.retain(|_, (e, t)| *e >= epoch || now.since(*t) < min_age);
         self.epoch += 1;
-        before - self.ids.len()
+        let expired = |run: &Run| run.epoch < epoch && now.since(run.at) >= min_age;
+        let before = self.index.len();
+        loop {
+            if self.sealed.is_empty() {
+                // Everything sealed is gone. The open segment only has
+                // expired ids when no window was captured since they
+                // executed; seal it so the same pop applies.
+                if !self.open.runs.first().is_some_and(expired) {
+                    break;
+                }
+                self.seal();
+            }
+            let seg = &self.sealed[0];
+            let from = self.skip;
+            let to = seg
+                .runs
+                .iter()
+                .filter(|run| run.end > from)
+                .take_while(|run| expired(run))
+                .last()
+                .map_or(from, |run| run.end);
+            for id in &seg.ids[from..to] {
+                self.index.remove(id);
+            }
+            if to < seg.ids.len() {
+                self.skip = to;
+                break;
+            }
+            self.sealed.pop_front();
+            self.skip = 0;
+        }
+        before - self.index.len()
     }
 
-    /// The remembered ids as a plain set (checkpoint snapshot / manifest
-    /// wire form).
-    pub fn to_set(&self) -> std::collections::HashSet<u64> {
-        self.ids.keys().copied().collect()
+    /// Close the open segment: from here on it is immutable and shared.
+    fn seal(&mut self) {
+        if !self.open.ids.is_empty() {
+            self.open.ids.shrink_to_fit();
+            self.sealed.push_back(Arc::new(std::mem::take(&mut self.open)));
+        }
+    }
+
+    /// The remembered ids as of now (checkpoint snapshot / manifest / sync
+    /// wire form): seals the ids executed since the previous capture and
+    /// hands out the live segments by reference — O(ids since the last
+    /// capture + segments), whatever the window's size — unaffected by
+    /// any later insert or prune.
+    pub fn window(&mut self) -> ExecutedWindow {
+        self.seal();
+        ExecutedWindow(Arc::new(WindowParts {
+            segs: self.sealed.iter().cloned().collect(),
+            skip: self.skip,
+            len: self.index.len(),
+        }))
+    }
+}
+
+/// An immutable view of an [`ExecutedCache`]'s ids at one instant, in
+/// execution order: the segments live at capture (shared, not copied) and
+/// how much of the first was already pruned. Ids are distinct. Cloning is
+/// a reference-count bump.
+#[derive(Clone, Debug, Default)]
+pub struct ExecutedWindow(Arc<WindowParts>);
+
+#[derive(Debug, Default)]
+struct WindowParts {
+    segs: Vec<Arc<Segment>>,
+    skip: usize,
+    len: usize,
+}
+
+impl ExecutedWindow {
+    /// Number of ids in the window.
+    pub fn len(&self) -> usize {
+        self.0.len
+    }
+
+    /// True when the window holds no ids.
+    pub fn is_empty(&self) -> bool {
+        self.0.len == 0
+    }
+
+    /// The ids in execution order.
+    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        self.0.segs.iter().flat_map(|seg| seg.ids.iter().copied()).skip(self.0.skip)
+    }
+
+    /// Wire / manifest form: `u32` count, then the ids as they lie in the
+    /// window. Execution order is identical on every honest replica and
+    /// does not depend on any hasher, so equal windows encode to equal
+    /// bytes.
+    pub fn encode(&self, w: &mut Writer) {
+        w.u32(self.len() as u32);
+        for id in self.iter() {
+            w.u64(id);
+        }
+    }
+
+    /// Inverse of [`ExecutedWindow::encode`]; accepts ids in any order
+    /// (older files and frames carry them ascending) and counts a repeated
+    /// id once.
+    pub fn decode(r: &mut Reader<'_>) -> Option<Self> {
+        let n = r.u32()?;
+        (0..n).map(|_| r.u64()).collect()
+    }
+}
+
+/// Builds a single-segment window, keeping the first occurrence of each
+/// id (a hostile manifest must not make `len()` exceed the distinct count).
+impl FromIterator<u64> for ExecutedWindow {
+    fn from_iter<I: IntoIterator<Item = u64>>(iter: I) -> Self {
+        let mut seen = HashSet::new();
+        let ids: Vec<u64> = iter.into_iter().filter(|id| seen.insert(*id)).collect();
+        let len = ids.len();
+        let segs = vec![Arc::new(Segment { ids, runs: Vec::new() })];
+        ExecutedWindow(Arc::new(WindowParts { segs, skip: 0, len }))
     }
 }
 
@@ -379,8 +544,126 @@ impl BlockExecutor {
 /// inspect exactly what each delivery does.
 #[cfg(test)]
 pub(crate) mod testkit {
+    use std::collections::HashMap;
+
     use ahl_simkit::{Host, NodeId, SimDuration, SimTime, Stats};
-    use rand::{rngs::SmallRng, SeedableRng};
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
+
+    use super::{ExecutedCache, ExecutedWindow};
+
+    /// The scan-everything cache this module shipped before the ordered
+    /// window — a map from id to its `(epoch, time)` tags, pruned by a
+    /// `retain` over every entry. Kept as the executable specification
+    /// [`ExecutedCache`] is tested against.
+    #[derive(Default)]
+    pub(crate) struct ModelCache {
+        ids: HashMap<u64, (u64, SimTime)>,
+        epoch: u64,
+    }
+
+    impl ModelCache {
+        pub(crate) fn insert(&mut self, id: u64, now: SimTime) -> bool {
+            if self.ids.contains_key(&id) {
+                return false;
+            }
+            self.ids.insert(id, (self.epoch, now));
+            true
+        }
+
+        pub(crate) fn contains(&self, id: u64) -> bool {
+            self.ids.contains_key(&id)
+        }
+
+        pub(crate) fn len(&self) -> usize {
+            self.ids.len()
+        }
+
+        pub(crate) fn checkpoint_prune(&mut self, now: SimTime, min_age: SimDuration) -> usize {
+            let epoch = self.epoch;
+            let before = self.ids.len();
+            self.ids.retain(|_, (e, t)| *e >= epoch || now.since(*t) < min_age);
+            self.epoch += 1;
+            before - self.ids.len()
+        }
+    }
+
+    /// An [`ExecutedCache`] and its [`ModelCache`] driven through the same
+    /// random interleaving of blocks (fresh and repeated ids at one
+    /// instant), clock advances, seals and prunes; every step asserts the
+    /// two agree on each return value, on `len`, and on `contains` for
+    /// every id ever inserted.
+    pub(crate) struct Twin {
+        pub(crate) cache: ExecutedCache,
+        model: ModelCache,
+        /// The model's live ids in execution order (the model is a map).
+        live: Vec<u64>,
+        ever: Vec<u64>,
+        now: SimTime,
+        rng: SmallRng,
+    }
+
+    impl Twin {
+        pub(crate) fn new(seed: u64) -> Self {
+            Twin {
+                cache: ExecutedCache::new(),
+                model: ModelCache::default(),
+                live: Vec::new(),
+                ever: Vec::new(),
+                now: SimTime::ZERO,
+                rng: SmallRng::seed_from_u64(seed),
+            }
+        }
+
+        pub(crate) fn step(&mut self) {
+            match self.rng.gen_range(0..10u8) {
+                0..=4 => {
+                    for _ in 0..self.rng.gen_range(1..=6usize) {
+                        let id = if !self.ever.is_empty() && self.rng.gen_bool(0.25) {
+                            self.ever[self.rng.gen_range(0..self.ever.len())]
+                        } else {
+                            self.rng.gen()
+                        };
+                        let fresh = self.cache.insert(id, self.now);
+                        assert_eq!(fresh, self.model.insert(id, self.now), "insert({id})");
+                        if fresh {
+                            self.live.push(id);
+                            self.ever.push(id);
+                        }
+                    }
+                }
+                5..=6 => self.now += SimDuration::from_millis(self.rng.gen_range(0..3000)),
+                7 => self.cache.seal(),
+                _ => {
+                    let min_age = SimDuration::from_secs([0, 1, 5][self.rng.gen_range(0..3usize)]);
+                    let pruned = self.cache.checkpoint_prune(self.now, min_age);
+                    assert_eq!(pruned, self.model.checkpoint_prune(self.now, min_age), "prune count");
+                    self.live.retain(|id| self.model.contains(*id));
+                }
+            }
+            assert_eq!(self.cache.len(), self.model.len());
+            assert_eq!(self.cache.is_empty(), self.model.len() == 0);
+            for id in &self.ever {
+                assert_eq!(self.cache.contains(*id), self.model.contains(*id), "contains({id})");
+            }
+        }
+
+        /// Capture a window and what it must iterate, now and for ever:
+        /// the model's ids at this instant, in execution order.
+        pub(crate) fn capture(&mut self) -> (ExecutedWindow, Vec<u64>) {
+            (self.cache.window(), self.live.clone())
+        }
+    }
+
+    /// A window as a live replica would hold it after `seed`'s random
+    /// history — several segments, the first often partly pruned — with
+    /// the ids it must yield, in order.
+    pub(crate) fn random_window(seed: u64) -> (ExecutedWindow, Vec<u64>) {
+        let mut twin = Twin::new(seed);
+        for _ in 0..40 + seed % 80 {
+            twin.step();
+        }
+        twin.capture()
+    }
 
     pub(crate) struct TestHost {
         now: SimTime,
@@ -438,6 +721,149 @@ mod tests {
         let later = t0 + SimDuration::from_secs(6);
         assert_eq!(c.checkpoint_prune(later, SimDuration::from_secs(5)), 1);
         assert!(!c.contains(7));
+    }
+
+    /// A window taken while the first segment is partly pruned yields
+    /// exactly the unpruned rest, and keeps doing so after the cache moves
+    /// on.
+    #[test]
+    fn window_of_partly_pruned_first_segment() {
+        let mut c = ExecutedCache::new();
+        let t0 = SimTime::ZERO;
+        let t1 = t0 + SimDuration::from_secs(2);
+        for id in [1, 2, 3] {
+            c.insert(id, t0);
+        }
+        for id in [4, 5] {
+            c.insert(id, t1);
+        }
+        let whole = c.window(); // one segment, two runs
+        assert_eq!(c.checkpoint_prune(t1, SimDuration::from_secs(1)), 0, "same epoch: kept");
+        // Second boundary: the t0 block is old enough, the t1 block is not.
+        assert_eq!(c.checkpoint_prune(t0 + SimDuration::from_secs(3), SimDuration::from_secs(2)), 3);
+        c.insert(6, t0 + SimDuration::from_secs(3));
+        let rest = c.window();
+        assert_eq!(rest.0.segs.len(), 2);
+        assert!(Arc::ptr_eq(&rest.0.segs[0], &whole.0.segs[0]), "the segment is shared, not copied");
+        assert_eq!((rest.0.skip, rest.len()), (3, 3));
+        assert_eq!(rest.iter().collect::<Vec<_>>(), [4, 5, 6]);
+        // Later prunes and inserts reach neither handle.
+        assert_eq!(c.checkpoint_prune(t0 + SimDuration::from_secs(60), SimDuration::ZERO), 2);
+        assert_eq!(c.checkpoint_prune(t0 + SimDuration::from_secs(60), SimDuration::ZERO), 1);
+        assert!(c.is_empty());
+        c.insert(1, t0 + SimDuration::from_secs(61));
+        assert_eq!(whole.iter().collect::<Vec<_>>(), [1, 2, 3, 4, 5]);
+        assert_eq!(rest.iter().collect::<Vec<_>>(), [4, 5, 6]);
+        // Rebuilding from a handle restarts every id at (epoch 0, now).
+        let mut back = ExecutedCache::from_window(&rest, t0);
+        assert_eq!(back.len(), 3);
+        assert!(back.contains(5) && !back.contains(1));
+        assert_eq!(back.checkpoint_prune(t0 + SimDuration::from_secs(9), SimDuration::ZERO), 0);
+        assert_eq!(back.checkpoint_prune(t0 + SimDuration::from_secs(9), SimDuration::ZERO), 3);
+    }
+
+    /// A checkpoint costs what changed since the last one. Counted, not
+    /// timed: with 100k+ ids remembered, capturing a window after one more
+    /// interval copies no id — every earlier segment is the same
+    /// allocation as in the previous handle — and the prune removes
+    /// exactly the expired interval, leaving the other segments untouched.
+    #[test]
+    fn checkpoint_work_is_proportional_to_the_interval_not_the_window() {
+        const INTERVAL: u64 = 2048;
+        let ttl = SimDuration::from_secs(10);
+        let mut c = ExecutedCache::new();
+        let mut now = SimTime::ZERO;
+        let mut next_id = 0u64;
+        let mut interval = |c: &mut ExecutedCache, now: &mut SimTime| {
+            for _block in 0..32 {
+                for _ in 0..INTERVAL / 32 {
+                    c.insert(next_id, *now);
+                    next_id += 1;
+                }
+                *now += SimDuration::from_millis(6);
+            }
+        };
+        for _ in 0..50 {
+            interval(&mut c, &mut now);
+            c.window();
+            assert_eq!(c.checkpoint_prune(now, ttl), 0, "younger than the ttl");
+        }
+        let before = c.window();
+        assert_eq!(before.len() as u64, 50 * INTERVAL);
+        assert_eq!(before.0.segs.len(), 50);
+
+        interval(&mut c, &mut now);
+        let after = c.window();
+        assert_eq!(after.0.segs.len(), 51, "one new segment");
+        assert_eq!(after.0.segs[50].ids.len() as u64, INTERVAL, "holding one interval");
+        assert_eq!(after.0.segs[50].runs.len(), 32, "tagged per block, not per id");
+        for (a, b) in before.0.segs.iter().zip(&after.0.segs) {
+            assert!(Arc::ptr_eq(a, b), "earlier segments are shared with the previous handle");
+        }
+
+        // Let exactly the first interval age out.
+        let first_expires = SimTime::ZERO + SimDuration::from_millis(6 * 31) + ttl;
+        assert_eq!(c.checkpoint_prune(first_expires, ttl) as u64, INTERVAL);
+        assert_eq!(c.len() as u64, 50 * INTERVAL);
+        assert_eq!((c.sealed.len(), c.skip), (50, 0), "the expired segment is popped whole");
+        for (mine, theirs) in c.sealed.iter().zip(&after.0.segs[1..]) {
+            assert!(Arc::ptr_eq(mine, theirs), "the live segments were not rebuilt");
+        }
+        assert!(!c.contains(0) && c.contains(INTERVAL));
+        // Both handles still see what they captured.
+        assert_eq!(before.iter().count() as u64, 50 * INTERVAL);
+        assert_eq!(after.iter().next(), Some(0));
+    }
+
+    #[test]
+    fn decoded_window_counts_a_repeated_id_once() {
+        let mut w = Writer::new();
+        w.u32(5);
+        for id in [9u64, 3, 9, 7, 3] {
+            w.u64(id);
+        }
+        let bytes = w.into_bytes();
+        let window = ExecutedWindow::decode(&mut Reader::new(&bytes)).expect("decodes");
+        assert_eq!(window.len(), 3);
+        assert_eq!(window.iter().collect::<Vec<_>>(), [9, 3, 7]);
+        assert_eq!(ExecutedCache::from_window(&window, SimTime::ZERO).len(), 3);
+        // A count running past the bytes is refused, not trusted.
+        assert!(ExecutedWindow::decode(&mut Reader::new(&bytes[..bytes.len() - 1])).is_none());
+    }
+
+    proptest::proptest! {
+        /// The window *is* the old cache: over random interleavings of
+        /// inserts, clock advances, seals and prunes the two agree at every
+        /// step (asserted inside [`testkit::Twin::step`]), and every handle
+        /// captured along the way keeps iterating exactly the model's ids
+        /// as of its capture, in execution order, whatever happens later.
+        #[test]
+        fn window_equals_the_scan_everything_model(seed: u64) {
+            let mut twin = testkit::Twin::new(seed);
+            let mut captured: Vec<(ExecutedWindow, Vec<u64>)> = Vec::new();
+            for step in 0..300 {
+                twin.step();
+                if step % 7 == seed % 7 {
+                    captured.push(twin.capture());
+                }
+                if step % 50 == 49 {
+                    for (window, want) in &captured {
+                        proptest::prop_assert_eq!(window.len(), want.len());
+                        proptest::prop_assert_eq!(&window.iter().collect::<Vec<_>>(), want);
+                    }
+                }
+            }
+            // The encoded form carries the same ids in the same order.
+            for (window, want) in &captured {
+                let mut w = Writer::new();
+                window.encode(&mut w);
+                let bytes = w.into_bytes();
+                let mut r = Reader::new(&bytes);
+                let back = ExecutedWindow::decode(&mut r).expect("decodes");
+                proptest::prop_assert!(r.is_done());
+                proptest::prop_assert_eq!(&back.iter().collect::<Vec<_>>(), want);
+            }
+        }
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //!   trusts);
 //! * every certified checkpoint persists the snapshot's pages
 //!   (content-addressed — consecutive checkpoints share unchanged pages),
-//!   publishes the manifest (certificate + executed-request set + 2PC
-//!   sidecar in the metadata), logs a [`WalRecord::Ckpt`] marker, and
-//!   compacts the WAL to the last two checkpoint generations;
+//!   publishes the manifest (certificate + executed-request window, in
+//!   execution order, + 2PC sidecar in the metadata), logs a
+//!   [`WalRecord::Ckpt`] marker, and compacts the WAL to the last two
+//!   checkpoint generations;
 //! * [`NodeStore::open`] reopens the directory after a crash: validates
 //!   the manifest, loads and root-verifies the checkpoint tree, and hands
 //!   back the decoded WAL tail for replay.
@@ -26,7 +27,6 @@
 //! the process had died, and the next `Restart` recovers from whatever
 //! actually reached the disk.
 
-use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
 use ahl_crypto::{Hash, Signature};
@@ -37,7 +37,7 @@ use ahl_store::CheckpointCert;
 use ahl_wal::codec::{Reader, Writer};
 use ahl_wal::{open_node_dir, write_manifest, GcStats, Manifest, NodeDir, PersistStats, WalConfig};
 
-use crate::common::Request;
+use crate::common::{ExecutedWindow, Request};
 use crate::pbft::msg::PbftBlock;
 
 const REC_BATCH: u8 = 1;
@@ -221,8 +221,9 @@ pub struct DurableState {
     pub cert: CheckpointCert,
     /// The page-backed snapshot, root-verified on load.
     pub snapshot: StateSnapshot,
-    /// Executed-request ids at the checkpoint (replay protection).
-    pub executed: HashSet<u64>,
+    /// Executed-request ids at the checkpoint (replay protection), in
+    /// the order the manifest lists them.
+    pub executed: ExecutedWindow,
 }
 
 /// What one [`NodeStore::persist_checkpoint`] did on disk: the page
@@ -259,11 +260,7 @@ impl NodeStore {
             if cert.seq != m.seq || cert.root != m.root {
                 return None; // manifest/cert mismatch: not trusted
             }
-            let n = r.u32()? as usize;
-            let mut executed = HashSet::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                executed.insert(r.u64()?);
-            }
+            let executed = ExecutedWindow::decode(&mut r)?;
             let sidecar = StateSidecar::decode(&mut r)?;
             let snapshot = open_snapshot(&node.pages, m.root, sidecar).ok()?;
             Some(DurableState { cert, snapshot, executed })
@@ -315,19 +312,16 @@ impl NodeStore {
         &mut self,
         cert: &CheckpointCert,
         snapshot: &StateSnapshot,
-        executed: &HashSet<u64>,
+        executed: &ExecutedWindow,
     ) -> std::io::Result<CheckpointIo> {
         let stats = snapshot.persist(&mut self.node.pages)?;
         self.node.pages.sync()?;
-        let mut meta = Writer::new();
+        // The id window dominates the metadata: size the buffer for it
+        // once and write it as it lies (execution order — deterministic,
+        // and the decoder takes any order).
+        let mut meta = Writer::with_capacity(1024 + 8 * executed.len());
         encode_cert(cert, &mut meta);
-        meta.u32(executed.len() as u32);
-        // Deterministic encoding order (the set iterates arbitrarily).
-        let mut ids: Vec<u64> = executed.iter().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            meta.u64(id);
-        }
+        executed.encode(&mut meta);
         snapshot.sidecar().encode(&mut meta);
         write_manifest(
             &self.dir,
@@ -427,7 +421,7 @@ mod tests {
         state.put("a".into(), Value::Int(10));
         let snap = state.snapshot();
         let cert = CheckpointCert { seq: 5, root: snap.root(), votes: vec![(0, None), (1, None)] };
-        let executed: HashSet<u64> = [3, 9].into_iter().collect();
+        let executed: ExecutedWindow = [9, 3].into_iter().collect();
         {
             let (mut store, durable, tail) = NodeStore::open(dir.path(), &cfg).expect("open");
             assert!(durable.is_none() && tail.is_empty());
@@ -442,7 +436,7 @@ mod tests {
         let durable = durable.expect("durable checkpoint recovered");
         assert_eq!(durable.cert.seq, 5);
         assert_eq!(durable.snapshot.root(), snap.root());
-        assert_eq!(durable.executed, executed);
+        assert_eq!(durable.executed.iter().collect::<Vec<_>>(), [9, 3], "window order kept");
         // The tail still holds both batches (two-generation retention)
         // plus the checkpoint marker; recovery filters by sequence.
         let seqs: Vec<u64> = tail
@@ -453,5 +447,64 @@ mod tests {
             })
             .collect();
         assert!(seqs.contains(&7), "post-checkpoint batch retained: {seqs:?}");
+    }
+
+    fn one_key_checkpoint() -> (StateSnapshot, CheckpointCert) {
+        let mut state = StateStore::new();
+        state.put("a".into(), Value::Int(10));
+        let snap = state.snapshot();
+        let cert = CheckpointCert { seq: 5, root: snap.root(), votes: vec![(0, None), (1, None)] };
+        (snap, cert)
+    }
+
+    /// The manifest format is `u32` count + `u64` ids in any order: a
+    /// file whose ids ascend, as the sorting encoder before this one wrote
+    /// them, loads the same ids; one that repeats an id counts it once.
+    #[test]
+    fn manifest_with_ascending_or_repeated_ids_loads() {
+        let dir = TempDir::new("nodestore-idorder");
+        let cfg = WalConfig::default();
+        let (snap, cert) = one_key_checkpoint();
+        let (mut store, _, _) = NodeStore::open(dir.path(), &cfg).expect("open");
+        let executed: ExecutedWindow = [9, 3, 7].into_iter().collect();
+        store.persist_checkpoint(&cert, &snap, &executed).expect("pages + manifest");
+        drop(store);
+        for (on_disk, want) in [(vec![3u64, 7, 9], vec![3u64, 7, 9]), (vec![9, 3, 9, 7, 3], vec![9, 3, 7])] {
+            let mut meta = Writer::new();
+            encode_cert(&cert, &mut meta);
+            meta.u32(on_disk.len() as u32);
+            for id in &on_disk {
+                meta.u64(*id);
+            }
+            snap.sidecar().encode(&mut meta);
+            let m = Manifest { seq: cert.seq, root: cert.root, meta: meta.into_bytes() };
+            write_manifest(dir.path(), &m, &cfg.kill).expect("republish");
+            let (_, durable, _) = NodeStore::open(dir.path(), &cfg).expect("reopen");
+            let got = durable.expect("loads").executed;
+            assert_eq!(got.iter().collect::<Vec<_>>(), want);
+            assert_eq!(got.len(), want.len());
+            let resumed = crate::common::ExecutedCache::from_window(&got, SimTime::ZERO);
+            assert_eq!(resumed.len(), 3, "same executed_len() either way");
+        }
+    }
+
+    proptest::proptest! {
+        /// A live replica's window — several shared segments, the first
+        /// possibly partly pruned — comes back from the node directory
+        /// with the same ids in the same order.
+        #[test]
+        fn window_survives_the_manifest_round_trip(seed: u64) {
+            let (window, want) = crate::common::testkit::random_window(seed);
+            let dir = TempDir::new("nodestore-window");
+            let cfg = WalConfig::default();
+            let (snap, cert) = one_key_checkpoint();
+            let (mut store, _, _) = NodeStore::open(dir.path(), &cfg).expect("open");
+            store.persist_checkpoint(&cert, &snap, &window).expect("checkpoint");
+            drop(store);
+            let (_, durable, _) = NodeStore::open(dir.path(), &cfg).expect("reopen");
+            let got = durable.expect("durable checkpoint recovered").executed;
+            proptest::prop_assert_eq!(got.len(), want.len());
+            proptest::prop_assert_eq!(got.iter().collect::<Vec<_>>(), want);
+        }
     }
 }

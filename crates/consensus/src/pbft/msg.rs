@@ -2,8 +2,6 @@
 
 use std::sync::Arc;
 
-use std::collections::HashSet;
-
 use ahl_crypto::{sha256_parts, Hash, Signature};
 use ahl_ledger::{Key, StateSidecar, Value};
 use ahl_simkit::{MsgClass, NodeId};
@@ -11,7 +9,7 @@ use ahl_store::{CheckpointCert, CheckpointVote};
 use ahl_tee::Attestation;
 
 use crate::clients::ClientProtocol;
-use crate::common::Request;
+use crate::common::{ExecutedWindow, Request};
 
 /// A proposed block: a batch of requests bound to (view, seq).
 #[derive(Clone, Debug)]
@@ -246,9 +244,9 @@ pub enum PbftMsg {
         /// 2PC bookkeeping at the certified height (prepared write sets and
         /// recently decided ids; unauthenticated sidecar).
         sidecar: Arc<StateSidecar>,
-        /// Request ids executed up to the certified height (replay
-        /// protection for re-submitted client requests).
-        executed: Arc<HashSet<u64>>,
+        /// Request ids executed up to the certified height, in execution
+        /// order (replay protection for re-submitted client requests).
+        executed: ExecutedWindow,
         /// Sender's current view.
         view: u64,
         /// Incremental plan: the chunk indices whose content changed since

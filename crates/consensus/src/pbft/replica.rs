@@ -34,7 +34,9 @@ use ahl_store::{
 use ahl_tee::{verify_attestation, AttestedLog, LogId, Slot, TeeOp};
 
 use crate::adversary::{equivocation_half, Attack, EquivocationTracker};
-use crate::common::{stat, BlockExecutor, CryptoMode, ExecutedCache, Request, Stores, VotePhase};
+use crate::common::{
+    stat, BlockExecutor, CryptoMode, ExecutedCache, ExecutedWindow, Request, Stores, VotePhase,
+};
 use crate::pbft::config::{PbftConfig, ReplyPolicy};
 use crate::pbft::durable::{twopc_kind, NodeStore, TwoPcKind, WalRecord};
 use crate::pbft::msg::{chunk_entry_bytes, AggProof, MsgCert, PbftBlock, PbftMsg, ViewChangeMsg, Vote};
@@ -84,7 +86,7 @@ struct Instance {
 struct CkptSnapshot {
     seq: u64,
     snap: Arc<StateSnapshot>,
-    executed: Arc<HashSet<u64>>,
+    executed: ExecutedWindow,
     /// Approximate resident bytes written during this snapshot's
     /// checkpoint interval — what retaining the *previous* snapshot costs
     /// in copy-on-write duplication. Byte-budgeted eviction
@@ -102,7 +104,7 @@ enum SyncPhase {
     Chunks {
         session: SyncSession<Value>,
         sidecar: Arc<StateSidecar>,
-        executed: Arc<HashSet<u64>>,
+        executed: ExecutedWindow,
         view: u64,
         inflight: Vec<u32>,
     },
@@ -1278,6 +1280,9 @@ impl Replica {
     /// later be served from exactly the certified content), then broadcast
     /// a signed vote over `(height, state_root)`.
     fn send_checkpoint(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
+        // Checkpoint housekeeping (here and in `apply_stable_checkpoint`)
+        // runs between blocks, so this span is a sibling of `pbft.exec`.
+        let prof = ahl_telemetry::Profiler::span("pbft.checkpoint");
         let seq = self.exec_seq;
         // Parallel-execution paranoia: before voting on a root the whole
         // committee may certify, re-derive every cached hash of the
@@ -1297,14 +1302,16 @@ impl Replica {
             root.0[0] ^= 0xff;
             ctx.stats().inc("adv.bogus_ckpt_votes", 1);
         }
-        // O(1) in the state size: a frozen tree handle, not a deep clone.
+        // O(1) in the state size: a frozen tree handle, not a deep clone —
+        // and O(one interval) in the executed-id window: the ids since the
+        // last capture are sealed, every earlier segment is shared.
         // The drained write accumulator prices what keeping the previous
         // snapshot alive costs in copy-on-write duplication.
         let approx_bytes = self.state.take_write_bytes();
         self.snapshots.push(CkptSnapshot {
             seq,
             snap: Arc::new(self.state.snapshot()),
-            executed: Arc::new(self.executed_reqs.to_set()),
+            executed: self.executed_reqs.window(),
             approx_bytes,
         });
         if self.snapshots.len() > 2 {
@@ -1315,6 +1322,7 @@ impl Replica {
         let key = (self.cfg.crypto == CryptoMode::Real).then_some(&self.key);
         let vote = CheckpointVote::new(seq, root, self.me, key);
         ctx.multicast(self.others(), PbftMsg::Checkpoint { vote: vote.clone() });
+        drop(prof); // a certificate forming on this vote opens its own span
         self.record_checkpoint(vote, ctx);
     }
 
@@ -1331,6 +1339,7 @@ impl Replica {
     /// A certificate formed: it gates all pruning (PBFT stable checkpoint)
     /// and becomes the anchor this replica serves state sync from.
     fn apply_stable_checkpoint(&mut self, cert: CheckpointCert, ctx: &mut Ctx<'_, PbftMsg>) {
+        let _prof = ahl_telemetry::Profiler::span("pbft.checkpoint");
         ctx.stats().inc(stat::CKPT_CERTS, 1);
         // Prune one interval behind: executed blocks above the *previous*
         // stable checkpoint remain servable as a sync tail.
@@ -1617,7 +1626,7 @@ impl Replica {
         cert: CheckpointCert,
         bits: u8,
         sidecar: Arc<StateSidecar>,
-        executed: Arc<HashSet<u64>>,
+        executed: ExecutedWindow,
         view: u64,
         diff: Option<Arc<Vec<u32>>>,
         diff_base: Option<Hash>,
@@ -1881,7 +1890,7 @@ impl Replica {
         state.install_sidecar(&sidecar);
         debug_assert_eq!(state.state_digest(), cert.root, "chunks verified against root");
         self.state = state;
-        self.executed_reqs = ExecutedCache::from_set(&executed, ctx.now());
+        self.executed_reqs = ExecutedCache::from_window(&executed, ctx.now());
         if !self.byzantine {
             if let Some(ck) = &self.cfg.safety {
                 // Installed certified state replaces the execution
@@ -2414,7 +2423,7 @@ impl Replica {
             return;
         };
         self.state = StateStore::from_snapshot(&snap.snap);
-        self.executed_reqs = ExecutedCache::from_set(&snap.executed, now);
+        self.executed_reqs = ExecutedCache::from_window(&snap.executed, now);
         self.exec_seq = cert.seq;
         self.next_seq = cert.seq + 1;
         self.low_mark = cert.seq;
@@ -2459,7 +2468,7 @@ impl Replica {
             let snap = CkptSnapshot {
                 seq: d.cert.seq,
                 snap: Arc::new(d.snapshot),
-                executed: Arc::new(d.executed),
+                executed: d.executed,
                 approx_bytes: 0,
             };
             (d.cert, snap)

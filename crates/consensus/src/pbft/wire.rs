@@ -7,11 +7,10 @@
 //! ([`PbftBlock::compute_digest`]), so a forged digest field cannot even
 //! be represented on the wire.
 //!
-//! Collections with nondeterministic iteration order (the executed-id
-//! set) are sorted before encoding, keeping the encoding canonical: equal
+//! No encoded collection has a nondeterministic iteration order (the
+//! executed-id window goes out in execution order, as it lies), so equal
 //! messages produce equal bytes on every process.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use ahl_crypto::{Hash, Signature};
@@ -22,7 +21,7 @@ use ahl_store::{CheckpointCert, CheckpointVote};
 use ahl_tee::{Attestation, LogId, Slot};
 use ahl_wal::codec::{Reader, Writer};
 
-use crate::common::Request;
+use crate::common::{ExecutedWindow, Request};
 
 use super::msg::{AggProof, MsgCert, PbftBlock, PbftMsg, ViewChangeMsg, Vote};
 
@@ -344,13 +343,7 @@ impl Wire for PbftMsg {
                 w.u8(*bits);
                 w.u64(*leaves);
                 sidecar.encode(w);
-                // Canonical order: HashSet iteration is nondeterministic.
-                let mut ids: Vec<u64> = executed.iter().copied().collect();
-                ids.sort_unstable();
-                w.u32(ids.len() as u32);
-                for id in ids {
-                    w.u64(id);
-                }
+                executed.encode(w);
                 w.u64(*view);
                 match diff {
                     Some(d) => {
@@ -460,11 +453,7 @@ impl Wire for PbftMsg {
                 let bits = r.u8()?;
                 let leaves = r.u64()?;
                 let sidecar = Arc::new(StateSidecar::decode(r)?);
-                let n = r.u32()? as usize;
-                let mut executed = HashSet::with_capacity(n.min(65536));
-                for _ in 0..n {
-                    executed.insert(r.u64()?);
-                }
+                let executed = ExecutedWindow::decode(r)?;
                 let view = r.u64()?;
                 let diff = match r.u8()? {
                     0 => None,
@@ -483,7 +472,7 @@ impl Wire for PbftMsg {
                     bits,
                     leaves,
                     sidecar,
-                    executed: Arc::new(executed),
+                    executed,
                     view,
                     diff,
                     diff_base: dec_opt_hash(r)?,
@@ -677,7 +666,7 @@ mod tests {
                 bits: rng.gen_range(0..12u8),
                 leaves: rng.gen(),
                 sidecar: Arc::new(StateSidecar::default()),
-                executed: Arc::new((0..rng.gen_range(0..20u64)).map(|_| rng.gen()).collect()),
+                executed: (0..rng.gen_range(0..20u64)).map(|_| rng.gen::<u64>()).collect(),
                 view: rng.gen(),
                 diff: rng
                     .gen_bool(0.5)
@@ -718,8 +707,8 @@ mod tests {
         }
     }
 
-    /// Structural equality via canonical bytes: the codec sorts
-    /// nondeterministic collections, so equal messages encode equally.
+    /// Structural equality via canonical bytes: every collection encodes
+    /// in its own deterministic order, so equal messages encode equally.
     fn assert_roundtrip(m: &PbftMsg) {
         let bytes = m.to_vec();
         let back = PbftMsg::from_slice(&bytes)
@@ -793,6 +782,32 @@ mod tests {
             if !bytes.is_empty() {
                 let cut = (seed % bytes.len() as u64) as usize;
                 proptest::prop_assert!(PbftMsg::from_slice(&bytes[..cut]).is_none());
+            }
+            // The executed window rides a manifest as it lies: a live
+            // replica's handle (several segments, the first possibly
+            // partly pruned) arrives with the same ids in the same order…
+            let (window, want) = crate::common::testkit::random_window(seed);
+            let mut m = make(19, &mut rng);
+            if let PbftMsg::SyncManifest { executed, .. } = &mut m {
+                *executed = window;
+            }
+            let mut bytes = m.to_vec();
+            let Some(PbftMsg::SyncManifest { executed, .. }) = PbftMsg::from_slice(&bytes) else {
+                panic!("manifest decodes");
+            };
+            proptest::prop_assert_eq!(&executed.iter().collect::<Vec<_>>(), &want);
+            // …and a hostile frame repeating an id has it counted once.
+            if let [first, .., last] = want[..] {
+                let at = bytes
+                    .windows(8)
+                    .rposition(|w| w == last.to_be_bytes())
+                    .expect("the last id is on the wire");
+                bytes[at..at + 8].copy_from_slice(&first.to_be_bytes());
+                let Some(PbftMsg::SyncManifest { executed, .. }) = PbftMsg::from_slice(&bytes) else {
+                    panic!("hostile manifest still decodes");
+                };
+                proptest::prop_assert_eq!(executed.len(), want.len() - 1);
+                proptest::prop_assert_eq!(executed.iter().collect::<Vec<_>>(), &want[..want.len() - 1]);
             }
         }
     }

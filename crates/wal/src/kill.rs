@@ -75,6 +75,13 @@ impl KillSwitch {
         self.inner.armed.store(-1, Ordering::SeqCst);
     }
 
+    /// Whether a kill is pending. Lets a write site skip work that only
+    /// serves the injected-crash emulation (e.g. saving bytes to roll
+    /// back to) when nothing can fire.
+    pub fn is_armed(&self) -> bool {
+        self.inner.armed.load(Ordering::SeqCst) >= 0
+    }
+
     /// Write sites visited since the last [`KillSwitch::arm`] (or ever,
     /// for a never-armed switch).
     pub fn visited(&self) -> u64 {
@@ -126,6 +133,7 @@ mod tests {
         }
         assert_eq!(k.visited(), 5);
         assert!(!k.fired());
+        assert!(!k.is_armed());
     }
 
     #[test]
@@ -135,8 +143,10 @@ mod tests {
         k.arm(2);
         assert!(k.check().is_ok());
         assert!(k.check().is_ok());
+        assert!(k.is_armed());
         assert!(k.check().is_err(), "site 2 after arming fires");
         assert!(k.fired());
+        assert!(!k.is_armed(), "one-shot");
         assert!(!k.fired_transient());
         // One-shot: the restarted node persists freely afterwards.
         for _ in 0..10 {

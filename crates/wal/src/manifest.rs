@@ -18,7 +18,7 @@ use std::path::Path;
 
 use ahl_crypto::Hash;
 
-use crate::codec::{crc32, Reader, Writer};
+use crate::codec::{crc32, crc32_parts, Reader, Writer};
 use crate::kill::KillSwitch;
 
 const MAGIC: &[u8; 8] = b"AHLMANI1";
@@ -49,33 +49,40 @@ fn tmp_path(dir: &Path) -> std::path::PathBuf {
 /// old manifest *after* the caller saw success-so-far — which is exactly
 /// why WAL compaction must wait for this function to return).
 pub fn write_manifest(dir: &Path, m: &Manifest, kill: &KillSwitch) -> std::io::Result<()> {
-    let mut body = Writer::new();
-    body.u64(m.seq);
-    body.hash(&m.root);
-    body.bytes(&m.meta);
-    let body = body.into_bytes();
-    let mut file_bytes = Vec::with_capacity(12 + body.len());
-    file_bytes.extend_from_slice(MAGIC);
-    file_bytes.extend_from_slice(&crc32(&body).to_be_bytes());
-    file_bytes.extend_from_slice(&body);
+    // File = MAGIC, CRC of the body, body; body = seq, root, length-prefixed
+    // metadata. The metadata can be a megabyte (the executed-id window), so
+    // it goes from the caller's buffer to the file once: the CRC runs over
+    // the two parts and each is written as it lies.
+    let mut body_head = Writer::new();
+    body_head.u64(m.seq);
+    body_head.hash(&m.root);
+    body_head.u32(m.meta.len() as u32);
+    let body_head = body_head.into_bytes();
+    let crc = crc32_parts(&[&body_head, &m.meta]).to_be_bytes();
+    let head = [&MAGIC[..], &crc, &body_head].concat();
 
     let tmp = tmp_path(dir);
     {
         let mut f = std::fs::File::create(&tmp)?;
         if let Err(e) = kill.check() {
-            let _ = f.write_all(&file_bytes[..file_bytes.len() / 2]);
+            // Torn write: the first half of the file's bytes.
+            let half = (head.len() + m.meta.len()) / 2;
+            let _ = f.write_all(&head[..half.min(head.len())]);
+            let _ = f.write_all(&m.meta[..half.saturating_sub(head.len())]);
             return Err(e);
         }
-        f.write_all(&file_bytes)?;
+        f.write_all(&head)?;
+        f.write_all(&m.meta)?;
         f.sync_data()?;
     }
     // Crash between temp write and rename: the previous manifest remains
     // the durable truth and recovery replays a longer WAL tail.
     kill.check()?;
     let dst = manifest_path(dir);
-    // Capture the pre-swap bytes so the post-rename kill point below can
-    // emulate the rename being lost to a power cut.
-    let prev = std::fs::read(&dst).ok();
+    // Only when a kill is pending: capture the pre-swap bytes so the
+    // post-rename kill point below can emulate the rename being lost to a
+    // power cut. A production switch is never armed and reads nothing.
+    let prev = kill.is_armed().then(|| std::fs::read(&dst).ok());
     std::fs::rename(&tmp, &dst)?;
     // The rename is atomic, but only the directory fsync makes it survive
     // power loss — without it a "published" checkpoint could vanish while
@@ -87,12 +94,15 @@ pub fn write_manifest(dir: &Path, m: &Manifest, kill: &KillSwitch) -> std::io::R
     // records the resurrected old manifest still needs.
     if let Err(e) = kill.check() {
         match prev {
-            Some(bytes) => {
+            Some(Some(bytes)) => {
                 let _ = std::fs::write(&dst, &bytes);
             }
-            None => {
+            Some(None) => {
                 let _ = std::fs::remove_file(&dst);
             }
+            // Armed by another thread after the capture decision: the
+            // rename stands — the other legal outcome of this crash.
+            None => {}
         }
         return Err(e);
     }
@@ -189,6 +199,36 @@ mod tests {
         // Recovery retries and wins.
         write_manifest(dir2.path(), &sample(3), &kill).expect("retry");
         assert_eq!(read_manifest(dir2.path()), Some(sample(3)));
+    }
+
+    #[test]
+    fn lost_rename_restores_previous_bytes_and_disarmed_path_publishes() {
+        // A metadata blob large enough that a lazy capture or a wrong CRC
+        // split would show, with a length that is no multiple of 8.
+        let big = |seq: u64| Manifest {
+            seq,
+            root: sha256(&seq.to_be_bytes()[..]),
+            meta: (0..100_003u32).map(|i| (i as u64 * seq) as u8).collect(),
+        };
+        let dir = TempDir::new("manifest-lostrename-bytes");
+        let kill = KillSwitch::new();
+        let path = dir.path().join("MANIFEST");
+        write_manifest(dir.path(), &big(5), &kill).expect("write");
+        let before = std::fs::read(&path).expect("published");
+        // Armed at the post-rename site: the previous file comes back
+        // byte for byte.
+        kill.arm(2);
+        write_manifest(dir.path(), &big(9), &kill).expect_err("kill after rename");
+        assert!(kill.fired());
+        assert_eq!(std::fs::read(&path).expect("restored"), before);
+        assert_eq!(read_manifest(dir.path()), Some(big(5)));
+        // Disarmed (the production path, which reads nothing back): the
+        // new manifest is published, all three sites visited.
+        let visited = kill.visited();
+        write_manifest(dir.path(), &big(9), &kill).expect("publish");
+        assert_eq!(kill.visited() - visited, 3);
+        assert_eq!(read_manifest(dir.path()), Some(big(9)));
+        assert_ne!(std::fs::read(&path).expect("new"), before);
     }
 
     #[test]

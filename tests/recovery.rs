@@ -23,6 +23,8 @@ use ahl::simkit::{QueueConfig, Sim, SimDuration, SimTime};
 use ahl::wal::{TempDir, WalConfig};
 use ahl::workload::SmallBankWorkload;
 
+mod common;
+
 const ACCOUNTS: usize = 8;
 
 /// A 5-node AHL+ committee persisting to `data_dir`, with SmallBank load
@@ -504,4 +506,43 @@ fn lone_restart_resumes_from_checkpoint_and_wal_alone() {
     assert_eq!(restarted.exec_seq(), dark_peer.exec_seq());
     assert_eq!(restarted.executed_len(), dark_peer.executed_len());
     assert_recovered(&sim, &group, 3, expected);
+}
+
+/// Replay protection survives a restart from disk. The window a replica
+/// rebuilds from its manifest (ids executed up to the certified height)
+/// plus its replayed WAL tail (ids executed above it) must still refuse a
+/// re-submitted copy of *every* id the committee executed — neither
+/// pooled nor executed, with a fresh timestamp so only the executed-id
+/// window can stop it — while a fresh id goes through exactly once.
+#[test]
+fn resubmitted_ids_stay_executed_after_restart_from_disk() {
+    use ahl::consensus::adversary::SafetyChecker;
+
+    const INTERVAL: u64 = 50;
+    let dir = TempDir::new("recovery-replay");
+    let checker = SafetyChecker::new();
+    let mut cfg = PbftConfig::new(BftVariant::AhlPlus, 5);
+    cfg.checkpoint_interval = INTERVAL;
+    cfg.sync_chunk_target = 64;
+    cfg.safety = Some(checker.clone());
+    // Load stops at 1 s; node 3 dies at a quiet 2 s and is back at 3 s.
+    // Its peers stand exactly where it left off, so whatever it remembers
+    // afterwards came from its own disk.
+    let schedule = vec![
+        (SimDuration::from_secs(2), 3, PbftMsg::Crash),
+        (SimDuration::from_secs(3), 3, PbftMsg::Restart),
+    ];
+    let (mut sim, group, _) = run_persistent_scenario(cfg, dir.path(), 20, 1, 5, schedule, 45);
+    let stats = sim.stats();
+    assert!(stats.counter(stat::WAL_REPLAYED) >= 1, "a WAL tail was replayed");
+    assert_eq!(stats.counter(stat::SYNC_COMPLETED), 0, "no chunked install: the window is the disk's");
+    let sent = stats.counter(stat::TXN_COMMITTED) + stats.counter(stat::TXN_ABORTED);
+    assert_eq!(stats.counter("client.submitted"), sent, "every issued id was executed");
+    let (node, peer) = (group[3], group[0]);
+    let client = group.iter().max().expect("committee") + 1; // added right after the group
+    let exec_seq = replica(&sim, node).exec_seq();
+    assert!(exec_seq > INTERVAL, "ids below a certified height exist");
+    assert_ne!(exec_seq % INTERVAL, 0, "and so do ids above it (the WAL tail)");
+    common::assert_resubmissions_refused(&mut sim, node, peer, client, sent);
+    checker.assert_clean();
 }

@@ -17,11 +17,30 @@ use ahl::net::ClusterNetwork;
 use ahl::simkit::{QueueConfig, Sim, SimDuration, SimTime};
 use ahl::workload::SmallBankWorkload;
 
+mod common;
+
 const ACCOUNTS: usize = 8;
 
 /// A 5-node AHL+ committee with `pad_keys` bulk-state blobs of `pad_bytes`
 /// each, SmallBank load until `load_until`, and a scripted fault schedule.
 fn run_scenario(
+    cfg: PbftConfig,
+    pad_keys: usize,
+    pad_bytes: u64,
+    load_until: u64,
+    run_until: u64,
+    schedule: Vec<(SimDuration, usize, PbftMsg)>,
+    seed: u64,
+) -> (Sim<PbftMsg>, Vec<usize>, i64) {
+    run_scenario_avoiding(None, cfg, pad_keys, pad_bytes, load_until, run_until, schedule, seed)
+}
+
+/// [`run_scenario`] with the client submitting to every replica except
+/// `avoid` — so a crash of that node loses no request, and every id the
+/// client issued is one the committee executed.
+#[allow(clippy::too_many_arguments)]
+fn run_scenario_avoiding(
+    avoid: Option<usize>,
     mut cfg: PbftConfig,
     pad_keys: usize,
     pad_bytes: u64,
@@ -45,8 +64,9 @@ fn run_scenario(
     let (mut sim, group) =
         build_group(&cfg, Box::new(ClusterNetwork::new()), Some(1e9), &genesis, seed);
     let stop = SimTime::ZERO + SimDuration::from_secs(load_until);
+    let targets = group.iter().copied().filter(|id| avoid.map(|i| group[i]) != Some(*id)).collect();
     let client = OpenLoopClient::new(
-        group.clone(),
+        targets,
         SimDuration::from_millis(2),
         stop,
         SmallBankWorkload::paper(ACCOUNTS, 0.0).factory(0),
@@ -281,4 +301,46 @@ fn executed_request_cache_stays_bounded() {
         // The resolved-transaction set is pruned on the same schedule.
         assert!((r.state().resolved_count() as u64) < total / 2);
     }
+}
+
+/// Replay protection survives a chunked state-sync install. The recovered
+/// replica's executed-id window is the serving peer's at the certified
+/// height (carried in the manifest) plus the ids of the block tail it
+/// executed above it: it must be as large as a healthy peer's, and must
+/// still refuse a re-submitted copy of *every* id the committee executed —
+/// neither pooled nor executed, with a fresh timestamp so only the window
+/// can stop it — while a fresh id goes through exactly once.
+#[test]
+fn resubmitted_ids_stay_executed_after_chunked_install() {
+    use ahl::consensus::adversary::SafetyChecker;
+
+    const INTERVAL: u64 = 64;
+    let checker = SafetyChecker::new();
+    let mut cfg = PbftConfig::new(BftVariant::AhlPlus, 5);
+    cfg.checkpoint_interval = INTERVAL;
+    cfg.sync_chunk_target = 16;
+    cfg.safety = Some(checker.clone());
+    // Node 3 is dark from 1 s to 4 s; load runs to 3 s. When it returns
+    // the committee is idle and several certificates ahead, so it catches
+    // up by a chunked transfer plus the block tail above the certificate.
+    let schedule = vec![
+        (SimDuration::from_secs(1), 3, PbftMsg::Crash),
+        (SimDuration::from_secs(4), 3, PbftMsg::Restart),
+    ];
+    // The client never addresses node 3, so the crash loses no request.
+    let (mut sim, group, expected) =
+        run_scenario_avoiding(Some(3), cfg, 50, 10_000, 3, 7, schedule, 37);
+    let stats = sim.stats();
+    assert!(stats.counter(stat::SYNC_COMPLETED) >= 1, "a chunked install happened");
+    assert_eq!(stats.counter(stat::SYNC_PROOF_FAILURES), 0);
+    assert_recovered(&sim, &group, 3, expected);
+    let sent = stats.counter(stat::TXN_COMMITTED) + stats.counter(stat::TXN_ABORTED);
+    assert_eq!(stats.counter("client.submitted"), sent, "every issued id was executed");
+    let (node, peer) = (group[3], group[0]);
+    let client = group.iter().max().expect("committee") + 1; // added right after the group
+    let exec_seq = replica(&sim, node).exec_seq();
+    assert_ne!(exec_seq % INTERVAL, 0, "blocks above the certificate: a sync tail");
+    assert_eq!(replica(&sim, node).executed_len(), replica(&sim, peer).executed_len());
+    common::assert_resubmissions_refused(&mut sim, node, peer, client, sent);
+    checker.assert_clean();
 }
