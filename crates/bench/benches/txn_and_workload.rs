@@ -1,12 +1,12 @@
 //! Benchmarks of the transaction layer and workload generators: 2PC over
-//! in-process shards, coordinator state machine, Zipf sampling.
+//! in-process shards, the reference committee's Figure 6 chaincode, Zipf
+//! sampling.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use ahl_ledger::{smallbank, TxId};
-use ahl_txn::coordinator::{CoordEvent, Coordinator};
 use ahl_txn::MultiShardLedger;
 use ahl_workload::{SmallBankWorkload, Zipf};
 
@@ -34,18 +34,21 @@ fn bench_cross_shard_2pc(c: &mut Criterion) {
     g.finish();
 }
 
+/// Figure 6 as R runs it: BeginTx and three OK votes per transaction, each
+/// a chaincode op executed on R's `StateStore`, the last one read back as
+/// the commit decision.
 fn bench_coordinator_sm(c: &mut Criterion) {
     c.bench_function("coordinator_1000_txns", |b| {
         b.iter(|| {
-            let mut coord = Coordinator::new();
+            let mut l = MultiShardLedger::new(3);
             for i in 0..1000u64 {
                 let tx = TxId(i);
-                coord.apply(tx, CoordEvent::Begin { shards: vec![0, 1, 2] });
-                coord.apply(tx, CoordEvent::PrepareOk { shard: 0 });
-                coord.apply(tx, CoordEvent::PrepareOk { shard: 1 });
-                coord.apply(tx, CoordEvent::PrepareOk { shard: 2 });
+                l.begin_tx(tx, vec![0, 1, 2]);
+                l.vote(tx, 0, true);
+                l.vote(tx, 1, true);
+                l.vote(tx, 2, true);
             }
-            coord
+            l
         });
     });
 }

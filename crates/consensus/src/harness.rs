@@ -59,14 +59,16 @@ pub enum NetChoice {
 }
 
 impl NetChoice {
-    fn build(self, total_nodes: usize) -> Box<dyn Network> {
+    /// The simulated network model for `total_nodes` nodes.
+    pub fn build(self, total_nodes: usize) -> Box<dyn Network> {
         match self {
             NetChoice::Cluster => Box::new(ClusterNetwork::new()),
             NetChoice::Gcp { regions } => Box::new(GcpNetwork::new(total_nodes, regions)),
         }
     }
 
-    fn uplink_bps(self) -> f64 {
+    /// Per-node uplink bandwidth in bits per second.
+    pub fn uplink_bps(self) -> f64 {
         match self {
             NetChoice::Cluster => 1e9,
             // Effective cross-region egress of the 2-vCPU instances.

@@ -111,28 +111,40 @@ pub enum ReplyPolicy {
     IngestReplica,
 }
 
+/// Batch byte cap / byte-trigger threshold (`usize::MAX` = txs only).
+pub(crate) const BATCH_BYTES: usize = usize::MAX;
+/// Maximum blocks in flight (PBFT pipelining; lockstep = 1).
+pub(crate) const PIPELINE_WIDTH: u64 = 4;
+/// Enclave operation costs (Table 2).
+pub(crate) const COSTS: CostModel = CostModel::TABLE2;
+/// Native (outside-enclave) signature creation cost.
+pub(crate) const NATIVE_SIGN: SimDuration = SimDuration::from_micros(150);
+/// Native signature verification cost.
+pub(crate) const NATIVE_VERIFY: SimDuration = SimDuration::from_micros(200);
+/// Client-facing request ingestion cost (REST + TLS + signature check;
+/// Hyperledger v0.6 caps out near 400 requests/s per node — Appendix C.2).
+pub(crate) const INGEST_COST: SimDuration = SimDuration::from_micros(1200);
+/// Execution cost per state access (chaincode + validation).
+pub(crate) const EXEC_COST_PER_OP: SimDuration = SimDuration::from_micros(100);
+/// Per-queue capacity for replica inbound queues.
+pub(crate) const QUEUE_CAPACITY: usize = 4096;
+
 /// Full PBFT engine configuration.
 #[derive(Clone, Debug)]
 pub struct PbftConfig {
-    /// Protocol variant (display/default source for the flags below).
+    /// Protocol variant: its quorum rule ([`BftVariant::attested`]) and
+    /// optimizations 2 and 3 ([`BftVariant::relay_to_leader`],
+    /// [`BftVariant::leader_aggregation`]).
     pub variant: BftVariant,
     /// Committee size.
     pub n: usize,
-    /// Use the TEE attested log (N = 2f+1 quorums).
-    pub attested: bool,
-    /// Optimization 1: split consensus/request queues.
+    /// Optimization 1: split consensus/request queues (defaults from the
+    /// variant; settable so the ablation can toggle it alone).
     pub split_queues: bool,
-    /// Optimization 2: forward requests to the leader instead of
-    /// broadcasting.
-    pub relay_to_leader: bool,
-    /// Optimization 3: leader-side enclave aggregation (AHLR).
-    pub leader_aggregation: bool,
     /// Transactions per block (Hyperledger batch).
     pub batch_size: usize,
     /// Flush a partial batch after this long.
     pub batch_timeout: SimDuration,
-    /// Batch byte cap / byte-trigger threshold (`usize::MAX` = txs only).
-    pub batch_bytes: usize,
     /// Per-replica transaction pool (capacity + admission policy). The
     /// pool's eviction seed is derived per replica by the group builders.
     pub mempool: MempoolConfig,
@@ -140,8 +152,6 @@ pub struct PbftConfig {
     /// `add_committee` so eviction choices differ across replicas but stay
     /// deterministic in the run seed).
     pub pool_seed: u64,
-    /// Maximum blocks in flight (PBFT pipelining; lockstep = 1).
-    pub pipeline_width: u64,
     /// Stable checkpoint every this many sequence numbers. At each multiple
     /// the replica snapshots its state, votes on `(seq, state_root)`, and a
     /// quorum certificate ([`ahl_store::CheckpointCert`]) gates pruning and
@@ -208,17 +218,6 @@ pub struct PbftConfig {
     pub vc_timeout: SimDuration,
     /// Reply policy.
     pub reply_policy: ReplyPolicy,
-    /// Enclave operation costs (Table 2).
-    pub costs: CostModel,
-    /// Native (outside-enclave) signature creation cost.
-    pub native_sign: SimDuration,
-    /// Native signature verification cost.
-    pub native_verify: SimDuration,
-    /// Client-facing request ingestion cost (REST + TLS + signature check;
-    /// Hyperledger v0.6 caps out near 400 requests/s per node — Appendix C.2).
-    pub ingest_cost: SimDuration,
-    /// Execution cost per state access (chaincode + validation).
-    pub exec_cost_per_op: SimDuration,
     /// CPU scale factor (>1 = slower node, e.g. 2-vCPU GCP instances).
     pub cpu_scale: f64,
     /// Number of Byzantine replicas (assigned to the highest indices
@@ -240,8 +239,6 @@ pub struct PbftConfig {
     pub committee_id: usize,
     /// Compute real MACs or charge costs only.
     pub crypto: CryptoMode,
-    /// Per-queue capacity for replica inbound queues.
-    pub queue_capacity: usize,
     /// Worker threads for in-shard block execution. `1` (the default) is
     /// the classic sequential loop; `> 1` routes each block's batch
     /// through the conflict-aware wave scheduler
@@ -257,16 +254,11 @@ impl PbftConfig {
         PbftConfig {
             variant,
             n,
-            attested: variant.attested(),
             split_queues: variant.split_queues(),
-            relay_to_leader: variant.relay_to_leader(),
-            leader_aggregation: variant.leader_aggregation(),
             batch_size: 64,
             batch_timeout: SimDuration::from_millis(25),
-            batch_bytes: usize::MAX,
             mempool: MempoolConfig::default(),
             pool_seed: 0,
-            pipeline_width: 4,
             checkpoint_interval: 128,
             sync_chunk_target: 1024,
             sync_fanout: 4,
@@ -278,11 +270,6 @@ impl PbftConfig {
             request_ttl: SimDuration::from_secs(10),
             vc_timeout: SimDuration::from_secs(2),
             reply_policy: ReplyPolicy::None,
-            costs: CostModel::default(),
-            native_sign: SimDuration::from_micros(150),
-            native_verify: SimDuration::from_micros(200),
-            ingest_cost: SimDuration::from_micros(1200),
-            exec_cost_per_op: SimDuration::from_micros(100),
             cpu_scale: 1.0,
             byzantine: 0,
             byzantine_set: None,
@@ -290,7 +277,6 @@ impl PbftConfig {
             safety: None,
             committee_id: 0,
             crypto: CryptoMode::CostOnly,
-            queue_capacity: 4096,
             exec_workers: 1,
         }
     }
@@ -303,14 +289,9 @@ impl PbftConfig {
         }
     }
 
-    /// The effective fault model (from the `attested` flag, so ablations
-    /// can toggle optimizations independently of the variant label).
+    /// The fault model of this configuration's variant.
     pub fn fault_model(&self) -> FaultModel {
-        if self.attested {
-            FaultModel::Attested
-        } else {
-            FaultModel::Byzantine
-        }
+        self.variant.fault_model()
     }
 
     /// Fault threshold for this configuration.

@@ -7,6 +7,7 @@ mod replica;
 mod wire;
 
 pub use config::{BftVariant, FaultModel, PbftConfig, ReplyPolicy};
+use config::QUEUE_CAPACITY;
 pub use msg::{chunk_entry_bytes, AggProof, MsgCert, PbftBlock, PbftMsg, ViewChangeMsg, Vote};
 pub use replica::Replica;
 
@@ -117,9 +118,9 @@ pub fn add_committee(
     let group: Vec<NodeId> = (start..start + cfg.n).collect();
     for member in derive_committee(cfg.n, seed) {
         let queues = if cfg.split_queues {
-            QueueConfig::split(cfg.queue_capacity, cfg.queue_capacity)
+            QueueConfig::split(QUEUE_CAPACITY, QUEUE_CAPACITY)
         } else {
-            QueueConfig::shared(cfg.queue_capacity)
+            QueueConfig::shared(QUEUE_CAPACITY)
         };
         let expected = group[member.index];
         let id = sim.add_actor(Box::new(member.into_replica(cfg, group.clone(), genesis)), queues);

@@ -37,7 +37,10 @@ use crate::adversary::{equivocation_half, Attack, EquivocationTracker};
 use crate::common::{
     stat, BlockExecutor, CryptoMode, ExecutedCache, ExecutedWindow, Request, Stores, VotePhase,
 };
-use crate::pbft::config::{PbftConfig, ReplyPolicy};
+use crate::pbft::config::{
+    PbftConfig, ReplyPolicy, BATCH_BYTES, COSTS, EXEC_COST_PER_OP, INGEST_COST, NATIVE_SIGN,
+    NATIVE_VERIFY, PIPELINE_WIDTH,
+};
 use crate::pbft::durable::{twopc_kind, NodeStore, TwoPcKind, WalRecord};
 use crate::pbft::msg::{chunk_entry_bytes, AggProof, MsgCert, PbftBlock, PbftMsg, ViewChangeMsg, Vote};
 
@@ -293,7 +296,7 @@ impl Replica {
         let pool = Mempool::new(cfg.mempool.clone(), cfg.pool_seed ^ me as u64);
         let batcher = BatchBuilder::new(BatchConfig {
             max_txs: cfg.batch_size,
-            max_bytes: cfg.batch_bytes,
+            max_bytes: BATCH_BYTES,
             timeout: cfg.batch_timeout,
         });
         Replica {
@@ -410,8 +413,8 @@ impl Replica {
         seq: u64,
         digest: Hash,
     ) -> Option<MsgCert> {
-        if self.cfg.attested {
-            self.charge(ctx, self.cfg.costs.cost(TeeOp::AhlAppend), false);
+        if self.cfg.variant.attested() {
+            self.charge(ctx, COSTS.cost(TeeOp::AhlAppend), false);
             if self.cfg.crypto == CryptoMode::Real {
                 match self.tee.append(log, Slot { view, seq }, digest) {
                     Ok(att) => Some(MsgCert::Attested(att)),
@@ -421,7 +424,7 @@ impl Replica {
                 Some(MsgCert::Simulated)
             }
         } else {
-            self.charge(ctx, self.cfg.native_sign, false);
+            self.charge(ctx, NATIVE_SIGN, false);
             if self.cfg.crypto == CryptoMode::Real {
                 Some(MsgCert::Sig(self.key.sign(&digest)))
             } else {
@@ -440,7 +443,7 @@ impl Replica {
         seq: u64,
         digest: &Hash,
     ) -> bool {
-        self.charge(ctx, self.cfg.native_verify, false);
+        self.charge(ctx, NATIVE_VERIFY, false);
         match cert {
             // Real-crypto mode never produces bare Simulated certs: one
             // arriving is a Byzantine replica trying to skip the crypto.
@@ -448,7 +451,7 @@ impl Replica {
             // Attested committees require the enclave binding: a plain
             // signature is exactly how an equivocator would dodge the
             // attested log, so it is refused outright.
-            MsgCert::Sig(sig) => !self.cfg.attested && self.registry.verify(digest, sig),
+            MsgCert::Sig(sig) => !self.cfg.variant.attested() && self.registry.verify(digest, sig),
             MsgCert::Attested(att) => {
                 att.digest == *digest
                     && att.slot == Slot { view, seq }
@@ -486,7 +489,7 @@ impl Replica {
 
     fn on_request(&mut self, req: Request, ctx: &mut Ctx<'_, PbftMsg>) {
         // Client-facing ingest: REST + TLS + signature verification.
-        self.charge(ctx, self.cfg.ingest_cost, false);
+        self.charge(ctx, INGEST_COST, false);
         ctx.trace(req.id, Phase::Ingest);
         if self.executed_reqs.contains(req.id) {
             // Retransmission of an executed request: nothing to do.
@@ -520,7 +523,7 @@ impl Replica {
         // Forward admitted requests and retransmissions of already-pooled
         // ones (a client retrying after leader-side backpressure arrives
         // here as `Duplicate`; the relay must still reach the leader).
-        if self.cfg.relay_to_leader {
+        if self.cfg.variant.relay_to_leader() {
             // Optimization 2: forward to the leader only.
             let leader = self.group[self.leader_of(self.view)];
             if leader != self.group[self.me] {
@@ -591,7 +594,7 @@ impl Replica {
         if !self.is_leader() || self.paused {
             return;
         }
-        while self.next_seq <= self.exec_seq + self.cfg.pipeline_width {
+        while self.next_seq <= self.exec_seq + PIPELINE_WIDTH {
             let now = ctx.now();
             let Some(batch) = self.batcher.take_full(&mut self.pool, now, ctx.stats()) else {
                 break;
@@ -601,7 +604,7 @@ impl Replica {
     }
 
     fn flush_partial_batch(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
-        if self.is_leader() && !self.paused && self.next_seq <= self.exec_seq + self.cfg.pipeline_width {
+        if self.is_leader() && !self.paused && self.next_seq <= self.exec_seq + PIPELINE_WIDTH {
             let now = ctx.now();
             if let Some(batch) = self.batcher.take_due(&mut self.pool, now, ctx.stats()) {
                 self.propose_batch(batch, ctx);
@@ -633,23 +636,19 @@ impl Replica {
         self.next_seq += 1;
         let view = self.view;
         // Digest cost: hashing the batch.
-        let hash_cost = self
-            .cfg
-            .costs
-            .cost(TeeOp::Sha256)
-            .saturating_mul(1 + batch.len() as u64 / 8);
+        let hash_cost = COSTS.cost(TeeOp::Sha256).saturating_mul(1 + batch.len() as u64 / 8);
         self.charge(ctx, hash_cost, false);
 
         if self.byzantine {
             match self.cfg.attack {
-                Attack::PaperFlood if !self.cfg.attested => {
+                Attack::PaperFlood if !self.cfg.variant.attested() => {
                     // §7.2 equivocating leader: conflicting *sequence
                     // numbers* to different halves.
                     let block_a = Arc::new(PbftBlock::new(view, seq, self.me, batch.clone()));
                     let mut rev = batch;
                     rev.reverse();
                     let block_b = Arc::new(PbftBlock::new(view, seq + 1_000_000, self.me, rev));
-                    self.charge(ctx, self.cfg.native_sign, false);
+                    self.charge(ctx, NATIVE_SIGN, false);
                     for (i, peer) in self.others().into_iter().enumerate() {
                         let block = if i % 2 == 0 { block_a.clone() } else { block_b.clone() };
                         ctx.send(peer, PbftMsg::PrePrepare { block, cert: MsgCert::Simulated });
@@ -703,11 +702,7 @@ impl Replica {
             return;
         }
         // Hash the batch to validate the digest.
-        let hash_cost = self
-            .cfg
-            .costs
-            .cost(TeeOp::Sha256)
-            .saturating_mul(1 + block.reqs.len() as u64 / 8);
+        let hash_cost = COSTS.cost(TeeOp::Sha256).saturating_mul(1 + block.reqs.len() as u64 / 8);
         self.charge(ctx, hash_cost, false);
         if let Some(inst) = self.insts.get(&block.seq) {
             if let Some(existing) = &inst.block {
@@ -742,7 +737,7 @@ impl Replica {
         } else {
             // Leader: its "prepare" is implicit; in AHLR it seeds the relay
             // aggregation set.
-            if self.cfg.leader_aggregation {
+            if self.cfg.variant.leader_aggregation() {
                 let inst = self.insts.entry(seq).or_default();
                 inst.relay_votes[VotePhase::Prepare as usize].entry(digest).or_default().insert(me);
             }
@@ -759,7 +754,7 @@ impl Replica {
             inst.votes[VotePhase::Prepare as usize].entry(digest).or_default().insert(self.me);
         }
         let vote = Vote { view, seq, digest, replica: self.me, cert };
-        if self.cfg.leader_aggregation {
+        if self.cfg.variant.leader_aggregation() {
             let leader = self.group[self.leader_of(view)];
             ctx.send(leader, PbftMsg::RelayPrepare(vote));
         } else if self.byzantine {
@@ -799,7 +794,7 @@ impl Replica {
         let x = Arc::new(PbftBlock::new(view, seq, self.me, batch));
         let y = Arc::new(PbftBlock::new(view, seq, self.me, alt));
         let (lo, hi) = if x.digest.0 <= y.digest.0 { (x, y) } else { (y, x) };
-        self.charge(ctx, self.cfg.native_sign, false);
+        self.charge(ctx, NATIVE_SIGN, false);
         for g in 0..self.cfg.n {
             if g == self.me {
                 continue;
@@ -836,7 +831,7 @@ impl Replica {
         let Some((half, split)) = self.byz_equiv.observe(seq as u128, digest) else {
             return;
         };
-        self.charge(ctx, self.cfg.native_sign, false);
+        self.charge(ctx, NATIVE_SIGN, false);
         let me = self.me;
         let targets: Vec<NodeId> = (0..self.cfg.n)
             .filter(|g| *g != me && (!split || equivocation_half(*g) == half))
@@ -864,7 +859,7 @@ impl Replica {
                     ctx.stats().inc("adv.stale_replays", 1);
                     // Charge the send like the lockstep engine does, so
                     // attacker CPU accounting is comparable across cells.
-                    self.charge(ctx, self.cfg.native_sign, false);
+                    self.charge(ctx, NATIVE_SIGN, false);
                     ctx.multicast(self.others(), vote_msg(phase, stale));
                 }
             }
@@ -877,7 +872,7 @@ impl Replica {
     fn paper_flood_vote(&mut self, vote: Vote, phase: VotePhase, ctx: &mut Ctx<'_, PbftMsg>) {
         let others = self.others();
         for (i, peer) in others.iter().copied().enumerate() {
-            if self.cfg.attested {
+            if self.cfg.variant.attested() {
                 // Cannot equivocate: withhold from odd half.
                 if i % 2 == 0 {
                     ctx.send(peer, vote_msg(phase, vote.clone()));
@@ -914,7 +909,7 @@ impl Replica {
     /// verification — the defense that keeps sequence-number flooding from
     /// consuming crypto cycles.
     fn in_watermarks(&self, seq: u64) -> bool {
-        let window = (4 * self.cfg.checkpoint_interval).max(self.cfg.pipeline_width * 16 + 64);
+        let window = (4 * self.cfg.checkpoint_interval).max(PIPELINE_WIDTH * 16 + 64);
         seq > self.low_mark && seq <= self.low_mark + window
     }
 
@@ -931,8 +926,8 @@ impl Replica {
         ctx: &mut Ctx<'_, PbftMsg>,
     ) -> Result<Option<ahl_crypto::Signature>, ()> {
         if let MsgCert::Sig(sig) = &vote.cert {
-            if !self.cfg.attested && self.cfg.crypto == CryptoMode::Real {
-                self.charge(ctx, self.cfg.native_verify, false);
+            if !self.cfg.variant.attested() && self.cfg.crypto == CryptoMode::Real {
+                self.charge(ctx, NATIVE_VERIFY, false);
                 return Ok(Some(*sig));
             }
         }
@@ -1009,7 +1004,7 @@ impl Replica {
     }
 
     fn check_prepared(&mut self, seq: u64, digest: Hash, ctx: &mut Ctx<'_, PbftMsg>) {
-        if self.cfg.leader_aggregation {
+        if self.cfg.variant.leader_aggregation() {
             return; // prepared is signalled by AggPrepare in AHLR
         }
         let quorum = self.quorum();
@@ -1045,7 +1040,7 @@ impl Replica {
             inst.votes[VotePhase::Commit as usize].entry(digest).or_default().insert(self.me);
         }
         let vote = Vote { view, seq, digest, replica: self.me, cert };
-        if self.cfg.leader_aggregation {
+        if self.cfg.variant.leader_aggregation() {
             let leader = self.group[self.leader_of(view)];
             if self.leader_of(view) == self.me {
                 self.on_relay_vote(VotePhase::Commit, vote, ctx);
@@ -1112,7 +1107,7 @@ impl Replica {
         }
         inst.agg_sent[phase as usize] = true;
         let f = self.cfg.f();
-        self.charge(ctx, self.cfg.costs.cost(TeeOp::MessageAggregation { f }), false);
+        self.charge(ctx, COSTS.cost(TeeOp::MessageAggregation { f }), false);
         let proof = AggProof {
             view: vote.view,
             seq: vote.seq,
@@ -1136,7 +1131,7 @@ impl Replica {
         if proof.view != self.view || proof.seq <= self.low_mark {
             return;
         }
-        self.charge(ctx, self.cfg.native_verify, false);
+        self.charge(ctx, NATIVE_VERIFY, false);
         let has_block = self
             .insts
             .get(&proof.seq)
@@ -1155,7 +1150,7 @@ impl Replica {
         if proof.view != self.view || proof.seq <= self.low_mark {
             return;
         }
-        self.charge(ctx, self.cfg.native_verify, false);
+        self.charge(ctx, NATIVE_VERIFY, false);
         let ready = {
             let Some(inst) = self.insts.get(&proof.seq) else { return };
             let Some(block) = &inst.block else { return };
@@ -1246,7 +1241,7 @@ impl Replica {
             }
         });
         // Execution cost: chaincode + validation per state access.
-        self.charge(ctx, self.cfg.exec_cost_per_op.saturating_mul(weight as u64), true);
+        self.charge(ctx, EXEC_COST_PER_OP.saturating_mul(weight as u64), true);
         // Group commit: one write+policy-fsync for the batch record plus
         // its 2PC journal. An I/O failure here is a crash — the node goes
         // dark and recovers from whatever reached the disk.
@@ -1317,7 +1312,7 @@ impl Replica {
         if self.snapshots.len() > 2 {
             self.snapshots.remove(0);
         }
-        self.charge(ctx, self.cfg.native_sign, false);
+        self.charge(ctx, NATIVE_SIGN, false);
         ctx.trace(seq, Phase::Checkpoint);
         let key = (self.cfg.crypto == CryptoMode::Real).then_some(&self.key);
         let vote = CheckpointVote::new(seq, root, self.me, key);
@@ -1437,7 +1432,7 @@ impl Replica {
     }
 
     fn on_checkpoint(&mut self, vote: CheckpointVote, ctx: &mut Ctx<'_, PbftMsg>) {
-        self.charge(ctx, self.cfg.native_verify, false);
+        self.charge(ctx, NATIVE_VERIFY, false);
         // Real-crypto mode: an unsigned vote is a forgery, not "cost-only"
         // — CheckpointVote::verify's unsigned arm exists for simulations
         // that never carry signatures at all.
@@ -1521,7 +1516,7 @@ impl Replica {
         if next_committed {
             return false;
         }
-        let horizon = next + self.cfg.pipeline_width;
+        let horizon = next + PIPELINE_WIDTH;
         self.insts
             .iter()
             .any(|(s, i)| (*s > next && i.committed) || (*s > horizon && i.block.is_some()))
@@ -1645,7 +1640,7 @@ impl Replica {
         let quorum = self.cfg.quorum();
         self.charge(
             ctx,
-            self.cfg.native_verify.saturating_mul(cert.votes.len() as u64),
+            NATIVE_VERIFY.saturating_mul(cert.votes.len() as u64),
             false,
         );
         let registry = (self.cfg.crypto == CryptoMode::Real).then_some(self.registry.as_ref());
@@ -1777,11 +1772,7 @@ impl Replica {
         }
         run.last_activity = now;
         // Verification cost: hash every leaf + fold the proof.
-        let verify_cost = self
-            .cfg
-            .costs
-            .cost(TeeOp::Sha256)
-            .saturating_mul(1 + entries.len() as u64)
+        let verify_cost = COSTS.cost(TeeOp::Sha256).saturating_mul(1 + entries.len() as u64)
             + SimDuration::from_nanos((bytes / 8) as u64);
         enum Outcome {
             Done,
@@ -1857,14 +1848,7 @@ impl Replica {
         // Rebuild cost: one leaf hash per *fetched* entry plus tree
         // construction — a diff install reuses the anchor's shared tree and
         // only pays for the overlaid chunks.
-        self.charge(
-            ctx,
-            self.cfg
-                .costs
-                .cost(TeeOp::Sha256)
-                .saturating_mul(1 + fetched),
-            false,
-        );
+        self.charge(ctx, COSTS.cost(TeeOp::Sha256).saturating_mul(1 + fetched), false);
         let mut state = if is_diff {
             let anchor = run.anchor.as_ref().expect("diff session kept its anchor");
             let mut base = StateStore::from_snapshot(anchor);
@@ -2086,7 +2070,7 @@ impl Replica {
         // Requests pooled while away: push the whole backlog toward the
         // current leader (bounded only by a generous cap) — this is the
         // post-recovery drain the reshard experiment measures.
-        if self.cfg.relay_to_leader && !self.is_leader() {
+        if self.cfg.variant.relay_to_leader() && !self.is_leader() {
             let leader = self.group[self.leader_of(self.view)];
             for req in self.pool.iter_fifo().take(4096) {
                 ctx.send(leader, PbftMsg::Relay(req.clone()));
@@ -2389,7 +2373,7 @@ impl Replica {
         self.pool = Mempool::new(self.cfg.mempool.clone(), self.cfg.pool_seed ^ self.me as u64);
         self.batcher = BatchBuilder::new(BatchConfig {
             max_txs: self.cfg.batch_size,
-            max_bytes: self.cfg.batch_bytes,
+            max_bytes: BATCH_BYTES,
             timeout: self.cfg.batch_timeout,
         });
         self.ckpt = CheckpointTracker::new();
@@ -2526,7 +2510,7 @@ impl Replica {
                             expected.push_back((txid.0, k));
                         }
                     });
-                    self.charge(ctx, self.cfg.exec_cost_per_op.saturating_mul(weight as u64), true);
+                    self.charge(ctx, EXEC_COST_PER_OP.saturating_mul(weight as u64), true);
                     self.exec_seq = seq;
                     self.next_seq = seq + 1;
                     replayed += 1;
@@ -2585,7 +2569,7 @@ impl Replica {
                     .is_some_and(|i| i.votes_for(VotePhase::Prepare, d) >= self.quorum())
             })
             .collect();
-        self.charge(ctx, self.cfg.native_sign, false);
+        self.charge(ctx, NATIVE_SIGN, false);
         let msg = ViewChangeMsg {
             new_view: target,
             last_stable: self.low_mark,
@@ -2623,7 +2607,7 @@ impl Replica {
     }
 
     fn on_view_change(&mut self, vc: ViewChangeMsg, ctx: &mut Ctx<'_, PbftMsg>) {
-        self.charge(ctx, self.cfg.native_verify, false);
+        self.charge(ctx, NATIVE_VERIFY, false);
         self.record_view_change(vc, ctx);
     }
 
@@ -2670,7 +2654,7 @@ impl Replica {
             1,
         );
         ctx.trace(view, Phase::ViewChange);
-        self.charge(ctx, self.cfg.native_sign, false);
+        self.charge(ctx, NATIVE_SIGN, false);
         ctx.multicast(
             self.others(),
             PbftMsg::NewView { view, reproposals: repro.clone() },
@@ -2690,7 +2674,7 @@ impl Replica {
         if view < self.view {
             return;
         }
-        self.charge(ctx, self.cfg.native_verify, false);
+        self.charge(ctx, NATIVE_VERIFY, false);
         if self.leader_of(view) == self.me {
             return; // we install through quorum collection, not NewView
         }
@@ -2712,7 +2696,7 @@ impl Replica {
         self.insts.retain(|_, i| i.executed || i.view >= view || i.block.is_none());
         // Optimization-2 mode: re-relay pooled requests to the new leader so
         // requests relayed to a dead leader are not lost.
-        if self.cfg.relay_to_leader && !self.is_leader() {
+        if self.cfg.variant.relay_to_leader() && !self.is_leader() {
             let leader = self.group[self.leader_of(view)];
             let mut regossiped = 0u64;
             for req in self.pool.iter_fifo().take(2 * self.cfg.batch_size) {
@@ -2777,7 +2761,7 @@ impl Replica {
         if view != self.view || from_idx != self.leader_of(self.view) {
             return;
         }
-        let lag_threshold = (4 * self.cfg.pipeline_width).max(16);
+        let lag_threshold = (4 * PIPELINE_WIDTH).max(16);
         if exec_seq > self.exec_seq + lag_threshold && self.sync.is_none() && !self.paused {
             ctx.stats().inc("consensus.heartbeat_syncs", 1);
             self.begin_sync(false, false, None, ctx);

@@ -280,8 +280,45 @@ pub fn committee_config(cfg: &SystemConfig) -> PbftConfig {
 }
 
 /// How many trailing flight-recorder events to print per node when a
-/// safety violation triggers a dump.
+/// safety or liveness violation triggers a dump.
 const DUMP_TAIL: usize = 24;
+
+/// Print violations found by one oracle, each as `(summary, implicated
+/// committee, trace id)`: up to eight summaries, the bounded trace of the
+/// implicated committees' replicas (of all `nodes` replicas when none is
+/// implicated), and the cross-node lifecycle of every implicated id.
+fn dump_violations(
+    kind: &str,
+    found: Vec<(String, Option<usize>, Option<u64>)>,
+    stats: &ahl_simkit::Stats,
+    nodes: usize,
+    committee_size: usize,
+) {
+    eprintln!("=== {kind} VIOLATIONS: {} ===", found.len());
+    for (summary, _, _) in found.iter().take(8) {
+        eprintln!("  {summary}");
+    }
+    if found.len() > 8 {
+        eprintln!("  ... and {} more", found.len() - 8);
+    }
+    let mut implicated: Vec<usize> = found
+        .iter()
+        .filter_map(|(_, c, _)| *c)
+        .flat_map(|c| c * committee_size..(c + 1) * committee_size)
+        .collect();
+    implicated.sort_unstable();
+    implicated.dedup();
+    if implicated.is_empty() {
+        implicated = (0..nodes).collect();
+    }
+    eprint!("{}", stats.recorder().dump(implicated.iter().copied(), DUMP_TAIL));
+    for id in found.iter().filter_map(|(_, _, id)| *id) {
+        eprintln!("--- lifecycle of id={id} ---");
+        for ev in stats.recorder().lifecycle(id) {
+            eprintln!("{ev}");
+        }
+    }
+}
 
 /// Like [`run_system`], but also returns the simulator's raw statistics
 /// (labeled counters, phase histograms, flight recorder) for reporting.
@@ -298,16 +335,10 @@ pub fn run_system_report(mut cfg: SystemConfig) -> SystemReport {
         m.wire_size()
     }
     let mut sim_cfg = SimConfig::new(cfg.seed);
-    sim_cfg.network = match cfg.net {
-        NetChoice::Cluster => Box::new(ahl_net::ClusterNetwork::new()),
-        NetChoice::Gcp { regions } => Box::new(ahl_net::GcpNetwork::new(total_nodes, regions)),
-    };
+    sim_cfg.network = cfg.net.build(total_nodes);
     sim_cfg.classify = classify;
     sim_cfg.size_of = size_of;
-    sim_cfg.uplink_bps = Some(match cfg.net {
-        NetChoice::Cluster => 1e9,
-        NetChoice::Gcp { .. } => 300e6,
-    });
+    sim_cfg.uplink_bps = Some(cfg.net.uplink_bps());
     let mut sim: Sim<PbftMsg> = Sim::new(sim_cfg);
     sim.stats_mut().set_topology(committees, cfg.committee_size);
     if let Some(liveness) = &cfg.liveness {
@@ -456,79 +487,18 @@ pub fn run_system_report(mut cfg: SystemConfig) -> SystemReport {
             .unwrap_or(0),
     };
 
-    // Dump-on-anomaly: a safety violation prints a bounded causal trace
-    // from the flight recorder — the implicated committee's replicas (or
-    // every committee when the violation doesn't localise), plus the full
-    // cross-node lifecycle of the implicated transaction when known.
-    if metrics.safety_violations > 0 {
-        if let Some(checker) = &cfg.safety {
-            let violations = checker.violations();
-            eprintln!("=== SAFETY VIOLATIONS: {} ===", violations.len());
-            for v in violations.iter().take(8) {
-                eprintln!("  {}", v.summary());
-            }
-            if violations.len() > 8 {
-                eprintln!("  ... and {} more", violations.len() - 8);
-            }
-            let mut nodes: Vec<usize> = Vec::new();
-            for v in &violations {
-                if let Some(c) = v.committee() {
-                    let base = c * cfg.committee_size;
-                    nodes.extend(base..base + cfg.committee_size);
-                }
-            }
-            nodes.sort_unstable();
-            nodes.dedup();
-            if nodes.is_empty() {
-                nodes = (0..committees * cfg.committee_size).collect();
-            }
-            eprint!("{}", stats.recorder().dump(nodes.iter().copied(), DUMP_TAIL));
-            for v in &violations {
-                if let Some(id) = v.trace_id() {
-                    eprintln!("--- lifecycle of id={id} ---");
-                    for ev in stats.recorder().lifecycle(id) {
-                        eprintln!("{ev}");
-                    }
-                }
-            }
-        }
+    // Dump-on-anomaly: a safety or liveness violation prints a bounded
+    // causal trace from the flight recorder.
+    let nodes = committees * cfg.committee_size;
+    if let Some(checker) = cfg.safety.as_ref().filter(|_| metrics.safety_violations > 0) {
+        let violations = checker.violations();
+        let found = violations.iter().map(|v| (v.summary(), v.committee(), v.trace_id()));
+        dump_violations("SAFETY", found.collect(), stats, nodes, cfg.committee_size);
     }
-
-    // Same dump path for liveness: print each violation's summary plus the
-    // implicated committee's bounded causal trace and the lifecycle of the
-    // stuck probe transaction.
-    if metrics.liveness_violations > 0 {
-        if let Some(checker) = &cfg.liveness {
-            let violations = checker.violations();
-            eprintln!("=== LIVENESS VIOLATIONS: {} ===", violations.len());
-            for v in violations.iter().take(8) {
-                eprintln!("  {}", v.summary());
-            }
-            if violations.len() > 8 {
-                eprintln!("  ... and {} more", violations.len() - 8);
-            }
-            let mut nodes: Vec<usize> = Vec::new();
-            for v in &violations {
-                if let Some(c) = v.committee() {
-                    let base = c * cfg.committee_size;
-                    nodes.extend(base..base + cfg.committee_size);
-                }
-            }
-            nodes.sort_unstable();
-            nodes.dedup();
-            if nodes.is_empty() {
-                nodes = (0..committees * cfg.committee_size).collect();
-            }
-            eprint!("{}", stats.recorder().dump(nodes.iter().copied(), DUMP_TAIL));
-            for v in &violations {
-                if let Some(id) = v.trace_id() {
-                    eprintln!("--- lifecycle of id={id} ---");
-                    for ev in stats.recorder().lifecycle(id) {
-                        eprintln!("{ev}");
-                    }
-                }
-            }
-        }
+    if let Some(checker) = cfg.liveness.as_ref().filter(|_| metrics.liveness_violations > 0) {
+        let violations = checker.violations();
+        let found = violations.iter().map(|v| (v.summary(), v.committee(), v.trace_id()));
+        dump_violations("LIVENESS", found.collect(), stats, nodes, cfg.committee_size);
     }
 
     SystemReport { metrics, stats: stats.clone(), profile }

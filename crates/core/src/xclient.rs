@@ -7,7 +7,8 @@
 //! ordinary transaction ordered by a committee's consensus:
 //!
 //! 1. **BeginTx** — a guarded op on the reference committee R's ledger
-//!    recording the transaction and initializing the Figure 6 counter `c`.
+//!    recording the transaction and initializing the Figure 6 counter `c`
+//!    (the chaincode is `ahl_txn::coordinator`, Figure 6's one statement).
 //! 2. **PrepareTx** — an `Op::Prepare` at each involved shard (2PL lock
 //!    acquisition + pending write-set). The execution receipt is the
 //!    shard's PrepareOK / PrepareNotOK.
@@ -18,8 +19,10 @@
 //!    shard.
 //!
 //! Safety does not depend on the client: the on-chain guards make R's
-//! state machine follow Figure 6 no matter what a malicious client sends,
-//! and `ahl-txn` proves those state machines safe. A crashed client only
+//! state machine follow Figure 6 no matter what a malicious client sends
+//! (up to the vote-binding gap documented in `ahl_txn::coordinator`), and
+//! `ahl-txn` proves those state machines safe: its property tests and
+//! adversary battery run these same ops. A crashed client only
 //! delays its own transaction (liveness for the *locks* comes from R's
 //! ability to abort, exercised in the stall path below).
 
@@ -32,8 +35,9 @@ use ahl_consensus::pbft::PbftMsg;
 // One shared backpressure-policy implementation across all drivers (the
 // closed-loop request client and this transaction driver must not drift).
 pub use ahl_consensus::clients::RateControl;
-use ahl_ledger::{Condition, Mutation, Op, StateOp, TxId, Value};
+use ahl_ledger::{Op, StateOp, TxId};
 use ahl_simkit::{Actor, Ctx, NodeId, SimDuration, SimTime};
+use ahl_txn::coordinator::{begin_op, vote_not_ok_op, vote_ok_op};
 use ahl_txn::ShardMap;
 use rand::rngs::SmallRng;
 
@@ -54,54 +58,6 @@ pub mod sysstat {
     /// Counter: protocol steps bounced by pool admission control
     /// (each is retried after a backoff).
     pub const SYS_REJECTED: &str = "sys.rejected";
-}
-
-/// Keys of the coordinator chaincode on R's ledger.
-fn key_counter(txid: TxId) -> String {
-    format!("T{}.c", txid.0)
-}
-fn key_vote(txid: TxId, shard: usize) -> String {
-    format!("T{}.v{}", txid.0, shard)
-}
-fn key_abort(txid: TxId) -> String {
-    format!("T{}.abort", txid.0)
-}
-
-/// BeginTx chaincode op: register the transaction with `parts` shards.
-pub fn begin_op(txid: TxId, parts: usize) -> StateOp {
-    StateOp {
-        conditions: vec![Condition::NotExists(key_counter(txid))],
-        mutations: vec![(key_counter(txid), Mutation::Set(Value::Int(parts as i64)))],
-    }
-}
-
-/// PrepareOK vote chaincode op for `shard`.
-pub fn vote_ok_op(txid: TxId, shard: usize) -> StateOp {
-    StateOp {
-        conditions: vec![
-            Condition::Exists(key_counter(txid)),
-            Condition::NotExists(key_vote(txid, shard)),
-            Condition::NotExists(key_abort(txid)),
-        ],
-        mutations: vec![
-            (key_vote(txid, shard), Mutation::Set(Value::Bool(true))),
-            (key_counter(txid), Mutation::Add(-1)),
-        ],
-    }
-}
-
-/// PrepareNotOK vote chaincode op for `shard` (latches the abort flag).
-pub fn vote_not_ok_op(txid: TxId, shard: usize) -> StateOp {
-    StateOp {
-        conditions: vec![
-            Condition::Exists(key_counter(txid)),
-            Condition::NotExists(key_vote(txid, shard)),
-        ],
-        mutations: vec![
-            (key_vote(txid, shard), Mutation::Set(Value::Bool(false))),
-            (key_abort(txid), Mutation::Set(Value::Bool(true))),
-        ],
-    }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -510,70 +466,5 @@ impl Actor for CrossShardClient {
             TIMER_RETRY => self.drain_retries(ctx),
             _ => {}
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn coordinator_chaincode_guards() {
-        use ahl_ledger::StateStore;
-        let mut r_state = StateStore::new();
-        let txid = TxId(9);
-        // Begin registers once.
-        assert!(r_state
-            .execute(&Op::Direct { txid, op: begin_op(txid, 2) })
-            .status
-            .is_committed());
-        assert!(!r_state
-            .execute(&Op::Direct { txid, op: begin_op(txid, 2) })
-            .status
-            .is_committed());
-        // Votes: one per shard, duplicates refused.
-        assert!(r_state
-            .execute(&Op::Direct { txid, op: vote_ok_op(txid, 0) })
-            .status
-            .is_committed());
-        assert!(!r_state
-            .execute(&Op::Direct { txid, op: vote_ok_op(txid, 0) })
-            .status
-            .is_committed());
-        // Second OK brings the counter to zero: committed state on-chain.
-        assert!(r_state
-            .execute(&Op::Direct { txid, op: vote_ok_op(txid, 1) })
-            .status
-            .is_committed());
-        assert_eq!(r_state.get_int(&key_counter(txid)), 0);
-    }
-
-    #[test]
-    fn not_ok_latches_abort_flag() {
-        use ahl_ledger::StateStore;
-        let mut r_state = StateStore::new();
-        let txid = TxId(4);
-        r_state.execute(&Op::Direct { txid, op: begin_op(txid, 2) });
-        assert!(r_state
-            .execute(&Op::Direct { txid, op: vote_not_ok_op(txid, 0) })
-            .status
-            .is_committed());
-        // A later OK from another shard is refused: abort already latched.
-        assert!(!r_state
-            .execute(&Op::Direct { txid, op: vote_ok_op(txid, 1) })
-            .status
-            .is_committed());
-        assert_eq!(r_state.get_int(&key_counter(txid)), 2);
-    }
-
-    #[test]
-    fn votes_before_begin_refused() {
-        use ahl_ledger::StateStore;
-        let mut r_state = StateStore::new();
-        let txid = TxId(5);
-        assert!(!r_state
-            .execute(&Op::Direct { txid, op: vote_ok_op(txid, 0) })
-            .status
-            .is_committed());
     }
 }

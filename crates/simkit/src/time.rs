@@ -95,7 +95,7 @@ impl SimDuration {
     /// Construct from fractional microseconds (the unit Table 2 of the paper
     /// reports enclave-operation costs in). Negative inputs clamp to zero.
     #[inline]
-    pub fn from_micros_f64(us: f64) -> SimDuration {
+    pub const fn from_micros_f64(us: f64) -> SimDuration {
         if us <= 0.0 {
             SimDuration(0)
         } else {

@@ -60,21 +60,24 @@ pub struct CostModel {
 
 impl Default for CostModel {
     fn default() -> Self {
-        CostModel {
-            ecdsa_sign: SimDuration::from_micros_f64(458.4),
-            ecdsa_verify: SimDuration::from_micros_f64(844.2),
-            sha256: SimDuration::from_micros_f64(2.5),
-            ahl_append: SimDuration::from_micros_f64(465.3),
-            // 8031.2 µs = 9 * 844.2 µs + base  =>  base = 433.4 µs
-            aggregation_base: SimDuration::from_micros_f64(433.4),
-            beacon: SimDuration::from_micros_f64(482.2),
-            enclave_switch: SimDuration::from_micros_f64(2.7),
-            remote_attestation: SimDuration::from_millis(2),
-        }
+        Self::TABLE2
     }
 }
 
 impl CostModel {
+    /// The paper's Table 2 measurements (the default).
+    pub const TABLE2: CostModel = CostModel {
+        ecdsa_sign: SimDuration::from_micros_f64(458.4),
+        ecdsa_verify: SimDuration::from_micros_f64(844.2),
+        sha256: SimDuration::from_micros_f64(2.5),
+        ahl_append: SimDuration::from_micros_f64(465.3),
+        // 8031.2 µs = 9 * 844.2 µs + base  =>  base = 433.4 µs
+        aggregation_base: SimDuration::from_micros_f64(433.4),
+        beacon: SimDuration::from_micros_f64(482.2),
+        enclave_switch: SimDuration::from_micros_f64(2.7),
+        remote_attestation: SimDuration::from_millis(2),
+    };
+
     /// A zero-cost model (for unit tests that assert pure protocol logic).
     pub fn free() -> Self {
         CostModel {

@@ -10,8 +10,8 @@
 //!   [`LivenessChecker::finish`], and dumps the implicated committee's
 //!   causal trace on a violation).
 //! * [`Profiler`] — thread-local hierarchical wall-clock span timing for
-//!   the hot paths (consensus exec, SMT update, WAL group commit, sync
-//!   chunk verify, 2PC coordinator). Disabled by default; `run_system`
+//!   the hot paths (consensus exec and checkpoints, SMT update, WAL group
+//!   commit, sync chunk verify). Disabled by default; `run_system`
 //!   enables it per-run when `SystemConfig::profile` is set and returns
 //!   the sorted self/total attribution in the report.
 //!

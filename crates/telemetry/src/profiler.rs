@@ -2,8 +2,8 @@
 //!
 //! The simulator's virtual clock says where modeled latency lives; this
 //! profiler answers the complementary question — which components burn
-//! real time running the simulation (consensus execution, SMT updates,
-//! WAL group commit, sync chunk verification, the 2PC coordinator).
+//! real time running the simulation (consensus execution and checkpoints,
+//! SMT updates, WAL group commit, sync chunk verification).
 //!
 //! Usage is guard-based and hierarchical:
 //!

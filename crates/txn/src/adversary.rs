@@ -5,8 +5,9 @@
 //! role is played by the BFT-replicated reference committee R, while
 //! clients merely relay messages. This module makes that claim
 //! executable: a [`MaliciousRelay`] drives the step-wise
-//! [`MultiShardLedger`] API with the attacks a Byzantine client can
-//! actually attempt —
+//! [`MultiShardLedger`] API — whose R executes the same Figure 6
+//! chaincode as the simulated system's reference committee — with the
+//! attacks a Byzantine client can actually attempt —
 //!
 //! * **lying prepare votes** ([`RelayAttack::LieVotes`]) — claim OK for a
 //!   shard that refused to prepare (or NotOK for one that prepared);
@@ -22,8 +23,9 @@
 //!   [`recovery_sweep`]) can complete delivery, and R can abort
 //!   transactions stuck before a decision — the OmniLedger-blocking fix.
 //! * **replay storms** ([`RelayAttack::ReplayStorm`]) — re-feed votes and
-//!   decisions; masked by the Figure 6 guards (vote sets, terminal
-//!   states, `resolved` bookkeeping at shards).
+//!   decisions; masked by the Figure 6 chaincode's guards (write-once
+//!   vote keys, the latched abort flag) and `resolved` bookkeeping at
+//!   shards.
 //!
 //! The tests at the bottom run every attack over randomized schedules and
 //! assert the full invariant battery — atomicity, conservation, lock
@@ -35,7 +37,7 @@ use ahl_ledger::{Op, StateOp, TxId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::coordinator::{CoordAction, CoordEvent, CoordState};
+use crate::coordinator::{CoordAction, CoordState};
 use crate::protocol::MultiShardLedger;
 
 /// The attack a malicious relay client mounts on the 2PC message flow.
@@ -170,7 +172,7 @@ pub fn recovery_sweep(ledger: &mut MultiShardLedger, txs: &[TxId]) {
             Some(_) => {
                 // Stuck before a decision: R times the transaction out
                 // (the liveness duty of the replicated coordinator).
-                ledger.coordinator.apply(txid, CoordEvent::ClientAbort);
+                ledger.time_out(txid);
                 CoordAction::SendAbort(vec![])
             }
             None => continue,

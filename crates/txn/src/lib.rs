@@ -5,10 +5,13 @@
 //! *general* — non-UTXO — transactions.
 //!
 //! * [`ShardMap`] — hash-based key placement and transaction splitting.
-//! * [`Coordinator`] — the reference committee's replicated 2PC state
-//!   machine (Figure 6).
-//! * [`MultiShardLedger`] — the Figure 5 protocol over in-process shards,
-//!   with a step-wise API for adversarial interleavings.
+//! * [`coordinator`] — the reference committee's 2PC state machine
+//!   (Figure 6), stated once as the chaincode R executes on its ledger:
+//!   the simulated system (`ahl_core::xclient`) and the in-process model
+//!   below run the same ops.
+//! * [`MultiShardLedger`] — the Figure 5 protocol over in-process shards
+//!   and an in-process R, with a step-wise API for adversarial
+//!   interleavings.
 //! * [`baselines`] — executable demonstrations of the §6.1 failure modes:
 //!   RapidChain's atomicity/isolation violations on the account model and
 //!   OmniLedger's indefinite blocking under a malicious client coordinator.
@@ -30,7 +33,7 @@ pub mod protocol;
 pub mod shardmap;
 
 pub use adversary::{recovery_sweep, MaliciousRelay, RelayAttack};
-pub use coordinator::{CoordAction, CoordEvent, CoordState, Coordinator};
+pub use coordinator::{CoordAction, CoordState};
 pub use library::{smallbank_chaincode, ChaincodeError, ChaincodeFn, ShardedChaincode, TxHandle};
 pub use protocol::{MultiShardLedger, TxOutcome};
 pub use shardmap::ShardMap;

@@ -1,17 +1,23 @@
 //! The full cross-shard transaction protocol (paper §6.2, Figure 5)
 //! executed over in-process shards.
 //!
-//! This module wires the replicated [`Coordinator`] to per-shard
-//! [`StateStore`]s with 2PL execution, exposing both a one-shot API
-//! ([`MultiShardLedger::execute`]) and a step-wise API where prepares,
-//! votes and decisions are delivered in *arbitrary order* — the surface the
-//! property tests drive to check atomicity and isolation under adversarial
-//! scheduling. The distributed, BFT-replicated version of the same logic
-//! lives in `ahl-core`; the state machines are shared.
+//! [`MultiShardLedger`] holds the reference committee R as one more
+//! [`StateStore`] and drives 2PC the way `ahl_core::xclient` does over the
+//! network: BeginTx on R, `Op::Prepare` at each participant, each shard's
+//! receipt relayed to R as a vote, and the decision read back from R's
+//! ledger — R executes the Figure 6 chaincode of [`crate::coordinator`],
+//! the same ops the simulated system's reference committee executes. It
+//! exposes both a one-shot API ([`MultiShardLedger::execute`]) and a
+//! step-wise API where prepares, votes and decisions are delivered in
+//! *arbitrary order* — the surface the property tests and the adversary
+//! battery drive to check atomicity and isolation under adversarial
+//! scheduling.
+
+use std::collections::HashMap;
 
 use ahl_ledger::{Op, StateOp, StateStore, TxId};
 
-use crate::coordinator::{CoordAction, CoordEvent, CoordState, Coordinator};
+use crate::coordinator::{begin_op, coord_state, vote_not_ok_op, vote_ok_op, CoordAction, CoordState};
 use crate::shardmap::ShardMap;
 
 /// Outcome of a cross-shard transaction.
@@ -30,8 +36,12 @@ pub struct MultiShardLedger {
     pub shards: Vec<StateStore>,
     /// Key-to-shard mapping.
     pub map: ShardMap,
-    /// The (logically replicated) coordinator.
-    pub coordinator: Coordinator,
+    /// The reference committee R's ledger: the Figure 6 chaincode's record
+    /// of every cross-shard transaction.
+    reference: StateStore,
+    /// The shards each BeginTx registered. R's record holds only their
+    /// count, as Figure 6's `c` does; decisions go to exactly this set.
+    participants: HashMap<TxId, Vec<usize>>,
     /// Forged decision claims refused by [`MultiShardLedger::deliver_checked`].
     pub forged_decisions: u64,
     /// Forged prepare-vote claims refused by
@@ -45,7 +55,8 @@ impl MultiShardLedger {
         MultiShardLedger {
             shards: (0..k).map(|_| StateStore::new()).collect(),
             map: ShardMap::new(k),
-            coordinator: Coordinator::new(),
+            reference: StateStore::new(),
+            participants: HashMap::new(),
             forged_decisions: 0,
             forged_votes: 0,
         }
@@ -96,59 +107,24 @@ impl MultiShardLedger {
 
     fn execute_2pc(&mut self, txid: TxId, parts: Vec<(usize, StateOp)>) -> TxOutcome {
         let shard_ids: Vec<usize> = parts.iter().map(|(s, _)| *s).collect();
-        let action = self
-            .coordinator
-            .apply(txid, CoordEvent::Begin { shards: shard_ids });
-        let CoordAction::SendPrepare(targets) = action else {
+        if self.begin_tx(txid, shard_ids) == CoordAction::None {
             return TxOutcome::Aborted; // duplicate txid
-        };
-
-        // Phase 1: prepare at every involved shard, feeding votes back.
-        let mut decision: Option<CoordAction> = None;
-        for shard in targets {
-            let sub = parts
-                .iter()
-                .find(|(s, _)| *s == shard)
-                .map(|(_, op)| op.clone())
-                .expect("prepare targets come from parts");
-            let receipt = self.shards[shard].execute(&Op::Prepare { txid, op: sub });
-            let vote = if receipt.status.is_committed() {
-                CoordEvent::PrepareOk { shard }
-            } else {
-                CoordEvent::PrepareNotOk { shard }
-            };
-            match self.coordinator.apply(txid, vote) {
-                CoordAction::None => {}
-                other => decision = Some(other),
-            }
-            if matches!(decision, Some(CoordAction::SendAbort(_))) {
-                break; // the coordinator already aborted; stop preparing
+        }
+        // Phase 1: prepare at every involved shard, relaying each receipt
+        // to R as the shard's vote, until R decides.
+        let mut decision = CoordAction::None;
+        for (shard, sub) in &parts {
+            decision = self.prepare_at(txid, *shard, sub);
+            if decision != CoordAction::None {
+                break;
             }
         }
-
-        // Phase 2: deliver the decision.
-        match decision {
-            Some(CoordAction::SendCommit(shards)) => {
-                for shard in shards {
-                    let r = self.shards[shard].execute(&Op::Commit { txid });
-                    debug_assert!(
-                        r.status.is_committed(),
-                        "commit of a prepared tx cannot fail"
-                    );
-                }
-                TxOutcome::Committed
-            }
-            Some(CoordAction::SendAbort(shards)) => {
-                for shard in shards {
-                    self.shards[shard].execute(&Op::Abort { txid });
-                }
-                TxOutcome::Aborted
-            }
-            _ => {
-                // No decision reached (shouldn't happen in the synchronous
-                // driver); abort defensively.
-                TxOutcome::Aborted
-            }
+        // Phase 2: deliver R's decision.
+        self.deliver(txid, &decision);
+        if matches!(decision, CoordAction::SendCommit(_)) {
+            TxOutcome::Committed
+        } else {
+            TxOutcome::Aborted
         }
     }
 
@@ -157,21 +133,83 @@ impl MultiShardLedger {
     /// Begin a transaction: registers it and returns the shards to prepare.
     pub fn begin(&mut self, txid: TxId, op: &StateOp) -> Vec<(usize, StateOp)> {
         let parts = self.map.split_op(op);
-        let shard_ids: Vec<usize> = parts.iter().map(|(s, _)| *s).collect();
-        self.coordinator.apply(txid, CoordEvent::Begin { shards: shard_ids });
+        self.begin_tx(txid, parts.iter().map(|(s, _)| *s).collect());
         parts
     }
 
-    /// Execute the prepare for one shard and feed the vote to the
-    /// coordinator; returns the decision action if one was reached.
+    /// BeginTx on R for the participant `shards`: returns the shards to
+    /// prepare, or [`CoordAction::None`] when R refuses (a txid it already
+    /// holds). A Begin with no participants is refused before R.
+    pub fn begin_tx(&mut self, txid: TxId, shards: Vec<usize>) -> CoordAction {
+        if shards.is_empty() || !self.record(txid, begin_op(txid, shards.len())) {
+            return CoordAction::None;
+        }
+        self.participants.insert(txid, shards.clone());
+        CoordAction::SendPrepare(shards)
+    }
+
+    /// Relay `shard`'s prepare vote to R; returns R's decision if this vote
+    /// made it. A vote for a shard BeginTx did not register is refused
+    /// before R — the model's stand-in for R checking the shard
+    /// committee's prepare certificate, which the chaincode alone does not
+    /// (the vote-binding gap in [`crate::coordinator`]).
+    pub fn vote(&mut self, txid: TxId, shard: usize, ok: bool) -> CoordAction {
+        if !self.participants.get(&txid).is_some_and(|p| p.contains(&shard)) {
+            return CoordAction::None;
+        }
+        let op = if ok { vote_ok_op(txid, shard) } else { vote_not_ok_op(txid, shard) };
+        self.record_deciding(txid, op)
+    }
+
+    /// R's duty to time out a transaction stuck before its decision: it
+    /// records PrepareNotOK for the first participant whose vote never
+    /// arrived (the op's own guard skips every participant that voted).
+    /// Returns the abort, or [`CoordAction::None`] once decided.
+    pub fn time_out(&mut self, txid: TxId) -> CoordAction {
+        if self.decision(txid) != CoordAction::None {
+            return CoordAction::None;
+        }
+        for shard in self.participants.get(&txid).cloned().unwrap_or_default() {
+            let action = self.record_deciding(txid, vote_not_ok_op(txid, shard));
+            if action != CoordAction::None {
+                return action;
+            }
+        }
+        CoordAction::None
+    }
+
+    /// Execute a chaincode op on R; `true` when R's guards accepted it.
+    fn record(&mut self, txid: TxId, op: StateOp) -> bool {
+        self.reference.execute(&Op::Direct { txid, op }).status.is_committed()
+    }
+
+    /// Execute a vote op on R and return the decision it made, if it moved
+    /// R's record from undecided to Committed / Aborted.
+    fn record_deciding(&mut self, txid: TxId, op: StateOp) -> CoordAction {
+        let undecided = self.decision(txid) == CoordAction::None;
+        if self.record(txid, op) && undecided {
+            self.decision(txid)
+        } else {
+            CoordAction::None
+        }
+    }
+
+    /// R's recorded decision on `txid`, addressed to the participants
+    /// BeginTx registered.
+    fn decision(&self, txid: TxId) -> CoordAction {
+        let shards = self.participants.get(&txid).cloned().unwrap_or_default();
+        match self.state_of(txid) {
+            Some(CoordState::Committed) => CoordAction::SendCommit(shards),
+            Some(CoordState::Aborted) => CoordAction::SendAbort(shards),
+            _ => CoordAction::None,
+        }
+    }
+
+    /// Execute the prepare for one shard and relay its vote to R; returns
+    /// the decision action if one was reached.
     pub fn prepare_at(&mut self, txid: TxId, shard: usize, sub: &StateOp) -> CoordAction {
         let receipt = self.shards[shard].execute(&Op::Prepare { txid, op: sub.clone() });
-        let vote = if receipt.status.is_committed() {
-            CoordEvent::PrepareOk { shard }
-        } else {
-            CoordEvent::PrepareNotOk { shard }
-        };
-        self.coordinator.apply(txid, vote)
+        self.vote(txid, shard, receipt.status.is_committed())
     }
 
     /// Deliver a decision action to its shards.
@@ -201,25 +239,17 @@ impl MultiShardLedger {
     /// contradicts R's recorded decision, which is how a malicious
     /// client's coordinator equivocation is masked.
     pub fn deliver_checked(&mut self, txid: TxId, claimed: &CoordAction) -> bool {
-        let decided = self.coordinator.state(txid);
-        let valid = match claimed {
-            CoordAction::SendCommit(_) => matches!(decided, Some(CoordState::Committed)),
-            CoordAction::SendAbort(_) => matches!(decided, Some(CoordState::Aborted)),
-            _ => true, // nothing to deliver
-        };
-        if !valid {
+        if !matches!(claimed, CoordAction::SendCommit(_) | CoordAction::SendAbort(_)) {
+            return true; // nothing to deliver
+        }
+        let recorded = self.decision(txid);
+        if std::mem::discriminant(claimed) != std::mem::discriminant(&recorded) {
             self.forged_decisions += 1;
             return false;
         }
         // The shard set is likewise taken from R's records, not from the
         // claim: a forged shard list must not reach uninvolved shards.
-        let shards: Vec<usize> = self.coordinator.shards_of(txid).unwrap_or(&[]).to_vec();
-        let op = match claimed {
-            CoordAction::SendCommit(_) => CoordAction::SendCommit(shards),
-            CoordAction::SendAbort(_) => CoordAction::SendAbort(shards),
-            _ => return true,
-        };
-        self.deliver(txid, &op);
+        self.deliver(txid, &recorded);
         true
     }
 
@@ -228,26 +258,21 @@ impl MultiShardLedger {
     /// own committee, which means the claim must match what the shard
     /// actually holds — a prepared write set for an OK, none for a
     /// NotOK. A lying claim is refused (counted in
-    /// [`MultiShardLedger::forged_votes`]) and the coordinator state is
-    /// untouched; this is the §6.2 argument that a malicious relay
-    /// cannot turn a failed prepare into a commit.
+    /// [`MultiShardLedger::forged_votes`]) and R's record is untouched;
+    /// this is the §6.2 argument that a malicious relay cannot turn a
+    /// failed prepare into a commit.
     pub fn feed_vote_checked(&mut self, txid: TxId, shard: usize, claimed_ok: bool) -> CoordAction {
         let actually_prepared = self.shards[shard].has_pending(txid);
         if claimed_ok != actually_prepared {
             self.forged_votes += 1;
             return CoordAction::None;
         }
-        let vote = if claimed_ok {
-            CoordEvent::PrepareOk { shard }
-        } else {
-            CoordEvent::PrepareNotOk { shard }
-        };
-        self.coordinator.apply(txid, vote)
+        self.vote(txid, shard, claimed_ok)
     }
 
-    /// The coordinator's view of `txid`.
-    pub fn state_of(&self, txid: TxId) -> Option<&CoordState> {
-        self.coordinator.state(txid)
+    /// R's record of `txid` as a Figure 6 state (`None` before BeginTx).
+    pub fn state_of(&self, txid: TxId) -> Option<CoordState> {
+        coord_state(&self.reference, txid, self.participants.get(&txid)?)
     }
 
     /// Read-only check: does any shard still hold a pending prepare?

@@ -180,8 +180,8 @@ fn main() {
     // mempool-starvation, view-change-storm and sync-livelock detectors
     // with budgets an order of magnitude above healthy steady state
     // (tune them via `LivenessConfig`). The wall-clock profiler times the
-    // *host* cost of the hot paths (consensus exec, SMT update, WAL group
-    // commit, sync verify, 2PC coordinator) and attributes self/total
+    // *host* cost of the hot paths (consensus exec and checkpoints, SMT
+    // update, WAL group commit, sync verify) and attributes self/total
     // time per span. Both attach through `SystemConfig`; a violation
     // dumps the implicated committee's causal trace, and the profiler
     // table lands in the text and JSON output of `experiments`. The same

@@ -17,7 +17,7 @@
 //! | [`mempool`] | per-shard transaction pool: dedup, admission control, per-sender quotas, batch pipeline |
 //! | [`consensus`] | PBFT (HL/AHL/AHL+/AHLR); IBFT and Tendermint as two rule sets of one lockstep round engine ([`consensus::lockstep`]); Raft, PoET; the committed-block shell every BFT engine executes through ([`consensus::common::BlockExecutor`]); the scripted Byzantine attack catalogue ([`consensus::Attack`]) and the global [`consensus::SafetyChecker`] |
 //! | [`shard`] | committee sizing (Eq 1), beacon protocol, reconfiguration |
-//! | [`txn`] | 2PC reference committee, cross-shard protocol, baselines, malicious 2PC participants |
+//! | [`txn`] | the reference committee's Figure 6 chaincode — the one 2PC state machine, run by the simulated system and the in-process model alike — cross-shard protocol, baselines, malicious 2PC participants |
 //! | [`workload`] | BLOCKBENCH KVStore / SmallBank generators |
 //! | [`system`] | the assembled sharded blockchain ([`system::run_system`]) |
 //!
@@ -61,8 +61,8 @@
 //!   `SystemConfig::liveness`; violations land in
 //!   `SystemMetrics::liveness_violations` and the JSON report.
 //! - **Wall-clock profiler** — [`telemetry::Profiler`] spans
-//!   (`pbft.exec`, `smt.update`, `wal.group_commit`, `sync.verify_chunk`,
-//!   `txn.coordinator`, …) time the *host* cost of the hot paths, with
+//!   (`pbft.exec`, `pbft.checkpoint`, `smt.update`, `wal.group_commit`,
+//!   `sync.verify_chunk`, …) time the *host* cost of the hot paths, with
 //!   self/total attribution; `SystemConfig::profile` returns the sorted
 //!   table in `SystemReport::profile`.
 //! - **Dump-on-anomaly** — a [`consensus::SafetyChecker`] or liveness
