@@ -40,18 +40,13 @@ impl ahl_mempool::PoolTx for Request {
     fn tx_id(&self) -> u64 {
         self.id
     }
-
-    fn wire_bytes(&self) -> usize {
-        // Matches the `PbftMsg::Request` wire-size model.
-        250 + self.op.wire_size()
-    }
-
-    /// Fee proxy: heavier transactions pay proportionally more, so the
-    /// priority pool favours them under contention.
-    fn priority(&self) -> u64 {
-        self.op.weight() as u64
-    }
 }
+
+/// Native (outside-enclave) signature creation cost, charged by every BFT
+/// engine here.
+pub(crate) const NATIVE_SIGN: SimDuration = SimDuration::from_micros(150);
+/// Native signature verification cost.
+pub(crate) const NATIVE_VERIFY: SimDuration = SimDuration::from_micros(200);
 
 /// Whether to actually compute MACs/signatures or only charge their cost.
 ///
@@ -169,9 +164,6 @@ pub mod stat {
     /// Counter: WAL replays stopped early because the 2PC journal
     /// disagreed with re-execution (corruption beyond the CRCs).
     pub const WAL_REPLAY_MISMATCHES: &str = "wal.replay_mismatches";
-    /// Counter: retained snapshots evicted by the resident-byte budget
-    /// (`snapshot_max_bytes`).
-    pub const SNAPSHOT_EVICTIONS: &str = "sync.snapshot_evictions";
     /// Counter: page-store mark-and-sweep passes triggered by disk
     /// pressure at a durable checkpoint.
     pub const WAL_GC_RUNS: &str = "wal.gc_runs";

@@ -172,8 +172,6 @@ pub struct RunMetrics {
     pub completed: u64,
     /// Requests bounced by pool admission control (all replicas).
     pub pool_rejections: u64,
-    /// Pooled transactions evicted to admit newer/higher-priority ones.
-    pub pool_evictions: u64,
     /// Mean request queueing delay inside the pools (admission → batch).
     pub pool_queue_mean: SimDuration,
 }
@@ -245,7 +243,6 @@ pub fn run_shard_experiment(exp: ShardExperiment) -> RunMetrics {
         blocks: stats.counter(stat::BLOCKS_COMMITTED),
         completed: stats.counter(stat::CLIENT_COMPLETED),
         pool_rejections: stats.counter(ahl_mempool::stat::REJECTED_FULL),
-        pool_evictions: stats.counter(ahl_mempool::stat::EVICTED),
         pool_queue_mean: stats
             .histogram(ahl_mempool::stat::QUEUE_LATENCY)
             .map(|h| h.mean())

@@ -11,7 +11,7 @@
 //! What is IBFT's own, next to Tendermint: a validator locked on a block
 //! *refuses* a conflicting proposal (counted as `ibft.lock_refusals`); a
 //! stalled round is left only on a 2f+1 quorum of `RoundChange` votes; and
-//! the names and defaults below. The first two are the `Protocol::Ibft`
+//! the names and parameters below. The first two are the `Protocol::Ibft`
 //! arms of the engine.
 
 use ahl_simkit::SimDuration;
@@ -22,7 +22,6 @@ pub use crate::lockstep::build_group as build_ibft_group;
 
 pub(crate) const PROFILE: Profile = Profile {
     digest_tag: b"ibft-block",
-    pool_tag: 0x1BF7_0000,
     exec_span: "ibft.exec",
     round_changes: "ibft.round_changes",
     // The gas-limit analogue.
@@ -69,8 +68,7 @@ mod tests {
     #[test]
     fn evm_execution_is_heavier_than_tendermint() {
         // Same offered load, IBFT spends far more execution CPU.
-        let cfg = IbftConfig::new(4);
-        assert!(cfg.exec_cost_per_op > crate::tendermint::TmConfig::new(4).exec_cost_per_op);
+        assert!(PROFILE.exec_cost_per_op > crate::tendermint::PROFILE.exec_cost_per_op);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! 2. *a round timeout* — IBFT multicasts a `RoundChange` vote and moves
 //!    only on a 2f+1 quorum of them, Tendermint moves on its own
 //!    (`on_timer`, the `RoundChange` arm of `on_message`);
-//! 3. the names that reach outputs and 4. the Figure 2 defaults — stated
+//! 3. the names that reach outputs and 4. the Figure 2 parameters — stated
 //!    as data, one `Profile` constant in each protocol's own file.
 //!
 //! Omissions relative to the full protocols (documented for reviewers):
@@ -38,7 +38,12 @@ use ahl_simkit::{Actor, Ctx, MsgClass, NodeId, Phase, Scope, SimDuration};
 
 use crate::adversary::{equivocation_half, Attack, EquivocationTracker, SafetyChecker};
 use crate::clients::ClientProtocol;
-use crate::common::{stat, BlockExecutor, ExecutedCache, Request, Stores, VotePhase};
+use crate::common::{
+    stat, BlockExecutor, ExecutedCache, Request, Stores, VotePhase, NATIVE_SIGN, NATIVE_VERIFY,
+};
+
+/// RPC ingest cost per client transaction.
+const INGEST_COST: SimDuration = SimDuration::from_millis(1);
 
 /// Which lockstep protocol a committee runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -50,19 +55,19 @@ pub enum Protocol {
 }
 
 /// What a protocol's own file states as data: the names that reach
-/// outputs, and the two Figure 2 defaults that differ.
+/// outputs, and the two Figure 2 parameters that differ.
 pub(crate) struct Profile {
     /// Domain tag of the block digest.
     pub digest_tag: &'static [u8],
-    /// Tag mixed into each validator's pool seed.
-    pub pool_tag: u64,
     /// Profiler span around a decided block's execution.
     pub exec_span: &'static str,
     /// Counter: rounds above 0 entered.
     pub round_changes: &'static str,
-    /// Default `max_block_txns`.
+    /// Max transactions per block (IBFT: the gas-limit analogue).
     pub max_block_txns: usize,
-    /// Default `exec_cost_per_op`.
+    /// Execution cost per state access: EVM execution plus Merkle-tree
+    /// updates for Quorum (the paper's other reason it trails Tendermint),
+    /// tm-bench's in-memory KV app for Tendermint.
     pub exec_cost_per_op: SimDuration,
 }
 
@@ -186,29 +191,14 @@ pub struct LockstepConfig {
     pub protocol: Protocol,
     /// Committee size (N = 3f + 1).
     pub n: usize,
-    /// Max transactions per block (IBFT: the gas-limit analogue).
-    pub max_block_txns: usize,
     /// Pause after a decision before the next proposal: Quorum's block
     /// period, Tendermint's `timeout_commit` (both default 1 s) — the main
     /// throughput cap at small N.
     pub block_period: SimDuration,
     /// Round timeout before the proposer is replaced.
     pub round_timeout: SimDuration,
-    /// Signature cost.
-    pub sign_cost: SimDuration,
-    /// Verification cost.
-    pub verify_cost: SimDuration,
-    /// RPC ingest cost per transaction.
-    pub ingest_cost: SimDuration,
-    /// Execution cost per state access: EVM execution plus Merkle-tree
-    /// updates for Quorum (the paper's other reason it trails Tendermint),
-    /// tm-bench's in-memory KV app for Tendermint.
-    pub exec_cost_per_op: SimDuration,
-    /// Per-node transaction pool (capacity + admission policy).
+    /// Per-node transaction pool (capacity).
     pub mempool: MempoolConfig,
-    /// Pool eviction/ordering seed (set per node by [`build_group`] so it
-    /// derives from the run seed).
-    pub pool_seed: u64,
     /// Number of Byzantine validators (the highest indices).
     pub byzantine: usize,
     /// What the Byzantine validators do (see [`Attack`]; equivocation
@@ -233,19 +223,12 @@ pub struct LockstepConfig {
 impl LockstepConfig {
     /// Defaults matching the Figure 2 comparison for `protocol`.
     pub(crate) fn new(protocol: Protocol, n: usize) -> Self {
-        let profile = protocol.profile();
         LockstepConfig {
             protocol,
             n,
-            max_block_txns: profile.max_block_txns,
             block_period: SimDuration::from_secs(1),
             round_timeout: SimDuration::from_secs(3),
-            sign_cost: SimDuration::from_micros(150),
-            verify_cost: SimDuration::from_micros(200),
-            ingest_cost: SimDuration::from_millis(1),
-            exec_cost_per_op: profile.exec_cost_per_op,
             mempool: MempoolConfig::default(),
-            pool_seed: 0,
             byzantine: 0,
             attack: Attack::default(),
             safety: None,
@@ -311,7 +294,7 @@ impl LockstepNode {
     pub fn new(cfg: LockstepConfig, group: Vec<NodeId>, me: usize, reporter: bool) -> Self {
         let byzantine = cfg.is_byzantine(me);
         LockstepNode {
-            pool: Mempool::new(cfg.mempool.clone(), cfg.pool_seed ^ me as u64),
+            pool: Mempool::new(cfg.mempool.clone(), 0),
             exec: BlockExecutor {
                 committee_id: cfg.committee_id,
                 me,
@@ -483,7 +466,7 @@ impl LockstepNode {
     /// own per-half votes. With the colluders' echoes this forks the chain
     /// exactly when f > ⌊(n−1)/3⌋.
     fn equivocate_propose(&mut self, block: Block, ctx: &mut Ctx<'_, LockstepMsg>) {
-        self.charge(ctx, self.cfg.sign_cost);
+        self.charge(ctx, NATIVE_SIGN);
         let alt: Block = Arc::new(block[1..].to_vec());
         let (da, db) = (self.digest_of(&block), self.digest_of(&alt));
         let (lo, hi) = if da.0 <= db.0 {
@@ -532,7 +515,7 @@ impl LockstepNode {
         let Some((half, split)) = self.byz_equiv.observe(slot, digest) else {
             return; // already echoed
         };
-        self.charge(ctx, self.cfg.sign_cost);
+        self.charge(ctx, NATIVE_SIGN);
         let me = self.me;
         let targets: Vec<NodeId> = (0..self.cfg.n)
             .filter(|&g| g != me && (!split || equivocation_half(g) == half))
@@ -563,7 +546,7 @@ impl LockstepNode {
                 let current = self.vote(phase, digest);
                 if let Some(stale) = self.stale_votes[phase as usize].replace(current) {
                     ctx.stats().inc("adv.stale_replays", 1);
-                    self.charge(ctx, self.cfg.sign_cost);
+                    self.charge(ctx, NATIVE_SIGN);
                     ctx.multicast(self.others(), stale);
                 }
             }
@@ -572,7 +555,7 @@ impl LockstepNode {
             attack @ (Attack::PaperFlood | Attack::BogusCheckpoint) => {
                 let mut bad = digest;
                 bad.0[0] ^= 0xff;
-                self.charge(ctx, self.cfg.sign_cost);
+                self.charge(ctx, NATIVE_SIGN);
                 for g in (0..self.cfg.n).filter(|&g| g != self.me) {
                     let corrupt = attack == Attack::BogusCheckpoint || equivocation_half(g) == 1;
                     ctx.send(
@@ -592,11 +575,8 @@ impl LockstepNode {
         let block: Block = if let Some((_, b)) = &self.locked {
             b.clone()
         } else {
-            let now = ctx.now();
-            Arc::new(
-                self.pool
-                    .take_batch(self.cfg.max_block_txns, usize::MAX, now, ctx.stats()),
-            )
+            let max_txs = self.cfg.protocol.profile().max_block_txns;
+            Arc::new(self.pool.take_batch(max_txs, ctx.now(), ctx.stats()))
         };
         if block.is_empty() {
             // Empty blocks are skipped; a request arriving or the round
@@ -611,7 +591,7 @@ impl LockstepNode {
             ctx.trace(r.id, Phase::Propose);
         }
         let digest = self.digest_of(&block);
-        self.charge(ctx, self.cfg.sign_cost);
+        self.charge(ctx, NATIVE_SIGN);
         ctx.multicast(
             self.others(),
             LockstepMsg::Proposal {
@@ -640,7 +620,7 @@ impl LockstepNode {
             self.byzantine_vote(phase, digest, ctx);
             return;
         }
-        self.charge(ctx, self.cfg.sign_cost);
+        self.charge(ctx, NATIVE_SIGN);
         ctx.multicast(self.others(), self.vote(phase, digest));
         self.record_vote(phase, key, digest, self.me, ctx);
     }
@@ -688,7 +668,7 @@ impl LockstepNode {
         let weight = self
             .exec
             .commit(self.height, &block, stores, ctx, |_, _, _| {});
-        let exec = self.cfg.exec_cost_per_op.saturating_mul(weight as u64);
+        let exec = self.cfg.protocol.profile().exec_cost_per_op.saturating_mul(weight as u64);
         ctx.consume_cpu(exec);
         ctx.stats().inc(stat::EXEC_CPU_NS, exec.as_nanos());
         // Lockstep: advance the height, then pause before the next round.
@@ -755,7 +735,7 @@ impl Actor for LockstepNode {
     }
 
     fn on_message(&mut self, from: NodeId, msg: LockstepMsg, ctx: &mut Ctx<'_, LockstepMsg>) {
-        // `verify_cost` models a signature check; this is its outcome: a
+        // `NATIVE_VERIFY` models a signature check; this is its outcome: a
         // proposal, vote or round change speaks for exactly the validator
         // that sent it. A forged identity is dropped before it is charged.
         if msg
@@ -767,7 +747,7 @@ impl Actor for LockstepNode {
         }
         match msg {
             LockstepMsg::Request(req) => {
-                self.charge(ctx, self.cfg.ingest_cost);
+                self.charge(ctx, INGEST_COST);
                 // Client-facing ingest on the contacted replica only (the
                 // gossip fan-out below doesn't re-stamp), so the liveness
                 // oracle sees each request admitted exactly once.
@@ -783,7 +763,7 @@ impl Actor for LockstepNode {
                 }
             }
             LockstepMsg::GossipTx(req) => {
-                self.charge(ctx, self.cfg.verify_cost);
+                self.charge(ctx, NATIVE_VERIFY);
                 self.pool_tx(req, ctx);
                 if self.my_turn() {
                     self.propose(ctx);
@@ -799,7 +779,7 @@ impl Actor for LockstepNode {
                 if height < self.height || proposer != self.proposer(height, round) {
                     return;
                 }
-                self.charge(ctx, self.cfg.verify_cost);
+                self.charge(ctx, NATIVE_VERIFY);
                 // A colluding equivocator first emits its two-faced echo
                 // votes, then keeps processing like everyone else — it
                 // must track the committee's height (via the observed
@@ -830,7 +810,7 @@ impl Actor for LockstepNode {
                 if height < self.height {
                     return;
                 }
-                self.charge(ctx, self.cfg.verify_cost);
+                self.charge(ctx, NATIVE_VERIFY);
                 let key = (height, round);
                 if key == (self.height, self.round) {
                     self.record_vote(phase, key, digest, replica, ctx);
@@ -857,7 +837,7 @@ impl Actor for LockstepNode {
                 {
                     return;
                 }
-                self.charge(ctx, self.cfg.verify_cost);
+                self.charge(ctx, NATIVE_VERIFY);
                 self.record_round_change(round, replica, ctx);
             }
             LockstepMsg::Reply { .. } => {}
@@ -874,7 +854,7 @@ impl Actor for LockstepNode {
                 // IBFT votes for a round change and waits for a quorum.
                 Protocol::Ibft => {
                     let next = self.round + 1;
-                    self.charge(ctx, self.cfg.sign_cost);
+                    self.charge(ctx, NATIVE_SIGN);
                     ctx.multicast(
                         self.others(),
                         LockstepMsg::RoundChange {
@@ -920,11 +900,8 @@ pub fn build_group(
     sim_cfg.uplink_bps = uplink_bps;
     let mut sim = ahl_simkit::Sim::new(sim_cfg);
     let group: Vec<NodeId> = (0..cfg.n).collect();
-    let pool_tag = cfg.protocol.profile().pool_tag;
     for i in 0..cfg.n {
-        let mut ncfg = cfg.clone();
-        ncfg.pool_seed = ahl_simkit::rng::derive_seed(seed, pool_tag | i as u64);
-        let node = LockstepNode::new(ncfg, group.clone(), i, i == 0);
+        let node = LockstepNode::new(cfg.clone(), group.clone(), i, i == 0);
         sim.add_actor(Box::new(node), ahl_simkit::QueueConfig::shared(8192));
     }
     (sim, group)

@@ -111,16 +111,10 @@ pub enum ReplyPolicy {
     IngestReplica,
 }
 
-/// Batch byte cap / byte-trigger threshold (`usize::MAX` = txs only).
-pub(crate) const BATCH_BYTES: usize = usize::MAX;
 /// Maximum blocks in flight (PBFT pipelining; lockstep = 1).
 pub(crate) const PIPELINE_WIDTH: u64 = 4;
 /// Enclave operation costs (Table 2).
 pub(crate) const COSTS: CostModel = CostModel::TABLE2;
-/// Native (outside-enclave) signature creation cost.
-pub(crate) const NATIVE_SIGN: SimDuration = SimDuration::from_micros(150);
-/// Native signature verification cost.
-pub(crate) const NATIVE_VERIFY: SimDuration = SimDuration::from_micros(200);
 /// Client-facing request ingestion cost (REST + TLS + signature check;
 /// Hyperledger v0.6 caps out near 400 requests/s per node — Appendix C.2).
 pub(crate) const INGEST_COST: SimDuration = SimDuration::from_micros(1200);
@@ -145,12 +139,10 @@ pub struct PbftConfig {
     pub batch_size: usize,
     /// Flush a partial batch after this long.
     pub batch_timeout: SimDuration,
-    /// Per-replica transaction pool (capacity + admission policy). The
-    /// pool's eviction seed is derived per replica by the group builders.
+    /// Per-replica transaction pool (capacity).
     pub mempool: MempoolConfig,
-    /// Pool eviction/ordering seed (set per replica by `build_group` /
-    /// `add_committee` so eviction choices differ across replicas but stay
-    /// deterministic in the run seed).
+    /// Read by nothing: the FIFO pool draws no randomness. Kept only so
+    /// callers that still set it keep compiling.
     pub pool_seed: u64,
     /// Stable checkpoint every this many sequence numbers. At each multiple
     /// the replica snapshots its state, votes on `(seq, state_root)`, and a
@@ -177,15 +169,6 @@ pub struct PbftConfig {
     /// re-transferring everything. Minimum 2 (a transfer anchored at the
     /// previous certificate must survive a checkpoint forming mid-flight).
     pub snapshot_retention: usize,
-    /// Approximate resident-byte budget for the retained snapshot window.
-    /// Each retained snapshot is charged the bytes written during its
-    /// checkpoint interval (≈ what copy-on-write duplicates while the
-    /// previous snapshot stays alive); when the window's total exceeds
-    /// the budget, the oldest unpinned snapshots are evicted — the
-    /// durable checkpoint and the newest snapshot are always kept. The
-    /// default (`u64::MAX`) disables byte-based eviction, leaving the
-    /// count cap (`snapshot_retention`) in charge.
-    pub snapshot_max_bytes: u64,
     /// Node-directory root for real on-disk persistence (`ahl-wal`).
     /// `Some(dir)` makes each replica journal executed batches to a
     /// write-ahead log and persist certified checkpoints as page-backed
@@ -264,7 +247,6 @@ impl PbftConfig {
             sync_fanout: 4,
             diff_sync: true,
             snapshot_retention: 8,
-            snapshot_max_bytes: u64::MAX,
             data_dir: None,
             wal: ahl_wal::WalConfig::default(),
             request_ttl: SimDuration::from_secs(10),

@@ -30,8 +30,6 @@ pub struct Member {
     pub tee_key: SigningKey,
     /// The committee's shared verification oracle (all 2n keys).
     pub registry: Arc<KeyRegistry>,
-    /// Seed of its transaction pool's eviction/ordering.
-    pub pool_seed: u64,
     /// Whether it reports the committee's throughput/latency: the
     /// lowest-index replica that is never Byzantine and is not the initial
     /// leader (index 1; index 0 in a committee of one).
@@ -54,7 +52,6 @@ pub fn derive_committee(n: usize, seed: u64) -> Vec<Member> {
             key,
             tee_key,
             registry: registry.clone(),
-            pool_seed: ahl_simkit::rng::derive_seed(seed, 0x4D45_4D50 ^ index as u64),
             reporter: if n == 1 { index == 0 } else { index == 1 },
         })
         .collect()
@@ -69,10 +66,8 @@ impl Member {
         group: Vec<NodeId>,
         genesis: &[(String, Value)],
     ) -> Replica {
-        let mut cfg = cfg.clone();
-        cfg.pool_seed = self.pool_seed;
         Replica::new(
-            cfg,
+            cfg.clone(),
             group,
             self.index,
             self.key,
@@ -261,8 +256,8 @@ mod tests {
         }
     }
 
-    /// `derive_committee` is the one statement of how keys, pool seeds and
-    /// the reporter follow from `(n, seed)`; spawned `node` processes and
+    /// `derive_committee` is the one statement of how keys and the
+    /// reporter follow from `(n, seed)`; spawned `node` processes and
     /// the benchmark's in-process replicas must go on agreeing on all of
     /// it, so the derivation is pinned here against its written-out form —
     /// for one member picked the way `node` picks its own, and for every
@@ -284,7 +279,6 @@ mod tests {
             assert_eq!(m.registry.len(), 2 * n);
             assert!(m.registry.verify(&digest, &tee_keys[i].sign(&digest)));
             assert!(reference.verify(&digest, &m.tee_key.sign(&digest)));
-            assert_eq!(m.pool_seed, ahl_simkit::rng::derive_seed(seed, 0x4D45_4D50 ^ i as u64));
             assert_eq!(m.reporter, i == 1);
         };
         let me = 2;
@@ -367,5 +361,56 @@ mod tests {
         let before = host.stats.counter("consensus.invalid_msg");
         deliver(&mut replica, &mut host, 3, PbftMsg::Prepare(vote3_good));
         assert_eq!(host.stats.counter("consensus.invalid_msg"), before);
+    }
+
+    /// State sync is a conversation among committee members. A syncing
+    /// replica (restarted, so at genesis and waiting for a tail or a
+    /// manifest) must not execute a block tail a non-member sends — any
+    /// client, or any TCP peer of a `node`, could otherwise feed it
+    /// blocks — and a sync request is answered only to the member that
+    /// sent it, not to whichever index its body names.
+    #[test]
+    fn sync_messages_from_outside_the_committee_are_dropped() {
+        use crate::common::Request;
+        use ahl_simkit::{Actor, Ctx};
+
+        let cfg = PbftConfig::new(BftVariant::Hl, 4);
+        let member = derive_committee(cfg.n, 42).swap_remove(1);
+        let mut replica = member.into_replica(&cfg, (0..4).collect(), &[]);
+        let mut host = TestHost::new(5);
+        let deliver = |r: &mut Replica, host: &mut TestHost, from: NodeId, msg: PbftMsg| {
+            let mut ctx = Ctx::for_host(host, 1);
+            r.on_message(from, msg, &mut ctx);
+            ctx.finish().1
+        };
+        let (client, controller) = (4, 99);
+        deliver(&mut replica, &mut host, controller, PbftMsg::Crash);
+        deliver(&mut replica, &mut host, controller, PbftMsg::Restart);
+
+        // A request naming replica 2, sent by replica 3 (or by a client),
+        // gets no answer at all.
+        let forged =
+            PbftMsg::SyncRequest { requester: 2, have_seq: 0, full: false, old_roots: vec![] };
+        let answer = deliver(&mut replica, &mut host, 3, forged.clone());
+        assert!(answer.is_empty(), "answered a forged requester");
+        assert!(deliver(&mut replica, &mut host, client, forged).is_empty(), "answered a client");
+
+        let req = Request {
+            id: Request::make_id(client, 1),
+            client,
+            op: Op::Direct { txid: TxId(1), op: kvstore::kv_write(&[7], 16) },
+            submitted: SimTime::ZERO,
+        };
+        let block = Arc::new(PbftBlock::new(0, 1, 0, vec![req]));
+        let tail = PbftMsg::SyncTail { blocks: vec![block], view: 0 };
+        let genesis_root = replica.state().state_digest();
+        deliver(&mut replica, &mut host, client, tail.clone());
+        assert_eq!(replica.exec_seq(), 0, "a client's tail must not execute");
+        assert_eq!(replica.state().state_digest(), genesis_root);
+
+        // Control: the same tail from a member is executed.
+        deliver(&mut replica, &mut host, 0, tail);
+        assert_eq!(replica.exec_seq(), 1, "a member's tail executes");
+        assert_ne!(replica.state().state_digest(), genesis_root);
     }
 }

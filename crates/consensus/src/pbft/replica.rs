@@ -36,10 +36,10 @@ use ahl_tee::{verify_attestation, AttestedLog, LogId, Slot, TeeOp};
 use crate::adversary::{equivocation_half, Attack, EquivocationTracker};
 use crate::common::{
     stat, BlockExecutor, CryptoMode, ExecutedCache, ExecutedWindow, Request, Stores, VotePhase,
+    NATIVE_SIGN, NATIVE_VERIFY,
 };
 use crate::pbft::config::{
-    PbftConfig, ReplyPolicy, BATCH_BYTES, COSTS, EXEC_COST_PER_OP, INGEST_COST, NATIVE_SIGN,
-    NATIVE_VERIFY, PIPELINE_WIDTH,
+    PbftConfig, ReplyPolicy, COSTS, EXEC_COST_PER_OP, INGEST_COST, PIPELINE_WIDTH,
 };
 use crate::pbft::durable::{twopc_kind, NodeStore, TwoPcKind, WalRecord};
 use crate::pbft::msg::{chunk_entry_bytes, AggProof, MsgCert, PbftBlock, PbftMsg, ViewChangeMsg, Vote};
@@ -90,11 +90,6 @@ struct CkptSnapshot {
     seq: u64,
     snap: Arc<StateSnapshot>,
     executed: ExecutedWindow,
-    /// Approximate resident bytes written during this snapshot's
-    /// checkpoint interval — what retaining the *previous* snapshot costs
-    /// in copy-on-write duplication. Byte-budgeted eviction
-    /// (`snapshot_max_bytes`) sums these over the serving window.
-    approx_bytes: u64,
 }
 
 /// Requester-side phase of an in-flight state sync.
@@ -181,9 +176,9 @@ pub struct Replica {
     insts: HashMap<u64, Instance>,
 
     /// The shard's transaction pool: deduplication, admission control and
-    /// batch ordering live here (replacing the old private `VecDeque`).
+    /// batch ordering live here.
     pool: Mempool<Request>,
-    /// Size/byte/timeout batch-formation triggers over `pool`.
+    /// Size/timeout batch-formation triggers over `pool`.
     batcher: BatchBuilder,
     ingested: HashMap<u64, NodeId>,
     /// Executed-request replay protection, pruned at checkpoint epochs
@@ -293,12 +288,7 @@ impl Replica {
                 .unwrap_or_else(|e| panic!("data_dir {d:?} is unusable: {e}"));
             store
         });
-        let pool = Mempool::new(cfg.mempool.clone(), cfg.pool_seed ^ me as u64);
-        let batcher = BatchBuilder::new(BatchConfig {
-            max_txs: cfg.batch_size,
-            max_bytes: BATCH_BYTES,
-            timeout: cfg.batch_timeout,
-        });
+        let (pool, batcher) = fresh_pool(&cfg);
         Replica {
             exec: BlockExecutor {
                 committee_id: cfg.committee_id,
@@ -1300,14 +1290,10 @@ impl Replica {
         // O(1) in the state size: a frozen tree handle, not a deep clone —
         // and O(one interval) in the executed-id window: the ids since the
         // last capture are sealed, every earlier segment is shared.
-        // The drained write accumulator prices what keeping the previous
-        // snapshot alive costs in copy-on-write duplication.
-        let approx_bytes = self.state.take_write_bytes();
         self.snapshots.push(CkptSnapshot {
             seq,
             snap: Arc::new(self.state.snapshot()),
             executed: self.executed_reqs.window(),
-            approx_bytes,
         });
         if self.snapshots.len() > 2 {
             self.snapshots.remove(0);
@@ -1353,7 +1339,7 @@ impl Replica {
             // The certified own snapshot doubles as the durable (on-disk)
             // checkpoint a crash cannot erase.
             self.durable = Some((cert.clone(), snap.clone()));
-            self.enforce_snapshot_budget(ctx);
+            self.trim_serving_window();
             // With real persistence, "durable" means the disk says so:
             // pages (deduplicated against earlier checkpoints), manifest
             // swap, WAL compaction.
@@ -1401,33 +1387,11 @@ impl Replica {
         }
     }
 
-    /// Trim the serving window: by count (`snapshot_retention`), then by
-    /// the approximate resident-byte budget (`snapshot_max_bytes`),
-    /// evicting oldest-first while pinning the durable checkpoint and the
-    /// newest snapshot (the ones sync and restart anchor on).
-    fn enforce_snapshot_budget(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
+    /// Trim the serving window to the newest `snapshot_retention`
+    /// certificates (at least 2), evicting oldest first.
+    fn trim_serving_window(&mut self) {
         while self.serving.len() > self.cfg.snapshot_retention.max(2) {
             self.serving.remove(0);
-        }
-        if self.cfg.snapshot_max_bytes == u64::MAX {
-            return;
-        }
-        let durable_root = self.durable.as_ref().map(|(c, _)| c.root);
-        while self.serving.len() > 2 {
-            let total: u64 = self.serving.iter().map(|(_, s)| s.approx_bytes).sum();
-            if total <= self.cfg.snapshot_max_bytes {
-                break;
-            }
-            // Oldest unpinned entry (never the newest, never the durable).
-            let newest = self.serving.len() - 1;
-            let Some(pos) = self.serving[..newest]
-                .iter()
-                .position(|(c, _)| Some(c.root) != durable_root)
-            else {
-                break;
-            };
-            self.serving.remove(pos);
-            ctx.stats().inc(stat::SNAPSHOT_EVICTIONS, 1);
         }
     }
 
@@ -1890,11 +1854,10 @@ impl Replica {
             seq: cert.seq,
             snap: Arc::new(self.state.snapshot()),
             executed: executed.clone(),
-            approx_bytes: self.state.take_write_bytes(),
         };
         self.serving.push((cert.clone(), installed.clone()));
         self.durable = Some((cert.clone(), installed));
-        self.enforce_snapshot_budget(ctx);
+        self.trim_serving_window();
         // Installed certified state is the new durable checkpoint: put it
         // on disk before resuming (a crash right after install must
         // recover here, not at the pre-crash checkpoint).
@@ -2134,6 +2097,7 @@ impl Replica {
 
     // ---------- state sync: server side ----------
 
+    /// `requester` is the sender's own group index (checked at dispatch).
     fn on_sync_request(
         &mut self,
         requester: usize,
@@ -2142,9 +2106,6 @@ impl Replica {
         old_roots: Vec<Hash>,
         ctx: &mut Ctx<'_, PbftMsg>,
     ) {
-        if requester >= self.cfg.n || requester == self.me {
-            return;
-        }
         self.charge(ctx, SimDuration::from_micros(20), false);
         let to = self.group[requester];
         // A transitioning node serves manifests and chunks (its certified
@@ -2243,10 +2204,8 @@ impl Replica {
             .map(|s| &s.snap)
     }
 
+    /// `requester` is the sender's own group index (checked at dispatch).
     fn on_chunk_request(&mut self, requester: usize, seq: u64, chunk: u32, ctx: &mut Ctx<'_, PbftMsg>) {
-        if requester >= self.cfg.n || requester == self.me {
-            return;
-        }
         let to = self.group[requester];
         match self.serving.iter().find(|(cert, _)| cert.seq == seq) {
             Some((_, snap)) => {
@@ -2370,12 +2329,7 @@ impl Replica {
         self.insts.clear();
         self.executed_reqs = ExecutedCache::new();
         self.ingested.clear();
-        self.pool = Mempool::new(self.cfg.mempool.clone(), self.cfg.pool_seed ^ self.me as u64);
-        self.batcher = BatchBuilder::new(BatchConfig {
-            max_txs: self.cfg.batch_size,
-            max_bytes: BATCH_BYTES,
-            timeout: self.cfg.batch_timeout,
-        });
+        (self.pool, self.batcher) = fresh_pool(&self.cfg);
         self.ckpt = CheckpointTracker::new();
         self.snapshots.clear();
         self.serving.clear();
@@ -2453,16 +2407,12 @@ impl Replica {
                 seq: d.cert.seq,
                 snap: Arc::new(d.snapshot),
                 executed: d.executed,
-                approx_bytes: 0,
             };
             (d.cert, snap)
         });
         self.resume_from_durable(ctx.now());
         let replayed = self.replay_wal_tail(tail, ctx);
         ctx.stats().inc(stat::WAL_REPLAYED, replayed);
-        // Replayed writes are part of the recovered base, not churn to
-        // charge against the next snapshot's byte budget.
-        self.state.take_write_bytes();
     }
 
     /// Re-execute the decoded WAL tail contiguously above the recovered
@@ -2787,6 +2737,13 @@ fn vote_msg(phase: VotePhase, vote: Vote) -> PbftMsg {
     }
 }
 
+/// An empty pool and its batch builder, as `cfg` sizes them (at start and
+/// after a restart).
+fn fresh_pool(cfg: &PbftConfig) -> (Mempool<Request>, BatchBuilder) {
+    let batch = BatchConfig { max_txs: cfg.batch_size, timeout: cfg.batch_timeout };
+    (Mempool::new(cfg.mempool.clone(), 0), BatchBuilder::new(batch))
+}
+
 /// The next sync-serving peer in a round-robin over the group, skipping
 /// the requester itself.
 fn next_sync_peer(n: usize, me: usize, cur: usize) -> usize {
@@ -2872,6 +2829,19 @@ impl Actor for Replica {
                 let Some(idx) = self.group_index(from) else { return };
                 self.on_heartbeat(idx, view, exec_seq, ctx);
             }
+            // State sync is a conversation among committee members: its
+            // messages from anyone else are dropped, and a request is
+            // answered only to the member that sent it, whatever index
+            // its body names.
+            PbftMsg::SyncRequest { .. }
+            | PbftMsg::ChunkRequest { .. }
+            | PbftMsg::SyncManifest { .. }
+            | PbftMsg::ChunkData { .. }
+            | PbftMsg::SyncTail { .. }
+            | PbftMsg::SyncNack { .. }
+                if self.group_index(from).is_none() => {}
+            PbftMsg::SyncRequest { requester, .. } | PbftMsg::ChunkRequest { requester, .. }
+                if self.group_index(from) != Some(requester) || requester == self.me => {}
             PbftMsg::SyncRequest { requester, have_seq, full, old_roots } => {
                 self.on_sync_request(requester, have_seq, full, old_roots, ctx)
             }

@@ -12,7 +12,7 @@
 //! What is Tendermint's own, next to IBFT: a locked validator *accepts* a
 //! conflicting proposal and prevotes its lock instead; a stalled round is
 //! left on the validator's own timeout, no vote needed; and the names and
-//! defaults below. The first two are the `Protocol::Tendermint` arms of
+//! parameters below. The first two are the `Protocol::Tendermint` arms of
 //! the engine.
 
 use ahl_simkit::SimDuration;
@@ -23,7 +23,6 @@ pub use crate::lockstep::build_group as build_tm_group;
 
 pub(crate) const PROFILE: Profile = Profile {
     digest_tag: b"tm-block",
-    pool_tag: 0x7E4D_0000,
     exec_span: "tendermint.exec",
     round_changes: "tendermint.round_changes",
     max_block_txns: 1000,

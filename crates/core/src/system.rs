@@ -90,7 +90,7 @@ pub struct SystemConfig {
     pub warmup: SimDuration,
     /// Batch size within committees.
     pub batch_size: usize,
-    /// Per-replica transaction pool (capacity + admission policy). Sized
+    /// Per-replica transaction pool (capacity). Sized
     /// well above the offered load by default; shrink it (or raise
     /// `clients` × `outstanding`) to push the system into overload and
     /// exercise backpressure.
@@ -562,7 +562,7 @@ mod tests {
             over.committed,
             base.committed
         );
-        // Conservation still holds under eviction/rejection pressure.
+        // Conservation still holds under rejection pressure.
         assert_eq!(base.final_balance, over.final_balance);
     }
 

@@ -174,7 +174,6 @@ mod tests {
         assert_eq!(seq.state_digest(), par.state_digest());
         assert_eq!(seq.pending_count(), par.pending_count());
         assert_eq!(seq.resolved_count(), par.resolved_count());
-        assert_eq!(seq.take_write_bytes(), par.take_write_bytes());
         assert_eq!(seq.export_sidecar().wire_size(), par.export_sidecar().wire_size());
         ops.clear();
     }

@@ -266,8 +266,7 @@ impl LazySnapshot {
 
 /// Open a snapshot lazily: no page is read until the first
 /// [`LazySnapshot::get`]. `cache_bytes` bounds the resident decoded
-/// pages (`snapshot_max_bytes`-style accounting with LRU eviction of
-/// clean pages).
+/// pages (LRU eviction of clean pages).
 pub fn open_snapshot_lazy(root: Hash, sidecar: StateSidecar, cache_bytes: u64) -> LazySnapshot {
     LazySnapshot { root, sidecar, cache: PageCache::new(cache_bytes) }
 }

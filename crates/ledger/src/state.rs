@@ -222,12 +222,6 @@ pub struct StateStore {
     resolved: HashMap<TxId, u64>,
     /// Current checkpoint epoch (bumped by `checkpoint_prune`).
     resolved_epoch: u64,
-    /// Approximate resident bytes written since the last
-    /// [`StateStore::take_write_bytes`] — the copy-on-write tree clones
-    /// about this much when a frozen snapshot is outstanding, so it is the
-    /// marginal memory cost of *retaining* the previous snapshot (the
-    /// quantity byte-budgeted snapshot eviction charges per checkpoint).
-    write_bytes: u64,
 }
 
 impl StateStore {
@@ -300,31 +294,14 @@ impl StateStore {
         self.get(key).and_then(Value::as_int).unwrap_or(0)
     }
 
-    /// Approximate resident bytes one write to `key` dirties (leaf value
-    /// plus the O(log n) copy-on-write node overhead along the root path).
-    fn write_cost(key: &str, value_bytes: usize) -> u64 {
-        (48 + key.len() + value_bytes) as u64
-    }
-
-    /// Drain the resident-byte write accumulator (read at checkpoint
-    /// heights: it approximates the marginal memory cost of keeping the
-    /// previous snapshot alive — see the `snapshot_max_bytes` retention
-    /// budget in the consensus layer).
-    pub fn take_write_bytes(&mut self) -> u64 {
-        std::mem::take(&mut self.write_bytes)
-    }
-
     /// Direct write (genesis/state-sync only; transactions go through
     /// [`StateStore::execute`]).
     pub fn put(&mut self, key: Key, value: Value) {
-        self.write_bytes += Self::write_cost(&key, value.resident_bytes());
         self.smt.insert(&key, value);
     }
 
-    /// The deleting counterpart of [`StateStore::put`]; the write cost is
-    /// charged even when `key` is absent.
+    /// The deleting counterpart of [`StateStore::put`].
     fn remove(&mut self, key: &str) {
-        self.write_bytes += Self::write_cost(key, 0);
         self.smt.remove(key);
     }
 
@@ -546,14 +523,8 @@ impl StateStore {
         for plan in plans {
             for e in plan.effects {
                 match e {
-                    Effect::Put(k, v) => {
-                        self.write_bytes += Self::write_cost(&k, v.resident_bytes());
-                        changes.push((k, Some(v)));
-                    }
-                    Effect::Remove(k) => {
-                        self.write_bytes += Self::write_cost(&k, 0);
-                        changes.push((k, None));
-                    }
+                    Effect::Put(k, v) => changes.push((k, Some(v))),
+                    Effect::Remove(k) => changes.push((k, None)),
                     other => self.apply_effect(other),
                 }
             }
@@ -1018,7 +989,7 @@ mod tests {
         // on "b" must leave no trace of "a"'s lock — a leaked L_a would be
         // invisible to the 2PC watchdog (no pending entry records it).
         // All checks run before any marker is written, so the failure is
-        // a perfect no-op on root and write accounting.
+        // a perfect no-op on the root.
         let mut s = store_with_balances();
         s.execute(&Op::Prepare {
             txid: TxId(1),
@@ -1028,7 +999,6 @@ mod tests {
             },
         });
         let root = s.state_digest();
-        let bytes = s.take_write_bytes();
         let r = s.execute(&Op::Prepare { txid: TxId(2), op: transfer("a", "b", 10) });
         assert!(matches!(
             r.status,
@@ -1038,16 +1008,14 @@ mod tests {
         assert!(s.is_locked("b"), "the conflicting holder keeps its lock");
         assert_eq!(s.pending_count(), 1);
         assert_eq!(s.state_digest(), root, "failed prepare must not move the root");
-        assert_eq!(s.take_write_bytes(), 0, "failed prepare must not charge writes");
-        let _ = bytes;
     }
 
     #[test]
     fn failed_condition_rolls_back_acquired_locks() {
         // Every key checks lock-free, then a guard fails: no lock marker
-        // and no write-byte charge may survive the rejected prepare.
+        // may survive the rejected prepare.
         let mut s = store_with_balances();
-        s.take_write_bytes();
+        let root = s.state_digest();
         let r = s.execute(&Op::Prepare { txid: TxId(1), op: transfer("a", "b", 500) });
         assert!(matches!(
             r.status,
@@ -1056,7 +1024,7 @@ mod tests {
         assert!(!s.is_locked("a"));
         assert!(!s.is_locked("b"));
         assert_eq!(s.pending_count(), 0);
-        assert_eq!(s.take_write_bytes(), 0);
+        assert_eq!(s.state_digest(), root);
     }
 
     #[test]
@@ -1099,8 +1067,7 @@ mod tests {
     #[test]
     fn sequenced_mutations_of_one_key_compose() {
         // Set → Add → Delete → Add on one key in one operation: each step
-        // reads what the previous one left, never the stale store (100),
-        // and each is charged (48 + key + value bytes; a delete carries 0).
+        // reads what the previous one left, never the stale store (100).
         let op = StateOp {
             conditions: vec![],
             mutations: vec![
@@ -1114,7 +1081,6 @@ mod tests {
         let fresh = || {
             let mut s = StateStore::new();
             s.put("k".into(), Value::Int(100));
-            s.take_write_bytes();
             s
         };
 
@@ -1122,16 +1088,14 @@ mod tests {
         let r = direct.execute(&Op::Direct { txid: TxId(1), op: op.clone() });
         assert!(r.status.is_committed());
         assert_eq!(direct.get("k"), Some(&Value::Int(7)));
-        assert_eq!(direct.take_write_bytes(), 57 + 57 + 49 + 57);
         assert_eq!(direct.state_digest().to_hex(), ROOT);
 
         let mut twopc = fresh();
         assert!(twopc.execute(&Op::Prepare { txid: TxId(1), op }).status.is_committed());
         assert_eq!(twopc.get("k"), Some(&Value::Int(100)));
-        assert_eq!(twopc.take_write_bytes(), 52, "one lock marker: 48 + \"L_k\" + 1");
+        assert!(twopc.is_locked("k"), "the prepare holds one lock marker");
         assert!(twopc.execute(&Op::Commit { txid: TxId(1) }).status.is_committed());
         assert_eq!(twopc.get("k"), Some(&Value::Int(7)));
-        assert_eq!(twopc.take_write_bytes(), 57 + 57 + 49 + 57 + 51);
         assert_eq!(twopc.state_digest().to_hex(), ROOT);
     }
 
@@ -1139,7 +1103,6 @@ mod tests {
     fn refused_operations_leave_no_trace() {
         let mut s = store_with_balances();
         s.execute(&Op::Prepare { txid: TxId(1), op: transfer("a", "b", 30) });
-        s.take_write_bytes();
         let root = s.state_digest();
         let sidecar = sidecar_bytes(&s);
         let prepare =
@@ -1155,7 +1118,6 @@ mod tests {
             assert_eq!(s.execute(&op).status, ExecStatus::Aborted(why.clone()));
             assert_eq!(s.state_digest(), root, "{why:?} moved the root");
             assert_eq!(sidecar_bytes(&s), sidecar, "{why:?} changed the sidecar");
-            assert_eq!(s.take_write_bytes(), 0, "{why:?} charged writes");
         }
     }
 
@@ -1167,7 +1129,6 @@ mod tests {
         };
         let reserved = ExecStatus::Aborted(AbortReason::ReservedKey(lock_key("a")));
         let mut s = store_with_balances();
-        s.take_write_bytes();
         let root = s.state_digest();
         // Forging: before the check this committed with nothing pending,
         // and every later operation on "a" aborted with no way to unlock.
@@ -1175,7 +1136,7 @@ mod tests {
         assert_eq!(s.execute(&Op::Direct { txid: TxId(1), op: forge.clone() }).status, reserved);
         assert_eq!(s.execute(&Op::Prepare { txid: TxId(2), op: forge }).status, reserved);
         assert!(!s.is_locked("a") && !s.is_locked("b"));
-        assert_eq!((s.state_digest(), s.pending_count(), s.take_write_bytes()), (root, 0, 0));
+        assert_eq!((s.state_digest(), s.pending_count()), (root, 0));
         let victim = Op::Direct { txid: TxId(3), op: transfer("a", "b", 1) };
         assert!(s.execute(&victim).status.is_committed());
         // Breaking: a delete must not release another transaction's lock.

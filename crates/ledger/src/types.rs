@@ -52,19 +52,6 @@ impl Value {
         }
     }
 
-    /// Approximate *resident* (host-memory) size in bytes. Differs from
-    /// [`Value::size`] only for [`Value::Opaque`], which models gigabytes
-    /// while occupying 16 bytes — memory-pressure accounting (snapshot
-    /// eviction budgets) must use this, wire/CPU models use `size`.
-    pub fn resident_bytes(&self) -> usize {
-        match self {
-            Value::Int(_) => 8,
-            Value::Bytes(b) => b.len(),
-            Value::Bool(_) => 1,
-            Value::Opaque { .. } => 16,
-        }
-    }
-
     /// Run `f` on the canonical encoding, a variant tag and its payload,
     /// without materialising the two as one buffer.
     fn with_encoding<R>(&self, f: impl FnOnce(u8, &[u8]) -> R) -> R {

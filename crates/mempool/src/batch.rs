@@ -11,22 +11,18 @@ pub struct BatchConfig {
     /// Form a batch as soon as this many transactions are pooled; also the
     /// per-batch transaction cap.
     pub max_txs: usize,
-    /// Form a batch as soon as this many bytes are pooled; also the
-    /// per-batch byte cap.
-    pub max_bytes: usize,
     /// Flush a partial batch after this long without one.
     pub timeout: SimDuration,
 }
 
 impl BatchConfig {
-    /// `max_txs`-triggered batching with a flush timeout and unlimited
-    /// bytes.
+    /// `max_txs`-triggered batching with a flush timeout.
     pub fn new(max_txs: usize, timeout: SimDuration) -> Self {
-        BatchConfig { max_txs: max_txs.max(1), max_bytes: usize::MAX, timeout }
+        BatchConfig { max_txs: max_txs.max(1), timeout }
     }
 }
 
-/// Forms proposals from a [`Mempool`] on size / byte / timeout triggers.
+/// Forms proposals from a [`Mempool`] on size / timeout triggers.
 ///
 /// The consensus leader drives it from two sites: the hot path calls
 /// [`BatchBuilder::take_full`] whenever the pool may have filled up, and a
@@ -44,32 +40,22 @@ impl BatchBuilder {
         BatchBuilder { cfg, last_flush: SimTime::ZERO }
     }
 
-    /// The batching configuration.
-    pub fn config(&self) -> &BatchConfig {
-        &self.cfg
-    }
-
     /// The timeout after which a partial batch is flushed.
     pub fn timeout(&self) -> SimDuration {
         self.cfg.timeout
     }
 
-    /// Whether a full batch (by transactions or bytes) is ready.
-    pub fn full_ready<T: PoolTx>(&self, pool: &Mempool<T>) -> bool {
-        pool.len() >= self.cfg.max_txs || pool.bytes() >= self.cfg.max_bytes
-    }
-
-    /// Take a batch only if a full one is ready (size or byte trigger).
+    /// Take a batch only if a full one is ready (size trigger).
     pub fn take_full<T: PoolTx>(
         &mut self,
         pool: &mut Mempool<T>,
         now: SimTime,
         stats: &mut Stats,
     ) -> Option<Vec<T>> {
-        if !self.full_ready(pool) {
+        if pool.len() < self.cfg.max_txs {
             return None;
         }
-        let batch = pool.take_batch(self.cfg.max_txs, self.cfg.max_bytes, now, stats);
+        let batch = pool.take_batch(self.cfg.max_txs, now, stats);
         if batch.is_empty() {
             return None;
         }
@@ -88,7 +74,7 @@ impl BatchBuilder {
         if pool.is_empty() || now.since(self.last_flush) < self.cfg.timeout {
             return None;
         }
-        let batch = pool.take_batch(self.cfg.max_txs, self.cfg.max_bytes, now, stats);
+        let batch = pool.take_batch(self.cfg.max_txs, now, stats);
         if batch.is_empty() {
             return None;
         }
@@ -107,7 +93,7 @@ impl BatchBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MempoolConfig, PoolPolicy};
+    use crate::MempoolConfig;
 
     #[derive(Clone)]
     struct Tx(u64);
@@ -115,13 +101,10 @@ mod tests {
         fn tx_id(&self) -> u64 {
             self.0
         }
-        fn wire_bytes(&self) -> usize {
-            100
-        }
     }
 
     fn setup() -> (Mempool<Tx>, BatchBuilder, Stats) {
-        let pool = Mempool::new(MempoolConfig::new(100).with_policy(PoolPolicy::Fifo), 1);
+        let pool = Mempool::new(MempoolConfig::new(100), 1);
         let builder = BatchBuilder::new(BatchConfig::new(4, SimDuration::from_millis(10)));
         (pool, builder, Stats::new())
     }
@@ -137,24 +120,6 @@ mod tests {
         let batch = b.take_full(&mut pool, SimTime::ZERO, &mut s).expect("full");
         assert_eq!(batch.len(), 4);
         assert!(pool.is_empty());
-    }
-
-    #[test]
-    fn byte_trigger_fires_before_max_txs() {
-        let mut pool: Mempool<Tx> = Mempool::new(MempoolConfig::new(100), 1);
-        let mut b = BatchBuilder::new(BatchConfig {
-            max_txs: 50,
-            max_bytes: 250,
-            timeout: SimDuration::from_millis(10),
-        });
-        let mut s = Stats::new();
-        pool.insert(Tx(1), SimTime::ZERO, &mut s);
-        assert!(b.take_full(&mut pool, SimTime::ZERO, &mut s).is_none());
-        pool.insert(Tx(2), SimTime::ZERO, &mut s);
-        pool.insert(Tx(3), SimTime::ZERO, &mut s);
-        let batch = b.take_full(&mut pool, SimTime::ZERO, &mut s).expect("bytes");
-        // 250-byte cap holds two 100-byte transactions per batch.
-        assert_eq!(batch.len(), 2);
     }
 
     #[test]

@@ -1,31 +1,26 @@
 //! # ahl-mempool — per-shard transaction pool and batch pipeline
 //!
-//! The seed reproduction had no mempool at all: batching was a pair of
-//! fixed knobs inside the PBFT config and every replica kept a private
-//! `VecDeque` of requests. This crate provides the standard building block
-//! of production sharded chains — a first-class per-shard transaction pool
-//! with:
+//! The pool a Hyperledger v0.6 replica keeps for client requests, as a
+//! first-class building block:
 //!
 //! * **TxId-based deduplication** — a transaction is pooled at most once,
 //!   no matter how many gossip/relay copies arrive.
-//! * **Admission control** — bounded capacity in transactions *and* bytes,
-//!   with pluggable full-pool behaviour ([`PoolPolicy`]): FIFO
-//!   reject-newest, priority/fee eviction, or random eviction.
+//! * **Bounded FIFO admission** — up to `capacity` resident transactions;
+//!   a newcomer arriving at a full pool is rejected (Hyperledger drops
+//!   requests beyond its buffer), and batches take the oldest first.
 //! * **Batch formation** — [`BatchBuilder`] turns the pool into block
-//!   proposals on size / byte / timeout triggers, replacing the inline
-//!   `batch_size` / `batch_timeout` logic the consensus engines carried.
+//!   proposals on size / timeout triggers.
 //! * **Backpressure signals** — [`Admission`] tells the ingest path
 //!   whether to bounce a client, and every outcome is counted in
 //!   [`ahl_simkit::Stats`] under the [`stat`] names (occupancy,
-//!   admit/reject/evict counters, per-transaction queueing latency).
+//!   admit/duplicate/reject counters, per-transaction queueing latency).
 //!
 //! The pool is generic over the transaction type through [`PoolTx`], so the
 //! consensus crate can pool its own `Request` type without a dependency
-//! cycle. All operations are deterministic: priority ties break by
-//! insertion order and random eviction draws from a seeded generator.
+//! cycle. Every operation is deterministic: the pool draws no randomness.
 //!
 //! ```
-//! use ahl_mempool::{Admission, Mempool, MempoolConfig, PoolPolicy, PoolTx};
+//! use ahl_mempool::{Admission, Mempool, MempoolConfig, PoolTx};
 //! use ahl_simkit::{SimTime, Stats};
 //!
 //! #[derive(Clone)]
@@ -35,13 +30,16 @@
 //! }
 //!
 //! let mut stats = Stats::new();
-//! let mut pool = Mempool::new(MempoolConfig::new(2), 42);
+//! let mut pool = Mempool::new(MempoolConfig::new(2), 0);
 //! assert!(pool.insert(Tx(1), SimTime::ZERO, &mut stats).is_admitted());
 //! assert_eq!(pool.insert(Tx(1), SimTime::ZERO, &mut stats), Admission::Duplicate);
 //! assert!(pool.insert(Tx(2), SimTime::ZERO, &mut stats).is_admitted());
-//! // FIFO policy rejects the newcomer once full.
+//! // A full pool rejects the newcomer and keeps its residents.
 //! assert_eq!(pool.insert(Tx(3), SimTime::ZERO, &mut stats), Admission::Rejected);
 //! assert_eq!(stats.counter(ahl_mempool::stat::REJECTED_FULL), 1);
+//! // Batches come out oldest first.
+//! let batch = pool.take_batch(8, SimTime::ZERO, &mut stats);
+//! assert_eq!(batch.iter().map(|t| t.0).collect::<Vec<_>>(), [1, 2]);
 //! ```
 
 #![warn(missing_docs)]
@@ -52,34 +50,12 @@ mod pool;
 pub mod stat;
 
 pub use batch::{BatchBuilder, BatchConfig};
-pub use pool::{Admission, Mempool, MempoolConfig, PoolPolicy};
+pub use pool::{Admission, Mempool, MempoolConfig};
 
-/// A poolable transaction.
+/// A poolable transaction: the pool only needs its identity.
 ///
-/// Implemented by the consensus layer for its request type; the pool only
-/// needs identity, an approximate wire size, and a priority (a fee proxy).
+/// Implemented by the consensus layer for its request type.
 pub trait PoolTx: Clone {
     /// Globally unique transaction id (the dedup key).
     fn tx_id(&self) -> u64;
-
-    /// Approximate serialized size in bytes (for byte-capacity limits and
-    /// byte-triggered batching).
-    fn wire_bytes(&self) -> usize {
-        256
-    }
-
-    /// Admission/ordering priority — higher is more urgent. The
-    /// [`PoolPolicy::Priority`] policy batches high-priority transactions
-    /// first and evicts the lowest-priority entry when full.
-    fn priority(&self) -> u64 {
-        0
-    }
-
-    /// The submitting sender's identity, for per-sender admission quotas
-    /// (DoS isolation: one flooding client cannot monopolize the pool).
-    /// Defaults to the high half of the tx id, matching the consensus
-    /// layer's `client_id << 32 | client_seq` request-id scheme.
-    fn sender(&self) -> u64 {
-        self.tx_id() >> 32
-    }
 }

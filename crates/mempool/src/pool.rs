@@ -1,66 +1,24 @@
-//! The bounded, deduplicating transaction pool.
+//! The bounded, deduplicating FIFO transaction pool.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{hash_map, HashMap, VecDeque};
 
 use ahl_simkit::{SimTime, Stats};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 use crate::stat;
 use crate::PoolTx;
 
-/// What the pool does when a transaction arrives while it is full.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PoolPolicy {
-    /// First-in-first-out ordering; reject the newcomer when full
-    /// (Hyperledger's drop-beyond-buffer behaviour).
-    Fifo,
-    /// Batch highest-priority (fee) transactions first; when full, evict
-    /// the lowest-priority resident if the newcomer outbids it, otherwise
-    /// reject the newcomer.
-    Priority,
-    /// First-in-first-out ordering; when full, evict a uniformly random
-    /// resident to admit the newcomer (deterministic in the pool seed).
-    RandomEvict,
-}
-
-/// Pool sizing and policy.
+/// Pool sizing.
 #[derive(Clone, Debug)]
 pub struct MempoolConfig {
-    /// Maximum resident transactions.
+    /// Maximum resident transactions. A newcomer arriving at a full pool
+    /// is rejected (Hyperledger's drop-beyond-buffer behaviour).
     pub capacity: usize,
-    /// Maximum resident bytes (`usize::MAX` = unlimited).
-    pub capacity_bytes: usize,
-    /// Maximum resident transactions per sender (`usize::MAX` = no quota).
-    /// Enforced at admission, before capacity/eviction logic: a flooding
-    /// sender is bounced without evicting anyone else's transactions.
-    pub max_txs_per_sender: usize,
-    /// Full-pool behaviour.
-    pub policy: PoolPolicy,
 }
 
 impl MempoolConfig {
-    /// A FIFO pool holding up to `capacity` transactions, unlimited bytes.
+    /// A pool holding up to `capacity` transactions.
     pub fn new(capacity: usize) -> Self {
-        MempoolConfig {
-            capacity: capacity.max(1),
-            capacity_bytes: usize::MAX,
-            max_txs_per_sender: usize::MAX,
-            policy: PoolPolicy::Fifo,
-        }
-    }
-
-    /// Same sizing with a different policy.
-    pub fn with_policy(mut self, policy: PoolPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Same sizing with a per-sender admission quota.
-    pub fn with_sender_quota(mut self, max_txs_per_sender: usize) -> Self {
-        self.max_txs_per_sender = max_txs_per_sender.max(1);
-        self
+        MempoolConfig { capacity: capacity.max(1) }
     }
 }
 
@@ -75,73 +33,48 @@ impl Default for MempoolConfig {
 /// path surfaces to clients.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Admission {
-    /// Admitted; pool had room.
+    /// Admitted; the pool had room.
     Admitted,
-    /// Admitted after evicting the named resident transaction.
-    AdmittedEvicting(u64),
     /// Dropped: the pool already holds this TxId.
     Duplicate,
-    /// Dropped: the pool is full and the policy kept the residents.
+    /// Dropped: the pool is full.
     Rejected,
 }
 
 impl Admission {
     /// Whether the transaction is now resident in the pool.
     pub fn is_admitted(&self) -> bool {
-        matches!(self, Admission::Admitted | Admission::AdmittedEvicting(_))
+        *self == Admission::Admitted
     }
 }
 
 struct Entry<T> {
     tx: T,
-    /// Insertion sequence (total order; ties in priority break on it).
+    /// Insertion sequence: tells a live FIFO pair from a stale one.
     seq: u64,
     inserted: SimTime,
-    bytes: usize,
-    priority: u64,
-    sender: u64,
 }
 
-/// A bounded, deduplicating transaction pool with pluggable eviction.
+/// A bounded, deduplicating transaction pool, batched oldest first.
 ///
-/// Resident transactions live in a by-id map; ordering is kept in lazily
-/// compacted side structures (a FIFO queue plus, for the priority policy,
-/// max/min heaps), so removal by id — the common case when another replica
-/// executes a transaction first — is O(1).
+/// Resident transactions live in a by-id map; insertion order is a FIFO
+/// queue of `(seq, id)` pairs compacted lazily, so removal by id — the
+/// common case when another replica executes a transaction first — is
+/// O(1).
 pub struct Mempool<T> {
     cfg: MempoolConfig,
     entries: HashMap<u64, Entry<T>>,
-    /// Insertion order: (seq, id). Stale pairs (removed or re-sequenced
-    /// ids) are skipped on pop and compacted when they dominate.
+    /// Insertion order. Stale pairs (removed or re-inserted ids) are
+    /// skipped on pop and compacted when they dominate.
     fifo: VecDeque<(u64, u64)>,
-    /// Priority policy only: batch order, max-first. (priority, newest-wins
-    /// tiebreak inverted via `Reverse(seq)` so equal priorities pop oldest
-    /// first.)
-    by_prio: BinaryHeap<(u64, Reverse<u64>, u64)>,
-    /// Priority policy only: eviction order, min-first.
-    by_prio_min: BinaryHeap<Reverse<(u64, u64, u64)>>,
-    bytes: usize,
     next_seq: u64,
-    /// Resident transaction count per sender (quota enforcement).
-    per_sender: HashMap<u64, usize>,
-    rng: SmallRng,
 }
 
 impl<T: PoolTx> Mempool<T> {
-    /// Create a pool. `seed` drives random eviction; pools with the same
-    /// seed and submission history behave identically.
-    pub fn new(cfg: MempoolConfig, seed: u64) -> Self {
-        Mempool {
-            cfg,
-            entries: HashMap::new(),
-            fifo: VecDeque::new(),
-            by_prio: BinaryHeap::new(),
-            by_prio_min: BinaryHeap::new(),
-            bytes: 0,
-            next_seq: 0,
-            per_sender: HashMap::new(),
-            rng: SmallRng::seed_from_u64(seed),
-        }
+    /// Create a pool. `_seed` is unused — the pool draws no randomness —
+    /// and stays only so two-argument callers keep compiling.
+    pub fn new(cfg: MempoolConfig, _seed: u64) -> Self {
+        Mempool { cfg, entries: HashMap::new(), fifo: VecDeque::new(), next_seq: 0 }
     }
 
     /// Resident transaction count.
@@ -154,151 +87,42 @@ impl<T: PoolTx> Mempool<T> {
         self.entries.is_empty()
     }
 
-    /// Resident bytes.
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
-
-    /// Configured transaction capacity.
-    pub fn capacity(&self) -> usize {
-        self.cfg.capacity
-    }
-
-    /// The pool's configuration.
-    pub fn config(&self) -> &MempoolConfig {
-        &self.cfg
-    }
-
-    /// Whether `id` is resident.
-    pub fn contains(&self, id: u64) -> bool {
-        self.entries.contains_key(&id)
-    }
-
-    /// Occupancy as a fraction of transaction capacity.
-    pub fn occupancy(&self) -> f64 {
-        self.entries.len() as f64 / self.cfg.capacity as f64
-    }
-
-    fn full_for(&self, extra_bytes: usize) -> bool {
-        self.entries.len() >= self.cfg.capacity
-            || self
-                .bytes
-                .checked_add(extra_bytes)
-                .is_none_or(|b| b > self.cfg.capacity_bytes)
-    }
-
     /// Try to admit `tx`. Counts the outcome in `stats` and returns the
     /// backpressure signal.
     pub fn insert(&mut self, tx: T, now: SimTime, stats: &mut Stats) -> Admission {
-        let id = tx.tx_id();
-        if self.entries.contains_key(&id) {
-            stats.inc(stat::DUPLICATE, 1);
-            return Admission::Duplicate;
-        }
-        let bytes = tx.wire_bytes();
-        let priority = tx.priority();
-        let sender = tx.sender();
-        if self
-            .per_sender
-            .get(&sender)
-            .is_some_and(|n| *n >= self.cfg.max_txs_per_sender)
-        {
-            stats.inc(stat::REJECTED_SENDER, 1);
-            return Admission::Rejected;
-        }
-        let mut evicted = None;
-        if self.full_for(bytes) {
-            match self.cfg.policy {
-                PoolPolicy::Fifo => {
-                    stats.inc(stat::REJECTED_FULL, 1);
-                    return Admission::Rejected;
-                }
-                PoolPolicy::Priority => {
-                    // Evict the cheapest resident only if the newcomer
-                    // outbids it; otherwise the newcomer is the cheapest.
-                    match self.min_priority_victim() {
-                        Some((vp, vid)) if vp < priority => {
-                            self.remove(vid);
-                            evicted = Some(vid);
-                        }
-                        _ => {
-                            stats.inc(stat::REJECTED_FULL, 1);
-                            return Admission::Rejected;
-                        }
-                    }
-                }
-                PoolPolicy::RandomEvict => {
-                    if let Some(vid) = self.random_victim() {
-                        self.remove(vid);
-                        evicted = Some(vid);
-                    } else {
-                        stats.inc(stat::REJECTED_FULL, 1);
-                        return Admission::Rejected;
-                    }
-                }
+        let full = self.entries.len() >= self.cfg.capacity;
+        let slot = match self.entries.entry(tx.tx_id()) {
+            hash_map::Entry::Occupied(_) => {
+                stats.inc(stat::DUPLICATE, 1);
+                return Admission::Duplicate;
             }
-            // A single eviction may not free enough *bytes*; keep the
-            // admission decision simple and reject if still over.
-            if self.full_for(bytes) {
+            hash_map::Entry::Vacant(_) if full => {
                 stats.inc(stat::REJECTED_FULL, 1);
-                if evicted.is_some() {
-                    stats.inc(stat::EVICTED, 1);
-                }
                 return Admission::Rejected;
             }
-        }
+            hash_map::Entry::Vacant(slot) => slot,
+        };
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.fifo.push_back((seq, id));
-        if self.cfg.policy == PoolPolicy::Priority {
-            self.by_prio.push((priority, Reverse(seq), id));
-            self.by_prio_min.push(Reverse((priority, seq, id)));
-        }
-        self.bytes += bytes;
-        *self.per_sender.entry(sender).or_insert(0) += 1;
-        self.entries
-            .insert(id, Entry { tx, seq, inserted: now, bytes, priority, sender });
+        self.fifo.push_back((seq, *slot.key()));
+        slot.insert(Entry { tx, seq, inserted: now });
         stats.inc(stat::ADMITTED, 1);
-        match evicted {
-            Some(vid) => {
-                stats.inc(stat::EVICTED, 1);
-                Admission::AdmittedEvicting(vid)
-            }
-            None => Admission::Admitted,
-        }
+        Admission::Admitted
     }
 
     /// Remove `id` (executed elsewhere, superseded, ...). Returns whether
-    /// it was resident. O(1); ordering structures are compacted lazily.
+    /// it was resident. O(1); the FIFO queue is compacted lazily.
     pub fn remove(&mut self, id: u64) -> bool {
-        match self.entries.remove(&id) {
-            Some(e) => {
-                self.bytes -= e.bytes;
-                self.note_departed(e.sender);
-                self.maybe_compact();
-                true
-            }
-            None => false,
+        let removed = self.entries.remove(&id).is_some();
+        if removed {
+            self.maybe_compact();
         }
+        removed
     }
 
     /// Drop every resident transaction failing `keep`.
     pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
-        let mut freed = 0usize;
-        let mut departed: Vec<u64> = Vec::new();
-        self.entries.retain(|_, e| {
-            if keep(&e.tx) {
-                true
-            } else {
-                freed += e.bytes;
-                departed.push(e.sender);
-                false
-            }
-        });
-        self.bytes -= freed;
-        for sender in departed {
-            self.note_departed(sender);
-        }
+        self.entries.retain(|_, e| keep(&e.tx));
         self.maybe_compact();
     }
 
@@ -312,38 +136,19 @@ impl<T: PoolTx> Mempool<T> {
             })
     }
 
-    /// Form a batch of up to `max_txs` transactions / `max_bytes` bytes in
-    /// policy order, recording queueing latency for each batched
-    /// transaction.
-    pub fn take_batch(
-        &mut self,
-        max_txs: usize,
-        max_bytes: usize,
-        now: SimTime,
-        stats: &mut Stats,
-    ) -> Vec<T> {
+    /// Form a batch of the (up to) `max_txs` oldest transactions,
+    /// recording queueing latency for each.
+    pub fn take_batch(&mut self, max_txs: usize, now: SimTime, stats: &mut Stats) -> Vec<T> {
         let mut batch = Vec::with_capacity(max_txs.min(self.entries.len()));
-        let mut batch_bytes = 0usize;
         while batch.len() < max_txs {
-            let Some(id) = self.pop_next_id() else { break };
-            let entry = self.entries.get(&id).expect("popped ids are resident");
-            if !batch.is_empty() && batch_bytes + entry.bytes > max_bytes {
-                // Put it back for the next batch rather than overflowing —
-                // into the structure it was popped from (the other still
-                // holds its original pair).
-                if self.cfg.policy == PoolPolicy::Priority {
-                    self.by_prio.push((entry.priority, Reverse(entry.seq), id));
-                } else {
-                    self.fifo.push_front((entry.seq, id));
+            let Some((seq, id)) = self.fifo.pop_front() else { break };
+            if let hash_map::Entry::Occupied(e) = self.entries.entry(id) {
+                if e.get().seq == seq {
+                    let entry = e.remove();
+                    stats.record_latency(stat::QUEUE_LATENCY, now.since(entry.inserted));
+                    batch.push(entry.tx);
                 }
-                break;
             }
-            let entry = self.entries.remove(&id).expect("checked");
-            self.bytes -= entry.bytes;
-            self.note_departed(entry.sender);
-            batch_bytes += entry.bytes;
-            stats.record_latency(stat::QUEUE_LATENCY, now.since(entry.inserted));
-            batch.push(entry.tx);
         }
         if !batch.is_empty() {
             stats.inc(stat::BATCHED, batch.len() as u64);
@@ -354,143 +159,45 @@ impl<T: PoolTx> Mempool<T> {
         batch
     }
 
-    /// Pop the id of the next transaction in policy order, skipping stale
-    /// ordering entries. The id stays in `entries`.
-    fn pop_next_id(&mut self) -> Option<u64> {
-        if self.cfg.policy == PoolPolicy::Priority {
-            while let Some((_, Reverse(seq), id)) = self.by_prio.pop() {
-                if self.entries.get(&id).is_some_and(|e| e.seq == seq) {
-                    return Some(id);
-                }
-            }
-            None
-        } else {
-            while let Some((seq, id)) = self.fifo.pop_front() {
-                if self.entries.get(&id).is_some_and(|e| e.seq == seq) {
-                    return Some(id);
-                }
-            }
-            None
-        }
-    }
-
-    /// Lowest-priority resident (oldest on ties): the priority policy's
-    /// eviction victim.
-    fn min_priority_victim(&mut self) -> Option<(u64, u64)> {
-        while let Some(Reverse((prio, seq, id))) = self.by_prio_min.peek().copied() {
-            if self.entries.get(&id).is_some_and(|e| e.seq == seq) {
-                return Some((prio, id));
-            }
-            self.by_prio_min.pop();
-        }
-        None
-    }
-
-    /// A uniformly random resident transaction (deterministic in the pool
-    /// seed).
-    fn random_victim(&mut self) -> Option<u64> {
-        if self.entries.is_empty() {
-            return None;
-        }
-        // Draw positions in the FIFO until one maps to a live entry; the
-        // live fraction is kept above 1/2 by compaction, so this
-        // terminates quickly.
-        loop {
-            let k = self.rng.gen_range(0..self.fifo.len());
-            let (seq, id) = self.fifo[k];
-            if self.entries.get(&id).is_some_and(|e| e.seq == seq) {
-                return Some(id);
-            }
-            self.fifo.remove(k);
-        }
-    }
-
-    /// A resident transaction left the pool: release its sender-quota slot.
-    fn note_departed(&mut self, sender: u64) {
-        if let std::collections::hash_map::Entry::Occupied(mut o) = self.per_sender.entry(sender) {
-            *o.get_mut() -= 1;
-            if *o.get() == 0 {
-                o.remove();
-            }
-        }
-    }
-
-    /// Compact ordering structures once stale entries dominate.
+    /// Compact the FIFO queue once stale pairs dominate.
     fn maybe_compact(&mut self) {
-        let live = self.entries.len();
-        if self.fifo.len() > 2 * live + 64 {
+        if self.fifo.len() > 2 * self.entries.len() + 64 {
             let entries = &self.entries;
             self.fifo
                 .retain(|(seq, id)| entries.get(id).is_some_and(|e| e.seq == *seq));
-        }
-        if self.cfg.policy == PoolPolicy::Priority {
-            if self.by_prio.len() > 2 * live + 64 {
-                let entries = &self.entries;
-                let kept: Vec<_> = self
-                    .by_prio
-                    .drain()
-                    .filter(|(_, Reverse(seq), id)| {
-                        entries.get(id).is_some_and(|e| e.seq == *seq)
-                    })
-                    .collect();
-                self.by_prio = kept.into_iter().collect();
-            }
-            if self.by_prio_min.len() > 2 * live + 64 {
-                let entries = &self.entries;
-                let kept: Vec<_> = self
-                    .by_prio_min
-                    .drain()
-                    .filter(|Reverse((_, seq, id))| {
-                        entries.get(id).is_some_and(|e| e.seq == *seq)
-                    })
-                    .collect();
-                self.by_prio_min = kept.into_iter().collect();
-            }
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
 
     #[derive(Clone, Debug, PartialEq)]
-    struct Tx {
-        id: u64,
-        prio: u64,
-        bytes: usize,
-    }
+    struct Tx(u64);
 
     impl PoolTx for Tx {
         fn tx_id(&self) -> u64 {
-            self.id
-        }
-        fn wire_bytes(&self) -> usize {
-            self.bytes
-        }
-        fn priority(&self) -> u64 {
-            self.prio
+            self.0
         }
     }
 
-    fn tx(id: u64) -> Tx {
-        Tx { id, prio: 0, bytes: 100 }
+    fn pool(cap: usize) -> Mempool<Tx> {
+        Mempool::new(MempoolConfig::new(cap), 7)
     }
 
-    fn tx_p(id: u64, prio: u64) -> Tx {
-        Tx { id, prio, bytes: 100 }
-    }
-
-    fn pool(cap: usize, policy: PoolPolicy) -> Mempool<Tx> {
-        Mempool::new(MempoolConfig::new(cap).with_policy(policy), 7)
+    fn ids(batch: &[Tx]) -> Vec<u64> {
+        batch.iter().map(|t| t.0).collect()
     }
 
     #[test]
     fn dedup_by_txid() {
         let mut s = Stats::new();
-        let mut p = pool(10, PoolPolicy::Fifo);
-        assert!(p.insert(tx(1), SimTime::ZERO, &mut s).is_admitted());
-        assert_eq!(p.insert(tx(1), SimTime::ZERO, &mut s), Admission::Duplicate);
+        let mut p = pool(10);
+        assert!(p.insert(Tx(1), SimTime::ZERO, &mut s).is_admitted());
+        assert_eq!(p.insert(Tx(1), SimTime::ZERO, &mut s), Admission::Duplicate);
         assert_eq!(p.len(), 1);
         assert_eq!(s.counter(stat::DUPLICATE), 1);
     }
@@ -498,150 +205,39 @@ mod tests {
     #[test]
     fn fifo_rejects_when_full_and_batches_in_order() {
         let mut s = Stats::new();
-        let mut p = pool(3, PoolPolicy::Fifo);
+        let mut p = pool(3);
         for i in 0..3 {
-            assert!(p.insert(tx(i), SimTime::ZERO, &mut s).is_admitted());
+            assert!(p.insert(Tx(i), SimTime::ZERO, &mut s).is_admitted());
         }
-        assert_eq!(p.insert(tx(9), SimTime::ZERO, &mut s), Admission::Rejected);
-        let batch = p.take_batch(2, usize::MAX, SimTime::ZERO, &mut s);
-        assert_eq!(batch.iter().map(|t| t.id).collect::<Vec<_>>(), vec![0, 1]);
+        assert_eq!(p.insert(Tx(9), SimTime::ZERO, &mut s), Admission::Rejected);
+        let batch = p.take_batch(2, SimTime::ZERO, &mut s);
+        assert_eq!(ids(&batch), vec![0, 1]);
         // Room again: the next insert is admitted.
-        assert!(p.insert(tx(9), SimTime::ZERO, &mut s).is_admitted());
+        assert!(p.insert(Tx(9), SimTime::ZERO, &mut s).is_admitted());
         assert_eq!(s.counter(stat::REJECTED_FULL), 1);
         assert_eq!(s.counter(stat::BATCHED), 2);
     }
 
     #[test]
-    fn priority_orders_batches_and_evicts_cheapest() {
-        let mut s = Stats::new();
-        let mut p = pool(3, PoolPolicy::Priority);
-        p.insert(tx_p(1, 5), SimTime::ZERO, &mut s);
-        p.insert(tx_p(2, 1), SimTime::ZERO, &mut s);
-        p.insert(tx_p(3, 9), SimTime::ZERO, &mut s);
-        // Newcomer with priority 7 outbids the cheapest resident (id 2).
-        assert_eq!(
-            p.insert(tx_p(4, 7), SimTime::ZERO, &mut s),
-            Admission::AdmittedEvicting(2)
-        );
-        // Newcomer cheaper than everything resident is rejected.
-        assert_eq!(p.insert(tx_p(5, 0), SimTime::ZERO, &mut s), Admission::Rejected);
-        let batch = p.take_batch(3, usize::MAX, SimTime::ZERO, &mut s);
-        assert_eq!(batch.iter().map(|t| t.id).collect::<Vec<_>>(), vec![3, 4, 1]);
-        assert_eq!(s.counter(stat::EVICTED), 1);
-    }
-
-    #[test]
-    fn priority_ties_break_oldest_first() {
-        let mut s = Stats::new();
-        let mut p = pool(10, PoolPolicy::Priority);
-        for i in 0..4 {
-            p.insert(tx_p(i, 3), SimTime::ZERO, &mut s);
-        }
-        let batch = p.take_batch(4, usize::MAX, SimTime::ZERO, &mut s);
-        assert_eq!(batch.iter().map(|t| t.id).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn random_evict_admits_newcomer_deterministically() {
-        let mut s = Stats::new();
-        let run = |seed: u64| {
-            let mut p: Mempool<Tx> =
-                Mempool::new(MempoolConfig::new(4).with_policy(PoolPolicy::RandomEvict), seed);
-            let mut st = Stats::new();
-            for i in 0..20 {
-                assert!(p.insert(tx(i), SimTime::ZERO, &mut st).is_admitted());
-            }
-            let mut b = p.take_batch(4, usize::MAX, SimTime::ZERO, &mut st);
-            let mut ids: Vec<u64> = b.drain(..).map(|t| t.id).collect();
-            ids.sort_unstable();
-            ids
-        };
-        assert_eq!(run(3), run(3), "same seed must evict identically");
-        let _ = &mut s;
-    }
-
-    #[test]
-    fn byte_capacity_enforced() {
-        let mut s = Stats::new();
-        let mut p: Mempool<Tx> = Mempool::new(
-            MempoolConfig {
-                capacity: 100,
-                capacity_bytes: 250,
-                max_txs_per_sender: usize::MAX,
-                policy: PoolPolicy::Fifo,
-            },
-            0,
-        );
-        assert!(p.insert(tx(1), SimTime::ZERO, &mut s).is_admitted());
-        assert!(p.insert(tx(2), SimTime::ZERO, &mut s).is_admitted());
-        assert_eq!(p.insert(tx(3), SimTime::ZERO, &mut s), Admission::Rejected);
-        assert_eq!(p.bytes(), 200);
-    }
-
-    #[test]
-    fn batch_respects_byte_limit() {
-        let mut s = Stats::new();
-        let mut p = pool(10, PoolPolicy::Fifo);
-        for i in 0..5 {
-            p.insert(tx(i), SimTime::ZERO, &mut s);
-        }
-        let batch = p.take_batch(10, 250, SimTime::ZERO, &mut s);
-        assert_eq!(batch.len(), 2);
-        // The overflowing transaction went back to the front of the queue.
-        let next = p.take_batch(10, usize::MAX, SimTime::ZERO, &mut s);
-        assert_eq!(next.iter().map(|t| t.id).collect::<Vec<_>>(), vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn priority_byte_putback_leaves_no_duplicates() {
-        // A byte-capped batch puts the overflowing entry back; under the
-        // priority policy it must return to the heap only — a second fifo
-        // pair would duplicate view-change re-relays and defeat compaction.
-        let mut s = Stats::new();
-        let mut p = pool(10, PoolPolicy::Priority);
-        for i in 0..5 {
-            p.insert(tx_p(i, 5), SimTime::ZERO, &mut s);
-        }
-        let mut drained = 0;
-        for _ in 0..10 {
-            // 150-byte cap: one 100-byte tx fits, the next is put back.
-            let b = p.take_batch(2, 150, SimTime::ZERO, &mut s);
-            if b.is_empty() {
-                break;
-            }
-            drained += b.len();
-        }
-        assert_eq!(drained, 5);
-        for i in 5..8 {
-            p.insert(tx_p(i, 5), SimTime::ZERO, &mut s);
-        }
-        assert_eq!(
-            p.iter_fifo().count(),
-            p.len(),
-            "insertion-order iteration must match the resident set"
-        );
-    }
-
-    #[test]
     fn remove_frees_room_and_skips_batching() {
         let mut s = Stats::new();
-        let mut p = pool(2, PoolPolicy::Fifo);
-        p.insert(tx(1), SimTime::ZERO, &mut s);
-        p.insert(tx(2), SimTime::ZERO, &mut s);
+        let mut p = pool(2);
+        p.insert(Tx(1), SimTime::ZERO, &mut s);
+        p.insert(Tx(2), SimTime::ZERO, &mut s);
         assert!(p.remove(1));
         assert!(!p.remove(1));
-        assert!(p.insert(tx(3), SimTime::ZERO, &mut s).is_admitted());
-        let batch = p.take_batch(5, usize::MAX, SimTime::ZERO, &mut s);
-        assert_eq!(batch.iter().map(|t| t.id).collect::<Vec<_>>(), vec![2, 3]);
+        assert!(p.insert(Tx(3), SimTime::ZERO, &mut s).is_admitted());
+        let batch = p.take_batch(5, SimTime::ZERO, &mut s);
+        assert_eq!(ids(&batch), vec![2, 3]);
     }
 
     #[test]
     fn queue_latency_recorded() {
         let mut s = Stats::new();
-        let mut p = pool(10, PoolPolicy::Fifo);
-        p.insert(tx(1), SimTime::ZERO, &mut s);
+        let mut p = pool(10);
+        p.insert(Tx(1), SimTime::ZERO, &mut s);
         let later = SimTime::ZERO + ahl_simkit::SimDuration::from_millis(5);
-        p.take_batch(1, usize::MAX, later, &mut s);
+        p.take_batch(1, later, &mut s);
         let h = s.histogram(stat::QUEUE_LATENCY).expect("latency recorded");
         assert_eq!(h.count(), 1);
         assert_eq!(h.mean().as_millis(), 5);
@@ -649,66 +245,144 @@ mod tests {
 
     #[test]
     fn heavy_churn_stays_consistent() {
-        // Interleave inserts, removes and batches; invariants must hold.
+        // Interleave inserts (most into a full pool), removes and batches;
+        // every admitted transaction is batched, removed, or resident.
         let mut s = Stats::new();
-        let mut p = pool(64, PoolPolicy::RandomEvict);
+        let mut p = pool(64);
         let mut next = 0u64;
+        let mut removed = 0u64;
         for round in 0..200 {
             for _ in 0..10 {
-                p.insert(tx(next), SimTime::ZERO, &mut s);
+                p.insert(Tx(next), SimTime::ZERO, &mut s);
                 next += 1;
             }
-            if round % 3 == 0 {
-                p.remove(next.saturating_sub(5));
+            if round % 3 == 0 && p.remove(next.saturating_sub(5)) {
+                removed += 1;
             }
-            let b = p.take_batch(7, usize::MAX, SimTime::ZERO, &mut s);
+            let b = p.take_batch(7, SimTime::ZERO, &mut s);
             assert!(b.len() <= 7);
             assert!(p.len() <= 64);
+            assert_eq!(p.iter_fifo().count(), p.len());
         }
-        let total_in = s.counter(stat::ADMITTED);
-        let total_out =
-            s.counter(stat::BATCHED) + s.counter(stat::EVICTED) + p.len() as u64;
-        // Every admitted tx is batched, evicted, explicitly removed, or
-        // still resident.
-        assert!(total_out <= total_in);
-        assert!(total_in - total_out <= 200, "removed at most once per round");
+        assert!(s.counter(stat::REJECTED_FULL) > 0, "the pool must have filled up");
+        assert_eq!(s.counter(stat::ADMITTED), s.counter(stat::BATCHED) + removed + p.len() as u64);
     }
 
-    #[test]
-    fn sender_quota_bounces_flooder_without_evicting_others() {
-        let mut s = Stats::new();
-        let mut p: Mempool<Tx> = Mempool::new(MempoolConfig::new(100).with_sender_quota(3), 0);
-        let tx_from = |sender: u64, seq: u64| Tx { id: (sender << 32) | seq, prio: 0, bytes: 10 };
-        // Sender 1 floods: only 3 resident, the rest bounced.
-        for i in 0..10 {
-            p.insert(tx_from(1, i), SimTime::ZERO, &mut s);
-        }
-        assert_eq!(p.len(), 3);
-        assert_eq!(s.counter(stat::REJECTED_SENDER), 7);
-        // Other senders are unaffected by the flooder.
-        for sender in 2..6 {
-            assert!(p.insert(tx_from(sender, 0), SimTime::ZERO, &mut s).is_admitted());
-        }
-        assert_eq!(p.len(), 7);
-        assert_eq!(s.counter(stat::REJECTED_FULL), 0);
+    /// The executable specification the pool is checked against: a queue
+    /// in arrival order, a set for dedup, and a capacity — no lazy
+    /// compaction, no sequence numbers.
+    struct Model {
+        queue: VecDeque<u64>,
+        ids: HashSet<u64>,
+        capacity: usize,
+        stats: Stats,
     }
 
-    #[test]
-    fn sender_quota_slots_release_on_batch_and_remove() {
-        let mut s = Stats::new();
-        let mut p: Mempool<Tx> = Mempool::new(MempoolConfig::new(100).with_sender_quota(2), 0);
-        let tx_from = |sender: u64, seq: u64| Tx { id: (sender << 32) | seq, prio: 0, bytes: 10 };
-        assert!(p.insert(tx_from(7, 0), SimTime::ZERO, &mut s).is_admitted());
-        assert!(p.insert(tx_from(7, 1), SimTime::ZERO, &mut s).is_admitted());
-        assert_eq!(p.insert(tx_from(7, 2), SimTime::ZERO, &mut s), Admission::Rejected);
-        // Batching releases a slot …
-        let b = p.take_batch(1, usize::MAX, SimTime::ZERO, &mut s);
-        assert_eq!(b.len(), 1);
-        assert!(p.insert(tx_from(7, 3), SimTime::ZERO, &mut s).is_admitted());
-        // … and so does an explicit remove.
-        assert!(p.remove((7 << 32) | 1));
-        assert!(p.insert(tx_from(7, 4), SimTime::ZERO, &mut s).is_admitted());
-        assert_eq!(p.insert(tx_from(7, 5), SimTime::ZERO, &mut s), Admission::Rejected);
-        assert_eq!(s.counter(stat::REJECTED_SENDER), 2);
+    impl Model {
+        fn insert(&mut self, id: u64) -> Admission {
+            if self.ids.contains(&id) {
+                self.stats.inc(stat::DUPLICATE, 1);
+                Admission::Duplicate
+            } else if self.ids.len() >= self.capacity {
+                self.stats.inc(stat::REJECTED_FULL, 1);
+                Admission::Rejected
+            } else {
+                self.queue.push_back(id);
+                self.ids.insert(id);
+                self.stats.inc(stat::ADMITTED, 1);
+                Admission::Admitted
+            }
+        }
+
+        fn retain(&mut self, keep: impl Fn(u64) -> bool) {
+            self.queue.retain(|id| keep(*id));
+            self.ids.retain(|id| keep(*id));
+        }
+
+        fn take(&mut self, max: usize) -> Vec<u64> {
+            let n = max.min(self.queue.len());
+            let batch: Vec<u64> = self.queue.drain(..n).collect();
+            for id in &batch {
+                self.ids.remove(id);
+            }
+            batch
+        }
+    }
+
+    proptest::proptest! {
+        /// The pool is its reference model: over random interleavings of
+        /// inserts (fresh, duplicate, and into a full pool), removes,
+        /// retains and size- and timeout-triggered batches at advancing
+        /// clocks, both agree after every step on the admission outcome,
+        /// the length, the FIFO order, every batch, and the admit /
+        /// duplicate / full-reject counters. Small id ranges make ids
+        /// leave and come back, which leaves stale FIFO pairs for the lazy
+        /// compaction to skip and sweep.
+        #[test]
+        fn pool_equals_the_queue_and_set_model(
+            capacity in 1usize..40,
+            max_txs in 1usize..12,
+            steps in proptest::collection::vec((0u8..10, 0u64..60, 0u64..30), 1..400),
+        ) {
+            use crate::{BatchBuilder, BatchConfig};
+            use ahl_simkit::SimDuration;
+
+            let mut pool = pool(capacity);
+            let mut stats = Stats::new();
+            let timeout = SimDuration::from_millis(10);
+            let mut builder = BatchBuilder::new(BatchConfig::new(max_txs, timeout));
+            let mut model = Model {
+                queue: VecDeque::new(),
+                ids: HashSet::new(),
+                capacity,
+                stats: Stats::new(),
+            };
+            let mut last_flush = SimTime::ZERO;
+            let mut now = SimTime::ZERO;
+            for (op, id, ms) in steps {
+                match op {
+                    0..=4 => {
+                        let got = pool.insert(Tx(id), now, &mut stats);
+                        proptest::prop_assert_eq!(got, model.insert(id), "insert({})", id);
+                    }
+                    5 => {
+                        let was = model.ids.contains(&id);
+                        proptest::prop_assert_eq!(pool.remove(id), was, "remove({})", id);
+                        model.retain(|x| x != id);
+                    }
+                    6 => {
+                        pool.retain(|t| t.0 % 7 != id % 7);
+                        model.retain(|x| x % 7 != id % 7);
+                    }
+                    7 => {
+                        let got = builder.take_full(&mut pool, now, &mut stats);
+                        let want = (model.queue.len() >= max_txs).then(|| model.take(max_txs));
+                        proptest::prop_assert_eq!(got.as_deref().map(ids), want);
+                        if got.is_some() {
+                            last_flush = now;
+                        }
+                    }
+                    8 => {
+                        let got = builder.take_due(&mut pool, now, &mut stats);
+                        let due = !model.queue.is_empty() && now.since(last_flush) >= timeout;
+                        let want = due.then(|| model.take(max_txs));
+                        proptest::prop_assert_eq!(got.as_deref().map(ids), want);
+                        if got.is_some() {
+                            last_flush = now;
+                        }
+                    }
+                    _ => now += SimDuration::from_millis(ms),
+                }
+                proptest::prop_assert_eq!(pool.len(), model.ids.len());
+                proptest::prop_assert_eq!(pool.is_empty(), model.ids.is_empty());
+                proptest::prop_assert!(pool.fifo.len() <= 2 * pool.len() + 64, "compaction bound");
+                let fifo: Vec<u64> = pool.iter_fifo().map(|t| t.0).collect();
+                proptest::prop_assert_eq!(&fifo, &Vec::from(model.queue.clone()));
+                for name in [stat::ADMITTED, stat::DUPLICATE, stat::REJECTED_FULL] {
+                    let (got, want) = (stats.counter(name), model.stats.counter(name));
+                    proptest::prop_assert_eq!(got, want, "{}", name);
+                }
+            }
+        }
     }
 }

@@ -7,12 +7,6 @@ pub const ADMITTED: &str = "mempool.admitted";
 pub const REJECTED_FULL: &str = "mempool.rejected_full";
 /// Counter: duplicate submissions dropped by TxId dedup.
 pub const DUPLICATE: &str = "mempool.duplicate";
-/// Counter: transactions rejected because their sender already holds
-/// `max_txs_per_sender` resident transactions (DoS isolation).
-pub const REJECTED_SENDER: &str = "mempool.rejected_sender_quota";
-/// Counter: resident transactions evicted to admit newer/higher-priority
-/// ones.
-pub const EVICTED: &str = "mempool.evicted";
 /// Counter: transactions handed to the consensus layer in batches.
 pub const BATCHED: &str = "mempool.batched";
 /// Counter: batches formed.

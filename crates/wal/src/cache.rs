@@ -6,8 +6,7 @@
 //! reopening a multi-GB store pay for state it may never touch. A
 //! [`PageCache`] instead walks the crit-bit path for one key, faulting in
 //! only the ~log n nodes along it, and keeps faulted nodes in a
-//! byte-bounded LRU (the same accounting style as the consensus layer's
-//! `snapshot_max_bytes`). All cached pages are clean — the store is
+//! byte-bounded LRU. All cached pages are clean — the store is
 //! append-only — so eviction is free.
 //!
 //! ## Per-node authentication

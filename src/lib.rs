@@ -14,7 +14,7 @@
 //! | [`store`] | authenticated state: sparse Merkle tree, signed checkpoints, chunked state sync |
 //! | [`wal`] | durable write-ahead log with segment retention caps, content-addressed page store with checkpoint-gated GC/compaction and sidecar segment indexes, byte-bounded lazy page cache ([`wal::PageCache`]), manifests, crash-kill recovery |
 //! | [`ledger`] | blocks, KV state with 2PL + SMT state roots, KVStore & SmallBank chaincode; conflict-aware parallel execution ([`ledger::access`], [`ledger::execute_ops`]) |
-//! | [`mempool`] | per-shard transaction pool: dedup, admission control, per-sender quotas, batch pipeline |
+//! | [`mempool`] | per-shard transaction pool: dedup, bounded FIFO admission (reject when full), batch pipeline |
 //! | [`consensus`] | PBFT (HL/AHL/AHL+/AHLR); IBFT and Tendermint as two rule sets of one lockstep round engine ([`consensus::lockstep`]); Raft, PoET; the committed-block shell every BFT engine executes through ([`consensus::common::BlockExecutor`]); the scripted Byzantine attack catalogue ([`consensus::Attack`]) and the global [`consensus::SafetyChecker`] |
 //! | [`shard`] | committee sizing (Eq 1), beacon protocol, reconfiguration |
 //! | [`txn`] | the reference committee's Figure 6 chaincode — the one 2PC state machine, run by the simulated system and the in-process model alike — cross-shard protocol, baselines, malicious 2PC participants |

@@ -52,56 +52,6 @@ fn poet_deterministic_per_seed() {
     assert_eq!(a.total_blocks, b.total_blocks);
 }
 
-/// Mempool determinism: same seed + same submission order ⇒ identical
-/// batch contents across runs, including under random-eviction pressure
-/// (15× more submissions than the pool holds).
-#[test]
-fn mempool_batches_deterministic_under_eviction() {
-    use ahl::consensus::Request;
-    use ahl::ledger::{kvstore, Op, TxId};
-    use ahl::mempool::{BatchBuilder, BatchConfig, Mempool, MempoolConfig, PoolPolicy};
-    use ahl::simkit::{SimTime, Stats};
-
-    let run = |seed: u64| -> Vec<Vec<u64>> {
-        let cfg = MempoolConfig::new(32).with_policy(PoolPolicy::RandomEvict);
-        let mut pool: Mempool<Request> = Mempool::new(cfg, seed);
-        let mut builder = BatchBuilder::new(BatchConfig::new(8, SimDuration::from_millis(10)));
-        let mut stats = Stats::new();
-        let mut batches: Vec<Vec<u64>> = Vec::new();
-        let mut now = SimTime::ZERO;
-        for i in 0..500u64 {
-            let req = Request {
-                id: i,
-                client: 0,
-                op: Op::Direct { txid: TxId(i), op: kvstore::kv_write(&[i % 10], 16) },
-                submitted: now,
-            };
-            pool.insert(req, now, &mut stats);
-            if i % 40 == 39 {
-                if let Some(b) = builder.take_full(&mut pool, now, &mut stats) {
-                    batches.push(b.iter().map(|r| r.id).collect());
-                }
-            }
-            now += SimDuration::from_micros(100);
-        }
-        // Drain the survivors through timeout flushes.
-        loop {
-            now += SimDuration::from_millis(20);
-            match builder.take_due(&mut pool, now, &mut stats) {
-                Some(b) => batches.push(b.iter().map(|r| r.id).collect()),
-                None => break,
-            }
-        }
-        assert!(
-            stats.counter(ahl::mempool::stat::EVICTED) > 300,
-            "scenario must run under heavy eviction pressure"
-        );
-        batches
-    };
-    assert_eq!(run(11), run(11), "same seed must batch identically");
-    assert_ne!(run(11), run(12), "eviction choices ignore the seed");
-}
-
 /// End-to-end determinism with the mempool under overload: two identical
 /// overloaded system runs produce identical commit/reject/abort counts.
 #[test]

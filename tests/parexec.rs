@@ -97,7 +97,6 @@ fn assert_parallel_equals_sequential(ops: &[Op], workers: usize) {
     }
     assert_eq!(seq.pending_count(), par.pending_count());
     assert_eq!(seq.resolved_count(), par.resolved_count());
-    assert_eq!(seq.take_write_bytes(), par.take_write_bytes());
     assert_eq!(seq.export_sidecar().wire_size(), par.export_sidecar().wire_size());
 }
 
