@@ -11,6 +11,16 @@
 //! provides — so the exact code the deterministic simulator exercises
 //! runs here unmodified.
 //!
+//! Sends to other processes leave once per drained batch. The loop runs
+//! loopback deliveries, due timers and the inbound events it drained from
+//! the transport ([`Transport::recv_all`]) until none is left, holding
+//! every send those callbacks produce; only then, before it waits for
+//! more, does it hand them to the transport in one
+//! [`Transport::send_all`]. Nothing waits on a timer to coalesce, and
+//! `run_for` flushes before it returns, so outside it nothing is held.
+//! A leader answering a 64-request block thus pays one queue lock and one
+//! sender wake for its 64 replies, not 64.
+//!
 //! Time is wall-clock nanoseconds since the UNIX epoch encoded as
 //! [`SimTime`]: monotone enough for timers, and comparable across
 //! processes on one host, which keeps request-TTL and latency math
@@ -26,7 +36,7 @@ use ahl_simkit::{Actor, Ctx, Host, NodeId, SimDuration, SimTime, Stats};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::transport::{NetEvent, Transport};
+use crate::transport::{NetEvent, Outgoing, Transport};
 use crate::wire::{Control, Packet};
 
 /// Wall-clock now as a [`SimTime`] (nanoseconds since the UNIX epoch).
@@ -120,6 +130,11 @@ pub struct NodeRuntime<M: Clone> {
     /// transport receive (matches the simulator's same-instant ordering
     /// closely enough for correctness — actors tolerate reordering).
     local_queue: VecDeque<(NodeId, NodeId, M)>,
+    /// Inbound events drained from the transport in one go, delivered one
+    /// per loop turn.
+    inbound: VecDeque<NetEvent<M>>,
+    /// Sends to other processes, held until the drained batch is done.
+    outbox: Vec<Outgoing<M>>,
     status_fn: Option<StatusFn<M>>,
     status_replies: HashMap<NodeId, StatusReport>,
     started: bool,
@@ -144,6 +159,8 @@ impl<M: Clone + 'static> NodeRuntime<M> {
                 halted: false,
             },
             local_queue: VecDeque::new(),
+            inbound: VecDeque::new(),
+            outbox: Vec::new(),
             status_fn: None,
             status_replies: HashMap::new(),
             started: false,
@@ -194,7 +211,8 @@ impl<M: Clone + 'static> NodeRuntime<M> {
         self.status_replies.clear();
     }
 
-    /// Send a control message from this process's primary actor id.
+    /// Send a control message from this process's primary actor id (at
+    /// once: outside `run_for` no send is held back).
     pub fn send_control(&mut self, to: NodeId, ctl: Control) {
         let from = self.primary().unwrap_or(0);
         self.transport.send(from, to, Packet::Control(ctl));
@@ -215,6 +233,7 @@ impl<M: Clone + 'static> NodeRuntime<M> {
         for id in ids {
             self.dispatch(id, |actor, ctx| actor.on_start(ctx));
         }
+        self.flush();
     }
 
     /// Pump the event loop for `budget` of wall-clock time (or until
@@ -224,10 +243,12 @@ impl<M: Clone + 'static> NodeRuntime<M> {
         let deadline = std::time::Instant::now() + budget;
         loop {
             if self.core.halted {
+                self.flush();
                 return Stopped::Halted;
             }
             let now = std::time::Instant::now();
             if now >= deadline {
+                self.flush();
                 return Stopped::Deadline;
             }
 
@@ -249,18 +270,34 @@ impl<M: Clone + 'static> NodeRuntime<M> {
                 }
             }
 
+            // Then the next event of the drained batch.
+            if let Some(ev) = self.inbound.pop_front() {
+                match ev {
+                    NetEvent::Packet { from, to, body } => self.deliver(from, to, body),
+                    NetEvent::PeerUp(_) => self.core.stats.inc("net.peer_up", 1),
+                    NetEvent::PeerDown(_) => self.core.stats.inc("net.peer_down", 1),
+                }
+                continue;
+            }
+
+            // Nothing local, due or inbound is left: the batch is done, so
+            // its sends go out before the loop waits for more.
+            self.flush();
+
             // Sleep until the next timer, capped for responsiveness.
             let until_timer = match self.timers.peek() {
                 Some(Reverse(t)) => Duration::from_nanos(t.at.since(wall).as_nanos()),
                 None => Duration::from_millis(50),
             };
             let wait = until_timer.min(deadline - now).min(Duration::from_millis(50));
-            match self.transport.recv_timeout(wait) {
-                Some(NetEvent::Packet { from, to, body }) => self.deliver(from, to, body),
-                Some(NetEvent::PeerUp(_)) => self.core.stats.inc("net.peer_up", 1),
-                Some(NetEvent::PeerDown(_)) => self.core.stats.inc("net.peer_down", 1),
-                None => {}
-            }
+            self.transport.recv_all(wait, &mut self.inbound);
+        }
+    }
+
+    /// Hand every held send to the transport at once.
+    fn flush(&mut self) {
+        if !self.outbox.is_empty() {
+            self.transport.send_all(&mut self.outbox);
         }
     }
 
@@ -286,7 +323,7 @@ impl<M: Clone + 'static> NodeRuntime<M> {
                     .as_mut()
                     .and_then(|f| self.actors.get(&primary).and_then(|a| f(a.as_ref())));
                 if let Some(r) = report {
-                    self.transport.send(
+                    self.outbox.push((
                         primary,
                         from,
                         Packet::Control(Control::StatusReply {
@@ -294,7 +331,7 @@ impl<M: Clone + 'static> NodeRuntime<M> {
                             digest: r.digest,
                             committed: r.committed,
                         }),
-                    );
+                    ));
                 }
             }
             Control::StatusReply { height, digest, committed } => {
@@ -306,7 +343,8 @@ impl<M: Clone + 'static> NodeRuntime<M> {
         }
     }
 
-    /// Run one actor callback, then route its outbox and arm its timers.
+    /// Run one actor callback, then route its outbox (loopback now, the
+    /// rest held for the batch's flush) and arm its timers.
     fn dispatch(
         &mut self,
         node: NodeId,
@@ -321,7 +359,7 @@ impl<M: Clone + 'static> NodeRuntime<M> {
             if self.actors.contains_key(&to) {
                 self.local_queue.push_back((node, to, msg));
             } else {
-                self.transport.send(node, to, Packet::App(msg));
+                self.outbox.push((node, to, Packet::App(msg)));
             }
         }
         for (n, delay, kind) in std::mem::take(&mut self.core.pending_timers) {
@@ -462,5 +500,71 @@ mod tests {
         // Shutdown control halts the node's loop.
         driver.send_control(0, Control::Shutdown);
         assert_eq!(node.run_for(Duration::from_millis(200)), Stopped::Halted);
+    }
+
+    /// A [`MemTransport`] that records the size of every `send_all` batch.
+    struct Batches {
+        inner: crate::transport::MemTransport<Echo>,
+        sizes: Arc<std::sync::Mutex<Vec<usize>>>,
+    }
+
+    impl Transport<Echo> for Batches {
+        fn send(&self, from: NodeId, to: NodeId, body: Packet<Echo>) {
+            self.sizes.lock().expect("sizes").push(1);
+            self.inner.send(from, to, body);
+        }
+        fn send_all(&self, batch: &mut Vec<Outgoing<Echo>>) {
+            self.sizes.lock().expect("sizes").push(batch.len());
+            for (from, to, body) in batch.drain(..) {
+                self.inner.send(from, to, body);
+            }
+        }
+        fn recv_timeout(&self, timeout: Duration) -> Option<NetEvent<Echo>> {
+            self.inner.recv_timeout(timeout)
+        }
+        fn known_nodes(&self) -> Vec<NodeId> {
+            self.inner.known_nodes()
+        }
+        fn stats(&self) -> crate::transport::TransportStats {
+            self.inner.stats()
+        }
+        fn shutdown(&self) {}
+    }
+
+    /// Answers each message with 64 messages to node 2.
+    struct Fanout;
+
+    impl Actor for Fanout {
+        type Msg = Echo;
+        fn on_message(&mut self, _from: NodeId, msg: Echo, ctx: &mut Ctx<'_, Echo>) {
+            for i in 0..64 {
+                ctx.send(2, Echo(msg.0 * 100 + i));
+            }
+        }
+    }
+
+    #[test]
+    fn sends_leave_once_per_drained_batch() {
+        let hub: Arc<MemHub<Echo>> = Arc::new(MemHub::new());
+        let client = hub.endpoint(vec![0]);
+        let sink = hub.endpoint(vec![2]);
+        let sizes = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let t = Batches { inner: hub.endpoint(vec![1]), sizes: sizes.clone() };
+        let mut rt = NodeRuntime::new(Box::new(t), 3, 1);
+        rt.add_actor(1, Box::new(Fanout));
+        client.send(0, 1, Packet::App(Echo(1)));
+        client.send(0, 1, Packet::App(Echo(2)));
+        rt.run_for(Duration::from_millis(100));
+        // The default `recv_all` drains one event per wake, so each inbound
+        // message is its own batch: 64 sends, one hand-off each.
+        assert_eq!(*sizes.lock().expect("sizes"), vec![64, 64]);
+        let mut got = Vec::new();
+        while let Some(NetEvent::Packet { body: Packet::App(Echo(n)), .. }) =
+            sink.recv_timeout(Duration::from_millis(10))
+        {
+            got.push(n);
+        }
+        let want: Vec<u64> = (100..164).chain(200..264).collect();
+        assert_eq!(got, want, "FIFO across the flush");
     }
 }

@@ -158,21 +158,27 @@ pub enum Packet<M> {
 /// Encode one complete frame payload (`[kind][from][to][body]`).
 pub fn encode_payload<M: Wire>(from: NodeId, to: NodeId, pkt: &Packet<M>) -> Vec<u8> {
     let mut w = Writer::new();
+    write_payload(&mut w, from, to, pkt);
+    w.into_bytes()
+}
+
+/// Append the [`encode_payload`] bytes to `w` (the transport frames them
+/// in place, behind a header it fills in afterwards).
+pub(crate) fn write_payload<M: Wire>(w: &mut Writer, from: NodeId, to: NodeId, pkt: &Packet<M>) {
     match pkt {
         Packet::App(m) => {
             w.u8(FRAME_APP);
             w.u64(from as u64);
             w.u64(to as u64);
-            m.encode(&mut w);
+            m.encode(w);
         }
         Packet::Control(c) => {
             w.u8(FRAME_CONTROL);
             w.u64(from as u64);
             w.u64(to as u64);
-            c.encode(&mut w);
+            c.encode(w);
         }
     }
-    w.into_bytes()
 }
 
 /// Decode a frame payload produced by [`encode_payload`]. Returns

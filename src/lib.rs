@@ -154,8 +154,8 @@
 //!   stats). The sim path is byte-identical — hosting is an additive
 //!   backend, so every Byzantine/recovery/liveness battery stays
 //!   deterministic.
-//! - [`net::Transport`] — the message bus: `send(from, to, packet)`,
-//!   `recv_timeout`, peer table, connect/disconnect [`net::NetEvent`]s,
+//! - [`net::Transport`] — the message bus: `send(from, to, packet)` and
+//!   its batched form `send_all`, `recv_timeout` / `recv_all`, peer table, connect/disconnect [`net::NetEvent`]s,
 //!   and backpressure counters in [`net::TransportStats`] (bounded
 //!   outbound queues drop-and-count, mirroring `trace.dropped`). Two
 //!   backends: [`net::MemHub`] (in-process, for tests) and
@@ -169,7 +169,8 @@
 //!
 //! [`net::NodeRuntime`] glues them together: it pumps a `Transport`,
 //! delivers packets to hosted actors through `Ctx::for_host`, fires
-//! timers, and answers [`net::Control::Status`] probes with
+//! timers, hands the sends of each drained batch to the transport at
+//! once, and answers [`net::Control::Status`] probes with
 //! height/state-digest reports. The `node` binary
 //! (`cargo run -p ahl-bench --bin node -- cluster.cfg <index>`) runs one
 //! replica this way from a cluster config file — a canonical `key value`
