@@ -155,6 +155,31 @@ fn bench_snapshots(c: &mut Criterion) {
     g.bench_function("diff_chunks_10k_50_changed", |b| {
         b.iter(|| old.diff_chunks(&new, 6));
     });
+    // The replica's steady state: 64-write blocks over 32 768 keys, each
+    // hashed once at the block's end, a checkpoint snapshot every 32
+    // blocks and 8 retained. Prices what `smt_64_updates_32k` never pays:
+    // copy-on-write against live snapshots and dropping retired ones.
+    g.throughput(Throughput::Elements(64));
+    g.bench_function("updates_64_32k_checkpointed", |b| {
+        let mut t = tree_with(32_768);
+        let mut retained: std::collections::VecDeque<SparseMerkleTree> = Default::default();
+        let (mut next, mut blocks) = (0u64, 0u64);
+        b.iter(|| {
+            for _ in 0..64 {
+                next = next.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                t.insert_deferred(&format!("acc{}", (next >> 33) % 32_768), vhash(next));
+            }
+            t.rehash();
+            blocks += 1;
+            if blocks % 32 == 0 {
+                retained.push_back(t.clone());
+                if retained.len() > 8 {
+                    retained.pop_front();
+                }
+            }
+            t.root_hash()
+        });
+    });
     g.finish();
 }
 

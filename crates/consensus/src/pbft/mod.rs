@@ -363,6 +363,56 @@ mod tests {
         assert_eq!(host.stats.counter("consensus.invalid_msg"), before);
     }
 
+    /// With a quorum of f + 1, two quick followers can certify a
+    /// checkpoint at a third before the leader's pre-prepare for that
+    /// height has reached it. The certificate must wait for the blocks in
+    /// flight rather than raise the low-water mark over them (which would
+    /// refuse their pre-prepare and commit and leave state sync as the
+    /// only way on): the follower executes them, then applies it.
+    #[test]
+    fn checkpoint_certified_just_ahead_waits_for_blocks_in_flight() {
+        use ahl_simkit::{Actor, Ctx};
+        use ahl_store::CheckpointVote;
+
+        let mut cfg = PbftConfig::new(BftVariant::AhlPlus, 4);
+        cfg.checkpoint_interval = 2;
+        let member = derive_committee(cfg.n, 42).swap_remove(1);
+        let mut replica = member.into_replica(&cfg, (0..4).collect(), &[]);
+        let mut host = TestHost::new(4);
+        let deliver = |r: &mut Replica, host: &mut TestHost, from: NodeId, msg: PbftMsg| {
+            let mut ctx = Ctx::for_host(host, 1);
+            r.on_message(from, msg, &mut ctx);
+            ctx.finish().1
+        };
+        let commit_block = |r: &mut Replica, host: &mut TestHost, seq: u64| {
+            let block = Arc::new(PbftBlock::new(0, seq, 0, vec![]));
+            let proof = AggProof { view: 0, seq, digest: block.digest, count: 2, sig: None };
+            let mut out =
+                deliver(r, host, 0, PbftMsg::PrePrepare { block, cert: MsgCert::Simulated });
+            out.extend(deliver(r, host, 0, PbftMsg::AggCommit(proof)));
+            out
+        };
+        commit_block(&mut replica, &mut host, 1);
+        assert_eq!(replica.exec_seq(), 1);
+
+        // Replicas 2 and 3 executed height 2 first: their votes certify it
+        // here while block 2 is still on its way from the leader.
+        let root = replica.state().state_digest();
+        for voter in [2, 3] {
+            let vote = CheckpointVote::new(2, root, voter, None);
+            deliver(&mut replica, &mut host, voter, PbftMsg::Checkpoint { vote });
+        }
+        assert_eq!(host.stats.counter(stat::CKPT_CERTS), 0, "applied above the execution point");
+
+        let out = commit_block(&mut replica, &mut host, 2);
+        assert_eq!(replica.exec_seq(), 2, "the block in flight was refused");
+        assert_eq!(host.stats.counter(stat::CKPT_CERTS), 1, "the held certificate applies");
+        assert!(
+            !out.iter().any(|(_, m)| matches!(m, PbftMsg::SyncRequest { .. })),
+            "caught up by state sync instead of by execution"
+        );
+    }
+
     /// State sync is a conversation among committee members. A syncing
     /// replica (restarted, so at genesis and waiting for a tail or a
     /// manifest) must not execute a block tail a non-member sends — any

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use ahl_crypto::{sha256_parts, Hash, Signature};
+use ahl_crypto::{Hash, Sha256, Signature};
 use ahl_ledger::{Key, StateSidecar, Value};
 use ahl_simkit::{MsgClass, NodeId};
 use ahl_store::{CheckpointCert, CheckpointVote};
@@ -39,20 +39,19 @@ impl PbftBlock {
         }
     }
 
-    /// The canonical digest over the block contents.
+    /// The canonical digest over the block contents: `sha256_parts` of
+    /// the header fields and each request's id and op digest, streamed
+    /// into one hasher.
     pub fn compute_digest(view: u64, seq: u64, proposer: usize, reqs: &[Request]) -> Hash {
-        let mut parts: Vec<Vec<u8>> = vec![
-            b"pbft-block".to_vec(),
-            view.to_be_bytes().to_vec(),
-            seq.to_be_bytes().to_vec(),
-            (proposer as u64).to_be_bytes().to_vec(),
-        ];
+        let mut h = Sha256::new();
+        h.part(b"pbft-block")
+            .part(&view.to_be_bytes())
+            .part(&seq.to_be_bytes())
+            .part(&(proposer as u64).to_be_bytes());
         for r in reqs {
-            parts.push(r.id.to_be_bytes().to_vec());
-            parts.push(r.op.digest().0.to_vec());
+            h.part(&r.id.to_be_bytes()).part(&r.op.digest().0);
         }
-        let refs: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
-        sha256_parts(&refs)
+        h.finalize()
     }
 
     /// Approximate wire size.
@@ -426,7 +425,8 @@ impl ClientProtocol for PbftMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ahl_ledger::Op;
+    use ahl_crypto::sha256_parts;
+    use ahl_ledger::{Mutation, Op, StateOp, TxId, Value};
     use ahl_simkit::SimTime;
 
     fn req(i: u64) -> Request {
@@ -435,6 +435,55 @@ mod tests {
             client: 0,
             op: Op::Noop,
             submitted: SimTime::ZERO,
+        }
+    }
+
+    /// The `Vec<Vec<u8>>` body [`PbftBlock::compute_digest`] replaced: the
+    /// byte-identity reference.
+    fn digest_reference(view: u64, seq: u64, proposer: usize, reqs: &[Request]) -> Hash {
+        let mut parts: Vec<Vec<u8>> = vec![
+            b"pbft-block".to_vec(),
+            view.to_be_bytes().to_vec(),
+            seq.to_be_bytes().to_vec(),
+            (proposer as u64).to_be_bytes().to_vec(),
+        ];
+        for r in reqs {
+            parts.push(r.id.to_be_bytes().to_vec());
+            parts.push(r.op.digest().0.to_vec());
+        }
+        let refs: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
+        sha256_parts(&refs)
+    }
+
+    proptest::proptest! {
+        /// The streamed block digest is byte-identical to the body it
+        /// replaced, for empty through full blocks of mixed ops.
+        #[test]
+        fn streamed_digest_matches_reference(
+            view: u64,
+            seq: u64,
+            proposer in 0usize..64,
+            reqs in proptest::collection::vec((0u8..3, 0u64..u64::MAX, 0u64..1000), 0..80),
+        ) {
+            let reqs: Vec<Request> = reqs
+                .into_iter()
+                .map(|(kind, id, x)| {
+                    let op = match kind {
+                        0 => Op::Noop,
+                        1 => Op::Commit { txid: TxId(x) },
+                        _ => {
+                            let set = (format!("key{x}"), Mutation::Set(Value::Int(x as i64)));
+                            let op = StateOp { conditions: vec![], mutations: vec![set] };
+                            Op::Direct { txid: TxId(x), op }
+                        }
+                    };
+                    Request { id, op, ..req(0) }
+                })
+                .collect();
+            proptest::prop_assert_eq!(
+                PbftBlock::compute_digest(view, seq, proposer, &reqs),
+                digest_reference(view, seq, proposer, &reqs)
+            );
         }
     }
 

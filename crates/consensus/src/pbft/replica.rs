@@ -190,6 +190,12 @@ pub struct Replica {
 
     /// Checkpoint votes → certificates (pruning + sync anchoring).
     ckpt: CheckpointTracker,
+    /// A certificate that formed at most `PIPELINE_WIDTH` blocks above our
+    /// execution point, held until execution reaches it: those blocks are
+    /// still in flight to us, and applying it now would raise `low_mark`
+    /// over them, refuse their pre-prepares and commits, and leave state
+    /// sync as the only way forward.
+    pending_cert: Option<CheckpointCert>,
     /// Snapshots at recent own checkpoint heights, awaiting certification.
     snapshots: Vec<CkptSnapshot>,
     /// The certified snapshots this replica serves state sync from — the
@@ -316,6 +322,7 @@ impl Replica {
             executed_reqs: ExecutedCache::new(),
             genesis,
             ckpt: CheckpointTracker::new(),
+            pending_cert: None,
             snapshots: Vec::new(),
             serving: Vec::new(),
             insts_floor: 0,
@@ -1189,6 +1196,7 @@ impl Replica {
             if self.exec_seq.is_multiple_of(self.cfg.checkpoint_interval) {
                 self.send_checkpoint(ctx);
             }
+            self.release_pending_cert(self.exec_seq, ctx);
         }
         // Leader may have room to propose more now.
         self.try_propose(ctx);
@@ -1312,7 +1320,20 @@ impl Replica {
             return;
         }
         let quorum = self.quorum();
-        if let Some(cert) = self.ckpt.record(vote, quorum) {
+        let Some(cert) = self.ckpt.record(vote, quorum) else { return };
+        if cert.seq > self.exec_seq && cert.seq <= self.exec_seq + PIPELINE_WIDTH {
+            self.pending_cert = Some(cert);
+            return;
+        }
+        self.release_pending_cert(cert.seq, ctx);
+        self.apply_stable_checkpoint(cert, ctx);
+    }
+
+    /// Apply the held certificate if it is at or below `upto`. One that a
+    /// state transfer has already overtaken is dropped.
+    fn release_pending_cert(&mut self, upto: u64, ctx: &mut Ctx<'_, PbftMsg>) {
+        let Some(cert) = self.pending_cert.take_if(|c| c.seq <= upto) else { return };
+        if cert.seq > self.low_mark {
             self.apply_stable_checkpoint(cert, ctx);
         }
     }
@@ -2331,6 +2352,7 @@ impl Replica {
         self.ingested.clear();
         (self.pool, self.batcher) = fresh_pool(&self.cfg);
         self.ckpt = CheckpointTracker::new();
+        self.pending_cert = None;
         self.snapshots.clear();
         self.serving.clear();
         self.vc_votes.clear();

@@ -210,6 +210,14 @@ impl Sha256 {
         self
     }
 
+    /// Absorb one part framed as [`sha256_parts`] frames each of its
+    /// parts (its length as 8 big-endian bytes, then the bytes), so a
+    /// digest built part by part needs no `Vec` of parts.
+    pub fn part(&mut self, bytes: &[u8]) -> &mut Self {
+        self.update((bytes.len() as u64).to_be_bytes());
+        self.update(bytes)
+    }
+
     /// Finish and produce the digest.
     pub fn finalize(self) -> Hash {
         self.finalize_with(compress_blocks)

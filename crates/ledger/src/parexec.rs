@@ -52,15 +52,19 @@ pub fn dense_schedule(n_ops: usize, n_waves: usize) -> bool {
     n_ops < 2 * n_waves
 }
 
-/// Plan and apply `ops` one at a time, in batch order.
+/// Plan and apply `ops` one at a time, in batch order, then hash every
+/// node the batch changed once.
 fn execute_in_order(state: &mut StateStore, ops: &[&Op]) -> Vec<ExecOutcome> {
-    ops.iter()
+    let outcomes = ops
+        .iter()
         .map(|op| {
             let plan = state.plan(op);
             let had_pending = plan.had_pending();
-            ExecOutcome { receipt: state.apply_plan(plan), had_pending }
+            ExecOutcome { receipt: state.apply_plan_deferred(plan), had_pending }
         })
-        .collect()
+        .collect();
+    state.rehash();
+    outcomes
 }
 
 /// Execute a batch against `state`, identical in every observable way to

@@ -20,6 +20,16 @@
 //! ([`StateStore::prove`]) and state sync verifies fetched chunks against a
 //! certified root.
 //!
+//! Every public mutator returns a fully hashed tree. Only
+//! [`crate::parexec::execute_ops`] defers: its in-order path writes a
+//! whole block with the tree's root paths flagged stale and re-hashes once
+//! at the end, so ancestors shared by the block's writes are hashed once.
+//!
+//! The store also keeps an exact count of live lock markers, taken from
+//! the tree's content alone (never from the uncertified [`StateSidecar`]).
+//! While it is zero — no prepared cross-shard transaction holds a lock on
+//! this shard — [`StateStore::is_locked`] answers without a tree walk.
+//!
 //! ## One execution path
 //!
 //! [`StateStore::plan`] computes an operation's receipt and effect list
@@ -149,6 +159,8 @@ impl StateSidecar {
 #[derive(Clone, Debug)]
 pub struct StateSnapshot {
     smt: SparseMerkleTree<Value>,
+    /// Live lock markers in `smt` (see [`StateStore::lock_markers`]).
+    lock_markers: usize,
     sidecar: StateSidecar,
 }
 
@@ -157,7 +169,7 @@ impl StateSnapshot {
     /// (the durable-checkpoint reopen path — see
     /// [`crate::persist::open_snapshot`]).
     pub fn from_parts(smt: SparseMerkleTree<Value>, sidecar: StateSidecar) -> Self {
-        StateSnapshot { smt, sidecar }
+        StateSnapshot { lock_markers: count_lock_markers(&smt), smt, sidecar }
     }
 
     /// The state root the snapshot is frozen at.
@@ -213,6 +225,9 @@ pub struct StateStore {
     /// The state itself — the leaves carry the values — and its
     /// authenticated index (root = [`StateStore::state_digest`]).
     smt: SparseMerkleTree<Value>,
+    /// Exactly the number of live `L_` keys in `smt`, maintained wherever
+    /// the tree changes.
+    lock_markers: usize,
     pending: HashMap<TxId, PendingTx>,
     /// Transactions already committed or aborted here, tagged with the
     /// checkpoint epoch in which they resolved. A PrepareTx that arrives
@@ -235,6 +250,7 @@ impl StateStore {
     pub fn load_genesis(&mut self, entries: &[(Key, Value)]) {
         debug_assert!(self.smt.is_empty(), "genesis load requires an empty store");
         self.smt = SparseMerkleTree::build(entries.iter().cloned());
+        self.lock_markers = count_lock_markers(&self.smt);
     }
 
     /// Rebuild a store from a complete key-value enumeration (state-sync
@@ -242,21 +258,30 @@ impl StateStore {
     /// root). Pending/resolved bookkeeping starts empty — install the
     /// transferred [`StateSidecar`] afterwards.
     pub fn from_entries(entries: Vec<(Key, Value)>) -> Self {
-        StateStore { smt: SparseMerkleTree::build(entries), ..StateStore::default() }
+        let smt = SparseMerkleTree::build(entries);
+        StateStore { lock_markers: count_lock_markers(&smt), smt, ..StateStore::default() }
     }
 
     /// Freeze the current state as a [`StateSnapshot`] — O(1) in the state
     /// size (one shared tree handle plus the small 2PC sidecar), replacing
     /// the full deep clone checkpoints used to take.
     pub fn snapshot(&self) -> StateSnapshot {
-        StateSnapshot { smt: self.smt.clone(), sidecar: self.export_sidecar() }
+        StateSnapshot {
+            smt: self.smt.clone(),
+            lock_markers: self.lock_markers,
+            sidecar: self.export_sidecar(),
+        }
     }
 
     /// Reconstruct a full store from a retained snapshot (durable-
     /// checkpoint restart, diff-sync base): the tree is shared back in
     /// O(1) and the snapshot's 2PC sidecar is installed.
     pub fn from_snapshot(snap: &StateSnapshot) -> Self {
-        let mut s = StateStore { smt: snap.smt.clone(), ..StateStore::default() };
+        let mut s = StateStore {
+            smt: snap.smt.clone(),
+            lock_markers: snap.lock_markers,
+            ..StateStore::default()
+        };
         s.install_sidecar(&snap.sidecar);
         s
     }
@@ -276,11 +301,13 @@ impl StateStore {
                 .map(|k| k.to_string())
                 .collect();
             for k in stale {
-                self.remove(&k);
+                self.erase(&k);
             }
             for (k, v) in entries {
-                self.put(k.clone(), v.clone());
+                self.write(k, v.clone());
             }
+            // Chunk listings and the caller's root check need a fresh tree.
+            self.rehash();
         }
     }
 
@@ -297,12 +324,28 @@ impl StateStore {
     /// Direct write (genesis/state-sync only; transactions go through
     /// [`StateStore::execute`]).
     pub fn put(&mut self, key: Key, value: Value) {
-        self.smt.insert(&key, value);
+        self.write(&key, value);
+        self.rehash();
     }
 
-    /// The deleting counterpart of [`StateStore::put`].
-    fn remove(&mut self, key: &str) {
-        self.smt.remove(key);
+    /// Insert or overwrite `key`, leaving its root path stale.
+    fn write(&mut self, key: &str, value: Value) {
+        if key.starts_with(LOCK_PREFIX) && self.smt.get(key).is_none() {
+            self.lock_markers += 1;
+        }
+        self.smt.insert_deferred(key, value);
+    }
+
+    /// The deleting counterpart of [`StateStore::write`].
+    fn erase(&mut self, key: &str) {
+        if self.smt.remove_deferred(key) && key.starts_with(LOCK_PREFIX) {
+            self.lock_markers -= 1;
+        }
+    }
+
+    /// Re-hash what deferred writes left stale (the end of a block).
+    pub(crate) fn rehash(&mut self) {
+        self.smt.rehash();
     }
 
     /// Number of live keys (including lock markers).
@@ -342,7 +385,13 @@ impl StateStore {
 
     /// Whether `key` is currently locked by a prepared transaction.
     pub fn is_locked(&self, key: &str) -> bool {
-        matches!(self.get(&lock_key(key)), Some(Value::Bool(true)))
+        self.lock_markers > 0 && matches!(self.get(&lock_key(key)), Some(Value::Bool(true)))
+    }
+
+    /// Number of live lock-marker (`L_…`) keys — exact, so zero means no
+    /// key on this shard is locked.
+    pub fn lock_markers(&self) -> usize {
+        self.lock_markers
     }
 
     /// The state root: the sparse-Merkle-tree commitment to every live
@@ -436,9 +485,11 @@ impl StateStore {
         if let Some((k, _)) = op.mutations.iter().find(|(k, _)| k.starts_with(LOCK_PREFIX)) {
             return Err(AbortReason::ReservedKey(k.clone()));
         }
-        for k in op.touched_keys() {
-            if self.is_locked(&k) {
-                return Err(AbortReason::LockConflict(k));
+        if self.lock_markers > 0 {
+            for k in op.touched_keys() {
+                if self.is_locked(&k) {
+                    return Err(AbortReason::LockConflict(k));
+                }
             }
         }
         for c in &op.conditions {
@@ -503,6 +554,14 @@ impl StateStore {
     /// logical state (no conflicting effect may have intervened), returning
     /// the operation's receipt.
     pub fn apply_plan(&mut self, plan: ExecPlan) -> Receipt {
+        let receipt = self.apply_plan_deferred(plan);
+        self.rehash();
+        receipt
+    }
+
+    /// [`StateStore::apply_plan`] leaving the written root paths stale
+    /// until [`StateStore::rehash`].
+    pub(crate) fn apply_plan_deferred(&mut self, plan: ExecPlan) -> Receipt {
         for e in plan.effects {
             self.apply_effect(e);
         }
@@ -516,7 +575,9 @@ impl StateStore {
     /// in parallel — the dominant cost of applying a large wave.
     pub fn apply_plans(&mut self, plans: Vec<ExecPlan>, workers: usize) -> Vec<Receipt> {
         if workers <= 1 {
-            return plans.into_iter().map(|p| self.apply_plan(p)).collect();
+            let receipts = plans.into_iter().map(|p| self.apply_plan_deferred(p)).collect();
+            self.rehash();
+            return receipts;
         }
         let mut receipts = Vec::with_capacity(plans.len());
         let mut changes: Vec<(Key, Option<Value>)> = Vec::new();
@@ -530,14 +591,27 @@ impl StateStore {
             }
             receipts.push(Receipt { txid: plan.txid, status: plan.status });
         }
+        // Count the batch's marker keys present before and after.
+        let mut markers: Vec<Key> = changes
+            .iter()
+            .filter(|(k, _)| k.starts_with(LOCK_PREFIX))
+            .map(|(k, _)| k.clone())
+            .collect();
+        markers.sort_unstable();
+        markers.dedup();
+        let live = |smt: &SparseMerkleTree<Value>| {
+            markers.iter().filter(|k| smt.get(k).is_some()).count()
+        };
+        let before = live(&self.smt);
         self.smt.batch_apply(changes, workers);
+        self.lock_markers = self.lock_markers + live(&self.smt) - before;
         receipts
     }
 
     fn apply_effect(&mut self, e: Effect) {
         match e {
-            Effect::Put(k, v) => self.put(k, v),
-            Effect::Remove(k) => self.remove(&k),
+            Effect::Put(k, v) => self.write(&k, v),
+            Effect::Remove(k) => self.erase(&k),
             Effect::Stash(txid, locks, mutations) => {
                 self.pending.insert(txid, PendingTx { locks, mutations });
             }
@@ -674,6 +748,11 @@ impl ExecPlan {
 /// The lock marker key for `key` ("L_" + key, §6.3).
 pub fn lock_key(key: &str) -> Key {
     format!("{LOCK_PREFIX}{key}")
+}
+
+/// The live lock markers in `smt`, by a full scan.
+fn count_lock_markers(smt: &SparseMerkleTree<Value>) -> usize {
+    smt.iter().filter(|(k, _)| k.starts_with(LOCK_PREFIX)).count()
 }
 
 #[cfg(test)]

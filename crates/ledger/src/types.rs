@@ -7,7 +7,7 @@
 //! which is expressive enough for KVStore, SmallBank, and the prepare /
 //! commit / abort split of §6.3, while staying analyzable.
 
-use ahl_crypto::{sha256_parts, Hash, Sha256};
+use ahl_crypto::{Hash, Sha256};
 
 /// A state key (Hyperledger-style string key).
 pub type Key = String;
@@ -272,81 +272,89 @@ impl Op {
         }
     }
 
-    /// Content digest for Merkle roots and signatures.
+    /// Content digest for Merkle roots and signatures: `sha256_parts` of
+    /// the op's kind, txid and body, streamed into one hasher.
     pub fn digest(&self) -> Hash {
-        let mut parts: Vec<Vec<u8>> = Vec::new();
+        let mut h = Sha256::new();
         match self {
             Op::Direct { txid, op } => {
-                parts.push(b"direct".to_vec());
-                parts.push(txid.0.to_be_bytes().to_vec());
-                parts.push(state_op_bytes(op));
+                h.part(b"direct").part(&txid.0.to_be_bytes());
+                state_op_part(&mut h, op);
             }
             Op::Prepare { txid, op } => {
-                parts.push(b"prepare".to_vec());
-                parts.push(txid.0.to_be_bytes().to_vec());
-                parts.push(state_op_bytes(op));
+                h.part(b"prepare").part(&txid.0.to_be_bytes());
+                state_op_part(&mut h, op);
             }
             Op::Commit { txid } => {
-                parts.push(b"commit".to_vec());
-                parts.push(txid.0.to_be_bytes().to_vec());
+                h.part(b"commit").part(&txid.0.to_be_bytes());
             }
             Op::Abort { txid } => {
-                parts.push(b"abort".to_vec());
-                parts.push(txid.0.to_be_bytes().to_vec());
+                h.part(b"abort").part(&txid.0.to_be_bytes());
             }
             Op::Read { txid, keys } => {
-                parts.push(b"read".to_vec());
-                parts.push(txid.0.to_be_bytes().to_vec());
+                h.part(b"read").part(&txid.0.to_be_bytes());
                 for k in keys {
-                    parts.push(k.as_bytes().to_vec());
+                    h.part(k.as_bytes());
                 }
             }
-            Op::Noop => parts.push(b"noop".to_vec()),
+            Op::Noop => {
+                h.part(b"noop");
+            }
         }
-        let refs: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
-        sha256_parts(&refs)
+        h.finalize()
     }
 }
 
-fn state_op_bytes(op: &StateOp) -> Vec<u8> {
-    let mut out = Vec::new();
+/// Absorb a state op's byte layout as one framed part: a first pass over
+/// [`state_op_encode`] sizes the frame, a second streams the bytes.
+fn state_op_part(h: &mut Sha256, op: &StateOp) {
+    let mut len = 0u64;
+    state_op_encode(op, &mut |b| len += b.len() as u64);
+    h.update(len.to_be_bytes());
+    state_op_encode(op, &mut |b| {
+        h.update(b);
+    });
+}
+
+/// The byte layout a state op's digest commits to, fed to `out` piece by
+/// piece.
+fn state_op_encode(op: &StateOp, out: &mut impl FnMut(&[u8])) {
     for c in &op.conditions {
         match c {
             Condition::Exists(k) => {
-                out.push(0);
-                out.extend_from_slice(k.as_bytes());
+                out(&[0]);
+                out(k.as_bytes());
             }
             Condition::NotExists(k) => {
-                out.push(2);
-                out.extend_from_slice(k.as_bytes());
+                out(&[2]);
+                out(k.as_bytes());
             }
             Condition::IntAtLeast { key, min } => {
-                out.push(1);
-                out.extend_from_slice(key.as_bytes());
-                out.extend_from_slice(&min.to_be_bytes());
+                out(&[1]);
+                out(key.as_bytes());
+                out(&min.to_be_bytes());
             }
         }
-        out.push(0xff);
+        out(&[0xff]);
     }
     for (k, m) in &op.mutations {
-        out.extend_from_slice(k.as_bytes());
+        out(k.as_bytes());
         match m {
             Mutation::Set(v) => {
-                out.push(0);
+                out(&[0]);
                 v.with_encoding(|tag, payload| {
-                    out.push(tag);
-                    out.extend_from_slice(payload);
+                    out(&[tag]);
+                    out(payload);
                 });
             }
             Mutation::Add(d) => {
-                out.push(1);
-                out.extend_from_slice(&d.to_be_bytes());
+                out(&[1]);
+                out(&d.to_be_bytes());
             }
-            Mutation::Delete => out.push(2),
+            Mutation::Delete => out(&[2]),
         }
-        out.push(0xfe);
+        out(&[0xfe]);
     }
-    out
 }
 
 /// Why a transaction aborted.
@@ -396,6 +404,7 @@ pub struct Receipt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ahl_crypto::sha256_parts;
 
     fn sample_op() -> StateOp {
         StateOp {
@@ -430,6 +439,150 @@ mod tests {
         let only_b = op.restrict_to(|k| k.ends_with('b'));
         assert!(only_b.conditions.is_empty());
         assert_eq!(only_b.mutations.len(), 1);
+    }
+
+    /// The `Vec<Vec<u8>>` body [`Op::digest`] replaced: the byte-identity
+    /// reference.
+    fn digest_reference(op: &Op) -> Hash {
+        let mut parts: Vec<Vec<u8>> = Vec::new();
+        match op {
+            Op::Direct { txid, op } => {
+                parts.push(b"direct".to_vec());
+                parts.push(txid.0.to_be_bytes().to_vec());
+                parts.push(state_op_bytes(op));
+            }
+            Op::Prepare { txid, op } => {
+                parts.push(b"prepare".to_vec());
+                parts.push(txid.0.to_be_bytes().to_vec());
+                parts.push(state_op_bytes(op));
+            }
+            Op::Commit { txid } => {
+                parts.push(b"commit".to_vec());
+                parts.push(txid.0.to_be_bytes().to_vec());
+            }
+            Op::Abort { txid } => {
+                parts.push(b"abort".to_vec());
+                parts.push(txid.0.to_be_bytes().to_vec());
+            }
+            Op::Read { txid, keys } => {
+                parts.push(b"read".to_vec());
+                parts.push(txid.0.to_be_bytes().to_vec());
+                for k in keys {
+                    parts.push(k.as_bytes().to_vec());
+                }
+            }
+            Op::Noop => parts.push(b"noop".to_vec()),
+        }
+        let refs: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
+        sha256_parts(&refs)
+    }
+
+    fn state_op_bytes(op: &StateOp) -> Vec<u8> {
+        let mut out = Vec::new();
+        for c in &op.conditions {
+            match c {
+                Condition::Exists(k) => {
+                    out.push(0);
+                    out.extend_from_slice(k.as_bytes());
+                }
+                Condition::NotExists(k) => {
+                    out.push(2);
+                    out.extend_from_slice(k.as_bytes());
+                }
+                Condition::IntAtLeast { key, min } => {
+                    out.push(1);
+                    out.extend_from_slice(key.as_bytes());
+                    out.extend_from_slice(&min.to_be_bytes());
+                }
+            }
+            out.push(0xff);
+        }
+        for (k, m) in &op.mutations {
+            out.extend_from_slice(k.as_bytes());
+            match m {
+                Mutation::Set(v) => {
+                    out.push(0);
+                    v.with_encoding(|tag, payload| {
+                        out.push(tag);
+                        out.extend_from_slice(payload);
+                    });
+                }
+                Mutation::Add(d) => {
+                    out.push(1);
+                    out.extend_from_slice(&d.to_be_bytes());
+                }
+                Mutation::Delete => out.push(2),
+            }
+            out.push(0xfe);
+        }
+        out
+    }
+
+    /// A key of `len` bytes (long ones push a part past the one-shot
+    /// hashing buffer) distinguished by `id`.
+    fn gen_key(len: u64, id: u64) -> Key {
+        format!("{}{id}", "k".repeat(len as usize))
+    }
+
+    fn gen_value(kind: u64, x: u64) -> Value {
+        match kind % 4 {
+            0 => Value::Int(x as i64),
+            1 => Value::Bytes((0..x % 200).map(|i| i as u8).collect()),
+            2 => Value::Bool(x.is_multiple_of(2)),
+            _ => Value::Opaque { size: x, tag: x.rotate_left(7) },
+        }
+    }
+
+    proptest::proptest! {
+        /// The streamed digest is byte-identical to the `Vec<Vec<u8>>`
+        /// body it replaced, for every op kind, condition, mutation and
+        /// value encoding, short and long keys alike.
+        #[test]
+        fn streamed_digest_matches_reference(
+            kind in 0u8..6,
+            txid: u64,
+            conds in proptest::collection::vec((0u64..3, 0u64..150, 0u64..1000, -50i64..50), 0..6),
+            muts in proptest::collection::vec((0u64..6, 0u64..150, 0u64..1000, 0u64..1000), 0..6),
+            reads in proptest::collection::vec((0u64..150, 0u64..1000), 0..6),
+        ) {
+            let op = StateOp {
+                conditions: conds
+                    .into_iter()
+                    .map(|(c, len, id, min)| {
+                        let key = gen_key(len, id);
+                        match c {
+                            0 => Condition::Exists(key),
+                            1 => Condition::NotExists(key),
+                            _ => Condition::IntAtLeast { key, min },
+                        }
+                    })
+                    .collect(),
+                mutations: muts
+                    .into_iter()
+                    .map(|(m, len, id, x)| {
+                        let mutation = match m {
+                            0..=3 => Mutation::Set(gen_value(m, x)),
+                            4 => Mutation::Add(x as i64 - 500),
+                            _ => Mutation::Delete,
+                        };
+                        (gen_key(len, id), mutation)
+                    })
+                    .collect(),
+            };
+            let txid = TxId(txid);
+            let op = match kind {
+                0 => Op::Direct { txid, op },
+                1 => Op::Prepare { txid, op },
+                2 => Op::Commit { txid },
+                3 => Op::Abort { txid },
+                4 => Op::Read {
+                    txid,
+                    keys: reads.into_iter().map(|(len, id)| gen_key(len, id)).collect(),
+                },
+                _ => Op::Noop,
+            };
+            proptest::prop_assert_eq!(op.digest(), digest_reference(&op));
+        }
     }
 
     #[test]

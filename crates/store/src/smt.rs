@@ -43,6 +43,25 @@
 //! On top of chunks, [`SparseMerkleTree::diff_chunks`] compares two trees
 //! (typically two retained snapshots) and returns exactly the chunk indices
 //! whose content differs — the unit of *incremental* state sync.
+//!
+//! ## When node hashes are fresh
+//!
+//! Leaf hashes are always current. Branch hashes may lag behind content:
+//! [`SparseMerkleTree::insert_deferred`] and
+//! [`SparseMerkleTree::remove_deferred`] flag every branch on the written
+//! path *stale* instead of re-hashing it, so a block of writes that share
+//! ancestors pays for each ancestor once, in the single bottom-up
+//! [`SparseMerkleTree::rehash`] that ends the block. A stale branch's
+//! ancestors are all stale, so the tree is fresh exactly when its root is.
+//! The flag is explicit: [`Hash::ZERO`] already means "empty subtree".
+//!
+//! [`SparseMerkleTree::insert`], [`SparseMerkleTree::remove`],
+//! [`SparseMerkleTree::build`] and [`SparseMerkleTree::batch_apply`] leave
+//! the tree fresh. Lookups ([`SparseMerkleTree::get`], `iter`, `len`) work
+//! on a stale tree; every reader of a hash — `root_hash`, `prove`, the
+//! `chunk_*` family, `visit_nodes`, `diff_chunks`, `rehash_audit` — and
+//! the snapshot [`Clone`] panic on one, in release builds too, because a
+//! stale hash handed out would be a wrong commitment.
 
 use std::sync::Arc;
 
@@ -118,6 +137,9 @@ struct Branch<V> {
     /// The bit index at which the two children diverge. All leaves below
     /// share path bits `0..bit`; children split on bit `bit`.
     bit: u16,
+    /// `hash` is out of date: a deferred write changed this subtree and
+    /// [`SparseMerkleTree::rehash`] has not run since.
+    stale: bool,
     hash: Hash,
     children: [Node<V>; 2],
 }
@@ -128,6 +150,7 @@ impl<V> Clone for Branch<V> {
         // subtrees (this is the copy-on-write path clone).
         Branch {
             bit: self.bit,
+            stale: self.stale,
             hash: self.hash,
             children: [self.children[0].clone(), self.children[1].clone()],
         }
@@ -164,7 +187,10 @@ impl<V> Node<V> {
         match self {
             Node::Empty => Hash::ZERO,
             Node::Leaf(l) => l.hash,
-            Node::Branch(b) => b.hash,
+            Node::Branch(b) => {
+                debug_assert!(!b.stale, "hash read from a stale branch");
+                b.hash
+            }
         }
     }
 
@@ -255,18 +281,24 @@ impl<V> Default for SparseMerkleTree<V> {
 impl<V> Clone for SparseMerkleTree<V> {
     /// O(1): shares the whole node graph. The clone is an immutable
     /// snapshot — subsequent mutations of either tree copy-on-write the
-    /// affected root path and leave the other untouched.
+    /// affected root path and leave the other untouched. Panics on a stale
+    /// tree: a snapshot must commit to its content.
     fn clone(&self) -> Self {
+        self.assert_fresh();
         SparseMerkleTree { root: self.root.clone(), len: self.len }
     }
 }
 
 impl<V> std::fmt::Debug for SparseMerkleTree<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SparseMerkleTree")
-            .field("len", &self.len)
-            .field("root", &self.root_hash())
-            .finish()
+        let mut d = f.debug_struct("SparseMerkleTree");
+        d.field("len", &self.len);
+        if self.is_fresh() {
+            d.field("root", &self.root_hash());
+        } else {
+            d.field("root", &"stale");
+        }
+        d.finish()
     }
 }
 
@@ -290,7 +322,18 @@ impl<V> SparseMerkleTree<V> {
 
     /// The root hash ([`Hash::ZERO`] when empty).
     pub fn root_hash(&self) -> Hash {
+        self.assert_fresh();
         self.root.hash()
+    }
+
+    /// Whether every cached node hash is current (no deferred write is
+    /// waiting for [`SparseMerkleTree::rehash`]).
+    pub fn is_fresh(&self) -> bool {
+        !matches!(&self.root, Node::Branch(b) if b.stale)
+    }
+
+    fn assert_fresh(&self) {
+        assert!(self.is_fresh(), "SparseMerkleTree hash read before rehash()");
     }
 
     /// The leaf stored at `path`, if any — the one descent every point
@@ -319,6 +362,7 @@ impl<V> SparseMerkleTree<V> {
     /// Produce a proof for `key`: an inclusion proof when the key is live,
     /// otherwise an exclusion proof (verify with [`verify_proof`]).
     pub fn prove(&self, key: &str) -> SmtProof {
+        self.assert_fresh();
         let path = key_path(key);
         let mut siblings = Vec::new();
         let mut node = &self.root;
@@ -369,6 +413,7 @@ impl<V> SparseMerkleTree<V> {
     /// order — the complete payload of one state-sync chunk, served from
     /// this tree (or any snapshot of it) alone.
     pub fn chunk_entries(&self, chunk: u32, bits: u8) -> Vec<(&str, &V)> {
+        self.assert_fresh();
         let mut out = Vec::new();
         let mut node = &self.root;
         loop {
@@ -416,6 +461,7 @@ impl<V> SparseMerkleTree<V> {
     /// Together with the chunk's own leaves this reassembles the root — see
     /// [`verify_chunk`].
     pub fn chunk_proof(&self, chunk: u32, bits: u8) -> Vec<Hash> {
+        self.assert_fresh();
         let mut sibs = vec![Hash::ZERO; bits as usize];
         let mut node = &self.root;
         loop {
@@ -460,6 +506,7 @@ impl<V> SparseMerkleTree<V> {
     /// in a chunk iff their chunk roots match — the basis of
     /// [`SparseMerkleTree::diff_chunks`].
     pub fn chunk_root(&self, chunk: u32, bits: u8) -> Hash {
+        self.assert_fresh();
         let mut node = &self.root;
         loop {
             match node {
@@ -502,6 +549,7 @@ impl<V> SparseMerkleTree<V> {
             Enter(&'a Node<V>),
             Emit(&'a Node<V>),
         }
+        self.assert_fresh();
         let mut stack = vec![Step::Enter(&self.root)];
         while let Some(step) = stack.pop() {
             match step {
@@ -599,7 +647,7 @@ impl<V: StateValue> SparseMerkleTree<V> {
                 let right = Self::build_node(r);
                 let children = [left, right];
                 let hash = branch_hash(&children);
-                Node::Branch(Arc::new(Branch { bit, hash, children }))
+                Node::Branch(Arc::new(Branch { bit, stale: false, hash, children }))
             }
         }
     }
@@ -609,6 +657,15 @@ impl<V: StateValue + Clone> SparseMerkleTree<V> {
     /// Insert or update `key` with `value`. O(log n) hashes; clones only
     /// the nodes on the key's root path that are shared with snapshots.
     pub fn insert(&mut self, key: &str, value: V) {
+        self.insert_deferred(key, value);
+        self.rehash();
+    }
+
+    /// [`SparseMerkleTree::insert`] without re-hashing: the branches on
+    /// the key's root path are flagged stale until the next
+    /// [`SparseMerkleTree::rehash`], so writes that share ancestors hash
+    /// each of them once.
+    pub fn insert_deferred(&mut self, key: &str, value: V) {
         let _prof = ahl_telemetry::Profiler::span("smt.update");
         let path = key_path(key);
         let vhash = value.leaf_digest();
@@ -624,78 +681,72 @@ impl<V: StateValue + Clone> SparseMerkleTree<V> {
         match existing {
             None => {
                 debug_assert!(matches!(self.root, Node::Empty));
-                let hash = leaf_hash(&path, &vhash);
-                self.root = Node::Leaf(Arc::new(Leaf {
-                    path,
-                    key: key.to_string(),
-                    vhash,
-                    hash,
-                    value,
-                }));
+                self.root = Self::new_leaf(path, key, vhash, value);
                 self.len = 1;
             }
             Some(lpath) if lpath == path => {
-                Self::update_rec(&mut self.root, &path, vhash, value);
+                let leaf = Self::descend_stale(&mut self.root, &path, 256);
+                let Node::Leaf(l) = leaf else { unreachable!("the path routes to its leaf") };
+                match Arc::get_mut(l) {
+                    Some(l) => {
+                        l.vhash = vhash;
+                        l.hash = leaf_hash(&path, &vhash);
+                        l.value = value;
+                    }
+                    // Shared with a snapshot: build the replacement from
+                    // the write itself instead of cloning the old key and
+                    // value only to overwrite the value.
+                    None => *leaf = Self::new_leaf(path, key, vhash, value),
+                }
             }
             Some(lpath) => {
                 let crit = first_diff_bit(&path, &lpath).expect("paths differ");
-                Self::splice_rec(&mut self.root, path, key, vhash, value, crit);
+                // Splice a new branch at `crit` above the node found there.
+                let slot = Self::descend_stale(&mut self.root, &path, crit);
+                let old = std::mem::take(slot);
+                let dir = path_bit(&path, crit);
+                let mut children = [Node::Empty, Node::Empty];
+                children[dir] = Self::new_leaf(path, key, vhash, value);
+                children[1 - dir] = old;
+                *slot = Node::Branch(Arc::new(Branch {
+                    bit: crit,
+                    stale: true,
+                    hash: Hash::ZERO,
+                    children,
+                }));
                 self.len += 1;
             }
         }
     }
 
-    fn update_rec(node: &mut Node<V>, path: &Hash, vhash: Hash, value: V) {
-        match node {
-            Node::Leaf(l) => {
-                let l = Arc::make_mut(l);
-                debug_assert_eq!(l.path, *path);
-                l.vhash = vhash;
-                l.value = value;
-                l.hash = leaf_hash(path, &vhash);
-            }
-            Node::Branch(b) => {
-                let b = Arc::make_mut(b);
-                let dir = path_bit(path, b.bit);
-                Self::update_rec(&mut b.children[dir], path, vhash, value);
-                b.hash = branch_hash(&b.children);
-            }
-            Node::Empty => unreachable!("update_rec only reaches live leaves"),
-        }
+    fn new_leaf(path: Hash, key: &str, vhash: Hash, value: V) -> Node<V> {
+        let hash = leaf_hash(&path, &vhash);
+        Node::Leaf(Arc::new(Leaf { path, key: key.to_string(), vhash, hash, value }))
     }
 
-    fn splice_rec(node: &mut Node<V>, path: Hash, key: &str, vhash: Hash, value: V, crit: u16) {
-        match node {
-            Node::Branch(b) if b.bit < crit => {
-                let b = Arc::make_mut(b);
-                let dir = path_bit(&path, b.bit);
-                Self::splice_rec(&mut b.children[dir], path, key, vhash, value, crit);
-                b.hash = branch_hash(&b.children);
-            }
-            _ => {
-                // Splice a new branch at `crit` above the current node.
-                let old = std::mem::take(node);
-                let hash = leaf_hash(&path, &vhash);
-                let new_leaf = Node::Leaf(Arc::new(Leaf {
-                    path,
-                    key: key.to_string(),
-                    vhash,
-                    hash,
-                    value,
-                }));
-                let dir = path_bit(&path, crit);
-                let mut children = [Node::Empty, Node::Empty];
-                children[dir] = new_leaf;
-                children[1 - dir] = old;
-                let hash = branch_hash(&children);
-                *node = Node::Branch(Arc::new(Branch { bit: crit, hash, children }));
-            }
+    /// Follow `path` through every branch above bit `until`, flagging each
+    /// stale (copy-on-write where shared), and return the slot reached.
+    fn descend_stale<'a>(mut node: &'a mut Node<V>, path: &Hash, until: u16) -> &'a mut Node<V> {
+        while matches!(node, Node::Branch(b) if b.bit < until) {
+            let Node::Branch(b) = node else { unreachable!("matched a branch") };
+            let b = Arc::make_mut(b);
+            b.stale = true;
+            node = &mut b.children[path_bit(path, b.bit)];
         }
+        node
     }
 
     /// Remove `key`. Returns whether it was present. O(log n) hashes;
     /// copy-on-write like [`SparseMerkleTree::insert`].
     pub fn remove(&mut self, key: &str) -> bool {
+        let hit = self.remove_deferred(key);
+        self.rehash();
+        hit
+    }
+
+    /// [`SparseMerkleTree::remove`] without re-hashing (see
+    /// [`SparseMerkleTree::insert_deferred`]).
+    pub fn remove_deferred(&mut self, key: &str) -> bool {
         let path = key_path(key);
         // Probe first: a miss must not copy-on-write any shared node.
         if self.find(&path).is_none() {
@@ -722,10 +773,33 @@ impl<V: StateValue + Clone> SparseMerkleTree<V> {
                     let sibling = std::mem::take(&mut b.children[1 - dir]);
                     *node = sibling;
                 } else {
-                    b.hash = branch_hash(&b.children);
+                    b.stale = true;
                 }
             }
             Node::Empty => unreachable!("probe found the key"),
+        }
+    }
+
+    /// Recompute every stale branch hash once, bottom-up, leaving the tree
+    /// fresh. Visits only stale branches and their children, so a no-op on
+    /// a fresh tree.
+    pub fn rehash(&mut self) {
+        if self.is_fresh() {
+            return;
+        }
+        let _prof = ahl_telemetry::Profiler::span("smt.rehash");
+        Self::rehash_rec(&mut self.root);
+    }
+
+    fn rehash_rec(node: &mut Node<V>) {
+        if let Node::Branch(b) = node {
+            if b.stale {
+                let b = Arc::make_mut(b);
+                Self::rehash_rec(&mut b.children[0]);
+                Self::rehash_rec(&mut b.children[1]);
+                b.hash = branch_hash(&b.children);
+                b.stale = false;
+            }
         }
     }
 
@@ -782,6 +856,7 @@ impl<V: StateValue + Clone + Send + Sync> SparseMerkleTree<V> {
     /// the resulting tree is the canonical crit-bit tree over the final
     /// content, so the root is bit-identical to the sequential loop.
     pub fn batch_apply(&mut self, changes: Vec<(String, Option<V>)>, workers: usize) {
+        self.assert_fresh();
         if changes.is_empty() {
             return;
         }
@@ -955,7 +1030,7 @@ impl<V: StateValue + Clone + Send + Sync> SparseMerkleTree<V> {
                 children[dir] = near;
                 children[1 - dir] = far;
                 let hash = branch_hash(&children);
-                Node::Branch(Arc::new(Branch { bit, hash, children }))
+                Node::Branch(Arc::new(Branch { bit, stale: false, hash, children }))
             }
         }
     }
@@ -969,6 +1044,7 @@ impl<V: StateValue + Send + Sync> SparseMerkleTree<V> {
     /// consistent. Checkpoint integrity check: a corrupted cache or a
     /// miscomputed parallel batch merge cannot certify a bad root.
     pub fn rehash_audit(&self, workers: usize) -> bool {
+        self.assert_fresh();
         Self::audit_node(&self.root, workers.max(1))
     }
 

@@ -8,7 +8,7 @@
 //! mixed batches and a whole sharded system.
 
 use ahl::ledger::{
-    execute_ops, lock_key, Condition, Mutation, Op, StateOp, StateStore, TxId, Value,
+    execute_ops, lock_key, Condition, Mutation, Op, StateOp, StateStore, TxId, Value, LOCK_PREFIX,
 };
 use ahl::simkit::SimDuration;
 use ahl::system::{run_system_report, SystemConfig, SystemWorkload};
@@ -94,6 +94,12 @@ fn assert_parallel_equals_sequential(ops: &[Op], workers: usize) {
             "lock table diverged on {}",
             account(i)
         );
+    }
+    // The lock-marker count (what lets `is_locked` skip the tree walk)
+    // is exact in both modes: it equals a scan of the `L_` keys.
+    for (mode, s) in [("sequential", &seq), ("parallel", &par)] {
+        let scan = s.iter().filter(|(k, _)| k.starts_with(LOCK_PREFIX)).count();
+        assert_eq!(s.lock_markers(), scan, "{mode} lock-marker count drifted");
     }
     assert_eq!(seq.pending_count(), par.pending_count());
     assert_eq!(seq.resolved_count(), par.resolved_count());
