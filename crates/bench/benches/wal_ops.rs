@@ -10,12 +10,23 @@
 //! directly: persisting a checkpoint after 10% churn must write far fewer
 //! than half the pages of a full persist (the ≥2× acceptance bar), since
 //! unchanged subtrees are referenced, not rewritten.
+//!
+//! `wal_ckpt/persist_steady_168k_window` prices one whole
+//! `NodeStore::persist_checkpoint` at the shape a saturated committee
+//! reaches: an executed-id window of 82 sealed segments of 2 048 ids
+//! (≈ 168 k ids), one new segment and one pruned segment per checkpoint,
+//! and a state tree with no new pages. Every manifest and page sync is a
+//! real `fdatasync` on the temp dir's file system, so the row moves with
+//! the disk.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
+use ahl_consensus::common::{ExecutedCache, ExecutedWindow};
+use ahl_consensus::pbft::NodeStore;
 use ahl_crypto::sha256_parts;
-use ahl_ledger::Value;
-use ahl_store::SparseMerkleTree;
+use ahl_ledger::{StateStore, Value};
+use ahl_simkit::{SimDuration, SimTime};
+use ahl_store::{CheckpointCert, SparseMerkleTree};
 use ahl_wal::codec::crc32;
 use ahl_wal::{FsyncPolicy, PageStore, TempDir, Wal, WalConfig};
 
@@ -130,5 +141,57 @@ fn bench_page_dedup(c: &mut Criterion) {
     assert!(sharing >= 2.0, "on-disk sharing below the 2x acceptance bar: {sharing:.2}");
 }
 
-criterion_group!(benches, bench_group_commit, bench_page_dedup);
+fn bench_checkpoint(c: &mut Criterion) {
+    const SEGMENTS: u64 = 82;
+    const INTERVAL: u64 = 2048;
+
+    let mut state = StateStore::new();
+    for i in 0..1_000 {
+        state.put(format!("acc{i}"), Value::Int(i));
+    }
+    let snap = state.snapshot();
+    let cert = CheckpointCert { seq: 1, root: snap.root(), votes: vec![(0, None), (1, None)] };
+    // One interval per simulated second, pruned after `SEGMENTS` seconds:
+    // from the first prune on, each checkpoint adds one segment and drops
+    // one, so the window stays at the steady shape.
+    let mut cache = ExecutedCache::new();
+    let mut interval = 0u64;
+    let mut next_window = move || -> ExecutedWindow {
+        let now = SimTime::ZERO + SimDuration::from_secs(interval);
+        for i in 0..INTERVAL {
+            cache.insert(interval * INTERVAL + i, now);
+        }
+        interval += 1;
+        let window = cache.window();
+        cache.checkpoint_prune(now, SimDuration::from_secs(SEGMENTS - 1));
+        window
+    };
+
+    let dir = TempDir::new("bench-ckpt");
+    let (mut store, _, _) = NodeStore::open(dir.path(), &WalConfig::default()).expect("open");
+    let mut window = ExecutedWindow::default();
+    for _ in 0..SEGMENTS + 2 {
+        window = next_window();
+        store.persist_checkpoint(&cert, &snap, &window).expect("warm-up checkpoint");
+    }
+    assert_eq!(window.len() as u64, SEGMENTS * INTERVAL, "steady window");
+
+    let mut g = c.benchmark_group("wal_ckpt");
+    g.throughput(Throughput::Elements(INTERVAL));
+    g.bench_function("persist_steady_168k_window", |b| {
+        b.iter_batched(
+            &mut next_window,
+            |window| {
+                let io = store.persist_checkpoint(&cert, &snap, &window).expect("checkpoint");
+                assert_eq!(io.pages.pages_written, 0, "no new tree pages");
+            },
+            BatchSize::SmallInput,
+        );
+    });
+    g.finish();
+    let manifest = std::fs::metadata(dir.path().join("MANIFEST")).expect("manifest").len();
+    println!("  [checkpoint] {manifest} manifest bytes for a {}-id window", window.len());
+}
+
+criterion_group!(benches, bench_group_commit, bench_page_dedup, bench_checkpoint);
 criterion_main!(benches);

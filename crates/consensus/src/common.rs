@@ -6,8 +6,9 @@
 //! and the lockstep engine alike.
 
 use std::collections::{HashSet, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
+use ahl_crypto::Hash;
 use ahl_ledger::{Op, StateStore};
 use ahl_mempool::Mempool;
 use ahl_simkit::{Ctx, NodeId, Phase, Scope, SimDuration, SimTime};
@@ -229,6 +230,10 @@ struct Segment {
     ids: Vec<u64>,
     /// `runs[i]` tags `ids[runs[i - 1].end..runs[i].end]`.
     runs: Vec<Run>,
+    /// [`ahl_wal::ids_hash`] of `ids`, computed the first time a
+    /// checkpoint persists the segment: later ones name it without
+    /// re-hashing.
+    digest: OnceLock<Hash>,
 }
 
 /// The `(insertion epoch, execution time)` tag of consecutive log entries.
@@ -383,7 +388,45 @@ impl ExecutedWindow {
         self.0.segs.iter().flat_map(|seg| seg.ids.iter().copied()).skip(self.0.skip)
     }
 
-    /// Wire / manifest form: `u32` count, then the ids as they lie in the
+    /// The shared segments, oldest first, each with its content address
+    /// ([`ahl_wal::ids_hash`], cached in the segment after the first call)
+    /// — the first one whole, [`ExecutedWindow::skip`] ids of it pruned.
+    /// Every segment is non-empty.
+    pub(crate) fn segments(&self) -> impl Iterator<Item = (Hash, &[u64])> + '_ {
+        self.0
+            .segs
+            .iter()
+            .map(|seg| (*seg.digest.get_or_init(|| ahl_wal::ids_hash(&seg.ids)), &seg.ids[..]))
+    }
+
+    /// How many leading ids of the first segment are already pruned.
+    pub(crate) fn skip(&self) -> usize {
+        self.0.skip
+    }
+
+    /// Rebuild a window from its segments (with their content addresses)
+    /// and the first one's pruned prefix. `None` unless it has the shape
+    /// [`ExecutedCache::window`] captures: no empty segment, `skip` inside
+    /// the first one, every id distinct.
+    pub(crate) fn from_segments(segs: Vec<(Hash, Vec<u64>)>, skip: usize) -> Option<Self> {
+        let skip_inside = segs.first().map_or(skip == 0, |(_, ids)| skip < ids.len());
+        if !skip_inside || segs.iter().any(|(_, ids)| ids.is_empty()) {
+            return None;
+        }
+        let segs: Vec<Arc<Segment>> = segs
+            .into_iter()
+            .map(|(hash, ids)| {
+                Arc::new(Segment { ids, runs: Vec::new(), digest: OnceLock::from(hash) })
+            })
+            .collect();
+        let total: usize = segs.iter().map(|seg| seg.ids.len()).sum();
+        let window = ExecutedWindow(Arc::new(WindowParts { segs, skip, len: total - skip }));
+        let mut seen = HashSet::with_capacity(window.len());
+        let distinct = window.iter().all(|id| seen.insert(id));
+        distinct.then_some(window)
+    }
+
+    /// Wire form: `u32` count, then the ids as they lie in the
     /// window. Execution order is identical on every honest replica and
     /// does not depend on any hasher, so equal windows encode to equal
     /// bytes.
@@ -395,22 +438,26 @@ impl ExecutedWindow {
     }
 
     /// Inverse of [`ExecutedWindow::encode`]; accepts ids in any order
-    /// (older files and frames carry them ascending) and counts a repeated
-    /// id once.
+    /// (older frames carry them ascending) and counts a repeated id once.
     pub fn decode(r: &mut Reader<'_>) -> Option<Self> {
         let n = r.u32()?;
         (0..n).map(|_| r.u64()).collect()
     }
 }
 
-/// Builds a single-segment window, keeping the first occurrence of each
-/// id (a hostile manifest must not make `len()` exceed the distinct count).
+/// Builds a window of at most one segment, keeping the first occurrence
+/// of each id (a hostile frame must not make `len()` exceed the distinct
+/// count).
 impl FromIterator<u64> for ExecutedWindow {
     fn from_iter<I: IntoIterator<Item = u64>>(iter: I) -> Self {
         let mut seen = HashSet::new();
         let ids: Vec<u64> = iter.into_iter().filter(|id| seen.insert(*id)).collect();
         let len = ids.len();
-        let segs = vec![Arc::new(Segment { ids, runs: Vec::new() })];
+        let segs = if ids.is_empty() {
+            Vec::new()
+        } else {
+            vec![Arc::new(Segment { ids, ..Segment::default() })]
+        };
         ExecutedWindow(Arc::new(WindowParts { segs, skip: 0, len }))
     }
 }

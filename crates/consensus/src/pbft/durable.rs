@@ -13,14 +13,20 @@
 //!   means corruption the CRCs missed, and replay stops rather than
 //!   trusts);
 //! * every certified checkpoint persists the snapshot's pages
-//!   (content-addressed — consecutive checkpoints share unchanged pages),
-//!   publishes the manifest (certificate + executed-request window, in
-//!   execution order, + 2PC sidecar in the metadata), logs a
+//!   (content-addressed — consecutive checkpoints share unchanged pages)
+//!   and each executed-id segment no earlier checkpoint wrote (one per
+//!   interval, also content-addressed), publishes the manifest, logs a
 //!   [`WalRecord::Ckpt`] marker, and compacts the WAL to the last two
-//!   checkpoint generations;
+//!   checkpoint generations. The manifest metadata is a format tag, the
+//!   certificate, the executed-request window as `(segment hash, len)`
+//!   references in execution order plus the first segment's pruned
+//!   prefix, and the 2PC sidecar: a few KB, however many ids the window
+//!   holds;
 //! * [`NodeStore::open`] reopens the directory after a crash: validates
-//!   the manifest, loads and root-verifies the checkpoint tree, and hands
-//!   back the decoded WAL tail for replay.
+//!   the manifest, reads and hash-checks every segment it names, loads
+//!   and root-verifies the checkpoint tree, and hands back the decoded
+//!   WAL tail for replay. A missing or damaged segment makes the manifest
+//!   unusable, exactly like a missing root page: the node cold-starts.
 //!
 //! Any I/O error — including an injected [`ahl_wal::KillSwitch`] crash —
 //! is treated by the replica as its own crash: it goes dark exactly as if
@@ -35,7 +41,9 @@ use ahl_ledger::{StateSidecar, StateSnapshot};
 use ahl_simkit::SimTime;
 use ahl_store::CheckpointCert;
 use ahl_wal::codec::{Reader, Writer};
-use ahl_wal::{open_node_dir, write_manifest, GcStats, Manifest, NodeDir, PersistStats, WalConfig};
+use ahl_wal::{
+    open_node_dir, write_manifest, GcStats, Manifest, NodeDir, PageStore, PersistStats, WalConfig,
+};
 
 use crate::common::{ExecutedWindow, Request};
 use crate::pbft::msg::PbftBlock;
@@ -43,6 +51,13 @@ use crate::pbft::msg::PbftBlock;
 const REC_BATCH: u8 = 1;
 const REC_CKPT: u8 = 2;
 const REC_TWOPC: u8 = 3;
+
+/// First field of the manifest metadata. A layout without it (the
+/// whole-window layout before segment references) is refused, not
+/// misread: there its place holds the certified sequence number.
+const META_FORMAT: u64 = u64::from_be_bytes(*b"AHLCKSG1");
+/// Encoded size of one segment reference: hash + `u32` length.
+const SEG_REF_BYTES: usize = 36;
 
 /// A 2PC transition kind journaled alongside its batch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -214,6 +229,65 @@ fn decode_cert(r: &mut Reader<'_>) -> Option<CheckpointCert> {
     Some(CheckpointCert { seq, root, votes })
 }
 
+/// The window section of the manifest metadata: segment count, each
+/// segment's `(hash, len)`, the first one's pruned prefix, the window's
+/// id count. The segments themselves are page-store frames.
+fn encode_window_refs(refs: &[(Hash, usize)], skip: usize, len: usize, w: &mut Writer) {
+    w.u32(refs.len() as u32);
+    for (hash, seg_len) in refs {
+        w.hash(hash);
+        w.u32(*seg_len as u32);
+    }
+    w.u32(skip as u32);
+    w.u32(len as u32);
+}
+
+/// Inverse of [`encode_window_refs`], reading each named segment from
+/// `pages`. `None` — never a panic — unless every frame is present,
+/// intact and as long as its reference says, and the rebuilt window has
+/// the recorded length and the shape [`ExecutedWindow::from_segments`]
+/// demands (a repeated reference repeats ids, so it fails there).
+fn decode_window_refs(r: &mut Reader<'_>, pages: &PageStore) -> Option<ExecutedWindow> {
+    let n = r.u32()? as usize;
+    if n > r.remaining() / SEG_REF_BYTES {
+        return None; // more references than bytes to hold them
+    }
+    let mut refs = Vec::with_capacity(n);
+    for _ in 0..n {
+        refs.push((r.hash()?, r.u32()? as usize));
+    }
+    let (skip, len) = (r.u32()? as usize, r.u32()? as usize);
+    let mut segs = Vec::with_capacity(n);
+    for (hash, want) in refs {
+        let ids = pages.read_ids(&hash).ok()?;
+        if ids.len() != want {
+            return None;
+        }
+        segs.push((hash, ids));
+    }
+    ExecutedWindow::from_segments(segs, skip).filter(|w| w.len() == len)
+}
+
+/// Decode a manifest's metadata against the page store: the certificate
+/// (bound to the manifest's sequence and root), the executed window and
+/// the 2PC sidecar, nothing after them. The tree is loaded separately.
+fn decode_meta(
+    m: &Manifest,
+    pages: &PageStore,
+) -> Option<(CheckpointCert, ExecutedWindow, StateSidecar)> {
+    let mut r = Reader::new(&m.meta);
+    if r.u64()? != META_FORMAT {
+        return None;
+    }
+    let cert = decode_cert(&mut r)?;
+    if cert.seq != m.seq || cert.root != m.root {
+        return None; // manifest/cert mismatch: not trusted
+    }
+    let executed = decode_window_refs(&mut r, pages)?;
+    let sidecar = StateSidecar::decode(&mut r)?;
+    r.is_done().then_some((cert, executed, sidecar))
+}
+
 /// The durable checkpoint recovered from a reopened node directory.
 pub struct DurableState {
     /// The persisted (and re-verified: `cert.seq == manifest.seq`,
@@ -255,13 +329,7 @@ impl NodeStore {
     ) -> std::io::Result<(NodeStore, Option<DurableState>, Vec<WalRecord>)> {
         let node = open_node_dir(dir, cfg)?;
         let durable = node.manifest.as_ref().and_then(|m| {
-            let mut r = Reader::new(&m.meta);
-            let cert = decode_cert(&mut r)?;
-            if cert.seq != m.seq || cert.root != m.root {
-                return None; // manifest/cert mismatch: not trusted
-            }
-            let executed = ExecutedWindow::decode(&mut r)?;
-            let sidecar = StateSidecar::decode(&mut r)?;
+            let (cert, executed, sidecar) = decode_meta(m, &node.pages)?;
             let snapshot = open_snapshot(&node.pages, m.root, sidecar).ok()?;
             Some(DurableState { cert, snapshot, executed })
         });
@@ -298,9 +366,15 @@ impl NodeStore {
     }
 
     /// Persist a certified checkpoint: pages (deduplicated against every
-    /// earlier checkpoint), sync barrier, manifest swap, WAL marker, then
-    /// compact the log to the last two checkpoint generations and collect
-    /// dead page segments if disk pressure asks for it.
+    /// earlier checkpoint) and the executed-id segments not yet on disk
+    /// (each sealed segment is written once, by the first checkpoint that
+    /// holds it), sync barrier, manifest swap, WAL marker, then compact
+    /// the log to the last two checkpoint generations and collect dead
+    /// page segments if disk pressure asks for it — the tree root and the
+    /// window's segments are the live set. Segment frames are not counted
+    /// in the returned [`PersistStats`], which price the tree alone.
+    /// Until a GC runs, the page store keeps every segment it was given
+    /// (8 bytes per executed id), as it keeps superseded tree pages.
     ///
     /// Ordering audit (the invariant the post-rename manifest kill point
     /// pins): every space-reclaiming step — WAL compaction in
@@ -315,13 +389,16 @@ impl NodeStore {
         executed: &ExecutedWindow,
     ) -> std::io::Result<CheckpointIo> {
         let stats = snapshot.persist(&mut self.node.pages)?;
+        let mut refs: Vec<(Hash, usize)> = Vec::new();
+        for (hash, ids) in executed.segments() {
+            self.node.pages.put_ids(hash, ids)?;
+            refs.push((hash, ids.len()));
+        }
         self.node.pages.sync()?;
-        // The id window dominates the metadata: size the buffer for it
-        // once and write it as it lies (execution order — deterministic,
-        // and the decoder takes any order).
-        let mut meta = Writer::with_capacity(1024 + 8 * executed.len());
+        let mut meta = Writer::with_capacity(1024 + SEG_REF_BYTES * refs.len());
+        meta.u64(META_FORMAT);
         encode_cert(cert, &mut meta);
-        executed.encode(&mut meta);
+        encode_window_refs(&refs, executed.skip(), executed.len(), &mut meta);
         snapshot.sidecar().encode(&mut meta);
         write_manifest(
             &self.dir,
@@ -332,9 +409,12 @@ impl NodeStore {
         self.node.wal.commit()?;
         self.node.wal.rotate_keep(2)?;
         // The manifest just published is the only checkpoint a restart
-        // can anchor on, so its root is the whole live set — older
-        // checkpoints' unshared pages are garbage from here on.
-        let gc = self.node.pages.maybe_gc(&[cert.root])?;
+        // can anchor on, so its root and segments are the whole live set
+        // — older checkpoints' unshared pages and pruned segments are
+        // garbage from here on.
+        let live: Vec<Hash> =
+            std::iter::once(cert.root).chain(refs.iter().map(|(hash, _)| *hash)).collect();
+        let gc = self.node.pages.maybe_gc(&live)?;
         Ok(CheckpointIo { pages: stats, gc })
     }
 }
@@ -450,41 +530,321 @@ mod tests {
     }
 
     fn one_key_checkpoint() -> (StateSnapshot, CheckpointCert) {
+        checkpoint_with(5, 1)
+    }
+
+    /// A certified checkpoint at `seq` over `keys` keys.
+    fn checkpoint_with(seq: u64, keys: i64) -> (StateSnapshot, CheckpointCert) {
         let mut state = StateStore::new();
-        state.put("a".into(), Value::Int(10));
+        for k in 0..keys {
+            state.put(format!("k{k}"), Value::Int(10 + k));
+        }
         let snap = state.snapshot();
-        let cert = CheckpointCert { seq: 5, root: snap.root(), votes: vec![(0, None), (1, None)] };
+        let cert = CheckpointCert { seq, root: snap.root(), votes: vec![(0, None), (1, None)] };
         (snap, cert)
     }
 
-    /// The manifest format is `u32` count + `u64` ids in any order: a
-    /// file whose ids ascend, as the sorting encoder before this one wrote
-    /// them, loads the same ids; one that repeats an id counts it once.
+    /// The windows a replica captures over `checkpoints` intervals of
+    /// steady load: 16 ids per block, a block every 100 ms, a checkpoint
+    /// every 8 blocks that captures the window and then prunes under the
+    /// default `request_ttl` (10 s). Once more than the ttl has passed,
+    /// the prune cut falls inside an interval, so every later window's
+    /// first segment is partly pruned.
+    fn steady_windows(checkpoints: u64) -> Vec<ExecutedWindow> {
+        const PER_BLOCK: u64 = 16;
+        let ttl = crate::pbft::PbftConfig::new(crate::pbft::BftVariant::AhlPlus, 4).request_ttl;
+        let mut cache = crate::common::ExecutedCache::new();
+        let mut windows = Vec::new();
+        for block in 0..8 * checkpoints {
+            let now = SimTime::ZERO + ahl_simkit::SimDuration::from_millis(100 * block);
+            for i in 0..PER_BLOCK {
+                cache.insert(block * PER_BLOCK + i, now);
+            }
+            if block % 8 == 7 {
+                windows.push(cache.window());
+                cache.checkpoint_prune(now, ttl);
+            }
+        }
+        windows
+    }
+
+    fn reopen_window(dir: &Path) -> Option<ExecutedWindow> {
+        let (_, durable, _) = NodeStore::open(dir, &WalConfig::default()).expect("reopen");
+        durable.map(|d| d.executed)
+    }
+
+    /// What a disk round trip must preserve: the segments, id for id,
+    /// and the first one's pruned prefix.
+    fn shape(window: &ExecutedWindow) -> (Vec<Vec<u64>>, usize) {
+        (window.segments().map(|(_, ids)| ids.to_vec()).collect(), window.skip())
+    }
+
+    fn refs_of(window: &ExecutedWindow) -> Vec<(Hash, usize)> {
+        window.segments().map(|(hash, ids)| (hash, ids.len())).collect()
+    }
+
+    /// Manifest metadata in the current layout with the window section
+    /// as given, for feeding the decoder what no honest writer produces.
+    fn meta_with(
+        cert: &CheckpointCert,
+        snap: &StateSnapshot,
+        window: impl FnOnce(&mut Writer),
+    ) -> Manifest {
+        let mut w = Writer::new();
+        w.u64(META_FORMAT);
+        encode_cert(cert, &mut w);
+        window(&mut w);
+        snap.sidecar().encode(&mut w);
+        Manifest { seq: cert.seq, root: cert.root, meta: w.into_bytes() }
+    }
+
+    /// The whole-window layout (certificate, `u32` count, every id,
+    /// sidecar) is refused by the format tag, not misread: the node
+    /// cold-starts, exactly as with a missing root page.
     #[test]
-    fn manifest_with_ascending_or_repeated_ids_loads() {
-        let dir = TempDir::new("nodestore-idorder");
+    fn old_meta_layout_is_refused() {
+        let dir = TempDir::new("nodestore-oldmeta");
         let cfg = WalConfig::default();
         let (snap, cert) = one_key_checkpoint();
-        let (mut store, _, _) = NodeStore::open(dir.path(), &cfg).expect("open");
         let executed: ExecutedWindow = [9, 3, 7].into_iter().collect();
+        let (mut store, _, _) = NodeStore::open(dir.path(), &cfg).expect("open");
         store.persist_checkpoint(&cert, &snap, &executed).expect("pages + manifest");
         drop(store);
-        for (on_disk, want) in [(vec![3u64, 7, 9], vec![3u64, 7, 9]), (vec![9, 3, 9, 7, 3], vec![9, 3, 7])] {
-            let mut meta = Writer::new();
-            encode_cert(&cert, &mut meta);
-            meta.u32(on_disk.len() as u32);
-            for id in &on_disk {
-                meta.u64(*id);
+        let got = reopen_window(dir.path()).expect("the current layout loads");
+        assert_eq!(shape(&got), shape(&executed));
+        let mut meta = Writer::new();
+        encode_cert(&cert, &mut meta);
+        meta.u32(3);
+        for id in [9u64, 3, 7] {
+            meta.u64(id);
+        }
+        snap.sidecar().encode(&mut meta);
+        let m = Manifest { seq: cert.seq, root: cert.root, meta: meta.into_bytes() };
+        write_manifest(dir.path(), &m, &cfg.kill).expect("republish");
+        assert!(reopen_window(dir.path()).is_none(), "old layout refused");
+    }
+
+    /// After more than `request_ttl` of steady load the window's first
+    /// segment is partly pruned; a restart reads it back exactly — same
+    /// segments, same ids in the same order, same pruned prefix — from a
+    /// manifest that names segments instead of listing ids.
+    #[test]
+    fn segment_restart_past_request_ttl_reads_a_partly_pruned_first_segment() {
+        let windows = steady_windows(24);
+        let window = windows.last().expect("windows");
+        assert!(window.skip() > 0, "the first segment is partly pruned");
+        assert!(window.segments().count() > 10);
+        let dir = TempDir::new("nodestore-pastttl");
+        let (snap, cert) = one_key_checkpoint();
+        let (mut store, _, _) = NodeStore::open(dir.path(), &WalConfig::default()).expect("open");
+        for w in &windows {
+            store.persist_checkpoint(&cert, &snap, w).expect("checkpoint");
+        }
+        drop(store);
+        let manifest = ahl_wal::read_manifest(dir.path()).expect("manifest");
+        assert!(
+            manifest.meta.len() < 200 + SEG_REF_BYTES * window.segments().count(),
+            "{} bytes of metadata for {} ids",
+            manifest.meta.len(),
+            window.len()
+        );
+        let got = reopen_window(dir.path()).expect("durable window");
+        assert_eq!(shape(&got), shape(window));
+        assert_eq!((got.skip(), got.len()), (window.skip(), window.len()));
+        assert!(got.iter().eq(window.iter()));
+        let resumed = crate::common::ExecutedCache::from_window(&got, SimTime::ZERO);
+        assert_eq!(resumed.len(), window.len());
+    }
+
+    /// The kill-point matrix over one checkpoint that appends a segment
+    /// (and drops a pruned one), with GC armed: a crash at each of its
+    /// durable write sites in turn recovers the window of the previous
+    /// checkpoint or of this one, never anything else, and the store
+    /// then completes the checkpoint.
+    #[test]
+    fn segment_kill_matrix_recovers_a_captured_window() {
+        let windows = steady_windows(16);
+        let (a, b) = (&windows[14], &windows[15]);
+        let (snap_a, cert_a) = checkpoint_with(5, 2);
+        let (snap_b, cert_b) = checkpoint_with(10, 3);
+        let cfg = || WalConfig { segment_bytes: 2048, gc_trigger_bytes: 1, ..WalConfig::default() };
+        let setup = |cfg: &WalConfig| {
+            let dir = TempDir::new("nodestore-segkill");
+            let (mut store, _, _) = NodeStore::open(dir.path(), cfg).expect("open");
+            store.persist_checkpoint(&cert_a, &snap_a, a).expect("checkpoint a");
+            (dir, store)
+        };
+        let counting = cfg();
+        let (_dir, mut store) = setup(&counting);
+        let before = counting.kill.visited();
+        store.persist_checkpoint(&cert_b, &snap_b, b).expect("checkpoint b");
+        let sites = counting.kill.visited() - before;
+        let fresh = b.segments().filter(|(h, _)| !a.segments().any(|(g, _)| g == *h)).count();
+        assert!(fresh >= 1 && sites > fresh as u64 + 3, "{sites} sites, {fresh} new segments");
+        let mut recovered = [0u32; 2];
+        for site in 0..sites {
+            let armed = cfg();
+            let (dir, mut store) = setup(&armed);
+            armed.kill.arm(site);
+            assert!(store.persist_checkpoint(&cert_b, &snap_b, b).is_err(), "site {site} fires");
+            drop(store);
+            let cfg = cfg();
+            let (mut store, durable, _) = NodeStore::open(dir.path(), &cfg).expect("reopen");
+            let durable = durable.expect("a checkpoint was durable before the crash");
+            let got = shape(&durable.executed);
+            let which = if got == shape(a) { 0 } else { 1 };
+            assert!(which == 0 || got == shape(b), "site {site}: a captured window");
+            assert_eq!(durable.cert.seq, [cert_a.seq, cert_b.seq][which], "site {site}");
+            recovered[which] += 1;
+            store.persist_checkpoint(&cert_b, &snap_b, b).expect("completes after the crash");
+            drop(store);
+            let done = reopen_window(dir.path()).expect("the completed checkpoint");
+            assert_eq!(shape(&done), shape(b), "site {site}");
+        }
+        assert!(recovered[0] > 0 && recovered[1] > 0, "both outcomes reached: {recovered:?}");
+    }
+
+    /// A segment frame that is torn, missing or corrupt makes the manifest
+    /// that names it unusable: the node cold-starts rather than resume
+    /// with a window it cannot vouch for.
+    #[test]
+    fn segment_frame_torn_missing_or_corrupt_refuses_the_manifest() {
+        let windows = steady_windows(16);
+        let window = windows.last().expect("windows");
+        let (snap, cert) = one_key_checkpoint();
+        // One frame per file: each damage hits exactly one segment.
+        let cfg = WalConfig { segment_bytes: 1, ..WalConfig::default() };
+        for damage in ["torn", "missing", "corrupt"] {
+            let dir = TempDir::new("nodestore-segdamage");
+            let (mut store, _, _) = NodeStore::open(dir.path(), &cfg).expect("open");
+            store.persist_checkpoint(&cert, &snap, window).expect("checkpoint");
+            drop(store);
+            assert!(reopen_window(dir.path()).is_some(), "{damage}: intact first");
+            let (target, _) = window.segments().nth(3).expect("segment");
+            let file = std::fs::read_dir(dir.path().join("pages"))
+                .expect("pages dir")
+                .map(|e| e.expect("entry").path())
+                .find(|p| {
+                    p.extension().is_some_and(|x| x == "seg")
+                        && std::fs::read(p).expect("read").windows(32).any(|w| w == target.0)
+                })
+                .expect("the segment's file");
+            let mut bytes = std::fs::read(&file).expect("read");
+            match damage {
+                "torn" => bytes.truncate(bytes.len() - 9),
+                "missing" => bytes.clear(),
+                _ => *bytes.last_mut().expect("bytes") ^= 0x10,
             }
-            snap.sidecar().encode(&mut meta);
-            let m = Manifest { seq: cert.seq, root: cert.root, meta: meta.into_bytes() };
-            write_manifest(dir.path(), &m, &cfg.kill).expect("republish");
-            let (_, durable, _) = NodeStore::open(dir.path(), &cfg).expect("reopen");
-            let got = durable.expect("loads").executed;
-            assert_eq!(got.iter().collect::<Vec<_>>(), want);
-            assert_eq!(got.len(), want.len());
-            let resumed = crate::common::ExecutedCache::from_window(&got, SimTime::ZERO);
-            assert_eq!(resumed.len(), 3, "same executed_len() either way");
+            std::fs::write(&file, &bytes).expect("damage");
+            assert!(reopen_window(dir.path()).is_none(), "{damage} segment refused");
+        }
+    }
+
+    /// With the GC trigger armed, every checkpoint collects: the segments
+    /// the new manifest names survive, segments pruned out of the window
+    /// are reclaimed, and the survivors still load.
+    #[test]
+    fn segment_gc_keeps_referenced_segments_and_reclaims_the_rest() {
+        let windows = steady_windows(20);
+        let (snap, cert) = one_key_checkpoint();
+        let cfg = WalConfig { segment_bytes: 1, gc_trigger_bytes: 1, ..WalConfig::default() };
+        let dir = TempDir::new("nodestore-seggc");
+        let (mut store, _, _) = NodeStore::open(dir.path(), &cfg).expect("open");
+        let mut written: Vec<Hash> = Vec::new();
+        for (i, w) in windows.iter().enumerate() {
+            let io = store.persist_checkpoint(&cert, &snap, w).expect("checkpoint");
+            assert!(io.gc.is_some(), "the armed trigger collects");
+            // The one-key tree's page, once; segment frames never count.
+            assert_eq!(io.pages.pages_written, u64::from(i == 0));
+            let live = refs_of(w);
+            for (h, _) in &live {
+                if !written.contains(h) {
+                    written.push(*h);
+                }
+            }
+            for h in &written {
+                let named = live.iter().any(|(l, _)| l == h);
+                assert_eq!(store.node.pages.contains(h), named);
+            }
+        }
+        assert!(written.len() > refs_of(windows.last().expect("windows")).len());
+        drop(store);
+        let got = reopen_window(dir.path()).expect("durable window");
+        assert_eq!(shape(&got), shape(windows.last().expect("windows")));
+    }
+
+    /// Hostile metadata never panics the decoder and never yields a
+    /// window it did not vouch for: a flipped bit in the format tag or
+    /// window section, a segment count up to `u32::MAX`, a repeated
+    /// reference, a pruned prefix as long as the first segment, or a
+    /// length that disagrees with its frame or with the window each give
+    /// `None`.
+    #[test]
+    fn segment_meta_decode_refuses_hostile_bytes() {
+        let windows = steady_windows(16);
+        let window = windows.last().expect("windows");
+        let (snap, cert) = one_key_checkpoint();
+        let dir = TempDir::new("nodestore-seghostile");
+        let (mut store, _, _) = NodeStore::open(dir.path(), &WalConfig::default()).expect("open");
+        store.persist_checkpoint(&cert, &snap, window).expect("checkpoint");
+        let pages = &store.node.pages;
+        let refs = refs_of(window);
+        let (skip, len) = (window.skip(), window.len());
+        let with = |refs: &[(Hash, usize)], skip: usize, len: usize| {
+            meta_with(&cert, &snap, |w| encode_window_refs(refs, skip, len, w))
+        };
+        let honest = with(&refs, skip, len);
+        assert_eq!(Some(&honest), ahl_wal::read_manifest(dir.path()).as_ref());
+        assert!(decode_meta(&honest, pages).is_some_and(|(_, w, _)| shape(&w) == shape(window)));
+
+        let refused = |m: &Manifest, what: &str| assert!(decode_meta(m, pages).is_none(), "{what}");
+        for count in [refs.len() as u32 + 1, 1 << 20, u32::MAX] {
+            refused(
+                &meta_with(&cert, &snap, |w| {
+                    w.u32(count);
+                    for (hash, seg_len) in &refs {
+                        w.hash(hash);
+                        w.u32(*seg_len as u32);
+                    }
+                    w.u32(skip as u32);
+                    w.u32(len as u32);
+                }),
+                "inflated segment count",
+            );
+        }
+        let mut dup = refs.clone();
+        dup.insert(1, refs[1]);
+        refused(&with(&dup, skip, len + refs[1].1), "duplicate reference");
+        refused(&with(&refs, refs[0].1, len + skip - refs[0].1), "skip = first segment's length");
+        refused(&with(&refs, refs[0].1 + 3, len), "skip past the first segment");
+        for delta in [-1i64, 1] {
+            let mut off = refs.clone();
+            off[2].1 = (off[2].1 as i64 + delta) as usize;
+            refused(&with(&off, skip, (len as i64 + delta) as usize), "len disagrees with frame");
+        }
+        refused(&with(&refs, skip, len + 1), "window length disagrees");
+        refused(&with(&refs, skip + 1, len), "pruned prefix disagrees with the length");
+
+        // Bit flips: anywhere, no panic; in the tag or the window section,
+        // always refused.
+        let cert_bytes = {
+            let mut w = Writer::new();
+            encode_cert(&cert, &mut w);
+            w.len()
+        };
+        let section = 8 + cert_bytes..8 + cert_bytes + 4 + SEG_REF_BYTES * refs.len() + 8;
+        for bit in 0..honest.meta.len() * 8 {
+            let mut m = honest.clone();
+            m.meta[bit / 8] ^= 1 << (bit % 8);
+            let decoded = decode_meta(&m, pages);
+            if bit / 8 < 8 || section.contains(&(bit / 8)) {
+                assert!(decoded.is_none(), "flipped bit {bit} accepted");
+            }
+        }
+        // Truncated at every length: refused, no panic.
+        for cut in 0..honest.meta.len() {
+            let m = Manifest { meta: honest.meta[..cut].to_vec(), ..honest.clone() };
+            refused(&m, "truncated");
         }
     }
 
@@ -503,6 +863,7 @@ mod tests {
             drop(store);
             let (_, durable, _) = NodeStore::open(dir.path(), &cfg).expect("reopen");
             let got = durable.expect("durable checkpoint recovered").executed;
+            proptest::prop_assert_eq!(shape(&got), shape(&window));
             proptest::prop_assert_eq!(got.len(), want.len());
             proptest::prop_assert_eq!(got.iter().collect::<Vec<_>>(), want);
         }

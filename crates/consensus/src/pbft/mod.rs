@@ -7,6 +7,7 @@ mod replica;
 mod wire;
 
 pub use config::{BftVariant, FaultModel, PbftConfig, ReplyPolicy};
+pub use durable::NodeStore;
 use config::QUEUE_CAPACITY;
 pub use msg::{chunk_entry_bytes, AggProof, MsgCert, PbftBlock, PbftMsg, ViewChangeMsg, Vote};
 pub use replica::Replica;

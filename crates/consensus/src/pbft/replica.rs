@@ -1376,11 +1376,13 @@ impl Replica {
             return;
         }
         let Some((cert, snap)) = self.durable.clone() else { return };
+        let prof = ahl_telemetry::Profiler::span("wal.checkpoint");
         let result = self
             .durable_store
             .as_mut()
             .expect("checked above")
             .persist_checkpoint(&cert, &snap.snap, &snap.executed);
+        drop(prof);
         match result {
             Ok(io) => {
                 let stats = io.pages;
@@ -1411,6 +1413,9 @@ impl Replica {
     /// Trim the serving window to the newest `snapshot_retention`
     /// certificates (at least 2), evicting oldest first.
     fn trim_serving_window(&mut self) {
+        // Priced on its own: dropping a retired snapshot frees the tree
+        // nodes no newer snapshot shares.
+        let _prof = ahl_telemetry::Profiler::span("pbft.retire");
         while self.serving.len() > self.cfg.snapshot_retention.max(2) {
             self.serving.remove(0);
         }

@@ -124,7 +124,7 @@ pub use cache::{CacheStats, PageCache};
 pub use kill::KillSwitch;
 pub use log::{FsyncPolicy, Wal, WalConfig, WalStats};
 pub use manifest::{read_manifest, write_manifest, Manifest};
-pub use pages::{GcStats, OpenStats, PageStore, PageValue, PersistStats};
+pub use pages::{ids_hash, GcStats, OpenStats, PageStore, PageValue, PersistStats};
 pub use tempdir::TempDir;
 
 use std::path::Path;

@@ -4,7 +4,8 @@
 //! checkpoint *durable*: it names the certified sequence, the state root
 //! (whose pages must already be on disk, synced, before the manifest may
 //! reference them), and an opaque metadata blob (the owner serializes its
-//! checkpoint certificate, 2PC sidecar, and executed-request set there).
+//! checkpoint certificate, 2PC sidecar, and the hashes of the
+//! executed-request segments it stored in the page store there).
 //!
 //! Publication is write-temp → fsync → rename: the rename is atomic on
 //! POSIX, so a crash at any point leaves either the old manifest or the
@@ -50,9 +51,10 @@ fn tmp_path(dir: &Path) -> std::path::PathBuf {
 /// why WAL compaction must wait for this function to return).
 pub fn write_manifest(dir: &Path, m: &Manifest, kill: &KillSwitch) -> std::io::Result<()> {
     // File = MAGIC, CRC of the body, body; body = seq, root, length-prefixed
-    // metadata. The metadata can be a megabyte (the executed-id window), so
-    // it goes from the caller's buffer to the file once: the CRC runs over
-    // the two parts and each is written as it lies.
+    // metadata. The metadata goes from the caller's buffer to the file
+    // once: the CRC runs over the two parts and each is written as it
+    // lies. (A replica's metadata is a few KB — its executed-id window is
+    // named by segment hashes, the ids live in the page store.)
     let mut body_head = Writer::new();
     body_head.u64(m.seq);
     body_head.hash(&m.root);

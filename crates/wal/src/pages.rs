@@ -58,6 +58,18 @@
 //! CRC-checks its frame, so a wrong sidecar can fail a load but never
 //! forge state.
 //!
+//! ## Executed-id segments
+//!
+//! The store also holds a second kind of frame: an immutable run of
+//! executed request ids ([`PageStore::put_ids`]), keyed by
+//! [`ids_hash`] — a SHA-256 under its own domain tag, so the key space
+//! cannot meet the `0x00`/`0x01`-prefixed tree node hashes. A checkpoint
+//! appends only the segments no earlier checkpoint wrote, and the
+//! manifest names the rest by hash. To the GC mark walk a segment is a
+//! childless page: its hash is live exactly when passed as a root.
+//! [`PageStore::read_ids`] re-hashes what it reads, so a segment loads
+//! with the content its key commits to or not at all.
+//!
 //! ## Loading
 //!
 //! [`PageStore::load_tree`] walks down from a root hash, collects the
@@ -166,6 +178,9 @@ pub struct OpenStats {
 
 const TAG_LEAF: u8 = 0;
 const TAG_BRANCH: u8 = 1;
+const TAG_IDS: u8 = 2;
+/// Domain tag of [`ids_hash`].
+const IDS_DOMAIN: &[u8] = b"ahl.wal.executed-ids";
 /// A page payload is at least a node hash plus a tag byte.
 const MIN_PAGE: usize = 33;
 
@@ -231,12 +246,12 @@ pub(crate) fn decode_page<V: PageValue>(body: &[u8]) -> Result<PageNode<V>, WalE
     }
 }
 
-/// The children of a branch page body, `None` for a leaf. The GC mark
-/// walk needs only this — it never decodes values.
+/// The children of a branch page body, `None` for a leaf or an id
+/// segment. The GC mark walk needs only this — it never decodes values.
 fn branch_children(body: &[u8]) -> Result<Option<(Hash, Hash)>, WalError> {
     let mut r = Reader::new(body);
     match r.u8() {
-        Some(TAG_LEAF) => Ok(None),
+        Some(TAG_LEAF | TAG_IDS) => Ok(None),
         Some(TAG_BRANCH) => {
             let _bit = r.u16().ok_or(WalError::Corrupt("branch bit"))?;
             let left = r.hash().ok_or(WalError::Corrupt("branch left"))?;
@@ -370,7 +385,7 @@ impl PageStore {
         self.index.contains_key(hash)
     }
 
-    /// Number of indexed pages.
+    /// Number of indexed frames (tree pages and id segments).
     pub fn page_count(&self) -> usize {
         self.index.len()
     }
@@ -573,6 +588,35 @@ impl PageStore {
         Ok(frame.split_off(8))
     }
 
+    /// Append the id segment `ids` under `hash` (= [`ids_hash`] of it)
+    /// unless a frame with that key is already on disk. Like a tree page
+    /// it is durable only after the next [`PageStore::sync`].
+    pub fn put_ids(&mut self, hash: Hash, ids: &[u64]) -> std::io::Result<()> {
+        if self.index.contains_key(&hash) {
+            return Ok(());
+        }
+        debug_assert_eq!(hash, ids_hash(ids));
+        let payload = [&hash.0[..], &[TAG_IDS], &encode_ids(ids)].concat();
+        self.write_frame(hash, payload).map(drop)
+    }
+
+    /// Read the id segment stored under `hash`: the frame must pass its
+    /// CRC, be an id segment, and hash back to `hash`.
+    pub fn read_ids(&self, hash: &Hash) -> Result<Vec<u64>, WalError> {
+        let payload = self.read_frame_payload(hash)?;
+        let body = &payload[32..];
+        if body.first() != Some(&TAG_IDS) || (body.len() - 1) % 8 != 0 {
+            return Err(WalError::Corrupt("not an id segment"));
+        }
+        if ids_digest(&body[1..]) != *hash {
+            return Err(WalError::Corrupt("id segment does not match its hash"));
+        }
+        Ok(body[1..]
+            .chunks_exact(8)
+            .map(|b| u64::from_be_bytes(b.try_into().expect("8-byte chunk")))
+            .collect())
+    }
+
     /// Read a page body (everything after the 32-byte hash prefix).
     pub(crate) fn read_page(&self, hash: &Hash) -> Result<Vec<u8>, WalError> {
         let mut payload = self.read_frame_payload(hash)?;
@@ -755,6 +799,20 @@ fn read_index_file(dir: &Path, id: u64) -> std::io::Result<Option<(Vec<IdxEntry>
         return Ok(None);
     }
     Ok(Some((entries, seg_len)))
+}
+
+/// The content address of an executed-id segment: SHA-256 over a domain
+/// tag and the ids, big-endian, in order.
+pub fn ids_hash(ids: &[u64]) -> Hash {
+    ids_digest(&encode_ids(ids))
+}
+
+fn encode_ids(ids: &[u64]) -> Vec<u8> {
+    ids.iter().flat_map(|id| id.to_be_bytes()).collect()
+}
+
+fn ids_digest(bytes: &[u8]) -> Hash {
+    ahl_crypto::sha256_parts(&[IDS_DOMAIN, bytes])
 }
 
 fn encode_page<V: PageValue>(view: &NodeView<'_, V>) -> (Hash, Vec<u8>) {
@@ -1030,6 +1088,59 @@ mod tests {
             let b: SparseMerkleTree = store.load_tree(t.root_hash()).expect("new root");
             assert_eq!(b.root_hash(), t.root_hash());
         }
+    }
+
+    #[test]
+    fn id_segment_round_trips_once_and_fails_closed() {
+        let dir = TempDir::new("pages-ids");
+        let cfg = WalConfig { segment_bytes: 1, ..WalConfig::default() };
+        let mut store = PageStore::open(dir.path(), cfg.clone()).expect("open");
+        let ids: Vec<u64> = (0..300u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
+        let h = ids_hash(&ids);
+        assert_ne!(h, ids_hash(&ids[1..]), "the key commits to every id");
+        store.put_ids(h, &ids).expect("put");
+        let bytes = store.total_bytes();
+        store.put_ids(h, &ids).expect("put again");
+        assert_eq!(store.total_bytes(), bytes, "a segment on disk is written once");
+        assert_eq!(store.read_ids(&h).expect("read"), ids);
+        // Not a tree page: loading it as a root fails closed.
+        assert!(store.load_tree::<Hash>(h).is_err());
+        drop(store);
+        let store = PageStore::open(dir.path(), cfg.clone()).expect("reopen");
+        assert_eq!(store.read_ids(&h).expect("reread"), ids);
+        assert!(store.read_ids(&vh(1)).is_err(), "absent key");
+        drop(store);
+        // Each frame sealed its own file (segment_bytes = 1), indexed by
+        // its sidecar: a flipped id byte is caught by the read's CRC.
+        let seg = segment_path(dir.path(), 0);
+        let mut bytes = std::fs::read(&seg).expect("read seg");
+        let at = bytes.len() - 5;
+        bytes[at] ^= 0x01;
+        std::fs::write(&seg, &bytes).expect("corrupt");
+        let store = PageStore::open(dir.path(), cfg).expect("reopen corrupt");
+        assert!(store.read_ids(&h).is_err(), "a corrupt segment never reads");
+    }
+
+    #[test]
+    fn id_segment_gc_keeps_named_segments_and_reclaims_the_rest() {
+        let dir = TempDir::new("pages-ids-gc");
+        let cfg = WalConfig { segment_bytes: 1, ..WalConfig::default() };
+        let mut store = PageStore::open(dir.path(), cfg).expect("open");
+        let t = tree_of(8);
+        store.persist_tree(&t).expect("persist");
+        let segs: Vec<Vec<u64>> = (0..4u64).map(|s| (s * 10..s * 10 + 10).collect()).collect();
+        for ids in &segs {
+            store.put_ids(ids_hash(ids), ids).expect("put");
+        }
+        let live = [t.root_hash(), ids_hash(&segs[2]), ids_hash(&segs[3])];
+        let stats = store.gc(&live).expect("gc");
+        assert_eq!(stats.live_pages, 2 * 8 - 1 + 2);
+        for (i, ids) in segs.iter().enumerate() {
+            assert_eq!(store.contains(&ids_hash(ids)), i >= 2, "segment {i}");
+        }
+        assert_eq!(store.read_ids(&ids_hash(&segs[3])).expect("live"), segs[3]);
+        let loaded: SparseMerkleTree = store.load_tree(t.root_hash()).expect("tree");
+        assert_eq!(loaded.len(), 8);
     }
 
     #[test]
