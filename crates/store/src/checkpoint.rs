@@ -33,7 +33,12 @@ impl CheckpointVote {
     /// cost-only crypto mode).
     pub fn new(seq: u64, root: Hash, replica: usize, key: Option<&SigningKey>) -> Self {
         let sig = key.map(|k| k.sign(&checkpoint_digest(seq, &root)));
-        CheckpointVote { seq, root, replica, sig }
+        CheckpointVote {
+            seq,
+            root,
+            replica,
+            sig,
+        }
     }
 
     /// Verify the vote signature (`true` when unsigned — cost-only mode).
@@ -138,7 +143,11 @@ impl CheckpointTracker {
             .map(|(replica, (_, sig))| (*replica, *sig))
             .collect();
         backing.sort_by_key(|(replica, _)| *replica);
-        let cert = CheckpointCert { seq: vote.seq, root: vote.root, votes: backing };
+        let cert = CheckpointCert {
+            seq: vote.seq,
+            root: vote.root,
+            votes: backing,
+        };
         self.latest = Some(cert.clone());
         self.votes.retain(|s, _| *s > cert.seq);
         Some(cert)
@@ -182,9 +191,13 @@ mod tests {
     #[test]
     fn quorum_of_matching_votes_forms_cert() {
         let mut t = CheckpointTracker::new();
-        assert!(t.record(CheckpointVote::new(10, root(1), 0, None), 2).is_none());
+        assert!(t
+            .record(CheckpointVote::new(10, root(1), 0, None), 2)
+            .is_none());
         // A conflicting vote does not count toward the quorum.
-        assert!(t.record(CheckpointVote::new(10, root(9), 1, None), 2).is_none());
+        assert!(t
+            .record(CheckpointVote::new(10, root(9), 1, None), 2)
+            .is_none());
         let cert = t
             .record(CheckpointVote::new(10, root(1), 2, None), 2)
             .expect("quorum reached");
@@ -199,7 +212,9 @@ mod tests {
     fn older_heights_ignored_after_cert() {
         let mut t = CheckpointTracker::new();
         t.record(CheckpointVote::new(10, root(1), 0, None), 1);
-        assert!(t.record(CheckpointVote::new(5, root(2), 1, None), 1).is_none());
+        assert!(t
+            .record(CheckpointVote::new(5, root(2), 1, None), 1)
+            .is_none());
         assert_eq!(t.latest().expect("cert").seq, 10);
     }
 
@@ -239,7 +254,12 @@ mod tests {
         };
         assert!(!forged.verify(3, Some(&reg)));
         // And a vote claiming someone else's index fails verification.
-        let impostor = CheckpointVote { seq: 7, root: root(4), replica: 2, sig: Some(own_sig) };
+        let impostor = CheckpointVote {
+            seq: 7,
+            root: root(4),
+            replica: 2,
+            sig: Some(own_sig),
+        };
         assert!(!impostor.verify(&reg));
     }
 
@@ -294,8 +314,16 @@ mod tests {
     #[test]
     fn adopt_keeps_newest() {
         let mut t = CheckpointTracker::new();
-        t.adopt(CheckpointCert { seq: 20, root: root(1), votes: vec![(0, None)] });
-        t.adopt(CheckpointCert { seq: 10, root: root(2), votes: vec![(0, None)] });
+        t.adopt(CheckpointCert {
+            seq: 20,
+            root: root(1),
+            votes: vec![(0, None)],
+        });
+        t.adopt(CheckpointCert {
+            seq: 10,
+            root: root(2),
+            votes: vec![(0, None)],
+        });
         assert_eq!(t.latest().expect("cert").seq, 20);
     }
 }

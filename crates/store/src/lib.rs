@@ -103,9 +103,7 @@ mod checkpoint;
 mod smt;
 mod sync;
 
-pub use checkpoint::{
-    checkpoint_digest, CheckpointCert, CheckpointTracker, CheckpointVote,
-};
+pub use checkpoint::{checkpoint_digest, CheckpointCert, CheckpointTracker, CheckpointVote};
 pub use smt::{
     chunk_of, combine, key_path, leaf_hash, verify_chunk, verify_proof, NodeView, SmtProof,
     SparseMerkleTree,

@@ -274,7 +274,10 @@ pub struct SparseMerkleTree<V = Hash> {
 
 impl<V> Default for SparseMerkleTree<V> {
     fn default() -> Self {
-        SparseMerkleTree { root: Node::Empty, len: 0 }
+        SparseMerkleTree {
+            root: Node::Empty,
+            len: 0,
+        }
     }
 }
 
@@ -285,7 +288,10 @@ impl<V> Clone for SparseMerkleTree<V> {
     /// tree: a snapshot must commit to its content.
     fn clone(&self) -> Self {
         self.assert_fresh();
-        SparseMerkleTree { root: self.root.clone(), len: self.len }
+        SparseMerkleTree {
+            root: self.root.clone(),
+            len: self.len,
+        }
     }
 }
 
@@ -333,7 +339,10 @@ impl<V> SparseMerkleTree<V> {
     }
 
     fn assert_fresh(&self) {
-        assert!(self.is_fresh(), "SparseMerkleTree hash read before rehash()");
+        assert!(
+            self.is_fresh(),
+            "SparseMerkleTree hash read before rehash()"
+        );
     }
 
     /// The leaf stored at `path`, if any — the one descent every point
@@ -369,7 +378,11 @@ impl<V> SparseMerkleTree<V> {
         loop {
             match node {
                 Node::Empty => {
-                    return SmtProof { leaf_path: None, leaf_vhash: None, siblings };
+                    return SmtProof {
+                        leaf_path: None,
+                        leaf_vhash: None,
+                        siblings,
+                    };
                 }
                 Node::Leaf(l) => {
                     return SmtProof {
@@ -406,7 +419,10 @@ impl<V> SparseMerkleTree<V> {
     /// The keys whose paths fall in chunk `chunk` of `1 << bits`, in path
     /// order (the unit of state-sync transfer).
     pub fn chunk_keys(&self, chunk: u32, bits: u8) -> Vec<&str> {
-        self.chunk_entries(chunk, bits).into_iter().map(|(k, _)| k).collect()
+        self.chunk_entries(chunk, bits)
+            .into_iter()
+            .map(|(k, _)| k)
+            .collect()
     }
 
     /// The `(key, value)` pairs of chunk `chunk` of `1 << bits`, in path
@@ -426,7 +442,9 @@ impl<V> SparseMerkleTree<V> {
                     return out;
                 }
                 Node::Branch(b) => {
-                    let rep = *b.children[0].representative().expect("branches are non-empty");
+                    let rep = *b.children[0]
+                        .representative()
+                        .expect("branches are non-empty");
                     if b.bit as u32 >= bits as u32 {
                         if chunk_of(&rep, bits) == chunk {
                             Self::collect_entries(node, &mut out);
@@ -469,18 +487,20 @@ impl<V> SparseMerkleTree<V> {
                 Node::Empty => return sibs,
                 Node::Leaf(l) => {
                     if chunk_of(&l.path, bits) != chunk {
-                        let d = first_chunk_diff(&l.path, chunk, bits)
-                            .expect("differs within prefix");
+                        let d =
+                            first_chunk_diff(&l.path, chunk, bits).expect("differs within prefix");
                         sibs[d as usize] = l.hash;
                     }
                     return sibs;
                 }
                 Node::Branch(b) => {
-                    let rep = *b.children[0].representative().expect("branches are non-empty");
+                    let rep = *b.children[0]
+                        .representative()
+                        .expect("branches are non-empty");
                     if b.bit as u32 >= bits as u32 {
                         if chunk_of(&rep, bits) != chunk {
-                            let d = first_chunk_diff(&rep, chunk, bits)
-                                .expect("differs within prefix");
+                            let d =
+                                first_chunk_diff(&rep, chunk, bits).expect("differs within prefix");
                             sibs[d as usize] = b.hash;
                         }
                         return sibs;
@@ -512,12 +532,22 @@ impl<V> SparseMerkleTree<V> {
             match node {
                 Node::Empty => return Hash::ZERO,
                 Node::Leaf(l) => {
-                    return if chunk_of(&l.path, bits) == chunk { l.hash } else { Hash::ZERO };
+                    return if chunk_of(&l.path, bits) == chunk {
+                        l.hash
+                    } else {
+                        Hash::ZERO
+                    };
                 }
                 Node::Branch(b) => {
-                    let rep = *b.children[0].representative().expect("branches are non-empty");
+                    let rep = *b.children[0]
+                        .representative()
+                        .expect("branches are non-empty");
                     if b.bit as u32 >= bits as u32 {
-                        return if chunk_of(&rep, bits) == chunk { b.hash } else { Hash::ZERO };
+                        return if chunk_of(&rep, bits) == chunk {
+                            b.hash
+                        } else {
+                            Hash::ZERO
+                        };
                     }
                     if matches!(first_chunk_diff(&rep, chunk, bits), Some(d) if d < b.bit) {
                         return Hash::ZERO;
@@ -557,7 +587,11 @@ impl<V> SparseMerkleTree<V> {
                     Node::Empty => {}
                     Node::Leaf(l) => {
                         if !prune(&l.hash) {
-                            visit(NodeView::Leaf { hash: l.hash, key: &l.key, value: &l.value });
+                            visit(NodeView::Leaf {
+                                hash: l.hash,
+                                key: &l.key,
+                                value: &l.value,
+                            });
                         }
                     }
                     Node::Branch(b) => {
@@ -569,7 +603,9 @@ impl<V> SparseMerkleTree<V> {
                     }
                 },
                 Step::Emit(node) => {
-                    let Node::Branch(b) = node else { unreachable!("only branches are deferred") };
+                    let Node::Branch(b) = node else {
+                        unreachable!("only branches are deferred")
+                    };
                     visit(NodeView::Branch {
                         hash: b.hash,
                         bit: b.bit,
@@ -632,12 +668,22 @@ impl<V: StateValue> SparseMerkleTree<V> {
             [slot] => {
                 let (path, key, vhash, value) = slot.take().expect("each slot consumed once");
                 let hash = leaf_hash(&path, &vhash);
-                Node::Leaf(Arc::new(Leaf { path, key, vhash, hash, value }))
+                Node::Leaf(Arc::new(Leaf {
+                    path,
+                    key,
+                    vhash,
+                    hash,
+                    value,
+                }))
             }
             _ => {
                 // Sorted slice: the crit bit is the first bit where the
                 // first and last path differ.
-                let first = leaves.first().and_then(|s| s.as_ref()).expect("non-empty").0;
+                let first = leaves
+                    .first()
+                    .and_then(|s| s.as_ref())
+                    .expect("non-empty")
+                    .0;
                 let last = leaves.last().and_then(|s| s.as_ref()).expect("non-empty").0;
                 let bit = first_diff_bit(&first, &last).expect("distinct paths");
                 let split = leaves
@@ -647,7 +693,12 @@ impl<V: StateValue> SparseMerkleTree<V> {
                 let right = Self::build_node(r);
                 let children = [left, right];
                 let hash = branch_hash(&children);
-                Node::Branch(Arc::new(Branch { bit, stale: false, hash, children }))
+                Node::Branch(Arc::new(Branch {
+                    bit,
+                    stale: false,
+                    hash,
+                    children,
+                }))
             }
         }
     }
@@ -686,7 +737,9 @@ impl<V: StateValue + Clone> SparseMerkleTree<V> {
             }
             Some(lpath) if lpath == path => {
                 let leaf = Self::descend_stale(&mut self.root, &path, 256);
-                let Node::Leaf(l) = leaf else { unreachable!("the path routes to its leaf") };
+                let Node::Leaf(l) = leaf else {
+                    unreachable!("the path routes to its leaf")
+                };
                 match Arc::get_mut(l) {
                     Some(l) => {
                         l.vhash = vhash;
@@ -721,14 +774,22 @@ impl<V: StateValue + Clone> SparseMerkleTree<V> {
 
     fn new_leaf(path: Hash, key: &str, vhash: Hash, value: V) -> Node<V> {
         let hash = leaf_hash(&path, &vhash);
-        Node::Leaf(Arc::new(Leaf { path, key: key.to_string(), vhash, hash, value }))
+        Node::Leaf(Arc::new(Leaf {
+            path,
+            key: key.to_string(),
+            vhash,
+            hash,
+            value,
+        }))
     }
 
     /// Follow `path` through every branch above bit `until`, flagging each
     /// stale (copy-on-write where shared), and return the slot reached.
     fn descend_stale<'a>(mut node: &'a mut Node<V>, path: &Hash, until: u16) -> &'a mut Node<V> {
         while matches!(node, Node::Branch(b) if b.bit < until) {
-            let Node::Branch(b) = node else { unreachable!("matched a branch") };
+            let Node::Branch(b) = node else {
+                unreachable!("matched a branch")
+            };
             let b = Arc::make_mut(b);
             b.stale = true;
             node = &mut b.children[path_bit(path, b.bit)];
@@ -912,7 +973,11 @@ impl<V: StateValue + Clone + Send + Sync> SparseMerkleTree<V> {
     /// new node and the leaf-count delta. All entry paths share the
     /// routing prefix that led to `node`. `threads` is the spawn budget
     /// for disjoint subtrees.
-    fn merge_node(node: Node<V>, entries: &mut [ApplyEntry<V>], threads: usize) -> (Node<V>, isize) {
+    fn merge_node(
+        node: Node<V>,
+        entries: &mut [ApplyEntry<V>],
+        threads: usize,
+    ) -> (Node<V>, isize) {
         if entries.is_empty() {
             return (node, 0);
         }
@@ -935,16 +1000,17 @@ impl<V: StateValue + Clone + Send + Sync> SparseMerkleTree<V> {
                         Ok(leaf) => (leaf.path, leaf.key, leaf.vhash, leaf.value),
                         Err(l) => (l.path, l.key.clone(), l.vhash, l.value.clone()),
                     };
-                    let pos = puts.partition_point(|s| {
-                        s.as_ref().expect("unconsumed").0 .0 < path.0
-                    });
+                    let pos =
+                        puts.partition_point(|s| s.as_ref().expect("unconsumed").0 .0 < path.0);
                     puts.insert(pos, Some((path, key, vhash, value)));
                 }
                 let delta = puts.len() as isize - 1;
                 (Self::build_node(&mut puts), delta)
             }
             Node::Branch(b) => {
-                let rep = *b.children[0].representative().expect("branches are non-empty");
+                let rep = *b.children[0]
+                    .representative()
+                    .expect("branches are non-empty");
                 // An insert whose path diverges from the subtree's shared
                 // prefix belongs *above* this branch. Splice at the
                 // shallowest such divergence first. (Removals always route
@@ -960,9 +1026,8 @@ impl<V: StateValue + Clone + Send + Sync> SparseMerkleTree<V> {
                 let bit = div.unwrap_or(b.bit);
                 // Every entry shares path bits `0..bit` (divergences are
                 // at >= bit), so the sorted slice splits cleanly on it.
-                let split = entries.partition_point(|s| {
-                    path_bit(&s.as_ref().expect("unconsumed").0, bit) == 0
-                });
+                let split = entries
+                    .partition_point(|s| path_bit(&s.as_ref().expect("unconsumed").0, bit) == 0);
                 let (ls, rs) = entries.split_at_mut(split);
                 match div {
                     Some(d) => {
@@ -988,8 +1053,7 @@ impl<V: StateValue + Clone + Send + Sync> SparseMerkleTree<V> {
                         let ((n0, d0), (n1, d1)) = if spawn {
                             std::thread::scope(|s| {
                                 let h = s.spawn(|| Self::merge_node(c0, ls, threads / 2));
-                                let right =
-                                    Self::merge_node(c1, rs, threads - threads / 2);
+                                let right = Self::merge_node(c1, rs, threads - threads / 2);
                                 (h.join().expect("merge thread panicked"), right)
                             })
                         } else {
@@ -1030,7 +1094,12 @@ impl<V: StateValue + Clone + Send + Sync> SparseMerkleTree<V> {
                 children[dir] = near;
                 children[1 - dir] = far;
                 let hash = branch_hash(&children);
-                Node::Branch(Arc::new(Branch { bit, stale: false, hash, children }))
+                Node::Branch(Arc::new(Branch {
+                    bit,
+                    stale: false,
+                    hash,
+                    children,
+                }))
             }
         }
     }
@@ -1111,9 +1180,11 @@ pub fn verify_proof(root: &Hash, key: &str, expected: Option<&Hash>, proof: &Smt
             }
             // The exhibited leaf must occupy the key's position: the key's
             // path must route identically at every branch on the proof.
-            if !proof.siblings.iter().all(|(bit, _)| {
-                *bit < 256 && path_bit(&path, *bit) == path_bit(&lpath, *bit)
-            }) {
+            if !proof
+                .siblings
+                .iter()
+                .all(|(bit, _)| *bit < 256 && path_bit(&path, *bit) == path_bit(&lpath, *bit))
+            {
                 return false;
             }
         }
@@ -1153,10 +1224,7 @@ pub fn verify_chunk(
     if siblings.len() != bits as usize || bits > 32 {
         return false;
     }
-    if entries
-        .windows(2)
-        .any(|w| w[0].0 .0 >= w[1].0 .0)
-    {
+    if entries.windows(2).any(|w| w[0].0 .0 >= w[1].0 .0) {
         return false; // unsorted or duplicate paths
     }
     if entries.iter().any(|(p, _)| chunk_of(p, bits) != chunk) {
@@ -1182,7 +1250,10 @@ fn subtree_from_leaves(leaves: &[(Hash, Hash)], depth: u16) -> Hash {
         [] => Hash::ZERO,
         [(path, vhash)] => leaf_hash(path, vhash),
         _ => {
-            debug_assert!(depth < 256, "distinct sorted paths diverge before depth 256");
+            debug_assert!(
+                depth < 256,
+                "distinct sorted paths diverge before depth 256"
+            );
             let split = leaves.partition_point(|(p, _)| path_bit(p, depth) == 0);
             let left = subtree_from_leaves(&leaves[..split], depth + 1);
             let right = subtree_from_leaves(&leaves[split..], depth + 1);
@@ -1270,7 +1341,10 @@ mod tests {
         for i in 0..64u64 {
             let key = format!("key-{i}");
             let p = t.prove(&key);
-            assert!(verify_proof(&t.root_hash(), &key, Some(&vh(i)), &p), "key {i}");
+            assert!(
+                verify_proof(&t.root_hash(), &key, Some(&vh(i)), &p),
+                "key {i}"
+            );
             // Wrong value hash fails.
             assert!(!verify_proof(&t.root_hash(), &key, Some(&vh(i + 1)), &p));
             // Inclusion proof is not an exclusion proof.
@@ -1374,7 +1448,13 @@ mod tests {
         assert!(!ok_short || keys.len() == 1);
         entries.extend(dropped);
         // Present the chunk under the wrong index.
-        assert!(!verify_chunk(&t.root_hash(), chunk ^ 1, bits, &entries, &proof));
+        assert!(!verify_chunk(
+            &t.root_hash(),
+            chunk ^ 1,
+            bits,
+            &entries,
+            &proof
+        ));
     }
 
     #[test]
@@ -1426,7 +1506,12 @@ mod tests {
         assert_eq!(snap.root_hash(), root);
         assert_eq!(snap.len(), 64);
         assert_eq!(snap.prove("key-7"), proof);
-        assert!(verify_proof(&root, "key-7", Some(&vh(7)), &snap.prove("key-7")));
+        assert!(verify_proof(
+            &root,
+            "key-7",
+            Some(&vh(7)),
+            &snap.prove("key-7")
+        ));
         assert_eq!(snap.get("key-3"), Some(&vh(3)));
         // Chunk proofs of the snapshot still verify against the old root.
         let bits = 2u8;
@@ -1436,7 +1521,13 @@ mod tests {
                 .iter()
                 .map(|(k, v)| (key_path(k), **v))
                 .collect();
-            assert!(verify_chunk(&root, chunk, bits, &entries, &snap.chunk_proof(chunk, bits)));
+            assert!(verify_chunk(
+                &root,
+                chunk,
+                bits,
+                &entries,
+                &snap.chunk_proof(chunk, bits)
+            ));
         }
     }
 
@@ -1456,10 +1547,15 @@ mod tests {
                 assert_eq!(hash, leaf_hash(&key_path(key), value));
                 seen.insert(hash);
             }
-            NodeView::Branch { hash, left, right, .. } => {
+            NodeView::Branch {
+                hash, left, right, ..
+            } => {
                 branches += 1;
                 assert_eq!(hash, sha256_parts(&[&[0x01], &left.0, &right.0]));
-                assert!(seen.contains(&left) && seen.contains(&right), "children first");
+                assert!(
+                    seen.contains(&left) && seen.contains(&right),
+                    "children first"
+                );
                 seen.insert(hash);
             }
         });
@@ -1513,8 +1609,11 @@ mod tests {
         // reproduces the new root exactly (the client-side diff install).
         let mut merged = old.clone();
         for &c in &old.diff_chunks(&new, bits) {
-            let stale: Vec<String> =
-                merged.chunk_keys(c, bits).iter().map(|k| k.to_string()).collect();
+            let stale: Vec<String> = merged
+                .chunk_keys(c, bits)
+                .iter()
+                .map(|k| k.to_string())
+                .collect();
             for k in stale {
                 merged.remove(&k);
             }
@@ -1635,9 +1734,8 @@ mod tests {
                 self.0
             }
         }
-        let mut bad: SparseMerkleTree<Bad> = SparseMerkleTree::build(
-            (0..50u64).map(|i| (format!("key-{i}"), Bad(vh(i)))),
-        );
+        let mut bad: SparseMerkleTree<Bad> =
+            SparseMerkleTree::build((0..50u64).map(|i| (format!("key-{i}"), Bad(vh(i)))));
         assert!(bad.rehash_audit(2));
         bad.get_mut_for_test("key-7").expect("present").0 = vh(999);
         assert!(!bad.rehash_audit(2));

@@ -116,7 +116,10 @@ impl<V: StateValue> SyncSession<V> {
     /// malicious or confused server cannot roll the requester back).
     pub fn new_full(cert: CheckpointCert, bits: u8, have_seq: u64) -> Result<Self, SyncError> {
         if cert.seq <= have_seq {
-            return Err(SyncError::StaleCert { have: have_seq, cert: cert.seq });
+            return Err(SyncError::StaleCert {
+                have: have_seq,
+                cert: cert.seq,
+            });
         }
         let bits = bits.min(16);
         Ok(SyncSession {
@@ -141,10 +144,17 @@ impl<V: StateValue> SyncSession<V> {
         have_seq: u64,
     ) -> Result<Self, SyncError> {
         if cert.seq <= have_seq {
-            return Err(SyncError::StaleCert { have: have_seq, cert: cert.seq });
+            return Err(SyncError::StaleCert {
+                have: have_seq,
+                cert: cert.seq,
+            });
         }
         let bits = bits.min(16);
-        let mut plan: Vec<u32> = chunks.iter().copied().filter(|c| *c < 1u32 << bits).collect();
+        let mut plan: Vec<u32> = chunks
+            .iter()
+            .copied()
+            .filter(|c| *c < 1u32 << bits)
+            .collect();
         plan.sort_unstable();
         plan.dedup();
         Ok(SyncSession {
@@ -270,7 +280,11 @@ mod tests {
     }
 
     fn cert_for(t: &SparseMerkleTree<Val>, seq: u64) -> CheckpointCert {
-        CheckpointCert { seq, root: t.root_hash(), votes: vec![(0, None), (1, None)] }
+        CheckpointCert {
+            seq,
+            root: t.root_hash(),
+            votes: vec![(0, None), (1, None)],
+        }
     }
 
     fn chunk_payload(t: &SparseMerkleTree<Val>, chunk: u32, bits: u8) -> Vec<(String, Val)> {
@@ -319,9 +333,15 @@ mod tests {
         assert!(s.is_diff());
         assert_eq!(s.total_chunks() as usize, changed.len());
         // A chunk outside the plan is refused.
-        let outside = (0..1u32 << bits).find(|c| !changed.contains(c)).expect("some unchanged");
+        let outside = (0..1u32 << bits)
+            .find(|c| !changed.contains(c))
+            .expect("some unchanged");
         assert_eq!(
-            s.accept_chunk(outside, chunk_payload(&new, outside, bits), &new.chunk_proof(outside, bits)),
+            s.accept_chunk(
+                outside,
+                chunk_payload(&new, outside, bits),
+                &new.chunk_proof(outside, bits)
+            ),
             Err(SyncError::UnknownChunk { got: outside })
         );
         for &c in &changed {
@@ -333,8 +353,11 @@ mod tests {
         let (cert, chunks) = s.into_verified();
         let mut merged = old.clone();
         for (c, entries) in chunks {
-            let stale: Vec<String> =
-                merged.chunk_keys(c, bits).iter().map(|k| k.to_string()).collect();
+            let stale: Vec<String> = merged
+                .chunk_keys(c, bits)
+                .iter()
+                .map(|k| k.to_string())
+                .collect();
             for k in stale {
                 merged.remove(&k);
             }
@@ -348,8 +371,7 @@ mod tests {
     #[test]
     fn empty_diff_completes_immediately() {
         let t = fixture(10);
-        let s: SyncSession<Val> =
-            SyncSession::new_diff(cert_for(&t, 5), 3, &[], 0).expect("fresh");
+        let s: SyncSession<Val> = SyncSession::new_diff(cert_for(&t, 5), 3, &[], 0).expect("fresh");
         assert!(s.is_complete());
         assert_eq!(s.total_chunks(), 0);
     }
@@ -376,7 +398,8 @@ mod tests {
         assert!(s.missing_chunks().contains(&0));
         // Retry with the honest payload: the session accepts it.
         let honest = chunk_payload(&t, 0, bits);
-        s.accept_chunk(0, honest, &proof).expect("honest retry verifies");
+        s.accept_chunk(0, honest, &proof)
+            .expect("honest retry verifies");
         assert!(!s.missing_chunks().contains(&0));
         // A duplicate delivery of the same chunk is a no-op.
         let dup = chunk_payload(&t, 0, bits);

@@ -30,8 +30,16 @@ fn assert_same_commitment(a: &SparseMerkleTree, b: &SparseMerkleTree) {
     }
     for bits in 0..=BITS {
         for c in 0..1u32 << bits {
-            assert_eq!(a.chunk_root(c, bits), b.chunk_root(c, bits), "chunk {c}/{bits}");
-            assert_eq!(a.chunk_proof(c, bits), b.chunk_proof(c, bits), "chunk {c}/{bits}");
+            assert_eq!(
+                a.chunk_root(c, bits),
+                b.chunk_root(c, bits),
+                "chunk {c}/{bits}"
+            );
+            assert_eq!(
+                a.chunk_proof(c, bits),
+                b.chunk_proof(c, bits),
+                "chunk {c}/{bits}"
+            );
         }
     }
 }
@@ -118,9 +126,18 @@ fn hash_readers_refuse_a_stale_tree() {
         ("chunk_entries", Box::new(|t| _ = t.chunk_entries(0, 2))),
         ("chunk_proof", Box::new(|t| _ = t.chunk_proof(0, 2))),
         ("chunk_root", Box::new(|t| _ = t.chunk_root(0, 2))),
-        ("visit_nodes", Box::new(|t| t.visit_nodes(&mut |_| false, &mut |_| {}))),
-        ("diff_chunks (older)", Box::new(|t| _ = t.diff_chunks(&fresh, 2))),
-        ("diff_chunks (newer)", Box::new(|t| _ = fresh.diff_chunks(t, 2))),
+        (
+            "visit_nodes",
+            Box::new(|t| t.visit_nodes(&mut |_| false, &mut |_| {})),
+        ),
+        (
+            "diff_chunks (older)",
+            Box::new(|t| _ = t.diff_chunks(&fresh, 2)),
+        ),
+        (
+            "diff_chunks (newer)",
+            Box::new(|t| _ = fresh.diff_chunks(t, 2)),
+        ),
         ("rehash_audit", Box::new(|t| _ = t.rehash_audit(1))),
         ("clone", Box::new(|t| _ = t.clone())),
     ];
@@ -134,7 +151,10 @@ fn hash_readers_refuse_a_stale_tree() {
 
     t.rehash();
     for (name, read) in &readers {
-        assert!(catch_unwind(AssertUnwindSafe(|| read(&t))).is_ok(), "{name} after rehash");
+        assert!(
+            catch_unwind(AssertUnwindSafe(|| read(&t))).is_ok(),
+            "{name} after rehash"
+        );
     }
     assert!(t.rehash_audit(2));
 }

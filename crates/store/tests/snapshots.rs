@@ -77,7 +77,10 @@ fn assert_frozen(cap: &Capture) {
     // snapshot reproduces them byte-for-byte.
     for (key, proof) in &cap.proofs {
         let expected = cap.content.get(key);
-        assert!(verify_proof(&cap.root, key, expected, proof), "proof for {key}");
+        assert!(
+            verify_proof(&cap.root, key, expected, proof),
+            "proof for {key}"
+        );
         assert_eq!(&cap.snap.prove(key), proof, "re-proved {key}");
     }
     // Chunk proofs still reassemble the captured root, both the recorded
@@ -95,7 +98,11 @@ fn assert_frozen(cap: &Capture) {
             .collect();
         fresh.sort_by_key(|e| e.0 .0);
         assert_eq!(&fresh, entries, "chunk {c} content drifted");
-        assert_eq!(&cap.snap.chunk_proof(c as u32, BITS), proof, "chunk {c} proof drifted");
+        assert_eq!(
+            &cap.snap.chunk_proof(c as u32, BITS),
+            proof,
+            "chunk {c} proof drifted"
+        );
     }
 }
 
