@@ -123,7 +123,7 @@ fn bench_snapshots(c: &mut Criterion) {
         let t = tree_with(n);
         g.bench_function(format!("deep_rebuild_{n}"), |b| {
             b.iter(|| {
-                SparseMerkleTree::build(t.iter().map(|(k, v)| (k.to_string(), *v)))
+                SparseMerkleTree::build(t.view().iter().map(|(k, v)| (k.to_string(), *v)))
             });
         });
     }
@@ -180,6 +180,35 @@ fn bench_snapshots(c: &mut Criterion) {
             t.root_hash()
         });
     });
+    // Retiring a checkpoint snapshot on its own (the replica's
+    // `pbft.retire` span): an interval of 32 blocks of 64 writes between
+    // snapshots, two retained, and only the drop of the oldest timed. It
+    // frees exactly the nodes the interval's writes copied away from it.
+    g.throughput(Throughput::Elements(1));
+    g.bench_function("retire_interval_32k", |b| {
+        let mut t = tree_with(32_768);
+        let mut next = 0u64;
+        let mut interval = |t: &mut SparseMerkleTree| {
+            for _ in 0..32 {
+                for _ in 0..64 {
+                    next = next.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    t.insert_deferred(&format!("acc{}", (next >> 33) % 32_768), vhash(next));
+                }
+                t.rehash();
+            }
+            t.clone()
+        };
+        let mut retained: std::collections::VecDeque<SparseMerkleTree> =
+            [interval(&mut t), interval(&mut t)].into();
+        b.iter_batched(
+            || {
+                retained.push_back(interval(&mut t));
+                retained.pop_front().expect("two retained")
+            },
+            drop,
+            BatchSize::SmallInput,
+        );
+    });
     g.finish();
 }
 
@@ -189,13 +218,14 @@ fn bench_chunks(c: &mut Criterion) {
     let bits = 4u8; // 16 chunks ≈ 625 leaves each
     let mut g = c.benchmark_group("store_chunks");
     g.bench_function("chunk_extract_625", |b| {
-        b.iter(|| (t.chunk_keys(3, bits), t.chunk_proof(3, bits)));
+        b.iter(|| (t.view().chunk_keys(3, bits).len(), t.chunk_proof(3, bits)));
     });
     let entries: Vec<(ahl_crypto::Hash, ahl_crypto::Hash)> = {
-        let mut v: Vec<_> = t
+        let view = t.view();
+        let mut v: Vec<_> = view
             .chunk_keys(3, bits)
             .into_iter()
-            .map(|k| (ahl_store::key_path(k), *t.get(k).expect("live")))
+            .map(|k| (ahl_store::key_path(k), *view.get(k).expect("live")))
             .collect();
         v.sort_by_key(|e| e.0 .0);
         v

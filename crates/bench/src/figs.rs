@@ -1366,6 +1366,8 @@ pub(crate) fn statesync_cell(
     let max_exec = group.iter().map(|&id| replica(id).exec_seq()).max().unwrap_or(0);
     let balance: i64 = restarted
         .state()
+        .smt()
+        .view()
         .iter()
         .filter(|(k, _)| k.starts_with("ck_") || k.starts_with("sv_"))
         .filter_map(|(_, v)| v.as_int())
@@ -1575,6 +1577,8 @@ pub(crate) fn recovery_cell(kill_site: Option<u64>, seed: u64) -> RecoveryCell {
     let conserved = top.iter().all(|r| {
         let balance: i64 = r
             .state()
+            .smt()
+            .view()
             .iter()
             .filter(|(k, _)| k.starts_with("ck_") || k.starts_with("sv_"))
             .filter_map(|(_, v)| v.as_int())

@@ -395,6 +395,8 @@ mod tests {
         // workload, so any loss would mean a corrupted recovery).
         let total: i64 = restarted
             .state()
+            .smt()
+            .view()
             .iter()
             .filter(|(k, _)| k.starts_with("acc"))
             .filter_map(|(_, v)| v.as_int())

@@ -1413,8 +1413,10 @@ impl Replica {
     /// Trim the serving window to the newest `snapshot_retention`
     /// certificates (at least 2), evicting oldest first.
     fn trim_serving_window(&mut self) {
-        // Priced on its own: dropping a retired snapshot frees the tree
-        // nodes no newer snapshot shares.
+        // Priced on its own: dropping a retired snapshot releases its root
+        // in the state tree's slab, walking and freeing only the nodes no
+        // newer snapshot or the live tree still counts; their slots are
+        // the next writes' allocations.
         let _prof = ahl_telemetry::Profiler::span("pbft.retire");
         while self.serving.len() > self.cfg.snapshot_retention.max(2) {
             self.serving.remove(0);

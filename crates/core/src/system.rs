@@ -437,6 +437,8 @@ pub fn run_system_report(mut cfg: SystemConfig) -> SystemReport {
                     .expect("committee has replicas");
                 total += best
                     .state()
+                    .smt()
+                    .view()
                     .iter()
                     .filter(|(k, _)| k.starts_with("ck_") || k.starts_with("sv_"))
                     .filter_map(|(_, v)| v.as_int())

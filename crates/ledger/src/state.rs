@@ -48,6 +48,15 @@
 //! matter how the live store evolves. Checkpoints take one per interval;
 //! retained snapshots also power incremental (diff) sync — see
 //! [`StateStore::apply_diff`].
+//!
+//! A store, its snapshots and every store restored from them share one
+//! node slab with a reference count per node (see `ahl_store`'s
+//! structural-sharing notes). Taking a snapshot bumps one count; a write
+//! copies only the root-path nodes a snapshot still shares; dropping a
+//! snapshot frees only the nodes no other handle reaches. Reads that lend
+//! out values go through [`SparseMerkleTree::view`], which holds the slab
+//! read-locked — so [`StateStore::get`] returns a copy, and a view must be
+//! dropped before any store or snapshot of the same lineage is written.
 
 use std::collections::HashMap;
 
@@ -201,6 +210,7 @@ impl StateSnapshot {
     /// path order.
     pub fn chunk_entries(&self, chunk: u32, bits: u8) -> Vec<(Key, Value)> {
         self.smt
+            .view()
             .chunk_entries(chunk, bits)
             .into_iter()
             .map(|(k, v)| (k.to_string(), v.clone()))
@@ -296,6 +306,7 @@ impl StateStore {
         for (chunk, entries) in chunks {
             let stale: Vec<Key> = self
                 .smt
+                .view()
                 .chunk_keys(*chunk, bits)
                 .iter()
                 .map(|k| k.to_string())
@@ -311,14 +322,19 @@ impl StateStore {
         }
     }
 
-    /// Read a key.
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        self.smt.get(key)
+    /// Read a key (a copy of its value).
+    pub fn get(&self, key: &str) -> Option<Value> {
+        self.smt.view().get(key).cloned()
+    }
+
+    /// Whether `key` is live.
+    fn contains(&self, key: &str) -> bool {
+        self.smt.get_hash(key).is_some()
     }
 
     /// Integer value of a key, treating absent as 0.
     pub fn get_int(&self, key: &str) -> i64 {
-        self.get(key).and_then(Value::as_int).unwrap_or(0)
+        self.smt.view().get(key).and_then(Value::as_int).unwrap_or(0)
     }
 
     /// Direct write (genesis/state-sync only; transactions go through
@@ -330,7 +346,7 @@ impl StateStore {
 
     /// Insert or overwrite `key`, leaving its root path stale.
     fn write(&mut self, key: &str, value: Value) {
-        if key.starts_with(LOCK_PREFIX) && self.smt.get(key).is_none() {
+        if key.starts_with(LOCK_PREFIX) && !self.contains(key) {
             self.lock_markers += 1;
         }
         self.smt.insert_deferred(key, value);
@@ -376,16 +392,10 @@ impl StateStore {
         self.resolved.len()
     }
 
-    /// Iterate all live key-value pairs in key-path order — the same
-    /// sequence on every replica holding the same content (post-run
-    /// inspection, audits).
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.smt.iter()
-    }
-
     /// Whether `key` is currently locked by a prepared transaction.
     pub fn is_locked(&self, key: &str) -> bool {
-        self.lock_markers > 0 && matches!(self.get(&lock_key(key)), Some(Value::Bool(true)))
+        self.lock_markers > 0
+            && matches!(self.smt.view().get(&lock_key(key)), Some(Value::Bool(true)))
     }
 
     /// Number of live lock-marker (`L_…`) keys — exact, so zero means no
@@ -494,8 +504,8 @@ impl StateStore {
         }
         for c in &op.conditions {
             let ok = match c {
-                Condition::Exists(k) => self.get(k).is_some(),
-                Condition::NotExists(k) => self.get(k).is_none(),
+                Condition::Exists(k) => self.contains(k),
+                Condition::NotExists(k) => !self.contains(k),
                 Condition::IntAtLeast { key, min } => self.get_int(key) >= *min,
             };
             if !ok {
@@ -543,7 +553,7 @@ impl StateStore {
                 self.plan_abort(*txid, &mut effects)
             }
             Op::Read { keys, .. } => ExecStatus::Committed(
-                keys.iter().map(|k| (k.clone(), self.get(k).cloned())).collect(),
+                keys.iter().map(|k| (k.clone(), self.get(k))).collect(),
             ),
             Op::Noop => ExecStatus::Committed(vec![]),
         };
@@ -600,7 +610,7 @@ impl StateStore {
         markers.sort_unstable();
         markers.dedup();
         let live = |smt: &SparseMerkleTree<Value>| {
-            markers.iter().filter(|k| smt.get(k).is_some()).count()
+            markers.iter().filter(|k| smt.get_hash(k).is_some()).count()
         };
         let before = live(&self.smt);
         self.smt.batch_apply(changes, workers);
@@ -752,7 +762,7 @@ pub fn lock_key(key: &str) -> Key {
 
 /// The live lock markers in `smt`, by a full scan.
 fn count_lock_markers(smt: &SparseMerkleTree<Value>) -> usize {
-    smt.iter().filter(|(k, _)| k.starts_with(LOCK_PREFIX)).count()
+    smt.view().iter().filter(|(k, _)| k.starts_with(LOCK_PREFIX)).count()
 }
 
 #[cfg(test)]
@@ -956,7 +966,8 @@ mod tests {
 
         assert_eq!(a.state_digest(), b.state_digest());
         // And it matches a bulk rebuild from the final content.
-        let rebuilt = StateStore::from_entries(a.iter().map(|(k, v)| (k.to_string(), v.clone())).collect());
+        let entries = a.smt().view().iter().map(|(k, v)| (k.to_string(), v.clone())).collect();
+        let rebuilt = StateStore::from_entries(entries);
         assert_eq!(rebuilt.state_digest(), a.state_digest());
     }
 
@@ -1024,8 +1035,8 @@ mod tests {
 
         // A synced replica rebuilds content from verified chunks, then
         // installs the sidecar — and can decide the in-flight transaction.
-        let mut synced =
-            StateStore::from_entries(s.iter().map(|(k, v)| (k.to_string(), v.clone())).collect());
+        let entries = s.smt().view().iter().map(|(k, v)| (k.to_string(), v.clone())).collect();
+        let mut synced = StateStore::from_entries(entries);
         assert_eq!(synced.state_digest(), s.state_digest());
         synced.install_sidecar(&sidecar);
         assert_eq!(synced.pending_count(), 1);
@@ -1166,15 +1177,15 @@ mod tests {
         let mut direct = fresh();
         let r = direct.execute(&Op::Direct { txid: TxId(1), op: op.clone() });
         assert!(r.status.is_committed());
-        assert_eq!(direct.get("k"), Some(&Value::Int(7)));
+        assert_eq!(direct.get("k"), Some(Value::Int(7)));
         assert_eq!(direct.state_digest().to_hex(), ROOT);
 
         let mut twopc = fresh();
         assert!(twopc.execute(&Op::Prepare { txid: TxId(1), op }).status.is_committed());
-        assert_eq!(twopc.get("k"), Some(&Value::Int(100)));
+        assert_eq!(twopc.get("k"), Some(Value::Int(100)));
         assert!(twopc.is_locked("k"), "the prepare holds one lock marker");
         assert!(twopc.execute(&Op::Commit { txid: TxId(1) }).status.is_committed());
-        assert_eq!(twopc.get("k"), Some(&Value::Int(7)));
+        assert_eq!(twopc.get("k"), Some(Value::Int(7)));
         assert_eq!(twopc.state_digest().to_hex(), ROOT);
     }
 
@@ -1250,6 +1261,7 @@ mod tests {
             txid: TxId(1),
             op: StateOp { conditions: vec![], mutations: vec![("gone".into(), Mutation::Delete)] },
         });
+        let (fwd, rev) = (fwd.smt().view(), rev.smt().view());
         let a: Vec<(&str, &Value)> = fwd.iter().collect();
         let b: Vec<(&str, &Value)> = rev.iter().collect();
         assert_eq!(a.len(), 64);
@@ -1369,7 +1381,7 @@ mod tests {
                     }
                 }
                 let reference = StateStore::from_entries(
-                    s.iter().map(|(k, v)| (k.to_string(), v.clone())).collect(),
+                    s.smt().view().iter().map(|(k, v)| (k.to_string(), v.clone())).collect(),
                 );
                 proptest::prop_assert_eq!(reference.state_digest(), s.state_digest());
             }

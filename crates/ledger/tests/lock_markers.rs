@@ -46,11 +46,11 @@ fn build_op(kind: u8, a: u64, b: u64, amt: i64, txid: u64) -> Op {
 
 /// The count, the scan it must equal, and the refusal it must not hide.
 fn assert_markers_exact(s: &StateStore, what: &str) {
-    let scan = s.iter().filter(|(k, _)| k.starts_with(LOCK_PREFIX)).count();
+    let scan = s.smt().view().iter().filter(|(k, _)| k.starts_with(LOCK_PREFIX)).count();
     assert_eq!(s.lock_markers(), scan, "{what}: count drifted from the tree");
     for i in 0..ACCOUNTS {
         let key = account(i);
-        let held = s.get(&lock_key(&key)) == Some(&Value::Bool(true));
+        let held = s.get(&lock_key(&key)) == Some(Value::Bool(true));
         assert_eq!(s.is_locked(&key), held, "{what}: is_locked({key})");
         if held {
             // A refused op leaves no trace, so probing a clone is enough.
@@ -108,7 +108,7 @@ proptest::proptest! {
         }
         let snap = blocks.snapshot();
         let entries: Vec<(Key, Value)> =
-            blocks.iter().map(|(k, v)| (k.to_string(), v.clone())).collect();
+            blocks.smt().view().iter().map(|(k, v)| (k.to_string(), v.clone())).collect();
 
         let restored = StateStore::from_snapshot(&snap);
         assert_markers_exact(&restored, "from_snapshot");

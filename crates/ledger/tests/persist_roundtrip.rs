@@ -55,8 +55,8 @@ fn assert_equivalent(a: &StateStore, b: &StateStore) {
     assert_eq!(a.len(), b.len());
     assert_eq!(a.pending_count(), b.pending_count());
     assert_eq!(a.resolved_count(), b.resolved_count());
-    for (k, v) in a.iter() {
-        assert_eq!(b.get(k), Some(v), "key {k}");
+    for (k, v) in a.smt().view().iter() {
+        assert_eq!(b.get(k).as_ref(), Some(v), "key {k}");
     }
 }
 

@@ -11,9 +11,11 @@
 //!   key-value state, any key supports an inclusion or exclusion proof
 //!   ([`SmtProof`], [`verify_proof`]) — and `clone()` is an **O(1)
 //!   snapshot**: an immutable handle whose root, proofs, and chunk proofs
-//!   stay byte-identical while the live tree diverges. Retained snapshots
-//!   power [`SparseMerkleTree::diff_chunks`], the changed-chunk report
-//!   behind incremental sync.
+//!   stay byte-identical while the live tree diverges. A tree and its
+//!   snapshots keep their nodes in one reference-counted slab; readers
+//!   that lend out keys or values go through a [`SmtView`]. Retained
+//!   snapshots power [`SparseMerkleTree::diff_chunks`], the changed-chunk
+//!   report behind incremental sync.
 //! * [`CheckpointVote`] / [`CheckpointCert`] — every `K` blocks replicas
 //!   sign `(height, state_root)`; a quorum of matching votes forms a
 //!   certificate that gates pruning and anchors state transfer.
@@ -72,6 +74,7 @@
 //!     SyncSession::new_diff(cert, bits, &changed, 0).unwrap();
 //! for &c in &changed {
 //!     let entries: Vec<_> = smt
+//!         .view()
 //!         .chunk_entries(c, bits)
 //!         .into_iter()
 //!         .map(|(k, v)| (k.to_string(), *v))
@@ -84,7 +87,7 @@
 //! let mut merged = snap.clone();
 //! for (c, entries) in chunks {
 //!     let stale: Vec<String> =
-//!         merged.chunk_keys(c, bits).iter().map(|k| k.to_string()).collect();
+//!         merged.view().chunk_keys(c, bits).iter().map(|k| k.to_string()).collect();
 //!     for k in stale {
 //!         merged.remove(&k);
 //!     }
@@ -106,7 +109,7 @@ mod sync;
 pub use checkpoint::{checkpoint_digest, CheckpointCert, CheckpointTracker, CheckpointVote};
 pub use smt::{
     chunk_of, combine, key_path, leaf_hash, verify_chunk, verify_proof, NodeView, SmtProof,
-    SparseMerkleTree,
+    SmtView, SparseMerkleTree,
 };
 pub use sync::{chunk_bits_for, SyncError, SyncProgress, SyncSession, VerifiedChunk};
 

@@ -16,15 +16,30 @@
 //!
 //! ## Structural sharing (copy-on-write)
 //!
-//! Nodes are reference-counted ([`std::sync::Arc`]) and never mutated while
-//! shared: an update clones only the O(log n) nodes on the leaf's root path
-//! (via `Arc::make_mut`, which mutates in place when the node is unshared —
-//! the common case with no snapshot outstanding). Consequently
-//! [`SparseMerkleTree::clone`] is **O(1)**: it copies one pointer and a
-//! counter, and the clone is a true immutable snapshot — its root, proofs,
-//! and chunk proofs stay byte-identical no matter how the live tree evolves.
-//! This is what makes per-checkpoint state snapshots free and lets a server
-//! retain several certified snapshots for diff computation.
+//! A tree and every clone and snapshot taken from it form one *lineage*,
+//! and the lineage keeps all its nodes in one slab: a branch column and a
+//! leaf column addressed by `u32` indices, a dense `u32` reference count
+//! per slot, and a LIFO free list per column, so a freed slot is the next
+//! allocation's. A tree handle is a root index into that slab, which sits
+//! behind one `Arc<RwLock<…>>`.
+//!
+//! Nodes are never mutated while shared. An update walks the leaf's root
+//! path and mutates a node in place when its count is 1 — the common case
+//! with no snapshot outstanding — and otherwise copies the slot and bumps
+//! the two child counts in the dense column, without touching the
+//! children. Consequently [`SparseMerkleTree::clone`] is **O(1)**: it bumps
+//! one count, and the clone is a true immutable snapshot — its root,
+//! proofs, and chunk proofs stay byte-identical no matter how the live tree
+//! evolves. Dropping a handle releases its root, freeing only the nodes
+//! whose count reaches zero, so retiring a snapshot walks exactly the nodes
+//! no other handle shares. This is what makes per-checkpoint state
+//! snapshots free and lets a server retain several certified snapshots for
+//! diff computation.
+//!
+//! Readers that lend out keys or values go through a [`SmtView`], which
+//! holds the slab read-locked for its lifetime; every other reader takes
+//! the lock for the duration of the call. A handle must not be mutated (or
+//! cloned, or dropped) on a thread that holds a view of the same lineage.
 //!
 //! The tree is generic over the leaf *value* `V` (any [`StateValue`]), so a
 //! snapshot alone can serve complete state-sync chunks — keys, values and
@@ -57,13 +72,13 @@
 //!
 //! [`SparseMerkleTree::insert`], [`SparseMerkleTree::remove`],
 //! [`SparseMerkleTree::build`] and [`SparseMerkleTree::batch_apply`] leave
-//! the tree fresh. Lookups ([`SparseMerkleTree::get`], `iter`, `len`) work
-//! on a stale tree; every reader of a hash — `root_hash`, `prove`, the
-//! `chunk_*` family, `visit_nodes`, `diff_chunks`, `rehash_audit` — and
-//! the snapshot [`Clone`] panic on one, in release builds too, because a
-//! stale hash handed out would be a wrong commitment.
+//! the tree fresh. Lookups ([`SmtView::get`], [`SmtView::iter`], `len`)
+//! work on a stale tree; every reader of a hash — `root_hash`, `prove`,
+//! the `chunk_*` family, `visit_nodes`, `diff_chunks`, `rehash_audit` —
+//! and the snapshot [`Clone`] panic on one, in release builds too, because
+//! a stale hash handed out would be a wrong commitment.
 
-use std::sync::Arc;
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use ahl_crypto::{sha256_parts, Hash};
 
@@ -113,6 +128,14 @@ fn chunk_bit(chunk: u32, bits: u8, d: u16) -> usize {
     ((chunk >> (bits as u32 - 1 - d as u32)) & 1) as usize
 }
 
+/// A reference to a node: a slot in one of the slab's two columns.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+enum Node {
+    Empty,
+    Leaf(u32),
+    Branch(u32),
+}
+
 struct Leaf<V> {
     path: Hash,
     key: String,
@@ -121,93 +144,605 @@ struct Leaf<V> {
     value: V,
 }
 
-impl<V: Clone> Clone for Leaf<V> {
-    fn clone(&self) -> Self {
-        Leaf {
-            path: self.path,
-            key: self.key.clone(),
-            vhash: self.vhash,
-            hash: self.hash,
-            value: self.value.clone(),
-        }
-    }
-}
-
-struct Branch<V> {
+#[derive(Clone, Copy)]
+struct Branch {
     /// The bit index at which the two children diverge. All leaves below
     /// share path bits `0..bit`; children split on bit `bit`.
     bit: u16,
     /// `hash` is out of date: a deferred write changed this subtree and
-    /// [`SparseMerkleTree::rehash`] has not run since.
+    /// [`SparseMerkleTree::rehash`] has not run since. Only unshared
+    /// branches are ever stale (a stale tree cannot be cloned).
     stale: bool,
     hash: Hash,
-    children: [Node<V>; 2],
+    children: [Node; 2],
 }
 
-impl<V> Clone for Branch<V> {
-    fn clone(&self) -> Self {
-        // Children are Arc handles: a branch clone is O(1) and shares both
-        // subtrees (this is the copy-on-write path clone).
-        Branch {
-            bit: self.bit,
-            stale: self.stale,
-            hash: self.hash,
-            children: [self.children[0].clone(), self.children[1].clone()],
-        }
-    }
+/// Where a node reference lives: the handle's root (`None`) or child `dir`
+/// of branch `b` (`Some((b, dir))`).
+type Slot = Option<(u32, usize)>;
+
+/// Every node of one tree lineage. A live slot's count is the number of
+/// references to it: its parent branches plus the handles rooted at it.
+/// Free slots have count 0 (and, in the leaf column, no content).
+struct Slab<V> {
+    branches: Vec<Branch>,
+    branch_refs: Vec<u32>,
+    free_branches: Vec<u32>,
+    leaves: Vec<Option<Leaf<V>>>,
+    leaf_refs: Vec<u32>,
+    free_leaves: Vec<u32>,
+    /// Scratch for [`Slab::rehash`]: `(branch, fresh hash)` pairs.
+    rehashed: Vec<(u32, Hash)>,
 }
 
-enum Node<V> {
-    Empty,
-    Leaf(Arc<Leaf<V>>),
-    Branch(Arc<Branch<V>>),
-}
-
-impl<V> Clone for Node<V> {
-    fn clone(&self) -> Self {
-        match self {
-            Node::Empty => Node::Empty,
-            Node::Leaf(l) => Node::Leaf(Arc::clone(l)),
-            Node::Branch(b) => Node::Branch(Arc::clone(b)),
-        }
-    }
-}
-
-// Not derived: a derive would bound `V: Default`, which leaf values need
-// not satisfy.
-#[allow(clippy::derivable_impls)]
-impl<V> Default for Node<V> {
+impl<V> Default for Slab<V> {
     fn default() -> Self {
-        Node::Empty
+        Slab {
+            branches: Vec::new(),
+            branch_refs: Vec::new(),
+            free_branches: Vec::new(),
+            leaves: Vec::new(),
+            leaf_refs: Vec::new(),
+            free_leaves: Vec::new(),
+            rehashed: Vec::new(),
+        }
     }
 }
 
-impl<V> Node<V> {
-    fn hash(&self) -> Hash {
-        match self {
+/// What a handle on a poisoned slab reports: a writer panicked mid-update,
+/// so the counts can no longer be trusted.
+const POISONED: &str = "state tree slab poisoned by a panicked writer";
+
+impl<V> Slab<V> {
+    fn leaf(&self, i: u32) -> &Leaf<V> {
+        self.leaves[i as usize].as_ref().expect("live leaf slot")
+    }
+
+    fn branch(&self, i: u32) -> &Branch {
+        &self.branches[i as usize]
+    }
+
+    fn hash(&self, node: Node) -> Hash {
+        match node {
             Node::Empty => Hash::ZERO,
-            Node::Leaf(l) => l.hash,
-            Node::Branch(b) => {
+            Node::Leaf(i) => self.leaf(i).hash,
+            Node::Branch(i) => {
+                let b = self.branch(i);
                 debug_assert!(!b.stale, "hash read from a stale branch");
                 b.hash
             }
         }
     }
 
-    /// Path of the leftmost leaf below this node (`None` for `Empty`).
-    /// All leaves below a branch at bit `b` share path bits `0..b`, so any
-    /// leaf is a representative for prefix checks.
-    fn representative(&self) -> Option<&Hash> {
-        match self {
-            Node::Empty => None,
-            Node::Leaf(l) => Some(&l.path),
-            Node::Branch(b) => b.children[0].representative(),
+    fn branch_hash(&self, children: [Node; 2]) -> Hash {
+        let (l, r) = (self.hash(children[0]), self.hash(children[1]));
+        sha256_parts(&[&[0x01], &l.0, &r.0])
+    }
+
+    fn is_fresh(&self, root: Node) -> bool {
+        !matches!(root, Node::Branch(i) if self.branch(i).stale)
+    }
+
+    /// Panics on a stale `root`: a stale hash handed out would be a wrong
+    /// commitment. Only ever called under a read lock, which a panic does
+    /// not poison.
+    fn assert_fresh(&self, root: Node) {
+        assert!(
+            self.is_fresh(root),
+            "SparseMerkleTree hash read before rehash()"
+        );
+    }
+
+    /// Path of the leftmost leaf below `node` (`None` for `Empty`). All
+    /// leaves below a branch at bit `b` share path bits `0..b`, so any leaf
+    /// is a representative for prefix checks.
+    fn representative(&self, mut node: Node) -> Option<Hash> {
+        loop {
+            match node {
+                Node::Empty => return None,
+                Node::Leaf(i) => return Some(self.leaf(i).path),
+                Node::Branch(i) => node = self.branch(i).children[0],
+            }
         }
     }
-}
 
-fn branch_hash<V>(children: &[Node<V>; 2]) -> Hash {
-    sha256_parts(&[&[0x01], &children[0].hash().0, &children[1].hash().0])
+    /// The leaf slot stored at `path` under `root`, if any — the one
+    /// descent every point lookup shares.
+    fn find(&self, root: Node, path: &Hash) -> Option<u32> {
+        let mut node = root;
+        loop {
+            match node {
+                Node::Empty => return None,
+                Node::Leaf(i) => return (self.leaf(i).path == *path).then_some(i),
+                Node::Branch(i) => {
+                    let b = self.branch(i);
+                    node = b.children[path_bit(path, b.bit)];
+                }
+            }
+        }
+    }
+
+    // ---- slot accounting --------------------------------------------------
+
+    fn new_leaf(&mut self, leaf: Leaf<V>) -> Node {
+        Node::Leaf(match self.free_leaves.pop() {
+            Some(i) => {
+                self.leaves[i as usize] = Some(leaf);
+                self.leaf_refs[i as usize] = 1;
+                i
+            }
+            None => {
+                self.leaves.push(Some(leaf));
+                self.leaf_refs.push(1);
+                (self.leaves.len() - 1) as u32
+            }
+        })
+    }
+
+    fn new_branch(&mut self, branch: Branch) -> u32 {
+        match self.free_branches.pop() {
+            Some(i) => {
+                self.branches[i as usize] = branch;
+                self.branch_refs[i as usize] = 1;
+                i
+            }
+            None => {
+                self.branches.push(branch);
+                self.branch_refs.push(1);
+                (self.branches.len() - 1) as u32
+            }
+        }
+    }
+
+    fn retain(&mut self, node: Node) {
+        match node {
+            Node::Empty => {}
+            Node::Leaf(i) => self.leaf_refs[i as usize] += 1,
+            Node::Branch(i) => self.branch_refs[i as usize] += 1,
+        }
+    }
+
+    /// Drop one reference to `node`, freeing it — and, recursively, what
+    /// only it referenced — when its count reaches zero.
+    fn release(&mut self, node: Node) {
+        match node {
+            Node::Empty => {}
+            Node::Leaf(i) => {
+                self.leaf_refs[i as usize] -= 1;
+                if self.leaf_refs[i as usize] == 0 {
+                    self.leaves[i as usize] = None;
+                    self.free_leaves.push(i);
+                }
+            }
+            Node::Branch(i) => {
+                self.branch_refs[i as usize] -= 1;
+                if self.branch_refs[i as usize] == 0 {
+                    self.free_branches.push(i);
+                    let [c0, c1] = self.branches[i as usize].children;
+                    self.release(c0);
+                    self.release(c1);
+                }
+            }
+        }
+    }
+
+    /// Branch `i` made safe to mutate: itself when unshared, else a fresh
+    /// copy that takes over this reference (the children gain a parent).
+    fn own_branch(&mut self, i: u32) -> u32 {
+        if self.branch_refs[i as usize] == 1 {
+            return i;
+        }
+        let b = self.branches[i as usize];
+        self.retain(b.children[0]);
+        self.retain(b.children[1]);
+        self.branch_refs[i as usize] -= 1;
+        self.new_branch(b)
+    }
+
+    fn set(&mut self, root: &mut Node, slot: Slot, node: Node) {
+        match slot {
+            None => *root = node,
+            Some((b, dir)) => self.branches[b as usize].children[dir] = node,
+        }
+    }
+
+    // ---- structural updates -------------------------------------------------
+
+    /// Follow `path` through every branch above bit `until`, flagging each
+    /// stale (copy-on-write where shared), and return the slot reached and
+    /// the node in it.
+    fn descend_stale(&mut self, root: &mut Node, path: &Hash, until: u16) -> (Slot, Node) {
+        let (mut slot, mut node) = (None, *root);
+        while let Node::Branch(i) = node {
+            if self.branch(i).bit >= until {
+                break;
+            }
+            let j = self.own_branch(i);
+            if j != i {
+                self.set(root, slot, Node::Branch(j));
+            }
+            let b = &mut self.branches[j as usize];
+            b.stale = true;
+            let dir = path_bit(path, b.bit);
+            (slot, node) = (Some((j, dir)), b.children[dir]);
+        }
+        (slot, node)
+    }
+
+    /// Insert or overwrite the leaf at `path`, leaving its root path stale.
+    /// Returns whether the key is new.
+    fn insert(&mut self, root: &mut Node, key: &str, leaf: (Hash, Hash, Hash), value: V) -> bool {
+        let (path, vhash, hash) = leaf;
+        // Find the leaf the path routes to (the crit-bit candidate).
+        let mut node = *root;
+        let existing = loop {
+            match node {
+                Node::Empty => break None,
+                Node::Leaf(i) => break Some(self.leaf(i).path),
+                Node::Branch(i) => {
+                    node = self.branch(i).children[path_bit(&path, self.branch(i).bit)]
+                }
+            }
+        };
+        // How deep to descend: to the crit bit for a new key, to the leaf
+        // itself for an update.
+        let (new_key, until) = match existing {
+            Some(lpath) if lpath == path => (false, 256),
+            Some(lpath) => (true, first_diff_bit(&path, &lpath).expect("paths differ")),
+            None => (true, 0),
+        };
+        let (slot, old) = self.descend_stale(root, &path, until);
+        if !new_key {
+            let Node::Leaf(i) = old else {
+                unreachable!("the path routes to its leaf")
+            };
+            if self.leaf_refs[i as usize] == 1 {
+                let l = self.leaves[i as usize].as_mut().expect("live leaf slot");
+                (l.vhash, l.hash, l.value) = (vhash, hash, value);
+                return false;
+            }
+            // Shared with a snapshot: build the replacement from the write
+            // itself instead of copying the old key and value.
+            self.release(old);
+        }
+        let mut node = self.new_leaf(Leaf {
+            path,
+            key: key.to_string(),
+            vhash,
+            hash,
+            value,
+        });
+        if new_key && old != Node::Empty {
+            // Splice a new branch at the crit bit above `old`.
+            let mut children = [old, old];
+            children[path_bit(&path, until)] = node;
+            let branch = Branch {
+                bit: until,
+                stale: true,
+                hash: Hash::ZERO,
+                children,
+            };
+            node = Node::Branch(self.new_branch(branch));
+        }
+        self.set(root, slot, node);
+        new_key
+    }
+
+    /// Remove the leaf at `path`, leaving its root path stale. Returns
+    /// whether it was present; a miss copies nothing.
+    fn remove(&mut self, root: &mut Node, path: &Hash) -> bool {
+        if self.find(*root, path).is_none() {
+            return false;
+        }
+        let (mut slot, mut node) = (None, *root);
+        while let Node::Branch(i) = node {
+            let b = *self.branch(i);
+            let dir = path_bit(path, b.bit);
+            if let Node::Leaf(_) = b.children[dir] {
+                // Collapse: the sibling takes the branch's place. Releasing
+                // the branch frees it (and the leaf) unless a snapshot
+                // still shares it.
+                self.retain(b.children[1 - dir]);
+                self.release(node);
+                self.set(root, slot, b.children[1 - dir]);
+                return true;
+            }
+            let j = self.own_branch(i);
+            if j != i {
+                self.set(root, slot, Node::Branch(j));
+            }
+            self.branches[j as usize].stale = true;
+            (slot, node) = (Some((j, dir)), b.children[dir]);
+        }
+        debug_assert!(matches!(node, Node::Leaf(_)), "the leaf is the root");
+        self.release(node);
+        *root = Node::Empty;
+        true
+    }
+
+    /// The hash of `node`, computing every stale branch below it bottom-up
+    /// into `out` — across up to `threads` threads on disjoint subtrees,
+    /// all reading the slab through one shared borrow.
+    fn stale_hashes(&self, node: Node, threads: usize, out: &mut Vec<(u32, Hash)>) -> Hash
+    where
+        V: Sync,
+    {
+        let Node::Branch(i) = node else {
+            return self.hash(node);
+        };
+        let b = self.branch(i);
+        if !b.stale {
+            return b.hash;
+        }
+        let [c0, c1] = b.children;
+        let (l, r) = if threads > 1 {
+            std::thread::scope(|s| {
+                let h = s.spawn(|| {
+                    let mut mine = Vec::new();
+                    (self.stale_hashes(c0, threads / 2, &mut mine), mine)
+                });
+                let r = self.stale_hashes(c1, threads - threads / 2, out);
+                let (l, mine) = h.join().expect("rehash thread panicked");
+                out.extend(mine);
+                (l, r)
+            })
+        } else {
+            (self.stale_hashes(c0, 1, out), self.stale_hashes(c1, 1, out))
+        };
+        let hash = sha256_parts(&[&[0x01], &l.0, &r.0]);
+        out.push((i, hash));
+        hash
+    }
+
+    /// Recompute every stale branch hash under `root` once, bottom-up.
+    fn rehash(&mut self, root: Node, threads: usize)
+    where
+        V: Sync,
+    {
+        let mut out = std::mem::take(&mut self.rehashed);
+        self.stale_hashes(root, threads, &mut out);
+        for (i, hash) in out.drain(..) {
+            let b = &mut self.branches[i as usize];
+            debug_assert_eq!(
+                self.branch_refs[i as usize], 1,
+                "stale branches are unshared"
+            );
+            (b.hash, b.stale) = (hash, false);
+        }
+        self.rehashed = out;
+    }
+
+    fn build_node(&mut self, leaves: &mut [BuildEntry<V>]) -> Node {
+        match leaves {
+            [] => Node::Empty,
+            [slot] => {
+                let (path, key, vhash, value) = slot.take().expect("each slot consumed once");
+                let hash = leaf_hash(&path, &vhash);
+                self.new_leaf(Leaf {
+                    path,
+                    key,
+                    vhash,
+                    hash,
+                    value,
+                })
+            }
+            _ => {
+                // Sorted slice: the crit bit is the first bit where the
+                // first and last path differ.
+                let first = leaves
+                    .first()
+                    .and_then(|s| s.as_ref())
+                    .expect("non-empty")
+                    .0;
+                let last = leaves.last().and_then(|s| s.as_ref()).expect("non-empty").0;
+                let bit = first_diff_bit(&first, &last).expect("distinct paths");
+                let split = leaves
+                    .partition_point(|s| path_bit(&s.as_ref().expect("unconsumed").0, bit) == 0);
+                let (l, r) = leaves.split_at_mut(split);
+                let children = [self.build_node(l), self.build_node(r)];
+                let hash = self.branch_hash(children);
+                Node::Branch(self.new_branch(Branch {
+                    bit,
+                    stale: false,
+                    hash,
+                    children,
+                }))
+            }
+        }
+    }
+
+    // ---- readers --------------------------------------------------------------
+
+    fn prove(&self, root: Node, key: &str) -> SmtProof {
+        let path = key_path(key);
+        let mut siblings = Vec::new();
+        let mut node = root;
+        loop {
+            match node {
+                Node::Empty => {
+                    return SmtProof {
+                        leaf_path: None,
+                        leaf_vhash: None,
+                        siblings,
+                    };
+                }
+                Node::Leaf(i) => {
+                    let l = self.leaf(i);
+                    return SmtProof {
+                        leaf_path: Some(l.path),
+                        leaf_vhash: Some(l.vhash),
+                        siblings,
+                    };
+                }
+                Node::Branch(i) => {
+                    let b = self.branch(i);
+                    let dir = path_bit(&path, b.bit);
+                    siblings.push((b.bit, self.hash(b.children[1 - dir])));
+                    node = b.children[dir];
+                }
+            }
+        }
+    }
+
+    fn chunk_entries(&self, root: Node, chunk: u32, bits: u8) -> Vec<(&str, &V)> {
+        let mut out = Vec::new();
+        let mut node = root;
+        loop {
+            match node {
+                Node::Empty => return out,
+                Node::Leaf(i) => {
+                    let l = self.leaf(i);
+                    if chunk_of(&l.path, bits) == chunk {
+                        out.push((l.key.as_str(), &l.value));
+                    }
+                    return out;
+                }
+                Node::Branch(i) => {
+                    let b = self.branch(i);
+                    let rep = self.representative(node).expect("branches are non-empty");
+                    if b.bit as u32 >= bits as u32 {
+                        if chunk_of(&rep, bits) == chunk {
+                            self.collect_entries(node, &mut out);
+                        }
+                        return out;
+                    }
+                    // A bit skipped by path compression may already diverge
+                    // from the chunk prefix.
+                    if matches!(first_chunk_diff(&rep, chunk, bits), Some(d) if d < b.bit) {
+                        return out;
+                    }
+                    node = b.children[chunk_bit(chunk, bits, b.bit)];
+                }
+            }
+        }
+    }
+
+    fn collect_entries<'a>(&'a self, node: Node, out: &mut Vec<(&'a str, &'a V)>) {
+        match node {
+            Node::Empty => {}
+            Node::Leaf(i) => {
+                let l = self.leaf(i);
+                out.push((l.key.as_str(), &l.value));
+            }
+            Node::Branch(i) => {
+                let [c0, c1] = self.branch(i).children;
+                self.collect_entries(c0, out);
+                self.collect_entries(c1, out);
+            }
+        }
+    }
+
+    fn chunk_proof(&self, root: Node, chunk: u32, bits: u8) -> Vec<Hash> {
+        let mut sibs = vec![Hash::ZERO; bits as usize];
+        let mut node = root;
+        loop {
+            match node {
+                Node::Empty => return sibs,
+                Node::Leaf(i) => {
+                    let l = self.leaf(i);
+                    if chunk_of(&l.path, bits) != chunk {
+                        let d =
+                            first_chunk_diff(&l.path, chunk, bits).expect("differs within prefix");
+                        sibs[d as usize] = l.hash;
+                    }
+                    return sibs;
+                }
+                Node::Branch(i) => {
+                    let b = self.branch(i);
+                    let rep = self.representative(node).expect("branches are non-empty");
+                    if b.bit as u32 >= bits as u32 {
+                        if chunk_of(&rep, bits) != chunk {
+                            let d =
+                                first_chunk_diff(&rep, chunk, bits).expect("differs within prefix");
+                            sibs[d as usize] = b.hash;
+                        }
+                        return sibs;
+                    }
+                    // A skipped bit may already diverge from the chunk.
+                    if let Some(d) = first_chunk_diff(&rep, chunk, bits) {
+                        if d < b.bit {
+                            sibs[d as usize] = b.hash;
+                            return sibs;
+                        }
+                    }
+                    let dir = chunk_bit(chunk, bits, b.bit);
+                    sibs[b.bit as usize] = self.hash(b.children[1 - dir]);
+                    node = b.children[dir];
+                }
+            }
+        }
+    }
+
+    fn chunk_root(&self, root: Node, chunk: u32, bits: u8) -> Hash {
+        let mut node = root;
+        loop {
+            match node {
+                Node::Empty => return Hash::ZERO,
+                Node::Leaf(i) => {
+                    let l = self.leaf(i);
+                    return if chunk_of(&l.path, bits) == chunk {
+                        l.hash
+                    } else {
+                        Hash::ZERO
+                    };
+                }
+                Node::Branch(i) => {
+                    let b = self.branch(i);
+                    let rep = self.representative(node).expect("branches are non-empty");
+                    if b.bit as u32 >= bits as u32 {
+                        return if chunk_of(&rep, bits) == chunk {
+                            b.hash
+                        } else {
+                            Hash::ZERO
+                        };
+                    }
+                    if matches!(first_chunk_diff(&rep, chunk, bits), Some(d) if d < b.bit) {
+                        return Hash::ZERO;
+                    }
+                    node = b.children[chunk_bit(chunk, bits, b.bit)];
+                }
+            }
+        }
+    }
+
+    fn diff_chunks(&self, old: Node, new: &Self, new_root: Node, bits: u8) -> Vec<u32> {
+        if self.hash(old) == new.hash(new_root) {
+            return Vec::new();
+        }
+        (0..1u32 << bits)
+            .filter(|&c| self.chunk_root(old, c, bits) != new.chunk_root(new_root, c, bits))
+            .collect()
+    }
+
+    fn audit_node(&self, node: Node, threads: usize) -> bool
+    where
+        V: StateValue + Sync,
+    {
+        match node {
+            Node::Empty => true,
+            Node::Leaf(i) => {
+                let l = self.leaf(i);
+                l.vhash == l.value.leaf_digest() && l.hash == leaf_hash(&l.path, &l.vhash)
+            }
+            Node::Branch(i) => {
+                let b = self.branch(i);
+                let [c0, c1] = b.children;
+                let children_ok = if threads > 1 {
+                    std::thread::scope(|s| {
+                        let h = s.spawn(|| self.audit_node(c0, threads / 2));
+                        let right = self.audit_node(c1, threads - threads / 2);
+                        h.join().expect("audit thread panicked") && right
+                    })
+                } else {
+                    self.audit_node(c0, 1) && self.audit_node(c1, 1)
+                };
+                children_ok
+                    && c0 != Node::Empty
+                    && c1 != Node::Empty
+                    && b.hash == self.branch_hash(b.children)
+            }
+        }
+    }
 }
 
 /// A borrowed view of one tree node, as yielded by
@@ -268,13 +803,15 @@ impl SmtProof {
 /// [`Clone`]) can serve state-sync chunk enumeration and payloads without a
 /// side index.
 pub struct SparseMerkleTree<V = Hash> {
-    root: Node<V>,
+    slab: Arc<RwLock<Slab<V>>>,
+    root: Node,
     len: usize,
 }
 
 impl<V> Default for SparseMerkleTree<V> {
     fn default() -> Self {
         SparseMerkleTree {
+            slab: Default::default(),
             root: Node::Empty,
             len: 0,
         }
@@ -282,15 +819,28 @@ impl<V> Default for SparseMerkleTree<V> {
 }
 
 impl<V> Clone for SparseMerkleTree<V> {
-    /// O(1): shares the whole node graph. The clone is an immutable
-    /// snapshot — subsequent mutations of either tree copy-on-write the
-    /// affected root path and leave the other untouched. Panics on a stale
-    /// tree: a snapshot must commit to its content.
+    /// O(1): bumps the root's count and shares the whole lineage. The clone
+    /// is an immutable snapshot — subsequent mutations of either tree
+    /// copy-on-write the affected root path and leave the other untouched.
+    /// Panics on a stale tree: a snapshot must commit to its content.
     fn clone(&self) -> Self {
         self.assert_fresh();
+        self.write().retain(self.root);
         SparseMerkleTree {
-            root: self.root.clone(),
+            slab: Arc::clone(&self.slab),
+            root: self.root,
             len: self.len,
+        }
+    }
+}
+
+impl<V> Drop for SparseMerkleTree<V> {
+    /// Releases the root, freeing the nodes no other handle shares. Never
+    /// panics: on a slab poisoned by a panicked writer the counts cannot be
+    /// trusted, so this handle's slots are leaked instead.
+    fn drop(&mut self) {
+        if let Ok(mut slab) = self.slab.write() {
+            slab.release(self.root);
         }
     }
 }
@@ -310,107 +860,38 @@ impl<V> std::fmt::Debug for SparseMerkleTree<V> {
 
 type BuildEntry<V> = Option<(Hash, String, Hash, V)>;
 
-impl<V> SparseMerkleTree<V> {
-    /// An empty tree (root = [`Hash::ZERO`]).
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// A read view of a [`SparseMerkleTree`]: it holds the lineage's slab
+/// read-locked for its lifetime, which is what lets it lend out keys and
+/// values. Drop it before mutating, cloning or dropping any tree of the
+/// same lineage on this thread.
+pub struct SmtView<'a, V> {
+    slab: RwLockReadGuard<'a, Slab<V>>,
+    root: Node,
+}
 
-    /// Number of live keys.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no keys are live.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The root hash ([`Hash::ZERO`] when empty).
-    pub fn root_hash(&self) -> Hash {
-        self.assert_fresh();
-        self.root.hash()
-    }
-
-    /// Whether every cached node hash is current (no deferred write is
-    /// waiting for [`SparseMerkleTree::rehash`]).
-    pub fn is_fresh(&self) -> bool {
-        !matches!(&self.root, Node::Branch(b) if b.stale)
-    }
-
-    fn assert_fresh(&self) {
-        assert!(
-            self.is_fresh(),
-            "SparseMerkleTree hash read before rehash()"
-        );
-    }
-
-    /// The leaf stored at `path`, if any — the one descent every point
-    /// lookup shares.
-    fn find(&self, path: &Hash) -> Option<&Leaf<V>> {
-        let mut node = &self.root;
-        loop {
-            match node {
-                Node::Empty => return None,
-                Node::Leaf(l) => return (l.path == *path).then_some(&**l),
-                Node::Branch(b) => node = &b.children[path_bit(path, b.bit)],
-            }
-        }
-    }
-
+impl<V> SmtView<'_, V> {
     /// The value stored for `key`, if present.
     pub fn get(&self, key: &str) -> Option<&V> {
-        self.find(&key_path(key)).map(|l| &l.value)
-    }
-
-    /// The value hash committed for `key`, if present.
-    pub fn get_hash(&self, key: &str) -> Option<Hash> {
-        self.find(&key_path(key)).map(|l| l.vhash)
-    }
-
-    /// Produce a proof for `key`: an inclusion proof when the key is live,
-    /// otherwise an exclusion proof (verify with [`verify_proof`]).
-    pub fn prove(&self, key: &str) -> SmtProof {
-        self.assert_fresh();
-        let path = key_path(key);
-        let mut siblings = Vec::new();
-        let mut node = &self.root;
-        loop {
-            match node {
-                Node::Empty => {
-                    return SmtProof {
-                        leaf_path: None,
-                        leaf_vhash: None,
-                        siblings,
-                    };
-                }
-                Node::Leaf(l) => {
-                    return SmtProof {
-                        leaf_path: Some(l.path),
-                        leaf_vhash: Some(l.vhash),
-                        siblings,
-                    };
-                }
-                Node::Branch(b) => {
-                    let dir = path_bit(&path, b.bit);
-                    siblings.push((b.bit, b.children[1 - dir].hash()));
-                    node = &b.children[dir];
-                }
-            }
-        }
+        self.slab
+            .find(self.root, &key_path(key))
+            .map(|i| &self.slab.leaf(i).value)
     }
 
     /// Iterate all `(key, value)` pairs in path order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &V)> {
-        let mut stack = vec![&self.root];
+        let slab = &*self.slab;
+        let mut stack = vec![self.root];
         std::iter::from_fn(move || loop {
-            let node = stack.pop()?;
-            match node {
+            match stack.pop()? {
                 Node::Empty => continue,
-                Node::Leaf(l) => return Some((l.key.as_str(), &l.value)),
-                Node::Branch(b) => {
-                    stack.push(&b.children[1]);
-                    stack.push(&b.children[0]);
+                Node::Leaf(i) => {
+                    let l = slab.leaf(i);
+                    return Some((l.key.as_str(), &l.value));
+                }
+                Node::Branch(i) => {
+                    let [c0, c1] = slab.branch(i).children;
+                    stack.push(c1);
+                    stack.push(c0);
                 }
             }
         })
@@ -429,48 +910,77 @@ impl<V> SparseMerkleTree<V> {
     /// order — the complete payload of one state-sync chunk, served from
     /// this tree (or any snapshot of it) alone.
     pub fn chunk_entries(&self, chunk: u32, bits: u8) -> Vec<(&str, &V)> {
-        self.assert_fresh();
-        let mut out = Vec::new();
-        let mut node = &self.root;
-        loop {
-            match node {
-                Node::Empty => return out,
-                Node::Leaf(l) => {
-                    if chunk_of(&l.path, bits) == chunk {
-                        out.push((l.key.as_str(), &l.value));
-                    }
-                    return out;
-                }
-                Node::Branch(b) => {
-                    let rep = *b.children[0]
-                        .representative()
-                        .expect("branches are non-empty");
-                    if b.bit as u32 >= bits as u32 {
-                        if chunk_of(&rep, bits) == chunk {
-                            Self::collect_entries(node, &mut out);
-                        }
-                        return out;
-                    }
-                    // A bit skipped by path compression may already diverge
-                    // from the chunk prefix.
-                    if matches!(first_chunk_diff(&rep, chunk, bits), Some(d) if d < b.bit) {
-                        return out;
-                    }
-                    node = &b.children[chunk_bit(chunk, bits, b.bit)];
-                }
-            }
+        self.slab.assert_fresh(self.root);
+        self.slab.chunk_entries(self.root, chunk, bits)
+    }
+}
+
+impl<V> SparseMerkleTree<V> {
+    /// An empty tree (root = [`Hash::ZERO`]).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    fn read(&self) -> RwLockReadGuard<'_, Slab<V>> {
+        self.slab.read().expect(POISONED)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Slab<V>> {
+        self.slab.write().expect(POISONED)
+    }
+
+    /// The slab read-locked, after checking the tree is fresh.
+    fn read_fresh(&self) -> RwLockReadGuard<'_, Slab<V>> {
+        let slab = self.read();
+        slab.assert_fresh(self.root);
+        slab
+    }
+
+    /// A read view: point lookups, iteration and chunk listings that lend
+    /// out keys and values. It holds the lineage's read lock until dropped.
+    pub fn view(&self) -> SmtView<'_, V> {
+        SmtView {
+            slab: self.read(),
+            root: self.root,
         }
     }
 
-    fn collect_entries<'a>(node: &'a Node<V>, out: &mut Vec<(&'a str, &'a V)>) {
-        match node {
-            Node::Empty => {}
-            Node::Leaf(l) => out.push((l.key.as_str(), &l.value)),
-            Node::Branch(b) => {
-                Self::collect_entries(&b.children[0], out);
-                Self::collect_entries(&b.children[1], out);
-            }
-        }
+    /// Number of live keys.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when no keys are live.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The root hash ([`Hash::ZERO`] when empty).
+    pub fn root_hash(&self) -> Hash {
+        self.read_fresh().hash(self.root)
+    }
+
+    /// Whether every cached node hash is current (no deferred write is
+    /// waiting for [`SparseMerkleTree::rehash`]).
+    pub fn is_fresh(&self) -> bool {
+        self.read().is_fresh(self.root)
+    }
+
+    fn assert_fresh(&self) {
+        drop(self.read_fresh());
+    }
+
+    /// The value hash committed for `key`, if present.
+    pub fn get_hash(&self, key: &str) -> Option<Hash> {
+        let slab = self.read();
+        slab.find(self.root, &key_path(key))
+            .map(|i| slab.leaf(i).vhash)
+    }
+
+    /// Produce a proof for `key`: an inclusion proof when the key is live,
+    /// otherwise an exclusion proof (verify with [`verify_proof`]).
+    pub fn prove(&self, key: &str) -> SmtProof {
+        self.read_fresh().prove(self.root, key)
     }
 
     /// Sibling subtree hashes for chunk `chunk` of `1 << bits`: entry `d`
@@ -479,45 +989,7 @@ impl<V> SparseMerkleTree<V> {
     /// Together with the chunk's own leaves this reassembles the root — see
     /// [`verify_chunk`].
     pub fn chunk_proof(&self, chunk: u32, bits: u8) -> Vec<Hash> {
-        self.assert_fresh();
-        let mut sibs = vec![Hash::ZERO; bits as usize];
-        let mut node = &self.root;
-        loop {
-            match node {
-                Node::Empty => return sibs,
-                Node::Leaf(l) => {
-                    if chunk_of(&l.path, bits) != chunk {
-                        let d =
-                            first_chunk_diff(&l.path, chunk, bits).expect("differs within prefix");
-                        sibs[d as usize] = l.hash;
-                    }
-                    return sibs;
-                }
-                Node::Branch(b) => {
-                    let rep = *b.children[0]
-                        .representative()
-                        .expect("branches are non-empty");
-                    if b.bit as u32 >= bits as u32 {
-                        if chunk_of(&rep, bits) != chunk {
-                            let d =
-                                first_chunk_diff(&rep, chunk, bits).expect("differs within prefix");
-                            sibs[d as usize] = b.hash;
-                        }
-                        return sibs;
-                    }
-                    // A skipped bit may already diverge from the chunk.
-                    if let Some(d) = first_chunk_diff(&rep, chunk, bits) {
-                        if d < b.bit {
-                            sibs[d as usize] = b.hash;
-                            return sibs;
-                        }
-                    }
-                    let dir = chunk_bit(chunk, bits, b.bit);
-                    sibs[b.bit as usize] = b.children[1 - dir].hash();
-                    node = &b.children[dir];
-                }
-            }
-        }
+        self.read_fresh().chunk_proof(self.root, chunk, bits)
     }
 
     /// Hash of the subtree holding exactly the leaves of chunk `chunk` of
@@ -526,41 +998,13 @@ impl<V> SparseMerkleTree<V> {
     /// in a chunk iff their chunk roots match — the basis of
     /// [`SparseMerkleTree::diff_chunks`].
     pub fn chunk_root(&self, chunk: u32, bits: u8) -> Hash {
-        self.assert_fresh();
-        let mut node = &self.root;
-        loop {
-            match node {
-                Node::Empty => return Hash::ZERO,
-                Node::Leaf(l) => {
-                    return if chunk_of(&l.path, bits) == chunk {
-                        l.hash
-                    } else {
-                        Hash::ZERO
-                    };
-                }
-                Node::Branch(b) => {
-                    let rep = *b.children[0]
-                        .representative()
-                        .expect("branches are non-empty");
-                    if b.bit as u32 >= bits as u32 {
-                        return if chunk_of(&rep, bits) == chunk {
-                            b.hash
-                        } else {
-                            Hash::ZERO
-                        };
-                    }
-                    if matches!(first_chunk_diff(&rep, chunk, bits), Some(d) if d < b.bit) {
-                        return Hash::ZERO;
-                    }
-                    node = &b.children[chunk_bit(chunk, bits, b.bit)];
-                }
-            }
-        }
+        self.read_fresh().chunk_root(self.root, chunk, bits)
     }
 
     /// Walk the node graph bottom-up: children are visited (post-order)
     /// before their parent, and any subtree whose root hash `prune`
-    /// accepts is skipped entirely.
+    /// accepts is skipped entirely. The lineage stays read-locked for the
+    /// whole walk.
     ///
     /// This is the traversal persistence layers need: `prune` answers "is
     /// this content-addressed page already on disk?" (structural sharing
@@ -575,42 +1019,40 @@ impl<V> SparseMerkleTree<V> {
         prune: &mut dyn FnMut(&Hash) -> bool,
         visit: &mut dyn FnMut(NodeView<'_, V>),
     ) {
-        enum Step<'a, V> {
-            Enter(&'a Node<V>),
-            Emit(&'a Node<V>),
+        enum Step {
+            Enter(Node),
+            Emit(u32),
         }
-        self.assert_fresh();
-        let mut stack = vec![Step::Enter(&self.root)];
+        let slab = self.read_fresh();
+        let mut stack = vec![Step::Enter(self.root)];
         while let Some(step) = stack.pop() {
             match step {
-                Step::Enter(node) => match node {
-                    Node::Empty => {}
-                    Node::Leaf(l) => {
-                        if !prune(&l.hash) {
-                            visit(NodeView::Leaf {
-                                hash: l.hash,
-                                key: &l.key,
-                                value: &l.value,
-                            });
-                        }
+                Step::Enter(Node::Empty) => {}
+                Step::Enter(Node::Leaf(i)) => {
+                    let l = slab.leaf(i);
+                    if !prune(&l.hash) {
+                        visit(NodeView::Leaf {
+                            hash: l.hash,
+                            key: &l.key,
+                            value: &l.value,
+                        });
                     }
-                    Node::Branch(b) => {
-                        if !prune(&b.hash) {
-                            stack.push(Step::Emit(node));
-                            stack.push(Step::Enter(&b.children[1]));
-                            stack.push(Step::Enter(&b.children[0]));
-                        }
+                }
+                Step::Enter(Node::Branch(i)) => {
+                    let b = slab.branch(i);
+                    if !prune(&b.hash) {
+                        stack.push(Step::Emit(i));
+                        stack.push(Step::Enter(b.children[1]));
+                        stack.push(Step::Enter(b.children[0]));
                     }
-                },
-                Step::Emit(node) => {
-                    let Node::Branch(b) = node else {
-                        unreachable!("only branches are deferred")
-                    };
+                }
+                Step::Emit(i) => {
+                    let b = slab.branch(i);
                     visit(NodeView::Branch {
                         hash: b.hash,
                         bit: b.bit,
-                        left: b.children[0].hash(),
-                        right: b.children[1].hash(),
+                        left: slab.hash(b.children[0]),
+                        right: slab.hash(b.children[1]),
                     });
                 }
             }
@@ -626,19 +1068,20 @@ impl<V> SparseMerkleTree<V> {
     /// comparison is hash-only — with structural sharing between snapshots,
     /// unchanged regions compare equal without touching their leaves.
     pub fn diff_chunks(&self, newer: &Self, bits: u8) -> Vec<u32> {
-        if self.root_hash() == newer.root_hash() {
-            return Vec::new();
+        let old = self.read_fresh();
+        if Arc::ptr_eq(&self.slab, &newer.slab) {
+            // One lineage: one read lock serves both roots.
+            old.assert_fresh(newer.root);
+            return old.diff_chunks(self.root, &old, newer.root, bits);
         }
-        (0..1u32 << bits)
-            .filter(|&c| self.chunk_root(c, bits) != newer.chunk_root(c, bits))
-            .collect()
+        old.diff_chunks(self.root, &newer.read_fresh(), newer.root, bits)
     }
 }
 
 impl<V: StateValue> SparseMerkleTree<V> {
     /// Bulk-build from `(key, value)` pairs (one hash per node instead of
     /// O(log n) per insert — use for genesis and state-sync install).
-    /// Later duplicates of a key win.
+    /// Later duplicates of a key win. The tree starts a new lineage.
     pub fn build(entries: impl IntoIterator<Item = (String, V)>) -> Self {
         let mut leaves: Vec<(Hash, String, Hash, V)> = entries
             .into_iter()
@@ -658,54 +1101,25 @@ impl<V: StateValue> SparseMerkleTree<V> {
         });
         let len = leaves.len();
         let mut slots: Vec<BuildEntry<V>> = leaves.into_iter().map(Some).collect();
-        let root = Self::build_node(&mut slots[..]);
-        SparseMerkleTree { root, len }
-    }
-
-    fn build_node(leaves: &mut [BuildEntry<V>]) -> Node<V> {
-        match leaves {
-            [] => Node::Empty,
-            [slot] => {
-                let (path, key, vhash, value) = slot.take().expect("each slot consumed once");
-                let hash = leaf_hash(&path, &vhash);
-                Node::Leaf(Arc::new(Leaf {
-                    path,
-                    key,
-                    vhash,
-                    hash,
-                    value,
-                }))
-            }
-            _ => {
-                // Sorted slice: the crit bit is the first bit where the
-                // first and last path differ.
-                let first = leaves
-                    .first()
-                    .and_then(|s| s.as_ref())
-                    .expect("non-empty")
-                    .0;
-                let last = leaves.last().and_then(|s| s.as_ref()).expect("non-empty").0;
-                let bit = first_diff_bit(&first, &last).expect("distinct paths");
-                let split = leaves
-                    .partition_point(|s| path_bit(&s.as_ref().expect("unconsumed").0, bit) == 0);
-                let (l, r) = leaves.split_at_mut(split);
-                let left = Self::build_node(l);
-                let right = Self::build_node(r);
-                let children = [left, right];
-                let hash = branch_hash(&children);
-                Node::Branch(Arc::new(Branch {
-                    bit,
-                    stale: false,
-                    hash,
-                    children,
-                }))
-            }
+        let mut slab = Slab::default();
+        let root = slab.build_node(&mut slots[..]);
+        SparseMerkleTree {
+            slab: Arc::new(RwLock::new(slab)),
+            root,
+            len,
         }
     }
 }
 
-impl<V: StateValue + Clone> SparseMerkleTree<V> {
-    /// Insert or update `key` with `value`. O(log n) hashes; clones only
+/// `(path, value hash, leaf hash)` of a write.
+fn leaf_digests<V: StateValue>(key: &str, value: &V) -> (Hash, Hash, Hash) {
+    let path = key_path(key);
+    let vhash = value.leaf_digest();
+    (path, vhash, leaf_hash(&path, &vhash))
+}
+
+impl<V: StateValue + Clone + Sync> SparseMerkleTree<V> {
+    /// Insert or update `key` with `value`. O(log n) hashes; copies only
     /// the nodes on the key's root path that are shared with snapshots.
     pub fn insert(&mut self, key: &str, value: V) {
         self.insert_deferred(key, value);
@@ -718,83 +1132,9 @@ impl<V: StateValue + Clone> SparseMerkleTree<V> {
     /// each of them once.
     pub fn insert_deferred(&mut self, key: &str, value: V) {
         let _prof = ahl_telemetry::Profiler::span("smt.update");
-        let path = key_path(key);
-        let vhash = value.leaf_digest();
-        // Find the leaf the path routes to (the crit-bit candidate).
-        let mut node = &self.root;
-        let existing = loop {
-            match node {
-                Node::Empty => break None,
-                Node::Leaf(l) => break Some(l.path),
-                Node::Branch(b) => node = &b.children[path_bit(&path, b.bit)],
-            }
-        };
-        match existing {
-            None => {
-                debug_assert!(matches!(self.root, Node::Empty));
-                self.root = Self::new_leaf(path, key, vhash, value);
-                self.len = 1;
-            }
-            Some(lpath) if lpath == path => {
-                let leaf = Self::descend_stale(&mut self.root, &path, 256);
-                let Node::Leaf(l) = leaf else {
-                    unreachable!("the path routes to its leaf")
-                };
-                match Arc::get_mut(l) {
-                    Some(l) => {
-                        l.vhash = vhash;
-                        l.hash = leaf_hash(&path, &vhash);
-                        l.value = value;
-                    }
-                    // Shared with a snapshot: build the replacement from
-                    // the write itself instead of cloning the old key and
-                    // value only to overwrite the value.
-                    None => *leaf = Self::new_leaf(path, key, vhash, value),
-                }
-            }
-            Some(lpath) => {
-                let crit = first_diff_bit(&path, &lpath).expect("paths differ");
-                // Splice a new branch at `crit` above the node found there.
-                let slot = Self::descend_stale(&mut self.root, &path, crit);
-                let old = std::mem::take(slot);
-                let dir = path_bit(&path, crit);
-                let mut children = [Node::Empty, Node::Empty];
-                children[dir] = Self::new_leaf(path, key, vhash, value);
-                children[1 - dir] = old;
-                *slot = Node::Branch(Arc::new(Branch {
-                    bit: crit,
-                    stale: true,
-                    hash: Hash::ZERO,
-                    children,
-                }));
-                self.len += 1;
-            }
-        }
-    }
-
-    fn new_leaf(path: Hash, key: &str, vhash: Hash, value: V) -> Node<V> {
-        let hash = leaf_hash(&path, &vhash);
-        Node::Leaf(Arc::new(Leaf {
-            path,
-            key: key.to_string(),
-            vhash,
-            hash,
-            value,
-        }))
-    }
-
-    /// Follow `path` through every branch above bit `until`, flagging each
-    /// stale (copy-on-write where shared), and return the slot reached.
-    fn descend_stale<'a>(mut node: &'a mut Node<V>, path: &Hash, until: u16) -> &'a mut Node<V> {
-        while matches!(node, Node::Branch(b) if b.bit < until) {
-            let Node::Branch(b) = node else {
-                unreachable!("matched a branch")
-            };
-            let b = Arc::make_mut(b);
-            b.stale = true;
-            node = &mut b.children[path_bit(path, b.bit)];
-        }
-        node
+        let leaf = leaf_digests(key, &value);
+        let mut slab = self.slab.write().expect(POISONED);
+        self.len += slab.insert(&mut self.root, key, leaf, value) as usize;
     }
 
     /// Remove `key`. Returns whether it was present. O(log n) hashes;
@@ -809,113 +1149,57 @@ impl<V: StateValue + Clone> SparseMerkleTree<V> {
     /// [`SparseMerkleTree::insert_deferred`]).
     pub fn remove_deferred(&mut self, key: &str) -> bool {
         let path = key_path(key);
-        // Probe first: a miss must not copy-on-write any shared node.
-        if self.find(&path).is_none() {
-            return false;
-        }
-        Self::remove_rec(&mut self.root, &path);
-        self.len -= 1;
-        true
-    }
-
-    /// Remove the (known-present) leaf at `path`.
-    fn remove_rec(node: &mut Node<V>, path: &Hash) {
-        match node {
-            Node::Leaf(l) => {
-                debug_assert_eq!(l.path, *path);
-                *node = Node::Empty;
-            }
-            Node::Branch(b) => {
-                let b = Arc::make_mut(b);
-                let dir = path_bit(path, b.bit);
-                Self::remove_rec(&mut b.children[dir], path);
-                if matches!(b.children[dir], Node::Empty) {
-                    // Collapse the branch: the sibling takes its place.
-                    let sibling = std::mem::take(&mut b.children[1 - dir]);
-                    *node = sibling;
-                } else {
-                    b.stale = true;
-                }
-            }
-            Node::Empty => unreachable!("probe found the key"),
-        }
+        let mut slab = self.slab.write().expect(POISONED);
+        let hit = slab.remove(&mut self.root, &path);
+        self.len -= hit as usize;
+        hit
     }
 
     /// Recompute every stale branch hash once, bottom-up, leaving the tree
     /// fresh. Visits only stale branches and their children, so a no-op on
     /// a fresh tree.
     pub fn rehash(&mut self) {
-        if self.is_fresh() {
+        let mut slab = self.slab.write().expect(POISONED);
+        if slab.is_fresh(self.root) {
             return;
         }
         let _prof = ahl_telemetry::Profiler::span("smt.rehash");
-        Self::rehash_rec(&mut self.root);
+        slab.rehash(self.root, 1);
     }
 
-    fn rehash_rec(node: &mut Node<V>) {
-        if let Node::Branch(b) = node {
-            if b.stale {
-                let b = Arc::make_mut(b);
-                Self::rehash_rec(&mut b.children[0]);
-                Self::rehash_rec(&mut b.children[1]);
-                b.hash = branch_hash(&b.children);
-                b.stale = false;
-            }
-        }
-    }
-
-    /// Mutate a stored value in place *without* refreshing the cached
-    /// digests — the only way to manufacture the cache corruption
-    /// `rehash_audit` exists to detect. Test-only by construction.
+    /// Overwrite a stored value *without* refreshing the cached digests —
+    /// the only way to manufacture the cache corruption `rehash_audit`
+    /// exists to detect. Test-only by construction.
     #[cfg(test)]
-    pub(crate) fn get_mut_for_test(&mut self, key: &str) -> Option<&mut V> {
-        let path = key_path(key);
-        Self::get_mut_rec(&mut self.root, &path)
-    }
-
-    #[cfg(test)]
-    fn get_mut_rec<'a>(node: &'a mut Node<V>, path: &Hash) -> Option<&'a mut V> {
-        match node {
-            Node::Empty => None,
-            Node::Leaf(l) => {
-                if l.path == *path {
-                    Some(&mut Arc::make_mut(l).value)
-                } else {
-                    None
-                }
-            }
-            Node::Branch(b) => {
-                let b = Arc::make_mut(b);
-                let dir = path_bit(path, b.bit);
-                Self::get_mut_rec(&mut b.children[dir], path)
-            }
-        }
+    pub(crate) fn corrupt_value_for_test(&mut self, key: &str, value: V) -> bool {
+        let mut slab = self.write();
+        let Some(i) = slab.find(self.root, &key_path(key)) else {
+            return false;
+        };
+        assert_eq!(slab.leaf_refs[i as usize], 1, "corrupting a shared leaf");
+        slab.leaves[i as usize]
+            .as_mut()
+            .expect("live leaf slot")
+            .value = value;
+        true
     }
 }
 
 /// Below this many changes, [`SparseMerkleTree::batch_apply`] runs the
-/// plain insert/remove loop: the merge setup (sort, dedup, probes) costs
-/// more than it saves on a handful of keys.
+/// plain insert/remove loop: the thread setup costs more than it saves on
+/// a handful of keys.
 const MIN_PARALLEL_BATCH: usize = 32;
-
-/// A side of a recursive merge split must carry at least this many changes
-/// before a thread is spawned for it.
-const MIN_SPAWN_CHANGES: usize = 8;
-
-/// One pending change in a batch merge: `(path, key, value_hash, value)`;
-/// a `None` value is a removal. `Option`-wrapped so slices can hand
-/// ownership to [`SparseMerkleTree::build_node`]-style consumers.
-type ApplyEntry<V> = Option<(Hash, String, Hash, Option<V>)>;
 
 impl<V: StateValue + Clone + Send + Sync> SparseMerkleTree<V> {
     /// Apply a batch of changes (`Some(value)` = insert/update, `None` =
     /// remove), equivalent to calling [`SparseMerkleTree::insert`] /
     /// [`SparseMerkleTree::remove`] in order — later changes to the same
-    /// key win. With `workers > 1` the batch is merged in one recursive
-    /// descent that re-hashes disjoint subtrees on separate threads and
-    /// hashes each shared ancestor once per batch instead of once per key;
-    /// the resulting tree is the canonical crit-bit tree over the final
-    /// content, so the root is bit-identical to the sequential loop.
+    /// key win. With `workers > 1`, threads compute the writes' leaf
+    /// digests, one ordered pass splices every change into the tree with
+    /// its root path left stale, and threads then hash disjoint stale
+    /// subtrees over a shared read of the slab — each shared ancestor once
+    /// per batch instead of once per key. The root is bit-identical to the
+    /// sequential loop.
     pub fn batch_apply(&mut self, changes: Vec<(String, Option<V>)>, workers: usize) {
         self.assert_fresh();
         if changes.is_empty() {
@@ -933,175 +1217,33 @@ impl<V: StateValue + Clone + Send + Sync> SparseMerkleTree<V> {
             return;
         }
         let _prof = ahl_telemetry::Profiler::span("smt.batch_apply");
-        let mut slots: Vec<(Hash, String, Option<V>)> = changes
-            .into_iter()
-            .map(|(k, v)| (key_path(&k), k, v))
-            .collect();
-        // Stable sort + keep-the-later-change dedup (same discipline as
-        // `build`): the batch collapses to its final per-key content.
-        slots.sort_by_key(|s| s.0 .0);
-        slots.dedup_by(|later, earlier| {
-            if later.0 == earlier.0 {
-                std::mem::swap(earlier, later);
-                true
-            } else {
-                false
-            }
-        });
-        // Removals of absent keys are no-ops; dropping them up front means
-        // every surviving removal routes to a live leaf, which keeps the
-        // recursive split well-defined (only *inserts* can diverge above a
-        // subtree) and makes the length delta exact.
-        slots.retain(|(path, _, v)| v.is_some() || self.find(path).is_some());
-        if slots.is_empty() {
-            return;
-        }
-        let mut entries: Vec<ApplyEntry<V>> = slots
-            .into_iter()
-            .map(|(path, key, v)| {
-                let vhash = v.as_ref().map_or(Hash::ZERO, StateValue::leaf_digest);
-                Some((path, key, vhash, v))
-            })
-            .collect();
-        let root = std::mem::take(&mut self.root);
-        let (root, delta) = Self::merge_node(root, &mut entries, workers);
-        self.root = root;
-        self.len = (self.len as isize + delta) as usize;
-    }
-
-    /// Merge sorted, per-path-unique `entries` into `node`, returning the
-    /// new node and the leaf-count delta. All entry paths share the
-    /// routing prefix that led to `node`. `threads` is the spawn budget
-    /// for disjoint subtrees.
-    fn merge_node(
-        node: Node<V>,
-        entries: &mut [ApplyEntry<V>],
-        threads: usize,
-    ) -> (Node<V>, isize) {
-        if entries.is_empty() {
-            return (node, 0);
-        }
-        match node {
-            Node::Empty => {
-                // Only reachable at the root of an empty tree; removals of
-                // absent keys were filtered, so everything is an insert.
-                let mut puts = Self::take_puts(entries);
-                let delta = puts.len() as isize;
-                (Self::build_node(&mut puts), delta)
-            }
-            Node::Leaf(l) => {
-                let touched = entries
-                    .iter()
-                    .any(|s| s.as_ref().expect("unconsumed").0 == l.path);
-                let mut puts = Self::take_puts(entries);
-                if !touched {
-                    // The existing leaf survives: slot it into path order.
-                    let (path, key, vhash, value) = match Arc::try_unwrap(l) {
-                        Ok(leaf) => (leaf.path, leaf.key, leaf.vhash, leaf.value),
-                        Err(l) => (l.path, l.key.clone(), l.vhash, l.value.clone()),
-                    };
-                    let pos =
-                        puts.partition_point(|s| s.as_ref().expect("unconsumed").0 .0 < path.0);
-                    puts.insert(pos, Some((path, key, vhash, value)));
-                }
-                let delta = puts.len() as isize - 1;
-                (Self::build_node(&mut puts), delta)
-            }
-            Node::Branch(b) => {
-                let rep = *b.children[0]
-                    .representative()
-                    .expect("branches are non-empty");
-                // An insert whose path diverges from the subtree's shared
-                // prefix belongs *above* this branch. Splice at the
-                // shallowest such divergence first. (Removals always route
-                // to live leaves, so they never diverge.)
-                let div = entries
-                    .iter()
-                    .filter_map(|s| {
-                        let e = s.as_ref().expect("unconsumed");
-                        e.3.as_ref().and(first_diff_bit(&e.0, &rep))
+        let per_thread = changes.len().div_ceil(workers);
+        let digests: Vec<Option<(Hash, Hash, Hash)>> = std::thread::scope(|s| {
+            let handles: Vec<_> = changes
+                .chunks(per_thread)
+                .map(|part| {
+                    s.spawn(move || {
+                        part.iter()
+                            .map(|(k, v)| v.as_ref().map(|v| leaf_digests(k, v)))
+                            .collect::<Vec<_>>()
                     })
-                    .filter(|d| *d < b.bit)
-                    .min();
-                let bit = div.unwrap_or(b.bit);
-                // Every entry shares path bits `0..bit` (divergences are
-                // at >= bit), so the sorted slice splits cleanly on it.
-                let split = entries
-                    .partition_point(|s| path_bit(&s.as_ref().expect("unconsumed").0, bit) == 0);
-                let (ls, rs) = entries.split_at_mut(split);
-                match div {
-                    Some(d) => {
-                        // New ancestor at `d`: the subtree keeps the side
-                        // the representative routes to, the far side is
-                        // built fresh from its inserts.
-                        let dir = path_bit(&rep, d);
-                        let (near, far) = if dir == 0 { (ls, rs) } else { (rs, ls) };
-                        let (merged, d1) = Self::merge_node(Node::Branch(b), near, threads);
-                        let mut far_puts = Self::take_puts(far);
-                        let d2 = far_puts.len() as isize;
-                        let far_node = Self::build_node(&mut far_puts);
-                        (Self::join(d, dir, merged, far_node), d1 + d2)
-                    }
-                    None => {
-                        let [c0, c1] = match Arc::try_unwrap(b) {
-                            Ok(b) => b.children,
-                            Err(b) => b.children.clone(),
-                        };
-                        let spawn = threads > 1
-                            && ls.len() >= MIN_SPAWN_CHANGES
-                            && rs.len() >= MIN_SPAWN_CHANGES;
-                        let ((n0, d0), (n1, d1)) = if spawn {
-                            std::thread::scope(|s| {
-                                let h = s.spawn(|| Self::merge_node(c0, ls, threads / 2));
-                                let right = Self::merge_node(c1, rs, threads - threads / 2);
-                                (h.join().expect("merge thread panicked"), right)
-                            })
-                        } else {
-                            (
-                                Self::merge_node(c0, ls, threads),
-                                Self::merge_node(c1, rs, threads),
-                            )
-                        };
-                        (Self::join(bit, 0, n0, n1), d0 + d1)
-                    }
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("digest thread panicked"))
+                .collect()
+        });
+        let mut slab = self.slab.write().expect(POISONED);
+        for ((key, value), leaf) in changes.into_iter().zip(digests) {
+            match (value, leaf) {
+                (Some(v), Some(leaf)) => {
+                    self.len += slab.insert(&mut self.root, &key, leaf, v) as usize;
                 }
+                _ => self.len -= slab.remove(&mut self.root, &key_path(&key)) as usize,
             }
         }
-    }
-
-    /// Extract the inserts of a consumed entry slice as build slots (in
-    /// path order); removals are dropped (their leaves are not in `node0`'s
-    /// side of the split, or the subtree is being rebuilt without them).
-    fn take_puts(entries: &mut [ApplyEntry<V>]) -> Vec<BuildEntry<V>> {
-        let mut puts: Vec<BuildEntry<V>> = Vec::with_capacity(entries.len());
-        for s in entries.iter_mut() {
-            let (path, key, vhash, value) = s.take().expect("slot consumed once");
-            if let Some(v) = value {
-                puts.push(Some((path, key, vhash, v)));
-            }
-        }
-        puts
-    }
-
-    /// Rebuild a branch at `bit` whose `dir` child is `near`, collapsing if
-    /// either side came back empty (removals can empty a whole subtree).
-    fn join(bit: u16, dir: usize, near: Node<V>, far: Node<V>) -> Node<V> {
-        match (&near, &far) {
-            (Node::Empty, _) => far,
-            (_, Node::Empty) => near,
-            _ => {
-                let mut children = [Node::Empty, Node::Empty];
-                children[dir] = near;
-                children[1 - dir] = far;
-                let hash = branch_hash(&children);
-                Node::Branch(Arc::new(Branch {
-                    bit,
-                    stale: false,
-                    hash,
-                    children,
-                }))
-            }
-        }
+        slab.rehash(self.root, workers);
     }
 }
 
@@ -1113,32 +1255,7 @@ impl<V: StateValue + Send + Sync> SparseMerkleTree<V> {
     /// consistent. Checkpoint integrity check: a corrupted cache or a
     /// miscomputed parallel batch merge cannot certify a bad root.
     pub fn rehash_audit(&self, workers: usize) -> bool {
-        self.assert_fresh();
-        Self::audit_node(&self.root, workers.max(1))
-    }
-
-    fn audit_node(node: &Node<V>, threads: usize) -> bool {
-        match node {
-            Node::Empty => true,
-            Node::Leaf(l) => {
-                l.vhash == l.value.leaf_digest() && l.hash == leaf_hash(&l.path, &l.vhash)
-            }
-            Node::Branch(b) => {
-                let children_ok = if threads > 1 {
-                    std::thread::scope(|s| {
-                        let h = s.spawn(|| Self::audit_node(&b.children[0], threads / 2));
-                        let right = Self::audit_node(&b.children[1], threads - threads / 2);
-                        h.join().expect("audit thread panicked") && right
-                    })
-                } else {
-                    Self::audit_node(&b.children[0], 1) && Self::audit_node(&b.children[1], 1)
-                };
-                children_ok
-                    && !matches!(b.children[0], Node::Empty)
-                    && !matches!(b.children[1], Node::Empty)
-                    && b.hash == branch_hash(&b.children)
-            }
-        }
+        self.read_fresh().audit_node(self.root, workers.max(1))
     }
 }
 
@@ -1262,6 +1379,282 @@ fn subtree_from_leaves(leaves: &[(Hash, Hash)], depth: u16) -> Hash {
     }
 }
 
+/// Slab accounting under random interleavings: several handles of one
+/// lineage (plus fresh lineages from `build`) are written, cloned and
+/// dropped in random order. After every step each handle must read exactly
+/// like a tree bulk-built from its model map, and every slab must hold
+/// exactly the nodes its live handles reach, each counted once per
+/// reference. Once the last handle drops, no slot may stay live.
+#[cfg(test)]
+mod accounting {
+    use std::collections::{BTreeMap, HashMap};
+
+    use super::*;
+
+    const KEYS: u64 = 24;
+    const MAX_HANDLES: usize = 4;
+
+    type Model = BTreeMap<String, Hash>;
+
+    /// One lineage's slab, as every handle of it holds it.
+    type SharedSlab = Arc<RwLock<Slab<Hash>>>;
+
+    fn vh(i: u64) -> Hash {
+        sha256_parts(&[&i.to_be_bytes()])
+    }
+
+    fn key(k: u64) -> String {
+        format!("k{}", k % KEYS)
+    }
+
+    impl<V> Slab<V> {
+        /// Slots currently in use, read off the two columns and free lists.
+        fn live(&self) -> usize {
+            self.branches.len() - self.free_branches.len() + self.leaves.len()
+                - self.free_leaves.len()
+        }
+
+        /// Add one reference per edge and per root below `node` to `refs`,
+        /// walking each node's children only on its first visit.
+        fn count_refs(&self, node: Node, refs: &mut HashMap<Node, u32>) {
+            if node == Node::Empty {
+                return;
+            }
+            let seen = refs.contains_key(&node);
+            *refs.entry(node).or_default() += 1;
+            if let (false, Node::Branch(i)) = (seen, node) {
+                let [c0, c1] = self.branch(i).children;
+                self.count_refs(c0, refs);
+                self.count_refs(c1, refs);
+            }
+        }
+
+        fn count_of(&self, node: Node) -> u32 {
+            match node {
+                Node::Empty => 0,
+                Node::Leaf(i) => self.leaf_refs[i as usize],
+                Node::Branch(i) => self.branch_refs[i as usize],
+            }
+        }
+    }
+
+    /// A batch of `n` changes seeded by `(k, v)`: mostly writes, every fifth a
+    /// removal, with repeated keys so later changes must win.
+    fn batch(k: u64, v: u64, n: u64) -> Vec<(String, Option<Hash>)> {
+        (0..n)
+            .map(|j| (key(k + j * 5), (j % 5 != 4).then(|| vh(v + j))))
+            .collect()
+    }
+
+    fn apply_model(model: &mut Model, changes: &[(String, Option<Hash>)]) {
+        for (k, v) in changes {
+            match v {
+                Some(v) => model.insert(k.clone(), *v),
+                None => model.remove(k),
+            };
+        }
+    }
+
+    fn check_handle(t: &SparseMerkleTree, model: &Model, chunk: u32) {
+        let want = SparseMerkleTree::build(model.iter().map(|(k, v)| (k.clone(), *v)));
+        assert_eq!(t.root_hash(), want.root_hash());
+        assert_eq!(t.len(), model.len());
+        let view = t.view();
+        for k in 0..KEYS {
+            assert_eq!(view.get(&key(k)), model.get(&key(k)), "read {}", key(k));
+        }
+        assert_eq!(
+            view.chunk_entries(chunk, 2),
+            want.view().chunk_entries(chunk, 2)
+        );
+        drop(view);
+        assert_eq!(t.chunk_proof(chunk, 2), want.chunk_proof(chunk, 2));
+    }
+
+    /// Every slab holds exactly the nodes its handles reach, each with a count
+    /// equal to its references.
+    fn check_slabs(handles: &[(SparseMerkleTree, Model)]) {
+        let mut lineages: Vec<(&SharedSlab, Vec<Node>)> = Vec::new();
+        for (t, _) in handles {
+            match lineages.iter_mut().find(|(s, _)| Arc::ptr_eq(s, &t.slab)) {
+                Some((_, roots)) => roots.push(t.root),
+                None => lineages.push((&t.slab, vec![t.root])),
+            }
+        }
+        for (slab, roots) in lineages {
+            let slab = slab.read().expect("unpoisoned");
+            let mut refs = HashMap::new();
+            for root in roots {
+                slab.count_refs(root, &mut refs);
+            }
+            assert_eq!(slab.live(), refs.len(), "live slots = reachable nodes");
+            for (node, n) in refs {
+                assert_eq!(slab.count_of(node), n, "count of {node:?}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn slab_counts_match_reachable_nodes(
+            ops in proptest::collection::vec((0u8..9, 0usize..MAX_HANDLES, 0u64..KEYS, 0u64..1000), 1..60)
+        ) {
+            let mut handles: Vec<(SparseMerkleTree, Model)> = vec![Default::default()];
+            let mut slabs: Vec<SharedSlab> = vec![Arc::clone(&handles[0].0.slab)];
+            for (step, (op, h, k, v)) in ops.into_iter().enumerate() {
+                let h = h % handles.len();
+                match op {
+                    5 | 6 if handles.len() < MAX_HANDLES => {
+                        let fork = (handles[h].0.clone(), handles[h].1.clone());
+                        handles.push(fork);
+                    }
+                    7 if handles.len() > 1 => {
+                        handles.swap_remove(h);
+                    }
+                    5..=7 => {}
+                    _ => {
+                        let (t, model) = &mut handles[h];
+                        match op {
+                            0 => {
+                                t.insert(&key(k), vh(v));
+                                model.insert(key(k), vh(v));
+                            }
+                            1 => {
+                                t.insert_deferred(&key(k), vh(v));
+                                t.insert_deferred(&key(k + 7), vh(v + 1));
+                                t.remove_deferred(&key(k + 3));
+                                t.rehash();
+                                apply_model(model, &[
+                                    (key(k), Some(vh(v))),
+                                    (key(k + 7), Some(vh(v + 1))),
+                                    (key(k + 3), None),
+                                ]);
+                            }
+                            2 => {
+                                let hit = t.remove(&key(k));
+                                proptest::prop_assert_eq!(hit, model.remove(&key(k)).is_some());
+                            }
+                            3 | 4 => {
+                                // 40 changes clear the parallel threshold; 6 do not.
+                                let (workers, n) = if op == 3 { (1, 6) } else { (2, 40) };
+                                let changes = batch(k, v, n);
+                                apply_model(model, &changes);
+                                t.batch_apply(changes, workers);
+                            }
+                            _ => {
+                                *t = SparseMerkleTree::build(model.iter().map(|(k, v)| (k.clone(), *v)));
+                                slabs.push(Arc::clone(&t.slab));
+                            }
+                        }
+                    }
+                }
+                for (t, model) in &handles {
+                    check_handle(t, model, step as u32 % 4);
+                }
+                check_slabs(&handles);
+            }
+            drop(handles);
+            for slab in slabs {
+                let slab = slab.read().expect("unpoisoned");
+                proptest::prop_assert_eq!(slab.live(), 0);
+                proptest::prop_assert!(slab.branch_refs.iter().chain(&slab.leaf_refs).all(|&n| n == 0));
+            }
+        }
+    }
+
+    /// A writer that panics poisons the slab; every handle of that lineage
+    /// then drops without panicking, leaking its slots instead.
+    #[test]
+    fn drop_after_a_poisoned_lock_does_not_panic() {
+        let t = SparseMerkleTree::build((0..64u64).map(|i| (format!("acc{i}"), vh(i))));
+        let snap = t.clone();
+        let slab = Arc::clone(&t.slab);
+        let poisoner = std::thread::spawn(move || {
+            let _guard = slab.write().expect("first writer");
+            panic!("writer dies holding the slab");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(t.slab.is_poisoned());
+        drop(snap);
+        drop(t);
+    }
+
+    /// Fork-and-retention cell: one snapshot stays pinned across several
+    /// checkpoint intervals while a two-deep serving window retires its
+    /// siblings behind it. The pinned snapshot serves byte-identical roots,
+    /// chunks and chunk proofs throughout, and the live tree's writes take the
+    /// slots each retirement freed before the slab grows.
+    #[test]
+    fn pinned_snapshot_survives_churn_while_siblings_retire() {
+        type Served = (Hash, Vec<Vec<(String, Hash)>>, Vec<Vec<Hash>>);
+        let serve = |t: &SparseMerkleTree| -> Served {
+            let view = t.view();
+            let entries = (0..4)
+                .map(|c| {
+                    view.chunk_entries(c, 2)
+                        .into_iter()
+                        .map(|(k, v)| (k.to_string(), *v))
+                        .collect()
+                })
+                .collect();
+            drop(view);
+            (
+                t.root_hash(),
+                entries,
+                (0..4).map(|c| t.chunk_proof(c, 2)).collect(),
+            )
+        };
+        let mut t = SparseMerkleTree::build((0..512u64).map(|i| (format!("acc{i}"), vh(i))));
+        let pinned = t.clone();
+        let served = serve(&pinned);
+        let mut window: std::collections::VecDeque<SparseMerkleTree> = Default::default();
+        let columns = |t: &SparseMerkleTree| {
+            let slab = t.read();
+            (
+                slab.branches.len() + slab.leaves.len(),
+                slab.free_branches.len() + slab.free_leaves.len(),
+            )
+        };
+        let mut reused = 0;
+        for interval in 0..5u64 {
+            let (len_before, free_before) = columns(&t);
+            for j in 0..64u64 {
+                let k = (interval * 131 + j * 17) % 512;
+                t.insert_deferred(&format!("acc{k}"), vh(1_000 * (interval + 1) + j));
+            }
+            t.rehash();
+            let (len_after, free_after) = columns(&t);
+            // Writes free nothing, so the free list only shrinks, and the slab
+            // grows only once it is empty.
+            assert!(free_after <= free_before);
+            assert!(
+                len_after == len_before || free_after == 0,
+                "grew with free slots left"
+            );
+            reused += free_before - free_after;
+            window.push_back(t.clone());
+            if window.len() > 2 {
+                window.pop_front();
+            }
+            assert_eq!(
+                serve(&pinned),
+                served,
+                "pinned snapshot moved in interval {interval}"
+            );
+        }
+        assert!(
+            reused > 0,
+            "retired siblings' slots were taken by later writes"
+        );
+        let handles: Vec<(SparseMerkleTree, Model)> = std::iter::once(t)
+            .chain(std::iter::once(pinned))
+            .chain(window)
+            .map(|t| (t, Model::new()))
+            .collect();
+        check_slabs(&handles);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1291,10 +1684,10 @@ mod tests {
     fn insert_get_update_remove() {
         let mut t = SparseMerkleTree::new();
         t.insert("a", vh(1));
-        assert_eq!(t.get("a"), Some(&vh(1)));
+        assert_eq!(t.view().get("a"), Some(&vh(1)));
         let r1 = t.root_hash();
         t.insert("a", vh(2));
-        assert_eq!(t.get("a"), Some(&vh(2)));
+        assert_eq!(t.view().get("a"), Some(&vh(2)));
         assert_eq!(t.get_hash("a"), Some(vh(2)));
         assert_ne!(t.root_hash(), r1);
         assert_eq!(t.len(), 1);
@@ -1319,7 +1712,7 @@ mod tests {
             ("k".to_string(), vh(2)),
         ]);
         assert_eq!(bulk.len(), 2);
-        assert_eq!(bulk.get("k"), Some(&vh(2)));
+        assert_eq!(bulk.view().get("k"), Some(&vh(2)));
     }
 
     #[test]
@@ -1399,7 +1792,7 @@ mod tests {
         for bits in [0u8, 1, 2, 3, 5] {
             let mut seen = 0usize;
             for chunk in 0..(1u32 << bits) {
-                seen += t.chunk_keys(chunk, bits).len();
+                seen += t.view().chunk_keys(chunk, bits).len();
             }
             assert_eq!(seen, 100, "bits {bits}");
         }
@@ -1411,6 +1804,7 @@ mod tests {
         for bits in [0u8, 1, 3, 4] {
             for chunk in 0..(1u32 << bits) {
                 let entries: Vec<(Hash, Hash)> = t
+                    .view()
                     .chunk_entries(chunk, bits)
                     .iter()
                     .map(|(k, v)| (key_path(k), **v))
@@ -1430,13 +1824,16 @@ mod tests {
         let bits = 2u8;
         // Find a non-empty chunk.
         let chunk = (0..4u32)
-            .find(|c| !t.chunk_keys(*c, bits).is_empty())
+            .find(|c| !t.view().chunk_keys(*c, bits).is_empty())
             .expect("some chunk non-empty");
-        let keys = t.chunk_keys(chunk, bits);
+        let view = t.view();
+        let keys = view.chunk_keys(chunk, bits);
         let mut entries: Vec<(Hash, Hash)> = keys
             .iter()
-            .map(|k| (key_path(k), *t.get(k).expect("live")))
+            .map(|k| (key_path(k), *view.get(k).expect("live")))
             .collect();
+        let n_keys = keys.len();
+        drop(view);
         let proof = t.chunk_proof(chunk, bits);
         // Alter one value hash.
         entries[0].1 .0[0] ^= 1;
@@ -1445,7 +1842,7 @@ mod tests {
         // Drop one leaf.
         let dropped = entries.split_off(entries.len() - 1);
         let ok_short = verify_chunk(&t.root_hash(), chunk, bits, &entries, &proof);
-        assert!(!ok_short || keys.len() == 1);
+        assert!(!ok_short || n_keys == 1);
         entries.extend(dropped);
         // Present the chunk under the wrong index.
         assert!(!verify_chunk(
@@ -1470,7 +1867,7 @@ mod tests {
     #[test]
     fn iter_yields_all_pairs() {
         let t = tree_of(30);
-        let mut keys: Vec<String> = t.iter().map(|(k, _)| k.to_string()).collect();
+        let mut keys: Vec<String> = t.view().iter().map(|(k, _)| k.to_string()).collect();
         keys.sort();
         let mut want: Vec<String> = (0..30).map(|i| format!("key-{i}")).collect();
         want.sort();
@@ -1512,11 +1909,12 @@ mod tests {
             Some(&vh(7)),
             &snap.prove("key-7")
         ));
-        assert_eq!(snap.get("key-3"), Some(&vh(3)));
+        assert_eq!(snap.view().get("key-3"), Some(&vh(3)));
         // Chunk proofs of the snapshot still verify against the old root.
         let bits = 2u8;
         for chunk in 0..4u32 {
             let entries: Vec<(Hash, Hash)> = snap
+                .view()
                 .chunk_entries(chunk, bits)
                 .iter()
                 .map(|(k, v)| (key_path(k), **v))
@@ -1574,6 +1972,7 @@ mod tests {
         for bits in [0u8, 2, 4] {
             for chunk in 0..(1u32 << bits) {
                 let entries: Vec<(Hash, Hash)> = t
+                    .view()
                     .chunk_entries(chunk, bits)
                     .iter()
                     .map(|(k, v)| (key_path(k), **v))
@@ -1610,6 +2009,7 @@ mod tests {
         let mut merged = old.clone();
         for &c in &old.diff_chunks(&new, bits) {
             let stale: Vec<String> = merged
+                .view()
                 .chunk_keys(c, bits)
                 .iter()
                 .map(|k| k.to_string())
@@ -1618,6 +2018,7 @@ mod tests {
                 merged.remove(&k);
             }
             let fresh: Vec<(String, Hash)> = new
+                .view()
                 .chunk_entries(c, bits)
                 .iter()
                 .map(|(k, v)| (k.to_string(), **v))
@@ -1737,7 +2138,7 @@ mod tests {
         let mut bad: SparseMerkleTree<Bad> =
             SparseMerkleTree::build((0..50u64).map(|i| (format!("key-{i}"), Bad(vh(i)))));
         assert!(bad.rehash_audit(2));
-        bad.get_mut_for_test("key-7").expect("present").0 = vh(999);
+        assert!(bad.corrupt_value_for_test("key-7", Bad(vh(999))));
         assert!(!bad.rehash_audit(2));
     }
 
@@ -1814,6 +2215,7 @@ mod tests {
             );
             for chunk in 0..(1u32 << bits) {
                 let entries: Vec<(Hash, Hash)> = t
+                    .view()
                     .chunk_entries(chunk, bits)
                     .iter()
                     .map(|(k, v)| (key_path(k), **v))

@@ -288,7 +288,8 @@ mod tests {
     }
 
     fn chunk_payload(t: &SparseMerkleTree<Val>, chunk: u32, bits: u8) -> Vec<(String, Val)> {
-        t.chunk_entries(chunk, bits)
+        t.view()
+            .chunk_entries(chunk, bits)
             .into_iter()
             .map(|(k, v)| (k.to_string(), v.clone()))
             .collect()
@@ -354,6 +355,7 @@ mod tests {
         let mut merged = old.clone();
         for (c, entries) in chunks {
             let stale: Vec<String> = merged
+                .view()
                 .chunk_keys(c, bits)
                 .iter()
                 .map(|k| k.to_string())

@@ -87,7 +87,7 @@ proptest::proptest! {
             }
             // Lookups never need hashes: they work on a stale tree.
             proptest::prop_assert_eq!(deferred.len(), reference.len());
-            proptest::prop_assert_eq!(deferred.get(&key), reference.get(&key));
+            proptest::prop_assert_eq!(deferred.view().get(&key), reference.get(&key));
             proptest::prop_assert!(eager.is_fresh());
         }
         deferred.rehash();
@@ -116,14 +116,17 @@ fn hash_readers_refuse_a_stale_tree() {
     assert!(t.remove_deferred("k9"));
     assert!(!t.is_fresh());
     // Reads that need no hash still answer.
-    assert_eq!(t.get("k3"), Some(&vh(1003)));
-    assert_eq!((t.len(), t.iter().count()), (32, 32));
+    assert_eq!(t.view().get("k3"), Some(&vh(1003)));
+    assert_eq!((t.len(), t.view().iter().count()), (32, 32));
 
     let readers: Vec<(&str, HashRead<'_>)> = vec![
         ("root_hash", Box::new(|t| _ = t.root_hash())),
         ("prove", Box::new(|t| _ = t.prove("k1"))),
-        ("chunk_keys", Box::new(|t| _ = t.chunk_keys(0, 2))),
-        ("chunk_entries", Box::new(|t| _ = t.chunk_entries(0, 2))),
+        ("chunk_keys", Box::new(|t| _ = t.view().chunk_keys(0, 2))),
+        (
+            "chunk_entries",
+            Box::new(|t| _ = t.view().chunk_entries(0, 2)),
+        ),
         ("chunk_proof", Box::new(|t| _ = t.chunk_proof(0, 2))),
         ("chunk_root", Box::new(|t| _ = t.chunk_root(0, 2))),
         (

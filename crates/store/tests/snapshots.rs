@@ -47,6 +47,7 @@ fn capture(t: &SparseMerkleTree, reference: &BTreeMap<String, Hash>) -> Capture 
     let chunks = (0..1u32 << BITS)
         .map(|c| {
             let mut entries: Vec<(Hash, Hash)> = t
+                .view()
                 .chunk_entries(c, BITS)
                 .into_iter()
                 .map(|(k, v)| (key_path(k), *v))
@@ -71,7 +72,7 @@ fn assert_frozen(cap: &Capture) {
     assert_eq!(cap.snap.len(), cap.len);
     // Every key reads exactly the captured content.
     for (k, v) in &cap.content {
-        assert_eq!(cap.snap.get(k), Some(v), "key {k}");
+        assert_eq!(cap.snap.view().get(k), Some(v), "key {k}");
     }
     // Recorded proofs still verify against the snapshot root, and the
     // snapshot reproduces them byte-for-byte.
@@ -92,6 +93,7 @@ fn assert_frozen(cap: &Capture) {
         );
         let mut fresh: Vec<(Hash, Hash)> = cap
             .snap
+            .view()
             .chunk_entries(c as u32, BITS)
             .into_iter()
             .map(|(k, v)| (key_path(k), *v))
@@ -174,11 +176,13 @@ proptest::proptest! {
         // Exactness: a chunk is listed iff its content differs.
         for c in 0..1u32 << bits {
             let o: Vec<(Hash, Hash)> = old
+                .view()
                 .chunk_entries(c, bits)
                 .into_iter()
                 .map(|(k, v)| (key_path(k), *v))
                 .collect();
             let n: Vec<(Hash, Hash)> = new
+                .view()
                 .chunk_entries(c, bits)
                 .into_iter()
                 .map(|(k, v)| (key_path(k), *v))
@@ -193,11 +197,12 @@ proptest::proptest! {
         let mut merged = old.clone();
         for &c in &changed {
             let stale: Vec<String> =
-                merged.chunk_keys(c, bits).iter().map(|k| k.to_string()).collect();
+                merged.view().chunk_keys(c, bits).iter().map(|k| k.to_string()).collect();
             for k in stale {
                 merged.remove(&k);
             }
             let fresh: Vec<(String, Hash)> = new
+                .view()
                 .chunk_entries(c, bits)
                 .into_iter()
                 .map(|(k, v)| (k.to_string(), *v))

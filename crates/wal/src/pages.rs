@@ -863,7 +863,7 @@ mod tests {
         let loaded: SparseMerkleTree = store.load_tree(t.root_hash()).expect("load");
         assert_eq!(loaded.root_hash(), t.root_hash());
         assert_eq!(loaded.len(), 200);
-        assert_eq!(loaded.get("key-7"), Some(&vh(7)));
+        assert_eq!(loaded.view().get("key-7"), Some(&vh(7)));
         // Empty root loads the empty tree.
         let empty: SparseMerkleTree = store.load_tree(Hash::ZERO).expect("empty");
         assert!(empty.is_empty());

@@ -98,7 +98,7 @@ fn assert_parallel_equals_sequential(ops: &[Op], workers: usize) {
     // The lock-marker count (what lets `is_locked` skip the tree walk)
     // is exact in both modes: it equals a scan of the `L_` keys.
     for (mode, s) in [("sequential", &seq), ("parallel", &par)] {
-        let scan = s.iter().filter(|(k, _)| k.starts_with(LOCK_PREFIX)).count();
+        let scan = s.smt().view().iter().filter(|(k, _)| k.starts_with(LOCK_PREFIX)).count();
         assert_eq!(s.lock_markers(), scan, "{mode} lock-marker count drifted");
     }
     assert_eq!(seq.pending_count(), par.pending_count());

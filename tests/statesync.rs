@@ -116,6 +116,8 @@ fn assert_recovered(sim: &Sim<PbftMsg>, group: &[usize], node: usize, expected_b
     }
     let balance: i64 = restarted
         .state()
+        .smt()
+        .view()
         .iter()
         .filter(|(k, _)| k.starts_with("ck_") || k.starts_with("sv_"))
         .filter_map(|(_, v)| v.as_int())
