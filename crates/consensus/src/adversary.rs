@@ -78,6 +78,11 @@ pub enum Attack {
     /// Byzantine members vote for corrupted checkpoint roots (PBFT) or
     /// corrupted block digests (IBFT/Tendermint).
     BogusCheckpoint,
+    /// PBFT only, and kept out of [`Attack::ALL`]: a Byzantine member
+    /// votes honestly but rewrites one request of every block tail it
+    /// serves a syncing peer (the lockstep engine serves no tails, so it
+    /// treats this as [`Attack::WithholdVotes`]).
+    ForgeTail,
 }
 
 impl Attack {
@@ -89,6 +94,7 @@ impl Attack {
             Attack::WithholdVotes => "withhold",
             Attack::StaleReplay => "stale-replay",
             Attack::BogusCheckpoint => "bogus-ckpt",
+            Attack::ForgeTail => "forge-tail",
         }
     }
 

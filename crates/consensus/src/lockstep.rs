@@ -540,7 +540,7 @@ impl LockstepNode {
         match self.cfg.attack {
             // Equivocation votes ride the proposal-echo path instead;
             // withholders say nothing at all.
-            Attack::Equivocate | Attack::WithholdVotes => {}
+            Attack::Equivocate | Attack::WithholdVotes | Attack::ForgeTail => {}
             // Park the current vote, replay the previous slot's.
             Attack::StaleReplay => {
                 let current = self.vote(phase, digest);

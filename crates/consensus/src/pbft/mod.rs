@@ -414,6 +414,50 @@ mod tests {
         );
     }
 
+    /// AHLR commits on the leader enclave's aggregate of a commit quorum.
+    /// Pinned before the aggregate was a certificate: an `AggCommit` from
+    /// a non-leader, for a block nobody but the leader voted on, commits
+    /// it; and in `Real` mode an unsigned aggregate, or one signed by a
+    /// non-leader's enclave, commits it too.
+    #[test]
+    fn forged_aggregate_commit() {
+        use ahl_simkit::{Actor, Ctx};
+        use ahl_tee::{AttestedLog, LogId, Slot};
+
+        let committed = |crypto: CryptoMode, from: NodeId, signer: Option<usize>| {
+            let mut cfg = PbftConfig::new(BftVariant::Ahlr, 3);
+            cfg.crypto = crypto;
+            let members = derive_committee(cfg.n, 42);
+            let enclave = |i: usize| AttestedLog::new(members[i].tee_key.clone());
+            let block = Arc::new(PbftBlock::new(0, 1, 0, vec![]));
+            let slot = Slot { view: 0, seq: 1 };
+            let leader_cert = match crypto {
+                CryptoMode::Real => MsgCert::Attested(
+                    enclave(0).append(LogId(3), slot, block.digest).expect("fresh slot"),
+                ),
+                CryptoMode::CostOnly => MsgCert::Simulated,
+            };
+            let sig = signer.map(|i| {
+                enclave(i).append(LogId(2), slot, block.digest).expect("fresh slot").sig
+            });
+            let proof = AggProof { view: 0, seq: 1, digest: block.digest, count: 2, sig };
+            let mut replica =
+                members.into_iter().nth(1).expect("member 1").into_replica(&cfg, (0..3).collect(), &[]);
+            let mut host = TestHost::new(3);
+            for (sender, msg) in [
+                (0, PbftMsg::PrePrepare { block, cert: leader_cert }),
+                (from, PbftMsg::AggCommit(proof)),
+            ] {
+                let mut ctx = Ctx::for_host(&mut host, 1);
+                replica.on_message(sender, msg, &mut ctx);
+            }
+            replica.exec_seq() == 1
+        };
+        assert!(committed(CryptoMode::CostOnly, 2, None), "a non-leader's aggregate");
+        assert!(committed(CryptoMode::Real, 0, None), "an unsigned aggregate");
+        assert!(committed(CryptoMode::Real, 0, Some(2)), "a non-leader enclave's aggregate");
+    }
+
     /// State sync is a conversation among committee members. A syncing
     /// replica (restarted, so at genesis and waiting for a tail or a
     /// manifest) must not execute a block tail a non-member sends — any

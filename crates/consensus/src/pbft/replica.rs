@@ -860,8 +860,10 @@ impl Replica {
                     ctx.multicast(self.others(), vote_msg(phase, stale));
                 }
             }
-            // The checkpoint attack leaves normal-case votes honest.
-            Attack::BogusCheckpoint => ctx.multicast(self.others(), vote_msg(phase, vote)),
+            // The checkpoint and tail attacks leave normal-case votes honest.
+            Attack::BogusCheckpoint | Attack::ForgeTail => {
+                ctx.multicast(self.others(), vote_msg(phase, vote))
+            }
         }
     }
 
@@ -2157,7 +2159,10 @@ impl Replica {
                             .and_then(|i| i.block.clone())
                     })
                     .collect();
-                if let Some(blocks) = blocks {
+                if let Some(mut blocks) = blocks {
+                    if self.byzantine && self.cfg.attack == Attack::ForgeTail {
+                        forge_tail(&mut blocks);
+                    }
                     let bytes: usize = blocks.iter().map(|b| b.wire_size()).sum();
                     self.charge(ctx, SimDuration::from_nanos((bytes / 8) as u64), false);
                     ctx.send(to, PbftMsg::SyncTail { blocks, view: self.view });
@@ -2764,6 +2769,19 @@ fn vote_msg(phase: VotePhase, vote: Vote) -> PbftMsg {
         VotePhase::Prepare => PbftMsg::Prepare(vote),
         VotePhase::Commit => PbftMsg::Commit(vote),
     }
+}
+
+/// [`Attack::ForgeTail`]: rewrite the first request of a served tail to
+/// set a key no client writes. The block keeps its digest field, so only
+/// a receiver that recomputes the digest can tell.
+fn forge_tail(blocks: &mut [Arc<PbftBlock>]) {
+    let Some(first) = blocks.first_mut() else { return };
+    let mut reqs = first.reqs.as_ref().clone();
+    let Some(req) = reqs.first_mut() else { return };
+    let forged = ("forged".to_string(), ahl_ledger::Mutation::Set(Value::Int(666)));
+    let op = ahl_ledger::StateOp { conditions: vec![], mutations: vec![forged] };
+    req.op = ahl_ledger::Op::Direct { txid: ahl_ledger::TxId(req.id), op };
+    *first = Arc::new(PbftBlock { reqs: Arc::new(reqs), ..first.as_ref().clone() });
 }
 
 /// An empty pool and its batch builder, as `cfg` sizes them (at start and

@@ -346,3 +346,40 @@ fn resubmitted_ids_stay_executed_after_chunked_install() {
     common::assert_resubmissions_refused(&mut sim, node, peer, client, sent);
     checker.assert_clean();
 }
+
+/// A Byzantine member serves a block tail with one request rewritten
+/// (`Attack::ForgeTail`; the block keeps its digest field). Node 3 is
+/// dark for a fraction of a checkpoint interval, so on restart it misses
+/// only recent blocks and its first sync peer, node 4, answers with a
+/// tail. Pinned before the tail carried commit certificates: the forged
+/// tail executes and node 3 ends on a state no honest replica holds.
+#[test]
+fn forged_tail_from_a_member() {
+    use ahl::consensus::adversary::Attack;
+
+    let mut cfg = PbftConfig::new(BftVariant::AhlPlus, 5);
+    cfg.byzantine = 1; // node 4
+    cfg.attack = Attack::ForgeTail;
+    cfg.checkpoint_interval = 64;
+    let (sim, group, _) = run_scenario(
+        cfg,
+        0,
+        0,
+        4,
+        8,
+        vec![
+            (SimDuration::from_millis(2_000), 3, PbftMsg::Crash),
+            (SimDuration::from_millis(2_300), 3, PbftMsg::Restart),
+        ],
+        41,
+    );
+    assert!(sim.stats().counter(stat::SYNC_TAILS) >= 1, "node 3 caught up by a tail");
+    let node = replica(&sim, group[3]);
+    let twin = group[..3]
+        .iter()
+        .map(|&id| replica(&sim, id))
+        .find(|r| r.exec_seq() == node.exec_seq())
+        .expect("an honest replica at node 3's height");
+    assert_eq!(node.state().get_int("forged"), 666, "the rewritten request executed");
+    assert_ne!(twin.state().state_digest(), node.state().state_digest());
+}
