@@ -42,9 +42,14 @@ impl MerkleTree {
     /// Build a tree over `leaves`. An empty list yields the zero root.
     pub fn build<T: AsRef<[u8]>>(leaves: &[T]) -> Self {
         if leaves.is_empty() {
-            return MerkleTree { levels: vec![vec![]] };
+            return MerkleTree {
+                levels: vec![vec![]],
+            };
         }
-        let mut levels = vec![leaves.iter().map(|l| leaf_hash(l.as_ref())).collect::<Vec<_>>()];
+        let mut levels = vec![leaves
+            .iter()
+            .map(|l| leaf_hash(l.as_ref()))
+            .collect::<Vec<_>>()];
         while levels.last().expect("non-empty").len() > 1 {
             let prev = levels.last().expect("non-empty");
             let mut next = Vec::with_capacity(prev.len().div_ceil(2));
@@ -93,7 +98,10 @@ impl MerkleTree {
             }
             idx /= 2;
         }
-        Some(MerkleProof { leaf_index: index, path })
+        Some(MerkleProof {
+            leaf_index: index,
+            path,
+        })
     }
 }
 
@@ -180,7 +188,12 @@ mod tests {
         // the concatenation of the two leaf hashes (classic CVE-2012-2459
         // style ambiguity).
         let t = MerkleTree::build(&[b"a".to_vec(), b"b".to_vec()]);
-        let concat: Vec<u8> = leaf_hash(b"a").0.iter().chain(leaf_hash(b"b").0.iter()).copied().collect();
+        let concat: Vec<u8> = leaf_hash(b"a")
+            .0
+            .iter()
+            .chain(leaf_hash(b"b").0.iter())
+            .copied()
+            .collect();
         let fake = MerkleTree::build(&[concat]);
         assert_ne!(t.root(), fake.root());
     }

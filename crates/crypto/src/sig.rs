@@ -78,7 +78,10 @@ impl Signature {
         id.copy_from_slice(&bytes[..8]);
         let mut mac = Hash::ZERO;
         mac.0.copy_from_slice(&bytes[8..]);
-        Signature { signer: KeyId(u64::from_be_bytes(id)), mac }
+        Signature {
+            signer: KeyId(u64::from_be_bytes(id)),
+            mac,
+        }
     }
 }
 
@@ -150,7 +153,10 @@ impl KeyRegistry {
             if sig.signer != expected {
                 return false;
             }
-            if seen.iter().any(|(id, mac)| *id == sig.signer && *mac == sig.mac) {
+            if seen
+                .iter()
+                .any(|(id, mac)| *id == sig.signer && *mac == sig.mac)
+            {
                 continue;
             }
             if !self.verify(digest, sig) {
@@ -298,8 +304,10 @@ mod tests {
     fn batch_bytes_matches_per_vote_verify_bytes() {
         let mut reg = KeyRegistry::new();
         let keys: Vec<SigningKey> = (0..4).map(|i| reg.generate(i)).collect();
-        let sigs: Vec<Signature> =
-            keys.iter().map(|k| k.sign_bytes("commit", b"blk")).collect();
+        let sigs: Vec<Signature> = keys
+            .iter()
+            .map(|k| k.sign_bytes("commit", b"blk"))
+            .collect();
         let pairs: Vec<(KeyId, &Signature)> =
             keys.iter().zip(&sigs).map(|(k, s)| (k.id(), s)).collect();
         assert!(reg.verify_bytes_batch("commit", b"blk", pairs.clone()));

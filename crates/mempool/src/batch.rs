@@ -18,7 +18,10 @@ pub struct BatchConfig {
 impl BatchConfig {
     /// `max_txs`-triggered batching with a flush timeout.
     pub fn new(max_txs: usize, timeout: SimDuration) -> Self {
-        BatchConfig { max_txs: max_txs.max(1), timeout }
+        BatchConfig {
+            max_txs: max_txs.max(1),
+            timeout,
+        }
     }
 }
 
@@ -37,7 +40,10 @@ pub struct BatchBuilder {
 impl BatchBuilder {
     /// Create a builder.
     pub fn new(cfg: BatchConfig) -> Self {
-        BatchBuilder { cfg, last_flush: SimTime::ZERO }
+        BatchBuilder {
+            cfg,
+            last_flush: SimTime::ZERO,
+        }
     }
 
     /// The timeout after which a partial batch is flushed.

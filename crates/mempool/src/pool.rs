@@ -18,7 +18,9 @@ pub struct MempoolConfig {
 impl MempoolConfig {
     /// A pool holding up to `capacity` transactions.
     pub fn new(capacity: usize) -> Self {
-        MempoolConfig { capacity: capacity.max(1) }
+        MempoolConfig {
+            capacity: capacity.max(1),
+        }
     }
 }
 
@@ -74,7 +76,12 @@ impl<T: PoolTx> Mempool<T> {
     /// Create a pool. `_seed` is unused — the pool draws no randomness —
     /// and stays only so two-argument callers keep compiling.
     pub fn new(cfg: MempoolConfig, _seed: u64) -> Self {
-        Mempool { cfg, entries: HashMap::new(), fifo: VecDeque::new(), next_seq: 0 }
+        Mempool {
+            cfg,
+            entries: HashMap::new(),
+            fifo: VecDeque::new(),
+            next_seq: 0,
+        }
     }
 
     /// Resident transaction count.
@@ -105,7 +112,11 @@ impl<T: PoolTx> Mempool<T> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.fifo.push_back((seq, *slot.key()));
-        slot.insert(Entry { tx, seq, inserted: now });
+        slot.insert(Entry {
+            tx,
+            seq,
+            inserted: now,
+        });
         stats.inc(stat::ADMITTED, 1);
         Admission::Admitted
     }
@@ -141,7 +152,9 @@ impl<T: PoolTx> Mempool<T> {
     pub fn take_batch(&mut self, max_txs: usize, now: SimTime, stats: &mut Stats) -> Vec<T> {
         let mut batch = Vec::with_capacity(max_txs.min(self.entries.len()));
         while batch.len() < max_txs {
-            let Some((seq, id)) = self.fifo.pop_front() else { break };
+            let Some((seq, id)) = self.fifo.pop_front() else {
+                break;
+            };
             if let hash_map::Entry::Occupied(e) = self.entries.entry(id) {
                 if e.get().seq == seq {
                     let entry = e.remove();
@@ -264,8 +277,14 @@ mod tests {
             assert!(p.len() <= 64);
             assert_eq!(p.iter_fifo().count(), p.len());
         }
-        assert!(s.counter(stat::REJECTED_FULL) > 0, "the pool must have filled up");
-        assert_eq!(s.counter(stat::ADMITTED), s.counter(stat::BATCHED) + removed + p.len() as u64);
+        assert!(
+            s.counter(stat::REJECTED_FULL) > 0,
+            "the pool must have filled up"
+        );
+        assert_eq!(
+            s.counter(stat::ADMITTED),
+            s.counter(stat::BATCHED) + removed + p.len() as u64
+        );
     }
 
     /// The executable specification the pool is checked against: a queue

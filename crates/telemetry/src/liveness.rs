@@ -141,7 +141,13 @@ impl LivenessViolation {
     /// One-line human-readable description (dump-on-anomaly header).
     pub fn summary(&self) -> String {
         match self {
-            LivenessViolation::CommitStall { committee, stalled_for, pending, at, probe } => {
+            LivenessViolation::CommitStall {
+                committee,
+                stalled_for,
+                pending,
+                at,
+                probe,
+            } => {
                 format!(
                     "commit stall: committee {committee} has {pending} admitted txns waiting \
                      {:.1}s with no commit (t={:.1}s, probe id={probe})",
@@ -150,7 +156,11 @@ impl LivenessViolation {
                 )
             }
             LivenessViolation::MempoolStarvation {
-                committee, waiting_for, pending, at, probe,
+                committee,
+                waiting_for,
+                pending,
+                at,
+                probe,
             } => {
                 format!(
                     "mempool starvation: committee {committee} admitted {pending} txns but \
@@ -159,7 +169,12 @@ impl LivenessViolation {
                     at.as_nanos() as f64 / 1e9,
                 )
             }
-            LivenessViolation::ViewChangeStorm { committee, count, window, at } => {
+            LivenessViolation::ViewChangeStorm {
+                committee,
+                count,
+                window,
+                at,
+            } => {
                 format!(
                     "view-change storm: committee {committee} installed {count} views within \
                      {:.1}s (t={:.1}s)",
@@ -167,7 +182,12 @@ impl LivenessViolation {
                     at.as_nanos() as f64 / 1e9,
                 )
             }
-            LivenessViolation::SyncLivelock { node, committee, restarts, at } => {
+            LivenessViolation::SyncLivelock {
+                node,
+                committee,
+                restarts,
+                at,
+            } => {
                 format!(
                     "sync livelock: node {node} (committee {committee}) started {restarts} \
                      sync sessions without finishing one (t={:.1}s)",
@@ -235,7 +255,10 @@ impl LivenessChecker {
     /// the harness) before events mean anything.
     pub fn new(cfg: LivenessConfig) -> Self {
         LivenessChecker {
-            inner: Arc::new(Mutex::new(Inner { cfg, ..Default::default() })),
+            inner: Arc::new(Mutex::new(Inner {
+                cfg,
+                ..Default::default()
+            })),
         }
     }
 
@@ -260,12 +283,20 @@ impl LivenessChecker {
 
     /// All violations recorded so far.
     pub fn violations(&self) -> Vec<LivenessViolation> {
-        self.inner.lock().expect("liveness checker poisoned").violations.clone()
+        self.inner
+            .lock()
+            .expect("liveness checker poisoned")
+            .violations
+            .clone()
     }
 
     /// `true` when no violation has been recorded.
     pub fn ok(&self) -> bool {
-        self.inner.lock().expect("liveness checker poisoned").violations.is_empty()
+        self.inner
+            .lock()
+            .expect("liveness checker poisoned")
+            .violations
+            .is_empty()
     }
 }
 
@@ -325,8 +356,7 @@ impl Inner {
                 }
                 Phase::SyncStart => {
                     self.sync_starts[node] += 1;
-                    if self.sync_starts[node] >= self.cfg.sync_livelock && !self.sync_fired[node]
-                    {
+                    if self.sync_starts[node] >= self.cfg.sync_livelock && !self.sync_fired[node] {
                         self.sync_fired[node] = true;
                         let restarts = self.sync_starts[node];
                         self.violations.push(LivenessViolation::SyncLivelock {
@@ -433,7 +463,12 @@ mod tests {
         let v = c.violations();
         assert_eq!(v.len(), 1, "{v:?}");
         match &v[0] {
-            LivenessViolation::CommitStall { committee, probe, stalled_for, .. } => {
+            LivenessViolation::CommitStall {
+                committee,
+                probe,
+                stalled_for,
+                ..
+            } => {
                 assert_eq!(*committee, 0);
                 assert_eq!(*probe, 77);
                 assert!(stalled_for.as_secs_f64() > 5.0);
@@ -460,7 +495,14 @@ mod tests {
         let v = c.violations();
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(
-            matches!(v[0], LivenessViolation::MempoolStarvation { committee: 1, probe: 9, .. }),
+            matches!(
+                v[0],
+                LivenessViolation::MempoolStarvation {
+                    committee: 1,
+                    probe: 9,
+                    ..
+                }
+            ),
             "{v:?}"
         );
     }
@@ -474,7 +516,14 @@ mod tests {
         }
         let v = c.violations();
         assert_eq!(v.len(), 1, "{v:?}");
-        assert!(matches!(v[0], LivenessViolation::ViewChangeStorm { committee: 0, count: 9, .. }));
+        assert!(matches!(
+            v[0],
+            LivenessViolation::ViewChangeStorm {
+                committee: 0,
+                count: 9,
+                ..
+            }
+        ));
         // Spread far apart, the window forgets them: no second storm.
         for i in 0..20u64 {
             c.on_trace(secs(100 + i * 20), 2, i, Phase::ViewChange);
@@ -488,7 +537,7 @@ mod tests {
         // Four starts each followed by a done: healthy re-syncs.
         for i in 0..4u64 {
             c.on_trace(secs(i), 5, i, Phase::SyncStart);
-            c.on_trace(secs(i) , 5, i, Phase::SyncDone);
+            c.on_trace(secs(i), 5, i, Phase::SyncDone);
         }
         assert!(c.ok());
         // Five consecutive starts without a done: livelock.
@@ -499,7 +548,12 @@ mod tests {
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(matches!(
             v[0],
-            LivenessViolation::SyncLivelock { node: 5, committee: 1, restarts: 5, .. }
+            LivenessViolation::SyncLivelock {
+                node: 5,
+                committee: 1,
+                restarts: 5,
+                ..
+            }
         ));
     }
 

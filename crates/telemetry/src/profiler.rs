@@ -108,7 +108,11 @@ impl ProfileReport {
                 s.count,
                 s.self_ns as f64 / 1e6,
                 s.total_ns as f64 / 1e6,
-                if self.wall_ns == 0 { 0.0 } else { 100.0 * s.self_ns as f64 / self.wall_ns as f64 },
+                if self.wall_ns == 0 {
+                    0.0
+                } else {
+                    100.0 * s.self_ns as f64 / self.wall_ns as f64
+                },
             ));
         }
         out
@@ -171,7 +175,11 @@ impl Profiler {
             if !p.enabled {
                 return SpanGuard { live: false };
             }
-            p.stack.push(Frame { name, start: Instant::now(), child_ns: 0 });
+            p.stack.push(Frame {
+                name,
+                start: Instant::now(),
+                child_ns: 0,
+            });
             SpanGuard { live: true }
         })
     }
@@ -181,10 +189,7 @@ impl Profiler {
     pub fn take() -> ProfileReport {
         PROF.with(|p| {
             let mut p = p.borrow_mut();
-            let wall_ns = p
-                .epoch
-                .map(|e| e.elapsed().as_nanos() as u64)
-                .unwrap_or(0);
+            let wall_ns = p.epoch.map(|e| e.elapsed().as_nanos() as u64).unwrap_or(0);
             let mut spans: Vec<SpanStat> = p
                 .agg
                 .iter()

@@ -40,12 +40,22 @@ pub struct KvStoreWorkload {
 impl KvStoreWorkload {
     /// The paper's single-shard configuration.
     pub fn single_shard() -> Self {
-        KvStoreWorkload { keys: 10_000, ops_per_txn: 1, value_size: 64, theta: 0.0 }
+        KvStoreWorkload {
+            keys: 10_000,
+            ops_per_txn: 1,
+            value_size: 64,
+            theta: 0.0,
+        }
     }
 
     /// The paper's cross-shard configuration (3 updates per transaction).
     pub fn cross_shard() -> Self {
-        KvStoreWorkload { keys: 10_000, ops_per_txn: 3, value_size: 64, theta: 0.0 }
+        KvStoreWorkload {
+            keys: 10_000,
+            ops_per_txn: 3,
+            value_size: 64,
+            theta: 0.0,
+        }
     }
 
     /// Generate the next transaction body.
@@ -66,7 +76,10 @@ impl KvStoreWorkload {
         let mut seq: u64 = (client_id as u64) << 40;
         Box::new(move |rng| {
             seq += 1;
-            Op::Direct { txid: TxId(seq), op: self.next_op(&zipf, rng) }
+            Op::Direct {
+                txid: TxId(seq),
+                op: self.next_op(&zipf, rng),
+            }
         })
     }
 }
@@ -197,7 +210,10 @@ impl SmallBankWorkload {
         let mut seq: u64 = (client_id as u64) << 40;
         Box::new(move |rng| {
             seq += 1;
-            Op::Direct { txid: TxId(seq), op: self.next_op(&zipf, rng) }
+            Op::Direct {
+                txid: TxId(seq),
+                op: self.next_op(&zipf, rng),
+            }
         })
     }
 }
