@@ -212,12 +212,6 @@ pub struct LockstepConfig {
     /// above that the batch goes through the deterministic conflict-aware
     /// engine with byte-identical results).
     pub exec_workers: usize,
-    /// Re-derive every cached hash of the authenticated index across the
-    /// worker pool every this-many decided heights when `exec_workers > 1`
-    /// (the same paranoia audit PBFT runs at each checkpoint; the lockstep
-    /// protocols have no checkpoint machinery, so the cadence is its own
-    /// knob).
-    pub audit_interval: u64,
 }
 
 impl LockstepConfig {
@@ -234,7 +228,6 @@ impl LockstepConfig {
             safety: None,
             committee_id: 0,
             exec_workers: 1,
-            audit_interval: 128,
         }
     }
 
@@ -674,15 +667,12 @@ impl LockstepNode {
         // Lockstep: advance the height, then pause before the next round.
         self.height += 1;
         // Parallel-execution paranoia, mirroring the PBFT checkpoint-time
-        // audit: periodically re-derive every cached hash of the
-        // authenticated index across the worker pool and compare. Proven
-        // equivalent to sequential execution, so a hit means engine
-        // corruption — count it loudly, don't mask it.
-        if self.cfg.exec_workers > 1
-            && self.cfg.audit_interval > 0
-            && self.height.is_multiple_of(self.cfg.audit_interval)
-            && !self.state.rehash_audit(self.cfg.exec_workers)
-        {
+        // audit: at every decided height (the lockstep protocols have no
+        // checkpoints, and decide about once a block period) re-derive
+        // every cached hash of the authenticated index across the worker
+        // pool and compare. Proven equivalent to sequential execution, so
+        // a hit means engine corruption — count it loudly, don't mask it.
+        if self.cfg.exec_workers > 1 && !self.state.rehash_audit(self.cfg.exec_workers) {
             ctx.stats().inc(stat::CKPT_AUDIT_FAILURES, 1);
         }
         self.round = 0;
@@ -981,7 +971,6 @@ pub(crate) mod tests {
     ) {
         let mut par = cfg.clone();
         par.exec_workers = 4;
-        par.audit_interval = 1; // audit at every decided height
         let (parallel, audit_failures) = run(par, load, 5);
         let (sequential, _) = run(cfg, load, 5);
         assert_eq!(parallel, sequential, "workers leaked into sim");
