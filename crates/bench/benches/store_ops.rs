@@ -305,7 +305,7 @@ fn bench_cert_verify(c: &mut Criterion) {
     // Checkpoint-certificate verification: the per-vote loop each vote
     // re-deriving the digest vs the batched verifier hashing it once.
     use ahl_crypto::{KeyId, KeyRegistry, SigningKey};
-    use ahl_store::checkpoint_digest;
+    use ahl_consensus::pbft::checkpoint_digest;
     let mut reg = KeyRegistry::new();
     let keys: Vec<SigningKey> = (0..13).map(|i| reg.generate(i)).collect();
     let root = vhash(99);

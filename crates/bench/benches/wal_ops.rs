@@ -22,11 +22,11 @@
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
 use ahl_consensus::common::{ExecutedCache, ExecutedWindow};
-use ahl_consensus::pbft::NodeStore;
+use ahl_consensus::pbft::{CertKind, MsgCert, NodeStore, QuorumCert};
 use ahl_crypto::sha256_parts;
 use ahl_ledger::{StateStore, Value};
 use ahl_simkit::{SimDuration, SimTime};
-use ahl_store::{CheckpointCert, SparseMerkleTree};
+use ahl_store::SparseMerkleTree;
 use ahl_wal::codec::crc32;
 use ahl_wal::{FsyncPolicy, PageStore, TempDir, Wal, WalConfig};
 
@@ -150,7 +150,13 @@ fn bench_checkpoint(c: &mut Criterion) {
         state.put(format!("acc{i}"), Value::Int(i));
     }
     let snap = state.snapshot();
-    let cert = CheckpointCert { seq: 1, root: snap.root(), votes: vec![(0, None), (1, None)] };
+    let cert = QuorumCert {
+        kind: CertKind::Checkpoint,
+        view: 0,
+        seq: 1,
+        digest: snap.root(),
+        signers: vec![(0, MsgCert::Simulated), (1, MsgCert::Simulated)],
+    };
     // One interval per simulated second, pruned after `SEGMENTS` seconds:
     // from the first prune on, each checkpoint adds one segment and drops
     // one, so the window stays at the steady shape.

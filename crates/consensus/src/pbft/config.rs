@@ -146,7 +146,7 @@ pub struct PbftConfig {
     pub pool_seed: u64,
     /// Stable checkpoint every this many sequence numbers. At each multiple
     /// the replica snapshots its state, votes on `(seq, state_root)`, and a
-    /// quorum certificate ([`ahl_store::CheckpointCert`]) gates pruning and
+    /// checkpoint [`QuorumCert`](super::QuorumCert) gates pruning and
     /// anchors chunked state sync.
     pub checkpoint_interval: u64,
     /// Target key-value pairs per state-sync chunk. The manifest advertises

@@ -35,17 +35,17 @@
 
 use std::path::{Path, PathBuf};
 
-use ahl_crypto::{Hash, Signature};
+use ahl_crypto::Hash;
 use ahl_ledger::persist::{decode_op, encode_op, open_snapshot};
 use ahl_ledger::{StateSidecar, StateSnapshot};
 use ahl_simkit::SimTime;
-use ahl_store::CheckpointCert;
 use ahl_wal::codec::{Reader, Writer};
 use ahl_wal::{
     open_node_dir, write_manifest, GcStats, Manifest, NodeDir, PageStore, PersistStats, WalConfig,
 };
 
 use crate::common::{ExecutedWindow, Request};
+use crate::pbft::cert::{CertKind, QuorumCert};
 use crate::pbft::msg::PbftBlock;
 
 const REC_BATCH: u8 = 1;
@@ -192,43 +192,6 @@ pub fn decode_record(payload: &[u8]) -> Option<WalRecord> {
     }
 }
 
-fn encode_cert(cert: &CheckpointCert, w: &mut Writer) {
-    w.u64(cert.seq);
-    w.hash(&cert.root);
-    w.u32(cert.votes.len() as u32);
-    for (replica, sig) in &cert.votes {
-        w.u64(*replica as u64);
-        match sig {
-            Some(s) => {
-                w.u8(1);
-                w.bytes(&s.to_bytes());
-            }
-            None => w.u8(0),
-        }
-    }
-}
-
-fn decode_cert(r: &mut Reader<'_>) -> Option<CheckpointCert> {
-    let seq = r.u64()?;
-    let root = r.hash()?;
-    let n = r.u32()? as usize;
-    let mut votes = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        let replica = r.u64()? as usize;
-        let sig = match r.u8()? {
-            0 => None,
-            1 => {
-                let b = r.bytes()?;
-                let arr: &[u8; Signature::BYTES] = b.try_into().ok()?;
-                Some(Signature::from_bytes(arr))
-            }
-            _ => return None,
-        };
-        votes.push((replica, sig));
-    }
-    Some(CheckpointCert { seq, root, votes })
-}
-
 /// The window section of the manifest metadata: segment count, each
 /// segment's `(hash, len)`, the first one's pruned prefix, the window's
 /// id count. The segments themselves are page-store frames.
@@ -274,13 +237,13 @@ fn decode_window_refs(r: &mut Reader<'_>, pages: &PageStore) -> Option<ExecutedW
 fn decode_meta(
     m: &Manifest,
     pages: &PageStore,
-) -> Option<(CheckpointCert, ExecutedWindow, StateSidecar)> {
+) -> Option<(QuorumCert, ExecutedWindow, StateSidecar)> {
     let mut r = Reader::new(&m.meta);
     if r.u64()? != META_FORMAT {
         return None;
     }
-    let cert = decode_cert(&mut r)?;
-    if cert.seq != m.seq || cert.root != m.root {
+    let cert = QuorumCert::decode(&mut r, CertKind::Checkpoint)?;
+    if cert.seq != m.seq || cert.digest != m.root {
         return None; // manifest/cert mismatch: not trusted
     }
     let executed = decode_window_refs(&mut r, pages)?;
@@ -291,8 +254,8 @@ fn decode_meta(
 /// The durable checkpoint recovered from a reopened node directory.
 pub struct DurableState {
     /// The persisted (and re-verified: `cert.seq == manifest.seq`,
-    /// `cert.root == rebuilt root`) checkpoint certificate.
-    pub cert: CheckpointCert,
+    /// `cert.digest == rebuilt root`) checkpoint certificate.
+    pub cert: QuorumCert,
     /// The page-backed snapshot, root-verified on load.
     pub snapshot: StateSnapshot,
     /// Executed-request ids at the checkpoint (replay protection), in
@@ -384,7 +347,7 @@ impl NodeStore {
     /// manifest while the WAL records and pages it still needs are gone.
     pub fn persist_checkpoint(
         &mut self,
-        cert: &CheckpointCert,
+        cert: &QuorumCert,
         snapshot: &StateSnapshot,
         executed: &ExecutedWindow,
     ) -> std::io::Result<CheckpointIo> {
@@ -397,15 +360,15 @@ impl NodeStore {
         self.node.pages.sync()?;
         let mut meta = Writer::with_capacity(1024 + SEG_REF_BYTES * refs.len());
         meta.u64(META_FORMAT);
-        encode_cert(cert, &mut meta);
+        cert.encode(&mut meta);
         encode_window_refs(&refs, executed.skip(), executed.len(), &mut meta);
         snapshot.sidecar().encode(&mut meta);
         write_manifest(
             &self.dir,
-            &Manifest { seq: cert.seq, root: cert.root, meta: meta.into_bytes() },
+            &Manifest { seq: cert.seq, root: cert.digest, meta: meta.into_bytes() },
             &self.cfg.kill,
         )?;
-        self.node.wal.append(encode_ckpt_record(cert.seq, &cert.root));
+        self.node.wal.append(encode_ckpt_record(cert.seq, &cert.digest));
         self.node.wal.commit()?;
         self.node.wal.rotate_keep(2)?;
         // The manifest just published is the only checkpoint a restart
@@ -413,7 +376,7 @@ impl NodeStore {
         // — older checkpoints' unshared pages and pruned segments are
         // garbage from here on.
         let live: Vec<Hash> =
-            std::iter::once(cert.root).chain(refs.iter().map(|(hash, _)| *hash)).collect();
+            std::iter::once(cert.digest).chain(refs.iter().map(|(hash, _)| *hash)).collect();
         let gc = self.node.pages.maybe_gc(&live)?;
         Ok(CheckpointIo { pages: stats, gc })
     }
@@ -422,7 +385,7 @@ impl NodeStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ahl_crypto::KeyRegistry;
+    use crate::pbft::msg::MsgCert;
     use ahl_ledger::{Op, StateStore, TxId, Value};
     use ahl_wal::TempDir;
 
@@ -470,27 +433,46 @@ mod tests {
 
     #[test]
     fn signed_cert_survives_manifest_round_trip() {
-        let mut reg = KeyRegistry::new();
-        let keys: Vec<_> = (0..3).map(|i| reg.generate(i)).collect();
-        let root = ahl_crypto::sha256(b"state");
-        let votes = keys
+        let members = crate::pbft::derive_committee(3, 1);
+        let reg = Some(members[0].registry.as_ref());
+        let (snap, _) = one_key_checkpoint();
+        let mut votes = crate::pbft::cert::CheckpointVotes::default();
+        let cert = members
             .iter()
-            .enumerate()
-            .map(|(i, k)| {
-                (i, Some(k.sign(&ahl_store::checkpoint_digest(6, &root))))
+            .find_map(|m| {
+                let vote = QuorumCert::checkpoint_vote(6, snap.root(), m.index, Some(&m.key));
+                votes.record(vote, 3)
             })
-            .collect();
-        let cert = CheckpointCert { seq: 6, root, votes };
-        assert!(cert.verify(3, Some(&reg)));
-
-        let mut w = Writer::new();
-        encode_cert(&cert, &mut w);
-        let bytes = w.into_bytes();
-        let decoded = decode_cert(&mut Reader::new(&bytes)).expect("decodes");
-        assert_eq!(decoded.seq, 6);
-        assert_eq!(decoded.root, root);
+            .expect("quorum of 3");
+        assert!(cert.verify(3, reg));
+        let dir = TempDir::new("nodestore-cert");
+        let (mut store, _, _) = NodeStore::open(dir.path(), &WalConfig::default()).expect("open");
+        store.persist_checkpoint(&cert, &snap, &ExecutedWindow::default()).expect("checkpoint");
+        drop(store);
+        let (_, durable, _) = NodeStore::open(dir.path(), &WalConfig::default()).expect("reopen");
+        let decoded = durable.expect("durable checkpoint").cert;
+        assert_eq!((decoded.kind, decoded.seq, decoded.digest), (CertKind::Checkpoint, 6, snap.root()));
         // The signatures still verify after the disk round trip.
-        assert!(decoded.verify(3, Some(&reg)));
+        assert!(decoded.verify(3, reg));
+    }
+
+    /// The manifest decodes its certificate with the wire's codec, so the
+    /// same cap holds: a signer count of `u32::MAX` with nothing after it
+    /// refuses the manifest, and the node cold-starts.
+    #[test]
+    fn manifest_cert_claiming_u32_max_signers_is_refused() {
+        let (snap, cert) = one_key_checkpoint();
+        let dir = TempDir::new("nodestore-hostile-cert");
+        let (store, _, _) = NodeStore::open(dir.path(), &WalConfig::default()).expect("open");
+        let mut w = Writer::new();
+        w.u64(META_FORMAT);
+        w.u64(cert.seq);
+        w.hash(&cert.digest);
+        w.u32(u32::MAX);
+        let m = Manifest { seq: cert.seq, root: snap.root(), meta: w.into_bytes() };
+        assert!(decode_meta(&m, &store.node.pages).is_none());
+        let honest = meta_with(&cert, &snap, |w| encode_window_refs(&[], 0, 0, w));
+        assert!(decode_meta(&honest, &store.node.pages).is_some(), "control");
     }
 
     #[test]
@@ -500,7 +482,7 @@ mod tests {
         let mut state = StateStore::new();
         state.put("a".into(), Value::Int(10));
         let snap = state.snapshot();
-        let cert = CheckpointCert { seq: 5, root: snap.root(), votes: vec![(0, None), (1, None)] };
+        let cert = unsigned_cert(5, snap.root());
         let executed: ExecutedWindow = [9, 3].into_iter().collect();
         {
             let (mut store, durable, tail) = NodeStore::open(dir.path(), &cfg).expect("open");
@@ -529,18 +511,24 @@ mod tests {
         assert!(seqs.contains(&7), "post-checkpoint batch retained: {seqs:?}");
     }
 
-    fn one_key_checkpoint() -> (StateSnapshot, CheckpointCert) {
+    /// A checkpoint certificate from two cost-only votes.
+    fn unsigned_cert(seq: u64, root: Hash) -> QuorumCert {
+        let signers = vec![(0, MsgCert::Simulated), (1, MsgCert::Simulated)];
+        QuorumCert { kind: CertKind::Checkpoint, view: 0, seq, digest: root, signers }
+    }
+
+    fn one_key_checkpoint() -> (StateSnapshot, QuorumCert) {
         checkpoint_with(5, 1)
     }
 
     /// A certified checkpoint at `seq` over `keys` keys.
-    fn checkpoint_with(seq: u64, keys: i64) -> (StateSnapshot, CheckpointCert) {
+    fn checkpoint_with(seq: u64, keys: i64) -> (StateSnapshot, QuorumCert) {
         let mut state = StateStore::new();
         for k in 0..keys {
             state.put(format!("k{k}"), Value::Int(10 + k));
         }
         let snap = state.snapshot();
-        let cert = CheckpointCert { seq, root: snap.root(), votes: vec![(0, None), (1, None)] };
+        let cert = unsigned_cert(seq, snap.root());
         (snap, cert)
     }
 
@@ -586,16 +574,16 @@ mod tests {
     /// Manifest metadata in the current layout with the window section
     /// as given, for feeding the decoder what no honest writer produces.
     fn meta_with(
-        cert: &CheckpointCert,
+        cert: &QuorumCert,
         snap: &StateSnapshot,
         window: impl FnOnce(&mut Writer),
     ) -> Manifest {
         let mut w = Writer::new();
         w.u64(META_FORMAT);
-        encode_cert(cert, &mut w);
+        cert.encode(&mut w);
         window(&mut w);
         snap.sidecar().encode(&mut w);
-        Manifest { seq: cert.seq, root: cert.root, meta: w.into_bytes() }
+        Manifest { seq: cert.seq, root: cert.digest, meta: w.into_bytes() }
     }
 
     /// The whole-window layout (certificate, `u32` count, every id,
@@ -613,13 +601,13 @@ mod tests {
         let got = reopen_window(dir.path()).expect("the current layout loads");
         assert_eq!(shape(&got), shape(&executed));
         let mut meta = Writer::new();
-        encode_cert(&cert, &mut meta);
+        cert.encode(&mut meta);
         meta.u32(3);
         for id in [9u64, 3, 7] {
             meta.u64(id);
         }
         snap.sidecar().encode(&mut meta);
-        let m = Manifest { seq: cert.seq, root: cert.root, meta: meta.into_bytes() };
+        let m = Manifest { seq: cert.seq, root: cert.digest, meta: meta.into_bytes() };
         write_manifest(dir.path(), &m, &cfg.kill).expect("republish");
         assert!(reopen_window(dir.path()).is_none(), "old layout refused");
     }
@@ -829,7 +817,7 @@ mod tests {
         // always refused.
         let cert_bytes = {
             let mut w = Writer::new();
-            encode_cert(&cert, &mut w);
+            cert.encode(&mut w);
             w.len()
         };
         let section = 8 + cert_bytes..8 + cert_bytes + 4 + SEG_REF_BYTES * refs.len() + 8;

@@ -1,15 +1,17 @@
 //! PBFT and its TEE-assisted variants (paper §4.1): HL, AHL, AHL+, AHLR.
 
+mod cert;
 mod config;
 mod durable;
 mod msg;
 mod replica;
 mod wire;
 
+pub use cert::{checkpoint_digest, enclave_key, CertKind, QuorumCert, MAX_SIGNERS};
 pub use config::{BftVariant, FaultModel, PbftConfig, ReplyPolicy};
 pub use durable::NodeStore;
 use config::QUEUE_CAPACITY;
-pub use msg::{chunk_entry_bytes, AggProof, MsgCert, PbftBlock, PbftMsg, ViewChangeMsg, Vote};
+pub use msg::{chunk_entry_bytes, MsgCert, PbftBlock, PbftMsg, ViewChangeMsg, Vote};
 pub use replica::Replica;
 
 use std::sync::Arc;
@@ -130,7 +132,8 @@ mod tests {
     use super::*;
     use crate::clients::OpenLoopClient;
     use crate::common::testkit::TestHost;
-    use crate::common::{stat, CryptoMode};
+    use crate::common::{stat, CryptoMode, VotePhase};
+    use ahl_crypto::Hash;
     use ahl_ledger::{kvstore, Op, TxId};
     use ahl_simkit::{SimDuration, SimTime, UniformNetwork};
 
@@ -373,7 +376,6 @@ mod tests {
     #[test]
     fn checkpoint_certified_just_ahead_waits_for_blocks_in_flight() {
         use ahl_simkit::{Actor, Ctx};
-        use ahl_store::CheckpointVote;
 
         let mut cfg = PbftConfig::new(BftVariant::AhlPlus, 4);
         cfg.checkpoint_interval = 2;
@@ -385,12 +387,15 @@ mod tests {
             r.on_message(from, msg, &mut ctx);
             ctx.finish().1
         };
+        // The leader's pre-prepare and commit vote, with replica 1's own
+        // commit vote, are a commit quorum of 2.
         let commit_block = |r: &mut Replica, host: &mut TestHost, seq: u64| {
             let block = Arc::new(PbftBlock::new(0, seq, 0, vec![]));
-            let proof = AggProof { view: 0, seq, digest: block.digest, count: 2, sig: None };
+            let digest = block.digest;
             let mut out =
                 deliver(r, host, 0, PbftMsg::PrePrepare { block, cert: MsgCert::Simulated });
-            out.extend(deliver(r, host, 0, PbftMsg::AggCommit(proof)));
+            let vote = Vote { view: 0, seq, digest, replica: 0, cert: MsgCert::Simulated };
+            out.extend(deliver(r, host, 0, PbftMsg::Commit(vote)));
             out
         };
         commit_block(&mut replica, &mut host, 1);
@@ -400,7 +405,7 @@ mod tests {
         // here while block 2 is still on its way from the leader.
         let root = replica.state().state_digest();
         for voter in [2, 3] {
-            let vote = CheckpointVote::new(2, root, voter, None);
+            let vote = QuorumCert::checkpoint_vote(2, root, voter, None);
             deliver(&mut replica, &mut host, voter, PbftMsg::Checkpoint { vote });
         }
         assert_eq!(host.stats.counter(stat::CKPT_CERTS), 0, "applied above the execution point");
@@ -414,48 +419,72 @@ mod tests {
         );
     }
 
-    /// AHLR commits on the leader enclave's aggregate of a commit quorum.
-    /// Pinned before the aggregate was a certificate: an `AggCommit` from
-    /// a non-leader, for a block nobody but the leader voted on, commits
-    /// it; and in `Real` mode an unsigned aggregate, or one signed by a
-    /// non-leader's enclave, commits it too.
+    /// AHLR commits on the leader enclave's aggregate of a commit quorum,
+    /// the block's commit certificate. An `AggCommit` from a non-leader,
+    /// for a block nobody but the leader voted on, is refused; so is, in
+    /// `Real` mode, an unsigned aggregate, one signed by another member's
+    /// enclave, one naming a non-leader, and a prepare aggregate offered
+    /// as a commit. The leader enclave's own aggregate commits.
     #[test]
     fn forged_aggregate_commit() {
         use ahl_simkit::{Actor, Ctx};
         use ahl_tee::{AttestedLog, LogId, Slot};
 
-        let committed = |crypto: CryptoMode, from: NodeId, signer: Option<usize>| {
+        let commits = |crypto: CryptoMode, from: NodeId, cert: &dyn Fn(Hash) -> QuorumCert| {
             let mut cfg = PbftConfig::new(BftVariant::Ahlr, 3);
             cfg.crypto = crypto;
             let members = derive_committee(cfg.n, 42);
-            let enclave = |i: usize| AttestedLog::new(members[i].tee_key.clone());
             let block = Arc::new(PbftBlock::new(0, 1, 0, vec![]));
-            let slot = Slot { view: 0, seq: 1 };
             let leader_cert = match crypto {
                 CryptoMode::Real => MsgCert::Attested(
-                    enclave(0).append(LogId(3), slot, block.digest).expect("fresh slot"),
+                    AttestedLog::new(members[0].tee_key.clone())
+                        .append(LogId(3), Slot { view: 0, seq: 1 }, block.digest)
+                        .expect("fresh slot"),
                 ),
                 CryptoMode::CostOnly => MsgCert::Simulated,
             };
-            let sig = signer.map(|i| {
-                enclave(i).append(LogId(2), slot, block.digest).expect("fresh slot").sig
-            });
-            let proof = AggProof { view: 0, seq: 1, digest: block.digest, count: 2, sig };
+            let agg = PbftMsg::AggCommit(cert(block.digest));
             let mut replica =
                 members.into_iter().nth(1).expect("member 1").into_replica(&cfg, (0..3).collect(), &[]);
             let mut host = TestHost::new(3);
-            for (sender, msg) in [
-                (0, PbftMsg::PrePrepare { block, cert: leader_cert }),
-                (from, PbftMsg::AggCommit(proof)),
-            ] {
+            for (sender, msg) in [(0, PbftMsg::PrePrepare { block, cert: leader_cert }), (from, agg)] {
                 let mut ctx = Ctx::for_host(&mut host, 1);
                 replica.on_message(sender, msg, &mut ctx);
             }
             replica.exec_seq() == 1
         };
-        assert!(committed(CryptoMode::CostOnly, 2, None), "a non-leader's aggregate");
-        assert!(committed(CryptoMode::Real, 0, None), "an unsigned aggregate");
-        assert!(committed(CryptoMode::Real, 0, Some(2)), "a non-leader enclave's aggregate");
+        let members = derive_committee(3, 42);
+        let aggregate = |phase: VotePhase, log: u32, enclave: usize, signer: usize| {
+            let tee_key = members[enclave].tee_key.clone();
+            move |digest: Hash| {
+                let proof = match AttestedLog::new(tee_key.clone())
+                    .append(LogId(log), Slot { view: 0, seq: 1 }, digest)
+                {
+                    Ok(att) => MsgCert::Attested(att),
+                    Err(_) => MsgCert::Simulated,
+                };
+                QuorumCert { kind: CertKind::Aggregate(phase), view: 0, seq: 1, digest, signers: vec![(signer, proof)] }
+            }
+        };
+        let unsigned = |signer: usize| {
+            move |digest: Hash| QuorumCert {
+                kind: CertKind::Aggregate(VotePhase::Commit),
+                view: 0,
+                seq: 1,
+                digest,
+                signers: vec![(signer, MsgCert::Simulated)],
+            }
+        };
+        assert!(!commits(CryptoMode::CostOnly, 2, &unsigned(2)), "a non-leader's aggregate");
+        assert!(!commits(CryptoMode::CostOnly, 2, &unsigned(0)), "the leader's, sent by another");
+        assert!(commits(CryptoMode::CostOnly, 0, &unsigned(0)), "cost-only control");
+        assert!(!commits(CryptoMode::Real, 0, &unsigned(0)), "an unsigned aggregate");
+        let commit = VotePhase::Commit;
+        assert!(!commits(CryptoMode::Real, 0, &aggregate(commit, 5, 2, 0)), "another enclave's");
+        assert!(!commits(CryptoMode::Real, 0, &aggregate(commit, 5, 2, 2)), "a non-leader signer");
+        assert!(!commits(CryptoMode::Real, 0, &aggregate(commit, 4, 0, 0)), "a prepare attestation");
+        assert!(!commits(CryptoMode::Real, 0, &aggregate(VotePhase::Prepare, 4, 0, 0)), "a prepare kind");
+        assert!(commits(CryptoMode::Real, 0, &aggregate(commit, 5, 0, 0)), "the leader enclave's");
     }
 
     /// State sync is a conversation among committee members. A syncing
@@ -497,7 +526,15 @@ mod tests {
             submitted: SimTime::ZERO,
         };
         let block = Arc::new(PbftBlock::new(0, 1, 0, vec![req]));
-        let tail = PbftMsg::SyncTail { blocks: vec![block], view: 0 };
+        let commit_quorum = (0..3).map(|i| (i, MsgCert::Simulated)).collect();
+        let cert = QuorumCert {
+            kind: CertKind::Commit,
+            view: 0,
+            seq: 1,
+            digest: block.digest,
+            signers: commit_quorum,
+        };
+        let tail = PbftMsg::SyncTail { blocks: vec![(block, cert)], view: 0 };
         let genesis_root = replica.state().state_digest();
         deliver(&mut replica, &mut host, client, tail.clone());
         assert_eq!(replica.exec_seq(), 0, "a client's tail must not execute");

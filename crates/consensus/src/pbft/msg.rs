@@ -5,11 +5,12 @@ use std::sync::Arc;
 use ahl_crypto::{Hash, Sha256, Signature};
 use ahl_ledger::{Key, StateSidecar, Value};
 use ahl_simkit::{MsgClass, NodeId};
-use ahl_store::{CheckpointCert, CheckpointVote};
 use ahl_tee::Attestation;
 
 use crate::clients::ClientProtocol;
 use crate::common::{ExecutedWindow, Request};
+
+use super::cert::QuorumCert;
 
 /// A proposed block: a batch of requests bound to (view, seq).
 #[derive(Clone, Debug)]
@@ -91,22 +92,6 @@ pub struct Vote {
     pub cert: MsgCert,
 }
 
-/// An aggregation proof produced by the AHLR leader enclave: attests that a
-/// quorum of `count` valid votes for (view, seq, digest, phase) was seen.
-#[derive(Clone, Debug)]
-pub struct AggProof {
-    /// View.
-    pub view: u64,
-    /// Sequence number.
-    pub seq: u64,
-    /// Digest of the block.
-    pub digest: Hash,
-    /// Number of aggregated votes.
-    pub count: usize,
-    /// Enclave signature over the above (None in cost-only mode).
-    pub sig: Option<Signature>,
-}
-
 /// View-change message (simplified PBFT: carries the last stable checkpoint
 /// and the prepared set's (seq, digest) pairs).
 #[derive(Clone, Debug)]
@@ -146,16 +131,17 @@ pub enum PbftMsg {
     RelayPrepare(Vote),
     /// Replica → leader: commit vote for enclave aggregation (AHLR).
     RelayCommit(Vote),
-    /// Leader → all: aggregated prepare quorum proof (AHLR).
-    AggPrepare(AggProof),
-    /// Leader → all: aggregated commit quorum proof (AHLR).
-    AggCommit(AggProof),
-    /// Replica → all: signed checkpoint vote over `(height, state_root)`.
-    /// A quorum of matching votes forms a [`CheckpointCert`] that gates
-    /// pruning and anchors state sync.
+    /// Leader → all: its enclave's aggregate of a prepare quorum (AHLR).
+    AggPrepare(QuorumCert),
+    /// Leader → all: its enclave's aggregate of a commit quorum (AHLR),
+    /// the block's commit certificate.
+    AggCommit(QuorumCert),
+    /// Replica → all: signed checkpoint vote over `(height, state_root)`,
+    /// a one-signer checkpoint certificate. A quorum of matching votes
+    /// forms the certificate that gates pruning and anchors state sync.
     Checkpoint {
-        /// The vote (root, height, signature).
-        vote: CheckpointVote,
+        /// The vote.
+        vote: QuorumCert,
     },
     /// Replica → all: view change.
     ViewChange(ViewChangeMsg),
@@ -234,8 +220,9 @@ pub enum PbftMsg {
     /// Peer → requester: the plan for a chunked transfer anchored at the
     /// latest checkpoint certificate.
     SyncManifest {
-        /// The certificate the requester must verify chunks against.
-        cert: CheckpointCert,
+        /// The checkpoint certificate the requester must verify chunks
+        /// against.
+        cert: QuorumCert,
         /// Chunk-count exponent: the transfer has `1 << bits` chunks.
         bits: u8,
         /// Total key-value pairs in the certified state (progress display).
@@ -287,8 +274,10 @@ pub enum PbftMsg {
     /// answer for a replica that only lags a little).
     SyncTail {
         /// Committed blocks, ascending and contiguous from the requester's
-        /// `have_seq + 1`.
-        blocks: Vec<Arc<PbftBlock>>,
+        /// `have_seq + 1`, each with its commit certificate: the
+        /// requester executes a block only once the certificate verifies
+        /// against the block's recomputed digest.
+        blocks: Vec<(Arc<PbftBlock>, QuorumCert)>,
         /// Sender's current view.
         view: u64,
     },
@@ -395,7 +384,7 @@ impl PbftMsg {
                     + 32 * proof.len()
             }
             PbftMsg::SyncTail { blocks, .. } => {
-                120 + blocks.iter().map(|b| b.wire_size()).sum::<usize>()
+                120 + blocks.iter().map(|(b, c)| b.wire_size() + c.wire_size()).sum::<usize>()
             }
             PbftMsg::SyncNack { .. } => 70,
             PbftMsg::Transition { .. } | PbftMsg::TransitionDone { .. } => 60,

@@ -20,17 +20,15 @@
 //!   messages, at the cost of leader CPU and fragility — reproducing the
 //!   paper's finding that AHL+ beats AHLR).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use ahl_crypto::{Hash, KeyRegistry, SigningKey};
+use ahl_crypto::{Hash, KeyId, KeyRegistry, SigningKey};
 use ahl_ledger::{Key, StateSidecar, StateSnapshot, StateStore, Value};
 use ahl_mempool::{Admission, BatchBuilder, BatchConfig, Mempool};
 use ahl_simkit::{Actor, Ctx, NodeId, Phase, Scope, SimDuration, SimTime};
-use ahl_store::{
-    chunk_bits_for, CheckpointCert, CheckpointTracker, CheckpointVote, SyncError, SyncSession,
-};
+use ahl_store::{chunk_bits_for, SyncError, SyncSession};
 use ahl_tee::{verify_attestation, AttestedLog, LogId, Slot, TeeOp};
 
 use crate::adversary::{equivocation_half, Attack, EquivocationTracker};
@@ -41,38 +39,39 @@ use crate::common::{
 use crate::pbft::config::{
     PbftConfig, ReplyPolicy, COSTS, EXEC_COST_PER_OP, INGEST_COST, PIPELINE_WIDTH,
 };
+use crate::pbft::cert::{
+    enclave_key, CertKind, CheckpointVotes, QuorumCert, AGG_COMMIT_LOG, AGG_PREPARE_LOG,
+    COMMIT_LOG, PREPARE_LOG, PREPREPARE_LOG,
+};
 use crate::pbft::durable::{twopc_kind, NodeStore, TwoPcKind, WalRecord};
-use crate::pbft::msg::{chunk_entry_bytes, AggProof, MsgCert, PbftBlock, PbftMsg, ViewChangeMsg, Vote};
+use crate::pbft::msg::{chunk_entry_bytes, MsgCert, PbftBlock, PbftMsg, ViewChangeMsg, Vote};
 
 const TIMER_BATCH: u64 = 1;
 const TIMER_VC: u64 = 2;
 const TIMER_HEARTBEAT: u64 = 3;
 const TIMER_SYNC: u64 = 4;
 
-const PREPARE_LOG: LogId = LogId(1);
-const COMMIT_LOG: LogId = LogId(2);
-const PREPREPARE_LOG: LogId = LogId(3);
-
 /// Per-sequence protocol instance.
 #[derive(Default)]
 struct Instance {
     view: u64,
     block: Option<Arc<PbftBlock>>,
-    /// Votes per [`VotePhase`]: digest → voters.
-    votes: [HashMap<Hash, HashSet<usize>>; 2],
+    /// Votes per [`VotePhase`]: digest → voter → proof (the leader's
+    /// implicit prepare carries its pre-prepare's). `MsgCert::Sig` votes
+    /// (HL under real crypto) are counted on arrival and checked when
+    /// their digest reaches quorum ([`Replica::settle_deferred`]). At
+    /// quorum the commit map is the block's commit certificate.
+    votes: [HashMap<Hash, BTreeMap<usize, MsgCert>>; 2],
     /// AHLR: votes relayed to this (leader) replica for aggregation.
     relay_votes: [HashMap<Hash, HashSet<usize>>; 2],
-    /// Signature certificates admitted tentatively, awaiting quorum-time
-    /// batch verification ([`KeyRegistry::verify_batch`]): digest → voter
-    /// → signature. Only populated for `MsgCert::Sig` votes (HL under
-    /// real crypto); prepare and commit votes by one replica sign the
-    /// same block digest, so one pool covers both phases.
-    pending_sigs: HashMap<Hash, HashMap<usize, ahl_crypto::Signature>>,
     /// Whether this replica has cast its own vote, per phase.
     sent: [bool; 2],
     /// AHLR: whether the aggregated proof went out, per phase.
     agg_sent: [bool; 2],
-    committed: bool,
+    /// The commit certificate, once the block committed: the commit
+    /// quorum, or the AHLR leader's aggregate. It stays as long as the
+    /// instance does, so a sync tail ships it with the block.
+    cert: Option<QuorumCert>,
     executed: bool,
 }
 
@@ -101,6 +100,7 @@ enum SyncPhase {
     /// peer in rotation (`inflight` lists the outstanding chunk indices).
     Chunks {
         session: SyncSession<Value>,
+        cert: QuorumCert,
         sidecar: Arc<StateSidecar>,
         executed: ExecutedWindow,
         view: u64,
@@ -189,13 +189,13 @@ pub struct Replica {
     genesis: Arc<Vec<(Key, Value)>>,
 
     /// Checkpoint votes → certificates (pruning + sync anchoring).
-    ckpt: CheckpointTracker,
+    ckpt: CheckpointVotes,
     /// A certificate that formed at most `PIPELINE_WIDTH` blocks above our
     /// execution point, held until execution reaches it: those blocks are
     /// still in flight to us, and applying it now would raise `low_mark`
     /// over them, refuse their pre-prepares and commits, and leave state
     /// sync as the only way forward.
-    pending_cert: Option<CheckpointCert>,
+    pending_cert: Option<QuorumCert>,
     /// Snapshots at recent own checkpoint heights, awaiting certification.
     snapshots: Vec<CkptSnapshot>,
     /// The certified snapshots this replica serves state sync from — the
@@ -204,7 +204,7 @@ pub struct Replica {
     /// transfer anchored at an older retained certificate survives
     /// checkpoints forming mid-transfer, and a rejoiner whose last
     /// certified root is anywhere in the window gets a diff.
-    serving: Vec<(CheckpointCert, CkptSnapshot)>,
+    serving: Vec<(QuorumCert, CkptSnapshot)>,
     /// Sequence below which executed instances have been pruned. Kept one
     /// checkpoint interval behind `low_mark` so the committed-block tail
     /// above the previous certificate stays servable.
@@ -213,7 +213,7 @@ pub struct Replica {
     /// in-memory stand-in for the on-disk checkpoint; with one, it mirrors
     /// what [`NodeStore::persist_checkpoint`] actually put on disk, and
     /// `Restart` re-reads the disk copy instead of trusting this field.
-    durable: Option<(CheckpointCert, CkptSnapshot)>,
+    durable: Option<(QuorumCert, CkptSnapshot)>,
     /// This replica's node directory (`<data_dir>/node-<actor id>`), when
     /// real persistence is configured.
     store_dir: Option<PathBuf>,
@@ -257,7 +257,7 @@ pub struct Replica {
 
 impl Instance {
     fn votes_for(&self, phase: VotePhase, digest: &Hash) -> usize {
-        self.votes[phase as usize].get(digest).map_or(0, HashSet::len)
+        self.votes[phase as usize].get(digest).map_or(0, BTreeMap::len)
     }
 }
 
@@ -321,7 +321,7 @@ impl Replica {
             ingested: HashMap::new(),
             executed_reqs: ExecutedCache::new(),
             genesis,
-            ckpt: CheckpointTracker::new(),
+            ckpt: CheckpointVotes::default(),
             pending_cert: None,
             snapshots: Vec::new(),
             serving: Vec::new(),
@@ -430,14 +430,16 @@ impl Replica {
         }
     }
 
-    /// Verify a vote/proposal certificate, charging the cost. Returns false
-    /// if the message must be discarded.
+    /// Verify a vote/proposal certificate by group member `signer`, in
+    /// `log` at `slot`, charging the cost. Returns false if the message
+    /// must be discarded.
     fn verify_cert(
         &mut self,
         ctx: &mut Ctx<'_, PbftMsg>,
         cert: &MsgCert,
-        view: u64,
-        seq: u64,
+        log: LogId,
+        signer: usize,
+        slot: Slot,
         digest: &Hash,
     ) -> bool {
         self.charge(ctx, NATIVE_VERIFY, false);
@@ -448,13 +450,33 @@ impl Replica {
             // Attested committees require the enclave binding: a plain
             // signature is exactly how an equivocator would dodge the
             // attested log, so it is refused outright.
-            MsgCert::Sig(sig) => !self.cfg.variant.attested() && self.registry.verify(digest, sig),
+            MsgCert::Sig(sig) => {
+                !self.cfg.variant.attested()
+                    && sig.signer == KeyId(signer as u64)
+                    && self.registry.verify(digest, sig)
+            }
             MsgCert::Attested(att) => {
-                att.digest == *digest
-                    && att.slot == Slot { view, seq }
+                att.log == log
+                    && att.slot == slot
+                    && att.digest == *digest
+                    && att.sig.signer == enclave_key(&self.registry, signer)
                     && verify_attestation(&self.registry, att)
             }
         }
+    }
+
+    /// The registry a certificate is verified against: none in cost-only
+    /// runs, whose certificates carry no signatures and are only counted.
+    fn cert_registry(&self) -> Option<&KeyRegistry> {
+        (self.cfg.crypto == CryptoMode::Real).then_some(self.registry.as_ref())
+    }
+
+    /// [`QuorumCert::verify`] against this committee, plus the one check
+    /// it leaves to the replica: an aggregate's signer leads its view.
+    fn verify_qc(&self, cert: &QuorumCert) -> bool {
+        let leads = |(i, _): &(usize, MsgCert)| *i == self.leader_of(cert.view);
+        let led = !matches!(cert.kind, CertKind::Aggregate(_)) || cert.signers.iter().all(leads);
+        led && cert.verify(self.quorum(), self.cert_registry())
     }
 
     // ---------- request handling ----------
@@ -673,9 +695,9 @@ impl Replica {
         } else {
             self.others()
         };
-        ctx.multicast(recipients, PbftMsg::PrePrepare { block: block.clone(), cert });
+        ctx.multicast(recipients, PbftMsg::PrePrepare { block: block.clone(), cert: cert.clone() });
         // Local application of our own proposal.
-        self.accept_block(block, ctx);
+        self.accept_block(block, cert, ctx);
     }
 
     // ---------- three-phase protocol ----------
@@ -694,7 +716,8 @@ impl Replica {
         {
             return;
         }
-        if !self.verify_cert(ctx, &cert, block.view, block.seq, &block.digest) {
+        let slot = Slot { view: block.view, seq: block.seq };
+        if !self.verify_cert(ctx, &cert, PREPREPARE_LOG, from_idx, slot, &block.digest) {
             ctx.stats().inc("consensus.invalid_msg", 1);
             return;
         }
@@ -710,10 +733,13 @@ impl Replica {
                 }
             }
         }
-        self.accept_block(block, ctx);
+        self.accept_block(block, cert, ctx);
     }
 
-    fn accept_block(&mut self, block: Arc<PbftBlock>, ctx: &mut Ctx<'_, PbftMsg>) {
+    /// Bind `block` to its slot; `leader_proof` (the pre-prepare's cert,
+    /// none for a re-proposal in a new view) stands for the leader's
+    /// implicit prepare vote.
+    fn accept_block(&mut self, block: Arc<PbftBlock>, leader_proof: MsgCert, ctx: &mut Ctx<'_, PbftMsg>) {
         let seq = block.seq;
         let view = block.view;
         let digest = block.digest;
@@ -727,7 +753,7 @@ impl Replica {
             inst.view = view;
             inst.block = Some(block);
             // The pre-prepare counts as the leader's prepare vote.
-            inst.votes[VotePhase::Prepare as usize].entry(digest).or_default().insert(leader);
+            inst.votes[VotePhase::Prepare as usize].entry(digest).or_default().insert(leader, leader_proof);
         }
         if me != leader && !self.insts[&seq].sent[VotePhase::Prepare as usize] {
             self.send_prepare(view, seq, digest, ctx);
@@ -748,7 +774,7 @@ impl Replica {
         };
         if let Some(inst) = self.insts.get_mut(&seq) {
             inst.sent[VotePhase::Prepare as usize] = true;
-            inst.votes[VotePhase::Prepare as usize].entry(digest).or_default().insert(self.me);
+            inst.votes[VotePhase::Prepare as usize].entry(digest).or_default().insert(self.me, cert.clone());
         }
         let vote = Vote { view, seq, digest, replica: self.me, cert };
         if self.cfg.variant.leader_aggregation() {
@@ -917,56 +943,61 @@ impl Replica {
     /// verification cost as before, but the actual signature check is
     /// deferred and runs as one [`KeyRegistry::verify_batch`] call when
     /// the digest reaches quorum ([`Replica::settle_deferred`]) — the
-    /// quorum-certificate shape batch verification is built for. Eagerly
-    /// verified certs return `Ok(None)`; rejected votes return `Err(())`.
-    fn admit_vote(
-        &mut self,
-        vote: &Vote,
-        ctx: &mut Ctx<'_, PbftMsg>,
-    ) -> Result<Option<ahl_crypto::Signature>, ()> {
-        if let MsgCert::Sig(sig) = &vote.cert {
-            if !self.cfg.variant.attested() && self.cfg.crypto == CryptoMode::Real {
-                self.charge(ctx, NATIVE_VERIFY, false);
-                return Ok(Some(*sig));
-            }
+    /// quorum-certificate shape batch verification is built for. Other
+    /// certs are verified here; false rejects the vote.
+    fn admit_vote(&mut self, phase: VotePhase, vote: &Vote, ctx: &mut Ctx<'_, PbftMsg>) -> bool {
+        if matches!(vote.cert, MsgCert::Sig(_)) && self.deferring() {
+            self.charge(ctx, NATIVE_VERIFY, false);
+            return true;
         }
-        if self.verify_cert(ctx, &vote.cert, vote.view, vote.seq, &vote.digest) {
-            Ok(None)
-        } else {
-            Err(())
-        }
+        let log = match phase {
+            VotePhase::Prepare => PREPARE_LOG,
+            VotePhase::Commit => COMMIT_LOG,
+        };
+        let slot = Slot { view: vote.view, seq: vote.seq };
+        self.verify_cert(ctx, &vote.cert, log, vote.replica, slot, &vote.digest)
     }
 
-    /// Batch-verify the deferred signatures pooled for `(seq, digest)`.
-    /// Returns true when the collected vote sets stand; on a batch
-    /// failure it falls back per-signature, evicts the forgeries from
-    /// both vote sets (counting each as an invalid message), and returns
-    /// false so the caller re-evaluates quorum over the survivors.
+    /// Whether signature votes are checked at quorum rather than on
+    /// arrival (HL under real crypto).
+    fn deferring(&self) -> bool {
+        !self.cfg.variant.attested() && self.cfg.crypto == CryptoMode::Real
+    }
+
+    /// Batch-verify the signature votes for `(seq, digest)`, both phases
+    /// at once (a replica's prepare and commit votes sign the same
+    /// digest, so its two signatures are one). Returns true when the
+    /// vote sets stand; on a batch failure it falls back per signature,
+    /// evicts each forger from both vote sets (counting it as an invalid
+    /// message), and returns false so the caller re-evaluates quorum over
+    /// the survivors.
     fn settle_deferred(&mut self, seq: u64, digest: &Hash, ctx: &mut Ctx<'_, PbftMsg>) -> bool {
+        if !self.deferring() {
+            return true;
+        }
         let registry = self.registry.clone();
         let Some(inst) = self.insts.get_mut(&seq) else { return true };
-        let Some(pending) = inst.pending_sigs.get_mut(digest) else { return true };
-        if pending.is_empty() {
-            return true;
-        }
-        let ok = registry.verify_batch(
-            digest,
-            pending.iter().map(|(r, s)| (ahl_crypto::KeyId(*r as u64), s)),
-        );
-        if ok {
-            // Verified: the votes are final, nothing left to settle.
-            inst.pending_sigs.remove(digest);
-            return true;
-        }
-        let forged: Vec<usize> = pending
+        let sigs: Vec<(usize, ahl_crypto::Signature)> = inst
+            .votes
             .iter()
-            .filter(|(r, s)| {
-                s.signer != ahl_crypto::KeyId(**r as u64) || !registry.verify(digest, s)
+            .filter_map(|votes| votes.get(digest))
+            .flatten()
+            .filter_map(|(r, cert)| match cert {
+                MsgCert::Sig(sig) => Some((*r, *sig)),
+                _ => None,
             })
+            .collect();
+        if registry.verify_batch(digest, sigs.iter().map(|(r, s)| (KeyId(*r as u64), s))) {
+            return true;
+        }
+        let mut forged: Vec<usize> = sigs
+            .iter()
+            .filter(|(r, s)| s.signer != KeyId(*r as u64) || !registry.verify(digest, s))
             .map(|(r, _)| *r)
             .collect();
+        forged.sort_unstable();
+        forged.dedup();
         for r in &forged {
-            pending.remove(r);
             for votes in &mut inst.votes {
                 if let Some(set) = votes.get_mut(digest) {
                     set.remove(r);
@@ -987,15 +1018,12 @@ impl Replica {
             ctx.stats().inc("consensus.out_of_window", 1);
             return;
         }
-        let Ok(deferred) = self.admit_vote(&vote, ctx) else {
+        if !self.admit_vote(phase, &vote, ctx) {
             ctx.stats().inc("consensus.invalid_msg", 1);
             return;
-        };
-        let inst = self.insts.entry(vote.seq).or_default();
-        inst.votes[phase as usize].entry(vote.digest).or_default().insert(vote.replica);
-        if let Some(sig) = deferred {
-            inst.pending_sigs.entry(vote.digest).or_default().insert(vote.replica, sig);
         }
+        let inst = self.insts.entry(vote.seq).or_default();
+        inst.votes[phase as usize].entry(vote.digest).or_default().insert(vote.replica, vote.cert);
         match phase {
             VotePhase::Prepare => self.check_prepared(vote.seq, vote.digest, ctx),
             VotePhase::Commit => self.check_committed(vote.seq, vote.digest, ctx),
@@ -1036,7 +1064,7 @@ impl Replica {
         };
         if let Some(inst) = self.insts.get_mut(&seq) {
             inst.sent[VotePhase::Commit as usize] = true;
-            inst.votes[VotePhase::Commit as usize].entry(digest).or_default().insert(self.me);
+            inst.votes[VotePhase::Commit as usize].entry(digest).or_default().insert(self.me, cert.clone());
         }
         let vote = Vote { view, seq, digest, replica: self.me, cert };
         if self.cfg.variant.leader_aggregation() {
@@ -1058,43 +1086,58 @@ impl Replica {
         let quorum = self.quorum();
         // Same settle-at-quorum loop as check_prepared: see the comment
         // there for the termination argument.
-        let ready = loop {
+        loop {
             let ready = {
                 let Some(inst) = self.insts.get(&seq) else { return };
                 let Some(block) = &inst.block else { return };
                 block.digest == digest
-                    && !inst.committed
+                    && inst.cert.is_none()
                     && inst.votes_for(VotePhase::Commit, &digest) >= quorum
             };
             if !ready {
-                break false;
+                return;
             }
             if self.settle_deferred(seq, &digest, ctx) {
-                break true;
+                break;
             }
-        };
-        if ready {
-            if let Some(inst) = self.insts.get_mut(&seq) {
-                inst.committed = true;
-                if let Some(block) = &inst.block {
-                    for r in block.reqs.iter() {
-                        ctx.trace(r.id, Phase::Commit);
-                    }
-                }
-            }
-            self.try_execute(ctx);
         }
+        let Some(inst) = self.insts.get(&seq) else { return };
+        let signers = inst.votes[VotePhase::Commit as usize][&digest]
+            .iter()
+            .map(|(r, proof)| (*r, proof.clone()))
+            .collect();
+        let cert = QuorumCert { kind: CertKind::Commit, view: inst.view, seq, digest, signers };
+        self.commit(cert, ctx);
+    }
+
+    /// The block at `cert.seq` committed: keep the certificate with it and
+    /// execute what is ready.
+    fn commit(&mut self, cert: QuorumCert, ctx: &mut Ctx<'_, PbftMsg>) {
+        let Some(inst) = self.insts.get_mut(&cert.seq) else { return };
+        if let Some(block) = &inst.block {
+            for r in block.reqs.iter() {
+                ctx.trace(r.id, Phase::Commit);
+            }
+        }
+        inst.cert = Some(cert);
+        self.try_execute(ctx);
     }
 
     // ---------- AHLR aggregation ----------
 
     /// AHLR, leader side: collect a relayed prepare or commit vote; at
-    /// quorum the enclave verifies the f+1 votes and emits one proof.
+    /// quorum the enclave verifies the f+1 votes and emits one proof, an
+    /// aggregate certificate bound in the enclave's log for that phase.
     fn on_relay_vote(&mut self, phase: VotePhase, vote: Vote, ctx: &mut Ctx<'_, PbftMsg>) {
         if vote.view != self.view || self.leader_of(vote.view) != self.me {
             return;
         }
-        if !self.verify_cert(ctx, &vote.cert, vote.view, vote.seq, &vote.digest) {
+        let (log, agg_log) = match phase {
+            VotePhase::Prepare => (PREPARE_LOG, AGG_PREPARE_LOG),
+            VotePhase::Commit => (COMMIT_LOG, AGG_COMMIT_LOG),
+        };
+        let slot = Slot { view: vote.view, seq: vote.seq };
+        if !self.verify_cert(ctx, &vote.cert, log, vote.replica, slot, &vote.digest) {
             return;
         }
         let quorum = self.quorum();
@@ -1107,64 +1150,53 @@ impl Replica {
         inst.agg_sent[phase as usize] = true;
         let f = self.cfg.f();
         self.charge(ctx, COSTS.cost(TeeOp::MessageAggregation { f }), false);
-        let proof = AggProof {
+        let proof = if self.cfg.crypto == CryptoMode::Real {
+            match self.tee.append(agg_log, slot, vote.digest) {
+                Ok(att) => MsgCert::Attested(att),
+                Err(_) => return,
+            }
+        } else {
+            MsgCert::Simulated
+        };
+        let cert = QuorumCert {
+            kind: CertKind::Aggregate(phase),
             view: vote.view,
             seq: vote.seq,
             digest: vote.digest,
-            count: quorum,
-            sig: None,
+            signers: vec![(self.me, proof)],
         };
+        let msg = match phase {
+            VotePhase::Prepare => PbftMsg::AggPrepare(cert.clone()),
+            VotePhase::Commit => PbftMsg::AggCommit(cert.clone()),
+        };
+        ctx.multicast(self.others(), msg);
+        self.on_aggregate(self.me, cert, ctx);
+    }
+
+    /// AHLR: an aggregate from group member `from`. It counts only if it
+    /// is the current view's leader's aggregate for the block this
+    /// replica holds at that height; then a prepare aggregate draws this
+    /// replica's commit vote, and a commit aggregate is the block's
+    /// commit certificate.
+    fn on_aggregate(&mut self, from: usize, cert: QuorumCert, ctx: &mut Ctx<'_, PbftMsg>) {
+        if cert.view != self.view || cert.seq <= self.low_mark {
+            return;
+        }
+        self.charge(ctx, NATIVE_VERIFY, false);
+        let Some(inst) = self.insts.get(&cert.seq) else { return };
+        if inst.block.as_ref().is_none_or(|b| b.digest != cert.digest) {
+            return;
+        }
+        let (sent_commit, committed) = (inst.sent[VotePhase::Commit as usize], inst.cert.is_some());
+        let CertKind::Aggregate(phase) = cert.kind else { return };
+        if from != self.leader_of(cert.view) || !self.verify_qc(&cert) {
+            ctx.stats().inc("consensus.invalid_msg", 1);
+            return;
+        }
         match phase {
-            VotePhase::Prepare => {
-                ctx.multicast(self.others(), PbftMsg::AggPrepare(proof.clone()));
-                self.on_agg_prepare(proof, ctx);
-            }
-            VotePhase::Commit => {
-                ctx.multicast(self.others(), PbftMsg::AggCommit(proof.clone()));
-                self.on_agg_commit(proof, ctx);
-            }
-        }
-    }
-
-    fn on_agg_prepare(&mut self, proof: AggProof, ctx: &mut Ctx<'_, PbftMsg>) {
-        if proof.view != self.view || proof.seq <= self.low_mark {
-            return;
-        }
-        self.charge(ctx, NATIVE_VERIFY, false);
-        let has_block = self
-            .insts
-            .get(&proof.seq)
-            .and_then(|i| i.block.as_ref())
-            .is_some_and(|b| b.digest == proof.digest);
-        if !has_block {
-            return;
-        }
-        let already = self.insts.get(&proof.seq).is_some_and(|i| i.sent[VotePhase::Commit as usize]);
-        if !already {
-            self.send_commit(proof.seq, proof.digest, ctx);
-        }
-    }
-
-    fn on_agg_commit(&mut self, proof: AggProof, ctx: &mut Ctx<'_, PbftMsg>) {
-        if proof.view != self.view || proof.seq <= self.low_mark {
-            return;
-        }
-        self.charge(ctx, NATIVE_VERIFY, false);
-        let ready = {
-            let Some(inst) = self.insts.get(&proof.seq) else { return };
-            let Some(block) = &inst.block else { return };
-            block.digest == proof.digest && !inst.committed
-        };
-        if ready {
-            if let Some(inst) = self.insts.get_mut(&proof.seq) {
-                inst.committed = true;
-                if let Some(block) = &inst.block {
-                    for r in block.reqs.iter() {
-                        ctx.trace(r.id, Phase::Commit);
-                    }
-                }
-            }
-            self.try_execute(ctx);
+            VotePhase::Prepare if !sent_commit => self.send_commit(cert.seq, cert.digest, ctx),
+            VotePhase::Commit if !committed => self.commit(cert, ctx),
+            _ => {}
         }
     }
 
@@ -1179,7 +1211,7 @@ impl Replica {
             let ready = self
                 .insts
                 .get(&next)
-                .map(|i| i.committed && !i.executed && i.block.is_some())
+                .map(|i| i.cert.is_some() && !i.executed && i.block.is_some())
                 .unwrap_or(false);
             if !ready {
                 break;
@@ -1311,13 +1343,13 @@ impl Replica {
         self.charge(ctx, NATIVE_SIGN, false);
         ctx.trace(seq, Phase::Checkpoint);
         let key = (self.cfg.crypto == CryptoMode::Real).then_some(&self.key);
-        let vote = CheckpointVote::new(seq, root, self.me, key);
+        let vote = QuorumCert::checkpoint_vote(seq, root, self.me, key);
         ctx.multicast(self.others(), PbftMsg::Checkpoint { vote: vote.clone() });
         drop(prof); // a certificate forming on this vote opens its own span
         self.record_checkpoint(vote, ctx);
     }
 
-    fn record_checkpoint(&mut self, vote: CheckpointVote, ctx: &mut Ctx<'_, PbftMsg>) {
+    fn record_checkpoint(&mut self, vote: QuorumCert, ctx: &mut Ctx<'_, PbftMsg>) {
         if vote.seq <= self.low_mark {
             return;
         }
@@ -1342,7 +1374,7 @@ impl Replica {
 
     /// A certificate formed: it gates all pruning (PBFT stable checkpoint)
     /// and becomes the anchor this replica serves state sync from.
-    fn apply_stable_checkpoint(&mut self, cert: CheckpointCert, ctx: &mut Ctx<'_, PbftMsg>) {
+    fn apply_stable_checkpoint(&mut self, cert: QuorumCert, ctx: &mut Ctx<'_, PbftMsg>) {
         let _prof = ahl_telemetry::Profiler::span("pbft.checkpoint");
         ctx.stats().inc(stat::CKPT_CERTS, 1);
         // Prune one interval behind: executed blocks above the *previous*
@@ -1425,14 +1457,14 @@ impl Replica {
         }
     }
 
-    fn on_checkpoint(&mut self, vote: CheckpointVote, ctx: &mut Ctx<'_, PbftMsg>) {
+    fn on_checkpoint(&mut self, vote: QuorumCert, ctx: &mut Ctx<'_, PbftMsg>) {
         self.charge(ctx, NATIVE_VERIFY, false);
-        // Real-crypto mode: an unsigned vote is a forgery, not "cost-only"
-        // — CheckpointVote::verify's unsigned arm exists for simulations
-        // that never carry signatures at all.
-        if self.cfg.crypto == CryptoMode::Real
-            && (vote.sig.is_none() || !vote.verify(&self.registry))
-        {
+        // A vote is a one-signer checkpoint certificate: under real crypto
+        // an unsigned one is a forgery.
+        let valid = vote.kind == CertKind::Checkpoint
+            && vote.signers.len() == 1
+            && vote.verify(1, self.cert_registry());
+        if !valid {
             ctx.stats().inc("consensus.invalid_msg", 1);
             return;
         }
@@ -1505,15 +1537,14 @@ impl Replica {
         let next_committed = self
             .insts
             .get(&next)
-            .map(|i| i.committed)
-            .unwrap_or(false);
+            .is_some_and(|i| i.cert.is_some());
         if next_committed {
             return false;
         }
         let horizon = next + PIPELINE_WIDTH;
         self.insts
             .iter()
-            .any(|(s, i)| (*s > next && i.committed) || (*s > horizon && i.block.is_some()))
+            .any(|(s, i)| (*s > next && i.cert.is_some()) || (*s > horizon && i.block.is_some()))
     }
 
     fn request_state_sync(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
@@ -1568,31 +1599,29 @@ impl Replica {
     /// hold only an older one).
     fn advertised_roots(&self) -> Vec<Hash> {
         let mut roots: Vec<Hash> = Vec::new();
-        for (cert, _) in self.serving.iter().rev() {
-            if !roots.contains(&cert.root) {
-                roots.push(cert.root);
-            }
-        }
-        if let Some((cert, _)) = &self.durable {
-            if !roots.contains(&cert.root) {
-                roots.push(cert.root);
+        for (cert, _) in self.serving.iter().rev().chain(&self.durable) {
+            if !roots.contains(&cert.digest) {
+                roots.push(cert.digest);
             }
         }
         roots.truncate(self.cfg.snapshot_retention.max(2));
         roots
     }
 
-    /// (Re)issue the opening `SyncRequest` to the current peer. Diff
+    /// (Re)issue the `SyncRequest` to the current peer. Diff
     /// eligibility: enabled, not already fallen back, and the retained
     /// roots are meaningful for the target state (any gap catch-up, or a
     /// full fetch re-joining recently-held state). The diff anchor itself
     /// is resolved when the manifest answers — whichever advertised root
-    /// the server diffed against.
+    /// the server diffed against. After the install, the request is for
+    /// the tail: a gap catch-up (if a newer certificate formed meanwhile,
+    /// the server re-anchors us with a near-empty diff).
     fn send_sync_request(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
         let Some(run) = self.sync.as_ref() else { return };
-        let eligible = self.cfg.diff_sync && !run.no_diff && (!run.full || run.rejoin);
+        let tail = matches!(run.phase, SyncPhase::AwaitTail);
+        let eligible = self.cfg.diff_sync && !run.no_diff && (tail || !run.full || run.rejoin);
         let old_roots = if eligible { self.advertised_roots() } else { Vec::new() };
-        let (peer, full) = (run.peer, run.full);
+        let (peer, full) = (run.peer, run.full && !tail);
         ctx.send(
             self.group[peer],
             PbftMsg::SyncRequest {
@@ -1612,7 +1641,7 @@ impl Replica {
     #[allow(clippy::too_many_arguments)]
     fn on_sync_manifest(
         &mut self,
-        cert: CheckpointCert,
+        cert: QuorumCert,
         bits: u8,
         sidecar: Arc<StateSidecar>,
         executed: ExecutedWindow,
@@ -1632,13 +1661,8 @@ impl Replica {
         // Verify the certificate: quorum of distinct signers over the
         // advertised (seq, root) — the trust anchor for every chunk.
         let quorum = self.cfg.quorum();
-        self.charge(
-            ctx,
-            NATIVE_VERIFY.saturating_mul(cert.votes.len() as u64),
-            false,
-        );
-        let registry = (self.cfg.crypto == CryptoMode::Real).then_some(self.registry.as_ref());
-        if !cert.verify(quorum, registry) {
+        self.charge(ctx, NATIVE_VERIFY.saturating_mul(cert.signers.len() as u64), false);
+        if cert.kind != CertKind::Checkpoint || !cert.verify(quorum, self.cert_registry()) {
             ctx.stats().inc(stat::SYNC_BAD_CERTS, 1);
             let run = self.sync.as_mut().expect("checked above");
             run.peer = next_sync_peer(self.cfg.n, self.me, run.peer);
@@ -1677,8 +1701,8 @@ impl Replica {
             .filter(|_| diff.is_some());
         let usable_diff = diff.filter(|_| anchor_snap.is_some());
         let session = match match &usable_diff {
-            Some(chunks) => SyncSession::new_diff(cert, bits, chunks, have_seq),
-            None => SyncSession::new_full(cert, bits, have_seq),
+            Some(chunks) => SyncSession::new_diff(cert.seq, cert.digest, bits, chunks, have_seq),
+            None => SyncSession::new_full(cert.seq, cert.digest, bits, have_seq),
         } {
             Ok(s) => s,
             Err(_) if first_round => {
@@ -1708,7 +1732,8 @@ impl Replica {
             run.anchor = None;
         }
         let done = session.is_complete();
-        run.phase = SyncPhase::Chunks { session, sidecar, executed, view, inflight: Vec::new() };
+        run.phase =
+            SyncPhase::Chunks { session, cert, sidecar, executed, view, inflight: Vec::new() };
         if done {
             // Empty diff: the retained snapshot already matches the
             // certified root — skip straight to the install + tail.
@@ -1830,14 +1855,14 @@ impl Replica {
     /// changed-chunk set) falls back to a full transfer.
     fn install_synced_state(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
         let mut run = self.sync.take().expect("install follows a live session");
-        let SyncPhase::Chunks { session, sidecar, executed, view, .. } =
+        let SyncPhase::Chunks { session, cert, sidecar, executed, view, .. } =
             std::mem::replace(&mut run.phase, SyncPhase::AwaitTail)
         else {
             unreachable!("install follows the chunk phase")
         };
         let is_diff = session.is_diff();
         let bits = session.bits();
-        let (cert, chunks) = session.into_verified();
+        let chunks = session.into_verified();
         let fetched: u64 = chunks.iter().map(|(_, e)| e.len() as u64).sum();
         // Rebuild cost: one leaf hash per *fetched* entry plus tree
         // construction — a diff install reuses the anchor's shared tree and
@@ -1847,7 +1872,7 @@ impl Replica {
             let anchor = run.anchor.as_ref().expect("diff session kept its anchor");
             let mut base = StateStore::from_snapshot(anchor);
             base.apply_diff(bits, &chunks);
-            if base.state_digest() != cert.root {
+            if base.state_digest() != cert.digest {
                 // The changed-chunk report did not cover every difference:
                 // the merged state misses the certified root. Nothing
                 // unverified was installed — restart the exchange as a
@@ -1866,7 +1891,7 @@ impl Replica {
             StateStore::from_entries(chunks.into_iter().flat_map(|(_, e)| e).collect())
         };
         state.install_sidecar(&sidecar);
-        debug_assert_eq!(state.state_digest(), cert.root, "chunks verified against root");
+        debug_assert_eq!(state.state_digest(), cert.digest, "chunks verified against root");
         self.state = state;
         self.executed_reqs = ExecutedCache::from_window(&executed, ctx.now());
         if !self.byzantine {
@@ -1909,7 +1934,7 @@ impl Replica {
             self.insts.retain(|s, _| *s > cert.seq);
             self.next_seq = self.next_seq.max(cert.seq + 1);
         }
-        self.ckpt.adopt(cert);
+        self.ckpt.adopt(cert.seq);
         if view > self.view {
             self.enter_view(view, ctx);
         }
@@ -1917,32 +1942,19 @@ impl Replica {
         let ex = std::mem::take(&mut self.executed_reqs);
         self.pool.retain(|r| !ex.contains(r.id));
         self.executed_reqs = ex;
-        // Catch up the blocks committed above the certificate. Advertise
-        // the retained window (headed by the root just installed): if a
-        // newer certificate formed mid-transfer, the server re-anchors us
-        // with a near-empty diff instead of another full pass.
-        let peer = run.peer;
-        let old_roots = if self.cfg.diff_sync && !run.no_diff {
-            self.advertised_roots()
-        } else {
-            Vec::new()
-        };
+        // Catch up the blocks committed above the certificate.
         run.last_activity = ctx.now();
         self.sync = Some(run);
-        ctx.send(
-            self.group[peer],
-            PbftMsg::SyncRequest {
-                requester: self.me,
-                have_seq: self.exec_seq,
-                full: false,
-                old_roots,
-            },
-        );
+        self.send_sync_request(ctx);
     }
 
+    /// A block tail: each block executes only once its commit
+    /// certificate verifies against the digest recomputed from its
+    /// contents. The first that does not refuses the rest of the tail
+    /// (and the view it names); the sync timer asks the next peer.
     fn on_sync_tail(
         &mut self,
-        blocks: Vec<Arc<PbftBlock>>,
+        blocks: Vec<(Arc<PbftBlock>, QuorumCert)>,
         view: u64,
         ctx: &mut Ctx<'_, PbftMsg>,
     ) {
@@ -1951,8 +1963,21 @@ impl Replica {
             return;
         }
         run.last_activity = ctx.now();
-        for block in blocks {
+        for (block, cert) in blocks {
             if block.seq == self.exec_seq + 1 {
+                let digest =
+                    PbftBlock::compute_digest(block.view, block.seq, block.proposer, &block.reqs);
+                let proven = matches!(cert.kind, CertKind::Commit | CertKind::Aggregate(VotePhase::Commit))
+                    && (cert.view, cert.seq, cert.digest) == (block.view, block.seq, digest)
+                    && self.verify_qc(&cert);
+                if !proven {
+                    ctx.stats().inc(stat::SYNC_BAD_CERTS, 1);
+                    if let Some(run) = self.sync.as_mut() {
+                        run.peer = next_sync_peer(self.cfg.n, self.me, run.peer);
+                    }
+                    self.send_sync_request(ctx);
+                    return;
+                }
                 self.execute_block(&block, ctx);
                 if self.crashed {
                     return; // I/O failure while journaling the tail
@@ -2075,9 +2100,8 @@ impl Replica {
     fn on_sync_timer(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
         enum Act {
             Idle,
-            Manifest,
+            Request,
             Pump,
-            Tail { peer: usize, no_diff: bool },
         }
         let retry_after = self.sync_retry_interval().saturating_mul(2);
         let (n, me) = (self.cfg.n, self.me);
@@ -2087,40 +2111,21 @@ impl Replica {
                 run.peer = next_sync_peer(n, me, run.peer);
                 run.last_activity = ctx.now();
                 match &mut run.phase {
-                    SyncPhase::AwaitManifest => Act::Manifest,
+                    SyncPhase::AwaitManifest | SyncPhase::AwaitTail => Act::Request,
                     // Outstanding chunk requests went unanswered: forget
                     // the in-flight set and re-issue across rotated peers.
                     SyncPhase::Chunks { inflight, .. } => {
                         inflight.clear();
                         Act::Pump
                     }
-                    SyncPhase::AwaitTail => Act::Tail { peer: run.peer, no_diff: run.no_diff },
                 }
             }
             Some(_) => Act::Idle,
         };
         match act {
             Act::Idle => {}
-            Act::Manifest => self.send_sync_request(ctx),
+            Act::Request => self.send_sync_request(ctx),
             Act::Pump => self.pump_chunk_requests(ctx),
-            Act::Tail { peer, no_diff } => {
-                // Keep advertising the retained window on retries: if a
-                // newer cert formed, the re-anchor stays incremental.
-                let old_roots = if self.cfg.diff_sync && !no_diff {
-                    self.advertised_roots()
-                } else {
-                    Vec::new()
-                };
-                ctx.send(
-                    self.group[peer],
-                    PbftMsg::SyncRequest {
-                        requester: self.me,
-                        have_seq: self.exec_seq,
-                        full: false,
-                        old_roots,
-                    },
-                );
-            }
         }
         ctx.set_timer(self.sync_retry_interval(), TIMER_SYNC);
     }
@@ -2151,19 +2156,18 @@ impl Replica {
             // Recent gap: serve the committed blocks directly (executed
             // instances are retained above the previous stable checkpoint).
             if have_seq >= self.insts_floor {
-                let blocks: Option<Vec<Arc<PbftBlock>>> = (have_seq + 1..=self.exec_seq)
+                let blocks: Option<Vec<(Arc<PbftBlock>, QuorumCert)>> = (have_seq + 1
+                    ..=self.exec_seq)
                     .map(|s| {
-                        self.insts
-                            .get(&s)
-                            .filter(|i| i.executed)
-                            .and_then(|i| i.block.clone())
+                        let inst = self.insts.get(&s).filter(|i| i.executed)?;
+                        Some((inst.block.clone()?, inst.cert.clone()?))
                     })
                     .collect();
                 if let Some(mut blocks) = blocks {
                     if self.byzantine && self.cfg.attack == Attack::ForgeTail {
                         forge_tail(&mut blocks);
                     }
-                    let bytes: usize = blocks.iter().map(|b| b.wire_size()).sum();
+                    let bytes: usize = blocks.iter().map(|(b, _)| b.wire_size()).sum();
                     self.charge(ctx, SimDuration::from_nanos((bytes / 8) as u64), false);
                     ctx.send(to, PbftMsg::SyncTail { blocks, view: self.view });
                     return;
@@ -2363,7 +2367,7 @@ impl Replica {
         self.executed_reqs = ExecutedCache::new();
         self.ingested.clear();
         (self.pool, self.batcher) = fresh_pool(&self.cfg);
-        self.ckpt = CheckpointTracker::new();
+        self.ckpt = CheckpointVotes::default();
         self.pending_cert = None;
         self.snapshots.clear();
         self.serving.clear();
@@ -2400,7 +2404,7 @@ impl Replica {
         self.next_seq = cert.seq + 1;
         self.low_mark = cert.seq;
         self.insts_floor = cert.seq;
-        self.ckpt.adopt(cert.clone());
+        self.ckpt.adopt(cert.seq);
         self.serving = vec![(cert, snap)];
     }
 
@@ -2649,7 +2653,7 @@ impl Replica {
         ctx.multicast(self.others(), PbftMsg::PoolPull { view });
         for block in repro {
             self.insts.remove(&block.seq);
-            self.accept_block(block, ctx);
+            self.accept_block(block, MsgCert::Simulated, ctx);
         }
         self.try_propose(ctx);
     }
@@ -2666,7 +2670,7 @@ impl Replica {
         for block in reproposals {
             if block.seq > self.exec_seq {
                 self.insts.remove(&block.seq);
-                self.accept_block(block, ctx);
+                self.accept_block(block, MsgCert::Simulated, ctx);
             }
         }
     }
@@ -2772,10 +2776,10 @@ fn vote_msg(phase: VotePhase, vote: Vote) -> PbftMsg {
 }
 
 /// [`Attack::ForgeTail`]: rewrite the first request of a served tail to
-/// set a key no client writes. The block keeps its digest field, so only
-/// a receiver that recomputes the digest can tell.
-fn forge_tail(blocks: &mut [Arc<PbftBlock>]) {
-    let Some(first) = blocks.first_mut() else { return };
+/// set a key no client writes. The block keeps its digest field and its
+/// certificate, so only a receiver that recomputes the digest can tell.
+fn forge_tail(blocks: &mut [(Arc<PbftBlock>, QuorumCert)]) {
+    let Some((first, _)) = blocks.first_mut() else { return };
     let mut reqs = first.reqs.as_ref().clone();
     let Some(req) = reqs.first_mut() else { return };
     let forged = ("forged".to_string(), ahl_ledger::Mutation::Set(Value::Int(666)));
@@ -2862,8 +2866,10 @@ impl Actor for Replica {
             PbftMsg::Commit(v) => self.on_vote(VotePhase::Commit, v, ctx),
             PbftMsg::RelayPrepare(v) => self.on_relay_vote(VotePhase::Prepare, v, ctx),
             PbftMsg::RelayCommit(v) => self.on_relay_vote(VotePhase::Commit, v, ctx),
-            PbftMsg::AggPrepare(p) => self.on_agg_prepare(p, ctx),
-            PbftMsg::AggCommit(p) => self.on_agg_commit(p, ctx),
+            PbftMsg::AggPrepare(cert) | PbftMsg::AggCommit(cert) => {
+                let Some(idx) = self.group_index(from) else { return };
+                self.on_aggregate(idx, cert, ctx);
+            }
             PbftMsg::Checkpoint { vote } => self.on_checkpoint(vote, ctx),
             PbftMsg::ViewChange(vc) => self.on_view_change(vc, ctx),
             PbftMsg::NewView { view, reproposals } => self.on_new_view(view, reproposals, ctx),

@@ -13,91 +13,23 @@
 
 use std::sync::Arc;
 
-use ahl_crypto::{Hash, Signature};
+use ahl_crypto::Hash;
 use ahl_ledger::{persist, StateSidecar, Value};
 use ahl_net::wire::Wire;
 use ahl_simkit::SimTime;
-use ahl_store::{CheckpointCert, CheckpointVote};
-use ahl_tee::{Attestation, LogId, Slot};
 use ahl_wal::codec::{Reader, Writer};
 
-use crate::common::{ExecutedWindow, Request};
+use crate::common::{ExecutedWindow, Request, VotePhase};
 
-use super::msg::{AggProof, MsgCert, PbftBlock, PbftMsg, ViewChangeMsg, Vote};
-
-fn enc_sig(s: &Signature, w: &mut Writer) {
-    w.bytes(&s.to_bytes());
-}
-
-fn dec_sig(r: &mut Reader<'_>) -> Option<Signature> {
-    let b: [u8; Signature::BYTES] = r.bytes()?.try_into().ok()?;
-    Some(Signature::from_bytes(&b))
-}
-
-fn enc_opt_sig(s: &Option<Signature>, w: &mut Writer) {
-    match s {
-        Some(s) => {
-            w.u8(1);
-            enc_sig(s, w);
-        }
-        None => w.u8(0),
-    }
-}
-
-fn dec_opt_sig(r: &mut Reader<'_>) -> Option<Option<Signature>> {
-    match r.u8()? {
-        0 => Some(None),
-        1 => Some(Some(dec_sig(r)?)),
-        _ => None,
-    }
-}
-
-fn enc_attestation(a: &Attestation, w: &mut Writer) {
-    w.u32(a.log.0);
-    w.u64(a.slot.view);
-    w.u64(a.slot.seq);
-    w.hash(&a.digest);
-    enc_sig(&a.sig, w);
-}
-
-fn dec_attestation(r: &mut Reader<'_>) -> Option<Attestation> {
-    Some(Attestation {
-        log: LogId(r.u32()?),
-        slot: Slot { view: r.u64()?, seq: r.u64()? },
-        digest: r.hash()?,
-        sig: dec_sig(r)?,
-    })
-}
-
-fn enc_cert(c: &MsgCert, w: &mut Writer) {
-    match c {
-        MsgCert::Simulated => w.u8(0),
-        MsgCert::Sig(s) => {
-            w.u8(1);
-            enc_sig(s, w);
-        }
-        MsgCert::Attested(a) => {
-            w.u8(2);
-            enc_attestation(a, w);
-        }
-    }
-}
-
-fn dec_cert(r: &mut Reader<'_>) -> Option<MsgCert> {
-    match r.u8()? {
-        0 => Some(MsgCert::Simulated),
-        1 => Some(MsgCert::Sig(dec_sig(r)?)),
-        2 => Some(MsgCert::Attested(dec_attestation(r)?)),
-        _ => None,
-    }
-}
+use super::cert::{CertKind, QuorumCert};
+use super::msg::{MsgCert, PbftBlock, PbftMsg, ViewChangeMsg, Vote};
 
 fn enc_vote(v: &Vote, w: &mut Writer) {
     w.u64(v.view);
     w.u64(v.seq);
     w.hash(&v.digest);
     w.u64(v.replica as u64);
-    enc_cert(&v.cert, w);
+    v.cert.encode(w);
 }
 
 fn dec_vote(r: &mut Reader<'_>) -> Option<Vote> {
@@ -106,25 +38,7 @@ fn dec_vote(r: &mut Reader<'_>) -> Option<Vote> {
         seq: r.u64()?,
         digest: r.hash()?,
         replica: r.u64()? as usize,
-        cert: dec_cert(r)?,
-    })
-}
-
-fn enc_agg(a: &AggProof, w: &mut Writer) {
-    w.u64(a.view);
-    w.u64(a.seq);
-    w.hash(&a.digest);
-    w.u64(a.count as u64);
-    enc_opt_sig(&a.sig, w);
-}
-
-fn dec_agg(r: &mut Reader<'_>) -> Option<AggProof> {
-    Some(AggProof {
-        view: r.u64()?,
-        seq: r.u64()?,
-        digest: r.hash()?,
-        count: r.u64()? as usize,
-        sig: dec_opt_sig(r)?,
+        cert: MsgCert::decode(r)?,
     })
 }
 
@@ -166,43 +80,6 @@ fn dec_block(r: &mut Reader<'_>) -> Option<Arc<PbftBlock>> {
     // new() recomputes the digest, so wire bytes cannot smuggle a digest
     // that disagrees with the block's contents.
     Some(Arc::new(PbftBlock::new(view, seq, proposer, reqs)))
-}
-
-fn enc_ckpt_vote(v: &CheckpointVote, w: &mut Writer) {
-    w.u64(v.seq);
-    w.hash(&v.root);
-    w.u64(v.replica as u64);
-    enc_opt_sig(&v.sig, w);
-}
-
-fn dec_ckpt_vote(r: &mut Reader<'_>) -> Option<CheckpointVote> {
-    Some(CheckpointVote {
-        seq: r.u64()?,
-        root: r.hash()?,
-        replica: r.u64()? as usize,
-        sig: dec_opt_sig(r)?,
-    })
-}
-
-fn enc_ckpt_cert(c: &CheckpointCert, w: &mut Writer) {
-    w.u64(c.seq);
-    w.hash(&c.root);
-    w.u32(c.votes.len() as u32);
-    for (replica, sig) in &c.votes {
-        w.u64(*replica as u64);
-        enc_opt_sig(sig, w);
-    }
-}
-
-fn dec_ckpt_cert(r: &mut Reader<'_>) -> Option<CheckpointCert> {
-    let seq = r.u64()?;
-    let root = r.hash()?;
-    let n = r.u32()? as usize;
-    let mut votes = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        votes.push((r.u64()? as usize, dec_opt_sig(r)?));
-    }
-    Some(CheckpointCert { seq, root, votes })
 }
 
 fn enc_vc(vc: &ViewChangeMsg, w: &mut Writer) {
@@ -263,7 +140,7 @@ impl Wire for PbftMsg {
             PbftMsg::PrePrepare { block, cert } => {
                 w.u8(3);
                 enc_block(block, w);
-                enc_cert(cert, w);
+                cert.encode(w);
             }
             PbftMsg::Prepare(v) => {
                 w.u8(4);
@@ -281,17 +158,17 @@ impl Wire for PbftMsg {
                 w.u8(7);
                 enc_vote(v, w);
             }
-            PbftMsg::AggPrepare(a) => {
+            PbftMsg::AggPrepare(c) => {
                 w.u8(8);
-                enc_agg(a, w);
+                c.encode(w);
             }
-            PbftMsg::AggCommit(a) => {
+            PbftMsg::AggCommit(c) => {
                 w.u8(9);
-                enc_agg(a, w);
+                c.encode(w);
             }
             PbftMsg::Checkpoint { vote } => {
                 w.u8(10);
-                enc_ckpt_vote(vote, w);
+                vote.encode(w);
             }
             PbftMsg::ViewChange(vc) => {
                 w.u8(11);
@@ -339,7 +216,7 @@ impl Wire for PbftMsg {
             }
             PbftMsg::SyncManifest { cert, bits, leaves, sidecar, executed, view, diff, diff_base } => {
                 w.u8(19);
-                enc_ckpt_cert(cert, w);
+                cert.encode(w);
                 w.u8(*bits);
                 w.u64(*leaves);
                 sidecar.encode(w);
@@ -380,8 +257,10 @@ impl Wire for PbftMsg {
             PbftMsg::SyncTail { blocks, view } => {
                 w.u8(22);
                 w.u32(blocks.len() as u32);
-                for b in blocks {
+                for (b, c) in blocks {
                     enc_block(b, w);
+                    w.u8(c.kind.tag());
+                    c.encode(w);
                 }
                 w.u64(*view);
             }
@@ -414,14 +293,14 @@ impl Wire for PbftMsg {
             0 => PbftMsg::Request(dec_request(r)?),
             1 => PbftMsg::Relay(dec_request(r)?),
             2 => PbftMsg::Gossip(dec_request(r)?),
-            3 => PbftMsg::PrePrepare { block: dec_block(r)?, cert: dec_cert(r)? },
+            3 => PbftMsg::PrePrepare { block: dec_block(r)?, cert: MsgCert::decode(r)? },
             4 => PbftMsg::Prepare(dec_vote(r)?),
             5 => PbftMsg::Commit(dec_vote(r)?),
             6 => PbftMsg::RelayPrepare(dec_vote(r)?),
             7 => PbftMsg::RelayCommit(dec_vote(r)?),
-            8 => PbftMsg::AggPrepare(dec_agg(r)?),
-            9 => PbftMsg::AggCommit(dec_agg(r)?),
-            10 => PbftMsg::Checkpoint { vote: dec_ckpt_vote(r)? },
+            8 => PbftMsg::AggPrepare(QuorumCert::decode(r, CertKind::Aggregate(VotePhase::Prepare))?),
+            9 => PbftMsg::AggCommit(QuorumCert::decode(r, CertKind::Aggregate(VotePhase::Commit))?),
+            10 => PbftMsg::Checkpoint { vote: QuorumCert::decode(r, CertKind::Checkpoint)? },
             11 => PbftMsg::ViewChange(dec_vc(r)?),
             12 => PbftMsg::PoolPull { view: r.u64()? },
             13 => {
@@ -449,7 +328,7 @@ impl Wire for PbftMsg {
                 PbftMsg::SyncRequest { requester, have_seq, full, old_roots }
             }
             19 => {
-                let cert = dec_ckpt_cert(r)?;
+                let cert = QuorumCert::decode(r, CertKind::Checkpoint)?;
                 let bits = r.u8()?;
                 let leaves = r.u64()?;
                 let sidecar = Arc::new(StateSidecar::decode(r)?);
@@ -508,7 +387,9 @@ impl Wire for PbftMsg {
                 let n = r.u32()? as usize;
                 let mut blocks = Vec::with_capacity(n.min(4096));
                 for _ in 0..n {
-                    blocks.push(dec_block(r)?);
+                    let block = dec_block(r)?;
+                    let kind = CertKind::from_tag(r.u8()?)?;
+                    blocks.push((block, QuorumCert::decode(r, kind)?));
                 }
                 PbftMsg::SyncTail { blocks, view: r.u64()? }
             }
@@ -540,8 +421,9 @@ fn dec_bool(r: &mut Reader<'_>) -> Option<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ahl_crypto::{sha256, KeyRegistry};
+    use ahl_crypto::{sha256, KeyRegistry, Signature};
     use ahl_ledger::{kvstore, Op, TxId};
+    use ahl_tee::{Attestation, LogId, Slot};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -592,14 +474,20 @@ mod tests {
         Arc::new(PbftBlock::new(rng.gen_range(0..9u64), rng.gen_range(0..999u64), rng.gen_range(0..7usize), reqs))
     }
 
-    fn ckpt_cert(rng: &mut SmallRng) -> CheckpointCert {
-        CheckpointCert {
+    /// A certificate of `kind` with up to `max` signers of random proofs.
+    fn quorum_cert(kind: CertKind, max: usize, rng: &mut SmallRng) -> QuorumCert {
+        QuorumCert {
+            kind,
+            view: if kind == CertKind::Checkpoint { 0 } else { rng.gen() },
             seq: rng.gen(),
-            root: sha256(rng.gen::<u64>().to_be_bytes()),
-            votes: (0..rng.gen_range(0..5usize))
-                .map(|i| (i, rng.gen_bool(0.5).then(|| sig(rng.gen()))))
-                .collect(),
+            digest: sha256(rng.gen::<u64>().to_be_bytes()),
+            signers: (0..rng.gen_range(0..=max)).map(|i| (i, cert(rng))).collect(),
         }
+    }
+
+    fn tail_cert(rng: &mut SmallRng) -> QuorumCert {
+        let kind = if rng.gen_bool(0.5) { CertKind::Commit } else { CertKind::Aggregate(VotePhase::Commit) };
+        quorum_cert(kind, 4, rng)
     }
 
     /// Build one message of the given variant from the rng — covers all
@@ -614,28 +502,9 @@ mod tests {
             5 => PbftMsg::Commit(vote(rng)),
             6 => PbftMsg::RelayPrepare(vote(rng)),
             7 => PbftMsg::RelayCommit(vote(rng)),
-            8 => PbftMsg::AggPrepare(AggProof {
-                view: rng.gen(),
-                seq: rng.gen(),
-                digest: sha256(b"a"),
-                count: rng.gen_range(0..20usize),
-                sig: rng.gen_bool(0.5).then(|| sig(rng.gen())),
-            }),
-            9 => PbftMsg::AggCommit(AggProof {
-                view: rng.gen(),
-                seq: rng.gen(),
-                digest: sha256(b"b"),
-                count: rng.gen_range(0..20usize),
-                sig: None,
-            }),
-            10 => PbftMsg::Checkpoint {
-                vote: CheckpointVote {
-                    seq: rng.gen(),
-                    root: sha256(rng.gen::<u64>().to_be_bytes()),
-                    replica: rng.gen_range(0..16usize),
-                    sig: rng.gen_bool(0.5).then(|| sig(rng.gen())),
-                },
-            },
+            8 => PbftMsg::AggPrepare(quorum_cert(CertKind::Aggregate(VotePhase::Prepare), 1, rng)),
+            9 => PbftMsg::AggCommit(quorum_cert(CertKind::Aggregate(VotePhase::Commit), 1, rng)),
+            10 => PbftMsg::Checkpoint { vote: quorum_cert(CertKind::Checkpoint, 1, rng) },
             11 => PbftMsg::ViewChange(ViewChangeMsg {
                 new_view: rng.gen(),
                 last_stable: rng.gen(),
@@ -662,7 +531,7 @@ mod tests {
                     .collect(),
             },
             19 => PbftMsg::SyncManifest {
-                cert: ckpt_cert(rng),
+                cert: quorum_cert(CertKind::Checkpoint, 4, rng),
                 bits: rng.gen_range(0..12u8),
                 leaves: rng.gen(),
                 sidecar: Arc::new(StateSidecar::default()),
@@ -693,7 +562,7 @@ mod tests {
                 ),
             },
             22 => PbftMsg::SyncTail {
-                blocks: (0..rng.gen_range(0..3usize)).map(|_| block(rng)).collect(),
+                blocks: (0..rng.gen_range(0..3usize)).map(|_| (block(rng), tail_cert(rng))).collect(),
                 view: rng.gen(),
             },
             23 => PbftMsg::SyncNack { have_seq: rng.gen() },
@@ -753,6 +622,28 @@ mod tests {
     #[test]
     fn unknown_tag_rejected() {
         assert!(PbftMsg::from_slice(&[200]).is_none());
+    }
+
+    /// Every carrier of a certificate — aggregates, checkpoint votes, the
+    /// manifest and each tail entry — refuses one whose signer count
+    /// claims `u32::MAX` with nothing after it: the shared cap stops the
+    /// decoder before it allocates for them.
+    #[test]
+    fn certificate_claiming_u32_max_signers_is_refused() {
+        let mut rng = SmallRng::seed_from_u64(5);
+        for tag in [8u8, 9, 10, 19, 22] {
+            let mut w = Writer::new();
+            w.u8(tag);
+            if tag == 22 {
+                w.u32(1);
+                enc_block(&block(&mut rng), &mut w);
+                w.u8(1); // a commit certificate follows
+            }
+            w.u64(1);
+            w.hash(&sha256(b"certified"));
+            w.u32(u32::MAX);
+            assert!(PbftMsg::from_slice(&w.into_bytes()).is_none(), "tag {tag}");
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The building block the paper's epoch reconfiguration (§5.3) leans on but
 //! the seed reproduction only simulated: state a node can *verify*, not
-//! just copy. Three pieces:
+//! just copy. Two pieces:
 //!
 //! * [`SparseMerkleTree`] — a **persistent** (copy-on-write,
 //!   structurally-shared) path-compressed sparse Merkle tree over
@@ -16,12 +16,10 @@
 //!   that lend out keys or values go through a [`SmtView`]. Retained
 //!   snapshots power [`SparseMerkleTree::diff_chunks`], the changed-chunk
 //!   report behind incremental sync.
-//! * [`CheckpointVote`] / [`CheckpointCert`] — every `K` blocks replicas
-//!   sign `(height, state_root)`; a quorum of matching votes forms a
-//!   certificate that gates pruning and anchors state transfer.
-//! * [`SyncSession`] — a lagging or joining replica fetches the latest
-//!   certificate, then key-range chunks (in any order, from several peers
-//!   in parallel), verifying each against the certified root
+//! * [`SyncSession`] — a lagging or joining replica takes a certified
+//!   `(height, state_root)` (the consensus layer's checkpoint certificate
+//!   vouches for it), then fetches key-range chunks (in any order, from
+//!   several peers in parallel), verifying each against the certified root
 //!   ([`verify_chunk`]) before accepting it. A **full** plan fetches every
 //!   chunk; a **diff** plan ([`SyncSession::new_diff`]) fetches only the
 //!   chunks changed since an older certified root the requester still
@@ -43,7 +41,7 @@
 //!
 //! ```
 //! use ahl_store::{verify_chunk, verify_proof, SparseMerkleTree, SyncSession};
-//! use ahl_store::{key_path, CheckpointCert};
+//! use ahl_store::key_path;
 //! use ahl_crypto::sha256;
 //!
 //! let mut smt = SparseMerkleTree::new();
@@ -69,9 +67,8 @@
 //! // only needs the chunks that changed since.
 //! let bits = 2;
 //! let changed = snap.diff_chunks(&smt, bits);
-//! let cert = CheckpointCert { seq: 1, root: smt.root_hash(), votes: vec![(0, None)] };
 //! let mut session: SyncSession<ahl_crypto::Hash> =
-//!     SyncSession::new_diff(cert, bits, &changed, 0).unwrap();
+//!     SyncSession::new_diff(1, smt.root_hash(), bits, &changed, 0).unwrap();
 //! for &c in &changed {
 //!     let entries: Vec<_> = smt
 //!         .view()
@@ -83,7 +80,7 @@
 //! }
 //! // Overlay the verified chunks onto the old snapshot: the merged tree
 //! // must land exactly on the certified root.
-//! let (cert, chunks) = session.into_verified();
+//! let chunks = session.into_verified();
 //! let mut merged = snap.clone();
 //! for (c, entries) in chunks {
 //!     let stale: Vec<String> =
@@ -95,23 +92,21 @@
 //!         merged.insert(&k, v);
 //!     }
 //! }
-//! assert_eq!(merged.root_hash(), cert.root);
+//! assert_eq!(merged.root_hash(), smt.root_hash());
 //! # let _ = verify_chunk; let _ = key_path;
 //! ```
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod checkpoint;
 mod smt;
 mod sync;
 
-pub use checkpoint::{checkpoint_digest, CheckpointCert, CheckpointTracker, CheckpointVote};
 pub use smt::{
     chunk_of, combine, key_path, leaf_hash, verify_chunk, verify_proof, NodeView, SmtProof,
     SmtView, SparseMerkleTree,
 };
-pub use sync::{chunk_bits_for, SyncError, SyncProgress, SyncSession, VerifiedChunk};
+pub use sync::{chunk_bits_for, SyncError, SyncSession, VerifiedChunk};
 
 use ahl_crypto::Hash;
 

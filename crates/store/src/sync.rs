@@ -1,10 +1,11 @@
 //! Requester-side state-sync session: certificate-anchored, chunked,
 //! verified, resumable — full or incremental (diff).
 //!
-//! A lagging or joining replica (1) obtains the latest [`CheckpointCert`],
-//! (2) requests key-range chunks, verifying each against the certified root
-//! *before* accepting it, and (3) installs the accumulated state once every
-//! planned chunk has verified. Two plans exist:
+//! A lagging or joining replica (1) obtains a certified `(height, root)`
+//! (the consensus layer verifies the certificate), (2) requests key-range
+//! chunks, verifying each against the certified root *before* accepting
+//! it, and (3) installs the accumulated state once every planned chunk has
+//! verified. Two plans exist:
 //!
 //! * **full** — every chunk of the key space (`0 .. 1 << bits`); the
 //!   verified entries *are* the complete state.
@@ -27,7 +28,6 @@ use std::collections::BTreeMap;
 
 use ahl_crypto::Hash;
 
-use crate::checkpoint::CheckpointCert;
 use crate::smt::{key_path, verify_chunk};
 use crate::StateValue;
 
@@ -42,16 +42,14 @@ pub fn chunk_bits_for(leaves: usize, target: usize) -> u8 {
 /// Why a sync step was refused.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SyncError {
-    /// The offered certificate does not cover anything newer than what the
-    /// requester already has.
+    /// The certified height is not newer than what the requester already
+    /// has.
     StaleCert {
         /// The requester's current height.
         have: u64,
-        /// The certificate's height.
+        /// The certified height.
         cert: u64,
     },
-    /// The certificate failed quorum/signature verification.
-    BadCert,
     /// A chunk outside the transfer plan arrived (wrong index, or a chunk
     /// the diff plan never asked for).
     UnknownChunk {
@@ -65,39 +63,16 @@ pub enum SyncError {
     },
 }
 
-impl std::fmt::Display for SyncError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SyncError::StaleCert { have, cert } => {
-                write!(f, "stale certificate: have seq {have}, cert seq {cert}")
-            }
-            SyncError::BadCert => write!(f, "certificate failed verification"),
-            SyncError::UnknownChunk { got } => {
-                write!(f, "chunk {got} is not part of the transfer plan")
-            }
-            SyncError::BadProof { chunk } => write!(f, "chunk {chunk} failed proof check"),
-        }
-    }
-}
-
-/// Per-session transfer counters (surface into the run's `Stats`).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SyncProgress {
-    /// Chunks verified and accepted.
-    pub chunks_ok: u64,
-    /// Chunks rejected by proof verification.
-    pub proof_failures: u64,
-    /// Key-value pairs accumulated so far.
-    pub leaves: u64,
-}
-
 /// One verified chunk's payload: its index and `(key, value)` entries.
 pub type VerifiedChunk<V> = (u32, Vec<(String, V)>);
 
 /// A resumable chunked-sync session for value type `V`.
 #[derive(Debug)]
 pub struct SyncSession<V> {
-    cert: CheckpointCert,
+    /// The certified height.
+    seq: u64,
+    /// The certified state root every chunk must prove against.
+    root: Hash,
     bits: u8,
     /// Chunk indices to fetch, ascending. Full plan: `0 .. 1 << bits`;
     /// diff plan: the server-reported changed chunks.
@@ -105,30 +80,30 @@ pub struct SyncSession<V> {
     diff: bool,
     /// Verified chunk payloads, keyed by chunk index.
     fetched: BTreeMap<u32, Vec<(String, V)>>,
-    progress: SyncProgress,
 }
 
 impl<V: StateValue> SyncSession<V> {
-    /// Start a full transfer against `cert` with `1 << bits` chunks
-    /// (`bits` is clamped to [`chunk_bits_for`]'s maximum of 16 — a
-    /// malicious manifest cannot overflow the chunk count). Fails if the
-    /// certificate is not ahead of `have_seq` (stale-cert defence: a
-    /// malicious or confused server cannot roll the requester back).
-    pub fn new_full(cert: CheckpointCert, bits: u8, have_seq: u64) -> Result<Self, SyncError> {
-        if cert.seq <= have_seq {
+    /// Start a full transfer to the certified `(seq, root)` with
+    /// `1 << bits` chunks (`bits` is clamped to [`chunk_bits_for`]'s
+    /// maximum of 16 — a malicious manifest cannot overflow the chunk
+    /// count). Fails if `seq` is not ahead of `have_seq` (stale-cert
+    /// defence: a malicious or confused server cannot roll the requester
+    /// back).
+    pub fn new_full(seq: u64, root: Hash, bits: u8, have_seq: u64) -> Result<Self, SyncError> {
+        if seq <= have_seq {
             return Err(SyncError::StaleCert {
                 have: have_seq,
-                cert: cert.seq,
+                cert: seq,
             });
         }
         let bits = bits.min(16);
         Ok(SyncSession {
-            cert,
+            seq,
+            root,
             bits,
             plan: (0..1u32 << bits).collect(),
             diff: false,
             fetched: BTreeMap::new(),
-            progress: SyncProgress::default(),
         })
     }
 
@@ -138,15 +113,16 @@ impl<V: StateValue> SyncSession<V> {
     /// count; an empty plan means the retained state already matches the
     /// certified root and the session completes immediately.
     pub fn new_diff(
-        cert: CheckpointCert,
+        seq: u64,
+        root: Hash,
         bits: u8,
         chunks: &[u32],
         have_seq: u64,
     ) -> Result<Self, SyncError> {
-        if cert.seq <= have_seq {
+        if seq <= have_seq {
             return Err(SyncError::StaleCert {
                 have: have_seq,
-                cert: cert.seq,
+                cert: seq,
             });
         }
         let bits = bits.min(16);
@@ -158,23 +134,23 @@ impl<V: StateValue> SyncSession<V> {
         plan.sort_unstable();
         plan.dedup();
         Ok(SyncSession {
-            cert,
+            seq,
+            root,
             bits,
             plan,
             diff: true,
             fetched: BTreeMap::new(),
-            progress: SyncProgress::default(),
         })
-    }
-
-    /// The certificate this session trusts.
-    pub fn cert(&self) -> &CheckpointCert {
-        &self.cert
     }
 
     /// The height the session is syncing to.
     pub fn seq(&self) -> u64 {
-        self.cert.seq
+        self.seq
+    }
+
+    /// The certified root the session verifies chunks against.
+    pub fn root(&self) -> Hash {
+        self.root
     }
 
     /// Whether this is an incremental (diff) transfer.
@@ -185,11 +161,6 @@ impl<V: StateValue> SyncSession<V> {
     /// Chunk-count exponent.
     pub fn bits(&self) -> u8 {
         self.bits
-    }
-
-    /// Total number of chunks in the plan.
-    pub fn total_chunks(&self) -> u32 {
-        self.plan.len() as u32
     }
 
     /// The planned chunks not yet verified, ascending — request these, in
@@ -210,11 +181,6 @@ impl<V: StateValue> SyncSession<V> {
     /// True once every planned chunk has been verified and accepted.
     pub fn is_complete(&self) -> bool {
         self.fetched.len() == self.plan.len()
-    }
-
-    /// Transfer counters so far.
-    pub fn progress(&self) -> SyncProgress {
-        self.progress
     }
 
     /// Verify and accept a chunk (any plan order; duplicates are ignored).
@@ -239,24 +205,21 @@ impl<V: StateValue> SyncSession<V> {
             .map(|(k, v)| (key_path(k), v.leaf_digest()))
             .collect();
         leaves.sort_by_key(|l| l.0 .0);
-        if !verify_chunk(&self.cert.root, chunk, self.bits, &leaves, proof) {
-            self.progress.proof_failures += 1;
+        if !verify_chunk(&self.root, chunk, self.bits, &leaves, proof) {
             return Err(SyncError::BadProof { chunk });
         }
-        self.progress.chunks_ok += 1;
-        self.progress.leaves += entries.len() as u64;
         self.fetched.insert(chunk, entries);
         Ok(self.is_complete())
     }
 
-    /// Consume the completed session, yielding the certificate and the
-    /// verified chunks as `(chunk index, entries)` in ascending chunk
-    /// order. For a full plan, concatenating the entries is the complete
-    /// state; for a diff plan, overlay them chunk-by-chunk onto the
-    /// retained snapshot. Panics if the session is incomplete.
-    pub fn into_verified(self) -> (CheckpointCert, Vec<VerifiedChunk<V>>) {
+    /// Consume the completed session, yielding the verified chunks as
+    /// `(chunk index, entries)` in ascending chunk order. For a full plan,
+    /// concatenating the entries is the complete state; for a diff plan,
+    /// overlay them chunk-by-chunk onto the retained snapshot. Panics if
+    /// the session is incomplete.
+    pub fn into_verified(self) -> Vec<VerifiedChunk<V>> {
         assert!(self.is_complete(), "sync session incomplete");
-        (self.cert, self.fetched.into_iter().collect())
+        self.fetched.into_iter().collect()
     }
 }
 
@@ -279,14 +242,6 @@ mod tests {
         SparseMerkleTree::build((0..n).map(|i| (format!("key-{i}"), Val(i))))
     }
 
-    fn cert_for(t: &SparseMerkleTree<Val>, seq: u64) -> CheckpointCert {
-        CheckpointCert {
-            seq,
-            root: t.root_hash(),
-            votes: vec![(0, None), (1, None)],
-        }
-    }
-
     fn chunk_payload(t: &SparseMerkleTree<Val>, chunk: u32, bits: u8) -> Vec<(String, Val)> {
         t.view()
             .chunk_entries(chunk, bits)
@@ -300,18 +255,17 @@ mod tests {
         let t = fixture(100);
         let bits = 3u8;
         let mut s: SyncSession<Val> =
-            SyncSession::new_full(cert_for(&t, 50), bits, 0).expect("fresh");
-        assert_eq!(s.total_chunks(), 8);
+            SyncSession::new_full(50, t.root_hash(), bits, 0).expect("fresh");
+        assert_eq!(s.missing_chunks().len(), 8);
         // Deliver chunks in a scrambled order (multi-peer fan-out).
         for c in [5u32, 0, 7, 2, 1, 6, 3, 4] {
             let payload = chunk_payload(&t, c, bits);
             let proof = t.chunk_proof(c, bits);
             s.accept_chunk(c, payload, &proof).expect("verifies");
         }
-        assert_eq!(s.progress().chunks_ok, 8);
-        assert_eq!(s.progress().proof_failures, 0);
+        assert!(s.is_complete());
         assert!(s.missing_chunks().is_empty());
-        let (_, chunks) = s.into_verified();
+        let chunks = s.into_verified();
         let entries: Vec<(String, Val)> = chunks.into_iter().flat_map(|(_, e)| e).collect();
         assert_eq!(entries.len(), 100);
         // The verified set reassembles the certified root.
@@ -330,9 +284,9 @@ mod tests {
         let changed = old.diff_chunks(&new, bits);
         assert!(!changed.is_empty() && changed.len() < 1 << bits);
         let mut s: SyncSession<Val> =
-            SyncSession::new_diff(cert_for(&new, 60), bits, &changed, 0).expect("fresh");
+            SyncSession::new_diff(60, new.root_hash(), bits, &changed, 0).expect("fresh");
         assert!(s.is_diff());
-        assert_eq!(s.total_chunks() as usize, changed.len());
+        assert_eq!(s.missing_chunks(), changed);
         // A chunk outside the plan is refused.
         let outside = (0..1u32 << bits)
             .find(|c| !changed.contains(c))
@@ -351,7 +305,7 @@ mod tests {
         }
         // Overlaying the verified chunks onto the old snapshot reproduces
         // the new root exactly.
-        let (cert, chunks) = s.into_verified();
+        let chunks = s.into_verified();
         let mut merged = old.clone();
         for (c, entries) in chunks {
             let stale: Vec<String> = merged
@@ -367,15 +321,16 @@ mod tests {
                 merged.insert(&k, v);
             }
         }
-        assert_eq!(merged.root_hash(), cert.root);
+        assert_eq!(merged.root_hash(), new.root_hash());
     }
 
     #[test]
     fn empty_diff_completes_immediately() {
         let t = fixture(10);
-        let s: SyncSession<Val> = SyncSession::new_diff(cert_for(&t, 5), 3, &[], 0).expect("fresh");
+        let s: SyncSession<Val> =
+            SyncSession::new_diff(5, t.root_hash(), 3, &[], 0).expect("fresh");
         assert!(s.is_complete());
-        assert_eq!(s.total_chunks(), 0);
+        assert!(s.missing_chunks().is_empty());
     }
 
     #[test]
@@ -383,7 +338,7 @@ mod tests {
         let t = fixture(60);
         let bits = 2u8;
         let mut s: SyncSession<Val> =
-            SyncSession::new_full(cert_for(&t, 50), bits, 0).expect("fresh");
+            SyncSession::new_full(50, t.root_hash(), bits, 0).expect("fresh");
         let mut payload = chunk_payload(&t, 0, bits);
         let proof = t.chunk_proof(0, bits);
         if payload.is_empty() {
@@ -396,7 +351,6 @@ mod tests {
             s.accept_chunk(0, payload, &proof),
             Err(SyncError::BadProof { chunk: 0 })
         );
-        assert_eq!(s.progress().proof_failures, 1);
         assert!(s.missing_chunks().contains(&0));
         // Retry with the honest payload: the session accepts it.
         let honest = chunk_payload(&t, 0, bits);
@@ -406,16 +360,16 @@ mod tests {
         // A duplicate delivery of the same chunk is a no-op.
         let dup = chunk_payload(&t, 0, bits);
         assert_eq!(s.accept_chunk(0, dup, &proof), Ok(false));
-        assert_eq!(s.progress().chunks_ok, 1);
+        assert_eq!(s.missing_chunks(), [1, 2, 3]);
     }
 
     #[test]
     fn stale_cert_rejected() {
         let t = fixture(10);
-        let err = SyncSession::<Val>::new_full(cert_for(&t, 50), 2, 50).expect_err("stale");
+        let err = SyncSession::<Val>::new_full(50, t.root_hash(), 2, 50).expect_err("stale");
         assert_eq!(err, SyncError::StaleCert { have: 50, cert: 50 });
-        assert!(SyncSession::<Val>::new_full(cert_for(&t, 51), 2, 50).is_ok());
-        assert!(SyncSession::<Val>::new_diff(cert_for(&t, 50), 2, &[0], 50).is_err());
+        assert!(SyncSession::<Val>::new_full(51, t.root_hash(), 2, 50).is_ok());
+        assert!(SyncSession::<Val>::new_diff(50, t.root_hash(), 2, &[0], 50).is_err());
     }
 
     #[test]
@@ -423,7 +377,7 @@ mod tests {
         let t = fixture(20);
         let bits = 2u8;
         let mut s: SyncSession<Val> =
-            SyncSession::new_full(cert_for(&t, 9), bits, 0).expect("fresh");
+            SyncSession::new_full(9, t.root_hash(), bits, 0).expect("fresh");
         let payload = chunk_payload(&t, 1, bits);
         let proof = t.chunk_proof(1, bits);
         assert_eq!(

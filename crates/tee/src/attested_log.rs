@@ -56,7 +56,8 @@ pub enum LogError {
     Truncated,
 }
 
-fn attestation_digest(log: LogId, slot: Slot, digest: &Hash) -> Hash {
+/// The digest an [`Attestation`] of `digest` at `slot` of `log` signs.
+pub fn attestation_digest(log: LogId, slot: Slot, digest: &Hash) -> Hash {
     sha256_parts(&[
         b"ahl-a2m",
         &log.0.to_be_bytes(),

@@ -39,7 +39,8 @@ mod sealing;
 
 pub use attestation::{verify_quote, Quote, QuotingEnclave};
 pub use attested_log::{
-    estimate_ckp_m, verify_attestation, Attestation, AttestedLog, LogError, LogId, Slot,
+    attestation_digest, estimate_ckp_m, verify_attestation, Attestation, AttestedLog, LogError,
+    LogId, Slot,
 };
 pub use beacon::{verify_cert, BeaconCert, BeaconOutcome, RandomnessBeacon};
 pub use cost::{CostModel, TeeOp};
