@@ -154,7 +154,7 @@ impl QuorumCert {
 
     /// Encode everything but the kind, which the carrier implies: `seq`,
     /// `digest`, the signers, and the view unless this is a checkpoint
-    /// (whose bytes are the old checkpoint certificate's).
+    /// (whose layout manifests already on disk hold).
     pub fn encode(&self, w: &mut Writer) {
         w.u64(self.seq);
         w.hash(&self.digest);
@@ -270,7 +270,7 @@ impl CheckpointVotes {
     pub(crate) fn adopt(&mut self, seq: u64) {
         if seq > self.certified {
             self.certified = seq;
-            self.pending = self.pending.split_off(&(seq + 1));
+            self.pending.retain(|s, _| *s > seq);
         }
     }
 }
@@ -396,12 +396,11 @@ mod tests {
         assert!(t.record(QuorumCert::checkpoint_vote(25, root(1), 0, None), 1).is_some());
     }
 
-    /// The checkpoint kind encodes exactly as the checkpoint certificate
-    /// did before it became a kind: `seq`, root, `u32` count, then each
-    /// vote's `u64` index and `0` (unsigned) or `1` + length-prefixed
-    /// signature. Its modelled size is unchanged too.
+    /// The checkpoint layout manifests on disk already hold: `seq`, root,
+    /// `u32` count, then each vote's `u64` index and `0` (unsigned) or
+    /// `1` + length-prefixed signature; modelled as `48 + 72·signers`.
     #[test]
-    fn checkpoint_bytes_are_the_old_certificates() {
+    fn checkpoint_layout_is_pinned() {
         let key = derive_committee(2, 3).swap_remove(1).key;
         let sig = key.sign(&checkpoint_digest(9, &root(2)));
         let cert = QuorumCert {
@@ -411,16 +410,16 @@ mod tests {
             digest: root(2),
             signers: vec![(0, MsgCert::Simulated), (1, MsgCert::Sig(sig))],
         };
-        let mut old = Writer::new();
-        old.u64(9);
-        old.hash(&root(2));
-        old.u32(2);
-        old.u64(0);
-        old.u8(0);
-        old.u64(1);
-        old.u8(1);
-        old.bytes(&sig.to_bytes());
-        assert_eq!(bytes(&cert), old.into_bytes());
+        let mut layout = Writer::new();
+        layout.u64(9);
+        layout.hash(&root(2));
+        layout.u32(2);
+        layout.u64(0);
+        layout.u8(0);
+        layout.u64(1);
+        layout.u8(1);
+        layout.bytes(&sig.to_bytes());
+        assert_eq!(bytes(&cert), layout.into_bytes());
         assert_eq!(cert.wire_size(), 48 + 72 * 2);
     }
 

@@ -20,7 +20,7 @@
 //!   messages, at the cost of leader CPU and fragility — reproducing the
 //!   paper's finding that AHL+ beats AHLR).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -56,12 +56,13 @@ const TIMER_SYNC: u64 = 4;
 struct Instance {
     view: u64,
     block: Option<Arc<PbftBlock>>,
-    /// Votes per [`VotePhase`]: digest → voter → proof (the leader's
-    /// implicit prepare carries its pre-prepare's). `MsgCert::Sig` votes
-    /// (HL under real crypto) are counted on arrival and checked when
-    /// their digest reaches quorum ([`Replica::settle_deferred`]). At
-    /// quorum the commit map is the block's commit certificate.
-    votes: [HashMap<Hash, BTreeMap<usize, MsgCert>>; 2],
+    /// Votes per [`VotePhase`]: digest → (voter, proof) by ascending
+    /// voter, a certificate's signer order (the leader's implicit prepare
+    /// carries its pre-prepare's proof). `MsgCert::Sig` votes (HL under
+    /// real crypto) are counted on arrival and checked when their digest
+    /// reaches quorum ([`Replica::settle_deferred`]). At quorum the
+    /// commit list becomes the block's commit certificate.
+    votes: [HashMap<Hash, Vec<(usize, MsgCert)>>; 2],
     /// AHLR: votes relayed to this (leader) replica for aggregation.
     relay_votes: [HashMap<Hash, HashSet<usize>>; 2],
     /// Whether this replica has cast its own vote, per phase.
@@ -257,7 +258,21 @@ pub struct Replica {
 
 impl Instance {
     fn votes_for(&self, phase: VotePhase, digest: &Hash) -> usize {
-        self.votes[phase as usize].get(digest).map_or(0, BTreeMap::len)
+        self.votes[phase as usize].get(digest).map_or(0, Vec::len)
+    }
+
+    /// Record `voter`'s `phase` vote for `digest`; a repeat replaces its
+    /// proof. Commit votes after the certificate formed are dropped: the
+    /// quorum is frozen into it.
+    fn cast(&mut self, phase: VotePhase, digest: Hash, voter: usize, proof: MsgCert) {
+        if phase == VotePhase::Commit && self.cert.is_some() {
+            return;
+        }
+        let votes = self.votes[phase as usize].entry(digest).or_default();
+        match votes.binary_search_by_key(&voter, |(i, _)| *i) {
+            Ok(at) => votes[at].1 = proof,
+            Err(at) => votes.insert(at, (voter, proof)),
+        }
     }
 }
 
@@ -753,7 +768,7 @@ impl Replica {
             inst.view = view;
             inst.block = Some(block);
             // The pre-prepare counts as the leader's prepare vote.
-            inst.votes[VotePhase::Prepare as usize].entry(digest).or_default().insert(leader, leader_proof);
+            inst.cast(VotePhase::Prepare, digest, leader, leader_proof);
         }
         if me != leader && !self.insts[&seq].sent[VotePhase::Prepare as usize] {
             self.send_prepare(view, seq, digest, ctx);
@@ -774,7 +789,7 @@ impl Replica {
         };
         if let Some(inst) = self.insts.get_mut(&seq) {
             inst.sent[VotePhase::Prepare as usize] = true;
-            inst.votes[VotePhase::Prepare as usize].entry(digest).or_default().insert(self.me, cert.clone());
+            inst.cast(VotePhase::Prepare, digest, self.me, cert.clone());
         }
         let vote = Vote { view, seq, digest, replica: self.me, cert };
         if self.cfg.variant.leader_aggregation() {
@@ -999,8 +1014,8 @@ impl Replica {
         forged.dedup();
         for r in &forged {
             for votes in &mut inst.votes {
-                if let Some(set) = votes.get_mut(digest) {
-                    set.remove(r);
+                if let Some(list) = votes.get_mut(digest) {
+                    list.retain(|(i, _)| i != r);
                 }
             }
             ctx.stats().inc("consensus.invalid_msg", 1);
@@ -1023,7 +1038,7 @@ impl Replica {
             return;
         }
         let inst = self.insts.entry(vote.seq).or_default();
-        inst.votes[phase as usize].entry(vote.digest).or_default().insert(vote.replica, vote.cert);
+        inst.cast(phase, vote.digest, vote.replica, vote.cert);
         match phase {
             VotePhase::Prepare => self.check_prepared(vote.seq, vote.digest, ctx),
             VotePhase::Commit => self.check_committed(vote.seq, vote.digest, ctx),
@@ -1064,7 +1079,7 @@ impl Replica {
         };
         if let Some(inst) = self.insts.get_mut(&seq) {
             inst.sent[VotePhase::Commit as usize] = true;
-            inst.votes[VotePhase::Commit as usize].entry(digest).or_default().insert(self.me, cert.clone());
+            inst.cast(VotePhase::Commit, digest, self.me, cert.clone());
         }
         let vote = Vote { view, seq, digest, replica: self.me, cert };
         if self.cfg.variant.leader_aggregation() {
@@ -1101,11 +1116,8 @@ impl Replica {
                 break;
             }
         }
-        let Some(inst) = self.insts.get(&seq) else { return };
-        let signers = inst.votes[VotePhase::Commit as usize][&digest]
-            .iter()
-            .map(|(r, proof)| (*r, proof.clone()))
-            .collect();
+        let Some(inst) = self.insts.get_mut(&seq) else { return };
+        let signers = inst.votes[VotePhase::Commit as usize].remove(&digest).unwrap_or_default();
         let cert = QuorumCert { kind: CertKind::Commit, view: inst.view, seq, digest, signers };
         self.commit(cert, ctx);
     }

@@ -353,9 +353,7 @@ fn resubmitted_ids_stay_executed_after_chunked_install() {
 /// so on restart it misses only recent blocks and its first sync peer,
 /// node 4, answers with a tail. The certificate does not verify against
 /// the digest node 3 recomputes, so the tail is refused, and node 3
-/// recovers from an honest peer to the committee's state. (Before tails
-/// carried certificates, the forged tail executed and node 3 ended on a
-/// state no honest replica holds.)
+/// recovers from an honest peer to the committee's state.
 #[test]
 fn forged_tail_from_a_member() {
     use ahl::consensus::adversary::Attack;
