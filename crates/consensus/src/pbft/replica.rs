@@ -101,7 +101,7 @@ enum SyncPhase {
     /// peer in rotation (`inflight` lists the outstanding chunk indices).
     Chunks {
         session: SyncSession<Value>,
-        cert: QuorumCert,
+        cert: Box<QuorumCert>,
         sidecar: Arc<StateSidecar>,
         executed: ExecutedWindow,
         view: u64,
@@ -1744,8 +1744,8 @@ impl Replica {
             run.anchor = None;
         }
         let done = session.is_complete();
-        run.phase =
-            SyncPhase::Chunks { session, cert, sidecar, executed, view, inflight: Vec::new() };
+        let cert = Box::new(cert);
+        run.phase = SyncPhase::Chunks { session, cert, sidecar, executed, view, inflight: Vec::new() };
         if done {
             // Empty diff: the retained snapshot already matches the
             // certified root — skip straight to the install + tail.
@@ -1872,6 +1872,7 @@ impl Replica {
         else {
             unreachable!("install follows the chunk phase")
         };
+        let cert = *cert;
         let is_diff = session.is_diff();
         let bits = session.bits();
         let chunks = session.into_verified();
