@@ -26,6 +26,14 @@ pub(crate) const PREPREPARE_LOG: LogId = LogId(3);
 pub(crate) const AGG_PREPARE_LOG: LogId = LogId(4);
 pub(crate) const AGG_COMMIT_LOG: LogId = LogId(5);
 
+/// The log of `phase`'s votes, and the log of the AHLR aggregates of them.
+pub(crate) fn logs(phase: VotePhase) -> (LogId, LogId) {
+    match phase {
+        VotePhase::Prepare => (PREPARE_LOG, AGG_PREPARE_LOG),
+        VotePhase::Commit => (COMMIT_LOG, AGG_COMMIT_LOG),
+    }
+}
+
 /// Most signers a decoded certificate may claim. A count above it is
 /// refused before anything is allocated, on every carrier.
 pub const MAX_SIGNERS: usize = 1024;
@@ -56,25 +64,20 @@ pub enum CertKind {
 }
 
 impl CertKind {
-    /// The kind's byte, where a carrier holds more than one kind.
+    /// Every kind, indexed by its tag byte where a carrier holds several.
+    const ALL: [CertKind; 4] = [
+        CertKind::Checkpoint,
+        CertKind::Commit,
+        CertKind::Aggregate(VotePhase::Prepare),
+        CertKind::Aggregate(VotePhase::Commit),
+    ];
+
     pub(crate) fn tag(self) -> u8 {
-        match self {
-            CertKind::Checkpoint => 0,
-            CertKind::Commit => 1,
-            CertKind::Aggregate(VotePhase::Prepare) => 2,
-            CertKind::Aggregate(VotePhase::Commit) => 3,
-        }
+        Self::ALL.iter().position(|k| *k == self).expect("every kind is listed") as u8
     }
 
-    /// Inverse of [`CertKind::tag`].
     pub(crate) fn from_tag(tag: u8) -> Option<Self> {
-        Some(match tag {
-            0 => CertKind::Checkpoint,
-            1 => CertKind::Commit,
-            2 => CertKind::Aggregate(VotePhase::Prepare),
-            3 => CertKind::Aggregate(VotePhase::Commit),
-            _ => return None,
-        })
+        Self::ALL.get(tag as usize).copied()
     }
 }
 
@@ -98,8 +101,9 @@ impl QuorumCert {
     /// signed over [`checkpoint_digest`] (`key = None` in cost-only runs,
     /// which carry no signatures).
     pub fn checkpoint_vote(seq: u64, root: Hash, me: usize, key: Option<&SigningKey>) -> Self {
-        let proof = key.map_or(MsgCert::Simulated, |k| MsgCert::Sig(k.sign(&checkpoint_digest(seq, &root))));
-        QuorumCert { kind: CertKind::Checkpoint, view: 0, seq, digest: root, signers: vec![(me, proof)] }
+        let sign = |k: &SigningKey| MsgCert::Sig(k.sign(&checkpoint_digest(seq, &root)));
+        let signers = vec![(me, key.map_or(MsgCert::Simulated, sign))];
+        QuorumCert { kind: CertKind::Checkpoint, view: 0, seq, digest: root, signers }
     }
 
     /// Verify against a quorum of `quorum`: signers in strictly ascending
@@ -125,12 +129,7 @@ impl QuorumCert {
             (CertKind::Checkpoint, false) => checkpoint_digest(self.seq, &self.digest),
             (CertKind::Commit, false) => self.digest,
             (CertKind::Commit, true) => attestation_digest(COMMIT_LOG, slot, &self.digest),
-            (CertKind::Aggregate(VotePhase::Prepare), true) => {
-                attestation_digest(AGG_PREPARE_LOG, slot, &self.digest)
-            }
-            (CertKind::Aggregate(VotePhase::Commit), true) => {
-                attestation_digest(AGG_COMMIT_LOG, slot, &self.digest)
-            }
+            (CertKind::Aggregate(phase), true) => attestation_digest(logs(phase).1, slot, &self.digest),
             _ => return false,
         };
         let mut pairs: Vec<(KeyId, &Signature)> = Vec::with_capacity(self.signers.len());
@@ -186,15 +185,6 @@ impl QuorumCert {
     }
 }
 
-fn encode_sig(s: &Signature, w: &mut Writer) {
-    w.bytes(&s.to_bytes());
-}
-
-fn decode_sig(r: &mut Reader<'_>) -> Option<Signature> {
-    let b: [u8; Signature::BYTES] = r.bytes()?.try_into().ok()?;
-    Some(Signature::from_bytes(&b))
-}
-
 impl MsgCert {
     /// Tag `0` (no bytes), `1` and a signature, or `2` and an attestation.
     pub(crate) fn encode(&self, w: &mut Writer) {
@@ -202,7 +192,7 @@ impl MsgCert {
             MsgCert::Simulated => w.u8(0),
             MsgCert::Sig(s) => {
                 w.u8(1);
-                encode_sig(s, w);
+                w.bytes(&s.to_bytes());
             }
             MsgCert::Attested(a) => {
                 w.u8(2);
@@ -210,21 +200,22 @@ impl MsgCert {
                 w.u64(a.slot.view);
                 w.u64(a.slot.seq);
                 w.hash(&a.digest);
-                encode_sig(&a.sig, w);
+                w.bytes(&a.sig.to_bytes());
             }
         }
     }
 
     /// Inverse of [`MsgCert::encode`].
     pub(crate) fn decode(r: &mut Reader<'_>) -> Option<Self> {
+        let sig = |r: &mut Reader<'_>| Some(Signature::from_bytes(r.bytes()?.try_into().ok()?));
         Some(match r.u8()? {
             0 => MsgCert::Simulated,
-            1 => MsgCert::Sig(decode_sig(r)?),
+            1 => MsgCert::Sig(sig(r)?),
             2 => MsgCert::Attested(Attestation {
                 log: LogId(r.u32()?),
                 slot: Slot { view: r.u64()?, seq: r.u64()? },
                 digest: r.hash()?,
-                sig: decode_sig(r)?,
+                sig: sig(r)?,
             }),
             _ => return None,
         })

@@ -7,7 +7,7 @@ mod msg;
 mod replica;
 mod wire;
 
-pub use cert::{checkpoint_digest, enclave_key, CertKind, QuorumCert, MAX_SIGNERS};
+pub use cert::{checkpoint_digest, CertKind, QuorumCert};
 pub use config::{BftVariant, FaultModel, PbftConfig, ReplyPolicy};
 pub use durable::NodeStore;
 use config::QUEUE_CAPACITY;

@@ -274,9 +274,8 @@ pub enum PbftMsg {
     /// answer for a replica that only lags a little).
     SyncTail {
         /// Committed blocks, ascending and contiguous from the requester's
-        /// `have_seq + 1`, each with its commit certificate: the
-        /// requester executes a block only once the certificate verifies
-        /// against the block's recomputed digest.
+        /// `have_seq + 1`, each with the commit certificate the requester
+        /// verifies against the block's recomputed digest before running it.
         blocks: Vec<(Arc<PbftBlock>, QuorumCert)>,
         /// Sender's current view.
         view: u64,

@@ -29,7 +29,7 @@ use ahl_ledger::{Key, StateSidecar, StateSnapshot, StateStore, Value};
 use ahl_mempool::{Admission, BatchBuilder, BatchConfig, Mempool};
 use ahl_simkit::{Actor, Ctx, NodeId, Phase, Scope, SimDuration, SimTime};
 use ahl_store::{chunk_bits_for, SyncError, SyncSession};
-use ahl_tee::{verify_attestation, AttestedLog, LogId, Slot, TeeOp};
+use ahl_tee::{attestation_digest, AttestedLog, LogId, Slot, TeeOp};
 
 use crate::adversary::{equivocation_half, Attack, EquivocationTracker};
 use crate::common::{
@@ -40,8 +40,8 @@ use crate::pbft::config::{
     PbftConfig, ReplyPolicy, COSTS, EXEC_COST_PER_OP, INGEST_COST, PIPELINE_WIDTH,
 };
 use crate::pbft::cert::{
-    enclave_key, CertKind, CheckpointVotes, QuorumCert, AGG_COMMIT_LOG, AGG_PREPARE_LOG,
-    COMMIT_LOG, PREPARE_LOG, PREPREPARE_LOG,
+    enclave_key, logs, CertKind, CheckpointVotes, QuorumCert, COMMIT_LOG, PREPARE_LOG,
+    PREPREPARE_LOG,
 };
 use crate::pbft::durable::{twopc_kind, NodeStore, TwoPcKind, WalRecord};
 use crate::pbft::msg::{chunk_entry_bytes, MsgCert, PbftBlock, PbftMsg, ViewChangeMsg, Vote};
@@ -57,11 +57,10 @@ struct Instance {
     view: u64,
     block: Option<Arc<PbftBlock>>,
     /// Votes per [`VotePhase`]: digest → (voter, proof) by ascending
-    /// voter, a certificate's signer order (the leader's implicit prepare
-    /// carries its pre-prepare's proof). `MsgCert::Sig` votes (HL under
-    /// real crypto) are counted on arrival and checked when their digest
-    /// reaches quorum ([`Replica::settle_deferred`]). At quorum the
-    /// commit list becomes the block's commit certificate.
+    /// voter, a certificate's signer order. `MsgCert::Sig` votes (HL under
+    /// real crypto) are checked when their digest reaches quorum
+    /// ([`Replica::settle_deferred`]). At quorum the commit list becomes
+    /// the block's commit certificate.
     votes: [HashMap<Hash, Vec<(usize, MsgCert)>>; 2],
     /// AHLR: votes relayed to this (leader) replica for aggregation.
     relay_votes: [HashMap<Hash, HashSet<usize>>; 2],
@@ -470,12 +469,10 @@ impl Replica {
                     && sig.signer == KeyId(signer as u64)
                     && self.registry.verify(digest, sig)
             }
+            // The signature covers the attestation's log, slot and digest.
             MsgCert::Attested(att) => {
-                att.log == log
-                    && att.slot == slot
-                    && att.digest == *digest
-                    && att.sig.signer == enclave_key(&self.registry, signer)
-                    && verify_attestation(&self.registry, att)
+                att.sig.signer == enclave_key(&self.registry, signer)
+                    && self.registry.verify(&attestation_digest(log, slot, digest), &att.sig)
             }
         }
     }
@@ -751,10 +748,10 @@ impl Replica {
         self.accept_block(block, cert, ctx);
     }
 
-    /// Bind `block` to its slot; `leader_proof` (the pre-prepare's cert,
-    /// none for a re-proposal in a new view) stands for the leader's
-    /// implicit prepare vote.
-    fn accept_block(&mut self, block: Arc<PbftBlock>, leader_proof: MsgCert, ctx: &mut Ctx<'_, PbftMsg>) {
+    /// Bind `block` to its slot; `proof` (the pre-prepare's cert, none for
+    /// a re-proposal in a new view) stands for the leader's implicit
+    /// prepare vote.
+    fn accept_block(&mut self, block: Arc<PbftBlock>, proof: MsgCert, ctx: &mut Ctx<'_, PbftMsg>) {
         let seq = block.seq;
         let view = block.view;
         let digest = block.digest;
@@ -768,7 +765,7 @@ impl Replica {
             inst.view = view;
             inst.block = Some(block);
             // The pre-prepare counts as the leader's prepare vote.
-            inst.cast(VotePhase::Prepare, digest, leader, leader_proof);
+            inst.cast(VotePhase::Prepare, digest, leader, proof);
         }
         if me != leader && !self.insts[&seq].sent[VotePhase::Prepare as usize] {
             self.send_prepare(view, seq, digest, ctx);
@@ -965,12 +962,8 @@ impl Replica {
             self.charge(ctx, NATIVE_VERIFY, false);
             return true;
         }
-        let log = match phase {
-            VotePhase::Prepare => PREPARE_LOG,
-            VotePhase::Commit => COMMIT_LOG,
-        };
         let slot = Slot { view: vote.view, seq: vote.seq };
-        self.verify_cert(ctx, &vote.cert, log, vote.replica, slot, &vote.digest)
+        self.verify_cert(ctx, &vote.cert, logs(phase).0, vote.replica, slot, &vote.digest)
     }
 
     /// Whether signature votes are checked at quorum rather than on
@@ -1144,10 +1137,7 @@ impl Replica {
         if vote.view != self.view || self.leader_of(vote.view) != self.me {
             return;
         }
-        let (log, agg_log) = match phase {
-            VotePhase::Prepare => (PREPARE_LOG, AGG_PREPARE_LOG),
-            VotePhase::Commit => (COMMIT_LOG, AGG_COMMIT_LOG),
-        };
+        let (log, agg_log) = logs(phase);
         let slot = Slot { view: vote.view, seq: vote.seq };
         if !self.verify_cert(ctx, &vote.cert, log, vote.replica, slot, &vote.digest) {
             return;
@@ -1744,8 +1734,8 @@ impl Replica {
             run.anchor = None;
         }
         let done = session.is_complete();
-        let cert = Box::new(cert);
-        run.phase = SyncPhase::Chunks { session, cert, sidecar, executed, view, inflight: Vec::new() };
+        let (cert, inflight) = (Box::new(cert), Vec::new());
+        run.phase = SyncPhase::Chunks { session, cert, sidecar, executed, view, inflight };
         if done {
             // Empty diff: the retained snapshot already matches the
             // certified root — skip straight to the install + tail.
@@ -1980,7 +1970,8 @@ impl Replica {
             if block.seq == self.exec_seq + 1 {
                 let digest =
                     PbftBlock::compute_digest(block.view, block.seq, block.proposer, &block.reqs);
-                let proven = matches!(cert.kind, CertKind::Commit | CertKind::Aggregate(VotePhase::Commit))
+                let kind = matches!(cert.kind, CertKind::Commit | CertKind::Aggregate(VotePhase::Commit));
+                let proven = kind
                     && (cert.view, cert.seq, cert.digest) == (block.view, block.seq, digest)
                     && self.verify_qc(&cert);
                 if !proven {
