@@ -160,7 +160,9 @@ pub fn schedule(ops: &[&Op], pending: impl Fn(TxId) -> Option<PendingInfo>) -> V
     let mut last_write: HashMap<Resource, usize> = HashMap::new();
     let mut waves = Vec::with_capacity(ops.len());
     for op in ops {
-        let acc = infer(op, |t| pending(t).or_else(|| batch_prepares.get(&t).cloned()));
+        let acc = infer(op, |t| {
+            pending(t).or_else(|| batch_prepares.get(&t).cloned())
+        });
         let mut wave = 0usize;
         for r in &acc.reads {
             if let Some(w) = last_write.get(r) {
@@ -215,7 +217,10 @@ mod tests {
 
     fn transfer(from: &str, to: &str, amt: i64) -> StateOp {
         StateOp {
-            conditions: vec![Condition::IntAtLeast { key: from.into(), min: amt }],
+            conditions: vec![Condition::IntAtLeast {
+                key: from.into(),
+                min: amt,
+            }],
             mutations: vec![
                 (from.into(), Mutation::Add(-amt)),
                 (to.into(), Mutation::Add(amt)),
@@ -229,26 +234,59 @@ mod tests {
 
     #[test]
     fn disjoint_directs_do_not_conflict() {
-        let a = infer(&Op::Direct { txid: TxId(1), op: transfer("a", "b", 1) }, no_pending);
-        let b = infer(&Op::Direct { txid: TxId(2), op: transfer("c", "d", 1) }, no_pending);
+        let a = infer(
+            &Op::Direct {
+                txid: TxId(1),
+                op: transfer("a", "b", 1),
+            },
+            no_pending,
+        );
+        let b = infer(
+            &Op::Direct {
+                txid: TxId(2),
+                op: transfer("c", "d", 1),
+            },
+            no_pending,
+        );
         assert!(!a.conflicts(&b));
     }
 
     #[test]
     fn overlapping_directs_conflict() {
-        let a = infer(&Op::Direct { txid: TxId(1), op: transfer("a", "b", 1) }, no_pending);
-        let b = infer(&Op::Direct { txid: TxId(2), op: transfer("b", "c", 1) }, no_pending);
+        let a = infer(
+            &Op::Direct {
+                txid: TxId(1),
+                op: transfer("a", "b", 1),
+            },
+            no_pending,
+        );
+        let b = infer(
+            &Op::Direct {
+                txid: TxId(2),
+                op: transfer("b", "c", 1),
+            },
+            no_pending,
+        );
         assert!(a.conflicts(&b));
     }
 
     #[test]
     fn prepare_conflicts_with_direct_via_lock_marker() {
         // The prepare writes L_a; the direct reads L_a (2PL lock check).
-        let p = infer(&Op::Prepare { txid: TxId(1), op: transfer("a", "x", 1) }, no_pending);
+        let p = infer(
+            &Op::Prepare {
+                txid: TxId(1),
+                op: transfer("a", "x", 1),
+            },
+            no_pending,
+        );
         let d = infer(
             &Op::Direct {
                 txid: TxId(2),
-                op: StateOp { conditions: vec![], mutations: vec![("a".into(), Mutation::Add(1))] },
+                op: StateOp {
+                    conditions: vec![],
+                    mutations: vec![("a".into(), Mutation::Add(1))],
+                },
             },
             no_pending,
         );
@@ -271,10 +309,22 @@ mod tests {
     #[test]
     fn schedule_groups_independent_ops() {
         let ops = [
-            Op::Direct { txid: TxId(1), op: transfer("a", "b", 1) },
-            Op::Direct { txid: TxId(2), op: transfer("c", "d", 1) },
-            Op::Direct { txid: TxId(3), op: transfer("b", "c", 1) }, // hits both
-            Op::Direct { txid: TxId(4), op: transfer("e", "f", 1) },
+            Op::Direct {
+                txid: TxId(1),
+                op: transfer("a", "b", 1),
+            },
+            Op::Direct {
+                txid: TxId(2),
+                op: transfer("c", "d", 1),
+            },
+            Op::Direct {
+                txid: TxId(3),
+                op: transfer("b", "c", 1),
+            }, // hits both
+            Op::Direct {
+                txid: TxId(4),
+                op: transfer("e", "f", 1),
+            },
         ];
         let refs: Vec<&Op> = ops.iter().collect();
         let waves = schedule(&refs, no_pending);
@@ -286,15 +336,27 @@ mod tests {
         // Prepare → Commit for one txid must order, even though the commit
         // has no pending entry in the store yet (it is created in-batch).
         let ops = [
-            Op::Prepare { txid: TxId(7), op: transfer("a", "b", 1) },
+            Op::Prepare {
+                txid: TxId(7),
+                op: transfer("a", "b", 1),
+            },
             Op::Commit { txid: TxId(7) },
-            Op::Direct { txid: TxId(8), op: transfer("a", "z", 1) },
+            Op::Direct {
+                txid: TxId(8),
+                op: transfer("a", "z", 1),
+            },
         ];
         let refs: Vec<&Op> = ops.iter().collect();
         let waves = schedule(&refs, no_pending);
-        assert!(waves[1] > waves[0], "commit must follow its prepare: {waves:?}");
+        assert!(
+            waves[1] > waves[0],
+            "commit must follow its prepare: {waves:?}"
+        );
         // The direct touches "a", locked by the prepare: later wave too.
-        assert!(waves[2] > waves[0], "direct must observe the lock: {waves:?}");
+        assert!(
+            waves[2] > waves[0],
+            "direct must observe the lock: {waves:?}"
+        );
     }
 
     #[test]
@@ -303,7 +365,10 @@ mod tests {
         // still serializes it against a *later* prepare of the same tx.
         let ops = [
             Op::Commit { txid: TxId(9) },
-            Op::Prepare { txid: TxId(9), op: transfer("a", "b", 1) },
+            Op::Prepare {
+                txid: TxId(9),
+                op: transfer("a", "b", 1),
+            },
         ];
         let refs: Vec<&Op> = ops.iter().collect();
         let waves = schedule(&refs, no_pending);
@@ -318,10 +383,19 @@ mod tests {
         // must survive the duplicate (the memo unions both key sets, so
         // the duplicate's keys become phantom edges, never lost ones).
         let ops = [
-            Op::Prepare { txid: TxId(5), op: transfer("a", "b", 1) },
-            Op::Prepare { txid: TxId(5), op: transfer("x", "y", 1) }, // dup
+            Op::Prepare {
+                txid: TxId(5),
+                op: transfer("a", "b", 1),
+            },
+            Op::Prepare {
+                txid: TxId(5),
+                op: transfer("x", "y", 1),
+            }, // dup
             Op::Commit { txid: TxId(5) },
-            Op::Direct { txid: TxId(6), op: transfer("a", "z", 1) },
+            Op::Direct {
+                txid: TxId(6),
+                op: transfer("a", "z", 1),
+            },
         ];
         let refs: Vec<&Op> = ops.iter().collect();
         let waves = schedule(&refs, no_pending);
@@ -341,11 +415,23 @@ mod tests {
         // commit's write set would only cover {x, w} and the Direct could
         // share the commit's wave, planning against stale locked state.
         let ops = [
-            Op::Prepare { txid: TxId(1), op: transfer("x", "y", 1) },
-            Op::Prepare { txid: TxId(5), op: transfer("x", "w", 1) }, // fails: x locked
-            Op::Prepare { txid: TxId(5), op: transfer("a", "b", 1) }, // wins
+            Op::Prepare {
+                txid: TxId(1),
+                op: transfer("x", "y", 1),
+            },
+            Op::Prepare {
+                txid: TxId(5),
+                op: transfer("x", "w", 1),
+            }, // fails: x locked
+            Op::Prepare {
+                txid: TxId(5),
+                op: transfer("a", "b", 1),
+            }, // wins
             Op::Commit { txid: TxId(5) },
-            Op::Direct { txid: TxId(6), op: transfer("a", "z", 1) },
+            Op::Direct {
+                txid: TxId(6),
+                op: transfer("a", "z", 1),
+            },
         ];
         let refs: Vec<&Op> = ops.iter().collect();
         let waves = schedule(&refs, no_pending);
@@ -358,8 +444,14 @@ mod tests {
     #[test]
     fn reads_share_a_wave() {
         let ops = [
-            Op::Read { txid: TxId(1), keys: vec!["a".into()] },
-            Op::Read { txid: TxId(2), keys: vec!["a".into()] },
+            Op::Read {
+                txid: TxId(1),
+                keys: vec!["a".into()],
+            },
+            Op::Read {
+                txid: TxId(2),
+                keys: vec!["a".into()],
+            },
         ];
         let refs: Vec<&Op> = ops.iter().collect();
         assert_eq!(schedule(&refs, no_pending), vec![0, 0]);
@@ -368,7 +460,10 @@ mod tests {
     #[test]
     fn write_after_read_ordered() {
         let ops = [
-            Op::Read { txid: TxId(1), keys: vec!["a".into()] },
+            Op::Read {
+                txid: TxId(1),
+                keys: vec!["a".into()],
+            },
             Op::Direct {
                 txid: TxId(2),
                 op: StateOp {

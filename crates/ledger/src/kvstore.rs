@@ -59,14 +59,23 @@ mod tests {
     #[test]
     fn overwrite_same_key() {
         let mut s = StateStore::new();
-        s.execute(&Op::Direct { txid: TxId(1), op: kv_write(&[5], 4) });
-        s.execute(&Op::Direct { txid: TxId(2), op: kv_write(&[5], 9) });
+        s.execute(&Op::Direct {
+            txid: TxId(1),
+            op: kv_write(&[5], 4),
+        });
+        s.execute(&Op::Direct {
+            txid: TxId(2),
+            op: kv_write(&[5], 9),
+        });
         assert!(matches!(s.get(&kv_key(5)), Some(Value::Bytes(b)) if b.len() == 9));
         assert_eq!(s.len(), 1);
     }
 
     #[test]
     fn read_keys_mapping() {
-        assert_eq!(kv_read_keys(&[1, 2]), vec!["kv_1".to_string(), "kv_2".to_string()]);
+        assert_eq!(
+            kv_read_keys(&[1, 2]),
+            vec!["kv_1".to_string(), "kv_2".to_string()]
+        );
     }
 }

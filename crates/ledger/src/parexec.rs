@@ -60,7 +60,10 @@ fn execute_in_order(state: &mut StateStore, ops: &[&Op]) -> Vec<ExecOutcome> {
         .map(|op| {
             let plan = state.plan(op);
             let had_pending = plan.had_pending();
-            ExecOutcome { receipt: state.apply_plan_deferred(plan), had_pending }
+            ExecOutcome {
+                receipt: state.apply_plan_deferred(plan),
+                had_pending,
+            }
         })
         .collect();
     state.rehash();
@@ -96,10 +99,16 @@ pub fn execute_ops(state: &mut StateStore, ops: &[&Op], workers: usize) -> Vec<E
         let had: Vec<bool> = plans.iter().map(|p| p.had_pending()).collect();
         let receipts = state.apply_plans(plans, workers);
         for ((i, receipt), had_pending) in wave.iter().zip(receipts).zip(had) {
-            outcomes[*i] = Some(ExecOutcome { receipt, had_pending });
+            outcomes[*i] = Some(ExecOutcome {
+                receipt,
+                had_pending,
+            });
         }
     }
-    outcomes.into_iter().map(|o| o.expect("every op scheduled")).collect()
+    outcomes
+        .into_iter()
+        .map(|o| o.expect("every op scheduled"))
+        .collect()
 }
 
 /// Plan one wave's operations against the frozen store, returning plans in
@@ -121,8 +130,7 @@ fn plan_wave(
             .map(|w| {
                 // Deterministic round-robin assignment; results re-sort by
                 // op index, so the partition only affects load balance.
-                let mine: Vec<usize> =
-                    wave.iter().copied().skip(w).step_by(pool).collect();
+                let mine: Vec<usize> = wave.iter().copied().skip(w).step_by(pool).collect();
                 s.spawn(move || {
                     mine.into_iter()
                         .map(|i| (i, state.plan(ops[i])))
@@ -146,7 +154,10 @@ mod tests {
 
     fn transfer(from: &str, to: &str, amt: i64) -> StateOp {
         StateOp {
-            conditions: vec![Condition::IntAtLeast { key: from.into(), min: amt }],
+            conditions: vec![Condition::IntAtLeast {
+                key: from.into(),
+                min: amt,
+            }],
             mutations: vec![
                 (from.into(), Mutation::Add(-amt)),
                 (to.into(), Mutation::Add(amt)),
@@ -178,7 +189,10 @@ mod tests {
         assert_eq!(seq.state_digest(), par.state_digest());
         assert_eq!(seq.pending_count(), par.pending_count());
         assert_eq!(seq.resolved_count(), par.resolved_count());
-        assert_eq!(seq.export_sidecar().wire_size(), par.export_sidecar().wire_size());
+        assert_eq!(
+            seq.export_sidecar().wire_size(),
+            par.export_sidecar().wire_size()
+        );
         ops.clear();
     }
 
@@ -197,7 +211,10 @@ mod tests {
 
         // A same-key chain really is scheduled one-op-per-wave.
         let ops: Vec<Op> = (0..32)
-            .map(|i| Op::Direct { txid: TxId(i), op: transfer("acct0", "acct1", 1) })
+            .map(|i| Op::Direct {
+                txid: TxId(i),
+                op: transfer("acct0", "acct1", 1),
+            })
             .collect();
         let refs: Vec<&Op> = ops.iter().collect();
         let state = seeded_store(4);
@@ -248,9 +265,13 @@ mod tests {
         }
         for i in 0..16u64 {
             if i % 3 == 0 {
-                ops.push(Op::Abort { txid: TxId(100 + i) });
+                ops.push(Op::Abort {
+                    txid: TxId(100 + i),
+                });
             } else {
-                ops.push(Op::Commit { txid: TxId(100 + i) });
+                ops.push(Op::Commit {
+                    txid: TxId(100 + i),
+                });
             }
         }
         ops.push(Op::Commit { txid: TxId(999) }); // no pending: NoPendingTx
@@ -270,12 +291,24 @@ mod tests {
     fn lock_conflicts_match_sequential() {
         // A prepare holds acct0; later directs and prepares on it abort
         // with the same receipts in both modes.
-        let mut ops = vec![Op::Prepare { txid: TxId(1), op: transfer("acct0", "acct1", 5) }];
+        let mut ops = vec![Op::Prepare {
+            txid: TxId(1),
+            op: transfer("acct0", "acct1", 5),
+        }];
         for i in 0..8u64 {
-            ops.push(Op::Direct { txid: TxId(10 + i), op: transfer("acct0", "acct2", 1) });
-            ops.push(Op::Prepare { txid: TxId(20 + i), op: transfer("acct0", "acct3", 1) });
+            ops.push(Op::Direct {
+                txid: TxId(10 + i),
+                op: transfer("acct0", "acct2", 1),
+            });
+            ops.push(Op::Prepare {
+                txid: TxId(20 + i),
+                op: transfer("acct0", "acct3", 1),
+            });
         }
-        ops.push(Op::Read { txid: TxId(40), keys: vec!["acct0".into(), lock_key("acct0")] });
+        ops.push(Op::Read {
+            txid: TxId(40),
+            keys: vec!["acct0".into(), lock_key("acct0")],
+        });
         assert_equivalent(ops, 4, 8);
     }
 
@@ -290,11 +323,23 @@ mod tests {
         // and produced a LockConflict receipt (and root) that sequential
         // execution never sees.
         let ops = vec![
-            Op::Prepare { txid: TxId(1), op: transfer("acct0", "acct1", 1) },
-            Op::Prepare { txid: TxId(5), op: transfer("acct0", "acct2", 1) }, // LockConflict
-            Op::Prepare { txid: TxId(5), op: transfer("acct3", "acct4", 1) }, // wins
+            Op::Prepare {
+                txid: TxId(1),
+                op: transfer("acct0", "acct1", 1),
+            },
+            Op::Prepare {
+                txid: TxId(5),
+                op: transfer("acct0", "acct2", 1),
+            }, // LockConflict
+            Op::Prepare {
+                txid: TxId(5),
+                op: transfer("acct3", "acct4", 1),
+            }, // wins
             Op::Commit { txid: TxId(5) },
-            Op::Direct { txid: TxId(6), op: transfer("acct3", "acct5", 1) },
+            Op::Direct {
+                txid: TxId(6),
+                op: transfer("acct3", "acct5", 1),
+            },
         ];
         for workers in [2, 4, 8] {
             assert_equivalent(ops.clone(), workers, 8);
@@ -333,7 +378,10 @@ mod tests {
                     mutations: vec![("acct0".into(), Mutation::Set(Value::Int(7)))],
                 },
             },
-            Op::Read { txid: TxId(2), keys: vec!["acct0".into()] },
+            Op::Read {
+                txid: TxId(2),
+                keys: vec!["acct0".into()],
+            },
         ];
         let refs: Vec<&Op> = ops.iter().collect();
         let mut s = seeded_store(2);

@@ -61,7 +61,10 @@ pub fn decode_value(r: &mut Reader<'_>) -> Option<Value> {
         0 => Some(Value::Int(r.i64()?)),
         1 => Some(Value::Bytes(r.bytes()?.to_vec())),
         2 => Some(Value::Bool(r.u8()? != 0)),
-        3 => Some(Value::Opaque { size: r.u64()?, tag: r.u64()? }),
+        3 => Some(Value::Opaque {
+            size: r.u64()?,
+            tag: r.u64()?,
+        }),
         _ => None,
     }
 }
@@ -111,7 +114,10 @@ fn decode_condition(r: &mut Reader<'_>) -> Option<Condition> {
     match r.u8()? {
         0 => Some(Condition::Exists(r.str()?)),
         1 => Some(Condition::NotExists(r.str()?)),
-        2 => Some(Condition::IntAtLeast { key: r.str()?, min: r.i64()? }),
+        2 => Some(Condition::IntAtLeast {
+            key: r.str()?,
+            min: r.i64()?,
+        }),
         _ => None,
     }
 }
@@ -140,7 +146,10 @@ pub(crate) fn decode_state_op(r: &mut Reader<'_>) -> Option<StateOp> {
         let k = r.str()?;
         mutations.push((k, decode_mutation(r)?));
     }
-    Some(StateOp { conditions, mutations })
+    Some(StateOp {
+        conditions,
+        mutations,
+    })
 }
 
 /// Encode an [`Op`] (the unit a WAL batch record replays).
@@ -179,10 +188,20 @@ pub fn encode_op(op: &Op, w: &mut Writer) {
 /// Decode an [`Op`]; `None` on truncation or an unknown tag.
 pub fn decode_op(r: &mut Reader<'_>) -> Option<Op> {
     match r.u8()? {
-        0 => Some(Op::Direct { txid: TxId(r.u64()?), op: decode_state_op(r)? }),
-        1 => Some(Op::Prepare { txid: TxId(r.u64()?), op: decode_state_op(r)? }),
-        2 => Some(Op::Commit { txid: TxId(r.u64()?) }),
-        3 => Some(Op::Abort { txid: TxId(r.u64()?) }),
+        0 => Some(Op::Direct {
+            txid: TxId(r.u64()?),
+            op: decode_state_op(r)?,
+        }),
+        1 => Some(Op::Prepare {
+            txid: TxId(r.u64()?),
+            op: decode_state_op(r)?,
+        }),
+        2 => Some(Op::Commit {
+            txid: TxId(r.u64()?),
+        }),
+        3 => Some(Op::Abort {
+            txid: TxId(r.u64()?),
+        }),
         4 => {
             let txid = TxId(r.u64()?);
             let n = r.u32()? as usize;
@@ -268,7 +287,11 @@ impl LazySnapshot {
 /// [`LazySnapshot::get`]. `cache_bytes` bounds the resident decoded
 /// pages (LRU eviction of clean pages).
 pub fn open_snapshot_lazy(root: Hash, sidecar: StateSidecar, cache_bytes: u64) -> LazySnapshot {
-    LazySnapshot { root, sidecar, cache: PageCache::new(cache_bytes) }
+    LazySnapshot {
+        root,
+        sidecar,
+        cache: PageCache::new(cache_bytes),
+    }
 }
 
 #[cfg(test)]
@@ -294,21 +317,35 @@ mod tests {
     fn op_codec_round_trips() {
         round_trip_op(Op::Noop);
         round_trip_op(Op::Commit { txid: TxId(7) });
-        round_trip_op(Op::Abort { txid: TxId(u64::MAX) });
-        round_trip_op(Op::Read { txid: TxId(3), keys: vec!["a".into(), "b".into()] });
+        round_trip_op(Op::Abort {
+            txid: TxId(u64::MAX),
+        });
+        round_trip_op(Op::Read {
+            txid: TxId(3),
+            keys: vec!["a".into(), "b".into()],
+        });
         round_trip_op(Op::Direct {
             txid: TxId(1),
             op: StateOp {
                 conditions: vec![
                     Condition::Exists("x".into()),
                     Condition::NotExists("y".into()),
-                    Condition::IntAtLeast { key: "z".into(), min: -4 },
+                    Condition::IntAtLeast {
+                        key: "z".into(),
+                        min: -4,
+                    },
                 ],
                 mutations: vec![
                     ("x".into(), Mutation::Set(Value::Int(-9))),
                     ("b".into(), Mutation::Set(Value::Bytes(vec![1, 2, 3]))),
                     ("l".into(), Mutation::Set(Value::Bool(true))),
-                    ("o".into(), Mutation::Set(Value::Opaque { size: 1 << 33, tag: 9 })),
+                    (
+                        "o".into(),
+                        Mutation::Set(Value::Opaque {
+                            size: 1 << 33,
+                            tag: 9,
+                        }),
+                    ),
                     ("d".into(), Mutation::Delete),
                     ("a".into(), Mutation::Add(5)),
                 ],
@@ -316,7 +353,10 @@ mod tests {
         });
         round_trip_op(Op::Prepare {
             txid: TxId(2),
-            op: StateOp { conditions: vec![], mutations: vec![] },
+            op: StateOp {
+                conditions: vec![],
+                mutations: vec![],
+            },
         });
     }
 
@@ -324,7 +364,10 @@ mod tests {
     fn opaque_values_persist_by_model_not_size() {
         // A "4 GB" opaque value encodes in a handful of bytes: the page
         // store must stay usable for the multi-GB reshard experiments.
-        let v = Value::Opaque { size: 4 << 30, tag: 1 };
+        let v = Value::Opaque {
+            size: 4 << 30,
+            tag: 1,
+        };
         let mut w = Writer::new();
         encode_value(&v, &mut w);
         assert!(w.len() < 32);

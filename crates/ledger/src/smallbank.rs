@@ -95,8 +95,14 @@ pub fn write_check(account: &str, amount: i64) -> StateOp {
 pub fn amalgamate(a: &str, b: &str, a_checking: i64, a_savings: i64) -> StateOp {
     StateOp {
         conditions: vec![
-            Condition::IntAtLeast { key: checking_key(a), min: a_checking },
-            Condition::IntAtLeast { key: savings_key(a), min: a_savings },
+            Condition::IntAtLeast {
+                key: checking_key(a),
+                min: a_checking,
+            },
+            Condition::IntAtLeast {
+                key: savings_key(a),
+                min: a_savings,
+            },
         ],
         mutations: vec![
             (checking_key(a), Mutation::Add(-a_checking)),
@@ -160,12 +166,18 @@ mod tests {
     fn transact_savings_guards_overdraft() {
         let mut s = store();
         assert!(s
-            .execute(&Op::Direct { txid: TxId(1), op: transact_savings("acc0", -150) })
+            .execute(&Op::Direct {
+                txid: TxId(1),
+                op: transact_savings("acc0", -150)
+            })
             .status
             .is_committed());
         assert_eq!(s.get_int(&savings_key("acc0")), 50);
         assert!(!s
-            .execute(&Op::Direct { txid: TxId(2), op: transact_savings("acc0", -60) })
+            .execute(&Op::Direct {
+                txid: TxId(2),
+                op: transact_savings("acc0", -60)
+            })
             .status
             .is_committed());
     }
@@ -174,7 +186,10 @@ mod tests {
     fn deposit_checking_unconditional() {
         let mut s = store();
         assert!(s
-            .execute(&Op::Direct { txid: TxId(1), op: deposit_checking("acc2", 1000) })
+            .execute(&Op::Direct {
+                txid: TxId(1),
+                op: deposit_checking("acc2", 1000)
+            })
             .status
             .is_committed());
         assert_eq!(s.get_int(&checking_key("acc2")), 1100);
@@ -184,11 +199,17 @@ mod tests {
     fn write_check_guards_funds() {
         let mut s = store();
         assert!(s
-            .execute(&Op::Direct { txid: TxId(1), op: write_check("acc0", 100) })
+            .execute(&Op::Direct {
+                txid: TxId(1),
+                op: write_check("acc0", 100)
+            })
             .status
             .is_committed());
         assert!(!s
-            .execute(&Op::Direct { txid: TxId(2), op: write_check("acc0", 1) })
+            .execute(&Op::Direct {
+                txid: TxId(2),
+                op: write_check("acc0", 1)
+            })
             .status
             .is_committed());
     }

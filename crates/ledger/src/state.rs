@@ -143,7 +143,11 @@ impl StateSidecar {
         for _ in 0..nr {
             resolved.push((TxId(r.u64()?), r.u64()?));
         }
-        Some(StateSidecar { pending, resolved, resolved_epoch })
+        Some(StateSidecar {
+            pending,
+            resolved,
+            resolved_epoch,
+        })
     }
 
     /// Approximate wire size in bytes.
@@ -178,7 +182,11 @@ impl StateSnapshot {
     /// (the durable-checkpoint reopen path — see
     /// [`crate::persist::open_snapshot`]).
     pub fn from_parts(smt: SparseMerkleTree<Value>, sidecar: StateSidecar) -> Self {
-        StateSnapshot { lock_markers: count_lock_markers(&smt), smt, sidecar }
+        StateSnapshot {
+            lock_markers: count_lock_markers(&smt),
+            smt,
+            sidecar,
+        }
     }
 
     /// The state root the snapshot is frozen at.
@@ -269,7 +277,11 @@ impl StateStore {
     /// transferred [`StateSidecar`] afterwards.
     pub fn from_entries(entries: Vec<(Key, Value)>) -> Self {
         let smt = SparseMerkleTree::build(entries);
-        StateStore { lock_markers: count_lock_markers(&smt), smt, ..StateStore::default() }
+        StateStore {
+            lock_markers: count_lock_markers(&smt),
+            smt,
+            ..StateStore::default()
+        }
     }
 
     /// Freeze the current state as a [`StateSnapshot`] — O(1) in the state
@@ -334,7 +346,11 @@ impl StateStore {
 
     /// Integer value of a key, treating absent as 0.
     pub fn get_int(&self, key: &str) -> i64 {
-        self.smt.view().get(key).and_then(Value::as_int).unwrap_or(0)
+        self.smt
+            .view()
+            .get(key)
+            .and_then(Value::as_int)
+            .unwrap_or(0)
     }
 
     /// Direct write (genesis/state-sync only; transactions go through
@@ -448,10 +464,13 @@ impl StateStore {
             .map(|(txid, p)| (*txid, p.locks.clone(), p.mutations.clone()))
             .collect();
         pending.sort_by_key(|(txid, _, _)| *txid);
-        let mut resolved: Vec<(TxId, u64)> =
-            self.resolved.iter().map(|(t, e)| (*t, *e)).collect();
+        let mut resolved: Vec<(TxId, u64)> = self.resolved.iter().map(|(t, e)| (*t, *e)).collect();
         resolved.sort_unstable();
-        StateSidecar { pending, resolved, resolved_epoch: self.resolved_epoch }
+        StateSidecar {
+            pending,
+            resolved,
+            resolved_epoch: self.resolved_epoch,
+        }
     }
 
     /// Install transferred 2PC bookkeeping (replaces local pending/resolved
@@ -461,7 +480,13 @@ impl StateStore {
             .pending
             .iter()
             .map(|(txid, locks, mutations)| {
-                (*txid, PendingTx { locks: locks.clone(), mutations: mutations.clone() })
+                (
+                    *txid,
+                    PendingTx {
+                        locks: locks.clone(),
+                        mutations: mutations.clone(),
+                    },
+                )
             })
             .collect();
         self.resolved = sidecar.resolved.iter().copied().collect();
@@ -492,7 +517,11 @@ impl StateStore {
         // write them: a client-chosen `L_` key would forge a lock no
         // decision releases, or release another transaction's. Guards and
         // reads on marker keys stay legal.
-        if let Some((k, _)) = op.mutations.iter().find(|(k, _)| k.starts_with(LOCK_PREFIX)) {
+        if let Some((k, _)) = op
+            .mutations
+            .iter()
+            .find(|(k, _)| k.starts_with(LOCK_PREFIX))
+        {
             return Err(AbortReason::ReservedKey(k.clone()));
         }
         if self.lock_markers > 0 {
@@ -533,7 +562,10 @@ impl StateStore {
     /// a `Commit`/`Abort`.
     pub fn pending_info(&self, txid: TxId) -> Option<(Vec<Key>, Vec<Key>)> {
         self.pending.get(&txid).map(|p| {
-            (p.locks.clone(), p.mutations.iter().map(|(k, _)| k.clone()).collect())
+            (
+                p.locks.clone(),
+                p.mutations.iter().map(|(k, _)| k.clone()).collect(),
+            )
         })
     }
 
@@ -552,12 +584,17 @@ impl StateStore {
                 had_pending = self.pending.contains_key(txid);
                 self.plan_abort(*txid, &mut effects)
             }
-            Op::Read { keys, .. } => ExecStatus::Committed(
-                keys.iter().map(|k| (k.clone(), self.get(k))).collect(),
-            ),
+            Op::Read { keys, .. } => {
+                ExecStatus::Committed(keys.iter().map(|k| (k.clone(), self.get(k))).collect())
+            }
             Op::Noop => ExecStatus::Committed(vec![]),
         };
-        ExecPlan { txid: op.txid(), status, effects, had_pending }
+        ExecPlan {
+            txid: op.txid(),
+            status,
+            effects,
+            had_pending,
+        }
     }
 
     /// Apply a plan produced by [`StateStore::plan`] against the *same*
@@ -575,7 +612,10 @@ impl StateStore {
         for e in plan.effects {
             self.apply_effect(e);
         }
-        Receipt { txid: plan.txid, status: plan.status }
+        Receipt {
+            txid: plan.txid,
+            status: plan.status,
+        }
     }
 
     /// Apply one conflict-free wave of plans in canonical order. With
@@ -585,7 +625,10 @@ impl StateStore {
     /// in parallel — the dominant cost of applying a large wave.
     pub fn apply_plans(&mut self, plans: Vec<ExecPlan>, workers: usize) -> Vec<Receipt> {
         if workers <= 1 {
-            let receipts = plans.into_iter().map(|p| self.apply_plan_deferred(p)).collect();
+            let receipts = plans
+                .into_iter()
+                .map(|p| self.apply_plan_deferred(p))
+                .collect();
             self.rehash();
             return receipts;
         }
@@ -599,7 +642,10 @@ impl StateStore {
                     other => self.apply_effect(other),
                 }
             }
-            receipts.push(Receipt { txid: plan.txid, status: plan.status });
+            receipts.push(Receipt {
+                txid: plan.txid,
+                status: plan.status,
+            });
         }
         // Count the batch's marker keys present before and after.
         let mut markers: Vec<Key> = changes
@@ -762,7 +808,10 @@ pub fn lock_key(key: &str) -> Key {
 
 /// The live lock markers in `smt`, by a full scan.
 fn count_lock_markers(smt: &SparseMerkleTree<Value>) -> usize {
-    smt.view().iter().filter(|(k, _)| k.starts_with(LOCK_PREFIX)).count()
+    smt.view()
+        .iter()
+        .filter(|(k, _)| k.starts_with(LOCK_PREFIX))
+        .count()
 }
 
 #[cfg(test)]
@@ -772,7 +821,10 @@ mod tests {
 
     fn transfer(from: &str, to: &str, amt: i64) -> StateOp {
         StateOp {
-            conditions: vec![Condition::IntAtLeast { key: from.into(), min: amt }],
+            conditions: vec![Condition::IntAtLeast {
+                key: from.into(),
+                min: amt,
+            }],
             mutations: vec![
                 (from.into(), Mutation::Add(-amt)),
                 (to.into(), Mutation::Add(amt)),
@@ -796,7 +848,10 @@ mod tests {
     #[test]
     fn direct_transfer_applies() {
         let mut s = store_with_balances();
-        let r = s.execute(&Op::Direct { txid: TxId(1), op: transfer("a", "b", 30) });
+        let r = s.execute(&Op::Direct {
+            txid: TxId(1),
+            op: transfer("a", "b", 30),
+        });
         assert!(r.status.is_committed());
         assert_eq!(s.get_int("a"), 70);
         assert_eq!(s.get_int("b"), 80);
@@ -805,7 +860,10 @@ mod tests {
     #[test]
     fn direct_insufficient_funds_aborts() {
         let mut s = store_with_balances();
-        let r = s.execute(&Op::Direct { txid: TxId(1), op: transfer("a", "b", 500) });
+        let r = s.execute(&Op::Direct {
+            txid: TxId(1),
+            op: transfer("a", "b", 500),
+        });
         assert!(matches!(
             r.status,
             ExecStatus::Aborted(AbortReason::ConditionFailed(_))
@@ -817,7 +875,10 @@ mod tests {
     #[test]
     fn prepare_locks_and_stashes() {
         let mut s = store_with_balances();
-        let r = s.execute(&Op::Prepare { txid: TxId(1), op: transfer("a", "b", 30) });
+        let r = s.execute(&Op::Prepare {
+            txid: TxId(1),
+            op: transfer("a", "b", 30),
+        });
         assert!(r.status.is_committed());
         assert!(s.is_locked("a"));
         assert!(s.is_locked("b"));
@@ -829,7 +890,10 @@ mod tests {
     #[test]
     fn commit_applies_and_unlocks() {
         let mut s = store_with_balances();
-        s.execute(&Op::Prepare { txid: TxId(1), op: transfer("a", "b", 30) });
+        s.execute(&Op::Prepare {
+            txid: TxId(1),
+            op: transfer("a", "b", 30),
+        });
         let r = s.execute(&Op::Commit { txid: TxId(1) });
         assert!(r.status.is_committed());
         assert_eq!(s.get_int("a"), 70);
@@ -841,7 +905,10 @@ mod tests {
     #[test]
     fn abort_discards_and_unlocks() {
         let mut s = store_with_balances();
-        s.execute(&Op::Prepare { txid: TxId(1), op: transfer("a", "b", 30) });
+        s.execute(&Op::Prepare {
+            txid: TxId(1),
+            op: transfer("a", "b", 30),
+        });
         let r = s.execute(&Op::Abort { txid: TxId(1) });
         assert!(r.status.is_committed());
         assert_eq!(s.get_int("a"), 100);
@@ -852,15 +919,24 @@ mod tests {
     #[test]
     fn conflicting_prepare_rejected() {
         let mut s = store_with_balances();
-        s.execute(&Op::Prepare { txid: TxId(1), op: transfer("a", "b", 30) });
+        s.execute(&Op::Prepare {
+            txid: TxId(1),
+            op: transfer("a", "b", 30),
+        });
         // Second transaction touching "a" must observe the lock (isolation).
-        let r = s.execute(&Op::Prepare { txid: TxId(2), op: transfer("a", "b", 10) });
+        let r = s.execute(&Op::Prepare {
+            txid: TxId(2),
+            op: transfer("a", "b", 10),
+        });
         assert!(matches!(
             r.status,
             ExecStatus::Aborted(AbortReason::LockConflict(_))
         ));
         // Direct transactions also respect locks.
-        let r2 = s.execute(&Op::Direct { txid: TxId(3), op: transfer("a", "b", 10) });
+        let r2 = s.execute(&Op::Direct {
+            txid: TxId(3),
+            op: transfer("a", "b", 10),
+        });
         assert!(matches!(
             r2.status,
             ExecStatus::Aborted(AbortReason::LockConflict(_))
@@ -872,8 +948,14 @@ mod tests {
         let mut s = store_with_balances();
         s.put("c".into(), Value::Int(10));
         s.put("d".into(), Value::Int(10));
-        let r1 = s.execute(&Op::Prepare { txid: TxId(1), op: transfer("a", "b", 5) });
-        let r2 = s.execute(&Op::Prepare { txid: TxId(2), op: transfer("c", "d", 5) });
+        let r1 = s.execute(&Op::Prepare {
+            txid: TxId(1),
+            op: transfer("a", "b", 5),
+        });
+        let r2 = s.execute(&Op::Prepare {
+            txid: TxId(2),
+            op: transfer("c", "d", 5),
+        });
         assert!(r1.status.is_committed());
         assert!(r2.status.is_committed());
         assert_eq!(s.pending_count(), 2);
@@ -899,8 +981,14 @@ mod tests {
     #[test]
     fn duplicate_prepare_rejected() {
         let mut s = store_with_balances();
-        s.execute(&Op::Prepare { txid: TxId(1), op: transfer("a", "b", 5) });
-        let r = s.execute(&Op::Prepare { txid: TxId(1), op: transfer("a", "b", 5) });
+        s.execute(&Op::Prepare {
+            txid: TxId(1),
+            op: transfer("a", "b", 5),
+        });
+        let r = s.execute(&Op::Prepare {
+            txid: TxId(1),
+            op: transfer("a", "b", 5),
+        });
         assert!(matches!(
             r.status,
             ExecStatus::Aborted(AbortReason::DuplicatePrepare)
@@ -945,7 +1033,10 @@ mod tests {
         let build = || {
             let mut s = StateStore::new();
             s.put("a".into(), Value::Int(100));
-            s.execute(&Op::Prepare { txid: TxId(1), op: transfer("a", "a2", 3) });
+            s.execute(&Op::Prepare {
+                txid: TxId(1),
+                op: transfer("a", "a2", 3),
+            });
             s.execute(&Op::Commit { txid: TxId(1) });
             s.state_digest()
         };
@@ -957,16 +1048,30 @@ mod tests {
         // Same final state through different histories → same root. This is
         // the property the rolling digest lacked and state sync requires.
         let mut a = store_with_balances();
-        a.execute(&Op::Direct { txid: TxId(1), op: transfer("a", "b", 30) });
+        a.execute(&Op::Direct {
+            txid: TxId(1),
+            op: transfer("a", "b", 30),
+        });
 
         let mut b = store_with_balances();
-        b.execute(&Op::Prepare { txid: TxId(2), op: transfer("a", "b", 10) });
+        b.execute(&Op::Prepare {
+            txid: TxId(2),
+            op: transfer("a", "b", 10),
+        });
         b.execute(&Op::Commit { txid: TxId(2) });
-        b.execute(&Op::Direct { txid: TxId(3), op: transfer("a", "b", 20) });
+        b.execute(&Op::Direct {
+            txid: TxId(3),
+            op: transfer("a", "b", 20),
+        });
 
         assert_eq!(a.state_digest(), b.state_digest());
         // And it matches a bulk rebuild from the final content.
-        let entries = a.smt().view().iter().map(|(k, v)| (k.to_string(), v.clone())).collect();
+        let entries = a
+            .smt()
+            .view()
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.clone()))
+            .collect();
         let rebuilt = StateStore::from_entries(entries);
         assert_eq!(rebuilt.state_digest(), a.state_digest());
     }
@@ -976,16 +1081,27 @@ mod tests {
         let s = store_with_balances();
         let root = s.state_digest();
         let p = s.prove("a");
-        assert!(verify_proof(&root, "a", Some(&Value::Int(100).digest()), &p));
-        assert!(!verify_proof(&root, "a", Some(&Value::Int(99).digest()), &p));
+        assert!(verify_proof(
+            &root,
+            "a",
+            Some(&Value::Int(100).digest()),
+            &p
+        ));
+        assert!(!verify_proof(
+            &root,
+            "a",
+            Some(&Value::Int(99).digest()),
+            &p
+        ));
         let absent = s.prove("nobody");
         assert!(verify_proof(&root, "nobody", None, &absent));
     }
 
     #[test]
     fn load_genesis_matches_incremental_puts() {
-        let entries: Vec<(Key, Value)> =
-            (0..200).map(|i| (format!("acc{i}"), Value::Int(i))).collect();
+        let entries: Vec<(Key, Value)> = (0..200)
+            .map(|i| (format!("acc{i}"), Value::Int(i)))
+            .collect();
         let mut bulk = StateStore::new();
         bulk.load_genesis(&entries);
         let mut inc = StateStore::new();
@@ -1000,7 +1116,10 @@ mod tests {
     fn checkpoint_prune_bounds_resolved_set() {
         let mut s = store_with_balances();
         for i in 0..10u64 {
-            s.execute(&Op::Prepare { txid: TxId(i), op: transfer("a", "b", 1) });
+            s.execute(&Op::Prepare {
+                txid: TxId(i),
+                op: transfer("a", "b", 1),
+            });
             s.execute(&Op::Commit { txid: TxId(i) });
         }
         assert_eq!(s.resolved_count(), 10);
@@ -1008,13 +1127,19 @@ mod tests {
         assert_eq!(s.checkpoint_prune(), 0);
         assert_eq!(s.resolved_count(), 10);
         // A late prepare within the protection window is still refused.
-        let r = s.execute(&Op::Prepare { txid: TxId(3), op: transfer("a", "b", 1) });
+        let r = s.execute(&Op::Prepare {
+            txid: TxId(3),
+            op: transfer("a", "b", 1),
+        });
         assert!(matches!(
             r.status,
             ExecStatus::Aborted(AbortReason::AlreadyResolved)
         ));
         // New resolutions land in the new epoch.
-        s.execute(&Op::Prepare { txid: TxId(100), op: transfer("a", "b", 1) });
+        s.execute(&Op::Prepare {
+            txid: TxId(100),
+            op: transfer("a", "b", 1),
+        });
         s.execute(&Op::Commit { txid: TxId(100) });
         // Second checkpoint: the old epoch is pruned (TxId 3 survived as it
         // was re-refused, not re-resolved; the original 10 go, minus any
@@ -1027,15 +1152,26 @@ mod tests {
     #[test]
     fn sidecar_round_trip() {
         let mut s = store_with_balances();
-        s.execute(&Op::Prepare { txid: TxId(1), op: transfer("a", "b", 30) });
-        s.execute(&Op::Prepare { txid: TxId(9), op: transfer("b", "a", 1) });
+        s.execute(&Op::Prepare {
+            txid: TxId(1),
+            op: transfer("a", "b", 30),
+        });
+        s.execute(&Op::Prepare {
+            txid: TxId(9),
+            op: transfer("b", "a", 1),
+        });
         s.execute(&Op::Abort { txid: TxId(9) });
         let sidecar = s.export_sidecar();
         assert!(sidecar.wire_size() > 32);
 
         // A synced replica rebuilds content from verified chunks, then
         // installs the sidecar — and can decide the in-flight transaction.
-        let entries = s.smt().view().iter().map(|(k, v)| (k.to_string(), v.clone())).collect();
+        let entries = s
+            .smt()
+            .view()
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.clone()))
+            .collect();
         let mut synced = StateStore::from_entries(entries);
         assert_eq!(synced.state_digest(), s.state_digest());
         synced.install_sidecar(&sidecar);
@@ -1044,7 +1180,10 @@ mod tests {
         assert!(r.status.is_committed());
         assert_eq!(synced.get_int("a"), 70);
         // The replayed decision for the aborted tx is refused.
-        let r2 = synced.execute(&Op::Prepare { txid: TxId(9), op: transfer("b", "a", 1) });
+        let r2 = synced.execute(&Op::Prepare {
+            txid: TxId(9),
+            op: transfer("b", "a", 1),
+        });
         assert!(matches!(
             r2.status,
             ExecStatus::Aborted(AbortReason::AlreadyResolved)
@@ -1089,15 +1228,25 @@ mod tests {
             },
         });
         let root = s.state_digest();
-        let r = s.execute(&Op::Prepare { txid: TxId(2), op: transfer("a", "b", 10) });
+        let r = s.execute(&Op::Prepare {
+            txid: TxId(2),
+            op: transfer("a", "b", 10),
+        });
         assert!(matches!(
             r.status,
             ExecStatus::Aborted(AbortReason::LockConflict(ref k)) if k == "b"
         ));
-        assert!(!s.is_locked("a"), "mid-set lock must be released on conflict");
+        assert!(
+            !s.is_locked("a"),
+            "mid-set lock must be released on conflict"
+        );
         assert!(s.is_locked("b"), "the conflicting holder keeps its lock");
         assert_eq!(s.pending_count(), 1);
-        assert_eq!(s.state_digest(), root, "failed prepare must not move the root");
+        assert_eq!(
+            s.state_digest(),
+            root,
+            "failed prepare must not move the root"
+        );
     }
 
     #[test]
@@ -1106,7 +1255,10 @@ mod tests {
         // may survive the rejected prepare.
         let mut s = store_with_balances();
         let root = s.state_digest();
-        let r = s.execute(&Op::Prepare { txid: TxId(1), op: transfer("a", "b", 500) });
+        let r = s.execute(&Op::Prepare {
+            txid: TxId(1),
+            op: transfer("a", "b", 500),
+        });
         assert!(matches!(
             r.status,
             ExecStatus::Aborted(AbortReason::ConditionFailed(_))
@@ -1151,7 +1303,11 @@ mod tests {
         let a = build(&fwd);
         let b = build(&rev);
         assert_eq!(a.state_digest(), b.state_digest());
-        assert_eq!(sidecar_bytes(&a), sidecar_bytes(&b), "sidecar bytes must be canonical");
+        assert_eq!(
+            sidecar_bytes(&a),
+            sidecar_bytes(&b),
+            "sidecar bytes must be canonical"
+        );
     }
 
     #[test]
@@ -1175,16 +1331,25 @@ mod tests {
         };
 
         let mut direct = fresh();
-        let r = direct.execute(&Op::Direct { txid: TxId(1), op: op.clone() });
+        let r = direct.execute(&Op::Direct {
+            txid: TxId(1),
+            op: op.clone(),
+        });
         assert!(r.status.is_committed());
         assert_eq!(direct.get("k"), Some(Value::Int(7)));
         assert_eq!(direct.state_digest().to_hex(), ROOT);
 
         let mut twopc = fresh();
-        assert!(twopc.execute(&Op::Prepare { txid: TxId(1), op }).status.is_committed());
+        assert!(twopc
+            .execute(&Op::Prepare { txid: TxId(1), op })
+            .status
+            .is_committed());
         assert_eq!(twopc.get("k"), Some(Value::Int(100)));
         assert!(twopc.is_locked("k"), "the prepare holds one lock marker");
-        assert!(twopc.execute(&Op::Commit { txid: TxId(1) }).status.is_committed());
+        assert!(twopc
+            .execute(&Op::Commit { txid: TxId(1) })
+            .status
+            .is_committed());
         assert_eq!(twopc.get("k"), Some(Value::Int(7)));
         assert_eq!(twopc.state_digest().to_hex(), ROOT);
     }
@@ -1192,12 +1357,20 @@ mod tests {
     #[test]
     fn refused_operations_leave_no_trace() {
         let mut s = store_with_balances();
-        s.execute(&Op::Prepare { txid: TxId(1), op: transfer("a", "b", 30) });
+        s.execute(&Op::Prepare {
+            txid: TxId(1),
+            op: transfer("a", "b", 30),
+        });
         let root = s.state_digest();
         let sidecar = sidecar_bytes(&s);
-        let prepare =
-            |txid, from, amt| Op::Prepare { txid: TxId(txid), op: transfer(from, "d", amt) };
-        let poor = Condition::IntAtLeast { key: "c".into(), min: 1 };
+        let prepare = |txid, from, amt| Op::Prepare {
+            txid: TxId(txid),
+            op: transfer(from, "d", amt),
+        };
+        let poor = Condition::IntAtLeast {
+            key: "c".into(),
+            min: 1,
+        };
         let refused = [
             (prepare(2, "a", 1), AbortReason::LockConflict("a".into())),
             (prepare(1, "c", 0), AbortReason::DuplicatePrepare),
@@ -1223,22 +1396,60 @@ mod tests {
         // Forging: before the check this committed with nothing pending,
         // and every later operation on "a" aborted with no way to unlock.
         let forge = on_marker(Mutation::Set(Value::Bool(true)));
-        assert_eq!(s.execute(&Op::Direct { txid: TxId(1), op: forge.clone() }).status, reserved);
-        assert_eq!(s.execute(&Op::Prepare { txid: TxId(2), op: forge }).status, reserved);
+        assert_eq!(
+            s.execute(&Op::Direct {
+                txid: TxId(1),
+                op: forge.clone()
+            })
+            .status,
+            reserved
+        );
+        assert_eq!(
+            s.execute(&Op::Prepare {
+                txid: TxId(2),
+                op: forge
+            })
+            .status,
+            reserved
+        );
         assert!(!s.is_locked("a") && !s.is_locked("b"));
         assert_eq!((s.state_digest(), s.pending_count()), (root, 0));
-        let victim = Op::Direct { txid: TxId(3), op: transfer("a", "b", 1) };
+        let victim = Op::Direct {
+            txid: TxId(3),
+            op: transfer("a", "b", 1),
+        };
         assert!(s.execute(&victim).status.is_committed());
         // Breaking: a delete must not release another transaction's lock.
-        s.execute(&Op::Prepare { txid: TxId(4), op: transfer("a", "b", 5) });
+        s.execute(&Op::Prepare {
+            txid: TxId(4),
+            op: transfer("a", "b", 5),
+        });
         let release = on_marker(Mutation::Delete);
-        assert_eq!(s.execute(&Op::Direct { txid: TxId(5), op: release }).status, reserved);
+        assert_eq!(
+            s.execute(&Op::Direct {
+                txid: TxId(5),
+                op: release
+            })
+            .status,
+            reserved
+        );
         assert!(s.is_locked("a"));
         // Guards and reads on marker keys stay legal.
-        let guard =
-            StateOp { conditions: vec![Condition::Exists(lock_key("a"))], mutations: vec![] };
-        assert!(s.execute(&Op::Direct { txid: TxId(6), op: guard }).status.is_committed());
-        let read = s.execute(&Op::Read { txid: TxId(7), keys: vec![lock_key("a")] });
+        let guard = StateOp {
+            conditions: vec![Condition::Exists(lock_key("a"))],
+            mutations: vec![],
+        };
+        assert!(s
+            .execute(&Op::Direct {
+                txid: TxId(6),
+                op: guard
+            })
+            .status
+            .is_committed());
+        let read = s.execute(&Op::Read {
+            txid: TxId(7),
+            keys: vec![lock_key("a")],
+        });
         assert_eq!(
             read.status,
             ExecStatus::Committed(vec![(lock_key("a"), Some(Value::Bool(true)))])
@@ -1259,7 +1470,10 @@ mod tests {
         }
         rev.execute(&Op::Direct {
             txid: TxId(1),
-            op: StateOp { conditions: vec![], mutations: vec![("gone".into(), Mutation::Delete)] },
+            op: StateOp {
+                conditions: vec![],
+                mutations: vec![("gone".into(), Mutation::Delete)],
+            },
         });
         let (fwd, rev) = (fwd.smt().view(), rev.smt().view());
         let a: Vec<(&str, &Value)> = fwd.iter().collect();
@@ -1271,7 +1485,10 @@ mod tests {
     #[test]
     fn from_snapshot_is_an_equal_and_independent_store() {
         let mut s = store_with_balances();
-        s.execute(&Op::Prepare { txid: TxId(1), op: transfer("a", "b", 30) });
+        s.execute(&Op::Prepare {
+            txid: TxId(1),
+            op: transfer("a", "b", 30),
+        });
         s.execute(&Op::Abort { txid: TxId(2) });
         let mut t = StateStore::from_snapshot(&s.snapshot());
         assert_eq!(t.len(), s.len());
@@ -1282,7 +1499,10 @@ mod tests {
         assert_eq!(sidecar_bytes(&t), sidecar_bytes(&s));
         // The tree is shared copy-on-write: a write to either store does
         // not show in the other.
-        assert!(t.execute(&Op::Commit { txid: TxId(1) }).status.is_committed());
+        assert!(t
+            .execute(&Op::Commit { txid: TxId(1) })
+            .status
+            .is_committed());
         s.put("c".into(), Value::Int(1));
         assert_eq!((t.get_int("a"), s.get_int("a")), (70, 100));
         assert!(s.is_locked("a") && !t.is_locked("a"));

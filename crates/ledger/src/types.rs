@@ -264,7 +264,10 @@ impl Op {
                             }
                     })
                     .sum::<usize>()
-                    + op.conditions.iter().map(|c| c.key().len() + 9).sum::<usize>()
+                    + op.conditions
+                        .iter()
+                        .map(|c| c.key().len() + 9)
+                        .sum::<usize>()
             }
             Op::Commit { .. } | Op::Abort { .. } => 40,
             Op::Read { keys, .. } => 32 + keys.iter().map(String::len).sum::<usize>(),
@@ -408,7 +411,10 @@ mod tests {
 
     fn sample_op() -> StateOp {
         StateOp {
-            conditions: vec![Condition::IntAtLeast { key: "ck_a".into(), min: 10 }],
+            conditions: vec![Condition::IntAtLeast {
+                key: "ck_a".into(),
+                min: 10,
+            }],
             mutations: vec![
                 ("ck_a".into(), Mutation::Add(-10)),
                 ("ck_b".into(), Mutation::Add(10)),
@@ -419,13 +425,19 @@ mod tests {
     #[test]
     fn touched_keys_deduplicated_ordered() {
         let op = sample_op();
-        assert_eq!(op.touched_keys(), vec!["ck_a".to_string(), "ck_b".to_string()]);
+        assert_eq!(
+            op.touched_keys(),
+            vec!["ck_a".to_string(), "ck_b".to_string()]
+        );
     }
 
     #[test]
     fn weight_counts_accesses() {
         assert_eq!(sample_op().weight(), 3);
-        let d = Op::Direct { txid: TxId(1), op: sample_op() };
+        let d = Op::Direct {
+            txid: TxId(1),
+            op: sample_op(),
+        };
         assert_eq!(d.weight(), 3);
         assert_eq!(Op::Noop.weight(), 1);
     }
@@ -529,7 +541,10 @@ mod tests {
             0 => Value::Int(x as i64),
             1 => Value::Bytes((0..x % 200).map(|i| i as u8).collect()),
             2 => Value::Bool(x.is_multiple_of(2)),
-            _ => Value::Opaque { size: x, tag: x.rotate_left(7) },
+            _ => Value::Opaque {
+                size: x,
+                tag: x.rotate_left(7),
+            },
         }
     }
 
@@ -587,8 +602,14 @@ mod tests {
 
     #[test]
     fn digests_distinguish_ops() {
-        let a = Op::Direct { txid: TxId(1), op: sample_op() };
-        let b = Op::Prepare { txid: TxId(1), op: sample_op() };
+        let a = Op::Direct {
+            txid: TxId(1),
+            op: sample_op(),
+        };
+        let b = Op::Prepare {
+            txid: TxId(1),
+            op: sample_op(),
+        };
         let c = Op::Commit { txid: TxId(1) };
         let d = Op::Commit { txid: TxId(2) };
         assert_ne!(a.digest(), b.digest());
@@ -598,7 +619,10 @@ mod tests {
 
     #[test]
     fn wire_size_reasonable() {
-        let op = Op::Direct { txid: TxId(1), op: sample_op() };
+        let op = Op::Direct {
+            txid: TxId(1),
+            op: sample_op(),
+        };
         assert!(op.wire_size() > 32);
         assert!(op.wire_size() < 1024);
         assert_eq!(Op::Noop.wire_size(), 16);

@@ -32,30 +32,60 @@ fn seeded() -> StateStore {
 
 fn build_op(kind: u8, a: u64, b: u64, amt: i64, txid: u64) -> Op {
     let transfer = StateOp {
-        conditions: vec![Condition::IntAtLeast { key: account(a), min: amt }],
-        mutations: vec![(account(a), Mutation::Add(-amt)), (account(b), Mutation::Add(amt))],
+        conditions: vec![Condition::IntAtLeast {
+            key: account(a),
+            min: amt,
+        }],
+        mutations: vec![
+            (account(a), Mutation::Add(-amt)),
+            (account(b), Mutation::Add(amt)),
+        ],
     };
     match kind {
-        0 => Op::Direct { txid: TxId(1_000 + txid), op: transfer },
-        1 | 2 => Op::Prepare { txid: TxId(txid), op: transfer },
+        0 => Op::Direct {
+            txid: TxId(1_000 + txid),
+            op: transfer,
+        },
+        1 | 2 => Op::Prepare {
+            txid: TxId(txid),
+            op: transfer,
+        },
         3 => Op::Commit { txid: TxId(txid) },
         4 => Op::Abort { txid: TxId(txid) },
-        _ => Op::Read { txid: TxId(2_000 + txid), keys: vec![account(a), lock_key(&account(b))] },
+        _ => Op::Read {
+            txid: TxId(2_000 + txid),
+            keys: vec![account(a), lock_key(&account(b))],
+        },
     }
 }
 
 /// The count, the scan it must equal, and the refusal it must not hide.
 fn assert_markers_exact(s: &StateStore, what: &str) {
-    let scan = s.smt().view().iter().filter(|(k, _)| k.starts_with(LOCK_PREFIX)).count();
-    assert_eq!(s.lock_markers(), scan, "{what}: count drifted from the tree");
+    let scan = s
+        .smt()
+        .view()
+        .iter()
+        .filter(|(k, _)| k.starts_with(LOCK_PREFIX))
+        .count();
+    assert_eq!(
+        s.lock_markers(),
+        scan,
+        "{what}: count drifted from the tree"
+    );
     for i in 0..ACCOUNTS {
         let key = account(i);
         let held = s.get(&lock_key(&key)) == Some(Value::Bool(true));
         assert_eq!(s.is_locked(&key), held, "{what}: is_locked({key})");
         if held {
             // A refused op leaves no trace, so probing a clone is enough.
-            let op = StateOp { conditions: vec![], mutations: vec![(key.clone(), Mutation::Add(1))] };
-            let probe = Op::Direct { txid: TxId(9_999), op };
+            let op = StateOp {
+                conditions: vec![],
+                mutations: vec![(key.clone(), Mutation::Add(1))],
+            };
+            let probe = Op::Direct {
+                txid: TxId(9_999),
+                op,
+            };
             assert_eq!(
                 s.clone().execute(&probe).status,
                 ExecStatus::Aborted(AbortReason::LockConflict(key)),

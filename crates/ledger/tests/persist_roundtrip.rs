@@ -16,8 +16,14 @@ use ahl_wal::{open_node_dir, read_manifest, write_manifest, Manifest, TempDir, W
 
 fn transfer(from: &str, to: &str, amt: i64) -> StateOp {
     StateOp {
-        conditions: vec![Condition::IntAtLeast { key: from.into(), min: amt }],
-        mutations: vec![(from.into(), Mutation::Add(-amt)), (to.into(), Mutation::Add(amt))],
+        conditions: vec![Condition::IntAtLeast {
+            key: from.into(),
+            min: amt,
+        }],
+        mutations: vec![
+            (from.into(), Mutation::Add(-amt)),
+            (to.into(), Mutation::Add(amt)),
+        ],
     }
 }
 
@@ -35,7 +41,11 @@ fn persist_and_reopen(store: &StateStore, seq: u64) -> StateStore {
         snap.sidecar().encode(&mut meta);
         write_manifest(
             dir.path(),
-            &Manifest { seq, root: snap.root(), meta: meta.into_bytes() },
+            &Manifest {
+                seq,
+                root: snap.root(),
+                meta: meta.into_bytes(),
+            },
             &cfg.kill,
         )
         .expect("manifest");
@@ -44,8 +54,7 @@ fn persist_and_reopen(store: &StateStore, seq: u64) -> StateStore {
     let node = open_node_dir(dir.path(), &cfg).expect("reopen");
     let manifest = node.manifest.expect("manifest survives");
     assert_eq!(manifest.seq, seq);
-    let sidecar =
-        StateSidecar::decode(&mut Reader::new(&manifest.meta)).expect("sidecar decodes");
+    let sidecar = StateSidecar::decode(&mut Reader::new(&manifest.meta)).expect("sidecar decodes");
     let snap = open_snapshot(&node.pages, manifest.root, sidecar).expect("snapshot loads");
     StateStore::from_snapshot(&snap)
 }
@@ -73,8 +82,14 @@ fn pending_transactions_survive_reopen() {
     let mut store = StateStore::new();
     store.put("a".into(), Value::Int(100));
     store.put("b".into(), Value::Int(50));
-    store.execute(&Op::Prepare { txid: TxId(1), op: transfer("a", "b", 30) });
-    store.execute(&Op::Prepare { txid: TxId(9), op: transfer("b", "a", 1) });
+    store.execute(&Op::Prepare {
+        txid: TxId(1),
+        op: transfer("a", "b", 30),
+    });
+    store.execute(&Op::Prepare {
+        txid: TxId(9),
+        op: transfer("b", "a", 1),
+    });
     store.execute(&Op::Abort { txid: TxId(9) });
 
     let mut reopened = persist_and_reopen(&store, 4);
@@ -86,7 +101,10 @@ fn pending_transactions_survive_reopen() {
     assert_eq!(reopened.get_int("a"), 70);
     assert!(!reopened.is_locked("a"));
     // ...and the replayed decision for the aborted one is still refused.
-    let r2 = reopened.execute(&Op::Prepare { txid: TxId(9), op: transfer("b", "a", 1) });
+    let r2 = reopened.execute(&Op::Prepare {
+        txid: TxId(9),
+        op: transfer("b", "a", 1),
+    });
     assert!(!r2.status.is_committed());
 }
 
@@ -177,7 +195,11 @@ fn stale_manifest_recovers_older_checkpoint() {
         snap.sidecar().encode(&mut meta);
         write_manifest(
             dir.path(),
-            &Manifest { seq: 10, root: root_a, meta: meta.into_bytes() },
+            &Manifest {
+                seq: 10,
+                root: root_a,
+                meta: meta.into_bytes(),
+            },
             &cfg.kill,
         )
         .expect("manifest A");
@@ -190,13 +212,20 @@ fn stale_manifest_recovers_older_checkpoint() {
         snap_b.sidecar().encode(&mut meta_b);
         write_manifest(
             dir.path(),
-            &Manifest { seq: 20, root: store.state_digest(), meta: meta_b.into_bytes() },
+            &Manifest {
+                seq: 20,
+                root: store.state_digest(),
+                meta: meta_b.into_bytes(),
+            },
             &cfg.kill,
         )
         .expect_err("crash before swap");
     }
     let manifest = read_manifest(dir.path()).expect("manifest present");
-    assert_eq!(manifest.seq, 10, "stale manifest: checkpoint A is the durable truth");
+    assert_eq!(
+        manifest.seq, 10,
+        "stale manifest: checkpoint A is the durable truth"
+    );
     let node = open_node_dir(dir.path(), &cfg).expect("reopen");
     let sidecar = StateSidecar::decode(&mut Reader::new(&manifest.meta)).expect("sidecar");
     let snap = open_snapshot(&node.pages, manifest.root, sidecar).expect("A loads");

@@ -37,7 +37,10 @@ fn execute(state: &mut StateStore, content: &mut Content, txid: u64, op: StateOp
             Mutation::Add(_) => unreachable!("these cells only set and delete"),
         }
     }
-    let receipt = state.execute(&Op::Direct { txid: TxId(txid), op });
+    let receipt = state.execute(&Op::Direct {
+        txid: TxId(txid),
+        op,
+    });
     assert!(receipt.status.is_committed());
 }
 
@@ -68,13 +71,21 @@ fn cloned_tree_batch_applies_while_the_store_keeps_executing() {
     for block in 0..8u64 {
         for j in 0..64u64 {
             let k = (block * 97 + j * 13) % KEYS;
-            execute(&mut state, &mut live, 10_000 + block * 64 + j, set(k, (block * 64 + j) as i64));
+            execute(
+                &mut state,
+                &mut live,
+                10_000 + block * 64 + j,
+                set(k, (block * 64 + j) as i64),
+            );
         }
         let changes: Vec<(Key, Option<Value>)> = (0..64u64)
             .map(|j| {
                 let key = kvstore::kv_key((block * 31 + j * 7) % KEYS);
                 // Every eighth change removes its key.
-                (key, (j % 8 != 7).then(|| Value::Int(-((block * 64 + j) as i64))))
+                (
+                    key,
+                    (j % 8 != 7).then(|| Value::Int(-((block * 64 + j) as i64))),
+                )
             })
             .collect();
         for (k, v) in &changes {
@@ -84,8 +95,16 @@ fn cloned_tree_batch_applies_while_the_store_keeps_executing() {
             };
         }
         fork.batch_apply(changes, 2);
-        assert_eq!(state.state_digest(), built_root(&live), "store after block {block}");
-        assert_eq!(fork.root_hash(), built_root(&forked), "fork after block {block}");
+        assert_eq!(
+            state.state_digest(),
+            built_root(&live),
+            "store after block {block}"
+        );
+        assert_eq!(
+            fork.root_hash(),
+            built_root(&forked),
+            "fork after block {block}"
+        );
         assert_eq!((state.len(), fork.len()), (live.len(), forked.len()));
     }
     assert!(fork.rehash_audit(2) && state.rehash_audit(2));
@@ -100,14 +119,26 @@ fn restored_store_mutates_while_its_snapshot_is_served() {
     let snap = state.snapshot();
     let bits = 3u8;
     let serve = || -> Served {
-        (0..1u32 << bits).map(|c| (snap.chunk_entries(c, bits), snap.chunk_proof(c, bits))).collect()
+        (0..1u32 << bits)
+            .map(|c| (snap.chunk_entries(c, bits), snap.chunk_proof(c, bits)))
+            .collect()
     };
     let (root, served) = (snap.root(), serve());
     let mut restored = StateStore::from_snapshot(&snap);
     let mut copy = original.clone();
     for j in 0..200u64 {
-        execute(&mut restored, &mut copy, 20_000 + j, set(j % KEYS, j as i64));
-        execute(&mut state, &mut original, 30_000 + j, set((j * 7) % KEYS, -(j as i64)));
+        execute(
+            &mut restored,
+            &mut copy,
+            20_000 + j,
+            set(j % KEYS, j as i64),
+        );
+        execute(
+            &mut state,
+            &mut original,
+            30_000 + j,
+            set((j * 7) % KEYS, -(j as i64)),
+        );
         if j % 10 == 0 {
             let gone = StateOp {
                 conditions: vec![],
