@@ -52,22 +52,18 @@ pub fn dense_schedule(n_ops: usize, n_waves: usize) -> bool {
     n_ops < 2 * n_waves
 }
 
-/// Plan and apply `ops` one at a time, in batch order, then hash every
-/// node the batch changed once.
+/// Plan and apply `ops` one at a time, in batch order.
 fn execute_in_order(state: &mut StateStore, ops: &[&Op]) -> Vec<ExecOutcome> {
-    let outcomes = ops
-        .iter()
+    ops.iter()
         .map(|op| {
             let plan = state.plan(op);
             let had_pending = plan.had_pending();
             ExecOutcome {
-                receipt: state.apply_plan_deferred(plan),
+                receipt: state.apply_plan(plan),
                 had_pending,
             }
         })
-        .collect();
-    state.rehash();
-    outcomes
+        .collect()
 }
 
 /// Execute a batch against `state`, identical in every observable way to

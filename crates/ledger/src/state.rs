@@ -20,10 +20,10 @@
 //! ([`StateStore::prove`]) and state sync verifies fetched chunks against a
 //! certified root.
 //!
-//! Every public mutator returns a fully hashed tree. Only
-//! [`crate::parexec::execute_ops`] defers: its in-order path writes a
-//! whole block with the tree's root paths flagged stale and re-hashes once
-//! at the end, so ancestors shared by the block's writes are hashed once.
+//! Writes leave the tree's root paths stale, and the tree re-hashes them
+//! when its root is next read (see `ahl_store`'s freshness notes): a
+//! replica reads it at each checkpoint vote, so the writes between two
+//! checkpoints hash each shared ancestor once, not once per block.
 //!
 //! The store also keeps an exact count of live lock markers, taken from
 //! the tree's content alone (never from the uncertified [`StateSidecar`]).
@@ -329,8 +329,6 @@ impl StateStore {
             for (k, v) in entries {
                 self.write(k, v.clone());
             }
-            // Chunk listings and the caller's root check need a fresh tree.
-            self.rehash();
         }
     }
 
@@ -357,7 +355,6 @@ impl StateStore {
     /// [`StateStore::execute`]).
     pub fn put(&mut self, key: Key, value: Value) {
         self.write(&key, value);
-        self.rehash();
     }
 
     /// Insert or overwrite `key`, leaving its root path stale.
@@ -365,19 +362,14 @@ impl StateStore {
         if key.starts_with(LOCK_PREFIX) && !self.contains(key) {
             self.lock_markers += 1;
         }
-        self.smt.insert_deferred(key, value);
+        self.smt.insert(key, value);
     }
 
     /// The deleting counterpart of [`StateStore::write`].
     fn erase(&mut self, key: &str) {
-        if self.smt.remove_deferred(key) && key.starts_with(LOCK_PREFIX) {
+        if self.smt.remove(key) && key.starts_with(LOCK_PREFIX) {
             self.lock_markers -= 1;
         }
-    }
-
-    /// Re-hash what deferred writes left stale (the end of a block).
-    pub(crate) fn rehash(&mut self) {
-        self.smt.rehash();
     }
 
     /// Number of live keys (including lock markers).
@@ -601,14 +593,6 @@ impl StateStore {
     /// logical state (no conflicting effect may have intervened), returning
     /// the operation's receipt.
     pub fn apply_plan(&mut self, plan: ExecPlan) -> Receipt {
-        let receipt = self.apply_plan_deferred(plan);
-        self.rehash();
-        receipt
-    }
-
-    /// [`StateStore::apply_plan`] leaving the written root paths stale
-    /// until [`StateStore::rehash`].
-    pub(crate) fn apply_plan_deferred(&mut self, plan: ExecPlan) -> Receipt {
         for e in plan.effects {
             self.apply_effect(e);
         }
@@ -625,12 +609,7 @@ impl StateStore {
     /// in parallel — the dominant cost of applying a large wave.
     pub fn apply_plans(&mut self, plans: Vec<ExecPlan>, workers: usize) -> Vec<Receipt> {
         if workers <= 1 {
-            let receipts = plans
-                .into_iter()
-                .map(|p| self.apply_plan_deferred(p))
-                .collect();
-            self.rehash();
-            return receipts;
+            return plans.into_iter().map(|p| self.apply_plan(p)).collect();
         }
         let mut receipts = Vec::with_capacity(plans.len());
         let mut changes: Vec<(Key, Option<Value>)> = Vec::new();

@@ -111,11 +111,12 @@ pub use sync::{chunk_bits_for, SyncError, SyncSession, VerifiedChunk};
 use ahl_crypto::Hash;
 
 /// A value that can live under the authenticated state tree: all the tree
-/// needs is a collision-resistant digest of the value's content.
+/// needs is a collision-resistant digest of the value's content, and to
+/// share values across the threads that hash disjoint subtrees.
 ///
 /// Implemented by `ahl_ledger::Value`; kept as a trait here so the store
 /// layer stays below the ledger in the dependency order.
-pub trait StateValue {
+pub trait StateValue: Sync {
     /// Canonical content digest of the value (the SMT leaf value hash).
     fn leaf_digest(&self) -> Hash;
 }

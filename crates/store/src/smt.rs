@@ -61,22 +61,27 @@
 //!
 //! ## When node hashes are fresh
 //!
-//! Leaf hashes are always current. Branch hashes may lag behind content:
-//! [`SparseMerkleTree::insert_deferred`] and
-//! [`SparseMerkleTree::remove_deferred`] flag every branch on the written
-//! path *stale* instead of re-hashing it, so a block of writes that share
-//! ancestors pays for each ancestor once, in the single bottom-up
-//! [`SparseMerkleTree::rehash`] that ends the block. A stale branch's
-//! ancestors are all stale, so the tree is fresh exactly when its root is.
-//! The flag is explicit: [`Hash::ZERO`] already means "empty subtree".
+//! Leaf hashes are always current; branch hashes are brought up to date
+//! when read. [`SparseMerkleTree::insert`] and [`SparseMerkleTree::remove`]
+//! flag every branch on the written root path *stale* instead of
+//! re-hashing it. The next reader of a hash — `root_hash`, `prove`,
+//! `chunk_proof`, `chunk_root`, `visit_nodes`, `diff_chunks`,
+//! `rehash_audit` — or the snapshot [`Clone`] first re-hashes every stale
+//! branch once, bottom-up, in place under the lineage's write lock; on a
+//! fresh tree it takes only the read lock. Writes that share ancestors
+//! between two reads pay for each ancestor once, so a replica that reads
+//! its root once per checkpoint hashes once per checkpoint, not per block.
 //!
-//! [`SparseMerkleTree::insert`], [`SparseMerkleTree::remove`],
-//! [`SparseMerkleTree::build`] and [`SparseMerkleTree::batch_apply`] leave
-//! the tree fresh. Lookups ([`SmtView::get`], [`SmtView::iter`], `len`)
-//! work on a stale tree; every reader of a hash — `root_hash`, `prove`,
-//! the `chunk_*` family, `visit_nodes`, `diff_chunks`, `rehash_audit` —
-//! and the snapshot [`Clone`] panic on one, in release builds too, because
-//! a stale hash handed out would be a wrong commitment.
+//! A stale branch's ancestors are all stale, so the tree is fresh exactly
+//! when its root is. Only unshared branches are ever stale (a clone
+//! freshens first), so freshening one handle touches no node another
+//! handle reaches. The flag is explicit: [`Hash::ZERO`] already means
+//! "empty subtree". [`SparseMerkleTree::build`] and a parallel
+//! [`SparseMerkleTree::batch_apply`] leave the tree fresh; lookups
+//! ([`SmtView::get`], [`SmtView::iter`], the chunk listings, `len`) read no
+//! hash and leave a stale tree stale. Freshening takes the write lock, so
+//! drop any [`SmtView`] of the lineage before reading a hash from a stale
+//! tree on the same thread.
 
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -149,9 +154,9 @@ struct Branch {
     /// The bit index at which the two children diverge. All leaves below
     /// share path bits `0..bit`; children split on bit `bit`.
     bit: u16,
-    /// `hash` is out of date: a deferred write changed this subtree and
-    /// [`SparseMerkleTree::rehash`] has not run since. Only unshared
-    /// branches are ever stale (a stale tree cannot be cloned).
+    /// `hash` is out of date: a write changed this subtree since a hash
+    /// was last read. Only unshared branches are ever stale (a clone
+    /// freshens first).
     stale: bool,
     hash: Hash,
     children: [Node; 2],
@@ -221,16 +226,6 @@ impl<V> Slab<V> {
 
     fn is_fresh(&self, root: Node) -> bool {
         !matches!(root, Node::Branch(i) if self.branch(i).stale)
-    }
-
-    /// Panics on a stale `root`: a stale hash handed out would be a wrong
-    /// commitment. Only ever called under a read lock, which a panic does
-    /// not poison.
-    fn assert_fresh(&self, root: Node) {
-        assert!(
-            self.is_fresh(root),
-            "SparseMerkleTree hash read before rehash()"
-        );
     }
 
     /// Path of the leftmost leaf below `node` (`None` for `Empty`). All
@@ -512,6 +507,17 @@ impl<V> Slab<V> {
         self.rehashed = out;
     }
 
+    /// Re-hash what writes left stale under `root`: a no-op on a fresh tree.
+    fn freshen(&mut self, root: Node)
+    where
+        V: Sync,
+    {
+        if !self.is_fresh(root) {
+            let _prof = ahl_telemetry::Profiler::span("smt.rehash");
+            self.rehash(root, 1);
+        }
+    }
+
     fn build_node(&mut self, leaves: &mut [BuildEntry<V>]) -> Node {
         match leaves {
             [] => Node::Empty,
@@ -716,7 +722,7 @@ impl<V> Slab<V> {
 
     fn audit_node(&self, node: Node, threads: usize) -> bool
     where
-        V: StateValue + Sync,
+        V: StateValue,
     {
         match node {
             Node::Empty => true,
@@ -818,14 +824,16 @@ impl<V> Default for SparseMerkleTree<V> {
     }
 }
 
-impl<V> Clone for SparseMerkleTree<V> {
-    /// O(1): bumps the root's count and shares the whole lineage. The clone
-    /// is an immutable snapshot — subsequent mutations of either tree
-    /// copy-on-write the affected root path and leave the other untouched.
-    /// Panics on a stale tree: a snapshot must commit to its content.
+impl<V: StateValue> Clone for SparseMerkleTree<V> {
+    /// O(1) on a fresh tree: bumps the root's count and shares the whole
+    /// lineage. The clone is an immutable snapshot — subsequent mutations
+    /// of either tree copy-on-write the affected root path and leave the
+    /// other untouched. A stale tree is re-hashed first, so the snapshot
+    /// commits to its content and shares no stale branch.
     fn clone(&self) -> Self {
-        self.assert_fresh();
-        self.write().retain(self.root);
+        let mut slab = self.write();
+        slab.freshen(self.root);
+        slab.retain(self.root);
         SparseMerkleTree {
             slab: Arc::clone(&self.slab),
             root: self.root,
@@ -846,11 +854,13 @@ impl<V> Drop for SparseMerkleTree<V> {
 }
 
 impl<V> std::fmt::Debug for SparseMerkleTree<V> {
+    /// Prints the root only when it is fresh: formatting hashes nothing.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut d = f.debug_struct("SparseMerkleTree");
         d.field("len", &self.len);
-        if self.is_fresh() {
-            d.field("root", &self.root_hash());
+        let slab = self.read();
+        if slab.is_fresh(self.root) {
+            d.field("root", &slab.hash(self.root));
         } else {
             d.field("root", &"stale");
         }
@@ -863,7 +873,7 @@ type BuildEntry<V> = Option<(Hash, String, Hash, V)>;
 /// A read view of a [`SparseMerkleTree`]: it holds the lineage's slab
 /// read-locked for its lifetime, which is what lets it lend out keys and
 /// values. Drop it before mutating, cloning or dropping any tree of the
-/// same lineage on this thread.
+/// same lineage on this thread, or reading a hash from a stale one.
 pub struct SmtView<'a, V> {
     slab: RwLockReadGuard<'a, Slab<V>>,
     root: Node,
@@ -910,7 +920,6 @@ impl<V> SmtView<'_, V> {
     /// order — the complete payload of one state-sync chunk, served from
     /// this tree (or any snapshot of it) alone.
     pub fn chunk_entries(&self, chunk: u32, bits: u8) -> Vec<(&str, &V)> {
-        self.slab.assert_fresh(self.root);
         self.slab.chunk_entries(self.root, chunk, bits)
     }
 }
@@ -927,13 +936,6 @@ impl<V> SparseMerkleTree<V> {
 
     fn write(&self) -> RwLockWriteGuard<'_, Slab<V>> {
         self.slab.write().expect(POISONED)
-    }
-
-    /// The slab read-locked, after checking the tree is fresh.
-    fn read_fresh(&self) -> RwLockReadGuard<'_, Slab<V>> {
-        let slab = self.read();
-        slab.assert_fresh(self.root);
-        slab
     }
 
     /// A read view: point lookups, iteration and chunk listings that lend
@@ -955,19 +957,10 @@ impl<V> SparseMerkleTree<V> {
         self.len == 0
     }
 
-    /// The root hash ([`Hash::ZERO`] when empty).
-    pub fn root_hash(&self) -> Hash {
-        self.read_fresh().hash(self.root)
-    }
-
-    /// Whether every cached node hash is current (no deferred write is
-    /// waiting for [`SparseMerkleTree::rehash`]).
+    /// Whether every cached node hash is current, i.e. no write since the
+    /// last hash read left a branch stale.
     pub fn is_fresh(&self) -> bool {
         self.read().is_fresh(self.root)
-    }
-
-    fn assert_fresh(&self) {
-        drop(self.read_fresh());
     }
 
     /// The value hash committed for `key`, if present.
@@ -975,6 +968,78 @@ impl<V> SparseMerkleTree<V> {
         let slab = self.read();
         slab.find(self.root, &key_path(key))
             .map(|i| slab.leaf(i).vhash)
+    }
+}
+
+impl<V: StateValue> SparseMerkleTree<V> {
+    /// Bulk-build from `(key, value)` pairs (one hash per node instead of
+    /// O(log n) per insert — use for genesis and state-sync install).
+    /// Later duplicates of a key win. The tree starts a new lineage.
+    pub fn build(entries: impl IntoIterator<Item = (String, V)>) -> Self {
+        let mut leaves: Vec<(Hash, String, Hash, V)> = entries
+            .into_iter()
+            .map(|(k, v)| (key_path(&k), k, v.leaf_digest(), v))
+            .collect();
+        leaves.sort_by_key(|l| l.0 .0);
+        leaves.dedup_by(|later, earlier| {
+            if later.0 == earlier.0 {
+                // Keep the later insertion, matching insert-loop semantics.
+                earlier.2 = later.2;
+                std::mem::swap(&mut earlier.1, &mut later.1);
+                std::mem::swap(&mut earlier.3, &mut later.3);
+                true
+            } else {
+                false
+            }
+        });
+        let len = leaves.len();
+        let mut slots: Vec<BuildEntry<V>> = leaves.into_iter().map(Some).collect();
+        let mut slab = Slab::default();
+        let root = slab.build_node(&mut slots[..]);
+        SparseMerkleTree {
+            slab: Arc::new(RwLock::new(slab)),
+            root,
+            len,
+        }
+    }
+
+    /// Insert or update `key` with `value`: one leaf hash, with the
+    /// branches on the key's root path left stale until the next hash read.
+    /// Copies only the root-path nodes shared with snapshots.
+    pub fn insert(&mut self, key: &str, value: V) {
+        let _prof = ahl_telemetry::Profiler::span("smt.update");
+        let leaf = leaf_digests(key, &value);
+        let mut slab = self.slab.write().expect(POISONED);
+        self.len += slab.insert(&mut self.root, key, leaf, value) as usize;
+    }
+
+    /// Remove `key`. Returns whether it was present. Leaves the root path
+    /// stale and copies on write like [`SparseMerkleTree::insert`].
+    pub fn remove(&mut self, key: &str) -> bool {
+        let path = key_path(key);
+        let mut slab = self.slab.write().expect(POISONED);
+        let hit = slab.remove(&mut self.root, &path);
+        self.len -= hit as usize;
+        hit
+    }
+
+    /// The slab read-locked with every hash under this root current: the
+    /// read lock alone when fresh, else the write lock first to re-hash.
+    /// Only writes through `&mut self` make a root stale, so it stays fresh
+    /// between the two locks.
+    fn read_fresh(&self) -> RwLockReadGuard<'_, Slab<V>> {
+        let slab = self.read();
+        if slab.is_fresh(self.root) {
+            return slab;
+        }
+        drop(slab);
+        self.write().freshen(self.root);
+        self.read()
+    }
+
+    /// The root hash ([`Hash::ZERO`] when empty).
+    pub fn root_hash(&self) -> Hash {
+        self.read_fresh().hash(self.root)
     }
 
     /// Produce a proof for `key`: an inclusion proof when the key is live,
@@ -1070,101 +1135,23 @@ impl<V> SparseMerkleTree<V> {
     pub fn diff_chunks(&self, newer: &Self, bits: u8) -> Vec<u32> {
         let old = self.read_fresh();
         if Arc::ptr_eq(&self.slab, &newer.slab) {
-            // One lineage: one read lock serves both roots.
-            old.assert_fresh(newer.root);
-            return old.diff_chunks(self.root, &old, newer.root, bits);
+            // One lineage: one read lock serves both roots, once `newer`
+            // is fresh too.
+            drop(old);
+            let slab = newer.read_fresh();
+            return slab.diff_chunks(self.root, &slab, newer.root, bits);
         }
         old.diff_chunks(self.root, &newer.read_fresh(), newer.root, bits)
     }
-}
 
-impl<V: StateValue> SparseMerkleTree<V> {
-    /// Bulk-build from `(key, value)` pairs (one hash per node instead of
-    /// O(log n) per insert — use for genesis and state-sync install).
-    /// Later duplicates of a key win. The tree starts a new lineage.
-    pub fn build(entries: impl IntoIterator<Item = (String, V)>) -> Self {
-        let mut leaves: Vec<(Hash, String, Hash, V)> = entries
-            .into_iter()
-            .map(|(k, v)| (key_path(&k), k, v.leaf_digest(), v))
-            .collect();
-        leaves.sort_by_key(|l| l.0 .0);
-        leaves.dedup_by(|later, earlier| {
-            if later.0 == earlier.0 {
-                // Keep the later insertion, matching insert-loop semantics.
-                earlier.2 = later.2;
-                std::mem::swap(&mut earlier.1, &mut later.1);
-                std::mem::swap(&mut earlier.3, &mut later.3);
-                true
-            } else {
-                false
-            }
-        });
-        let len = leaves.len();
-        let mut slots: Vec<BuildEntry<V>> = leaves.into_iter().map(Some).collect();
-        let mut slab = Slab::default();
-        let root = slab.build_node(&mut slots[..]);
-        SparseMerkleTree {
-            slab: Arc::new(RwLock::new(slab)),
-            root,
-            len,
-        }
-    }
-}
-
-/// `(path, value hash, leaf hash)` of a write.
-fn leaf_digests<V: StateValue>(key: &str, value: &V) -> (Hash, Hash, Hash) {
-    let path = key_path(key);
-    let vhash = value.leaf_digest();
-    (path, vhash, leaf_hash(&path, &vhash))
-}
-
-impl<V: StateValue + Clone + Sync> SparseMerkleTree<V> {
-    /// Insert or update `key` with `value`. O(log n) hashes; copies only
-    /// the nodes on the key's root path that are shared with snapshots.
-    pub fn insert(&mut self, key: &str, value: V) {
-        self.insert_deferred(key, value);
-        self.rehash();
-    }
-
-    /// [`SparseMerkleTree::insert`] without re-hashing: the branches on
-    /// the key's root path are flagged stale until the next
-    /// [`SparseMerkleTree::rehash`], so writes that share ancestors hash
-    /// each of them once.
-    pub fn insert_deferred(&mut self, key: &str, value: V) {
-        let _prof = ahl_telemetry::Profiler::span("smt.update");
-        let leaf = leaf_digests(key, &value);
-        let mut slab = self.slab.write().expect(POISONED);
-        self.len += slab.insert(&mut self.root, key, leaf, value) as usize;
-    }
-
-    /// Remove `key`. Returns whether it was present. O(log n) hashes;
-    /// copy-on-write like [`SparseMerkleTree::insert`].
-    pub fn remove(&mut self, key: &str) -> bool {
-        let hit = self.remove_deferred(key);
-        self.rehash();
-        hit
-    }
-
-    /// [`SparseMerkleTree::remove`] without re-hashing (see
-    /// [`SparseMerkleTree::insert_deferred`]).
-    pub fn remove_deferred(&mut self, key: &str) -> bool {
-        let path = key_path(key);
-        let mut slab = self.slab.write().expect(POISONED);
-        let hit = slab.remove(&mut self.root, &path);
-        self.len -= hit as usize;
-        hit
-    }
-
-    /// Recompute every stale branch hash once, bottom-up, leaving the tree
-    /// fresh. Visits only stale branches and their children, so a no-op on
-    /// a fresh tree.
-    pub fn rehash(&mut self) {
-        let mut slab = self.slab.write().expect(POISONED);
-        if slab.is_fresh(self.root) {
-            return;
-        }
-        let _prof = ahl_telemetry::Profiler::span("smt.rehash");
-        slab.rehash(self.root, 1);
+    /// Recompute every node hash bottom-up from leaf content — value
+    /// digests, leaf hashes, branch hashes — across up to `workers`
+    /// threads (disjoint subtrees audit concurrently), and compare against
+    /// the cached hashes. Returns `true` when the entire tree is
+    /// consistent. Checkpoint integrity check: a corrupted cache or a
+    /// miscomputed parallel batch merge cannot certify a bad root.
+    pub fn rehash_audit(&self, workers: usize) -> bool {
+        self.read_fresh().audit_node(self.root, workers.max(1))
     }
 
     /// Overwrite a stored value *without* refreshing the cached digests —
@@ -1183,14 +1170,7 @@ impl<V: StateValue + Clone + Sync> SparseMerkleTree<V> {
             .value = value;
         true
     }
-}
 
-/// Below this many changes, [`SparseMerkleTree::batch_apply`] runs the
-/// plain insert/remove loop: the thread setup costs more than it saves on
-/// a handful of keys.
-const MIN_PARALLEL_BATCH: usize = 32;
-
-impl<V: StateValue + Clone + Send + Sync> SparseMerkleTree<V> {
     /// Apply a batch of changes (`Some(value)` = insert/update, `None` =
     /// remove), equivalent to calling [`SparseMerkleTree::insert`] /
     /// [`SparseMerkleTree::remove`] in order — later changes to the same
@@ -1201,10 +1181,6 @@ impl<V: StateValue + Clone + Send + Sync> SparseMerkleTree<V> {
     /// per batch instead of once per key. The root is bit-identical to the
     /// sequential loop.
     pub fn batch_apply(&mut self, changes: Vec<(String, Option<V>)>, workers: usize) {
-        self.assert_fresh();
-        if changes.is_empty() {
-            return;
-        }
         if workers <= 1 || changes.len() < MIN_PARALLEL_BATCH {
             for (k, v) in changes {
                 match v {
@@ -1247,17 +1223,17 @@ impl<V: StateValue + Clone + Send + Sync> SparseMerkleTree<V> {
     }
 }
 
-impl<V: StateValue + Send + Sync> SparseMerkleTree<V> {
-    /// Recompute every node hash bottom-up from leaf content — value
-    /// digests, leaf hashes, branch hashes — across up to `workers`
-    /// threads (disjoint subtrees audit concurrently), and compare against
-    /// the cached hashes. Returns `true` when the entire tree is
-    /// consistent. Checkpoint integrity check: a corrupted cache or a
-    /// miscomputed parallel batch merge cannot certify a bad root.
-    pub fn rehash_audit(&self, workers: usize) -> bool {
-        self.read_fresh().audit_node(self.root, workers.max(1))
-    }
+/// `(path, value hash, leaf hash)` of a write.
+fn leaf_digests<V: StateValue>(key: &str, value: &V) -> (Hash, Hash, Hash) {
+    let path = key_path(key);
+    let vhash = value.leaf_digest();
+    (path, vhash, leaf_hash(&path, &vhash))
 }
+
+/// Below this many changes, [`SparseMerkleTree::batch_apply`] runs the
+/// plain insert/remove loop: the thread setup costs more than it saves on
+/// a handful of keys.
+const MIN_PARALLEL_BATCH: usize = 32;
 
 /// First bit (0 = most significant) where two paths differ.
 fn first_diff_bit(a: &Hash, b: &Hash) -> Option<u16> {
@@ -1520,10 +1496,9 @@ mod accounting {
                                 model.insert(key(k), vh(v));
                             }
                             1 => {
-                                t.insert_deferred(&key(k), vh(v));
-                                t.insert_deferred(&key(k + 7), vh(v + 1));
-                                t.remove_deferred(&key(k + 3));
-                                t.rehash();
+                                t.insert(&key(k), vh(v));
+                                t.insert(&key(k + 7), vh(v + 1));
+                                t.remove(&key(k + 3));
                                 apply_model(model, &[
                                     (key(k), Some(vh(v))),
                                     (key(k + 7), Some(vh(v + 1))),
@@ -1548,10 +1523,11 @@ mod accounting {
                         }
                     }
                 }
+                // Counts first, while writes may still have left handles stale.
+                check_slabs(&handles);
                 for (t, model) in &handles {
                     check_handle(t, model, step as u32 % 4);
                 }
-                check_slabs(&handles);
             }
             drop(handles);
             for slab in slabs {
@@ -1620,9 +1596,8 @@ mod accounting {
             let (len_before, free_before) = columns(&t);
             for j in 0..64u64 {
                 let k = (interval * 131 + j * 17) % 512;
-                t.insert_deferred(&format!("acc{k}"), vh(1_000 * (interval + 1) + j));
+                t.insert(&format!("acc{k}"), vh(1_000 * (interval + 1) + j));
             }
-            t.rehash();
             let (len_after, free_after) = columns(&t);
             // Writes free nothing, so the free list only shrinks, and the slab
             // grows only once it is empty.
