@@ -2,7 +2,7 @@
 //! prove / verify against the flat-map baseline it authenticates, plus the
 //! bulk genesis build and chunk extraction used by state sync.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
@@ -15,6 +15,15 @@ fn vhash(i: u64) -> ahl_crypto::Hash {
 
 fn tree_with(n: u64) -> SparseMerkleTree {
     SparseMerkleTree::build((0..n).map(|i| (format!("acc{i}"), vhash(i))))
+}
+
+/// `n` writes to keys drawn uniformly from `acc0..acc32767` by an LCG on
+/// `next`: the host-time benchmark's write shape.
+fn random_writes(t: &mut SparseMerkleTree, next: &mut u64, n: usize) {
+    for _ in 0..n {
+        *next = next.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        t.insert(&format!("acc{}", (*next >> 33) % 32_768), vhash(*next));
+    }
 }
 
 fn bench_updates(c: &mut Criterion) {
@@ -46,7 +55,7 @@ fn bench_updates(c: &mut Criterion) {
                 for i in 0..100u64 {
                     t.insert(&format!("acc{}", i * 97 % 10_000), vhash(i));
                 }
-                t
+                (t.root_hash(), t)
             },
             BatchSize::SmallInput,
         );
@@ -58,10 +67,7 @@ fn bench_updates(c: &mut Criterion) {
         let mut t = tree_with(32_768);
         let mut next = 0u64;
         b.iter(|| {
-            for _ in 0..64 {
-                next = next.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                t.insert(&format!("acc{}", (next >> 33) % 32_768), vhash(next));
-            }
+            random_writes(&mut t, &mut next, 64);
             t.root_hash()
         });
     });
@@ -82,7 +88,7 @@ fn bench_build(c: &mut Criterion) {
             for i in 0..10_000u64 {
                 t.insert(&format!("acc{i}"), vhash(i));
             }
-            t
+            (t.root_hash(), t)
         });
     });
     g.finish();
@@ -140,7 +146,7 @@ fn bench_snapshots(c: &mut Criterion) {
                 for i in 0..100u64 {
                     t.insert(&format!("acc{}", i * 97 % 10_000), vhash(i));
                 }
-                (t, snap)
+                (t.root_hash(), t, snap)
             },
             BatchSize::SmallInput,
         );
@@ -155,21 +161,17 @@ fn bench_snapshots(c: &mut Criterion) {
     g.bench_function("diff_chunks_10k_50_changed", |b| {
         b.iter(|| old.diff_chunks(&new, 6));
     });
-    // The replica's steady state: 64-write blocks over 32 768 keys, each
-    // hashed once at the block's end, a checkpoint snapshot every 32
+    // The replica's steady state: 64-write blocks over 32 768 keys, the
+    // root read at each block's end, a checkpoint snapshot every 32
     // blocks and 8 retained. Prices what `smt_64_updates_32k` never pays:
     // copy-on-write against live snapshots and dropping retired ones.
     g.throughput(Throughput::Elements(64));
     g.bench_function("updates_64_32k_checkpointed", |b| {
         let mut t = tree_with(32_768);
-        let mut retained: std::collections::VecDeque<SparseMerkleTree> = Default::default();
+        let mut retained: VecDeque<SparseMerkleTree> = Default::default();
         let (mut next, mut blocks) = (0u64, 0u64);
         b.iter(|| {
-            for _ in 0..64 {
-                next = next.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                t.insert_deferred(&format!("acc{}", (next >> 33) % 32_768), vhash(next));
-            }
-            t.rehash();
+            random_writes(&mut t, &mut next, 64);
             blocks += 1;
             if blocks % 32 == 0 {
                 retained.push_back(t.clone());
@@ -178,6 +180,25 @@ fn bench_snapshots(c: &mut Criterion) {
                 }
             }
             t.root_hash()
+        });
+    });
+    // The same writes with the root read only where a replica commits it:
+    // one interval of 32 blocks × 64 writes, then one root read and one
+    // retained snapshot (8 retained). Ancestors the interval's writes share
+    // are hashed once per interval instead of once per block.
+    g.throughput(Throughput::Elements(2_048));
+    g.bench_function("interval_2048_32k", |b| {
+        let mut t = tree_with(32_768);
+        let mut retained: VecDeque<SparseMerkleTree> = Default::default();
+        let mut next = 0u64;
+        b.iter(|| {
+            random_writes(&mut t, &mut next, 2_048);
+            let root = t.root_hash();
+            retained.push_back(t.clone());
+            if retained.len() > 8 {
+                retained.pop_front();
+            }
+            root
         });
     });
     // Retiring a checkpoint snapshot on its own (the replica's
@@ -189,16 +210,10 @@ fn bench_snapshots(c: &mut Criterion) {
         let mut t = tree_with(32_768);
         let mut next = 0u64;
         let mut interval = |t: &mut SparseMerkleTree| {
-            for _ in 0..32 {
-                for _ in 0..64 {
-                    next = next.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    t.insert_deferred(&format!("acc{}", (next >> 33) % 32_768), vhash(next));
-                }
-                t.rehash();
-            }
+            random_writes(t, &mut next, 2_048);
             t.clone()
         };
-        let mut retained: std::collections::VecDeque<SparseMerkleTree> =
+        let mut retained: VecDeque<SparseMerkleTree> =
             [interval(&mut t), interval(&mut t)].into();
         b.iter_batched(
             || {
@@ -259,7 +274,7 @@ fn bench_batch_apply(c: &mut Criterion) {
                 || (tree_with(10_000), changes.clone()),
                 |(mut t, ch)| {
                     t.batch_apply(ch, workers);
-                    t
+                    (t.root_hash(), t)
                 },
                 BatchSize::SmallInput,
             );
@@ -280,7 +295,7 @@ fn bench_batch_apply(c: &mut Criterion) {
                         }
                     }
                 }
-                t
+                (t.root_hash(), t)
             },
             BatchSize::SmallInput,
         );

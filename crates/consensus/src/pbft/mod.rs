@@ -419,6 +419,66 @@ mod tests {
         );
     }
 
+    /// A replica hashes its state tree where the root is read, not at
+    /// every block end: after k < `checkpoint_interval` executed blocks of
+    /// writes the tree is still stale, so nothing was hashed since genesis.
+    /// At the checkpoint height it votes for the root a bulk build of the
+    /// same content commits to.
+    #[test]
+    fn state_tree_is_hashed_once_per_checkpoint_interval() {
+        use crate::common::Request;
+        use ahl_ledger::StateStore;
+        use ahl_simkit::{Actor, Ctx};
+
+        let mut cfg = PbftConfig::new(BftVariant::AhlPlus, 4);
+        cfg.checkpoint_interval = 4;
+        let member = derive_committee(cfg.n, 42).swap_remove(1);
+        let mut replica = member.into_replica(&cfg, (0..4).collect(), &[]);
+        let mut host = TestHost::new(5);
+        let client = 4;
+        // Leader 0's pre-prepare and commit vote, with replica 1's own
+        // commit vote, commit a block of three single-key writes.
+        let mut commit_block = |r: &mut Replica, seq: u64| {
+            let reqs = (0..3)
+                .map(|j| {
+                    let n = seq * 3 + j;
+                    Request {
+                        id: Request::make_id(client, n as u32),
+                        client,
+                        op: Op::Direct { txid: TxId(n), op: kvstore::kv_write(&[n], 16) },
+                        submitted: SimTime::ZERO,
+                    }
+                })
+                .collect();
+            let block = Arc::new(PbftBlock::new(0, seq, 0, reqs));
+            let vote = Vote { view: 0, seq, digest: block.digest, replica: 0, cert: MsgCert::Simulated };
+            let mut out = Vec::new();
+            for msg in [PbftMsg::PrePrepare { block, cert: MsgCert::Simulated }, PbftMsg::Commit(vote)] {
+                let mut ctx = Ctx::for_host(&mut host, 1);
+                r.on_message(0, msg, &mut ctx);
+                out.extend(ctx.finish().1);
+            }
+            assert_eq!(r.exec_seq(), seq);
+            out
+        };
+        for seq in 1..cfg.checkpoint_interval {
+            commit_block(&mut replica, seq);
+            assert!(!replica.state().smt().is_fresh(), "the tree was hashed at block {seq}");
+        }
+        let out = commit_block(&mut replica, cfg.checkpoint_interval);
+        let voted = out
+            .iter()
+            .find_map(|(_, m)| match m {
+                PbftMsg::Checkpoint { vote } => Some(vote.digest),
+                _ => None,
+            })
+            .expect("a checkpoint vote at the checkpoint height");
+        let entries =
+            replica.state().smt().view().iter().map(|(k, v)| (k.to_string(), v.clone())).collect();
+        assert_eq!(voted, StateStore::from_entries(entries).state_digest());
+        assert_eq!(replica.state().len(), 3 * cfg.checkpoint_interval as usize);
+    }
+
     /// AHLR commits on the leader enclave's aggregate of a commit quorum,
     /// the block's commit certificate. An `AggCommit` from a non-leader,
     /// for a block nobody but the leader voted on, is refused; so is, in
