@@ -489,11 +489,16 @@ impl<V> Slab<V> {
         hash
     }
 
-    /// Recompute every stale branch hash under `root` once, bottom-up.
+    /// Recompute every stale branch hash under `root` once, bottom-up,
+    /// across up to `threads` threads: a no-op on a fresh tree.
     fn rehash(&mut self, root: Node, threads: usize)
     where
         V: Sync,
     {
+        if self.is_fresh(root) {
+            return;
+        }
+        let _prof = ahl_telemetry::Profiler::span("smt.rehash");
         let mut out = std::mem::take(&mut self.rehashed);
         self.stale_hashes(root, threads, &mut out);
         for (i, hash) in out.drain(..) {
@@ -505,17 +510,6 @@ impl<V> Slab<V> {
             (b.hash, b.stale) = (hash, false);
         }
         self.rehashed = out;
-    }
-
-    /// Re-hash what writes left stale under `root`: a no-op on a fresh tree.
-    fn freshen(&mut self, root: Node)
-    where
-        V: Sync,
-    {
-        if !self.is_fresh(root) {
-            let _prof = ahl_telemetry::Profiler::span("smt.rehash");
-            self.rehash(root, 1);
-        }
     }
 
     fn build_node(&mut self, leaves: &mut [BuildEntry<V>]) -> Node {
@@ -832,7 +826,7 @@ impl<V: StateValue> Clone for SparseMerkleTree<V> {
     /// commits to its content and shares no stale branch.
     fn clone(&self) -> Self {
         let mut slab = self.write();
-        slab.freshen(self.root);
+        slab.rehash(self.root, 1);
         slab.retain(self.root);
         SparseMerkleTree {
             slab: Arc::clone(&self.slab),
@@ -1033,7 +1027,7 @@ impl<V: StateValue> SparseMerkleTree<V> {
             return slab;
         }
         drop(slab);
-        self.write().freshen(self.root);
+        self.write().rehash(self.root, 1);
         self.read()
     }
 
