@@ -157,7 +157,6 @@ fn hash_readers_freshen_a_stale_tree() {
     let changes: Vec<(String, Option<Hash>)> = (0..40u64)
         .map(|i| (format!("b{i}"), Some(vh(500 + i))))
         .collect();
-    let mut content = content;
     content.extend(changes.iter().map(|(k, v)| (k.clone(), v.expect("writes"))));
     let (mut t, _) = stale();
     t.batch_apply(changes.clone(), 4);
