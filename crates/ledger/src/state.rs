@@ -602,15 +602,12 @@ impl StateStore {
         }
     }
 
-    /// Apply one conflict-free wave of plans in canonical order. With
-    /// `workers > 1` the 2PC bookkeeping updates serially (it is cheap)
-    /// while all tree changes coalesce into one
-    /// [`SparseMerkleTree::batch_apply`] that re-hashes disjoint subtrees
-    /// in parallel — the dominant cost of applying a large wave.
+    /// Apply one conflict-free wave of plans in canonical order. The 2PC
+    /// bookkeeping updates serially (it is cheap) while all tree changes
+    /// coalesce into one [`SparseMerkleTree::batch_apply`], which with
+    /// `workers > 1` re-hashes disjoint subtrees in parallel — the dominant
+    /// cost of applying a large wave.
     pub fn apply_plans(&mut self, plans: Vec<ExecPlan>, workers: usize) -> Vec<Receipt> {
-        if workers <= 1 {
-            return plans.into_iter().map(|p| self.apply_plan(p)).collect();
-        }
         let mut receipts = Vec::with_capacity(plans.len());
         let mut changes: Vec<(Key, Option<Value>)> = Vec::new();
         for plan in plans {
