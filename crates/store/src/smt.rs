@@ -18,18 +18,26 @@
 //!
 //! A tree and every clone and snapshot taken from it form one *lineage*,
 //! and the lineage keeps all its nodes in one slab: a branch column and a
-//! leaf column addressed by `u32` indices, a dense `u32` reference count
-//! per slot, and a LIFO free list per column, so a freed slot is the next
-//! allocation's. A tree handle is a root index into that slab, which sits
-//! behind one `Arc<RwLock<…>>`.
+//! leaf column addressed by `u32` indices, and a LIFO free list per column,
+//! so a freed slot is the next allocation's. A tree handle is a root index
+//! into that slab, which sits behind one `Arc<RwLock<…>>`.
+//!
+//! A branch record is 16 bytes: its two children as tagged `u32`
+//! references (`u32::MAX` for an empty side, bit 31 set for a leaf), its
+//! crit bit, its stale flag and its reference count — everything a descent,
+//! a copy-on-write or a release reads. Its 32-byte hash lives in a column
+//! of its own, which only hash readers and the re-hash visit. A leaf keeps
+//! its count beside its path. The tag bit and the sentinel leave
+//! `2³¹ − 1` slots per column; allocating past that panics rather than
+//! alias a reference.
 //!
 //! Nodes are never mutated while shared. An update walks the leaf's root
 //! path and mutates a node in place when its count is 1 — the common case
-//! with no snapshot outstanding — and otherwise copies the slot and bumps
-//! the two child counts in the dense column, without touching the
-//! children. Consequently [`SparseMerkleTree::clone`] is **O(1)**: it bumps
-//! one count, and the clone is a true immutable snapshot — its root,
-//! proofs, and chunk proofs stay byte-identical no matter how the live tree
+//! with no snapshot outstanding — and otherwise copies the 16-byte record
+//! and bumps the two children's counts, without copying the children.
+//! Consequently [`SparseMerkleTree::clone`] is **O(1)**: it bumps one
+//! count, and the clone is a true immutable snapshot — its root, proofs,
+//! and chunk proofs stay byte-identical no matter how the live tree
 //! evolves. Dropping a handle releases its root, freeing only the nodes
 //! whose count reaches zero, so retiring a snapshot walks exactly the nodes
 //! no other handle shares. This is what makes per-checkpoint state
@@ -141,25 +149,81 @@ enum Node {
     Branch(u32),
 }
 
+/// Slots a column may hold: indices `0..SLOTS` encode as a [`Ref`] that
+/// neither sets the leaf tag on a branch nor collides with the empty
+/// sentinel (a leaf at `2³¹ − 1` would read back as `Empty`).
+const SLOTS: usize = (1 << 31) - 1;
+
+/// A [`Node`] as a branch stores it: `u32::MAX` for `Empty`, the index
+/// with bit 31 set for a leaf, the bare index for a branch.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Ref(u32);
+
+impl Ref {
+    const EMPTY: u32 = u32::MAX;
+    const LEAF: u32 = 1 << 31;
+}
+
+impl From<Node> for Ref {
+    #[inline]
+    fn from(node: Node) -> Ref {
+        Ref(match node {
+            Node::Empty => Ref::EMPTY,
+            Node::Leaf(i) => Ref::LEAF | i,
+            Node::Branch(i) => i,
+        })
+    }
+}
+
+impl From<Ref> for Node {
+    #[inline]
+    fn from(r: Ref) -> Node {
+        match r.0 {
+            Ref::EMPTY => Node::Empty,
+            i if i & Ref::LEAF != 0 => Node::Leaf(i & !Ref::LEAF),
+            i => Node::Branch(i),
+        }
+    }
+}
+
 struct Leaf<V> {
     path: Hash,
+    /// References to this slot: parent branches plus handles rooted here.
+    refs: u32,
     key: String,
     vhash: Hash,
     hash: Hash,
     value: V,
 }
 
+/// The record every walk, copy-on-write and release touches. Its hash sits
+/// apart, in [`Slab::branch_hashes`], which only hash readers visit.
 #[derive(Clone, Copy)]
 struct Branch {
+    links: [Ref; 2],
+    /// References to this slot: parent branches plus handles rooted here.
+    refs: u32,
     /// The bit index at which the two children diverge. All leaves below
     /// share path bits `0..bit`; children split on bit `bit`.
     bit: u16,
-    /// `hash` is out of date: a write changed this subtree since a hash
-    /// was last read. Only unshared branches are ever stale (a clone
-    /// freshens first).
+    /// The branch's hash is out of date: a write changed this subtree
+    /// since a hash was last read. Only unshared branches are ever stale
+    /// (a clone freshens first).
     stale: bool,
-    hash: Hash,
-    children: [Node; 2],
+}
+
+const _: () = assert!(std::mem::size_of::<Branch>() == 16, "one branch record");
+
+impl Branch {
+    #[inline]
+    fn child(&self, dir: usize) -> Node {
+        self.links[dir].into()
+    }
+
+    #[inline]
+    fn children(&self) -> [Node; 2] {
+        [self.child(0), self.child(1)]
+    }
 }
 
 /// Where a node reference lives: the handle's root (`None`) or child `dir`
@@ -171,10 +235,10 @@ type Slot = Option<(u32, usize)>;
 /// Free slots have count 0 (and, in the leaf column, no content).
 struct Slab<V> {
     branches: Vec<Branch>,
-    branch_refs: Vec<u32>,
+    /// Branch `i`'s hash, current unless `branches[i].stale`.
+    branch_hashes: Vec<Hash>,
     free_branches: Vec<u32>,
     leaves: Vec<Option<Leaf<V>>>,
-    leaf_refs: Vec<u32>,
     free_leaves: Vec<u32>,
     /// Scratch for [`Slab::rehash`]: `(branch, fresh hash)` pairs.
     rehashed: Vec<(u32, Hash)>,
@@ -184,10 +248,9 @@ impl<V> Default for Slab<V> {
     fn default() -> Self {
         Slab {
             branches: Vec::new(),
-            branch_refs: Vec::new(),
+            branch_hashes: Vec::new(),
             free_branches: Vec::new(),
             leaves: Vec::new(),
-            leaf_refs: Vec::new(),
             free_leaves: Vec::new(),
             rehashed: Vec::new(),
         }
@@ -203,6 +266,10 @@ impl<V> Slab<V> {
         self.leaves[i as usize].as_ref().expect("live leaf slot")
     }
 
+    fn leaf_mut(&mut self, i: u32) -> &mut Leaf<V> {
+        self.leaves[i as usize].as_mut().expect("live leaf slot")
+    }
+
     fn branch(&self, i: u32) -> &Branch {
         &self.branches[i as usize]
     }
@@ -212,9 +279,8 @@ impl<V> Slab<V> {
             Node::Empty => Hash::ZERO,
             Node::Leaf(i) => self.leaf(i).hash,
             Node::Branch(i) => {
-                let b = self.branch(i);
-                debug_assert!(!b.stale, "hash read from a stale branch");
-                b.hash
+                debug_assert!(!self.branch(i).stale, "hash read from a stale branch");
+                self.branch_hashes[i as usize]
             }
         }
     }
@@ -236,7 +302,7 @@ impl<V> Slab<V> {
             match node {
                 Node::Empty => return None,
                 Node::Leaf(i) => return Some(self.leaf(i).path),
-                Node::Branch(i) => node = self.branch(i).children[0],
+                Node::Branch(i) => node = self.branch(i).child(0),
             }
         }
     }
@@ -251,7 +317,7 @@ impl<V> Slab<V> {
                 Node::Leaf(i) => return (self.leaf(i).path == *path).then_some(i),
                 Node::Branch(i) => {
                     let b = self.branch(i);
-                    node = b.children[path_bit(path, b.bit)];
+                    node = b.child(path_bit(path, b.bit));
                 }
             }
         }
@@ -259,31 +325,39 @@ impl<V> Slab<V> {
 
     // ---- slot accounting --------------------------------------------------
 
+    /// Store `leaf` (count 1) in a free slot, or a new one.
     fn new_leaf(&mut self, leaf: Leaf<V>) -> Node {
         Node::Leaf(match self.free_leaves.pop() {
             Some(i) => {
                 self.leaves[i as usize] = Some(leaf);
-                self.leaf_refs[i as usize] = 1;
                 i
             }
             None => {
+                assert!(
+                    self.leaves.len() < SLOTS,
+                    "leaf column full: slot {SLOTS} would read back as an empty child"
+                );
                 self.leaves.push(Some(leaf));
-                self.leaf_refs.push(1);
                 (self.leaves.len() - 1) as u32
             }
         })
     }
 
+    /// Store `branch` (count 1) in a free slot, or a new one. The slot's
+    /// hash is whatever it last held: the caller sets it or flags `stale`.
     fn new_branch(&mut self, branch: Branch) -> u32 {
         match self.free_branches.pop() {
             Some(i) => {
                 self.branches[i as usize] = branch;
-                self.branch_refs[i as usize] = 1;
                 i
             }
             None => {
+                assert!(
+                    self.branches.len() < SLOTS,
+                    "branch column full: a child reference addresses {SLOTS} slots"
+                );
                 self.branches.push(branch);
-                self.branch_refs.push(1);
+                self.branch_hashes.push(Hash::ZERO);
                 (self.branches.len() - 1) as u32
             }
         }
@@ -292,8 +366,8 @@ impl<V> Slab<V> {
     fn retain(&mut self, node: Node) {
         match node {
             Node::Empty => {}
-            Node::Leaf(i) => self.leaf_refs[i as usize] += 1,
-            Node::Branch(i) => self.branch_refs[i as usize] += 1,
+            Node::Leaf(i) => self.leaf_mut(i).refs += 1,
+            Node::Branch(i) => self.branches[i as usize].refs += 1,
         }
     }
 
@@ -303,17 +377,19 @@ impl<V> Slab<V> {
         match node {
             Node::Empty => {}
             Node::Leaf(i) => {
-                self.leaf_refs[i as usize] -= 1;
-                if self.leaf_refs[i as usize] == 0 {
+                let l = self.leaf_mut(i);
+                l.refs -= 1;
+                if l.refs == 0 {
                     self.leaves[i as usize] = None;
                     self.free_leaves.push(i);
                 }
             }
             Node::Branch(i) => {
-                self.branch_refs[i as usize] -= 1;
-                if self.branch_refs[i as usize] == 0 {
+                let b = &mut self.branches[i as usize];
+                b.refs -= 1;
+                if b.refs == 0 {
+                    let [c0, c1] = b.children();
                     self.free_branches.push(i);
-                    let [c0, c1] = self.branches[i as usize].children;
                     self.release(c0);
                     self.release(c1);
                 }
@@ -321,23 +397,31 @@ impl<V> Slab<V> {
         }
     }
 
-    /// Branch `i` made safe to mutate: itself when unshared, else a fresh
-    /// copy that takes over this reference (the children gain a parent).
+    /// Branch `i` made safe to mutate and flagged stale: itself when
+    /// unshared, else a copy that takes over this reference (the children
+    /// gain a parent). The copy's hash is never read before it is
+    /// recomputed, so it is not copied.
     fn own_branch(&mut self, i: u32) -> u32 {
-        if self.branch_refs[i as usize] == 1 {
+        let b = &mut self.branches[i as usize];
+        if b.refs == 1 {
+            b.stale = true;
             return i;
         }
-        let b = self.branches[i as usize];
-        self.retain(b.children[0]);
-        self.retain(b.children[1]);
-        self.branch_refs[i as usize] -= 1;
-        self.new_branch(b)
+        b.refs -= 1;
+        let copy = Branch {
+            refs: 1,
+            stale: true,
+            ..*b
+        };
+        self.retain(copy.child(0));
+        self.retain(copy.child(1));
+        self.new_branch(copy)
     }
 
     fn set(&mut self, root: &mut Node, slot: Slot, node: Node) {
         match slot {
             None => *root = node,
-            Some((b, dir)) => self.branches[b as usize].children[dir] = node,
+            Some((b, dir)) => self.branches[b as usize].links[dir] = node.into(),
         }
     }
 
@@ -356,10 +440,9 @@ impl<V> Slab<V> {
             if j != i {
                 self.set(root, slot, Node::Branch(j));
             }
-            let b = &mut self.branches[j as usize];
-            b.stale = true;
+            let b = self.branch(j);
             let dir = path_bit(path, b.bit);
-            (slot, node) = (Some((j, dir)), b.children[dir]);
+            (slot, node) = (Some((j, dir)), b.child(dir));
         }
         (slot, node)
     }
@@ -375,7 +458,8 @@ impl<V> Slab<V> {
                 Node::Empty => break None,
                 Node::Leaf(i) => break Some(self.leaf(i).path),
                 Node::Branch(i) => {
-                    node = self.branch(i).children[path_bit(&path, self.branch(i).bit)]
+                    let b = self.branch(i);
+                    node = b.child(path_bit(&path, b.bit));
                 }
             }
         };
@@ -391,8 +475,8 @@ impl<V> Slab<V> {
             let Node::Leaf(i) = old else {
                 unreachable!("the path routes to its leaf")
             };
-            if self.leaf_refs[i as usize] == 1 {
-                let l = self.leaves[i as usize].as_mut().expect("live leaf slot");
+            let l = self.leaf_mut(i);
+            if l.refs == 1 {
                 (l.vhash, l.hash, l.value) = (vhash, hash, value);
                 return false;
             }
@@ -402,6 +486,7 @@ impl<V> Slab<V> {
         }
         let mut node = self.new_leaf(Leaf {
             path,
+            refs: 1,
             key: key.to_string(),
             vhash,
             hash,
@@ -409,13 +494,13 @@ impl<V> Slab<V> {
         });
         if new_key && old != Node::Empty {
             // Splice a new branch at the crit bit above `old`.
-            let mut children = [old, old];
-            children[path_bit(&path, until)] = node;
+            let mut links = [old.into(); 2];
+            links[path_bit(&path, until)] = node.into();
             let branch = Branch {
+                links,
+                refs: 1,
                 bit: until,
                 stale: true,
-                hash: Hash::ZERO,
-                children,
             };
             node = Node::Branch(self.new_branch(branch));
         }
@@ -433,21 +518,21 @@ impl<V> Slab<V> {
         while let Node::Branch(i) = node {
             let b = *self.branch(i);
             let dir = path_bit(path, b.bit);
-            if let Node::Leaf(_) = b.children[dir] {
+            let sibling = b.child(1 - dir);
+            if let Node::Leaf(_) = b.child(dir) {
                 // Collapse: the sibling takes the branch's place. Releasing
                 // the branch frees it (and the leaf) unless a snapshot
                 // still shares it.
-                self.retain(b.children[1 - dir]);
+                self.retain(sibling);
                 self.release(node);
-                self.set(root, slot, b.children[1 - dir]);
+                self.set(root, slot, sibling);
                 return true;
             }
             let j = self.own_branch(i);
             if j != i {
                 self.set(root, slot, Node::Branch(j));
             }
-            self.branches[j as usize].stale = true;
-            (slot, node) = (Some((j, dir)), b.children[dir]);
+            (slot, node) = (Some((j, dir)), b.child(dir));
         }
         debug_assert!(matches!(node, Node::Leaf(_)), "the leaf is the root");
         self.release(node);
@@ -467,9 +552,9 @@ impl<V> Slab<V> {
         };
         let b = self.branch(i);
         if !b.stale {
-            return b.hash;
+            return self.branch_hashes[i as usize];
         }
-        let [c0, c1] = b.children;
+        let [c0, c1] = b.children();
         let (l, r) = if threads > 1 {
             std::thread::scope(|s| {
                 let h = s.spawn(|| {
@@ -503,11 +588,9 @@ impl<V> Slab<V> {
         self.stale_hashes(root, threads, &mut out);
         for (i, hash) in out.drain(..) {
             let b = &mut self.branches[i as usize];
-            debug_assert_eq!(
-                self.branch_refs[i as usize], 1,
-                "stale branches are unshared"
-            );
-            (b.hash, b.stale) = (hash, false);
+            debug_assert_eq!(b.refs, 1, "stale branches are unshared");
+            b.stale = false;
+            self.branch_hashes[i as usize] = hash;
         }
         self.rehashed = out;
     }
@@ -520,6 +603,7 @@ impl<V> Slab<V> {
                 let hash = leaf_hash(&path, &vhash);
                 self.new_leaf(Leaf {
                     path,
+                    refs: 1,
                     key,
                     vhash,
                     hash,
@@ -541,12 +625,14 @@ impl<V> Slab<V> {
                 let (l, r) = leaves.split_at_mut(split);
                 let children = [self.build_node(l), self.build_node(r)];
                 let hash = self.branch_hash(children);
-                Node::Branch(self.new_branch(Branch {
+                let i = self.new_branch(Branch {
+                    links: children.map(Ref::from),
+                    refs: 1,
                     bit,
                     stale: false,
-                    hash,
-                    children,
-                }))
+                });
+                self.branch_hashes[i as usize] = hash;
+                Node::Branch(i)
             }
         }
     }
@@ -577,8 +663,8 @@ impl<V> Slab<V> {
                 Node::Branch(i) => {
                     let b = self.branch(i);
                     let dir = path_bit(&path, b.bit);
-                    siblings.push((b.bit, self.hash(b.children[1 - dir])));
-                    node = b.children[dir];
+                    siblings.push((b.bit, self.hash(b.child(1 - dir))));
+                    node = b.child(dir);
                 }
             }
         }
@@ -611,7 +697,7 @@ impl<V> Slab<V> {
                     if matches!(first_chunk_diff(&rep, chunk, bits), Some(d) if d < b.bit) {
                         return out;
                     }
-                    node = b.children[chunk_bit(chunk, bits, b.bit)];
+                    node = b.child(chunk_bit(chunk, bits, b.bit));
                 }
             }
         }
@@ -625,7 +711,7 @@ impl<V> Slab<V> {
                 out.push((l.key.as_str(), &l.value));
             }
             Node::Branch(i) => {
-                let [c0, c1] = self.branch(i).children;
+                let [c0, c1] = self.branch(i).children();
                 self.collect_entries(c0, out);
                 self.collect_entries(c1, out);
             }
@@ -654,20 +740,20 @@ impl<V> Slab<V> {
                         if chunk_of(&rep, bits) != chunk {
                             let d =
                                 first_chunk_diff(&rep, chunk, bits).expect("differs within prefix");
-                            sibs[d as usize] = b.hash;
+                            sibs[d as usize] = self.hash(node);
                         }
                         return sibs;
                     }
                     // A skipped bit may already diverge from the chunk.
                     if let Some(d) = first_chunk_diff(&rep, chunk, bits) {
                         if d < b.bit {
-                            sibs[d as usize] = b.hash;
+                            sibs[d as usize] = self.hash(node);
                             return sibs;
                         }
                     }
                     let dir = chunk_bit(chunk, bits, b.bit);
-                    sibs[b.bit as usize] = self.hash(b.children[1 - dir]);
-                    node = b.children[dir];
+                    sibs[b.bit as usize] = self.hash(b.child(1 - dir));
+                    node = b.child(dir);
                 }
             }
         }
@@ -691,7 +777,7 @@ impl<V> Slab<V> {
                     let rep = self.representative(node).expect("branches are non-empty");
                     if b.bit as u32 >= bits as u32 {
                         return if chunk_of(&rep, bits) == chunk {
-                            b.hash
+                            self.hash(node)
                         } else {
                             Hash::ZERO
                         };
@@ -699,7 +785,7 @@ impl<V> Slab<V> {
                     if matches!(first_chunk_diff(&rep, chunk, bits), Some(d) if d < b.bit) {
                         return Hash::ZERO;
                     }
-                    node = b.children[chunk_bit(chunk, bits, b.bit)];
+                    node = b.child(chunk_bit(chunk, bits, b.bit));
                 }
             }
         }
@@ -725,8 +811,7 @@ impl<V> Slab<V> {
                 l.vhash == l.value.leaf_digest() && l.hash == leaf_hash(&l.path, &l.vhash)
             }
             Node::Branch(i) => {
-                let b = self.branch(i);
-                let [c0, c1] = b.children;
+                let [c0, c1] = self.branch(i).children();
                 let children_ok = if threads > 1 {
                     std::thread::scope(|s| {
                         let h = s.spawn(|| self.audit_node(c0, threads / 2));
@@ -739,7 +824,7 @@ impl<V> Slab<V> {
                 children_ok
                     && c0 != Node::Empty
                     && c1 != Node::Empty
-                    && b.hash == self.branch_hash(b.children)
+                    && self.hash(node) == self.branch_hash([c0, c1])
             }
         }
     }
@@ -893,7 +978,7 @@ impl<V> SmtView<'_, V> {
                     return Some((l.key.as_str(), &l.value));
                 }
                 Node::Branch(i) => {
-                    let [c0, c1] = slab.branch(i).children;
+                    let [c0, c1] = slab.branch(i).children();
                     stack.push(c1);
                     stack.push(c0);
                 }
@@ -1098,20 +1183,20 @@ impl<V: StateValue> SparseMerkleTree<V> {
                     }
                 }
                 Step::Enter(Node::Branch(i)) => {
-                    let b = slab.branch(i);
-                    if !prune(&b.hash) {
+                    if !prune(&slab.branch_hashes[i as usize]) {
+                        let [c0, c1] = slab.branch(i).children();
                         stack.push(Step::Emit(i));
-                        stack.push(Step::Enter(b.children[1]));
-                        stack.push(Step::Enter(b.children[0]));
+                        stack.push(Step::Enter(c1));
+                        stack.push(Step::Enter(c0));
                     }
                 }
                 Step::Emit(i) => {
                     let b = slab.branch(i);
                     visit(NodeView::Branch {
-                        hash: b.hash,
+                        hash: slab.branch_hashes[i as usize],
                         bit: b.bit,
-                        left: slab.hash(b.children[0]),
-                        right: slab.hash(b.children[1]),
+                        left: slab.hash(b.child(0)),
+                        right: slab.hash(b.child(1)),
                     });
                 }
             }
@@ -1157,11 +1242,9 @@ impl<V: StateValue> SparseMerkleTree<V> {
         let Some(i) = slab.find(self.root, &key_path(key)) else {
             return false;
         };
-        assert_eq!(slab.leaf_refs[i as usize], 1, "corrupting a shared leaf");
-        slab.leaves[i as usize]
-            .as_mut()
-            .expect("live leaf slot")
-            .value = value;
+        let l = slab.leaf_mut(i);
+        assert_eq!(l.refs, 1, "corrupting a shared leaf");
+        l.value = value;
         true
     }
 
@@ -1393,7 +1476,7 @@ mod accounting {
             let seen = refs.contains_key(&node);
             *refs.entry(node).or_default() += 1;
             if let (false, Node::Branch(i)) = (seen, node) {
-                let [c0, c1] = self.branch(i).children;
+                let [c0, c1] = self.branch(i).children();
                 self.count_refs(c0, refs);
                 self.count_refs(c1, refs);
             }
@@ -1402,8 +1485,8 @@ mod accounting {
         fn count_of(&self, node: Node) -> u32 {
             match node {
                 Node::Empty => 0,
-                Node::Leaf(i) => self.leaf_refs[i as usize],
-                Node::Branch(i) => self.branch_refs[i as usize],
+                Node::Leaf(i) => self.leaf(i).refs,
+                Node::Branch(i) => self.branch(i).refs,
             }
         }
     }
@@ -1527,7 +1610,8 @@ mod accounting {
             for slab in slabs {
                 let slab = slab.read().expect("unpoisoned");
                 proptest::prop_assert_eq!(slab.live(), 0);
-                proptest::prop_assert!(slab.branch_refs.iter().chain(&slab.leaf_refs).all(|&n| n == 0));
+                proptest::prop_assert!(slab.branches.iter().all(|b| b.refs == 0));
+                proptest::prop_assert!(slab.leaves.iter().all(Option::is_none));
             }
         }
     }
@@ -1638,6 +1722,26 @@ mod tests {
             t.insert(&format!("key-{i}"), vh(i));
         }
         t
+    }
+
+    /// A branch stores its children as tagged `u32`s: every node at the
+    /// edges of the index range reads back as itself, and no two collide.
+    #[test]
+    fn child_refs_round_trip_at_their_edges() {
+        let last = (SLOTS - 1) as u32;
+        let edges = [
+            Node::Empty,
+            Node::Leaf(0),
+            Node::Branch(0),
+            Node::Leaf(last),
+            Node::Branch(last),
+        ];
+        for (k, node) in edges.into_iter().enumerate() {
+            assert_eq!(Node::from(Ref::from(node)), node);
+            for other in &edges[..k] {
+                assert_ne!(Ref::from(node), Ref::from(*other), "{node:?} vs {other:?}");
+            }
+        }
     }
 
     #[test]
