@@ -46,7 +46,9 @@ impl QuotingEnclave {
         Quote {
             measurement,
             report_data,
-            sig: self.platform_key.sign(&quote_digest(&measurement, &report_data)),
+            sig: self
+                .platform_key
+                .sign(&quote_digest(&measurement, &report_data)),
         }
     }
 }
@@ -55,7 +57,10 @@ impl QuotingEnclave {
 /// measurement (the known-good enclave build).
 pub fn verify_quote(registry: &KeyRegistry, expected: Measurement, quote: &Quote) -> bool {
     quote.measurement == expected
-        && registry.verify(&quote_digest(&quote.measurement, &quote.report_data), &quote.sig)
+        && registry.verify(
+            &quote_digest(&quote.measurement, &quote.report_data),
+            &quote.sig,
+        )
 }
 
 #[cfg(test)]

@@ -101,7 +101,12 @@ impl AttestedLog {
     ///
     /// Re-binding the *same* digest is idempotent (the node may resend).
     /// Binding a *different* digest fails with [`LogError::Equivocation`].
-    pub fn append(&mut self, log: LogId, slot: Slot, digest: Hash) -> Result<Attestation, LogError> {
+    pub fn append(
+        &mut self,
+        log: LogId,
+        slot: Slot,
+        digest: Hash,
+    ) -> Result<Attestation, LogError> {
         if self.recovery_floor.is_some() {
             return Err(LogError::Recovering);
         }
@@ -211,7 +216,10 @@ pub fn estimate_ckp_m(peer_checkpoints: &[u64], f: usize) -> u64 {
 
 /// Verify an attestation against the enclave key registry.
 pub fn verify_attestation(registry: &KeyRegistry, att: &Attestation) -> bool {
-    registry.verify(&attestation_digest(att.log, att.slot, &att.digest), &att.sig)
+    registry.verify(
+        &attestation_digest(att.log, att.slot, &att.digest),
+        &att.sig,
+    )
 }
 
 #[cfg(test)]
@@ -247,7 +255,10 @@ mod tests {
         let d1 = sha256(b"digest-1");
         let d2 = sha256(b"digest-2");
         log.append(PREPARE, slot(0, 5), d1).expect("first bind");
-        assert_eq!(log.append(PREPARE, slot(0, 5), d2), Err(LogError::Equivocation));
+        assert_eq!(
+            log.append(PREPARE, slot(0, 5), d2),
+            Err(LogError::Equivocation)
+        );
         // Same digest is idempotent (resend).
         assert!(log.append(PREPARE, slot(0, 5), d1).is_ok());
     }
@@ -288,7 +299,8 @@ mod tests {
     #[test]
     fn truncate_rejects_old_slots() {
         let (mut log, _) = setup();
-        log.append(PREPARE, slot(0, 10), sha256(b"a")).expect("append");
+        log.append(PREPARE, slot(0, 10), sha256(b"a"))
+            .expect("append");
         log.truncate(100);
         assert_eq!(
             log.append(PREPARE, slot(0, 99), sha256(b"b")),
@@ -301,9 +313,12 @@ mod tests {
     #[test]
     fn high_watermark_tracks_max() {
         let (mut log, _) = setup();
-        log.append(PREPARE, slot(0, 3), sha256(b"a")).expect("append");
-        log.append(PREPARE, slot(0, 9), sha256(b"b")).expect("append");
-        log.append(PREPARE, slot(0, 5), sha256(b"c")).expect("append");
+        log.append(PREPARE, slot(0, 3), sha256(b"a"))
+            .expect("append");
+        log.append(PREPARE, slot(0, 9), sha256(b"b"))
+            .expect("append");
+        log.append(PREPARE, slot(0, 5), sha256(b"c"))
+            .expect("append");
         assert_eq!(log.high_watermark(PREPARE), 9);
         assert_eq!(log.high_watermark(COMMIT), 0);
     }
@@ -311,7 +326,8 @@ mod tests {
     #[test]
     fn recovery_blocks_appends_until_checkpoint() {
         let (mut log, _) = setup();
-        log.append(PREPARE, slot(0, 50), sha256(b"pre-crash")).expect("append");
+        log.append(PREPARE, slot(0, 50), sha256(b"pre-crash"))
+            .expect("append");
         // Crash. Peers report checkpoints; f = 2, watermark window L = 100.
         let hm = log.restart_and_estimate(&[40, 38, 45, 42, 40], 2, 100);
         assert_eq!(hm, 145); // ckpM = 45, HM = 45 + 100

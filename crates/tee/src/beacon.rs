@@ -201,13 +201,19 @@ mod tests {
         // After Δ the epoch may be served — but by then honest nodes have
         // locked rnd for epoch 5, so the attacker gains nothing.
         let after = t1 + SimDuration::from_secs(4);
-        assert!(!matches!(b.invoke(5, after), BeaconOutcome::TooSoonAfterRestart));
+        assert!(!matches!(
+            b.invoke(5, after),
+            BeaconOutcome::TooSoonAfterRestart
+        ));
     }
 
     #[test]
     fn genesis_protected_across_restart() {
         let (mut b, _) = beacon(0);
-        assert!(matches!(b.invoke(0, SimTime::ZERO), BeaconOutcome::Certified(_)));
+        assert!(matches!(
+            b.invoke(0, SimTime::ZERO),
+            BeaconOutcome::Certified(_)
+        ));
         b.restart(SimTime::ZERO + SimDuration::from_secs(100), 555);
         let later = SimTime::ZERO + SimDuration::from_secs(200);
         assert_eq!(b.invoke(0, later), BeaconOutcome::AlreadyInvoked);
@@ -241,13 +247,7 @@ mod tests {
         for i in 0..total {
             let mut reg = KeyRegistry::new();
             let key = reg.generate(i);
-            let mut b = RandomnessBeacon::new(
-                key,
-                i,
-                3,
-                SimDuration::from_secs(1),
-                SimTime::ZERO,
-            );
+            let mut b = RandomnessBeacon::new(key, i, 3, SimDuration::from_secs(1), SimTime::ZERO);
             if matches!(b.invoke(0, SimTime::ZERO), BeaconOutcome::Certified(_)) {
                 hits += 1;
             }

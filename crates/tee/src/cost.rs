@@ -148,7 +148,10 @@ mod tests {
     #[test]
     fn free_model_is_zero() {
         let m = CostModel::free();
-        assert_eq!(m.cost(TeeOp::MessageAggregation { f: 8 }), SimDuration::ZERO);
+        assert_eq!(
+            m.cost(TeeOp::MessageAggregation { f: 8 }),
+            SimDuration::ZERO
+        );
         assert_eq!(m.cost(TeeOp::EcdsaSign), SimDuration::ZERO);
     }
 }

@@ -49,7 +49,11 @@ impl Sealer {
     /// stands in for `sgx_get_seal_key`, deterministic per measurement and
     /// platform seed).
     pub fn new(measurement: Measurement, platform_seed: u64) -> Self {
-        let key = sha256_parts(&[b"ahl-seal-key", &measurement.0 .0, &platform_seed.to_be_bytes()]);
+        let key = sha256_parts(&[
+            b"ahl-seal-key",
+            &measurement.0 .0,
+            &platform_seed.to_be_bytes(),
+        ]);
         Sealer {
             measurement,
             sealing_key: key.0,
@@ -187,7 +191,10 @@ mod tests {
         // (b) Enclave consults its monotonic counter: rejected.
         assert_eq!(
             s.unseal(&old_blob, counter.read()),
-            Err(UnsealError::Stale { found: v1, required: v2 })
+            Err(UnsealError::Stale {
+                found: v1,
+                required: v2
+            })
         );
     }
 
