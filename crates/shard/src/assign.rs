@@ -47,9 +47,7 @@ impl Assignment {
 
     /// The committee index of `node`, if assigned.
     pub fn committee_of(&self, node: usize) -> Option<usize> {
-        self.committees
-            .iter()
-            .position(|c| c.contains(&node))
+        self.committees.iter().position(|c| c.contains(&node))
     }
 
     /// Nodes whose committee changes from `self` to `next` (the

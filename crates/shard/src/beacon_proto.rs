@@ -102,7 +102,8 @@ impl Actor for BeaconParticipant {
                 self.locked = Some(rnd);
                 let now = ctx.now();
                 ctx.stats().inc("beacon.locked", 1);
-                ctx.stats().record_point("beacon.lock_time", now, rnd as f64);
+                ctx.stats()
+                    .record_point("beacon.lock_time", now, rnd as f64);
             }
             None => {
                 // Nobody produced a certificate: bump the epoch and retry.

@@ -128,13 +128,7 @@ pub fn reference_tail(total: usize, byz: usize, n: usize, threshold: usize) -> f
 /// Probability that a committee of `n` drawn from `total` nodes with a
 /// fraction `s` Byzantine is faulty under `rule` (Equation 1 applied to the
 /// rule's failure threshold).
-pub fn faulty_committee_prob(
-    lf: &LnFact,
-    total: usize,
-    s: f64,
-    n: usize,
-    rule: Resilience,
-) -> f64 {
+pub fn faulty_committee_prob(lf: &LnFact, total: usize, s: f64, n: usize, rule: Resilience) -> f64 {
     let byz = (total as f64 * s).floor() as usize;
     hypergeom_tail(lf, total, byz, n, rule.failure_threshold(n))
 }
@@ -215,8 +209,7 @@ mod tests {
         // §5.2: at s = 25% with the attested rule, n = 80 keeps
         // Pr[faulty] ≤ 2^-20 (at the scale of the paper's GCP deployment).
         let lf = LnFact::new(2048);
-        let n = min_committee_size(&lf, 1000, 0.25, Resilience::OneHalf, 20.0)
-            .expect("exists");
+        let n = min_committee_size(&lf, 1000, 0.25, Resilience::OneHalf, 20.0).expect("exists");
         assert!((70..=85).contains(&n), "n = {n}");
     }
 
@@ -224,8 +217,7 @@ mod tests {
     fn paper_sizing_25_percent_pbft() {
         // §5.2: the PBFT rule needs 600+ node committees at 25%.
         let lf = LnFact::new(4096);
-        let n = min_committee_size(&lf, 2400, 0.25, Resilience::OneThird, 20.0)
-            .expect("exists");
+        let n = min_committee_size(&lf, 2400, 0.25, Resilience::OneThird, 20.0).expect("exists");
         assert!(n >= 500, "n = {n}");
     }
 
@@ -233,8 +225,7 @@ mod tests {
     fn paper_sizing_12_5_percent() {
         // §7.3: 12.5% adversary → 27-node committees (attested).
         let lf = LnFact::new(2048);
-        let n = min_committee_size(&lf, 972, 0.125, Resilience::OneHalf, 20.0)
-            .expect("exists");
+        let n = min_committee_size(&lf, 972, 0.125, Resilience::OneHalf, 20.0).expect("exists");
         assert!((24..=31).contains(&n), "n = {n}");
     }
 
@@ -255,8 +246,7 @@ mod tests {
         let lf = LnFact::new(2048);
         let mut prev = 0;
         for s in [0.05, 0.1, 0.15, 0.2, 0.25] {
-            let n = min_committee_size(&lf, 1600, s, Resilience::OneHalf, 20.0)
-                .expect("exists");
+            let n = min_committee_size(&lf, 1600, s, Resilience::OneHalf, 20.0).expect("exists");
             assert!(n >= prev, "s={s}: {n} < {prev}");
             prev = n;
         }
@@ -275,10 +265,8 @@ mod tests {
     #[test]
     fn reconfig_smaller_batches_more_exposure() {
         let lf = LnFact::new(2048);
-        let p_small_batch =
-            reconfig_failure_prob(&lf, 1000, 0.25, 80, 10, 2, Resilience::OneHalf);
-        let p_big_batch =
-            reconfig_failure_prob(&lf, 1000, 0.25, 80, 10, 36, Resilience::OneHalf);
+        let p_small_batch = reconfig_failure_prob(&lf, 1000, 0.25, 80, 10, 2, Resilience::OneHalf);
+        let p_big_batch = reconfig_failure_prob(&lf, 1000, 0.25, 80, 10, 36, Resilience::OneHalf);
         assert!(p_small_batch > p_big_batch);
     }
 
@@ -311,8 +299,7 @@ mod tests {
             );
             assert!(exact <= target, "chosen n = {n} must meet the budget");
             if n > 1 {
-                let below =
-                    reference_tail(total, byz, n - 1, rule.failure_threshold(n - 1));
+                let below = reference_tail(total, byz, n - 1, rule.failure_threshold(n - 1));
                 assert!(
                     below > target,
                     "n = {n} must be minimal: n-1 gives {below:e} <= {target:e}"

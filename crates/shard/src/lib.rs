@@ -29,8 +29,7 @@ pub use assign::Assignment;
 pub use beacon_proto::{paper_l_bits, run_beacon, BeaconRunResult};
 pub use hypergeom::{
     faulty_committee_prob, hypergeom_tail, min_committee_size, reconfig_failure_prob,
-    reference_tail, LnFact,
-    Resilience,
+    reference_tail, LnFact, Resilience,
 };
 pub use randhound::{run_randhound, run_randhound_with, RandhoundResult, RhCosts};
 pub use reconfig::{batch_preserves_liveness, paper_batch_size, plan_transition, SwapStep};

@@ -111,7 +111,10 @@ impl Default for RhCosts {
 impl RhCosts {
     /// Cluster configuration: 8x oversubscription (paper §7.2).
     pub fn cluster() -> Self {
-        RhCosts { cpu_factor: 8.0, ..Self::default() }
+        RhCosts {
+            cpu_factor: 8.0,
+            ..Self::default()
+        }
     }
 
     fn scaled(&self, d: SimDuration) -> SimDuration {
@@ -142,13 +145,15 @@ impl RhNode {
         let num_groups = self.n.div_ceil(self.c);
         self.num_groups = num_groups;
         for g in 0..num_groups {
-            let members: Vec<NodeId> = (0..self.n)
-                .filter(|node| node % num_groups == g)
-                .collect();
+            let members: Vec<NodeId> = (0..self.n).filter(|node| node % num_groups == g).collect();
             for &m in &members {
                 ctx.send(
                     m,
-                    RhMsg::Start { session: 1, group: g, members: members.clone() },
+                    RhMsg::Start {
+                        session: 1,
+                        group: g,
+                        members: members.clone(),
+                    },
                 );
             }
         }
@@ -171,7 +176,11 @@ impl Actor for RhNode {
 
     fn on_message(&mut self, _from: NodeId, msg: RhMsg, ctx: &mut Ctx<'_, RhMsg>) {
         match msg {
-            RhMsg::Start { session, group, members } => {
+            RhMsg::Start {
+                session,
+                group,
+                members,
+            } => {
                 self.group = group;
                 self.members = members;
                 // Deal a PVSS sharing to every group member.
@@ -185,17 +194,38 @@ impl Actor for RhNode {
                     &session.to_be_bytes(),
                     &(self.me as u64).to_be_bytes(),
                 ]);
-                let peers: Vec<NodeId> =
-                    self.members.iter().copied().filter(|&m| m != self.me).collect();
-                ctx.multicast(peers, RhMsg::Deal { dealer: self.me, commitment });
+                let peers: Vec<NodeId> = self
+                    .members
+                    .iter()
+                    .copied()
+                    .filter(|&m| m != self.me)
+                    .collect();
+                ctx.multicast(
+                    peers,
+                    RhMsg::Deal {
+                        dealer: self.me,
+                        commitment,
+                    },
+                );
             }
             RhMsg::Deal { dealer, .. } => {
                 // Verify the share against its commitment vector.
                 ctx.consume_cpu(self.costs.scaled(self.costs.verify_share));
                 self.deals_seen += 1;
-                let peers: Vec<NodeId> =
-                    self.members.iter().copied().filter(|&m| m != self.me).collect();
-                ctx.multicast(peers, RhMsg::Validate { voter: self.me, dealer, ok: true });
+                let peers: Vec<NodeId> = self
+                    .members
+                    .iter()
+                    .copied()
+                    .filter(|&m| m != self.me)
+                    .collect();
+                ctx.multicast(
+                    peers,
+                    RhMsg::Validate {
+                        voter: self.me,
+                        dealer,
+                        ok: true,
+                    },
+                );
             }
             RhMsg::Validate { .. } => {
                 ctx.consume_cpu(self.costs.scaled(SimDuration::from_micros(50)));
@@ -209,12 +239,15 @@ impl Actor for RhNode {
                 {
                     self.sent_secret = true;
                     ctx.consume_cpu(self.costs.scaled(self.costs.recover));
-                    let secret = sha256_parts(&[
-                        b"rh-secret",
-                        &(self.group as u64).to_be_bytes(),
-                    ])
-                    .prefix_u64();
-                    ctx.send(0, RhMsg::GroupSecret { group: self.group, secret });
+                    let secret = sha256_parts(&[b"rh-secret", &(self.group as u64).to_be_bytes()])
+                        .prefix_u64();
+                    ctx.send(
+                        0,
+                        RhMsg::GroupSecret {
+                            group: self.group,
+                            secret,
+                        },
+                    );
                 }
             }
             RhMsg::GroupSecret { secret, .. } => {
