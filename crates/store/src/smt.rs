@@ -188,7 +188,6 @@ impl From<Ref> for Node {
 
 struct Leaf<V> {
     path: Hash,
-    /// References to this slot: parent branches plus handles rooted here.
     refs: u32,
     key: String,
     vhash: Hash,
@@ -201,7 +200,6 @@ struct Leaf<V> {
 #[derive(Clone, Copy)]
 struct Branch {
     links: [Ref; 2],
-    /// References to this slot: parent branches plus handles rooted here.
     refs: u32,
     /// The bit index at which the two children diverge. All leaves below
     /// share path bits `0..bit`; children split on bit `bit`.
@@ -230,9 +228,10 @@ impl Branch {
 /// of branch `b` (`Some((b, dir))`).
 type Slot = Option<(u32, usize)>;
 
-/// Every node of one tree lineage. A live slot's count is the number of
-/// references to it: its parent branches plus the handles rooted at it.
-/// Free slots have count 0 (and, in the leaf column, no content).
+/// Every node of one tree lineage. A live slot's count (`refs`, inline in
+/// the record) is the number of references to it: its parent branches plus
+/// the handles rooted at it. A free branch slot has count 0; a free leaf
+/// slot is `None`.
 struct Slab<V> {
     branches: Vec<Branch>,
     /// Branch `i`'s hash, current unless `branches[i].stale`.
