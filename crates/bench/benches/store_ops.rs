@@ -201,6 +201,39 @@ fn bench_snapshots(c: &mut Criterion) {
             root
         });
     });
+    // The committee's shape: four lineages, one per replica, each applying
+    // the same 64-write block in turn; per 32-block interval each reads its
+    // root once and retains a snapshot, two retained. Four trees share the
+    // cache as a committee in one process does, which the single-lineage
+    // rows above do not show. One element is one write to one lineage.
+    g.throughput(Throughput::Elements(4 * 2_048));
+    g.bench_function("interval_2048_32k_x4", |b| {
+        let mut replicas: Vec<(SparseMerkleTree, VecDeque<SparseMerkleTree>)> =
+            (0..4).map(|_| (tree_with(32_768), VecDeque::new())).collect();
+        let mut next = 0u64;
+        let mut interval = move || {
+            for _ in 0..32 {
+                let block = next;
+                for (t, _) in &mut replicas {
+                    next = block;
+                    random_writes(t, &mut next, 64);
+                }
+            }
+            let mut roots = Vec::with_capacity(replicas.len());
+            for (t, retained) in &mut replicas {
+                roots.push(t.root_hash());
+                retained.push_back(t.clone());
+                if retained.len() > 2 {
+                    retained.pop_front();
+                }
+            }
+            roots
+        };
+        // Two intervals first, so every timed one drops a retired snapshot.
+        interval();
+        interval();
+        b.iter(&mut interval);
+    });
     // Retiring a checkpoint snapshot on its own (the replica's
     // `pbft.retire` span): an interval of 32 blocks of 64 writes between
     // snapshots, two retained, and only the drop of the oldest timed. It
