@@ -2809,6 +2809,37 @@ fn next_sync_peer(n: usize, me: usize, cur: usize) -> usize {
     peer
 }
 
+/// Profiler span for one delivered message, named by its kind, so a
+/// traced run splits the replica's callbacks by what they handle.
+fn message_span(msg: &PbftMsg) -> &'static str {
+    match msg {
+        PbftMsg::Request(_) => "pbft.on_request",
+        PbftMsg::Relay(_) => "pbft.on_relay",
+        PbftMsg::Gossip(_) => "pbft.on_gossip",
+        PbftMsg::RelayRejected { .. } => "pbft.on_relay_rejected",
+        PbftMsg::PrePrepare { .. } => "pbft.on_preprepare",
+        PbftMsg::Prepare(_) => "pbft.on_prepare",
+        PbftMsg::Commit(_) => "pbft.on_commit",
+        PbftMsg::RelayPrepare(_) | PbftMsg::RelayCommit(_) => "pbft.on_relay_vote",
+        PbftMsg::AggPrepare(_) | PbftMsg::AggCommit(_) => "pbft.on_aggregate",
+        PbftMsg::Checkpoint { .. } => "pbft.on_checkpoint",
+        PbftMsg::ViewChange(_) | PbftMsg::NewView { .. } => "pbft.on_view_change",
+        PbftMsg::PoolPull { .. } => "pbft.on_pool_pull",
+        PbftMsg::Reply { .. } | PbftMsg::Rejected { .. } => "pbft.on_reply",
+        PbftMsg::Heartbeat { .. } => "pbft.on_heartbeat",
+        PbftMsg::SyncRequest { .. }
+        | PbftMsg::ChunkRequest { .. }
+        | PbftMsg::SyncManifest { .. }
+        | PbftMsg::ChunkData { .. }
+        | PbftMsg::SyncTail { .. }
+        | PbftMsg::SyncNack { .. } => "pbft.on_sync",
+        PbftMsg::Transition { .. }
+        | PbftMsg::TransitionDone { .. }
+        | PbftMsg::Crash
+        | PbftMsg::Restart => "pbft.on_control",
+    }
+}
+
 impl Actor for Replica {
     type Msg = PbftMsg;
 
@@ -2819,6 +2850,7 @@ impl Actor for Replica {
     }
 
     fn on_message(&mut self, from: NodeId, msg: PbftMsg, ctx: &mut Ctx<'_, PbftMsg>) {
+        let _prof = ahl_telemetry::Profiler::span(message_span(&msg));
         if self.crashed {
             // Dark: a crashed node neither processes nor serves anything
             // until its Restart (Crash is idempotent while down).
@@ -2930,6 +2962,12 @@ impl Actor for Replica {
     }
 
     fn on_timer(&mut self, kind: u64, ctx: &mut Ctx<'_, PbftMsg>) {
+        let _prof = ahl_telemetry::Profiler::span(match kind {
+            TIMER_BATCH => "pbft.timer_batch",
+            TIMER_VC => "pbft.timer_vc",
+            TIMER_HEARTBEAT => "pbft.timer_heartbeat",
+            _ => "pbft.timer_sync",
+        });
         if self.crashed {
             // Keep the periodic timer chains alive (each firing re-arms
             // itself) without running any handler logic while dark.

@@ -356,6 +356,9 @@ pub fn run_system_report(mut cfg: SystemConfig) -> SystemReport {
     let pbft = committee_config(&cfg);
 
     let map = ShardMap::new(cfg.shards);
+    // Building every committee's genesis state is set-up, not simulation:
+    // its own span keeps it out of the engine's residual.
+    let genesis_span = Profiler::span("core.genesis");
     let genesis = cfg.workload.genesis();
 
     // Shard committees own their slice of the genesis state.
@@ -381,6 +384,7 @@ pub fn run_system_report(mut cfg: SystemConfig) -> SystemReport {
     } else {
         shard_entry[0]
     };
+    drop(genesis_span);
 
     let stop = SimTime::ZERO + cfg.warmup + cfg.duration;
     for c in 0..cfg.clients {

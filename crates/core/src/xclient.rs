@@ -37,6 +37,7 @@ use ahl_consensus::pbft::PbftMsg;
 pub use ahl_consensus::clients::RateControl;
 use ahl_ledger::{Op, StateOp, TxId};
 use ahl_simkit::{Actor, Ctx, NodeId, SimDuration, SimTime};
+use ahl_telemetry::Profiler;
 use ahl_txn::coordinator::{begin_op, vote_not_ok_op, vote_ok_op};
 use ahl_txn::ShardMap;
 use rand::rngs::SmallRng;
@@ -446,6 +447,7 @@ impl Actor for CrossShardClient {
     type Msg = PbftMsg;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
+        let _prof = Profiler::span("xclient.on_start");
         for _ in 0..self.window.effective() {
             self.start_tx(ctx);
         }
@@ -453,6 +455,7 @@ impl Actor for CrossShardClient {
     }
 
     fn on_message(&mut self, _from: NodeId, msg: PbftMsg, ctx: &mut Ctx<'_, PbftMsg>) {
+        let _prof = Profiler::span("xclient.on_message");
         match msg {
             PbftMsg::Reply { req_id, committed } => self.on_reply(req_id, committed, ctx),
             PbftMsg::Rejected { req_id } => self.on_rejected(req_id, ctx),
@@ -461,6 +464,7 @@ impl Actor for CrossShardClient {
     }
 
     fn on_timer(&mut self, kind: u64, ctx: &mut Ctx<'_, PbftMsg>) {
+        let _prof = Profiler::span("xclient.on_timer");
         match kind {
             TIMER_WATCHDOG => self.watchdog(ctx),
             TIMER_RETRY => self.drain_retries(ctx),

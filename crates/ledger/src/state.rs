@@ -566,6 +566,7 @@ impl StateStore {
     /// effect list [`StateStore::apply_plan`] needs to make it real.
     /// Read-only, so disjoint operations can be planned in parallel.
     pub fn plan(&self, op: &Op) -> ExecPlan {
+        let _prof = ahl_telemetry::Profiler::span("ledger.plan");
         let mut effects = Vec::new();
         let mut had_pending = false;
         let status = match op {
@@ -593,6 +594,7 @@ impl StateStore {
     /// logical state (no conflicting effect may have intervened), returning
     /// the operation's receipt.
     pub fn apply_plan(&mut self, plan: ExecPlan) -> Receipt {
+        let _prof = ahl_telemetry::Profiler::span("ledger.apply");
         for e in plan.effects {
             self.apply_effect(e);
         }

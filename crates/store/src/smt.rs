@@ -1094,6 +1094,7 @@ impl<V: StateValue> SparseMerkleTree<V> {
     /// Remove `key`. Returns whether it was present. Leaves the root path
     /// stale and copies on write like [`SparseMerkleTree::insert`].
     pub fn remove(&mut self, key: &str) -> bool {
+        let _prof = ahl_telemetry::Profiler::span("smt.update");
         let path = key_path(key);
         let mut slab = self.slab.write().expect(POISONED);
         let hit = slab.remove(&mut self.root, &path);
