@@ -88,12 +88,20 @@ pub struct FaultMatch<M> {
 impl<M> FaultMatch<M> {
     /// Match every message.
     pub fn any() -> Self {
-        FaultMatch { from: None, to: None, predicate: None }
+        FaultMatch {
+            from: None,
+            to: None,
+            predicate: None,
+        }
     }
 
     /// Match messages satisfying `p` (any source/destination).
     pub fn msgs(p: impl FnMut(&M) -> bool + 'static) -> Self {
-        FaultMatch { from: None, to: None, predicate: Some(Box::new(p)) }
+        FaultMatch {
+            from: None,
+            to: None,
+            predicate: Some(Box::new(p)),
+        }
     }
 
     fn matches(&mut self, from: NodeId, to: NodeId, msg: &M) -> bool {
@@ -183,7 +191,11 @@ impl<M> FaultRule<M> {
         FaultRule {
             from_time,
             until,
-            matcher: FaultMatch { from: Some(from), to: Some(to), predicate: None },
+            matcher: FaultMatch {
+                from: Some(from),
+                to: Some(to),
+                predicate: None,
+            },
             kind: FaultKind::Drop { p: 1.0 },
             cross_cut: None,
         }
@@ -278,12 +290,17 @@ impl<M> Interpose<M> for ScriptedFaults<M> {
                 }
                 FaultKind::Delay { min, max } => {
                     let span = max.as_nanos().saturating_sub(min.as_nanos());
-                    let extra = if span == 0 { 0 } else { rng.gen_range(0..=span) };
+                    let extra = if span == 0 {
+                        0
+                    } else {
+                        rng.gen_range(0..=span)
+                    };
                     Verdict::Delay(*min + SimDuration::from_nanos(extra))
                 }
-                FaultKind::Duplicate { copies, gap } => {
-                    Verdict::Duplicate { copies: *copies, gap: *gap }
-                }
+                FaultKind::Duplicate { copies, gap } => Verdict::Duplicate {
+                    copies: *copies,
+                    gap: *gap,
+                },
             };
         }
         Verdict::Deliver

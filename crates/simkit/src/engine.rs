@@ -167,9 +167,15 @@ pub trait Actor {
 }
 
 enum EventKind<M> {
-    Deliver { from: NodeId, msg: M, class: MsgClass },
+    Deliver {
+        from: NodeId,
+        msg: M,
+        class: MsgClass,
+    },
     ProcessNext,
-    Timer { kind: u64 },
+    Timer {
+        kind: u64,
+    },
 }
 
 struct Event<M> {
@@ -263,7 +269,12 @@ impl<M: Clone> Kernel<M> {
     fn push(&mut self, time: SimTime, node: NodeId, kind: EventKind<M>) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.events.push(Event { time, seq, node, kind });
+        self.events.push(Event {
+            time,
+            seq,
+            node,
+            kind,
+        });
     }
 
     /// Dispatch an outbox: messages depart sequentially, each occupying the
@@ -314,10 +325,17 @@ impl<M: Clone> Kernel<M> {
         let bytes = (self.size_of)(&msg);
         self.stats.inc("net.messages_sent", 1);
         self.stats.inc("net.bytes_sent", bytes as u64);
-        match self.network.transit(from, to, bytes, depart, &mut self.net_rng) {
+        match self
+            .network
+            .transit(from, to, bytes, depart, &mut self.net_rng)
+        {
             Some(latency) => {
                 let class = (self.classify)(&msg);
-                self.push(depart + latency + extra, to, EventKind::Deliver { from, msg, class });
+                self.push(
+                    depart + latency + extra,
+                    to,
+                    EventKind::Deliver { from, msg, class },
+                );
             }
             None => {
                 self.stats.inc("net.messages_lost", 1);
@@ -589,7 +607,8 @@ impl<M: Clone> Sim<M> {
     /// Inject a message from outside the actor set (e.g. a test harness).
     pub fn inject(&mut self, at: SimTime, from: NodeId, to: NodeId, msg: M) {
         let class = (self.kernel.classify)(&msg);
-        self.kernel.push(at, to, EventKind::Deliver { from, msg, class });
+        self.kernel
+            .push(at, to, EventKind::Deliver { from, msg, class });
     }
 
     /// Immutable access to collected statistics.
@@ -771,11 +790,19 @@ mod tests {
     fn two_pingers(rounds: u32) -> Sim<Ping> {
         let mut sim = Sim::new(SimConfig::new(7));
         sim.add_actor(
-            Box::new(Pinger { peer: 1, rounds, got: vec![] }),
+            Box::new(Pinger {
+                peer: 1,
+                rounds,
+                got: vec![],
+            }),
             QueueConfig::unbounded(),
         );
         sim.add_actor(
-            Box::new(Pinger { peer: 0, rounds, got: vec![] }),
+            Box::new(Pinger {
+                peer: 0,
+                rounds,
+                got: vec![],
+            }),
             QueueConfig::unbounded(),
         );
         sim
@@ -834,7 +861,10 @@ mod tests {
     #[test]
     fn bounded_queue_drops_overflow() {
         let mut sim: Sim<Ping> = Sim::new(SimConfig::new(1));
-        sim.add_actor(Box::new(Flooder { peer: 1, n: 100 }), QueueConfig::unbounded());
+        sim.add_actor(
+            Box::new(Flooder { peer: 1, n: 100 }),
+            QueueConfig::unbounded(),
+        );
         sim.add_actor(Box::new(SlowSink), QueueConfig::shared(8));
         sim.run();
         // All messages arrive at the same instant; the queue keeps exactly
@@ -911,7 +941,10 @@ mod tests {
     #[test]
     fn timers_fire_in_order() {
         let mut sim: Sim<()> = Sim::new(SimConfig::new(3));
-        sim.add_actor(Box::new(TimerActor { fired: vec![] }), QueueConfig::unbounded());
+        sim.add_actor(
+            Box::new(TimerActor { fired: vec![] }),
+            QueueConfig::unbounded(),
+        );
         sim.run();
         let pts = sim.stats().series("fired");
         assert_eq!(pts.len(), 2);
@@ -935,7 +968,10 @@ mod tests {
             }
         }
         let mut sim: Sim<Ping> = Sim::new(SimConfig::new(9));
-        sim.add_actor(Box::new(Flooder { peer: 1, n: 2 }), QueueConfig::unbounded());
+        sim.add_actor(
+            Box::new(Flooder { peer: 1, n: 2 }),
+            QueueConfig::unbounded(),
+        );
         sim.add_actor(Box::new(Stamp), QueueConfig::unbounded());
         sim.run();
         let pts = sim.stats().series("start");
@@ -1024,7 +1060,11 @@ mod tests {
         )])));
         sim.inject(SimTime(5_000_000), 1, 0, Ping::Pong(0));
         sim.run();
-        assert_eq!(sim.stats().counter("adv.dropped"), 1, "opening ping dropped");
+        assert_eq!(
+            sim.stats().counter("adv.dropped"),
+            1,
+            "opening ping dropped"
+        );
         // The injected pong restarts the exchange post-heal; rounds finish.
         assert_eq!(sim.stats().counter("done"), 1);
     }
@@ -1033,7 +1073,10 @@ mod tests {
     fn duplicates_are_delivered_and_counted() {
         use crate::adversary::{FaultMatch, FaultRule, ScriptedFaults};
         let mut sim: Sim<Ping> = Sim::new(SimConfig::new(4));
-        sim.add_actor(Box::new(Flooder { peer: 1, n: 5 }), QueueConfig::unbounded());
+        sim.add_actor(
+            Box::new(Flooder { peer: 1, n: 5 }),
+            QueueConfig::unbounded(),
+        );
         struct Count;
         impl Actor for Count {
             type Msg = Ping;
@@ -1058,7 +1101,10 @@ mod tests {
     fn delay_window_reorders_but_loses_nothing() {
         use crate::adversary::{FaultMatch, FaultRule, ScriptedFaults};
         let mut sim: Sim<Ping> = Sim::new(SimConfig::new(8));
-        sim.add_actor(Box::new(Flooder { peer: 1, n: 20 }), QueueConfig::unbounded());
+        sim.add_actor(
+            Box::new(Flooder { peer: 1, n: 20 }),
+            QueueConfig::unbounded(),
+        );
         struct Sink;
         impl Actor for Sink {
             type Msg = Ping;
@@ -1082,9 +1128,14 @@ mod tests {
         let pts = sim.stats().series("order");
         assert_eq!(pts.len(), 20, "delays lose nothing");
         // Every odd ping arrived before every even one (5 ms > spread).
-        let first_even = pts.iter().position(|(_, v)| (*v as u64).is_multiple_of(2)).unwrap();
+        let first_even = pts
+            .iter()
+            .position(|(_, v)| (*v as u64).is_multiple_of(2))
+            .unwrap();
         assert!(
-            pts[..first_even].iter().all(|(_, v)| !(*v as u64).is_multiple_of(2)),
+            pts[..first_even]
+                .iter()
+                .all(|(_, v)| !(*v as u64).is_multiple_of(2)),
             "odd pings overtake delayed evens: {pts:?}"
         );
         assert_eq!(sim.stats().counter("adv.delayed"), 10);

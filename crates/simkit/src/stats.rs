@@ -151,12 +151,18 @@ impl Scope {
 
     /// A committee-wide scope.
     pub fn committee(committee: usize) -> Self {
-        Scope { committee: committee as u32, replica: Scope::ALL }
+        Scope {
+            committee: committee as u32,
+            replica: Scope::ALL,
+        }
     }
 
     /// A single-replica scope.
     pub fn replica(committee: usize, replica: usize) -> Self {
-        Scope { committee: committee as u32, replica: replica as u32 }
+        Scope {
+            committee: committee as u32,
+            replica: replica as u32,
+        }
     }
 
     /// Stable textual form: `c3` for a committee scope, `c3/r1` per replica.
@@ -237,7 +243,10 @@ impl Stats {
 
     /// Read the `(name, scope)` labeled counter (zero if never written).
     pub fn scoped_counter(&self, name: &'static str, scope: Scope) -> u64 {
-        self.scoped_counters.get(&(name, scope)).copied().unwrap_or(0)
+        self.scoped_counters
+            .get(&(name, scope))
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Iterate all labeled counters in (name, scope) order.
@@ -253,7 +262,10 @@ impl Stats {
     /// Record a duration sample in the `(name, scope)` labeled histogram
     /// *and* in the global histogram `name` (roll-up).
     pub fn record_latency_scoped(&mut self, name: &'static str, scope: Scope, d: SimDuration) {
-        self.scoped_histograms.entry((name, scope)).or_default().record(d);
+        self.scoped_histograms
+            .entry((name, scope))
+            .or_default()
+            .record(d);
         self.record_latency(name, d);
     }
 
@@ -293,7 +305,9 @@ impl Stats {
             }
         }
         if let Some(sink) = self.sink.0.clone() {
-            sink.lock().expect("trace sink poisoned").on_trace(at, node, id, phase);
+            sink.lock()
+                .expect("trace sink poisoned")
+                .on_trace(at, node, id, phase);
         }
     }
 
@@ -367,7 +381,12 @@ impl Stats {
     /// Bucket series `name` into fixed-width windows and return
     /// (window_start, events/sec) pairs — used for throughput-over-time plots
     /// such as the paper's Figure 12 (right).
-    pub fn rate_series(&self, name: &str, window: SimDuration, until: SimTime) -> Vec<(SimTime, f64)> {
+    pub fn rate_series(
+        &self,
+        name: &str,
+        window: SimDuration,
+        until: SimTime,
+    ) -> Vec<(SimTime, f64)> {
         if window == SimDuration::ZERO {
             return Vec::new();
         }
@@ -462,10 +481,23 @@ mod tests {
     #[test]
     fn scoped_histograms_roll_up() {
         let mut s = Stats::new();
-        s.record_latency_scoped("txn.latency", Scope::committee(0), SimDuration::from_micros(100));
-        s.record_latency_scoped("txn.latency", Scope::committee(1), SimDuration::from_micros(300));
+        s.record_latency_scoped(
+            "txn.latency",
+            Scope::committee(0),
+            SimDuration::from_micros(100),
+        );
+        s.record_latency_scoped(
+            "txn.latency",
+            Scope::committee(1),
+            SimDuration::from_micros(300),
+        );
         assert_eq!(s.histogram("txn.latency").unwrap().count(), 2);
-        assert_eq!(s.scoped_histogram("txn.latency", Scope::committee(1)).unwrap().count(), 1);
+        assert_eq!(
+            s.scoped_histogram("txn.latency", Scope::committee(1))
+                .unwrap()
+                .count(),
+            1
+        );
     }
 
     #[test]
@@ -568,7 +600,11 @@ mod tests {
         for i in 0..20 {
             s.record_point("commit", SimTime(i * 50_000_000), 1.0); // 20 evts in 1 s
         }
-        let series = s.rate_series("commit", SimDuration::from_millis(500), SimTime(1_000_000_000));
+        let series = s.rate_series(
+            "commit",
+            SimDuration::from_millis(500),
+            SimTime(1_000_000_000),
+        );
         assert_eq!(series.len(), 3);
         assert!((series[0].1 - 20.0).abs() < 1e-9);
         assert!((series[1].1 - 20.0).abs() < 1e-9);

@@ -223,7 +223,10 @@ impl FlightRecorder {
     /// Create a recorder with the given per-node ring capacity
     /// (`0` disables event retention; phase histograms still accumulate).
     pub fn new(capacity: usize) -> Self {
-        FlightRecorder { capacity, ..Default::default() }
+        FlightRecorder {
+            capacity,
+            ..Default::default()
+        }
     }
 
     /// Per-node ring capacity currently in force.
@@ -280,10 +283,18 @@ impl FlightRecorder {
                 *self.dropped.entry(node).or_insert(0) += 1;
                 evicted = true;
             }
-            ring.push_back(TraceEvent { at, node, id, phase });
+            ring.push_back(TraceEvent {
+                at,
+                node,
+                id,
+                phase,
+            });
         }
         let transition = self.track_chain(at, id, phase);
-        RecordOutcome { transition, evicted }
+        RecordOutcome {
+            transition,
+            evicted,
+        }
     }
 
     fn track_chain(&mut self, at: SimTime, id: u64, phase: Phase) -> Option<Transition> {
@@ -301,7 +312,9 @@ impl FlightRecorder {
                 if terminal {
                     self.open.remove(&key);
                 }
-                phase.transition_name().map(|name| Transition { name, delta })
+                phase
+                    .transition_name()
+                    .map(|name| Transition { name, delta })
             }
             None => {
                 // Only chain-opening phases may start tracking; a late
@@ -332,8 +345,7 @@ impl FlightRecorder {
     /// Reconstruct a transaction/request lifecycle: every retained event with
     /// this `id`, across all nodes, sorted by time (ties by node id).
     pub fn lifecycle(&self, id: u64) -> Vec<TraceEvent> {
-        let mut evs: Vec<TraceEvent> =
-            self.all_events().filter(|e| e.id == id).copied().collect();
+        let mut evs: Vec<TraceEvent> = self.all_events().filter(|e| e.id == id).copied().collect();
         evs.sort_by_key(|e| (e.at, e.node));
         evs
     }
@@ -364,7 +376,11 @@ impl FlightRecorder {
                 _ => continue,
             };
             let skip = ring.len().saturating_sub(limit);
-            out.push_str(&format!("--- node {node} (last {} of {} events)\n", ring.len() - skip, ring.len()));
+            out.push_str(&format!(
+                "--- node {node} (last {} of {} events)\n",
+                ring.len() - skip,
+                ring.len()
+            ));
             for ev in ring.iter().skip(skip) {
                 out.push_str(&format!("{ev}\n"));
             }
@@ -400,7 +416,10 @@ mod tests {
     fn chain_transitions_land_in_order() {
         let mut fr = FlightRecorder::new(16);
         assert!(fr.record(t(0), 0, 7, Phase::Submit).transition.is_none());
-        let tr = fr.record(t(2), 1, 7, Phase::Ingest).transition.expect("hop");
+        let tr = fr
+            .record(t(2), 1, 7, Phase::Ingest)
+            .transition
+            .expect("hop");
         assert_eq!(tr.name, "phase.submit_ingest");
         assert_eq!(tr.delta.as_millis(), 2);
         let tr = fr.record(t(3), 1, 7, Phase::Admit).transition.expect("hop");
@@ -408,10 +427,16 @@ mod tests {
         assert_eq!(tr.delta.as_millis(), 1);
         // A second replica stamping Admit later must not re-measure.
         assert!(fr.record(t(4), 2, 7, Phase::Admit).transition.is_none());
-        let tr = fr.record(t(9), 1, 7, Phase::Commit).transition.expect("skip propose");
+        let tr = fr
+            .record(t(9), 1, 7, Phase::Commit)
+            .transition
+            .expect("skip propose");
         assert_eq!(tr.name, "phase.propose_commit");
         assert_eq!(tr.delta.as_millis(), 6);
-        let tr = fr.record(t(10), 1, 7, Phase::Exec).transition.expect("terminal");
+        let tr = fr
+            .record(t(10), 1, 7, Phase::Exec)
+            .transition
+            .expect("terminal");
         assert_eq!(tr.name, "phase.commit_exec");
         // Chain closed: stragglers neither measure nor re-open.
         assert!(fr.record(t(11), 2, 7, Phase::Exec).transition.is_none());
@@ -423,9 +448,15 @@ mod tests {
         let mut fr = FlightRecorder::new(16);
         fr.record(t(0), 0, 5, Phase::Submit);
         fr.record(t(0), 0, 5, Phase::TwoPcBegin);
-        let tr = fr.record(t(4), 1, 5, Phase::TwoPcPrepare).transition.expect("2pc hop");
+        let tr = fr
+            .record(t(4), 1, 5, Phase::TwoPcPrepare)
+            .transition
+            .expect("2pc hop");
         assert_eq!(tr.name, "phase.2pc_begin_prepare");
-        let tr = fr.record(t(5), 1, 5, Phase::Ingest).transition.expect("consensus hop");
+        let tr = fr
+            .record(t(5), 1, 5, Phase::Ingest)
+            .transition
+            .expect("consensus hop");
         assert_eq!(tr.name, "phase.submit_ingest");
         assert_eq!(tr.delta.as_millis(), 5);
     }
