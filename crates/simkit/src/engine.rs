@@ -17,6 +17,16 @@
 //!   request traffic; the paper's optimization 1 splits them. Overflowing
 //!   queues drop messages, which is precisely the livelock mechanism the
 //!   paper observed.
+//!
+//! Scheduling: pending events sit in one binary heap ordered by
+//! `(time, seq)`, where `seq` is the order they were scheduled in, so ties
+//! resolve the same way in every run. The heap holds only 32-byte keys
+//! (`time`, `seq`, node, and a handle). A delivery's payload — sender,
+//! message and class — is parked in a slab slot that the key's handle
+//! names; popping the delivery takes the payload out and frees the slot,
+//! whether the receiver's queue then accepts or drops the message. A sift
+//! therefore never moves a message, however large `M` is, and the slab
+//! never holds more slots than deliveries were in flight at once.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -166,43 +176,83 @@ pub trait Actor {
     }
 }
 
-enum EventKind<M> {
-    Deliver {
-        from: NodeId,
-        msg: M,
-        class: MsgClass,
-    },
+/// What a popped event asks of its node.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum EventKind {
+    /// Enqueue the delivery parked in slab slot `handle`.
+    Deliver,
+    /// Serve the node's next queued message.
     ProcessNext,
-    Timer {
-        kind: u64,
-    },
+    /// Call `on_timer(handle)`.
+    Timer,
 }
 
-struct Event<M> {
+/// One scheduled event as the heap holds it: its key and a handle, never
+/// the message. A delivery's `(from, msg, class)` waits in the kernel's
+/// [`Parked`] slab, so a sift moves these 32 bytes whatever the size of
+/// `M`. Pop order is `(time, seq)`, and `seq` is unique.
+#[derive(Clone, Copy, Debug)]
+struct Event {
     time: SimTime,
     seq: u64,
-    node: NodeId,
-    kind: EventKind<M>,
+    node: u32,
+    kind: EventKind,
+    /// The parked slot of a `Deliver`, the caller's kind of a `Timer`.
+    handle: u64,
 }
 
-impl<M> PartialEq for Event<M> {
+const _: () = assert!(std::mem::size_of::<Event>() == 32);
+
+impl PartialEq for Event {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.seq == other.seq
     }
 }
-impl<M> Eq for Event<M> {}
-impl<M> PartialOrd for Event<M> {
+impl Eq for Event {}
+impl PartialOrd for Event {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<M> Ord for Event<M> {
+impl Ord for Event {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so earliest (time, seq) pops first.
         other
             .time
             .cmp(&self.time)
             .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
+
+/// Scheduled deliveries' payloads, in slots that a popped delivery frees
+/// for the next one (last freed, first reused). The slab holds at most as
+/// many slots as deliveries were ever in flight at once.
+struct Parked<M> {
+    slots: Vec<Option<(NodeId, M, MsgClass)>>,
+    free: Vec<usize>,
+}
+
+impl<M> Parked<M> {
+    fn park(&mut self, delivery: (NodeId, M, MsgClass)) -> u64 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = Some(delivery);
+                slot as u64
+            }
+            None => {
+                self.slots.push(Some(delivery));
+                (self.slots.len() - 1) as u64
+            }
+        }
+    }
+
+    fn take(&mut self, handle: u64) -> (NodeId, M, MsgClass) {
+        let slot = handle as usize;
+        let delivery = self.slots[slot]
+            .take()
+            .expect("event names a parked delivery");
+        self.free.push(slot);
+        delivery
     }
 }
 
@@ -243,7 +293,8 @@ struct Kernel<M> {
     now: SimTime,
     master_seed: u64,
     next_seq: u64,
-    events: BinaryHeap<Event<M>>,
+    events: BinaryHeap<Event>,
+    parked: Parked<M>,
     nodes: Vec<NodeRt<M>>,
     network: Box<dyn Network>,
     /// Adversarial interposition hook consulted before the network model
@@ -266,15 +317,23 @@ struct Kernel<M> {
 }
 
 impl<M: Clone> Kernel<M> {
-    fn push(&mut self, time: SimTime, node: NodeId, kind: EventKind<M>) {
+    fn push(&mut self, time: SimTime, node: NodeId, kind: EventKind, handle: u64) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.events.push(Event {
             time,
             seq,
-            node,
+            node: node as u32,
             kind,
+            handle,
         });
+    }
+
+    /// Schedule the delivery of `msg` from `from` to `to` at `time`.
+    fn push_delivery(&mut self, time: SimTime, from: NodeId, to: NodeId, msg: M) {
+        let class = (self.classify)(&msg);
+        let handle = self.parked.park((from, msg, class));
+        self.push(time, to, EventKind::Deliver, handle);
     }
 
     /// Dispatch an outbox: messages depart sequentially, each occupying the
@@ -329,14 +388,7 @@ impl<M: Clone> Kernel<M> {
             .network
             .transit(from, to, bytes, depart, &mut self.net_rng)
         {
-            Some(latency) => {
-                let class = (self.classify)(&msg);
-                self.push(
-                    depart + latency + extra,
-                    to,
-                    EventKind::Deliver { from, msg, class },
-                );
-            }
+            Some(latency) => self.push_delivery(depart + latency + extra, from, to, msg),
             None => {
                 self.stats.inc("net.messages_lost", 1);
             }
@@ -462,7 +514,7 @@ impl<'a, M: Clone> Ctx<'a, M> {
         match &mut self.backend {
             CtxBackend::Sim(k) => {
                 let at = k.now + delay;
-                k.push(at, self.node, EventKind::Timer { kind });
+                k.push(at, self.node, EventKind::Timer, kind);
             }
             CtxBackend::Host(h) => h.set_timer(self.node, delay, kind),
         }
@@ -561,6 +613,10 @@ impl<M: Clone> Sim<M> {
                 master_seed: config.seed,
                 next_seq: 0,
                 events: BinaryHeap::new(),
+                parked: Parked {
+                    slots: Vec::new(),
+                    free: Vec::new(),
+                },
                 nodes: Vec::new(),
                 network: config.network,
                 interposer: None,
@@ -584,6 +640,7 @@ impl<M: Clone> Sim<M> {
     /// Add an actor; returns its [`NodeId`]. Uses the default queue config.
     pub fn add_actor(&mut self, actor: Box<dyn Actor<Msg = M>>, queues: QueueConfig) -> NodeId {
         let id = self.actors.len();
+        assert!(id < u32::MAX as usize, "node ids must fit an event's u32");
         let nqueues = queues.capacities.len();
         self.actors.push(actor);
         self.kernel.nodes.push(NodeRt {
@@ -606,9 +663,7 @@ impl<M: Clone> Sim<M> {
 
     /// Inject a message from outside the actor set (e.g. a test harness).
     pub fn inject(&mut self, at: SimTime, from: NodeId, to: NodeId, msg: M) {
-        let class = (self.kernel.classify)(&msg);
-        self.kernel
-            .push(at, to, EventKind::Deliver { from, msg, class });
+        self.kernel.push_delivery(at, from, to, msg);
     }
 
     /// Immutable access to collected statistics.
@@ -691,10 +746,12 @@ impl<M: Clone> Sim<M> {
         self.run_until(SimTime::MAX)
     }
 
-    fn dispatch(&mut self, ev: Event<M>) {
-        let node = ev.node;
+    fn dispatch(&mut self, ev: Event) {
+        let node = ev.node as usize;
         match ev.kind {
-            EventKind::Deliver { from, msg, class } => {
+            EventKind::Deliver => {
+                // Taking the payload frees its slot, delivered or dropped.
+                let (from, msg, class) = self.kernel.parked.take(ev.handle);
                 let rt = &mut self.kernel.nodes[node];
                 let q = (rt.queue_cfg.route)(class);
                 debug_assert!(q < rt.queues.len(), "queue route out of range");
@@ -711,7 +768,7 @@ impl<M: Clone> Sim<M> {
                 if !rt.processing_scheduled {
                     rt.processing_scheduled = true;
                     let at = rt.busy_until.max(self.kernel.now);
-                    self.kernel.push(at, node, EventKind::ProcessNext);
+                    self.kernel.push(at, node, EventKind::ProcessNext, 0);
                 }
             }
             EventKind::ProcessNext => {
@@ -728,14 +785,14 @@ impl<M: Clone> Sim<M> {
                 let rt = &mut self.kernel.nodes[node];
                 rt.busy_until = sent;
                 if rt.total_queued() > 0 {
-                    self.kernel.push(sent, node, EventKind::ProcessNext);
+                    self.kernel.push(sent, node, EventKind::ProcessNext, 0);
                 } else {
                     rt.processing_scheduled = false;
                 }
             }
-            EventKind::Timer { kind } => {
+            EventKind::Timer => {
                 let mut ctx = Ctx::for_sim(&mut self.kernel, node);
-                self.actors[node].on_timer(kind, &mut ctx);
+                self.actors[node].on_timer(ev.handle, &mut ctx);
                 let (cpu, outbox) = ctx.finish();
                 let done = self.kernel.now + cpu;
                 let sent = self.kernel.flush_outbox(node, outbox, done);
@@ -872,6 +929,110 @@ mod tests {
         // remains queued until the ProcessNext event runs).
         assert_eq!(sim.stats().counter("sink.processed"), 8);
         assert_eq!(sim.stats().counter("queue.dropped"), 92);
+        // Every delivery, dropped ones included, freed its parked slot.
+        assert!(sim.kernel.parked.slots.iter().all(Option::is_none));
+        assert_eq!(sim.kernel.parked.free.len(), sim.kernel.parked.slots.len());
+
+        // A long flood: a burst every millisecond for 200 ms into the same
+        // 8-slot queue. Dropped deliveries free their slots too, so the
+        // slab stays at the two bursts in flight at a tick (the next burst
+        // is parked before the current one is delivered), not the 20 000
+        // messages sent.
+        struct Burster {
+            peer: NodeId,
+            burst: u32,
+            ticks: u64,
+        }
+        impl Actor for Burster {
+            type Msg = Ping;
+            fn on_start(&mut self, ctx: &mut Ctx<'_, Ping>) {
+                ctx.set_timer(SimDuration::ZERO, 0);
+            }
+            fn on_message(&mut self, _f: NodeId, _m: Ping, _ctx: &mut Ctx<'_, Ping>) {}
+            fn on_timer(&mut self, tick: u64, ctx: &mut Ctx<'_, Ping>) {
+                for i in 0..self.burst {
+                    ctx.send(self.peer, Ping::Ping(i));
+                }
+                if tick + 1 < self.ticks {
+                    ctx.set_timer(SimDuration::from_millis(1), tick + 1);
+                }
+            }
+        }
+        let mut sim: Sim<Ping> = Sim::new(SimConfig::new(1));
+        sim.add_actor(
+            Box::new(Burster {
+                peer: 1,
+                burst: 100,
+                ticks: 200,
+            }),
+            QueueConfig::unbounded(),
+        );
+        sim.add_actor(Box::new(SlowSink), QueueConfig::shared(8));
+        sim.run();
+        let dropped = sim.stats().counter("queue.dropped");
+        assert_eq!(dropped + sim.stats().counter("sink.processed"), 20_000);
+        assert!(dropped > 19_000, "the flood overflows the queue: {dropped}");
+        assert!(
+            sim.kernel.parked.slots.len() <= 200,
+            "slab grew to {} slots",
+            sim.kernel.parked.slots.len()
+        );
+        assert!(sim.kernel.parked.slots.iter().all(Option::is_none));
+    }
+
+    #[test]
+    fn same_instant_events_pop_in_seq_order_across_slot_reuse() {
+        let mut sim = two_pingers(1);
+        let k = &mut sim.kernel;
+        // Park three deliveries and pop them: slots 0, 1 and 2 are free
+        // again, and the next deliveries reuse them last-freed first.
+        for i in 0..3 {
+            k.push_delivery(SimTime(1), 0, 1, Ping::Ping(i));
+        }
+        while let Some(ev) = k.events.pop() {
+            k.parked.take(ev.handle);
+        }
+        // Deliveries, timers and queue drains due at one instant, pushed
+        // in this order.
+        let at = SimTime(5);
+        k.push_delivery(at, 0, 1, Ping::Ping(10));
+        k.push(at, 1, EventKind::Timer, 7);
+        k.push_delivery(at, 0, 1, Ping::Ping(11));
+        k.push(at, 0, EventKind::ProcessNext, 0);
+        k.push_delivery(at, 1, 0, Ping::Pong(12));
+        k.push(at, 1, EventKind::Timer, 3);
+        k.push_delivery(at, 1, 0, Ping::Pong(13));
+        let mut popped = Vec::new();
+        let mut handles = Vec::new();
+        let mut last_seq = None;
+        while let Some(ev) = k.events.pop() {
+            assert_eq!(ev.time, at);
+            assert!(last_seq < Some(ev.seq), "events pop in seq order");
+            last_seq = Some(ev.seq);
+            popped.push(match ev.kind {
+                EventKind::Deliver => {
+                    handles.push(ev.handle);
+                    let (from, msg, _) = k.parked.take(ev.handle);
+                    format!("deliver {from}->{} {msg:?}", ev.node)
+                }
+                EventKind::Timer => format!("timer {} at {}", ev.handle, ev.node),
+                EventKind::ProcessNext => format!("process {}", ev.node),
+            });
+        }
+        assert_eq!(
+            popped,
+            [
+                "deliver 0->1 Ping(10)",
+                "timer 7 at 1",
+                "deliver 0->1 Ping(11)",
+                "process 0",
+                "deliver 1->0 Pong(12)",
+                "timer 3 at 1",
+                "deliver 1->0 Pong(13)",
+            ]
+        );
+        // The slots really were reused, in an order unlike the pops'.
+        assert_eq!(handles, [2, 1, 0, 3]);
     }
 
     #[test]
