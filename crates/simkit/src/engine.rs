@@ -626,7 +626,7 @@ impl<M: Clone> Sim<M> {
                 uplink_bps: config.uplink_bps,
                 stats: {
                     let mut s = Stats::new();
-                    s.recorder_mut().set_capacity(config.trace_capacity);
+                    s.set_trace_capacity(config.trace_capacity);
                     s
                 },
                 halted: false,

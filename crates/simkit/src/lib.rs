@@ -51,6 +51,8 @@
 
 pub mod adversary;
 mod engine;
+#[cfg(test)]
+mod model;
 pub mod rng;
 pub mod stats;
 mod time;

@@ -184,10 +184,20 @@ impl Scope {
 /// ([`Stats::inc_scoped`], [`Stats::record_latency_scoped`]) roll up into the
 /// same global name, so readers of the unlabeled counters see identical
 /// totals whether or not call sites attribute their samples.
+///
+/// A flight-recorder stamp ([`Stats::trace`]) writes none of these maps.
+/// Its hop lands in an array of the `phase.*` histograms, and its ring
+/// eviction is counted per node inside the [`FlightRecorder`]. The
+/// readers — [`Stats::counter`], [`Stats::scoped_counter`],
+/// [`Stats::counters`] and [`Stats::scoped_counters`] for
+/// [`TRACE_DROPPED`], [`Stats::histogram`] for the hops — add those back
+/// in, so every reader is exact at any point of a run.
 #[derive(Default, Debug, Clone)]
 pub struct Stats {
     counters: BTreeMap<&'static str, u64>,
     histograms: BTreeMap<&'static str, Histogram>,
+    /// The `phase.*` hop histograms, indexed like [`Phase::TRANSITIONS`].
+    phases: [Histogram; 8],
     series: BTreeMap<&'static str, Vec<(SimTime, f64)>>,
     scoped_counters: BTreeMap<(&'static str, Scope), u64>,
     scoped_histograms: BTreeMap<(&'static str, Scope), Histogram>,
@@ -197,11 +207,25 @@ pub struct Stats {
     /// attribute a node id to a [`Scope`] (nodes past the committees are
     /// clients and stay unscoped).
     topology: Option<(usize, usize)>,
+    /// Each node's ring evictions when the topology was last set: those
+    /// before belong to earlier scopes (already in `scoped_counters`),
+    /// those after to `topology`'s.
+    evicted_at_topology: Vec<u64>,
 }
 
-/// Counter name for flight-recorder ring evictions (see
-/// [`Stats::set_topology`] for the scoped variant).
+/// Counter name for flight-recorder ring evictions: one per stamp that
+/// evicted the oldest event of its node's full ring. The count lives in
+/// the [`FlightRecorder`] (per node) and the counter readers add it in;
+/// it is scoped per replica once [`Stats::set_topology`] is set.
 pub const TRACE_DROPPED: &str = "trace.dropped";
+
+/// Index into [`Phase::TRANSITIONS`] of a `phase.*` histogram name.
+fn phase_hop(name: &str) -> Option<usize> {
+    if !name.starts_with("phase.") {
+        return None;
+    }
+    Phase::TRANSITIONS.iter().position(|n| *n == name)
+}
 
 /// Shared handle to an installed [`TraceSink`] (`None` = no tee). A newtype
 /// so `Stats` keeps its derived `Clone`/`Default` and a readable `Debug`
@@ -238,25 +262,53 @@ impl Stats {
 
     /// Read counter `name` (zero if never written).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        let written = self.counters.get(name).copied().unwrap_or(0);
+        if name == TRACE_DROPPED {
+            written + self.recorder.evicted().iter().sum::<u64>()
+        } else {
+            written
+        }
     }
 
     /// Read the `(name, scope)` labeled counter (zero if never written).
     pub fn scoped_counter(&self, name: &'static str, scope: Scope) -> u64 {
-        self.scoped_counters
+        let written = self
+            .scoped_counters
             .get(&(name, scope))
             .copied()
-            .unwrap_or(0)
+            .unwrap_or(0);
+        match self.node_of(scope) {
+            Some(node) if name == TRACE_DROPPED => written + self.evicted_since_topology(node),
+            _ => written,
+        }
     }
 
     /// Iterate all labeled counters in (name, scope) order.
     pub fn scoped_counters(&self) -> impl Iterator<Item = (&'static str, Scope, u64)> + '_ {
-        self.scoped_counters.iter().map(|(&(n, s), &v)| (n, s, v))
+        let mut all: Vec<_> = self
+            .scoped_counters
+            .iter()
+            .map(|(&(n, s), &v)| (n, s, v))
+            .collect();
+        for node in 0..self.recorder.evicted().len() {
+            let evicted = self.evicted_since_topology(node);
+            let Some(scope) = self.scope_of(node).filter(|_| evicted > 0) else {
+                continue;
+            };
+            match all.binary_search_by(|&(n, s, _)| (n, s).cmp(&(TRACE_DROPPED, scope))) {
+                Ok(i) => all[i].2 += evicted,
+                Err(i) => all.insert(i, (TRACE_DROPPED, scope, evicted)),
+            }
+        }
+        all.into_iter()
     }
 
     /// Record a duration sample in histogram `name`.
     pub fn record_latency(&mut self, name: &'static str, d: SimDuration) {
-        self.histograms.entry(name).or_default().record(d);
+        match phase_hop(name) {
+            Some(hop) => self.phases[hop].record(d),
+            None => self.histograms.entry(name).or_default().record(d),
+        }
     }
 
     /// Record a duration sample in the `(name, scope)` labeled histogram
@@ -271,7 +323,10 @@ impl Stats {
 
     /// Read histogram `name` if any samples were recorded.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
+        match phase_hop(name) {
+            Some(hop) => Some(&self.phases[hop]).filter(|h| h.count() > 0),
+            None => self.histograms.get(name),
+        }
     }
 
     /// Read the `(name, scope)` labeled histogram if any samples were recorded.
@@ -294,17 +349,10 @@ impl Stats {
     /// Actors normally call [`crate::Ctx::trace`], which fills in the clock
     /// and node id.
     pub fn trace(&mut self, at: SimTime, node: usize, id: u64, phase: Phase) {
-        let outcome = self.recorder.record(at, node, id, phase);
-        if let Some(tr) = outcome.transition {
-            self.histograms.entry(tr.name).or_default().record(tr.delta);
+        if let Some(tr) = self.recorder.record(at, node, id, phase) {
+            self.phases[tr.hop].record(tr.delta);
         }
-        if outcome.evicted {
-            match self.scope_of(node) {
-                Some(scope) => self.inc_scoped(TRACE_DROPPED, scope, 1),
-                None => self.inc(TRACE_DROPPED, 1),
-            }
-        }
-        if let Some(sink) = self.sink.0.clone() {
+        if let Some(sink) = &self.sink.0 {
             sink.lock()
                 .expect("trace sink poisoned")
                 .on_trace(at, node, id, phase);
@@ -327,6 +375,17 @@ impl Stats {
     /// `committee_size` nodes, ids `committee * committee_size + replica`,
     /// clients after) so trace-derived counters can be scope-labeled.
     pub fn set_topology(&mut self, committees: usize, committee_size: usize) {
+        // Evictions so far keep the scopes the old topology gave them.
+        for node in 0..self.recorder.evicted().len() {
+            let evicted = self.evicted_since_topology(node);
+            if let Some(scope) = self.scope_of(node).filter(|_| evicted > 0) {
+                *self
+                    .scoped_counters
+                    .entry((TRACE_DROPPED, scope))
+                    .or_insert(0) += evicted;
+            }
+        }
+        self.evicted_at_topology = self.recorder.evicted().to_vec();
         self.topology = Some((committees, committee_size));
     }
 
@@ -338,14 +397,31 @@ impl Stats {
         Some(Scope::replica(node / size, node % size))
     }
 
+    /// The node a replica scope names under the current topology.
+    fn node_of(&self, scope: Scope) -> Option<usize> {
+        let (committees, size) = self.topology?;
+        let (committee, replica) = (scope.committee as usize, scope.replica as usize);
+        (scope.replica != Scope::ALL && committee < committees && replica < size)
+            .then_some(committee * size + replica)
+    }
+
+    /// `node`'s ring evictions since the topology was last set.
+    fn evicted_since_topology(&self, node: usize) -> u64 {
+        let count = |v: &[u64]| v.get(node).copied().unwrap_or(0);
+        count(self.recorder.evicted()) - count(&self.evicted_at_topology)
+    }
+
     /// The transaction flight recorder (post-run inspection, dumps).
     pub fn recorder(&self) -> &FlightRecorder {
         &self.recorder
     }
 
-    /// Mutable access to the flight recorder (capacity configuration).
-    pub fn recorder_mut(&mut self) -> &mut FlightRecorder {
-        &mut self.recorder
+    /// Change the flight recorder's per-node ring capacity (see
+    /// [`FlightRecorder::set_capacity`]). The recorder is lent out
+    /// read-only otherwise: it holds the eviction counts [`TRACE_DROPPED`]
+    /// reads, so it is never swapped out from under them.
+    pub fn set_trace_capacity(&mut self, capacity: usize) {
+        self.recorder.set_capacity(capacity);
     }
 
     /// Append a (time, value) point to series `name`.
@@ -360,7 +436,15 @@ impl Stats {
 
     /// Iterate counters in key order (for reports).
     pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(k, v)| (*k, *v))
+        let mut all: Vec<_> = self.counters.iter().map(|(k, v)| (*k, *v)).collect();
+        let evicted: u64 = self.recorder.evicted().iter().sum();
+        if evicted > 0 {
+            match all.binary_search_by(|&(n, _)| n.cmp(TRACE_DROPPED)) {
+                Ok(i) => all[i].1 += evicted,
+                Err(i) => all.insert(i, (TRACE_DROPPED, evicted)),
+            }
+        }
+        all.into_iter()
     }
 
     /// Compute the event rate of series `name` interpreted as per-point
@@ -516,7 +600,7 @@ mod tests {
     #[test]
     fn ring_eviction_is_counted_and_scoped() {
         let mut s = Stats::new();
-        s.recorder_mut().set_capacity(4);
+        s.set_trace_capacity(4);
         s.set_topology(1, 2); // nodes 0,1 are c0/r0,c0/r1; node 2+ clients
         for i in 0..10u64 {
             s.trace(SimTime(i), 1, i, Phase::WalCommit);

@@ -12,10 +12,17 @@
 //! Determinism: recording is driven entirely by simulation events, so the
 //! full event sequence is a pure function of the run seed. The chain-tracking
 //! map is bounded ([`FlightRecorder::OPEN_CAP`]); when full, new chains are
-//! refused and counted, never silently grown.
+//! refused and counted, never silently grown. It is hashed and never
+//! iterated, so its order cannot reach an output.
+//!
+//! Cost: a stamp indexes its node's ring and eviction count in
+//! node-indexed vectors and makes one hashed chain lookup; it writes no
+//! ordered map. [`crate::Stats`] reads `trace.dropped` back from the
+//! per-node eviction counts instead of counting each eviction itself.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::time::{SimDuration, SimTime};
 
@@ -115,15 +122,20 @@ impl Phase {
     /// exactly the hop it says; if an intermediate phase is unobserved the
     /// hop from the last observed phase is attributed to the arriving one.
     pub fn transition_name(self) -> Option<&'static str> {
+        self.hop().map(|hop| Phase::TRANSITIONS[hop])
+    }
+
+    /// Index into [`Phase::TRANSITIONS`] of the hop arriving at this phase.
+    pub(crate) fn hop(self) -> Option<usize> {
         match self {
-            Phase::Ingest => Some("phase.submit_ingest"),
-            Phase::Admit => Some("phase.ingest_admit"),
-            Phase::Propose => Some("phase.admit_propose"),
-            Phase::Commit => Some("phase.propose_commit"),
-            Phase::Exec => Some("phase.commit_exec"),
-            Phase::TwoPcPrepare => Some("phase.2pc_begin_prepare"),
-            Phase::TwoPcVote => Some("phase.2pc_prepare_vote"),
-            Phase::TwoPcDecide => Some("phase.2pc_vote_decide"),
+            Phase::Ingest => Some(0),
+            Phase::Admit => Some(1),
+            Phase::Propose => Some(2),
+            Phase::Commit => Some(3),
+            Phase::Exec => Some(4),
+            Phase::TwoPcPrepare => Some(5),
+            Phase::TwoPcVote => Some(6),
+            Phase::TwoPcDecide => Some(7),
             _ => None,
         }
     }
@@ -170,19 +182,11 @@ impl fmt::Display for TraceEvent {
 }
 
 /// A completed phase transition, handed back to [`crate::Stats`] so the hop
-/// latency lands in a named histogram.
+/// latency lands in its histogram.
 pub(crate) struct Transition {
-    pub name: &'static str,
+    /// Index into [`Phase::TRANSITIONS`].
+    pub hop: usize,
     pub delta: SimDuration,
-}
-
-/// What one [`FlightRecorder::record`] call did: the phase transition it
-/// completed (if any), and whether retaining the event evicted the oldest
-/// entry of the node's ring (so [`crate::Stats`] can count the drop instead
-/// of losing history silently).
-pub(crate) struct RecordOutcome {
-    pub transition: Option<Transition>,
-    pub evicted: bool,
 }
 
 /// An online consumer of the flight-recorder event stream.
@@ -197,19 +201,56 @@ pub trait TraceSink {
     fn on_trace(&mut self, at: SimTime, node: usize, id: u64, phase: Phase);
 }
 
+/// Hasher for the open-chain map's `(id, chain)` keys: a rotate, a xor and
+/// a multiply per word. The map is never iterated, so no output depends
+/// on how it spreads keys.
+#[derive(Clone, Copy, Debug, Default)]
+struct ChainHasher(u64);
+
+impl Hasher for ChainHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+/// Add one to `counts[node]`, growing the node-indexed vector as needed.
+fn bump(counts: &mut Vec<u64>, node: usize) {
+    if node >= counts.len() {
+        counts.resize(node + 1, 0);
+    }
+    counts[node] += 1;
+}
+
 /// Per-node bounded ring buffers of [`TraceEvent`]s plus the chain tracker
 /// that derives phase-hop latencies. Owned by [`crate::Stats`]; actors write
 /// through [`crate::Ctx::trace`].
 #[derive(Clone, Debug, Default)]
 pub struct FlightRecorder {
     capacity: usize,
-    rings: BTreeMap<usize, VecDeque<TraceEvent>>,
+    /// Rings indexed by node id; a node that never stamped has an empty one.
+    rings: Vec<VecDeque<TraceEvent>>,
     /// Open chains: (id, chain discriminant) → (last rank, last stamp time).
-    open: BTreeMap<(u64, u8), (u8, SimTime)>,
+    open: HashMap<(u64, u8), (u8, SimTime), BuildHasherDefault<ChainHasher>>,
     /// Chains refused because `open` was at capacity.
     overflow: u64,
-    /// Events evicted from full rings, per node (oldest-first eviction).
-    dropped: BTreeMap<usize, u64>,
+    /// Stamps that evicted the oldest event of a full ring, per node.
+    evicted: Vec<u64>,
+    /// Events [`FlightRecorder::set_capacity`] trimmed, per node.
+    trimmed: Vec<u64>,
 }
 
 impl FlightRecorder {
@@ -238,10 +279,10 @@ impl FlightRecorder {
     /// events count as drops).
     pub fn set_capacity(&mut self, capacity: usize) {
         self.capacity = capacity;
-        for (&node, ring) in self.rings.iter_mut() {
+        for (node, ring) in self.rings.iter_mut().enumerate() {
             while ring.len() > capacity {
                 ring.pop_front();
-                *self.dropped.entry(node).or_insert(0) += 1;
+                bump(&mut self.trimmed, node);
             }
         }
     }
@@ -251,37 +292,47 @@ impl FlightRecorder {
         self.overflow
     }
 
-    /// Events evicted from `node`'s full ring (oldest-first) over the run.
+    /// Events evicted from `node`'s full ring (oldest-first) over the run,
+    /// by stamps and by capacity trims.
     pub fn dropped(&self, node: usize) -> u64 {
-        self.dropped.get(&node).copied().unwrap_or(0)
+        let count = |v: &Vec<u64>| v.get(node).copied().unwrap_or(0);
+        count(&self.evicted) + count(&self.trimmed)
     }
 
     /// Total events evicted from full rings across all nodes.
     pub fn total_dropped(&self) -> u64 {
-        self.dropped.values().sum()
+        self.evicted.iter().chain(&self.trimmed).sum()
+    }
+
+    /// Stamps that evicted the oldest event of a full ring, indexed by node
+    /// (capacity trims not included): what [`crate::Stats`] reports as
+    /// `trace.dropped`.
+    pub(crate) fn evicted(&self) -> &[u64] {
+        &self.evicted
     }
 
     /// Total events currently retained across all rings (occupancy).
     pub fn occupancy(&self) -> usize {
-        self.rings.values().map(VecDeque::len).sum()
+        self.rings.iter().map(VecDeque::len).sum()
     }
 
-    /// Record one event. Reports the phase transition it completed (if any)
-    /// and whether the node's ring evicted its oldest event to make room.
+    /// Record one event, evicting the oldest event of the node's ring when
+    /// it is full. Reports the phase transition it completed, if any.
     pub(crate) fn record(
         &mut self,
         at: SimTime,
         node: usize,
         id: u64,
         phase: Phase,
-    ) -> RecordOutcome {
-        let mut evicted = false;
+    ) -> Option<Transition> {
         if self.capacity > 0 {
-            let ring = self.rings.entry(node).or_default();
+            if node >= self.rings.len() {
+                self.rings.resize_with(node + 1, VecDeque::new);
+            }
+            let ring = &mut self.rings[node];
             if ring.len() >= self.capacity {
                 ring.pop_front();
-                *self.dropped.entry(node).or_insert(0) += 1;
-                evicted = true;
+                bump(&mut self.evicted, node);
             }
             ring.push_back(TraceEvent {
                 at,
@@ -290,11 +341,7 @@ impl FlightRecorder {
                 phase,
             });
         }
-        let transition = self.track_chain(at, id, phase);
-        RecordOutcome {
-            transition,
-            evicted,
-        }
+        self.track_chain(at, id, phase)
     }
 
     fn track_chain(&mut self, at: SimTime, id: u64, phase: Phase) -> Option<Transition> {
@@ -312,9 +359,7 @@ impl FlightRecorder {
                 if terminal {
                     self.open.remove(&key);
                 }
-                phase
-                    .transition_name()
-                    .map(|name| Transition { name, delta })
+                phase.hop().map(|hop| Transition { hop, delta })
             }
             None => {
                 // Only chain-opening phases may start tracking; a late
@@ -333,13 +378,13 @@ impl FlightRecorder {
 
     /// Events currently retained for `node`, oldest first.
     pub fn node_events(&self, node: usize) -> impl Iterator<Item = &TraceEvent> + '_ {
-        self.rings.get(&node).into_iter().flatten()
+        self.rings.get(node).into_iter().flatten()
     }
 
     /// All retained events across nodes, grouped by node id (node order, then
     /// chronological within a node).
     pub fn all_events(&self) -> impl Iterator<Item = &TraceEvent> + '_ {
-        self.rings.values().flatten()
+        self.rings.iter().flatten()
     }
 
     /// Reconstruct a transaction/request lifecycle: every retained event with
@@ -371,7 +416,7 @@ impl FlightRecorder {
     pub fn dump(&self, nodes: impl IntoIterator<Item = usize>, limit: usize) -> String {
         let mut out = String::new();
         for node in nodes {
-            let ring = match self.rings.get(&node) {
+            let ring = match self.rings.get(node) {
                 Some(r) if !r.is_empty() => r,
                 _ => continue,
             };
@@ -415,32 +460,23 @@ mod tests {
     #[test]
     fn chain_transitions_land_in_order() {
         let mut fr = FlightRecorder::new(16);
-        assert!(fr.record(t(0), 0, 7, Phase::Submit).transition.is_none());
-        let tr = fr
-            .record(t(2), 1, 7, Phase::Ingest)
-            .transition
-            .expect("hop");
-        assert_eq!(tr.name, "phase.submit_ingest");
+        assert!(fr.record(t(0), 0, 7, Phase::Submit).is_none());
+        let tr = fr.record(t(2), 1, 7, Phase::Ingest).expect("hop");
+        assert_eq!(Phase::TRANSITIONS[tr.hop], "phase.submit_ingest");
         assert_eq!(tr.delta.as_millis(), 2);
-        let tr = fr.record(t(3), 1, 7, Phase::Admit).transition.expect("hop");
-        assert_eq!(tr.name, "phase.ingest_admit");
+        let tr = fr.record(t(3), 1, 7, Phase::Admit).expect("hop");
+        assert_eq!(Phase::TRANSITIONS[tr.hop], "phase.ingest_admit");
         assert_eq!(tr.delta.as_millis(), 1);
         // A second replica stamping Admit later must not re-measure.
-        assert!(fr.record(t(4), 2, 7, Phase::Admit).transition.is_none());
-        let tr = fr
-            .record(t(9), 1, 7, Phase::Commit)
-            .transition
-            .expect("skip propose");
-        assert_eq!(tr.name, "phase.propose_commit");
+        assert!(fr.record(t(4), 2, 7, Phase::Admit).is_none());
+        let tr = fr.record(t(9), 1, 7, Phase::Commit).expect("skip propose");
+        assert_eq!(Phase::TRANSITIONS[tr.hop], "phase.propose_commit");
         assert_eq!(tr.delta.as_millis(), 6);
-        let tr = fr
-            .record(t(10), 1, 7, Phase::Exec)
-            .transition
-            .expect("terminal");
-        assert_eq!(tr.name, "phase.commit_exec");
+        let tr = fr.record(t(10), 1, 7, Phase::Exec).expect("terminal");
+        assert_eq!(Phase::TRANSITIONS[tr.hop], "phase.commit_exec");
         // Chain closed: stragglers neither measure nor re-open.
-        assert!(fr.record(t(11), 2, 7, Phase::Exec).transition.is_none());
-        assert!(fr.record(t(12), 2, 7, Phase::Commit).transition.is_none());
+        assert!(fr.record(t(11), 2, 7, Phase::Exec).is_none());
+        assert!(fr.record(t(12), 2, 7, Phase::Commit).is_none());
     }
 
     #[test]
@@ -448,16 +484,10 @@ mod tests {
         let mut fr = FlightRecorder::new(16);
         fr.record(t(0), 0, 5, Phase::Submit);
         fr.record(t(0), 0, 5, Phase::TwoPcBegin);
-        let tr = fr
-            .record(t(4), 1, 5, Phase::TwoPcPrepare)
-            .transition
-            .expect("2pc hop");
-        assert_eq!(tr.name, "phase.2pc_begin_prepare");
-        let tr = fr
-            .record(t(5), 1, 5, Phase::Ingest)
-            .transition
-            .expect("consensus hop");
-        assert_eq!(tr.name, "phase.submit_ingest");
+        let tr = fr.record(t(4), 1, 5, Phase::TwoPcPrepare).expect("2pc hop");
+        assert_eq!(Phase::TRANSITIONS[tr.hop], "phase.2pc_begin_prepare");
+        let tr = fr.record(t(5), 1, 5, Phase::Ingest).expect("consensus hop");
+        assert_eq!(Phase::TRANSITIONS[tr.hop], "phase.submit_ingest");
         assert_eq!(tr.delta.as_millis(), 5);
     }
 
@@ -475,7 +505,7 @@ mod tests {
     fn zero_capacity_still_measures_phases() {
         let mut fr = FlightRecorder::new(0);
         fr.record(t(0), 0, 1, Phase::Submit);
-        assert!(fr.record(t(1), 0, 1, Phase::Ingest).transition.is_some());
+        assert!(fr.record(t(1), 0, 1, Phase::Ingest).is_some());
         assert_eq!(fr.all_events().count(), 0);
     }
 
