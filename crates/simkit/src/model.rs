@@ -1,8 +1,8 @@
 //! Test-only reference model of the flight recorder and of the
-//! `trace.dropped` counters: the map-based recorder and `Stats::trace`
-//! path the crate shipped before rings, eviction counts and phase
-//! histograms moved into node-indexed vectors and arrays. Random stamps
-//! drive it and [`Stats`] side by side; every reader must agree.
+//! `trace.dropped` counters, kept in ordered maps: rings, open chains and
+//! drop counts in `BTreeMap`s, each eviction counted into the counter maps
+//! as it happens and each hop into a histogram map. Random stamps drive it
+//! and [`Stats`] side by side; every reader must agree.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -13,7 +13,7 @@ use crate::stats::{Histogram, Scope, Stats, TRACE_DROPPED};
 use crate::time::SimTime;
 use crate::trace::{FlightRecorder, Phase, TraceEvent};
 
-/// The old recorder: `BTreeMap` rings, open chains and drop counts.
+/// The recorder over `BTreeMap` rings, open chains and drop counts.
 #[derive(Default)]
 struct ModelRecorder {
     capacity: usize,
@@ -173,8 +173,8 @@ fn chain_rank(phase: Phase) -> Option<(u8, u8)> {
         .map(|r| (1, r as u8))
 }
 
-/// The old `Stats` trace path: every eviction written into the counter
-/// maps as it happens, every hop into the histogram map.
+/// The `Stats` trace path over maps: every eviction written into the
+/// counter maps as it happens, every hop into the histogram map.
 #[derive(Default)]
 struct ModelStats {
     counters: BTreeMap<&'static str, u64>,

@@ -22,7 +22,6 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::time::{SimDuration, SimTime};
 
@@ -201,32 +200,6 @@ pub trait TraceSink {
     fn on_trace(&mut self, at: SimTime, node: usize, id: u64, phase: Phase);
 }
 
-/// Hasher for the open-chain map's `(id, chain)` keys: a rotate, a xor and
-/// a multiply per word. The map is never iterated, so no output depends
-/// on how it spreads keys.
-#[derive(Clone, Copy, Debug, Default)]
-struct ChainHasher(u64);
-
-impl Hasher for ChainHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u8(&mut self, n: u8) {
-        self.write_u64(u64::from(n));
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
 /// Add one to `counts[node]`, growing the node-indexed vector as needed.
 fn bump(counts: &mut Vec<u64>, node: usize) {
     if node >= counts.len() {
@@ -244,7 +217,10 @@ pub struct FlightRecorder {
     /// Rings indexed by node id; a node that never stamped has an empty one.
     rings: Vec<VecDeque<TraceEvent>>,
     /// Open chains: (id, chain discriminant) → (last rank, last stamp time).
-    open: HashMap<(u64, u8), (u8, SimTime), BuildHasherDefault<ChainHasher>>,
+    /// Ids can come from outside the program (a real node's clients), so
+    /// the map keeps std's seeded hasher; it is never iterated, so its
+    /// per-process seed cannot reach an output.
+    open: HashMap<(u64, u8), (u8, SimTime)>,
     /// Chains refused because `open` was at capacity.
     overflow: u64,
     /// Stamps that evicted the oldest event of a full ring, per node.
