@@ -323,7 +323,7 @@ impl<M: Clone> Kernel<M> {
         self.events.push(Event {
             time,
             seq,
-            node: node as u32,
+            node: u32::try_from(node).expect("node ids fit an event's u32"),
             kind,
             handle,
         });
@@ -640,7 +640,6 @@ impl<M: Clone> Sim<M> {
     /// Add an actor; returns its [`NodeId`]. Uses the default queue config.
     pub fn add_actor(&mut self, actor: Box<dyn Actor<Msg = M>>, queues: QueueConfig) -> NodeId {
         let id = self.actors.len();
-        assert!(id < u32::MAX as usize, "node ids must fit an event's u32");
         let nqueues = queues.capacities.len();
         self.actors.push(actor);
         self.kernel.nodes.push(NodeRt {
