@@ -285,7 +285,9 @@ where
 // ---------------------------------------------------------------------------
 
 /// Reconnect backoff start (doubles per failure up to [`BACKOFF_MAX`]).
-const BACKOFF_START: Duration = Duration::from_millis(50);
+/// Short, because the usual first failure is a dial that reached a peer
+/// just before its listener bound: a cluster's processes start together.
+const BACKOFF_START: Duration = Duration::from_millis(2);
 /// Reconnect backoff ceiling.
 const BACKOFF_MAX: Duration = Duration::from_secs(2);
 /// Poll interval at which blocked reader/sender threads re-check the
@@ -1027,6 +1029,25 @@ mod tests {
         assert!(tb.stats().connects >= 2);
         tb.shutdown();
         ta2.shutdown();
+    }
+
+    /// A dial that reaches the peer before its listener binds retries
+    /// soon after the bind, not one long backoff later: a cluster whose
+    /// processes start together connects in milliseconds.
+    #[test]
+    fn dial_before_bind_delivers_soon_after_the_bind() {
+        let addr = std::net::TcpListener::bind(local(0)).expect("probe").local_addr().expect("addr");
+        let tb = TcpTransport::<Num>::start(TcpConfig::new(local(0), vec![1], vec![(0, addr)]))
+            .expect("b");
+        tb.send(1, 0, Packet::App(Num(9)));
+        std::thread::sleep(Duration::from_millis(5));
+        let ta = TcpTransport::<Num>::start(TcpConfig::new(addr, vec![0], vec![])).expect("a");
+        let bound = Instant::now();
+        assert!(drain_until_packet(&ta, 10).is_some(), "frame delivered");
+        let after = bound.elapsed();
+        assert!(after < Duration::from_millis(25), "arrived {after:?} after the bind");
+        tb.shutdown();
+        ta.shutdown();
     }
 
     #[test]
