@@ -21,7 +21,6 @@
 //!   paper's finding that AHL+ beats AHLR).
 
 use std::collections::{HashMap, HashSet};
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use ahl_crypto::{Hash, KeyId, KeyRegistry, SigningKey};
@@ -40,11 +39,14 @@ use crate::pbft::config::{
     PbftConfig, ReplyPolicy, COSTS, EXEC_COST_PER_OP, INGEST_COST, PIPELINE_WIDTH,
 };
 use crate::pbft::cert::{
-    enclave_key, logs, CertKind, CheckpointVotes, QuorumCert, COMMIT_LOG, PREPARE_LOG,
-    PREPREPARE_LOG,
+    enclave_key, logs, CertKind, QuorumCert, COMMIT_LOG, PREPARE_LOG, PREPREPARE_LOG,
 };
-use crate::pbft::durable::{twopc_kind, NodeStore, TwoPcKind, WalRecord};
+use crate::pbft::durable::{twopc_kind, TwoPcKind, WalRecord};
 use crate::pbft::msg::{chunk_entry_bytes, MsgCert, PbftBlock, PbftMsg, ViewChangeMsg, Vote};
+
+mod checkpoint;
+
+use checkpoint::{Checkpoints, CkptSnapshot};
 
 const TIMER_BATCH: u64 = 1;
 const TIMER_VC: u64 = 2;
@@ -73,22 +75,6 @@ struct Instance {
     /// instance does, so a sync tail ships it with the block.
     cert: Option<QuorumCert>,
     executed: bool,
-}
-
-/// State + executed-request snapshot taken at a checkpoint height; once a
-/// certificate forms for that height it becomes the serving source for
-/// chunked state sync (chunks must verify against the *certified* root, so
-/// they cannot be cut from live, still-mutating state).
-///
-/// Capture is O(1) in the state size: [`StateStore::snapshot`] hands out a
-/// frozen copy-on-write tree handle whose leaves carry the values, so the
-/// snapshot serves complete chunks without a deep clone of the state.
-/// Retaining several of these is what makes diff sync serveable.
-#[derive(Clone)]
-struct CkptSnapshot {
-    seq: u64,
-    snap: Arc<StateSnapshot>,
-    executed: ExecutedWindow,
 }
 
 /// Requester-side phase of an in-flight state sync.
@@ -188,40 +174,13 @@ pub struct Replica {
     /// Genesis state (reloaded on a crash/restart before state sync).
     genesis: Arc<Vec<(Key, Value)>>,
 
-    /// Checkpoint votes → certificates (pruning + sync anchoring).
-    ckpt: CheckpointVotes,
-    /// A certificate that formed at most `PIPELINE_WIDTH` blocks above our
-    /// execution point, held until execution reaches it: those blocks are
-    /// still in flight to us, and applying it now would raise `low_mark`
-    /// over them, refuse their pre-prepares and commits, and leave state
-    /// sync as the only way forward.
-    pending_cert: Option<QuorumCert>,
-    /// Snapshots at recent own checkpoint heights, awaiting certification.
-    snapshots: Vec<CkptSnapshot>,
-    /// The certified snapshots this replica serves state sync from — the
-    /// latest `snapshot_retention` certificates (snapshots are O(1)
-    /// copy-on-write handles, so a deep window costs almost nothing). A
-    /// transfer anchored at an older retained certificate survives
-    /// checkpoints forming mid-transfer, and a rejoiner whose last
-    /// certified root is anywhere in the window gets a diff.
-    serving: Vec<(QuorumCert, CkptSnapshot)>,
     /// Sequence below which executed instances have been pruned. Kept one
     /// checkpoint interval behind `low_mark` so the committed-block tail
     /// above the previous certificate stays servable.
     insts_floor: u64,
-    /// The last certified own snapshot. Without a `data_dir` this is an
-    /// in-memory stand-in for the on-disk checkpoint; with one, it mirrors
-    /// what [`NodeStore::persist_checkpoint`] actually put on disk, and
-    /// `Restart` re-reads the disk copy instead of trusting this field.
-    durable: Option<(QuorumCert, CkptSnapshot)>,
-    /// This replica's node directory (`<data_dir>/node-<actor id>`), when
-    /// real persistence is configured.
-    store_dir: Option<PathBuf>,
-    /// Open WAL + page store handles. Dropped on crash (a dead process
-    /// holds no file handles); reopened — with full recovery validation —
-    /// on restart. `None` also after an I/O error: persistence failures
-    /// are treated as crashes, never silently ignored.
-    durable_store: Option<NodeStore>,
+    /// Checkpoint votes, snapshots, the serving window and the durable
+    /// checkpoint ([`checkpoint`]).
+    ckpt: Checkpoints,
     /// In-flight state sync (requester side).
     sync: Option<SyncRun>,
     /// True while a full re-fetch (transition/restart) suspends consensus
@@ -296,18 +255,7 @@ impl Replica {
         let genesis: Arc<Vec<(Key, Value)>> = Arc::new(genesis.to_vec());
         let mut state = StateStore::new();
         state.load_genesis(&genesis);
-        // Real persistence: one node directory per actor id (unique even
-        // when several committees share a simulation). The directory is
-        // expected to be fresh per run; recovery happens via `Restart`.
-        // A directory that cannot even be created/opened is a
-        // configuration error (unwritable path, typo): failing loudly
-        // beats silently running the whole simulation diskless.
-        let store_dir = cfg.data_dir.as_ref().map(|d| d.join(format!("node-{}", group[me])));
-        let durable_store = store_dir.as_ref().map(|d| {
-            let (store, _, _) = NodeStore::open(d, &cfg.wal)
-                .unwrap_or_else(|e| panic!("data_dir {d:?} is unusable: {e}"));
-            store
-        });
+        let ckpt = Checkpoints::new(&cfg, group[me]);
         let (pool, batcher) = fresh_pool(&cfg);
         Replica {
             exec: BlockExecutor {
@@ -335,14 +283,8 @@ impl Replica {
             ingested: HashMap::new(),
             executed_reqs: ExecutedCache::new(),
             genesis,
-            ckpt: CheckpointVotes::default(),
-            pending_cert: None,
-            snapshots: Vec::new(),
-            serving: Vec::new(),
             insts_floor: 0,
-            durable: None,
-            store_dir,
-            durable_store,
+            ckpt,
             sync: None,
             paused: false,
             crashed: false,
@@ -1243,7 +1185,7 @@ impl Replica {
         // WAL intent record before applying (recovery re-executes it);
         // the 2PC transition journal entries follow as execution decides
         // them, and one group commit below makes the batch durable.
-        if let Some(store) = self.durable_store.as_mut() {
+        if let Some(store) = self.ckpt.store() {
             store.log_batch(block);
         }
         let stores = Stores {
@@ -1263,7 +1205,7 @@ impl Replica {
             }
             if ok {
                 if let (Some(kind), Some(store), Some(txid)) =
-                    (twopc_kind(&req.op), self.durable_store.as_mut(), req.op.txid())
+                    (twopc_kind(&req.op), self.ckpt.store(), req.op.txid())
                 {
                     store.log_twopc(txid.0, kind);
                 }
@@ -1279,13 +1221,12 @@ impl Replica {
         // Group commit: one write+policy-fsync for the batch record plus
         // its 2PC journal. An I/O failure here is a crash — the node goes
         // dark and recovers from whatever reached the disk.
-        if self.durable_store.is_some() {
+        if self.ckpt.store().is_some() {
             let scope = Scope::replica(self.cfg.committee_id, self.me);
             ctx.stats().inc_scoped(stat::WAL_BATCHES, scope, 1);
             ctx.trace(block.seq, Phase::WalCommit);
             self.charge(ctx, SimDuration::from_micros(5), false);
-            let failed =
-                self.durable_store.as_mut().map(|s| s.commit().is_err()).unwrap_or(false);
+            let failed = self.ckpt.store().is_some_and(|s| s.commit().is_err());
             if failed {
                 self.io_crash(ctx);
             }
@@ -1297,180 +1238,10 @@ impl Replica {
     /// trusted, and the next `Restart` recovers from the disk image.
     fn io_crash(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
         ctx.stats().inc(stat::WAL_IO_CRASHES, 1);
-        self.durable_store = None;
+        self.ckpt.close_store();
         self.crashed = true;
         self.paused = true;
         self.sync = None;
-    }
-
-    // ---------- checkpoints ----------
-
-    /// At a checkpoint height: snapshot the state (so certified chunks can
-    /// later be served from exactly the certified content), then broadcast
-    /// a signed vote over `(height, state_root)`.
-    fn send_checkpoint(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
-        // Checkpoint housekeeping (here and in `apply_stable_checkpoint`)
-        // runs between blocks, so this span is a sibling of `pbft.exec`.
-        let prof = ahl_telemetry::Profiler::span("pbft.checkpoint");
-        let seq = self.exec_seq;
-        // Parallel-execution paranoia: before voting on a root the whole
-        // committee may certify, re-derive every cached hash of the
-        // authenticated index across the worker pool and compare. The
-        // engine is proven equivalent to sequential execution, so this
-        // must never fire; if it does, the vote still goes out (honest
-        // divergence surfaces as a failed quorum) but the counter makes
-        // the corruption impossible to miss.
-        if self.cfg.exec_workers > 1 && !self.state.rehash_audit(self.cfg.exec_workers) {
-            ctx.stats().inc(stat::CKPT_AUDIT_FAILURES, 1);
-        }
-        let mut root = self.state.state_digest();
-        if self.byzantine && self.cfg.attack == Attack::BogusCheckpoint {
-            // Vote for a root nobody holds: a validly signed lie. Honest
-            // votes must still quorum on the true root, and the bogus one
-            // must never certify (the tracker groups votes by root).
-            root.0[0] ^= 0xff;
-            ctx.stats().inc("adv.bogus_ckpt_votes", 1);
-        }
-        // O(1) in the state size: a frozen tree handle, not a deep clone —
-        // and O(one interval) in the executed-id window: the ids since the
-        // last capture are sealed, every earlier segment is shared.
-        self.snapshots.push(CkptSnapshot {
-            seq,
-            snap: Arc::new(self.state.snapshot()),
-            executed: self.executed_reqs.window(),
-        });
-        if self.snapshots.len() > 2 {
-            self.snapshots.remove(0);
-        }
-        self.charge(ctx, NATIVE_SIGN, false);
-        ctx.trace(seq, Phase::Checkpoint);
-        let key = (self.cfg.crypto == CryptoMode::Real).then_some(&self.key);
-        let vote = QuorumCert::checkpoint_vote(seq, root, self.me, key);
-        ctx.multicast(self.others(), PbftMsg::Checkpoint { vote: vote.clone() });
-        drop(prof); // a certificate forming on this vote opens its own span
-        self.record_checkpoint(vote, ctx);
-    }
-
-    fn record_checkpoint(&mut self, vote: QuorumCert, ctx: &mut Ctx<'_, PbftMsg>) {
-        if vote.seq <= self.low_mark {
-            return;
-        }
-        let quorum = self.quorum();
-        let Some(cert) = self.ckpt.record(vote, quorum) else { return };
-        if cert.seq > self.exec_seq && cert.seq <= self.exec_seq + PIPELINE_WIDTH {
-            self.pending_cert = Some(cert);
-            return;
-        }
-        self.release_pending_cert(cert.seq, ctx);
-        self.apply_stable_checkpoint(cert, ctx);
-    }
-
-    /// Apply the held certificate if it is at or below `upto`. One that a
-    /// state transfer has already overtaken is dropped.
-    fn release_pending_cert(&mut self, upto: u64, ctx: &mut Ctx<'_, PbftMsg>) {
-        let Some(cert) = self.pending_cert.take_if(|c| c.seq <= upto) else { return };
-        if cert.seq > self.low_mark {
-            self.apply_stable_checkpoint(cert, ctx);
-        }
-    }
-
-    /// A certificate formed: it gates all pruning (PBFT stable checkpoint)
-    /// and becomes the anchor this replica serves state sync from.
-    fn apply_stable_checkpoint(&mut self, cert: QuorumCert, ctx: &mut Ctx<'_, PbftMsg>) {
-        let _prof = ahl_telemetry::Profiler::span("pbft.checkpoint");
-        ctx.stats().inc(stat::CKPT_CERTS, 1);
-        // Prune one interval behind: executed blocks above the *previous*
-        // stable checkpoint remain servable as a sync tail.
-        let floor = std::mem::replace(&mut self.low_mark, cert.seq);
-        self.insts.retain(|s, _| *s > floor);
-        self.insts_floor = floor;
-        let pruned = self.state.checkpoint_prune();
-        ctx.stats().inc(stat::RESOLVED_PRUNED, pruned as u64);
-        let pruned_exec = self.executed_reqs.checkpoint_prune(ctx.now(), self.cfg.request_ttl);
-        ctx.stats().inc(stat::EXECUTED_PRUNED, pruned_exec as u64);
-        if self.cfg.crypto == CryptoMode::Real {
-            self.tee.truncate(cert.seq);
-        }
-        if let Some(snap) = self.snapshots.iter().find(|s| s.seq == cert.seq).cloned() {
-            self.serving.push((cert.clone(), snap.clone()));
-            // The certified own snapshot doubles as the durable (on-disk)
-            // checkpoint a crash cannot erase.
-            self.durable = Some((cert.clone(), snap.clone()));
-            self.trim_serving_window();
-            // With real persistence, "durable" means the disk says so:
-            // pages (deduplicated against earlier checkpoints), manifest
-            // swap, WAL compaction.
-            self.persist_durable_checkpoint(ctx);
-        }
-        self.snapshots.retain(|s| s.seq > cert.seq);
-    }
-
-    /// Write the `durable` checkpoint through the node store, charging the
-    /// (modelled) serialization cost; an I/O failure crashes the node.
-    fn persist_durable_checkpoint(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
-        if self.durable_store.is_none() {
-            return;
-        }
-        let Some((cert, snap)) = self.durable.clone() else { return };
-        let prof = ahl_telemetry::Profiler::span("wal.checkpoint");
-        let result = self
-            .durable_store
-            .as_mut()
-            .expect("checked above")
-            .persist_checkpoint(&cert, &snap.snap, &snap.executed);
-        drop(prof);
-        match result {
-            Ok(io) => {
-                let stats = io.pages;
-                ctx.stats().inc(stat::WAL_CHECKPOINTS, 1);
-                ctx.stats().inc(stat::WAL_PAGES_WRITTEN, stats.pages_written);
-                ctx.stats().inc(stat::WAL_PAGES_SHARED, stats.subtrees_shared);
-                let mut gc_copied_bytes = 0;
-                if let Some(gc) = io.gc {
-                    ctx.stats().inc(stat::WAL_GC_RUNS, gc.runs);
-                    ctx.stats().inc(stat::WAL_GC_RECLAIMED, gc.reclaimed_bytes);
-                    ctx.stats().inc(stat::WAL_GC_COPIED, gc.copied_pages);
-                    gc_copied_bytes = gc.copied_bytes;
-                }
-                // Serialization + page I/O cost (bytes actually written —
-                // shared pages cost nothing, the point of the dedup; a GC
-                // pass additionally pays for the live pages it copied).
-                self.charge(
-                    ctx,
-                    SimDuration::from_micros(20)
-                        + SimDuration::from_nanos((stats.bytes_written + gc_copied_bytes) / 4),
-                    false,
-                );
-            }
-            Err(_) => self.io_crash(ctx),
-        }
-    }
-
-    /// Trim the serving window to the newest `snapshot_retention`
-    /// certificates (at least 2), evicting oldest first.
-    fn trim_serving_window(&mut self) {
-        // Priced on its own: dropping a retired snapshot releases its root
-        // in the state tree's slab, walking and freeing only the nodes no
-        // newer snapshot or the live tree still counts; their slots are
-        // the next writes' allocations.
-        let _prof = ahl_telemetry::Profiler::span("pbft.retire");
-        while self.serving.len() > self.cfg.snapshot_retention.max(2) {
-            self.serving.remove(0);
-        }
-    }
-
-    fn on_checkpoint(&mut self, vote: QuorumCert, ctx: &mut Ctx<'_, PbftMsg>) {
-        self.charge(ctx, NATIVE_VERIFY, false);
-        // A vote is a one-signer checkpoint certificate: under real crypto
-        // an unsigned one is a forgery.
-        let valid = vote.kind == CertKind::Checkpoint
-            && vote.signers.len() == 1
-            && vote.verify(1, self.cert_registry());
-        if !valid {
-            ctx.stats().inc("consensus.invalid_msg", 1);
-            return;
-        }
-        self.record_checkpoint(vote, ctx);
     }
 
     // ---------- view change ----------
@@ -1593,23 +1364,6 @@ impl Replica {
         ctx.set_timer(self.sync_retry_interval(), TIMER_SYNC);
     }
 
-    /// Every certified root this node retains a snapshot of, newest
-    /// first: the serving window plus the durable checkpoint, bounded by
-    /// the retention depth. Advertised in `SyncRequest` so a server can
-    /// anchor a diff plan on *any* root the two nodes share — not just
-    /// the requester's newest (a freshly restarted server's window may
-    /// hold only an older one).
-    fn advertised_roots(&self) -> Vec<Hash> {
-        let mut roots: Vec<Hash> = Vec::new();
-        for (cert, _) in self.serving.iter().rev().chain(&self.durable) {
-            if !roots.contains(&cert.digest) {
-                roots.push(cert.digest);
-            }
-        }
-        roots.truncate(self.cfg.snapshot_retention.max(2));
-        roots
-    }
-
     /// (Re)issue the `SyncRequest` to the current peer. Diff
     /// eligibility: enabled, not already fallen back, and the retained
     /// roots are meaningful for the target state (any gap catch-up, or a
@@ -1622,7 +1376,7 @@ impl Replica {
         let Some(run) = self.sync.as_ref() else { return };
         let tail = matches!(run.phase, SyncPhase::AwaitTail);
         let eligible = self.cfg.diff_sync && !run.no_diff && (tail || !run.full || run.rejoin);
-        let old_roots = if eligible { self.advertised_roots() } else { Vec::new() };
+        let old_roots = if eligible { self.ckpt.advertised_roots(self.cfg.snapshot_retention) } else { Vec::new() };
         let (peer, full) = (run.peer, run.full && !tail);
         ctx.send(
             self.group[peer],
@@ -1699,7 +1453,7 @@ impl Replica {
         // identify the overlay base unambiguously). Anything else
         // downgrades to a full session.
         let anchor_snap: Option<Arc<StateSnapshot>> = diff_base
-            .and_then(|root| self.retained_snapshot(&root).cloned())
+            .and_then(|root| self.ckpt.retained_snapshot(&root).cloned())
             .filter(|_| diff.is_some());
         let usable_diff = diff.filter(|_| anchor_snap.is_some());
         let session = match match &usable_diff {
@@ -1913,9 +1667,7 @@ impl Replica {
             snap: Arc::new(self.state.snapshot()),
             executed: executed.clone(),
         };
-        self.serving.push((cert.clone(), installed.clone()));
-        self.durable = Some((cert.clone(), installed));
-        self.trim_serving_window();
+        self.ckpt.install(cert.clone(), installed, self.cfg.snapshot_retention);
         // Installed certified state is the new durable checkpoint: put it
         // on disk before resuming (a crash right after install must
         // recover here, not at the pre-crash checkpoint).
@@ -2180,7 +1932,7 @@ impl Replica {
         }
         // Deep gap or forced full fetch: anchor a chunked transfer at the
         // latest certified snapshot.
-        match self.serving.last() {
+        match self.ckpt.newest_served() {
             Some((cert, snap)) if full || cert.seq > have_seq => {
                 let bits = chunk_bits_for(snap.snap.len(), self.cfg.sync_chunk_target);
                 // Incremental plan: if *any* advertised root (newest
@@ -2193,9 +1945,9 @@ impl Replica {
                     .cfg
                     .diff_sync
                 {
-                    match old_roots.iter().find(|r| self.retained_snapshot(r).is_some()) {
+                    match old_roots.iter().find(|r| self.ckpt.retained_snapshot(r).is_some()) {
                         Some(oroot) => {
-                            let old = self.retained_snapshot(oroot).expect("found above");
+                            let old = self.ckpt.retained_snapshot(oroot).expect("found above");
                             (
                                 Some(Arc::new(old.smt().diff_chunks(snap.snap.smt(), bits))),
                                 Some(*oroot),
@@ -2232,24 +1984,11 @@ impl Replica {
         }
     }
 
-    /// A retained frozen snapshot whose root is exactly `root`, if any:
-    /// searched through the serving window, the not-yet-certified own
-    /// snapshots, and the durable checkpoint.
-    fn retained_snapshot(&self, root: &Hash) -> Option<&Arc<StateSnapshot>> {
-        self.serving
-            .iter()
-            .map(|(_, s)| s)
-            .chain(self.snapshots.iter())
-            .chain(self.durable.iter().map(|(_, s)| s))
-            .find(|s| s.snap.root() == *root)
-            .map(|s| &s.snap)
-    }
-
     /// `requester` is the sender's own group index (checked at dispatch).
     fn on_chunk_request(&mut self, requester: usize, seq: u64, chunk: u32, ctx: &mut Ctx<'_, PbftMsg>) {
         let to = self.group[requester];
-        match self.serving.iter().find(|(cert, _)| cert.seq == seq) {
-            Some((_, snap)) => {
+        match self.ckpt.served_at(seq) {
+            Some(snap) => {
                 let bits = chunk_bits_for(snap.snap.len(), self.cfg.sync_chunk_target);
                 if chunk >= 1u32 << bits {
                     ctx.send(to, PbftMsg::SyncNack { have_seq: seq });
@@ -2346,7 +2085,7 @@ impl Replica {
         // A dead process holds no file handles; uncommitted WAL appends
         // buffered in them are lost — exactly the crash model. `Restart`
         // reopens the directory through full recovery validation.
-        self.durable_store = None;
+        self.ckpt.close_store();
     }
 
     /// (Re)start after a crash: all volatile state is lost; genesis and
@@ -2371,16 +2110,13 @@ impl Replica {
         self.executed_reqs = ExecutedCache::new();
         self.ingested.clear();
         (self.pool, self.batcher) = fresh_pool(&self.cfg);
-        self.ckpt = CheckpointVotes::default();
-        self.pending_cert = None;
-        self.snapshots.clear();
-        self.serving.clear();
+        self.ckpt.restart();
         self.vc_votes.clear();
         self.vc_backoff = 0;
         self.stall_strikes = 0;
         self.sync = None;
         self.paused = true;
-        if self.store_dir.is_some() {
+        if self.ckpt.on_disk() {
             self.restart_from_disk(ctx);
         } else {
             // Resume from the certified checkpoint: O(fetched) recovery
@@ -2398,18 +2134,16 @@ impl Replica {
     /// none. Every restart path lands here: in-memory restart, restart from
     /// disk, and the rollback of a WAL replay that failed its cross-checks.
     fn resume_from_durable(&mut self, now: SimTime) {
-        let Some((cert, snap)) = self.durable.clone() else {
+        let Some(snap) = self.ckpt.resume() else {
             self.cold_start_state();
             return;
         };
         self.state = StateStore::from_snapshot(&snap.snap);
         self.executed_reqs = ExecutedCache::from_window(&snap.executed, now);
-        self.exec_seq = cert.seq;
-        self.next_seq = cert.seq + 1;
-        self.low_mark = cert.seq;
-        self.insts_floor = cert.seq;
-        self.ckpt.adopt(cert.seq);
-        self.serving = vec![(cert, snap)];
+        self.exec_seq = snap.seq;
+        self.next_seq = snap.seq + 1;
+        self.low_mark = snap.seq;
+        self.insts_floor = snap.seq;
     }
 
     /// Reset the ledger to genesis (no durable checkpoint to resume from).
@@ -2429,11 +2163,8 @@ impl Replica {
     /// cut at the torn record, and the 2PC journal cross-checks replay.
     /// Anything this cannot restore, state sync fetches afterwards.
     fn restart_from_disk(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
-        self.durable_store = None;
-        self.durable = None;
-        let dir = self.store_dir.clone().expect("caller checked");
-        let (store, recovered, tail) = match NodeStore::open(&dir, &self.cfg.wal) {
-            Ok(parts) => parts,
+        let tail = match self.ckpt.reopen(&self.cfg.wal) {
+            Ok(tail) => tail,
             Err(_) => {
                 // The directory is unusable (injected crash during the
                 // reopen itself, or real I/O trouble): run diskless from
@@ -2443,15 +2174,6 @@ impl Replica {
                 return;
             }
         };
-        self.durable_store = Some(store);
-        self.durable = recovered.map(|d| {
-            let snap = CkptSnapshot {
-                seq: d.cert.seq,
-                snap: Arc::new(d.snapshot),
-                executed: d.executed,
-            };
-            (d.cert, snap)
-        });
         self.resume_from_durable(ctx.now());
         let replayed = self.replay_wal_tail(tail, ctx);
         ctx.stats().inc(stat::WAL_REPLAYED, replayed);
