@@ -24,15 +24,14 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use ahl_crypto::{Hash, KeyId, KeyRegistry, SigningKey};
-use ahl_ledger::{Key, StateSidecar, StateSnapshot, StateStore, Value};
+use ahl_ledger::{Key, StateStore, Value};
 use ahl_mempool::{Admission, BatchBuilder, BatchConfig, Mempool};
 use ahl_simkit::{Actor, Ctx, NodeId, Phase, Scope, SimDuration, SimTime};
-use ahl_store::{chunk_bits_for, SyncError, SyncSession};
 use ahl_tee::{attestation_digest, AttestedLog, LogId, Slot, TeeOp};
 
 use crate::adversary::{equivocation_half, Attack, EquivocationTracker};
 use crate::common::{
-    stat, BlockExecutor, CryptoMode, ExecutedCache, ExecutedWindow, Request, Stores, VotePhase,
+    stat, BlockExecutor, CryptoMode, ExecutedCache, Request, Stores, VotePhase,
     NATIVE_SIGN, NATIVE_VERIFY,
 };
 use crate::pbft::config::{
@@ -42,12 +41,14 @@ use crate::pbft::cert::{
     enclave_key, logs, CertKind, QuorumCert, COMMIT_LOG, PREPARE_LOG, PREPREPARE_LOG,
 };
 use crate::pbft::durable::{twopc_kind, TwoPcKind, WalRecord};
-use crate::pbft::msg::{chunk_entry_bytes, MsgCert, PbftBlock, PbftMsg, Vote};
+use crate::pbft::msg::{MsgCert, PbftBlock, PbftMsg, Vote};
 
 mod checkpoint;
+mod sync;
 mod view_change;
 
 use checkpoint::{Checkpoints, CkptSnapshot};
+use sync::SyncState;
 use view_change::ViewChange;
 
 const TIMER_BATCH: u64 = 1;
@@ -77,67 +78,6 @@ struct Instance {
     /// instance does, so a sync tail ships it with the block.
     cert: Option<QuorumCert>,
     executed: bool,
-}
-
-/// Requester-side phase of an in-flight state sync.
-enum SyncPhase {
-    /// Waiting for the server's manifest (or a direct block tail).
-    AwaitManifest,
-    /// Fetching and verifying chunks against the certified root. Up to
-    /// `sync_fanout` chunk requests stay in flight, each to a different
-    /// peer in rotation (`inflight` lists the outstanding chunk indices).
-    Chunks {
-        session: SyncSession<Value>,
-        cert: Box<QuorumCert>,
-        sidecar: Arc<StateSidecar>,
-        executed: ExecutedWindow,
-        view: u64,
-        inflight: Vec<u32>,
-    },
-    /// Chunks installed; waiting for the block tail above the certificate.
-    AwaitTail,
-}
-
-/// An in-flight state-sync exchange (requester side).
-struct SyncRun {
-    phase: SyncPhase,
-    /// Current serving peer (group index); rotated on failure/timeout and
-    /// per in-flight chunk request (fan-out).
-    peer: usize,
-    /// Full re-fetch (shard transition / restart) vs gap catch-up.
-    full: bool,
-    /// Full fetch into a shard whose state this node recently held: its
-    /// old certified root is meaningful and diff sync applies.
-    rejoin: bool,
-    /// Whether a chunked transfer happened (vs tail-only catch-up).
-    chunked: bool,
-    /// Whether a diff (incremental) session ran in this exchange.
-    diffed: bool,
-    /// Diff disabled for the rest of this exchange (a diff install missed
-    /// the certified root; the retry must be a full transfer).
-    no_diff: bool,
-    /// The retained snapshot matching the manifest's `diff_base` — the
-    /// base a diff plan's chunks overlay onto. Resolved when the manifest
-    /// arrives (the requester advertises its whole retained window; the
-    /// server picks any root it also holds).
-    anchor: Option<Arc<StateSnapshot>>,
-    /// Highest certificate sequence this exchange has committed to.
-    /// Manifests below it are refused: peers that are themselves stale
-    /// (freshly restarted, still recovering) keep serving their old
-    /// certificate, and accepting it would make the exchange oscillate
-    /// between targets instead of converging.
-    floor_seq: u64,
-    /// Consecutive chunk-phase Nacks without progress. One stale peer in
-    /// the rotation must not reset the whole session (re-anchoring
-    /// discards every verified chunk); only a full rotation's worth of
-    /// Nacks — evidence the *committee* moved past our certificate —
-    /// forces a re-anchor.
-    nack_strikes: u8,
-    started: SimTime,
-    last_activity: SimTime,
-    /// Actors to notify with `TransitionDone` when the sync completes
-    /// (overlapping reshard events can each be waiting on this replica).
-    notify: Vec<NodeId>,
 }
 
 /// A PBFT replica actor.
@@ -183,11 +123,8 @@ pub struct Replica {
     /// Checkpoint votes, snapshots, the serving window and the durable
     /// checkpoint ([`checkpoint`]).
     ckpt: Checkpoints,
-    /// In-flight state sync (requester side).
-    sync: Option<SyncRun>,
-    /// True while a full re-fetch (transition/restart) suspends consensus
-    /// participation: no votes, proposals, or relays until sync completes.
-    paused: bool,
+    /// State sync, requester and server side ([`sync`]).
+    sync: SyncState,
     /// Dark after a [`PbftMsg::Crash`] until the matching `Restart`: every
     /// message is dropped, timers idle.
     crashed: bool,
@@ -273,8 +210,7 @@ impl Replica {
             genesis,
             insts_floor: 0,
             ckpt,
-            sync: None,
-            paused: false,
+            sync: SyncState::new(),
             crashed: false,
             vc: ViewChange::new(),
             stale_votes: [None, None],
@@ -470,7 +406,7 @@ impl Replica {
         if self.cfg.reply_policy == ReplyPolicy::IngestReplica {
             self.ingested.insert(req.id, req.client);
         }
-        if self.paused {
+        if self.sync.paused() {
             // Transitioning/restarting: pool only. The backlog is relayed
             // to the leader when the sync completes, so the post-recovery
             // drain spike (paper Figure 12) emerges naturally.
@@ -547,7 +483,7 @@ impl Replica {
     // ---------- proposing ----------
 
     fn try_propose(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
-        if !self.is_leader() || self.paused {
+        if !self.is_leader() || self.sync.paused() {
             return;
         }
         while self.next_seq <= self.exec_seq + PIPELINE_WIDTH {
@@ -560,7 +496,7 @@ impl Replica {
     }
 
     fn flush_partial_batch(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
-        if self.is_leader() && !self.paused && self.next_seq <= self.exec_seq + PIPELINE_WIDTH {
+        if self.is_leader() && !self.sync.paused() && self.next_seq <= self.exec_seq + PIPELINE_WIDTH {
             let now = ctx.now();
             if let Some(batch) = self.batcher.take_due(&mut self.pool, now, ctx.stats()) {
                 self.propose_batch(batch, ctx);
@@ -1223,762 +1159,10 @@ impl Replica {
         ctx.stats().inc(stat::WAL_IO_CRASHES, 1);
         self.ckpt.close_store();
         self.crashed = true;
-        self.paused = true;
-        self.sync = None;
-    }
-
-    fn request_state_sync(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
-        if self.sync.is_some() {
-            return; // one exchange at a time; the sync timer handles stalls
-        }
-        ctx.stats().inc("consensus.state_sync_requests", 1);
-        self.begin_sync(false, false, None, ctx);
-    }
-
-    // ---------- state sync: requester side ----------
-
-    /// Open a sync exchange. `full` forces a complete chunked re-fetch
-    /// (shard transition / restart); otherwise the server decides between a
-    /// block tail and a chunked transfer based on how far behind we are.
-    /// `rejoin` marks a full fetch into state this node recently held, so
-    /// its old certified root is meaningful and diff sync applies.
-    fn begin_sync(
-        &mut self,
-        full: bool,
-        rejoin: bool,
-        notify: Option<NodeId>,
-        ctx: &mut Ctx<'_, PbftMsg>,
-    ) {
-        let peer = next_sync_peer(self.cfg.n, self.me, self.me);
-        let now = ctx.now();
-        self.sync = Some(SyncRun {
-            phase: SyncPhase::AwaitManifest,
-            peer,
-            full,
-            rejoin,
-            chunked: false,
-            diffed: false,
-            no_diff: false,
-            anchor: None,
-            floor_seq: 0,
-            nack_strikes: 0,
-            started: now,
-            last_activity: now,
-            notify: notify.into_iter().collect(),
-        });
-        ctx.trace(self.exec_seq, Phase::SyncStart);
-        self.send_sync_request(ctx);
-        ctx.set_timer(self.sync_retry_interval(), TIMER_SYNC);
-    }
-
-    /// (Re)issue the `SyncRequest` to the current peer. Diff
-    /// eligibility: enabled, not already fallen back, and the retained
-    /// roots are meaningful for the target state (any gap catch-up, or a
-    /// full fetch re-joining recently-held state). The diff anchor itself
-    /// is resolved when the manifest answers — whichever advertised root
-    /// the server diffed against. After the install, the request is for
-    /// the tail: a gap catch-up (if a newer certificate formed meanwhile,
-    /// the server re-anchors us with a near-empty diff).
-    fn send_sync_request(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
-        let Some(run) = self.sync.as_ref() else { return };
-        let tail = matches!(run.phase, SyncPhase::AwaitTail);
-        let eligible = self.cfg.diff_sync && !run.no_diff && (tail || !run.full || run.rejoin);
-        let old_roots = if eligible { self.ckpt.advertised_roots(self.cfg.snapshot_retention) } else { Vec::new() };
-        let (peer, full) = (run.peer, run.full && !tail);
-        ctx.send(
-            self.group[peer],
-            PbftMsg::SyncRequest {
-                requester: self.me,
-                have_seq: self.exec_seq,
-                full,
-                old_roots,
-            },
-        );
-    }
-
-    fn sync_retry_interval(&self) -> SimDuration {
-        self.cfg.vc_timeout
-    }
-
-
-    #[allow(clippy::too_many_arguments)]
-    fn on_sync_manifest(
-        &mut self,
-        cert: QuorumCert,
-        bits: u8,
-        sidecar: Arc<StateSidecar>,
-        executed: ExecutedWindow,
-        view: u64,
-        diff: Option<Arc<Vec<u32>>>,
-        diff_base: Option<Hash>,
-        ctx: &mut Ctx<'_, PbftMsg>,
-    ) {
-        let Some(run) = self.sync.as_mut() else { return };
-        // A manifest is valid in `AwaitManifest`, and also in `AwaitTail`:
-        // if a newer certificate formed while we synced, the server cannot
-        // serve our tail any more and re-anchors us on the newer one
-        // (progress stays monotone — each round lands on a later cert).
-        if !matches!(run.phase, SyncPhase::AwaitManifest | SyncPhase::AwaitTail) {
-            return;
-        }
-        // Verify the certificate: quorum of distinct signers over the
-        // advertised (seq, root) — the trust anchor for every chunk.
-        let quorum = self.cfg.quorum();
-        self.charge(ctx, NATIVE_VERIFY.saturating_mul(cert.signers.len() as u64), false);
-        if cert.kind != CertKind::Checkpoint || !cert.verify(quorum, self.cert_registry()) {
-            ctx.stats().inc(stat::SYNC_BAD_CERTS, 1);
-            let run = self.sync.as_mut().expect("checked above");
-            run.peer = next_sync_peer(self.cfg.n, self.me, run.peer);
-            return; // retry (rotated peer) via the sync timer
-        }
-        // Monotonicity: a stale peer (itself mid-recovery) may answer with
-        // a certificate older than the one this exchange already targets.
-        // Accepting it would regress the transfer — refuse and rotate.
-        if cert.seq < self.sync.as_ref().map_or(0, |r| r.floor_seq) {
-            ctx.stats().inc(stat::SYNC_STALE_MANIFESTS, 1);
-            let run = self.sync.as_mut().expect("checked above");
-            run.peer = next_sync_peer(self.cfg.n, self.me, run.peer);
-            return;
-        }
-        // A full first-round fetch accepts any certificate (the node might
-        // even be ahead of it on the old shard's timeline); re-anchors and
-        // gap syncs only accept certificates ahead of the execution point.
-        let first_round = matches!(
-            self.sync.as_ref().map(|r| &r.phase),
-            Some(SyncPhase::AwaitManifest)
-        );
-        let have_seq = if self.sync.as_ref().is_some_and(|r| r.full) && first_round {
-            0
-        } else {
-            self.exec_seq
-        };
-        // An incremental plan is only usable when we still retain a
-        // snapshot whose root is exactly the one the server diffed
-        // against (we advertised several; the server picked one — and a
-        // late manifest answering an earlier advertisement is fine as
-        // long as that base is still retained: content-addressed roots
-        // identify the overlay base unambiguously). Anything else
-        // downgrades to a full session.
-        let anchor_snap: Option<Arc<StateSnapshot>> = diff_base
-            .and_then(|root| self.ckpt.retained_snapshot(&root).cloned())
-            .filter(|_| diff.is_some());
-        let usable_diff = diff.filter(|_| anchor_snap.is_some());
-        let session = match match &usable_diff {
-            Some(chunks) => SyncSession::new_diff(cert.seq, cert.digest, bits, chunks, have_seq),
-            None => SyncSession::new_full(cert.seq, cert.digest, bits, have_seq),
-        } {
-            Ok(s) => s,
-            Err(_) if first_round => {
-                // Stale certificate on the opening exchange: nothing newer
-                // than what we hold — the gap has closed on its own.
-                ctx.stats().inc(stat::SYNC_BAD_CERTS, 1);
-                self.finish_sync(ctx);
-                return;
-            }
-            Err(_) => {
-                // A late/duplicate manifest for the cert we just installed
-                // (AwaitTail): ignore it and keep waiting for the tail —
-                // treating it as completion would skip the block replay.
-                return;
-            }
-        };
-        let run = self.sync.as_mut().expect("checked above");
-        run.chunked = true;
-        run.last_activity = ctx.now();
-        run.floor_seq = session.seq();
-        run.nack_strikes = 0;
-        if session.is_diff() {
-            run.diffed = true;
-            run.anchor = anchor_snap;
-            ctx.stats().inc(stat::SYNC_DIFFS, 1);
-        } else {
-            run.anchor = None;
-        }
-        let done = session.is_complete();
-        let (cert, inflight) = (Box::new(cert), Vec::new());
-        run.phase = SyncPhase::Chunks { session, cert, sidecar, executed, view, inflight };
-        if done {
-            // Empty diff: the retained snapshot already matches the
-            // certified root — skip straight to the install + tail.
-            self.install_synced_state(ctx);
-        } else {
-            self.pump_chunk_requests(ctx);
-        }
-    }
-
-    /// Keep up to `sync_fanout` chunk requests outstanding, each to a
-    /// different peer in rotation. Chunks verify independently against the
-    /// certified root, so order does not matter and slow peers only stall
-    /// their own slot.
-    fn pump_chunk_requests(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
-        let fanout = self.cfg.sync_fanout.clamp(1, self.cfg.n.saturating_sub(1).max(1));
-        let me = self.me;
-        let n = self.cfg.n;
-        let Some(run) = self.sync.as_mut() else { return };
-        let SyncPhase::Chunks { session, inflight, .. } = &mut run.phase else { return };
-        let seq = session.seq();
-        let mut sends: Vec<(usize, u32)> = Vec::new();
-        for chunk in session.missing_chunks() {
-            if inflight.len() >= fanout {
-                break;
-            }
-            if inflight.contains(&chunk) {
-                continue;
-            }
-            run.peer = next_sync_peer(n, me, run.peer);
-            inflight.push(chunk);
-            sends.push((run.peer, chunk));
-        }
-        for (peer, chunk) in sends {
-            ctx.send(self.group[peer], PbftMsg::ChunkRequest { requester: me, seq, chunk });
-        }
-    }
-
-    fn on_chunk_data(
-        &mut self,
-        seq: u64,
-        chunk: u32,
-        entries: Arc<Vec<(Key, Value)>>,
-        proof: Arc<Vec<Hash>>,
-        ctx: &mut Ctx<'_, PbftMsg>,
-    ) {
-        let now = ctx.now();
-        let bytes: usize = entries.iter().map(|(k, v)| chunk_entry_bytes(k, v)).sum();
-        let (n, me) = (self.cfg.n, self.me);
-        let Some(run) = self.sync.as_mut() else { return };
-        let SyncPhase::Chunks { session, inflight, .. } = &mut run.phase else { return };
-        if session.seq() != seq || session.is_fetched(chunk) {
-            // Wrong anchor, or a duplicate delivery (timeout retry raced
-            // the original): nothing to verify, count, or charge.
-            return;
-        }
-        run.last_activity = now;
-        // Verification cost: hash every leaf + fold the proof.
-        let verify_cost = COSTS.cost(TeeOp::Sha256).saturating_mul(1 + entries.len() as u64)
-            + SimDuration::from_nanos((bytes / 8) as u64);
-        enum Outcome {
-            Done,
-            More,
-            Retry(usize),
-            Ignore,
-        }
-        let outcome = match session.accept_chunk(chunk, (*entries).clone(), &proof) {
-            Ok(done) => {
-                inflight.retain(|c| *c != chunk);
-                // Progress: the Nack strike ladder only counts *consecutive*
-                // failures — one stale peer in the rotation must not
-                // accumulate strikes across an otherwise healthy transfer.
-                run.nack_strikes = 0;
-                if done {
-                    Outcome::Done
-                } else {
-                    Outcome::More
-                }
-            }
-            Err(SyncError::BadProof { .. }) => {
-                // Re-request the same chunk from a different peer: the
-                // session did not advance (resumable transfer). The chunk
-                // stays in `inflight` so the pump keeps its fan-out slot.
-                run.peer = next_sync_peer(n, me, run.peer);
-                Outcome::Retry(run.peer)
-            }
-            // Duplicate or out-of-plan delivery: ignore.
-            Err(_) => Outcome::Ignore,
-        };
-        match outcome {
-            Outcome::Done => {
-                self.charge(ctx, verify_cost, false);
-                let scope = Scope::committee(self.cfg.committee_id);
-                ctx.stats().inc_scoped(stat::SYNC_BYTES, scope, bytes as u64);
-                self.install_synced_state(ctx);
-            }
-            Outcome::More => {
-                self.charge(ctx, verify_cost, false);
-                let scope = Scope::committee(self.cfg.committee_id);
-                ctx.stats().inc_scoped(stat::SYNC_BYTES, scope, bytes as u64);
-                self.pump_chunk_requests(ctx);
-            }
-            Outcome::Retry(peer) => {
-                self.charge(ctx, verify_cost, false);
-                ctx.stats().inc(stat::SYNC_PROOF_FAILURES, 1);
-                ctx.send(
-                    self.group[peer],
-                    PbftMsg::ChunkRequest { requester: self.me, seq, chunk },
-                );
-            }
-            Outcome::Ignore => {}
-        }
-    }
-
-    /// All planned chunks verified: swap in the rebuilt state at the
-    /// certified height, then fetch the block tail above it. A full plan
-    /// rebuilds from the verified entries alone; a diff plan overlays the
-    /// verified chunks onto the retained anchor snapshot and *must* land
-    /// exactly on the certified root — a mismatch (server lied about the
-    /// changed-chunk set) falls back to a full transfer.
-    fn install_synced_state(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
-        let mut run = self.sync.take().expect("install follows a live session");
-        let SyncPhase::Chunks { session, cert, sidecar, executed, view, .. } =
-            std::mem::replace(&mut run.phase, SyncPhase::AwaitTail)
-        else {
-            unreachable!("install follows the chunk phase")
-        };
-        let cert = *cert;
-        let is_diff = session.is_diff();
-        let bits = session.bits();
-        let chunks = session.into_verified();
-        let fetched: u64 = chunks.iter().map(|(_, e)| e.len() as u64).sum();
-        // Rebuild cost: one leaf hash per *fetched* entry plus tree
-        // construction — a diff install reuses the anchor's shared tree and
-        // only pays for the overlaid chunks.
-        self.charge(ctx, COSTS.cost(TeeOp::Sha256).saturating_mul(1 + fetched), false);
-        let mut state = if is_diff {
-            let anchor = run.anchor.as_ref().expect("diff session kept its anchor");
-            let mut base = StateStore::from_snapshot(anchor);
-            base.apply_diff(bits, &chunks);
-            if base.state_digest() != cert.digest {
-                // The changed-chunk report did not cover every difference:
-                // the merged state misses the certified root. Nothing
-                // unverified was installed — restart the exchange as a
-                // full transfer.
-                ctx.stats().inc(stat::SYNC_DIFF_FALLBACKS, 1);
-                run.phase = SyncPhase::AwaitManifest;
-                run.no_diff = true;
-                run.peer = next_sync_peer(self.cfg.n, self.me, run.peer);
-                run.last_activity = ctx.now();
-                self.sync = Some(run);
-                self.send_sync_request(ctx);
-                return;
-            }
-            base
-        } else {
-            StateStore::from_entries(chunks.into_iter().flat_map(|(_, e)| e).collect())
-        };
-        state.install_sidecar(&sidecar);
-        debug_assert_eq!(state.state_digest(), cert.digest, "chunks verified against root");
-        self.state = state;
-        self.executed_reqs = ExecutedCache::from_window(&executed, ctx.now());
-        if !self.byzantine {
-            if let Some(ck) = &self.cfg.safety {
-                // Installed certified state replaces the execution
-                // history: a fresh exactly-once lineage begins here.
-                ck.record_reset(self.cfg.committee_id, self.me);
-            }
-        }
-        // The node now *holds* certified state at `cert`: register it as a
-        // servable snapshot and as the durable checkpoint, so a follow-up
-        // sync (or the next crash) anchors here instead of at whatever
-        // certificate predated this transfer.
-        let installed = CkptSnapshot {
-            seq: cert.seq,
-            snap: Arc::new(self.state.snapshot()),
-            executed: executed.clone(),
-        };
-        self.ckpt.install(cert.clone(), installed, self.cfg.snapshot_retention);
-        // Installed certified state is the new durable checkpoint: put it
-        // on disk before resuming (a crash right after install must
-        // recover here, not at the pre-crash checkpoint).
-        self.persist_durable_checkpoint(ctx);
-        if self.crashed {
-            return; // the persist failed; the node is dark now
-        }
-        self.exec_seq = cert.seq;
-        self.low_mark = cert.seq;
-        if run.full {
-            // Fresh shard state: every local instance refers to the old
-            // timeline (including ones marked executed above the cert), and
-            // the proposal counter restarts at the certified height — the
-            // new committee's history *is* the certificate; anything the
-            // old timeline held above it is re-ordered from the pools.
-            self.insts.clear();
-            self.next_seq = cert.seq + 1;
-        } else {
-            self.insts.retain(|s, _| *s > cert.seq);
-            self.next_seq = self.next_seq.max(cert.seq + 1);
-        }
-        self.ckpt.adopt(cert.seq);
-        if view > self.view {
-            self.enter_view(view, ctx);
-        }
-        // Drop pooled requests that executed remotely.
-        let ex = std::mem::take(&mut self.executed_reqs);
-        self.pool.retain(|r| !ex.contains(r.id));
-        self.executed_reqs = ex;
-        // Catch up the blocks committed above the certificate.
-        run.last_activity = ctx.now();
-        self.sync = Some(run);
-        self.send_sync_request(ctx);
-    }
-
-    /// A block tail: each block executes only once its commit
-    /// certificate verifies against the digest recomputed from its
-    /// contents. The first that does not refuses the rest of the tail
-    /// (and the view it names); the sync timer asks the next peer.
-    fn on_sync_tail(
-        &mut self,
-        blocks: Vec<(Arc<PbftBlock>, QuorumCert)>,
-        view: u64,
-        ctx: &mut Ctx<'_, PbftMsg>,
-    ) {
-        let Some(run) = self.sync.as_mut() else { return };
-        if !matches!(run.phase, SyncPhase::AwaitTail | SyncPhase::AwaitManifest) {
-            return;
-        }
-        run.last_activity = ctx.now();
-        for (block, cert) in blocks {
-            if block.seq == self.exec_seq + 1 {
-                let digest =
-                    PbftBlock::compute_digest(block.view, block.seq, block.proposer, &block.reqs);
-                let kind = matches!(cert.kind, CertKind::Commit | CertKind::Aggregate(VotePhase::Commit));
-                let proven = kind
-                    && (cert.view, cert.seq, cert.digest) == (block.view, block.seq, digest)
-                    && self.verify_qc(&cert);
-                if !proven {
-                    ctx.stats().inc(stat::SYNC_BAD_CERTS, 1);
-                    if let Some(run) = self.sync.as_mut() {
-                        run.peer = next_sync_peer(self.cfg.n, self.me, run.peer);
-                    }
-                    self.send_sync_request(ctx);
-                    return;
-                }
-                self.execute_block(&block, ctx);
-                if self.crashed {
-                    return; // I/O failure while journaling the tail
-                }
-                self.exec_seq = block.seq;
-                // The tail crosses checkpoint heights like normal
-                // execution does: snapshot and vote, or this replica would
-                // neither contribute to those certificates nor be able to
-                // serve chunks at them.
-                if self.exec_seq.is_multiple_of(self.cfg.checkpoint_interval) {
-                    self.send_checkpoint(ctx);
-                }
-            }
-        }
-        if view > self.view {
-            self.enter_view(view, ctx);
-        }
-        self.finish_sync(ctx);
-    }
-
-    fn on_sync_nack(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
-        enum Act {
-            Finish,
-            Idle,
-            Pump,
-            Reanchor,
-        }
-        let (n, me, now) = (self.cfg.n, self.me, ctx.now());
-        let act = {
-            let Some(run) = self.sync.as_mut() else { return };
-            match &mut run.phase {
-                // Nothing above the certificate (or we were already
-                // current).
-                SyncPhase::AwaitTail => Act::Finish,
-                // Server cannot serve a manifest: rotate and retry via
-                // the sync timer — unless a gap catch-up no longer has a
-                // gap (normal traffic caught us up while we waited).
-                SyncPhase::AwaitManifest => {
-                    run.peer = next_sync_peer(n, me, run.peer);
-                    if !run.full {
-                        Act::Finish // conditional: only if the gap closed
-                    } else {
-                        Act::Idle
-                    }
-                }
-                // A peer cannot serve chunks at our certificate. Either
-                // that one peer is stale (freshly restarted, serving only
-                // its own old snapshot) — strike it, rotate, and re-issue
-                // the outstanding requests elsewhere — or the *committee*
-                // has rotated the snapshot away (cert advanced), which a
-                // full rotation's worth of consecutive Nacks evidences:
-                // only then re-anchor on a fresh manifest (discarding the
-                // session's verified chunks). Without the strike ladder,
-                // one stale peer in the fan-out rotation could reset the
-                // transfer forever.
-                SyncPhase::Chunks { inflight, .. } => {
-                    run.nack_strikes = run.nack_strikes.saturating_add(1);
-                    run.peer = next_sync_peer(n, me, run.peer);
-                    run.last_activity = now;
-                    if (run.nack_strikes as usize) < n.saturating_sub(1).max(2) {
-                        inflight.clear();
-                        Act::Pump
-                    } else {
-                        run.nack_strikes = 0;
-                        run.phase = SyncPhase::AwaitManifest;
-                        Act::Reanchor
-                    }
-                }
-            }
-        };
-        match act {
-            Act::Finish => {
-                let tail_phase = matches!(
-                    self.sync.as_ref().map(|r| &r.phase),
-                    Some(SyncPhase::AwaitTail)
-                );
-                if tail_phase || !self.has_execution_gap() {
-                    self.finish_sync(ctx);
-                }
-            }
-            Act::Idle => {}
-            Act::Pump => self.pump_chunk_requests(ctx),
-            Act::Reanchor => {
-                ctx.stats().inc(stat::SYNC_REANCHORS, 1);
-                self.send_sync_request(ctx);
-            }
-        }
-    }
-
-    /// Sync exchange complete: account for it, resume participation, and
-    /// notify the transition controller if one is waiting.
-    fn finish_sync(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
-        let Some(run) = self.sync.take() else { return };
-        ctx.trace(self.exec_seq, Phase::SyncDone);
-        if run.chunked {
-            let elapsed = ctx.now().since(run.started);
-            let scope = Scope::committee(self.cfg.committee_id);
-            ctx.stats().inc_scoped(stat::SYNC_COMPLETED, scope, 1);
-            ctx.stats().record_latency_scoped(stat::SYNC_DURATION, scope, elapsed);
-        } else {
-            ctx.stats().inc(stat::SYNC_TAILS, 1);
-        }
-        self.paused = false;
-        self.vc.clear_strikes();
-        for controller in run.notify {
-            ctx.send(controller, PbftMsg::TransitionDone { replica: self.me });
-        }
-        // Requests pooled while away: push the whole backlog toward the
-        // current leader (bounded only by a generous cap) — this is the
-        // post-recovery drain the reshard experiment measures.
-        if self.cfg.variant.relay_to_leader() && !self.is_leader() {
-            let leader = self.group[self.leader_of(self.view)];
-            for req in self.pool.iter_fifo().take(4096) {
-                ctx.send(leader, PbftMsg::Relay(req.clone()));
-            }
-        }
-        self.try_execute(ctx);
-    }
-
-    fn on_sync_timer(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
-        enum Act {
-            Idle,
-            Request,
-            Pump,
-        }
-        let retry_after = self.sync_retry_interval().saturating_mul(2);
-        let (n, me) = (self.cfg.n, self.me);
-        let act = match self.sync.as_mut() {
-            None => return,
-            Some(run) if ctx.now().since(run.last_activity) >= retry_after => {
-                run.peer = next_sync_peer(n, me, run.peer);
-                run.last_activity = ctx.now();
-                match &mut run.phase {
-                    SyncPhase::AwaitManifest | SyncPhase::AwaitTail => Act::Request,
-                    // Outstanding chunk requests went unanswered: forget
-                    // the in-flight set and re-issue across rotated peers.
-                    SyncPhase::Chunks { inflight, .. } => {
-                        inflight.clear();
-                        Act::Pump
-                    }
-                }
-            }
-            Some(_) => Act::Idle,
-        };
-        match act {
-            Act::Idle => {}
-            Act::Request => self.send_sync_request(ctx),
-            Act::Pump => self.pump_chunk_requests(ctx),
-        }
-        ctx.set_timer(self.sync_retry_interval(), TIMER_SYNC);
-    }
-
-    // ---------- state sync: server side ----------
-
-    /// `requester` is the sender's own group index (checked at dispatch).
-    fn on_sync_request(
-        &mut self,
-        requester: usize,
-        have_seq: u64,
-        full: bool,
-        old_roots: Vec<Hash>,
-        ctx: &mut Ctx<'_, PbftMsg>,
-    ) {
-        self.charge(ctx, SimDuration::from_micros(20), false);
-        let to = self.group[requester];
-        // A transitioning node serves manifests and chunks (its certified
-        // snapshot stays valid) but never a block tail: everything it
-        // executed above the certificate belongs to the old shard's
-        // timeline, which the transition discards. Serving it would fork a
-        // swap-all committee between old and re-ordered history.
-        if !full && !self.paused {
-            if self.exec_seq <= have_seq {
-                ctx.send(to, PbftMsg::SyncNack { have_seq });
-                return;
-            }
-            // Recent gap: serve the committed blocks directly (executed
-            // instances are retained above the previous stable checkpoint).
-            if have_seq >= self.insts_floor {
-                let blocks: Option<Vec<(Arc<PbftBlock>, QuorumCert)>> = (have_seq + 1
-                    ..=self.exec_seq)
-                    .map(|s| {
-                        let inst = self.insts.get(&s).filter(|i| i.executed)?;
-                        Some((inst.block.clone()?, inst.cert.clone()?))
-                    })
-                    .collect();
-                if let Some(mut blocks) = blocks {
-                    if self.byzantine && self.cfg.attack == Attack::ForgeTail {
-                        forge_tail(&mut blocks);
-                    }
-                    let bytes: usize = blocks.iter().map(|(b, _)| b.wire_size()).sum();
-                    self.charge(ctx, SimDuration::from_nanos((bytes / 8) as u64), false);
-                    ctx.send(to, PbftMsg::SyncTail { blocks, view: self.view });
-                    return;
-                }
-            }
-        }
-        // Deep gap or forced full fetch: anchor a chunked transfer at the
-        // latest certified snapshot.
-        match self.ckpt.newest_served() {
-            Some((cert, snap)) if full || cert.seq > have_seq => {
-                let bits = chunk_bits_for(snap.snap.len(), self.cfg.sync_chunk_target);
-                // Incremental plan: if *any* advertised root (newest
-                // first) is one this node still retains a snapshot of,
-                // report only the chunks that changed since. Retention
-                // covers the serving window (`snapshot_retention` certs)
-                // plus the durable checkpoint; no shared root falls back
-                // to a full plan.
-                let (diff, diff_base): (Option<Arc<Vec<u32>>>, Option<Hash>) = if self
-                    .cfg
-                    .diff_sync
-                {
-                    match old_roots.iter().find(|r| self.ckpt.retained_snapshot(r).is_some()) {
-                        Some(oroot) => {
-                            let old = self.ckpt.retained_snapshot(oroot).expect("found above");
-                            (
-                                Some(Arc::new(old.smt().diff_chunks(snap.snap.smt(), bits))),
-                                Some(*oroot),
-                            )
-                        }
-                        None => (None, None),
-                    }
-                } else {
-                    (None, None)
-                };
-                let sidecar = Arc::new(snap.snap.sidecar().clone());
-                // Diff computation walks both trees' chunk roots (hash
-                // compares only — shared subtrees never hash again).
-                let serve_cost = SimDuration::from_micros(50)
-                    + SimDuration::from_nanos(
-                        diff.as_ref().map_or(0, |_| (1u64 << bits) * 50),
-                    );
-                self.charge(ctx, serve_cost, false);
-                ctx.send(
-                    to,
-                    PbftMsg::SyncManifest {
-                        cert: cert.clone(),
-                        bits,
-                        leaves: snap.snap.len() as u64,
-                        sidecar,
-                        executed: snap.executed.clone(),
-                        view: self.view,
-                        diff,
-                        diff_base,
-                    },
-                );
-            }
-            _ => ctx.send(to, PbftMsg::SyncNack { have_seq }),
-        }
-    }
-
-    /// `requester` is the sender's own group index (checked at dispatch).
-    fn on_chunk_request(&mut self, requester: usize, seq: u64, chunk: u32, ctx: &mut Ctx<'_, PbftMsg>) {
-        let to = self.group[requester];
-        match self.ckpt.served_at(seq) {
-            Some(snap) => {
-                let bits = chunk_bits_for(snap.snap.len(), self.cfg.sync_chunk_target);
-                if chunk >= 1u32 << bits {
-                    ctx.send(to, PbftMsg::SyncNack { have_seq: seq });
-                    return;
-                }
-                // The frozen snapshot carries keys *and* values: the chunk
-                // is cut straight from the certified tree.
-                let mut entries: Vec<(Key, Value)> = snap.snap.chunk_entries(chunk, bits);
-                if self.byzantine {
-                    // A Byzantine server corrupts what it serves; the
-                    // requester's per-chunk proof check must catch it and
-                    // fetch the chunk from an honest peer instead.
-                    match entries.first_mut() {
-                        Some((_, Value::Int(i))) => *i ^= 1,
-                        Some((_, Value::Opaque { tag, .. })) => *tag ^= 1,
-                        Some((_, v)) => *v = Value::Bool(false),
-                        None => entries.push(("forged".into(), Value::Int(666))),
-                    }
-                }
-                let proof = snap.snap.chunk_proof(chunk, bits);
-                let bytes: usize = entries.iter().map(|(k, v)| chunk_entry_bytes(k, v)).sum();
-                // Read + serialization cost for the served chunk.
-                self.charge(
-                    ctx,
-                    SimDuration::from_micros(20) + SimDuration::from_nanos((bytes / 8) as u64),
-                    false,
-                );
-                ctx.stats().inc_scoped(
-                    stat::SYNC_CHUNKS_SERVED,
-                    Scope::committee(self.cfg.committee_id),
-                    1,
-                );
-                ctx.send(
-                    to,
-                    PbftMsg::ChunkData {
-                        seq,
-                        chunk,
-                        entries: Arc::new(entries),
-                        proof: Arc::new(proof),
-                    },
-                );
-            }
-            // Snapshot rotated away (a newer cert formed): the requester
-            // must re-anchor.
-            _ => ctx.send(to, PbftMsg::SyncNack { have_seq: seq }),
-        }
+        self.sync.halt();
     }
 
     // ---------- reconfiguration / restart hooks ----------
-
-    /// §5.3 shard transition: pause consensus participation and re-fetch
-    /// the (new) shard's entire state through the certified chunk protocol.
-    /// The old state is kept for *serving* — departing committee members
-    /// keep answering chunk requests while they transfer, as in the paper.
-    fn on_transition(
-        &mut self,
-        controller: Option<NodeId>,
-        rejoin: bool,
-        ctx: &mut Ctx<'_, PbftMsg>,
-    ) {
-        match &mut self.sync {
-            // Already transitioning: the in-flight full fetch serves this
-            // request too — attach the new controller rather than dropping
-            // it (a batch scheduler waiting on TransitionDone would
-            // otherwise deadlock).
-            Some(run) if run.full => {
-                if let Some(c) = controller {
-                    if !run.notify.contains(&c) {
-                        run.notify.push(c);
-                    }
-                }
-                return;
-            }
-            // A gap catch-up is superseded — the transition re-fetches
-            // everything anyway, and dropping the Transition instead would
-            // deadlock the reshard controller waiting on TransitionDone.
-            Some(_) => self.sync = None,
-            None => {}
-        }
-        ctx.stats().inc("sync.transitions", 1);
-        self.paused = true;
-        self.begin_sync(true, rejoin, controller, ctx);
-    }
 
     /// Crash: the node goes dark. Every message is dropped and timers idle
     /// until a `Restart` arrives — modelling real downtime, during which
@@ -1987,8 +1171,7 @@ impl Replica {
     fn on_crash(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
         ctx.stats().inc("sync.crashes", 1);
         self.crashed = true;
-        self.paused = true;
-        self.sync = None;
+        self.sync.halt();
         // A dead process holds no file handles; uncommitted WAL appends
         // buffered in them are lost — exactly the crash model. `Restart`
         // reopens the directory through full recovery validation.
@@ -2019,8 +1202,7 @@ impl Replica {
         (self.pool, self.batcher) = fresh_pool(&self.cfg);
         self.ckpt.restart();
         self.vc.restart();
-        self.sync = None;
-        self.paused = true;
+        self.sync.halt();
         if self.ckpt.on_disk() {
             self.restart_from_disk(ctx);
         } else {
@@ -2173,7 +1355,7 @@ impl Replica {
     }
 
     fn on_heartbeat_timer(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
-        if self.is_leader() && !self.byzantine && !self.paused {
+        if self.is_leader() && !self.byzantine && !self.sync.paused() {
             ctx.multicast(
                 self.others(),
                 PbftMsg::Heartbeat { view: self.view, exec_seq: self.exec_seq },
@@ -2198,7 +1380,7 @@ impl Replica {
             return;
         }
         let lag_threshold = (4 * PIPELINE_WIDTH).max(16);
-        if exec_seq > self.exec_seq + lag_threshold && self.sync.is_none() && !self.paused {
+        if exec_seq > self.exec_seq + lag_threshold && !self.sync.running() && !self.sync.paused() {
             ctx.stats().inc("consensus.heartbeat_syncs", 1);
             self.begin_sync(false, false, None, ctx);
         }
@@ -2241,16 +1423,6 @@ fn forge_tail(blocks: &mut [(Arc<PbftBlock>, QuorumCert)]) {
 fn fresh_pool(cfg: &PbftConfig) -> (Mempool<Request>, BatchBuilder) {
     let batch = BatchConfig { max_txs: cfg.batch_size, timeout: cfg.batch_timeout };
     (Mempool::new(cfg.mempool.clone(), 0), BatchBuilder::new(batch))
-}
-
-/// The next sync-serving peer in a round-robin over the group, skipping
-/// the requester itself.
-fn next_sync_peer(n: usize, me: usize, cur: usize) -> usize {
-    let mut peer = (cur + 1) % n;
-    if peer == me {
-        peer = (peer + 1) % n;
-    }
-    peer
 }
 
 /// Profiler span for one delivered message, named by its kind, so a
@@ -2320,7 +1492,7 @@ impl Actor for Replica {
         // protocol, control, and client-request traffic still flow — in
         // particular the replica keeps *serving* chunks from its certified
         // snapshot, the paper's departing-committee behaviour.
-        if self.paused
+        if self.sync.paused()
             && msg.class() == ahl_simkit::MsgClass::CONSENSUS
             && !matches!(
                 msg,

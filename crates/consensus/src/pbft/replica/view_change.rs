@@ -78,7 +78,7 @@ impl Replica {
     }
 
     pub(super) fn maybe_start_view_change(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
-        if self.paused {
+        if self.sync.paused() {
             return; // not voting: a view change can neither help nor pass
         }
         let pending_work = !self.pool.is_empty()
