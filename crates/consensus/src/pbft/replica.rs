@@ -26,7 +26,7 @@ use std::sync::Arc;
 use ahl_crypto::{Hash, KeyId, KeyRegistry, SigningKey};
 use ahl_ledger::{Key, StateStore, Value};
 use ahl_mempool::{Admission, BatchBuilder, BatchConfig, Mempool};
-use ahl_simkit::{Actor, Ctx, NodeId, Phase, Scope, SimDuration, SimTime};
+use ahl_simkit::{Actor, Ctx, NodeId, Phase, Scope, SimDuration};
 use ahl_tee::{attestation_digest, AttestedLog, LogId, Slot, TeeOp};
 
 use crate::adversary::{equivocation_half, Attack, EquivocationTracker};
@@ -40,14 +40,16 @@ use crate::pbft::config::{
 use crate::pbft::cert::{
     enclave_key, logs, CertKind, QuorumCert, COMMIT_LOG, PREPARE_LOG, PREPREPARE_LOG,
 };
-use crate::pbft::durable::{twopc_kind, TwoPcKind, WalRecord};
+use crate::pbft::durable::twopc_kind;
 use crate::pbft::msg::{MsgCert, PbftBlock, PbftMsg, Vote};
 
 mod checkpoint;
+mod restart;
 mod sync;
 mod view_change;
 
 use checkpoint::{Checkpoints, CkptSnapshot};
+use restart::Lifecycle;
 use sync::SyncState;
 use view_change::ViewChange;
 
@@ -113,9 +115,6 @@ pub struct Replica {
     /// (bounded — see [`ExecutedCache`]).
     executed_reqs: ExecutedCache,
 
-    /// Genesis state (reloaded on a crash/restart before state sync).
-    genesis: Arc<Vec<(Key, Value)>>,
-
     /// Sequence below which executed instances have been pruned. Kept one
     /// checkpoint interval behind `low_mark` so the committed-block tail
     /// above the previous certificate stays servable.
@@ -125,9 +124,8 @@ pub struct Replica {
     ckpt: Checkpoints,
     /// State sync, requester and server side ([`sync`]).
     sync: SyncState,
-    /// Dark after a [`PbftMsg::Crash`] until the matching `Restart`: every
-    /// message is dropped, timers idle.
-    crashed: bool,
+    /// Crash and restart ([`restart`]).
+    life: Lifecycle,
     /// View-change votes, backoff and stall detection ([`view_change`]).
     vc: ViewChange,
 
@@ -207,11 +205,10 @@ impl Replica {
             batcher,
             ingested: HashMap::new(),
             executed_reqs: ExecutedCache::new(),
-            genesis,
             insts_floor: 0,
             ckpt,
             sync: SyncState::new(),
-            crashed: false,
+            life: Lifecycle::new(genesis),
             vc: ViewChange::new(),
             stale_votes: [None, None],
             byz_equiv: EquivocationTracker::new(),
@@ -1067,7 +1064,7 @@ impl Replica {
 
     fn try_execute(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
         loop {
-            if self.crashed {
+            if self.life.crashed() {
                 return; // an I/O failure mid-execution killed the node
             }
             let next = self.exec_seq + 1;
@@ -1085,7 +1082,7 @@ impl Replica {
                 inst.block.clone().expect("checked above")
             };
             self.execute_block(&block, ctx);
-            if self.crashed {
+            if self.life.crashed() {
                 return;
             }
             self.exec_seq = next;
@@ -1150,201 +1147,6 @@ impl Replica {
                 self.io_crash(ctx);
             }
         }
-    }
-
-    /// A durable write failed (real I/O error or injected kill): the node
-    /// treats it as its own crash — no half-persisted state is ever
-    /// trusted, and the next `Restart` recovers from the disk image.
-    fn io_crash(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
-        ctx.stats().inc(stat::WAL_IO_CRASHES, 1);
-        self.ckpt.close_store();
-        self.crashed = true;
-        self.sync.halt();
-    }
-
-    // ---------- reconfiguration / restart hooks ----------
-
-    /// Crash: the node goes dark. Every message is dropped and timers idle
-    /// until a `Restart` arrives — modelling real downtime, during which
-    /// the committee commits on without this member and its block tail
-    /// ages out of peers' retention.
-    fn on_crash(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
-        ctx.stats().inc("sync.crashes", 1);
-        self.crashed = true;
-        self.sync.halt();
-        // A dead process holds no file handles; uncommitted WAL appends
-        // buffered in them are lost — exactly the crash model. `Restart`
-        // reopens the directory through full recovery validation.
-        self.ckpt.close_store();
-    }
-
-    /// (Re)start after a crash: all volatile state is lost; genesis and
-    /// the durable checkpoint survive. Without a `data_dir` the in-memory
-    /// `durable` field stands in for the disk; with one, the node
-    /// directory is *reopened* — manifest validation, page-verified
-    /// checkpoint load, WAL tail replay — and the replica resumes from
-    /// what the disk actually says before diff-syncing the remainder
-    /// (advertising its retained roots, so a peer that still holds any of
-    /// them serves only the diff).
-    fn on_restart(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
-        ctx.stats().inc("sync.restarts", 1);
-        if !self.byzantine {
-            if let Some(ck) = &self.cfg.safety {
-                // Volatile state is gone: the replica legitimately
-                // re-executes history, so its exactly-once scope resets.
-                ck.record_reset(self.cfg.committee_id, self.me);
-            }
-        }
-        self.crashed = false;
-        self.insts.clear();
-        self.executed_reqs = ExecutedCache::new();
-        self.ingested.clear();
-        (self.pool, self.batcher) = fresh_pool(&self.cfg);
-        self.ckpt.restart();
-        self.vc.restart();
-        self.sync.halt();
-        if self.ckpt.on_disk() {
-            self.restart_from_disk(ctx);
-        } else {
-            // Resume from the certified checkpoint: O(fetched) recovery
-            // instead of re-transferring the whole state.
-            self.resume_from_durable(ctx.now());
-        }
-        // Timer chains kept alive through the dark period resume driving
-        // batching/view-change/heartbeat once sync completes.
-        self.begin_sync(false, false, None, ctx);
-    }
-
-    /// Put the replica at its durable checkpoint — state, replay cache,
-    /// sequence marks, checkpoint tracker, and the snapshot as the one
-    /// servable (and diff-anchor) certificate — or at genesis when it has
-    /// none. Every restart path lands here: in-memory restart, restart from
-    /// disk, and the rollback of a WAL replay that failed its cross-checks.
-    fn resume_from_durable(&mut self, now: SimTime) {
-        let Some(snap) = self.ckpt.resume() else {
-            self.cold_start_state();
-            return;
-        };
-        self.state = StateStore::from_snapshot(&snap.snap);
-        self.executed_reqs = ExecutedCache::from_window(&snap.executed, now);
-        self.exec_seq = snap.seq;
-        self.next_seq = snap.seq + 1;
-        self.low_mark = snap.seq;
-        self.insts_floor = snap.seq;
-    }
-
-    /// Reset the ledger to genesis (no durable checkpoint to resume from).
-    fn cold_start_state(&mut self) {
-        let mut state = StateStore::new();
-        state.load_genesis(&self.genesis);
-        self.state = state;
-        self.exec_seq = 0;
-        self.next_seq = 1;
-        self.low_mark = 0;
-        self.insts_floor = 0;
-    }
-
-    /// Real recovery: reopen the node directory, resume from the durable
-    /// checkpoint the manifest names (pages root-verified on load), then
-    /// replay the WAL tail past it — crash-truncated tails were already
-    /// cut at the torn record, and the 2PC journal cross-checks replay.
-    /// Anything this cannot restore, state sync fetches afterwards.
-    fn restart_from_disk(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
-        let tail = match self.ckpt.reopen(&self.cfg.wal) {
-            Ok(tail) => tail,
-            Err(_) => {
-                // The directory is unusable (injected crash during the
-                // reopen itself, or real I/O trouble): run diskless from
-                // genesis; state sync restores the ledger.
-                ctx.stats().inc(stat::WAL_REOPEN_FAILURES, 1);
-                self.cold_start_state();
-                return;
-            }
-        };
-        self.resume_from_durable(ctx.now());
-        let replayed = self.replay_wal_tail(tail, ctx);
-        ctx.stats().inc(stat::WAL_REPLAYED, replayed);
-    }
-
-    /// Re-execute the decoded WAL tail contiguously above the recovered
-    /// checkpoint. Each batch's journaled 2PC transitions must match what
-    /// replay actually performs — a divergence means the tail cannot be
-    /// trusted (corruption the CRCs missed). The mismatch necessarily
-    /// surfaces *after* the suspect batch applied, so the whole replay is
-    /// rolled back to the verified checkpoint: nothing unattested stays
-    /// in the recovered state, and verified state sync covers the rest.
-    /// Returns the number of batches that stayed replayed.
-    fn replay_wal_tail(&mut self, tail: Vec<WalRecord>, ctx: &mut Ctx<'_, PbftMsg>) -> u64 {
-        let checkpoint_exec = self.exec_seq;
-        let mut replayed = 0u64;
-        let mut mismatch = false;
-        // Journal records of a batch already folded into the checkpoint:
-        // skipped, not checked (the checkpoint is the verified truth for
-        // them; two-generation WAL retention makes such prefixes normal).
-        let mut skipping = true;
-        let mut expected: std::collections::VecDeque<(u64, TwoPcKind)> = Default::default();
-        for rec in tail {
-            match rec {
-                WalRecord::Batch { seq, reqs } => {
-                    if seq <= self.exec_seq {
-                        skipping = true;
-                        continue; // folded into the checkpoint already
-                    }
-                    if seq != self.exec_seq + 1 {
-                        break; // gap: records beyond it are unreachable
-                    }
-                    // A truncated journal after a fully written batch is
-                    // a normal crash shape — only *mismatches* are fatal,
-                    // and those broke out of the loop below.
-                    skipping = false;
-                    expected.clear();
-                    // Same shell as `execute_block`, minus what a live
-                    // commit reports; the journal each 2PC transition
-                    // must have left is queued for the records that follow.
-                    let stores = Stores {
-                        state: &mut self.state,
-                        executed: &mut self.executed_reqs,
-                        pool: &mut self.pool,
-                    };
-                    let weight = self.exec.execute(&reqs, stores, ctx.now(), |req, ok| {
-                        if let (true, Some(k), Some(txid)) = (ok, twopc_kind(&req.op), req.op.txid()) {
-                            expected.push_back((txid.0, k));
-                        }
-                    });
-                    self.charge(ctx, EXEC_COST_PER_OP.saturating_mul(weight as u64), true);
-                    self.exec_seq = seq;
-                    self.next_seq = seq + 1;
-                    replayed += 1;
-                }
-                WalRecord::TwoPc { .. } if skipping => {}
-                WalRecord::TwoPc { txid, kind } => match expected.pop_front() {
-                    Some((t, k)) if t == txid && k == kind => {}
-                    _ => {
-                        mismatch = true;
-                        break;
-                    }
-                },
-                WalRecord::Ckpt { seq, root } => {
-                    // Checkpoint marker: when it names the point replay
-                    // just reached, the live root must match the certified
-                    // one — a cheap end-to-end integrity check on replay.
-                    if seq == self.exec_seq && self.state.state_digest() != root {
-                        mismatch = true;
-                        break;
-                    }
-                }
-            }
-        }
-        if mismatch {
-            ctx.stats().inc(stat::WAL_REPLAY_MISMATCHES, 1);
-            // The tail lied about a batch that is already applied: fall
-            // back to exactly the verified checkpoint (or genesis) and
-            // let state sync re-fetch the rest with proofs.
-            self.resume_from_durable(ctx.now());
-            debug_assert_eq!(self.exec_seq, checkpoint_exec, "rollback lands on the checkpoint");
-            return 0;
-        }
-        replayed
     }
 
     // ---------- timers ----------
@@ -1467,7 +1269,7 @@ impl Actor for Replica {
 
     fn on_message(&mut self, from: NodeId, msg: PbftMsg, ctx: &mut Ctx<'_, PbftMsg>) {
         let _prof = ahl_telemetry::Profiler::span(message_span(&msg));
-        if self.crashed {
+        if self.life.crashed() {
             // Dark: a crashed node neither processes nor serves anything
             // until its Restart (Crash is idempotent while down).
             if matches!(msg, PbftMsg::Restart) {
@@ -1584,7 +1386,7 @@ impl Actor for Replica {
             TIMER_HEARTBEAT => "pbft.timer_heartbeat",
             _ => "pbft.timer_sync",
         });
-        if self.crashed {
+        if self.life.crashed() {
             // Keep the periodic timer chains alive (each firing re-arms
             // itself) without running any handler logic while dark.
             let interval = match kind {

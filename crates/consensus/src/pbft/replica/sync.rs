@@ -464,7 +464,7 @@ impl Replica {
         // on disk before resuming (a crash right after install must
         // recover here, not at the pre-crash checkpoint).
         self.persist_durable_checkpoint(ctx);
-        if self.crashed {
+        if self.life.crashed() {
             return; // the persist failed; the node is dark now
         }
         self.exec_seq = cert.seq;
@@ -527,7 +527,7 @@ impl Replica {
                     return;
                 }
                 self.execute_block(&block, ctx);
-                if self.crashed {
+                if self.life.crashed() {
                     return; // I/O failure while journaling the tail
                 }
                 self.exec_seq = block.seq;
