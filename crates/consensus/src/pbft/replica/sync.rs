@@ -14,7 +14,8 @@ use ahl_simkit::{Ctx, NodeId, Phase, Scope, SimDuration, SimTime};
 use ahl_store::{chunk_bits_for, SyncError, SyncSession};
 use ahl_tee::TeeOp;
 
-use super::{forge_tail, CkptSnapshot, Replica, TIMER_SYNC};
+use super::byzantine::forge_tail;
+use super::{CkptSnapshot, Replica, TIMER_SYNC};
 use crate::adversary::Attack;
 use crate::common::{stat, ExecutedCache, ExecutedWindow, VotePhase, NATIVE_VERIFY};
 use crate::pbft::cert::{CertKind, QuorumCert};
