@@ -131,9 +131,8 @@ pub struct Replica {
     /// View-change votes, backoff and stall detection ([`view_change`]).
     vc: ViewChange,
 
-    byzantine: bool,
-    /// Attack state ([`byzantine`]).
-    byz: Byzantine,
+    /// Attack state, on a Byzantine replica only ([`byzantine`]).
+    byz: Option<Byzantine>,
 }
 
 impl Instance {
@@ -187,7 +186,6 @@ impl Replica {
                 exec_workers: cfg.exec_workers,
                 checker: if byzantine { None } else { cfg.safety.clone() },
             },
-            byzantine,
             cfg,
             group,
             me,
@@ -209,7 +207,7 @@ impl Replica {
             sync: SyncState::new(),
             life: Lifecycle::new(genesis),
             vc: ViewChange::new(),
-            byz: Byzantine::new(),
+            byz: byzantine.then(Byzantine::new),
         }
     }
 
@@ -526,45 +524,26 @@ impl Replica {
         let hash_cost = COSTS.cost(TeeOp::Sha256).saturating_mul(1 + batch.len() as u64 / 8);
         self.charge(ctx, hash_cost, false);
 
-        if self.byzantine {
-            match self.cfg.attack {
-                Attack::PaperFlood if !self.cfg.variant.attested() => {
-                    // §7.2 equivocating leader: conflicting *sequence
-                    // numbers* to different halves.
-                    let block_a = Arc::new(PbftBlock::new(view, seq, self.me, batch.clone()));
-                    let mut rev = batch;
-                    rev.reverse();
-                    let block_b = Arc::new(PbftBlock::new(view, seq + 1_000_000, self.me, rev));
-                    self.charge(ctx, NATIVE_SIGN, false);
-                    for (i, peer) in self.others().into_iter().enumerate() {
-                        let block = if i % 2 == 0 { block_a.clone() } else { block_b.clone() };
-                        ctx.send(peer, PbftMsg::PrePrepare { block, cert: MsgCert::Simulated });
-                    }
-                    return;
-                }
-                Attack::Equivocate => {
-                    self.equivocate_propose(batch, view, seq, ctx);
-                    return;
-                }
-                // The remaining attacks strike at votes/checkpoints; a
-                // Byzantine leader proposes honestly under them.
-                _ => {}
-            }
+        if let Some(attack) = self.attack() {
+            return self.byzantine_propose(attack, batch, view, seq, ctx);
         }
-
         let block = Arc::new(PbftBlock::new(view, seq, self.me, batch));
+        self.send_proposal(block, self.others(), ctx);
+    }
+
+    /// Certify `block`, send its pre-prepare to `recipients`, and apply it
+    /// locally.
+    fn send_proposal(
+        &mut self,
+        block: Arc<PbftBlock>,
+        recipients: Vec<NodeId>,
+        ctx: &mut Ctx<'_, PbftMsg>,
+    ) {
+        let (view, seq) = (block.view, block.seq);
         let Some(cert) = self.certify(ctx, PREPREPARE_LOG, view, seq, block.digest) else {
             return;
         };
-        let recipients = if self.byzantine && self.cfg.attack == Attack::PaperFlood {
-            // Attested Byzantine leader cannot equivocate; the worst it can
-            // do is withhold the proposal from half the replicas.
-            self.others().into_iter().enumerate().filter(|(i, _)| i % 2 == 0).map(|(_, p)| p).collect()
-        } else {
-            self.others()
-        };
         ctx.multicast(recipients, PbftMsg::PrePrepare { block: block.clone(), cert: cert.clone() });
-        // Local application of our own proposal.
         self.accept_block(block, cert, ctx);
     }
 
@@ -648,8 +627,8 @@ impl Replica {
         if self.cfg.variant.leader_aggregation() {
             let leader = self.group[self.leader_of(view)];
             ctx.send(leader, PbftMsg::RelayPrepare(vote));
-        } else if self.byzantine {
-            self.byzantine_vote(vote, VotePhase::Prepare, ctx);
+        } else if let Some(attack) = self.attack() {
+            self.byzantine_vote(attack, vote, VotePhase::Prepare, ctx);
         } else {
             ctx.multicast(self.others(), PbftMsg::Prepare(vote));
         }
@@ -799,8 +778,8 @@ impl Replica {
             } else {
                 ctx.send(leader, PbftMsg::RelayCommit(vote));
             }
-        } else if self.byzantine {
-            self.byzantine_vote(vote, VotePhase::Commit, ctx);
+        } else if let Some(attack) = self.attack() {
+            self.byzantine_vote(attack, vote, VotePhase::Commit, ctx);
         } else {
             ctx.multicast(self.others(), PbftMsg::Commit(vote));
         }
@@ -1016,7 +995,7 @@ impl Replica {
     }
 
     fn on_heartbeat_timer(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
-        if self.is_leader() && !self.byzantine && !self.sync.paused() {
+        if self.is_leader() && self.byz.is_none() && !self.sync.paused() {
             ctx.multicast(
                 self.others(),
                 PbftMsg::Heartbeat { view: self.view, exec_seq: self.exec_seq },
@@ -1118,7 +1097,7 @@ impl Actor for Replica {
         self.vc.heard(ctx.now());
         // A colluding equivocator never runs the honest proposal path: it
         // echoes two-faced votes for every proposal it sees and is done.
-        if self.byzantine && self.cfg.attack == Attack::Equivocate {
+        if self.attack() == Some(Attack::Equivocate) {
             if let PbftMsg::PrePrepare { block, .. } = &msg {
                 self.charge(ctx, SimDuration::from_micros(10), false);
                 let (view, seq, digest) = (block.view, block.seq, block.digest);

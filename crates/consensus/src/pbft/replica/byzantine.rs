@@ -3,12 +3,13 @@
 //!
 //! [`Byzantine`] owns the attack state: the stale votes a replaying
 //! replica resends and the colluding equivocator's double-signing
-//! bookkeeping. A crash keeps it.
+//! bookkeeping. Only a Byzantine replica carries one, and a crash keeps
+//! it.
 
 use std::sync::Arc;
 
 use ahl_crypto::Hash;
-use ahl_ledger::Value;
+use ahl_ledger::{Key, Value};
 use ahl_simkit::{Ctx, NodeId};
 
 use super::Replica;
@@ -33,6 +34,50 @@ impl Byzantine {
 }
 
 impl Replica {
+    /// The attack this replica runs, if it is Byzantine.
+    pub(super) fn attack(&self) -> Option<Attack> {
+        self.byz.as_ref().map(|_| self.cfg.attack)
+    }
+
+    /// A Byzantine leader's proposal of `batch` at `(view, seq)`.
+    pub(super) fn byzantine_propose(
+        &mut self,
+        attack: Attack,
+        batch: Vec<Request>,
+        view: u64,
+        seq: u64,
+        ctx: &mut Ctx<'_, PbftMsg>,
+    ) {
+        match attack {
+            Attack::PaperFlood if !self.cfg.variant.attested() => {
+                // §7.2 equivocating leader: conflicting *sequence
+                // numbers* to different halves.
+                let block_a = Arc::new(PbftBlock::new(view, seq, self.me, batch.clone()));
+                let mut rev = batch;
+                rev.reverse();
+                let block_b = Arc::new(PbftBlock::new(view, seq + 1_000_000, self.me, rev));
+                self.charge(ctx, NATIVE_SIGN, false);
+                for (i, peer) in self.others().into_iter().enumerate() {
+                    let block = if i % 2 == 0 { block_a.clone() } else { block_b.clone() };
+                    ctx.send(peer, PbftMsg::PrePrepare { block, cert: MsgCert::Simulated });
+                }
+            }
+            Attack::Equivocate => self.equivocate_propose(batch, view, seq, ctx),
+            Attack::PaperFlood => {
+                // Attested Byzantine leader cannot equivocate; the worst it
+                // can do is withhold the proposal from half the replicas.
+                let block = Arc::new(PbftBlock::new(view, seq, self.me, batch));
+                self.send_proposal(block, self.others().into_iter().step_by(2).collect(), ctx);
+            }
+            // The remaining attacks strike at votes/checkpoints; a
+            // Byzantine leader proposes honestly under them.
+            _ => {
+                let block = Arc::new(PbftBlock::new(view, seq, self.me, batch));
+                self.send_proposal(block, self.others(), ctx);
+            }
+        }
+    }
+
     /// A Byzantine replica's message authentication: it deliberately
     /// avoids its enclave (the attested log would refuse to double-sign),
     /// so it signs natively in real-crypto mode — which honest replicas
@@ -51,7 +96,7 @@ impl Replica {
     /// leader also emits per-half commit votes so each half can close its
     /// own fork — which only succeeds when the colluding votes push a
     /// half past quorum, i.e. when f exceeds the protocol's bound.
-    pub(super) fn equivocate_propose(
+    fn equivocate_propose(
         &mut self,
         batch: Vec<Request>,
         view: u64,
@@ -96,7 +141,8 @@ impl Replica {
     /// makes both forks complete once the Byzantine count exceeds the
     /// quorum-intersection bound.
     pub(super) fn equivocate_echo(&mut self, view: u64, seq: u64, digest: Hash, ctx: &mut Ctx<'_, PbftMsg>) {
-        let Some((half, split)) = self.byz.equiv.observe(seq as u128, digest) else {
+        let Some((half, split)) = self.byz.as_mut().and_then(|b| b.equiv.observe(seq as u128, digest))
+        else {
             return;
         };
         self.charge(ctx, NATIVE_SIGN, false);
@@ -116,14 +162,21 @@ impl Replica {
     /// conflicting messages (with different sequence numbers) to different
     /// nodes" — equivocate (HL) or withhold (attested), plus a flood of
     /// junk votes at shifted sequence numbers that loads honest queues.
-    pub(super) fn byzantine_vote(&mut self, vote: Vote, phase: VotePhase, ctx: &mut Ctx<'_, PbftMsg>) {
-        match self.cfg.attack {
+    pub(super) fn byzantine_vote(
+        &mut self,
+        attack: Attack,
+        vote: Vote,
+        phase: VotePhase,
+        ctx: &mut Ctx<'_, PbftMsg>,
+    ) {
+        match attack {
             Attack::PaperFlood => self.paper_flood_vote(vote, phase, ctx),
             // Equivocation votes are emitted by the proposal-echo path;
             // withholders say nothing at all.
             Attack::Equivocate | Attack::WithholdVotes => {}
             Attack::StaleReplay => {
-                if let Some(stale) = self.byz.stale_votes[phase as usize].replace(vote) {
+                let stale = self.byz.as_mut().and_then(|b| b.stale_votes[phase as usize].replace(vote));
+                if let Some(stale) = stale {
                     ctx.stats().inc("adv.stale_replays", 1);
                     // Charge the send like the lockstep engine does, so
                     // attacker CPU accounting is comparable across cells.
@@ -178,6 +231,18 @@ fn vote_msg(phase: VotePhase, vote: Vote) -> PbftMsg {
     match phase {
         VotePhase::Prepare => PbftMsg::Prepare(vote),
         VotePhase::Commit => PbftMsg::Commit(vote),
+    }
+}
+
+/// A Byzantine server corrupts the chunk it serves; the requester's
+/// per-chunk proof check must catch it and fetch the chunk from an honest
+/// peer instead.
+pub(super) fn corrupt_chunk(entries: &mut Vec<(Key, Value)>) {
+    match entries.first_mut() {
+        Some((_, Value::Int(i))) => *i ^= 1,
+        Some((_, Value::Opaque { tag, .. })) => *tag ^= 1,
+        Some((_, v)) => *v = Value::Bool(false),
+        None => entries.push(("forged".into(), Value::Int(666))),
     }
 }
 

@@ -246,7 +246,7 @@ impl Replica {
             ctx.stats().inc(stat::CKPT_AUDIT_FAILURES, 1);
         }
         let mut root = self.state.state_digest();
-        if self.byzantine && self.cfg.attack == Attack::BogusCheckpoint {
+        if self.attack() == Some(Attack::BogusCheckpoint) {
             // Vote for a root nobody holds: a validly signed lie. Honest
             // votes must still quorum on the true root, and the bogus one
             // must never certify (the tracker groups votes by root).

@@ -72,12 +72,10 @@ impl Replica {
     /// them serves only the diff).
     pub(super) fn on_restart(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
         ctx.stats().inc("sync.restarts", 1);
-        if !self.byzantine {
-            if let Some(ck) = &self.cfg.safety {
-                // Volatile state is gone: the replica legitimately
-                // re-executes history, so its exactly-once scope resets.
-                ck.record_reset(self.cfg.committee_id, self.me);
-            }
+        if let Some(ck) = &self.exec.checker {
+            // Volatile state is gone: the replica legitimately
+            // re-executes history, so its exactly-once scope resets.
+            ck.record_reset(self.cfg.committee_id, self.me);
         }
         self.life.crashed = false;
         self.insts.clear();

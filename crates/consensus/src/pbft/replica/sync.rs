@@ -14,7 +14,7 @@ use ahl_simkit::{Ctx, NodeId, Phase, Scope, SimDuration, SimTime};
 use ahl_store::{chunk_bits_for, SyncError, SyncSession};
 use ahl_tee::TeeOp;
 
-use super::byzantine::forge_tail;
+use super::byzantine::{corrupt_chunk, forge_tail};
 use super::{CkptSnapshot, Replica, TIMER_SYNC};
 use crate::adversary::Attack;
 use crate::common::{stat, ExecutedCache, ExecutedWindow, VotePhase, NATIVE_VERIFY};
@@ -444,12 +444,10 @@ impl Replica {
         debug_assert_eq!(state.state_digest(), cert.digest, "chunks verified against root");
         self.state = state;
         self.executed_reqs = ExecutedCache::from_window(&executed, ctx.now());
-        if !self.byzantine {
-            if let Some(ck) = &self.cfg.safety {
-                // Installed certified state replaces the execution
-                // history: a fresh exactly-once lineage begins here.
-                ck.record_reset(self.cfg.committee_id, self.me);
-            }
+        if let Some(ck) = &self.exec.checker {
+            // Installed certified state replaces the execution
+            // history: a fresh exactly-once lineage begins here.
+            ck.record_reset(self.cfg.committee_id, self.me);
         }
         // The node now *holds* certified state at `cert`: register it as a
         // servable snapshot and as the durable checkpoint, so a follow-up
@@ -713,7 +711,7 @@ impl Replica {
                     })
                     .collect();
                 if let Some(mut blocks) = blocks {
-                    if self.byzantine && self.cfg.attack == Attack::ForgeTail {
+                    if self.attack() == Some(Attack::ForgeTail) {
                         forge_tail(&mut blocks);
                     }
                     let bytes: usize = blocks.iter().map(|(b, _)| b.wire_size()).sum();
@@ -790,16 +788,8 @@ impl Replica {
                 // The frozen snapshot carries keys *and* values: the chunk
                 // is cut straight from the certified tree.
                 let mut entries: Vec<(Key, Value)> = snap.snap.chunk_entries(chunk, bits);
-                if self.byzantine {
-                    // A Byzantine server corrupts what it serves; the
-                    // requester's per-chunk proof check must catch it and
-                    // fetch the chunk from an honest peer instead.
-                    match entries.first_mut() {
-                        Some((_, Value::Int(i))) => *i ^= 1,
-                        Some((_, Value::Opaque { tag, .. })) => *tag ^= 1,
-                        Some((_, v)) => *v = Value::Bool(false),
-                        None => entries.push(("forged".into(), Value::Int(666))),
-                    }
+                if self.byz.is_some() {
+                    corrupt_chunk(&mut entries);
                 }
                 let proof = snap.snap.chunk_proof(chunk, bits);
                 let bytes: usize = entries.iter().map(|(k, v)| chunk_entry_bytes(k, v)).sum();

@@ -93,7 +93,7 @@ impl Replica {
             self.vc.stall_strikes = 0;
             return;
         }
-        if !pending_work || self.byzantine {
+        if !pending_work || self.byz.is_some() {
             self.vc.stall_strikes = 0;
             return;
         }
@@ -202,7 +202,7 @@ impl Replica {
             return;
         }
 
-        if votes >= quorum && self.leader_of(target) == self.me && !self.byzantine {
+        if votes >= quorum && self.leader_of(target) == self.me && self.byz.is_none() {
             self.install_new_view(target, ctx);
         }
     }
