@@ -249,17 +249,20 @@ impl Replica {
         self.cfg.quorum()
     }
 
-    fn charge(&self, ctx: &mut Ctx<'_, PbftMsg>, d: SimDuration, exec: bool) {
+    /// Charge `d` of consensus CPU (scaled by `cpu_scale`).
+    fn charge(&self, ctx: &mut Ctx<'_, PbftMsg>, d: SimDuration) {
+        self.charge_to(ctx, d, stat::CONSENSUS_CPU_NS);
+    }
+
+    /// Charge `d` of CPU (scaled by `cpu_scale`), counted under `counter`.
+    fn charge_to(&self, ctx: &mut Ctx<'_, PbftMsg>, d: SimDuration, counter: &'static str) {
         let scaled = if self.cfg.cpu_scale == 1.0 {
             d
         } else {
             d.mul_f64(self.cfg.cpu_scale)
         };
         ctx.consume_cpu(scaled);
-        ctx.stats().inc(
-            if exec { stat::EXEC_CPU_NS } else { stat::CONSENSUS_CPU_NS },
-            scaled.as_nanos(),
-        );
+        ctx.stats().inc(counter, scaled.as_nanos());
     }
 
     fn others(&self) -> Vec<NodeId> {
@@ -279,7 +282,7 @@ impl Replica {
         digest: Hash,
     ) -> Option<MsgCert> {
         if self.cfg.variant.attested() {
-            self.charge(ctx, COSTS.cost(TeeOp::AhlAppend), false);
+            self.charge(ctx, COSTS.cost(TeeOp::AhlAppend));
             if self.cfg.crypto == CryptoMode::Real {
                 match self.tee.append(log, Slot { view, seq }, digest) {
                     Ok(att) => Some(MsgCert::Attested(att)),
@@ -289,7 +292,7 @@ impl Replica {
                 Some(MsgCert::Simulated)
             }
         } else {
-            self.charge(ctx, NATIVE_SIGN, false);
+            self.charge(ctx, NATIVE_SIGN);
             if self.cfg.crypto == CryptoMode::Real {
                 Some(MsgCert::Sig(self.key.sign(&digest)))
             } else {
@@ -310,7 +313,7 @@ impl Replica {
         slot: Slot,
         digest: &Hash,
     ) -> bool {
-        self.charge(ctx, NATIVE_VERIFY, false);
+        self.charge(ctx, NATIVE_VERIFY);
         match cert {
             // Real-crypto mode never produces bare Simulated certs: one
             // arriving is a Byzantine replica trying to skip the crypto.
@@ -374,7 +377,7 @@ impl Replica {
 
     fn on_request(&mut self, req: Request, ctx: &mut Ctx<'_, PbftMsg>) {
         // Client-facing ingest: REST + TLS + signature verification.
-        self.charge(ctx, INGEST_COST, false);
+        self.charge(ctx, INGEST_COST);
         ctx.trace(req.id, Phase::Ingest);
         if self.executed_reqs.contains(req.id) {
             // Retransmission of an executed request: nothing to do.
@@ -423,7 +426,7 @@ impl Replica {
 
     fn on_relay(&mut self, from: NodeId, req: Request, ctx: &mut Ctx<'_, PbftMsg>) {
         // Leader-side pooling of a relayed request: cheap enqueue.
-        self.charge(ctx, SimDuration::from_micros(10), false);
+        self.charge(ctx, SimDuration::from_micros(10));
         if self.executed_reqs.contains(req.id) {
             return;
         }
@@ -459,7 +462,7 @@ impl Replica {
     /// can never be proposed from here short of a view change) so dead
     /// entries do not eat ingest-pool capacity under sustained overload.
     fn on_relay_rejected(&mut self, req_id: u64, ctx: &mut Ctx<'_, PbftMsg>) {
-        self.charge(ctx, SimDuration::from_micros(5), false);
+        self.charge(ctx, SimDuration::from_micros(5));
         self.pool.remove(req_id);
         self.ingested.remove(&req_id);
     }
@@ -468,7 +471,7 @@ impl Replica {
         // Re-broadcast copy: deduplication + cached-certificate check (the
         // ingest replica already verified the client signature; Hyperledger
         // validates again lazily at execution, charged in exec cost).
-        self.charge(ctx, SimDuration::from_micros(20), false);
+        self.charge(ctx, SimDuration::from_micros(20));
         self.pool_request(req, ctx);
         self.try_propose(ctx);
     }
@@ -522,7 +525,7 @@ impl Replica {
         let view = self.view;
         // Digest cost: hashing the batch.
         let hash_cost = COSTS.cost(TeeOp::Sha256).saturating_mul(1 + batch.len() as u64 / 8);
-        self.charge(ctx, hash_cost, false);
+        self.charge(ctx, hash_cost);
 
         if let Some(attack) = self.attack() {
             return self.byzantine_propose(attack, batch, view, seq, ctx);
@@ -570,7 +573,7 @@ impl Replica {
         }
         // Hash the batch to validate the digest.
         let hash_cost = COSTS.cost(TeeOp::Sha256).saturating_mul(1 + block.reqs.len() as u64 / 8);
-        self.charge(ctx, hash_cost, false);
+        self.charge(ctx, hash_cost);
         if let Some(inst) = self.insts.get(&block.seq) {
             if let Some(existing) = &inst.block {
                 if existing.digest != block.digest && inst.view == block.view {
@@ -655,7 +658,7 @@ impl Replica {
     /// certs are verified here; false rejects the vote.
     fn admit_vote(&mut self, phase: VotePhase, vote: &Vote, ctx: &mut Ctx<'_, PbftMsg>) -> bool {
         if matches!(vote.cert, MsgCert::Sig(_)) && self.deferring() {
-            self.charge(ctx, NATIVE_VERIFY, false);
+            self.charge(ctx, NATIVE_VERIFY);
             return true;
         }
         let slot = Slot { view: vote.view, seq: vote.seq };
@@ -718,7 +721,7 @@ impl Replica {
             return;
         }
         if !self.in_watermarks(vote.seq) {
-            self.charge(ctx, SimDuration::from_micros(20), false);
+            self.charge(ctx, SimDuration::from_micros(20));
             ctx.stats().inc("consensus.out_of_window", 1);
             return;
         }
@@ -847,7 +850,7 @@ impl Replica {
         }
         inst.agg_sent[phase as usize] = true;
         let f = self.cfg.f();
-        self.charge(ctx, COSTS.cost(TeeOp::MessageAggregation { f }), false);
+        self.charge(ctx, COSTS.cost(TeeOp::MessageAggregation { f }));
         let proof = if self.cfg.crypto == CryptoMode::Real {
             match self.tee.append(agg_log, slot, vote.digest) {
                 Ok(att) => MsgCert::Attested(att),
@@ -880,7 +883,7 @@ impl Replica {
         if cert.view != self.view || cert.seq <= self.low_mark {
             return;
         }
-        self.charge(ctx, NATIVE_VERIFY, false);
+        self.charge(ctx, NATIVE_VERIFY);
         let Some(inst) = self.insts.get(&cert.seq) else { return };
         if inst.block.as_ref().is_none_or(|b| b.digest != cert.digest) {
             return;
@@ -971,7 +974,7 @@ impl Replica {
             }
         });
         // Execution cost: chaincode + validation per state access.
-        self.charge(ctx, EXEC_COST_PER_OP.saturating_mul(weight as u64), true);
+        self.charge_to(ctx, EXEC_COST_PER_OP.saturating_mul(weight as u64), stat::EXEC_CPU_NS);
         // Group commit: one write+policy-fsync for the batch record plus
         // its 2PC journal. An I/O failure here is a crash — the node goes
         // dark and recovers from whatever reached the disk.
@@ -979,7 +982,7 @@ impl Replica {
             let scope = Scope::replica(self.cfg.committee_id, self.me);
             ctx.stats().inc_scoped(stat::WAL_BATCHES, scope, 1);
             ctx.trace(block.seq, Phase::WalCommit);
-            self.charge(ctx, SimDuration::from_micros(5), false);
+            self.charge(ctx, SimDuration::from_micros(5));
             let failed = self.ckpt.store().is_some_and(|s| s.commit().is_err());
             if failed {
                 self.io_crash(ctx);
@@ -1015,7 +1018,7 @@ impl Replica {
     /// from an arbitrary replica would let one Byzantine node keep the
     /// whole committee churning through pointless sync exchanges.
     fn on_heartbeat(&mut self, from_idx: usize, view: u64, exec_seq: u64, ctx: &mut Ctx<'_, PbftMsg>) {
-        self.charge(ctx, SimDuration::from_micros(5), false);
+        self.charge(ctx, SimDuration::from_micros(5));
         if view != self.view || from_idx != self.leader_of(self.view) {
             return;
         }
@@ -1099,7 +1102,7 @@ impl Actor for Replica {
         // echoes two-faced votes for every proposal it sees and is done.
         if self.attack() == Some(Attack::Equivocate) {
             if let PbftMsg::PrePrepare { block, .. } = &msg {
-                self.charge(ctx, SimDuration::from_micros(10), false);
+                self.charge(ctx, SimDuration::from_micros(10));
                 let (view, seq, digest) = (block.view, block.seq, block.digest);
                 self.equivocate_echo(view, seq, digest, ctx);
                 return;
@@ -1121,7 +1124,7 @@ impl Actor for Replica {
                     | PbftMsg::TransitionDone { .. }
             )
         {
-            self.charge(ctx, SimDuration::from_micros(5), false);
+            self.charge(ctx, SimDuration::from_micros(5));
             return;
         }
         match msg {

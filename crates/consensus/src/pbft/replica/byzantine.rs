@@ -56,7 +56,7 @@ impl Replica {
                 let mut rev = batch;
                 rev.reverse();
                 let block_b = Arc::new(PbftBlock::new(view, seq + 1_000_000, self.me, rev));
-                self.charge(ctx, NATIVE_SIGN, false);
+                self.charge(ctx, NATIVE_SIGN);
                 for (i, peer) in self.others().into_iter().enumerate() {
                     let block = if i % 2 == 0 { block_a.clone() } else { block_b.clone() };
                     ctx.send(peer, PbftMsg::PrePrepare { block, cert: MsgCert::Simulated });
@@ -107,7 +107,7 @@ impl Replica {
         let x = Arc::new(PbftBlock::new(view, seq, self.me, batch));
         let y = Arc::new(PbftBlock::new(view, seq, self.me, alt));
         let (lo, hi) = if x.digest.0 <= y.digest.0 { (x, y) } else { (y, x) };
-        self.charge(ctx, NATIVE_SIGN, false);
+        self.charge(ctx, NATIVE_SIGN);
         for g in 0..self.cfg.n {
             if g == self.me {
                 continue;
@@ -145,7 +145,7 @@ impl Replica {
         else {
             return;
         };
-        self.charge(ctx, NATIVE_SIGN, false);
+        self.charge(ctx, NATIVE_SIGN);
         let me = self.me;
         let targets: Vec<NodeId> = (0..self.cfg.n)
             .filter(|g| *g != me && (!split || equivocation_half(*g) == half))
@@ -180,7 +180,7 @@ impl Replica {
                     ctx.stats().inc("adv.stale_replays", 1);
                     // Charge the send like the lockstep engine does, so
                     // attacker CPU accounting is comparable across cells.
-                    self.charge(ctx, NATIVE_SIGN, false);
+                    self.charge(ctx, NATIVE_SIGN);
                     ctx.multicast(self.others(), vote_msg(phase, stale));
                 }
             }

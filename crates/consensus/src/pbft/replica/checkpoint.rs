@@ -264,7 +264,7 @@ impl Replica {
         if self.ckpt.snapshots.len() > 2 {
             self.ckpt.snapshots.remove(0);
         }
-        self.charge(ctx, NATIVE_SIGN, false);
+        self.charge(ctx, NATIVE_SIGN);
         ctx.trace(seq, Phase::Checkpoint);
         let key = (self.cfg.crypto == CryptoMode::Real).then_some(&self.key);
         let vote = QuorumCert::checkpoint_vote(seq, root, self.me, key);
@@ -356,7 +356,6 @@ impl Replica {
                     ctx,
                     SimDuration::from_micros(20)
                         + SimDuration::from_nanos((stats.bytes_written + gc_copied_bytes) / 4),
-                    false,
                 );
             }
             Err(_) => self.io_crash(ctx),
@@ -364,7 +363,7 @@ impl Replica {
     }
 
     pub(super) fn on_checkpoint(&mut self, vote: QuorumCert, ctx: &mut Ctx<'_, PbftMsg>) {
-        self.charge(ctx, NATIVE_VERIFY, false);
+        self.charge(ctx, NATIVE_VERIFY);
         // A vote is a one-signer checkpoint certificate: under real crypto
         // an unsigned one is a forgery.
         let valid = vote.kind == CertKind::Checkpoint

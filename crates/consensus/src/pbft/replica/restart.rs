@@ -193,7 +193,7 @@ impl Replica {
                             expected.push_back((txid.0, k));
                         }
                     });
-                    self.charge(ctx, EXEC_COST_PER_OP.saturating_mul(weight as u64), true);
+                    self.charge_to(ctx, EXEC_COST_PER_OP.saturating_mul(weight as u64), stat::EXEC_CPU_NS);
                     self.exec_seq = seq;
                     self.next_seq = seq + 1;
                     replayed += 1;

@@ -210,7 +210,7 @@ impl Replica {
         // Verify the certificate: quorum of distinct signers over the
         // advertised (seq, root) — the trust anchor for every chunk.
         let quorum = self.cfg.quorum();
-        self.charge(ctx, NATIVE_VERIFY.saturating_mul(cert.signers.len() as u64), false);
+        self.charge(ctx, NATIVE_VERIFY.saturating_mul(cert.signers.len() as u64));
         if cert.kind != CertKind::Checkpoint || !cert.verify(quorum, self.cert_registry()) {
             ctx.stats().inc(stat::SYNC_BAD_CERTS, 1);
             let run = self.sync.run.as_mut().expect("checked above");
@@ -373,19 +373,19 @@ impl Replica {
         };
         match outcome {
             Outcome::Done => {
-                self.charge(ctx, verify_cost, false);
+                self.charge(ctx, verify_cost);
                 let scope = Scope::committee(self.cfg.committee_id);
                 ctx.stats().inc_scoped(stat::SYNC_BYTES, scope, bytes as u64);
                 self.install_synced_state(ctx);
             }
             Outcome::More => {
-                self.charge(ctx, verify_cost, false);
+                self.charge(ctx, verify_cost);
                 let scope = Scope::committee(self.cfg.committee_id);
                 ctx.stats().inc_scoped(stat::SYNC_BYTES, scope, bytes as u64);
                 self.pump_chunk_requests(ctx);
             }
             Outcome::Retry(peer) => {
-                self.charge(ctx, verify_cost, false);
+                self.charge(ctx, verify_cost);
                 ctx.stats().inc(stat::SYNC_PROOF_FAILURES, 1);
                 ctx.send(
                     self.group[peer],
@@ -417,7 +417,7 @@ impl Replica {
         // Rebuild cost: one leaf hash per *fetched* entry plus tree
         // construction — a diff install reuses the anchor's shared tree and
         // only pays for the overlaid chunks.
-        self.charge(ctx, COSTS.cost(TeeOp::Sha256).saturating_mul(1 + fetched), false);
+        self.charge(ctx, COSTS.cost(TeeOp::Sha256).saturating_mul(1 + fetched));
         let mut state = if is_diff {
             let anchor = run.anchor.as_ref().expect("diff session kept its anchor");
             let mut base = StateStore::from_snapshot(anchor);
@@ -688,7 +688,7 @@ impl Replica {
         old_roots: Vec<Hash>,
         ctx: &mut Ctx<'_, PbftMsg>,
     ) {
-        self.charge(ctx, SimDuration::from_micros(20), false);
+        self.charge(ctx, SimDuration::from_micros(20));
         let to = self.group[requester];
         // A transitioning node serves manifests and chunks (its certified
         // snapshot stays valid) but never a block tail: everything it
@@ -715,7 +715,7 @@ impl Replica {
                         forge_tail(&mut blocks);
                     }
                     let bytes: usize = blocks.iter().map(|(b, _)| b.wire_size()).sum();
-                    self.charge(ctx, SimDuration::from_nanos((bytes / 8) as u64), false);
+                    self.charge(ctx, SimDuration::from_nanos((bytes / 8) as u64));
                     ctx.send(to, PbftMsg::SyncTail { blocks, view: self.view });
                     return;
                 }
@@ -756,7 +756,7 @@ impl Replica {
                     + SimDuration::from_nanos(
                         diff.as_ref().map_or(0, |_| (1u64 << bits) * 50),
                     );
-                self.charge(ctx, serve_cost, false);
+                self.charge(ctx, serve_cost);
                 ctx.send(
                     to,
                     PbftMsg::SyncManifest {
@@ -797,7 +797,6 @@ impl Replica {
                 self.charge(
                     ctx,
                     SimDuration::from_micros(20) + SimDuration::from_nanos((bytes / 8) as u64),
-                    false,
                 );
                 ctx.stats().inc_scoped(
                     stat::SYNC_CHUNKS_SERVED,

@@ -170,7 +170,7 @@ impl Replica {
                     .is_some_and(|i| i.votes_for(VotePhase::Prepare, d) >= self.quorum())
             })
             .collect();
-        self.charge(ctx, NATIVE_SIGN, false);
+        self.charge(ctx, NATIVE_SIGN);
         let msg = ViewChangeMsg {
             new_view: target,
             last_stable: self.low_mark,
@@ -208,7 +208,7 @@ impl Replica {
     }
 
     pub(super) fn on_view_change(&mut self, vc: ViewChangeMsg, ctx: &mut Ctx<'_, PbftMsg>) {
-        self.charge(ctx, NATIVE_VERIFY, false);
+        self.charge(ctx, NATIVE_VERIFY);
         self.record_view_change(vc, ctx);
     }
 
@@ -255,7 +255,7 @@ impl Replica {
             1,
         );
         ctx.trace(view, Phase::ViewChange);
-        self.charge(ctx, NATIVE_SIGN, false);
+        self.charge(ctx, NATIVE_SIGN);
         ctx.multicast(
             self.others(),
             PbftMsg::NewView { view, reproposals: repro.clone() },
@@ -275,7 +275,7 @@ impl Replica {
         if view < self.view {
             return;
         }
-        self.charge(ctx, NATIVE_VERIFY, false);
+        self.charge(ctx, NATIVE_VERIFY);
         if self.leader_of(view) == self.me {
             return; // we install through quorum collection, not NewView
         }
@@ -314,7 +314,7 @@ impl Replica {
     /// proposals are cut from, and transactions stranded at the deposed
     /// leader exist only in the ingest replicas' pools.
     pub(super) fn on_pool_pull(&mut self, from_idx: usize, view: u64, ctx: &mut Ctx<'_, PbftMsg>) {
-        self.charge(ctx, SimDuration::from_micros(10), false);
+        self.charge(ctx, SimDuration::from_micros(10));
         if view != self.view || from_idx != self.leader_of(self.view) || from_idx == self.me {
             return;
         }
