@@ -189,20 +189,18 @@ impl Checkpoints {
         }
     }
 
-    /// Whether this replica persists to a node directory.
-    pub(super) fn on_disk(&self) -> bool {
-        self.store_dir.is_some()
-    }
-
     /// Reopen the node directory: the store, the durable checkpoint the
     /// manifest names (pages root-verified on load), and the WAL tail
-    /// past it. On an error the replica runs diskless with no durable
-    /// checkpoint.
-    pub(super) fn reopen(&mut self, wal: &WalConfig) -> std::io::Result<Vec<WalRecord>> {
+    /// past it. `None` without a node directory; on an error the replica
+    /// runs diskless with no durable checkpoint.
+    pub(super) fn reopen(&mut self, wal: &WalConfig) -> Option<std::io::Result<Vec<WalRecord>>> {
+        let dir = self.store_dir.as_ref()?;
         self.durable_store = None;
         self.durable = None;
-        let dir = self.store_dir.as_ref().expect("caller checked on_disk");
-        let (store, recovered, tail) = NodeStore::open(dir, wal)?;
+        let (store, recovered, tail) = match NodeStore::open(dir, wal) {
+            Ok(parts) => parts,
+            Err(e) => return Some(Err(e)),
+        };
         self.durable_store = Some(store);
         self.durable = recovered.map(|d| {
             let snap = CkptSnapshot {
@@ -212,7 +210,7 @@ impl Checkpoints {
             };
             (d.cert, snap)
         });
-        Ok(tail)
+        Some(Ok(tail))
     }
 
     /// Resume at the durable checkpoint: adopt its certificate and serve

@@ -43,9 +43,7 @@ impl Replica {
     /// trusted, and the next `Restart` recovers from the disk image.
     pub(super) fn io_crash(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
         ctx.stats().inc(stat::WAL_IO_CRASHES, 1);
-        self.ckpt.close_store();
-        self.life.crashed = true;
-        self.sync.halt();
+        self.go_dark();
     }
 
     /// Crash: the node goes dark. Every message is dropped and timers idle
@@ -54,6 +52,10 @@ impl Replica {
     /// ages out of peers' retention.
     pub(super) fn on_crash(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
         ctx.stats().inc("sync.crashes", 1);
+        self.go_dark();
+    }
+
+    fn go_dark(&mut self) {
         self.life.crashed = true;
         self.sync.halt();
         // A dead process holds no file handles; uncommitted WAL appends
@@ -77,6 +79,8 @@ impl Replica {
             // re-executes history, so its exactly-once scope resets.
             ck.record_reset(self.cfg.committee_id, self.me);
         }
+        // Everything else a crash erases, rebuilt as `Replica::new`
+        // builds it.
         self.life.crashed = false;
         self.insts.clear();
         self.executed_reqs = ExecutedCache::new();
@@ -85,13 +89,7 @@ impl Replica {
         self.ckpt.restart();
         self.vc.restart();
         self.sync.halt();
-        if self.ckpt.on_disk() {
-            self.restart_from_disk(ctx);
-        } else {
-            // Resume from the certified checkpoint: O(fetched) recovery
-            // instead of re-transferring the whole state.
-            self.resume_from_durable(ctx.now());
-        }
+        self.restart_from_disk(ctx);
         // Timer chains kept alive through the dark period resume driving
         // batching/view-change/heartbeat once sync completes.
         self.begin_sync(false, false, None, ctx);
@@ -131,21 +129,25 @@ impl Replica {
     /// replay the WAL tail past it — crash-truncated tails were already
     /// cut at the torn record, and the 2PC journal cross-checks replay.
     /// Anything this cannot restore, state sync fetches afterwards.
+    /// Without a node directory the in-memory durable checkpoint stands in
+    /// for the disk: O(fetched) recovery instead of re-transferring the
+    /// whole state.
     fn restart_from_disk(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
-        let tail = match self.ckpt.reopen(&self.cfg.wal) {
-            Ok(tail) => tail,
-            Err(_) => {
+        match self.ckpt.reopen(&self.cfg.wal) {
+            None => self.resume_from_durable(ctx.now()),
+            Some(Ok(tail)) => {
+                self.resume_from_durable(ctx.now());
+                let replayed = self.replay_wal_tail(tail, ctx);
+                ctx.stats().inc(stat::WAL_REPLAYED, replayed);
+            }
+            Some(Err(_)) => {
                 // The directory is unusable (injected crash during the
                 // reopen itself, or real I/O trouble): run diskless from
                 // genesis; state sync restores the ledger.
                 ctx.stats().inc(stat::WAL_REOPEN_FAILURES, 1);
                 self.cold_start_state();
-                return;
             }
-        };
-        self.resume_from_durable(ctx.now());
-        let replayed = self.replay_wal_tail(tail, ctx);
-        ctx.stats().inc(stat::WAL_REPLAYED, replayed);
+        }
     }
 
     /// Re-execute the decoded WAL tail contiguously above the recovered
