@@ -909,19 +909,12 @@ impl Replica {
                 return; // an I/O failure mid-execution killed the node
             }
             let next = self.exec_seq + 1;
-            let ready = self
-                .insts
-                .get(&next)
-                .map(|i| i.cert.is_some() && !i.executed && i.block.is_some())
-                .unwrap_or(false);
-            if !ready {
+            let Some(inst) = self.insts.get_mut(&next).filter(|i| i.cert.is_some() && !i.executed)
+            else {
                 break;
-            }
-            let block = {
-                let inst = self.insts.get_mut(&next).expect("checked above");
-                inst.executed = true;
-                inst.block.clone().expect("checked above")
             };
+            let Some(block) = inst.block.clone() else { break };
+            inst.executed = true;
             self.execute_block(&block, ctx);
             if self.life.crashed() {
                 return;

@@ -31,6 +31,12 @@ enum SyncPhase {
     /// peer in rotation (`inflight` lists the outstanding chunk indices).
     Chunks {
         session: SyncSession<Value>,
+        /// The retained snapshot matching the manifest's `diff_base` — the
+        /// base a diff plan's chunks overlay onto (`None` for a full
+        /// plan). Resolved when the manifest arrives (the requester
+        /// advertises its whole retained window; the server picks any root
+        /// it also holds).
+        anchor: Option<Arc<StateSnapshot>>,
         cert: Box<QuorumCert>,
         sidecar: Arc<StateSidecar>,
         executed: ExecutedWindow,
@@ -41,12 +47,39 @@ enum SyncPhase {
     AwaitTail,
 }
 
+/// The group's other members in round-robin order: who serves an
+/// exchange's next request.
+struct PeerRing {
+    n: usize,
+    me: usize,
+    at: usize,
+}
+
+impl PeerRing {
+    /// The ring over a group of `n` that skips member `me`, at the member
+    /// after it.
+    fn new(n: usize, me: usize) -> Self {
+        let mut ring = PeerRing { n, me, at: me };
+        ring.rotate();
+        ring
+    }
+
+    /// Move on to the next member other than `me`, and return it.
+    fn rotate(&mut self) -> usize {
+        self.at = (self.at + 1) % self.n;
+        if self.at == self.me {
+            self.at = (self.at + 1) % self.n;
+        }
+        self.at
+    }
+}
+
 /// An in-flight state-sync exchange (requester side).
 struct SyncRun {
     phase: SyncPhase,
-    /// Current serving peer (group index); rotated on failure/timeout and
-    /// per in-flight chunk request (fan-out).
-    peer: usize,
+    /// The serving peer; rotated on failure/timeout and per in-flight
+    /// chunk request (fan-out).
+    peer: PeerRing,
     /// Full re-fetch (shard transition / restart) vs gap catch-up.
     full: bool,
     /// Full fetch into a shard whose state this node recently held: its
@@ -54,16 +87,9 @@ struct SyncRun {
     rejoin: bool,
     /// Whether a chunked transfer happened (vs tail-only catch-up).
     chunked: bool,
-    /// Whether a diff (incremental) session ran in this exchange.
-    diffed: bool,
     /// Diff disabled for the rest of this exchange (a diff install missed
     /// the certified root; the retry must be a full transfer).
     no_diff: bool,
-    /// The retained snapshot matching the manifest's `diff_base` — the
-    /// base a diff plan's chunks overlay onto. Resolved when the manifest
-    /// arrives (the requester advertises its whole retained window; the
-    /// server picks any root it also holds).
-    anchor: Option<Arc<StateSnapshot>>,
     /// Highest certificate sequence this exchange has committed to.
     /// Manifests below it are refused: peers that are themselves stale
     /// (freshly restarted, still recovering) keep serving their old
@@ -81,6 +107,34 @@ struct SyncRun {
     /// Actors to notify with `TransitionDone` when the sync completes
     /// (overlapping reshard events can each be waiting on this replica).
     notify: Vec<NodeId>,
+}
+
+impl SyncRun {
+    fn new(full: bool, rejoin: bool, notify: Option<NodeId>, peer: PeerRing, now: SimTime) -> Self {
+        SyncRun {
+            phase: SyncPhase::AwaitManifest,
+            peer,
+            full,
+            rejoin,
+            chunked: false,
+            no_diff: false,
+            floor_seq: 0,
+            nack_strikes: 0,
+            started: now,
+            last_activity: now,
+            notify: notify.into_iter().collect(),
+        }
+    }
+
+    /// Nothing arrived for too long: move on to the next peer and forget
+    /// the outstanding chunk requests, to be asked again.
+    fn retry(&mut self, now: SimTime) {
+        self.peer.rotate();
+        self.last_activity = now;
+        if let SyncPhase::Chunks { inflight, .. } = &mut self.phase {
+            inflight.clear();
+        }
+    }
 }
 
 /// The state-sync seam's state.
@@ -135,23 +189,8 @@ impl Replica {
         notify: Option<NodeId>,
         ctx: &mut Ctx<'_, PbftMsg>,
     ) {
-        let peer = next_sync_peer(self.cfg.n, self.me, self.me);
-        let now = ctx.now();
-        self.sync.run = Some(SyncRun {
-            phase: SyncPhase::AwaitManifest,
-            peer,
-            full,
-            rejoin,
-            chunked: false,
-            diffed: false,
-            no_diff: false,
-            anchor: None,
-            floor_seq: 0,
-            nack_strikes: 0,
-            started: now,
-            last_activity: now,
-            notify: notify.into_iter().collect(),
-        });
+        let peers = PeerRing::new(self.cfg.n, self.me);
+        self.sync.run = Some(SyncRun::new(full, rejoin, notify, peers, ctx.now()));
         ctx.trace(self.exec_seq, Phase::SyncStart);
         self.send_sync_request(ctx);
         ctx.set_timer(self.sync_retry_interval(), TIMER_SYNC);
@@ -169,23 +208,30 @@ impl Replica {
         let Some(run) = self.sync.run.as_ref() else { return };
         let tail = matches!(run.phase, SyncPhase::AwaitTail);
         let eligible = self.cfg.diff_sync && !run.no_diff && (tail || !run.full || run.rejoin);
-        let old_roots = if eligible { self.ckpt.advertised_roots(self.cfg.snapshot_retention) } else { Vec::new() };
-        let (peer, full) = (run.peer, run.full && !tail);
+        let old_roots = if eligible {
+            self.ckpt.advertised_roots(self.cfg.snapshot_retention)
+        } else {
+            Vec::new()
+        };
+        let (peer, full) = (run.peer.at, run.full && !tail);
         ctx.send(
             self.group[peer],
-            PbftMsg::SyncRequest {
-                requester: self.me,
-                have_seq: self.exec_seq,
-                full,
-                old_roots,
-            },
+            PbftMsg::SyncRequest { requester: self.me, have_seq: self.exec_seq, full, old_roots },
         );
+    }
+
+    /// Ask again for whatever the exchange is waiting on: its missing
+    /// chunks, or else a manifest or tail.
+    fn resume_sync(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
+        match self.sync.run.as_ref().map(|run| &run.phase) {
+            Some(SyncPhase::Chunks { .. }) => self.pump_chunk_requests(ctx),
+            _ => self.send_sync_request(ctx),
+        }
     }
 
     fn sync_retry_interval(&self) -> SimDuration {
         self.cfg.vc_timeout
     }
-
 
     #[allow(clippy::too_many_arguments)]
     pub(super) fn on_sync_manifest(
@@ -199,45 +245,36 @@ impl Replica {
         diff_base: Option<Hash>,
         ctx: &mut Ctx<'_, PbftMsg>,
     ) {
-        let Some(run) = self.sync.run.as_mut() else { return };
+        let Some(run) = self.sync.run.as_ref() else { return };
         // A manifest is valid in `AwaitManifest`, and also in `AwaitTail`:
         // if a newer certificate formed while we synced, the server cannot
         // serve our tail any more and re-anchors us on the newer one
         // (progress stays monotone — each round lands on a later cert).
-        if !matches!(run.phase, SyncPhase::AwaitManifest | SyncPhase::AwaitTail) {
-            return;
-        }
+        let first_round = match run.phase {
+            SyncPhase::AwaitManifest => true,
+            SyncPhase::AwaitTail => false,
+            SyncPhase::Chunks { .. } => return,
+        };
+        // A full first-round fetch accepts any certificate (the node might
+        // even be ahead of it on the old shard's timeline); re-anchors and
+        // gap syncs only accept certificates ahead of the execution point.
+        let have_seq = if run.full && first_round { 0 } else { self.exec_seq };
         // Verify the certificate: quorum of distinct signers over the
         // advertised (seq, root) — the trust anchor for every chunk.
         let quorum = self.cfg.quorum();
         self.charge(ctx, NATIVE_VERIFY.saturating_mul(cert.signers.len() as u64));
-        if cert.kind != CertKind::Checkpoint || !cert.verify(quorum, self.cert_registry()) {
-            ctx.stats().inc(stat::SYNC_BAD_CERTS, 1);
-            let run = self.sync.run.as_mut().expect("checked above");
-            run.peer = next_sync_peer(self.cfg.n, self.me, run.peer);
-            return; // retry (rotated peer) via the sync timer
-        }
+        let certified =
+            cert.kind == CertKind::Checkpoint && cert.verify(quorum, self.cert_registry());
+        let Some(run) = self.sync.run.as_mut() else { return };
         // Monotonicity: a stale peer (itself mid-recovery) may answer with
         // a certificate older than the one this exchange already targets.
         // Accepting it would regress the transfer — refuse and rotate.
-        if cert.seq < self.sync.run.as_ref().map_or(0, |r| r.floor_seq) {
-            ctx.stats().inc(stat::SYNC_STALE_MANIFESTS, 1);
-            let run = self.sync.run.as_mut().expect("checked above");
-            run.peer = next_sync_peer(self.cfg.n, self.me, run.peer);
-            return;
+        if !certified || cert.seq < run.floor_seq {
+            let counter = if certified { stat::SYNC_STALE_MANIFESTS } else { stat::SYNC_BAD_CERTS };
+            ctx.stats().inc(counter, 1);
+            run.peer.rotate();
+            return; // retry (rotated peer) via the sync timer
         }
-        // A full first-round fetch accepts any certificate (the node might
-        // even be ahead of it on the old shard's timeline); re-anchors and
-        // gap syncs only accept certificates ahead of the execution point.
-        let first_round = matches!(
-            self.sync.run.as_ref().map(|r| &r.phase),
-            Some(SyncPhase::AwaitManifest)
-        );
-        let have_seq = if self.sync.run.as_ref().is_some_and(|r| r.full) && first_round {
-            0
-        } else {
-            self.exec_seq
-        };
         // An incremental plan is only usable when we still retain a
         // snapshot whose root is exactly the one the server diffed
         // against (we advertised several; the server picked one — and a
@@ -245,10 +282,10 @@ impl Replica {
         // long as that base is still retained: content-addressed roots
         // identify the overlay base unambiguously). Anything else
         // downgrades to a full session.
-        let anchor_snap: Option<Arc<StateSnapshot>> = diff_base
+        let anchor: Option<Arc<StateSnapshot>> = diff_base
             .and_then(|root| self.ckpt.retained_snapshot(&root).cloned())
             .filter(|_| diff.is_some());
-        let usable_diff = diff.filter(|_| anchor_snap.is_some());
+        let usable_diff = diff.filter(|_| anchor.is_some());
         let session = match match &usable_diff {
             Some(chunks) => SyncSession::new_diff(cert.seq, cert.digest, bits, chunks, have_seq),
             None => SyncSession::new_full(cert.seq, cert.digest, bits, have_seq),
@@ -268,21 +305,17 @@ impl Replica {
                 return;
             }
         };
-        let run = self.sync.run.as_mut().expect("checked above");
         run.chunked = true;
         run.last_activity = ctx.now();
         run.floor_seq = session.seq();
         run.nack_strikes = 0;
         if session.is_diff() {
-            run.diffed = true;
-            run.anchor = anchor_snap;
             ctx.stats().inc(stat::SYNC_DIFFS, 1);
-        } else {
-            run.anchor = None;
         }
+        let anchor = anchor.filter(|_| session.is_diff());
         let done = session.is_complete();
         let (cert, inflight) = (Box::new(cert), Vec::new());
-        run.phase = SyncPhase::Chunks { session, cert, sidecar, executed, view, inflight };
+        run.phase = SyncPhase::Chunks { session, anchor, cert, sidecar, executed, view, inflight };
         if done {
             // Empty diff: the retained snapshot already matches the
             // certified root — skip straight to the install + tail.
@@ -298,12 +331,9 @@ impl Replica {
     /// their own slot.
     fn pump_chunk_requests(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
         let fanout = self.cfg.sync_fanout.clamp(1, self.cfg.n.saturating_sub(1).max(1));
-        let me = self.me;
-        let n = self.cfg.n;
         let Some(run) = self.sync.run.as_mut() else { return };
         let SyncPhase::Chunks { session, inflight, .. } = &mut run.phase else { return };
         let seq = session.seq();
-        let mut sends: Vec<(usize, u32)> = Vec::new();
         for chunk in session.missing_chunks() {
             if inflight.len() >= fanout {
                 break;
@@ -311,12 +341,9 @@ impl Replica {
             if inflight.contains(&chunk) {
                 continue;
             }
-            run.peer = next_sync_peer(n, me, run.peer);
+            let peer = run.peer.rotate();
             inflight.push(chunk);
-            sends.push((run.peer, chunk));
-        }
-        for (peer, chunk) in sends {
-            ctx.send(self.group[peer], PbftMsg::ChunkRequest { requester: me, seq, chunk });
+            ctx.send(self.group[peer], PbftMsg::ChunkRequest { requester: self.me, seq, chunk });
         }
     }
 
@@ -330,7 +357,6 @@ impl Replica {
     ) {
         let now = ctx.now();
         let bytes: usize = entries.iter().map(|(k, v)| chunk_entry_bytes(k, v)).sum();
-        let (n, me) = (self.cfg.n, self.me);
         let Some(run) = self.sync.run.as_mut() else { return };
         let SyncPhase::Chunks { session, inflight, .. } = &mut run.phase else { return };
         if session.seq() != seq || session.is_fetched(chunk) {
@@ -342,57 +368,33 @@ impl Replica {
         // Verification cost: hash every leaf + fold the proof.
         let verify_cost = COSTS.cost(TeeOp::Sha256).saturating_mul(1 + entries.len() as u64)
             + SimDuration::from_nanos((bytes / 8) as u64);
-        enum Outcome {
-            Done,
-            More,
-            Retry(usize),
-            Ignore,
-        }
-        let outcome = match session.accept_chunk(chunk, (*entries).clone(), &proof) {
+        match session.accept_chunk(chunk, (*entries).clone(), &proof) {
             Ok(done) => {
                 inflight.retain(|c| *c != chunk);
                 // Progress: the Nack strike ladder only counts *consecutive*
                 // failures — one stale peer in the rotation must not
                 // accumulate strikes across an otherwise healthy transfer.
                 run.nack_strikes = 0;
+                self.charge(ctx, verify_cost);
+                let scope = Scope::committee(self.cfg.committee_id);
+                ctx.stats().inc_scoped(stat::SYNC_BYTES, scope, bytes as u64);
                 if done {
-                    Outcome::Done
+                    self.install_synced_state(ctx);
                 } else {
-                    Outcome::More
+                    self.pump_chunk_requests(ctx);
                 }
             }
             Err(SyncError::BadProof { .. }) => {
                 // Re-request the same chunk from a different peer: the
                 // session did not advance (resumable transfer). The chunk
                 // stays in `inflight` so the pump keeps its fan-out slot.
-                run.peer = next_sync_peer(n, me, run.peer);
-                Outcome::Retry(run.peer)
-            }
-            // Duplicate or out-of-plan delivery: ignore.
-            Err(_) => Outcome::Ignore,
-        };
-        match outcome {
-            Outcome::Done => {
-                self.charge(ctx, verify_cost);
-                let scope = Scope::committee(self.cfg.committee_id);
-                ctx.stats().inc_scoped(stat::SYNC_BYTES, scope, bytes as u64);
-                self.install_synced_state(ctx);
-            }
-            Outcome::More => {
-                self.charge(ctx, verify_cost);
-                let scope = Scope::committee(self.cfg.committee_id);
-                ctx.stats().inc_scoped(stat::SYNC_BYTES, scope, bytes as u64);
-                self.pump_chunk_requests(ctx);
-            }
-            Outcome::Retry(peer) => {
+                let peer = run.peer.rotate();
                 self.charge(ctx, verify_cost);
                 ctx.stats().inc(stat::SYNC_PROOF_FAILURES, 1);
-                ctx.send(
-                    self.group[peer],
-                    PbftMsg::ChunkRequest { requester: self.me, seq, chunk },
-                );
+                ctx.send(self.group[peer], PbftMsg::ChunkRequest { requester: self.me, seq, chunk });
             }
-            Outcome::Ignore => {}
+            // Duplicate or out-of-plan delivery: ignore.
+            Err(_) => {}
         }
     }
 
@@ -403,14 +405,13 @@ impl Replica {
     /// exactly on the certified root — a mismatch (server lied about the
     /// changed-chunk set) falls back to a full transfer.
     fn install_synced_state(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
-        let mut run = self.sync.run.take().expect("install follows a live session");
-        let SyncPhase::Chunks { session, cert, sidecar, executed, view, .. } =
+        let Some(mut run) = self.sync.run.take() else { return };
+        let SyncPhase::Chunks { session, anchor, cert, sidecar, executed, view, .. } =
             std::mem::replace(&mut run.phase, SyncPhase::AwaitTail)
         else {
             unreachable!("install follows the chunk phase")
         };
         let cert = *cert;
-        let is_diff = session.is_diff();
         let bits = session.bits();
         let chunks = session.into_verified();
         let fetched: u64 = chunks.iter().map(|(_, e)| e.len() as u64).sum();
@@ -418,27 +419,27 @@ impl Replica {
         // construction — a diff install reuses the anchor's shared tree and
         // only pays for the overlaid chunks.
         self.charge(ctx, COSTS.cost(TeeOp::Sha256).saturating_mul(1 + fetched));
-        let mut state = if is_diff {
-            let anchor = run.anchor.as_ref().expect("diff session kept its anchor");
-            let mut base = StateStore::from_snapshot(anchor);
-            base.apply_diff(bits, &chunks);
-            if base.state_digest() != cert.digest {
-                // The changed-chunk report did not cover every difference:
-                // the merged state misses the certified root. Nothing
-                // unverified was installed — restart the exchange as a
-                // full transfer.
-                ctx.stats().inc(stat::SYNC_DIFF_FALLBACKS, 1);
-                run.phase = SyncPhase::AwaitManifest;
-                run.no_diff = true;
-                run.peer = next_sync_peer(self.cfg.n, self.me, run.peer);
-                run.last_activity = ctx.now();
-                self.sync.run = Some(run);
-                self.send_sync_request(ctx);
-                return;
+        let mut state = match anchor {
+            Some(anchor) => {
+                let mut base = StateStore::from_snapshot(&anchor);
+                base.apply_diff(bits, &chunks);
+                if base.state_digest() != cert.digest {
+                    // The changed-chunk report did not cover every
+                    // difference: the merged state misses the certified
+                    // root. Nothing unverified was installed — restart the
+                    // exchange as a full transfer.
+                    ctx.stats().inc(stat::SYNC_DIFF_FALLBACKS, 1);
+                    run.phase = SyncPhase::AwaitManifest;
+                    run.no_diff = true;
+                    run.peer.rotate();
+                    run.last_activity = ctx.now();
+                    self.sync.run = Some(run);
+                    self.send_sync_request(ctx);
+                    return;
+                }
+                base
             }
-            base
-        } else {
-            StateStore::from_entries(chunks.into_iter().flat_map(|(_, e)| e).collect())
+            None => StateStore::from_entries(chunks.into_iter().flat_map(|(_, e)| e).collect()),
         };
         state.install_sidecar(&sidecar);
         debug_assert_eq!(state.state_digest(), cert.digest, "chunks verified against root");
@@ -520,7 +521,7 @@ impl Replica {
                 if !proven {
                     ctx.stats().inc(stat::SYNC_BAD_CERTS, 1);
                     if let Some(run) = self.sync.run.as_mut() {
-                        run.peer = next_sync_peer(self.cfg.n, self.me, run.peer);
+                        run.peer.rotate();
                     }
                     self.send_sync_request(ctx);
                     return;
@@ -546,70 +547,42 @@ impl Replica {
     }
 
     pub(super) fn on_sync_nack(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
-        enum Act {
-            Finish,
-            Idle,
-            Pump,
-            Reanchor,
-        }
-        let (n, me, now) = (self.cfg.n, self.me, ctx.now());
-        let act = {
-            let Some(run) = self.sync.run.as_mut() else { return };
-            match &mut run.phase {
-                // Nothing above the certificate (or we were already
-                // current).
-                SyncPhase::AwaitTail => Act::Finish,
-                // Server cannot serve a manifest: rotate and retry via
-                // the sync timer — unless a gap catch-up no longer has a
-                // gap (normal traffic caught us up while we waited).
-                SyncPhase::AwaitManifest => {
-                    run.peer = next_sync_peer(n, me, run.peer);
-                    if !run.full {
-                        Act::Finish // conditional: only if the gap closed
-                    } else {
-                        Act::Idle
-                    }
-                }
-                // A peer cannot serve chunks at our certificate. Either
-                // that one peer is stale (freshly restarted, serving only
-                // its own old snapshot) — strike it, rotate, and re-issue
-                // the outstanding requests elsewhere — or the *committee*
-                // has rotated the snapshot away (cert advanced), which a
-                // full rotation's worth of consecutive Nacks evidences:
-                // only then re-anchor on a fresh manifest (discarding the
-                // session's verified chunks). Without the strike ladder,
-                // one stale peer in the fan-out rotation could reset the
-                // transfer forever.
-                SyncPhase::Chunks { inflight, .. } => {
-                    run.nack_strikes = run.nack_strikes.saturating_add(1);
-                    run.peer = next_sync_peer(n, me, run.peer);
-                    run.last_activity = now;
-                    if (run.nack_strikes as usize) < n.saturating_sub(1).max(2) {
-                        inflight.clear();
-                        Act::Pump
-                    } else {
-                        run.nack_strikes = 0;
-                        run.phase = SyncPhase::AwaitManifest;
-                        Act::Reanchor
-                    }
-                }
-            }
-        };
-        match act {
-            Act::Finish => {
-                let tail_phase = matches!(
-                    self.sync.run.as_ref().map(|r| &r.phase),
-                    Some(SyncPhase::AwaitTail)
-                );
-                if tail_phase || !self.has_execution_gap() {
+        let (n, now) = (self.cfg.n, ctx.now());
+        let Some(run) = self.sync.run.as_mut() else { return };
+        match &mut run.phase {
+            // Nothing above the certificate (or we were already current).
+            SyncPhase::AwaitTail => self.finish_sync(ctx),
+            // Server cannot serve a manifest: rotate and retry via the sync
+            // timer — unless a gap catch-up no longer has a gap (normal
+            // traffic caught us up while we waited).
+            SyncPhase::AwaitManifest => {
+                run.peer.rotate();
+                if !run.full && !self.has_execution_gap() {
                     self.finish_sync(ctx);
                 }
             }
-            Act::Idle => {}
-            Act::Pump => self.pump_chunk_requests(ctx),
-            Act::Reanchor => {
-                ctx.stats().inc(stat::SYNC_REANCHORS, 1);
-                self.send_sync_request(ctx);
+            // A peer cannot serve chunks at our certificate. Either that
+            // one peer is stale (freshly restarted, serving only its own
+            // old snapshot) — strike it, rotate, and re-issue the
+            // outstanding requests elsewhere — or the *committee* has
+            // rotated the snapshot away (cert advanced), which a full
+            // rotation's worth of consecutive Nacks evidences: only then
+            // re-anchor on a fresh manifest (discarding the session's
+            // verified chunks). Without the strike ladder, one stale peer
+            // in the fan-out rotation could reset the transfer forever.
+            SyncPhase::Chunks { inflight, .. } => {
+                run.nack_strikes = run.nack_strikes.saturating_add(1);
+                run.peer.rotate();
+                run.last_activity = now;
+                if (run.nack_strikes as usize) < n.saturating_sub(1).max(2) {
+                    inflight.clear();
+                    self.pump_chunk_requests(ctx);
+                } else {
+                    run.nack_strikes = 0;
+                    run.phase = SyncPhase::AwaitManifest;
+                    ctx.stats().inc(stat::SYNC_REANCHORS, 1);
+                    self.send_sync_request(ctx);
+                }
             }
         }
     }
@@ -645,34 +618,12 @@ impl Replica {
     }
 
     pub(super) fn on_sync_timer(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
-        enum Act {
-            Idle,
-            Request,
-            Pump,
-        }
         let retry_after = self.sync_retry_interval().saturating_mul(2);
-        let (n, me) = (self.cfg.n, self.me);
-        let act = match self.sync.run.as_mut() {
-            None => return,
-            Some(run) if ctx.now().since(run.last_activity) >= retry_after => {
-                run.peer = next_sync_peer(n, me, run.peer);
-                run.last_activity = ctx.now();
-                match &mut run.phase {
-                    SyncPhase::AwaitManifest | SyncPhase::AwaitTail => Act::Request,
-                    // Outstanding chunk requests went unanswered: forget
-                    // the in-flight set and re-issue across rotated peers.
-                    SyncPhase::Chunks { inflight, .. } => {
-                        inflight.clear();
-                        Act::Pump
-                    }
-                }
-            }
-            Some(_) => Act::Idle,
-        };
-        match act {
-            Act::Idle => {}
-            Act::Request => self.send_sync_request(ctx),
-            Act::Pump => self.pump_chunk_requests(ctx),
+        let now = ctx.now();
+        let Some(run) = self.sync.run.as_mut() else { return };
+        if now.since(run.last_activity) >= retry_after {
+            run.retry(now);
+            self.resume_sync(ctx);
         }
         ctx.set_timer(self.sync_retry_interval(), TIMER_SYNC);
     }
@@ -732,22 +683,15 @@ impl Replica {
                 // covers the serving window (`snapshot_retention` certs)
                 // plus the durable checkpoint; no shared root falls back
                 // to a full plan.
-                let (diff, diff_base): (Option<Arc<Vec<u32>>>, Option<Hash>) = if self
-                    .cfg
-                    .diff_sync
-                {
-                    match old_roots.iter().find(|r| self.ckpt.retained_snapshot(r).is_some()) {
-                        Some(oroot) => {
-                            let old = self.ckpt.retained_snapshot(oroot).expect("found above");
-                            (
-                                Some(Arc::new(old.smt().diff_chunks(snap.snap.smt(), bits))),
-                                Some(*oroot),
-                            )
-                        }
-                        None => (None, None),
+                let shared = old_roots
+                    .iter()
+                    .filter(|_| self.cfg.diff_sync)
+                    .find_map(|r| Some((*r, self.ckpt.retained_snapshot(r)?)));
+                let (diff, diff_base): (Option<Arc<Vec<u32>>>, Option<Hash>) = match shared {
+                    Some((root, old)) => {
+                        (Some(Arc::new(old.smt().diff_chunks(snap.snap.smt(), bits))), Some(root))
                     }
-                } else {
-                    (None, None)
+                    None => (None, None),
                 };
                 let sidecar = Arc::new(snap.snap.sidecar().clone());
                 // Diff computation walks both trees' chunk roots (hash
@@ -852,14 +796,4 @@ impl Replica {
         self.sync.paused = true;
         self.begin_sync(true, rejoin, controller, ctx);
     }
-}
-
-/// The next sync-serving peer in a round-robin over the group, skipping
-/// the requester itself.
-fn next_sync_peer(n: usize, me: usize, cur: usize) -> usize {
-    let mut peer = (cur + 1) % n;
-    if peer == me {
-        peer = (peer + 1) % n;
-    }
-    peer
 }
