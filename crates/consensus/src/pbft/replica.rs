@@ -245,10 +245,6 @@ impl Replica {
         self.leader_of(self.view) == self.me
     }
 
-    fn quorum(&self) -> usize {
-        self.cfg.quorum()
-    }
-
     /// Charge `d` of consensus CPU (scaled by `cpu_scale`).
     fn charge(&self, ctx: &mut Ctx<'_, PbftMsg>, d: SimDuration) {
         self.charge_to(ctx, d, stat::CONSENSUS_CPU_NS);
@@ -345,7 +341,7 @@ impl Replica {
     fn verify_qc(&self, cert: &QuorumCert) -> bool {
         let leads = |(i, _): &(usize, MsgCert)| *i == self.leader_of(cert.view);
         let led = !matches!(cert.kind, CertKind::Aggregate(_)) || cert.signers.iter().all(leads);
-        led && cert.verify(self.quorum(), self.cert_registry())
+        led && cert.verify(self.cfg.quorum(), self.cert_registry())
     }
 
     // ---------- request handling ----------
@@ -367,12 +363,16 @@ impl Replica {
     /// Pool a gossiped copy of a request (HL re-broadcast; some other
     /// replica is the ingest point, so rejections here are only counted,
     /// not signalled — the ingest replica's copy carries the client reply).
-    fn pool_request(&mut self, req: Request, ctx: &mut Ctx<'_, PbftMsg>) {
-        if self.executed_reqs.contains(req.id) || self.expired(&req, ctx) {
-            return;
+    fn on_gossip(&mut self, req: Request, ctx: &mut Ctx<'_, PbftMsg>) {
+        // Re-broadcast copy: deduplication + cached-certificate check (the
+        // ingest replica already verified the client signature; Hyperledger
+        // validates again lazily at execution, charged in exec cost).
+        self.charge(ctx, SimDuration::from_micros(20));
+        if !self.executed_reqs.contains(req.id) && !self.expired(&req, ctx) {
+            let now = ctx.now();
+            let _ = self.pool.insert(req, now, ctx.stats());
         }
-        let now = ctx.now();
-        let _ = self.pool.insert(req, now, ctx.stats());
+        self.try_propose(ctx);
     }
 
     fn on_request(&mut self, req: Request, ctx: &mut Ctx<'_, PbftMsg>) {
@@ -465,15 +465,6 @@ impl Replica {
         self.charge(ctx, SimDuration::from_micros(5));
         self.pool.remove(req_id);
         self.ingested.remove(&req_id);
-    }
-
-    fn on_gossip(&mut self, req: Request, ctx: &mut Ctx<'_, PbftMsg>) {
-        // Re-broadcast copy: deduplication + cached-certificate check (the
-        // ingest replica already verified the client signature; Hyperledger
-        // validates again lazily at execution, charged in exec cost).
-        self.charge(ctx, SimDuration::from_micros(20));
-        self.pool_request(req, ctx);
-        self.try_propose(ctx);
     }
 
     // ---------- proposing ----------
@@ -741,27 +732,41 @@ impl Replica {
         if self.cfg.variant.leader_aggregation() {
             return; // prepared is signalled by AggPrepare in AHLR
         }
-        let quorum = self.quorum();
-        // Loop: a failed batch settle evicts forged votes, shrinking the
-        // prepare set, so quorum must be re-checked over the survivors.
-        // Terminates because each settle failure strictly shrinks the
-        // pending pool.
+        if self.settled_quorum(VotePhase::Prepare, seq, &digest, ctx) {
+            self.send_commit(seq, digest, ctx);
+        }
+    }
+
+    /// Whether the block held at `seq` has digest `digest` and a `phase`
+    /// quorum this replica has not acted on yet (its commit vote unsent,
+    /// or its certificate unformed), once deferred signatures settle.
+    /// Loop: a failed batch settle evicts forged votes, shrinking the vote
+    /// set, so quorum must be re-checked over the survivors. Terminates
+    /// because each settle failure strictly shrinks the pending pool.
+    fn settled_quorum(
+        &mut self,
+        phase: VotePhase,
+        seq: u64,
+        digest: &Hash,
+        ctx: &mut Ctx<'_, PbftMsg>,
+    ) -> bool {
+        let quorum = self.cfg.quorum();
         loop {
-            let ready = {
-                let Some(inst) = self.insts.get(&seq) else { return };
-                let Some(block) = &inst.block else { return };
-                block.digest == digest
-                    && !inst.sent[VotePhase::Commit as usize]
-                    && inst.votes_for(VotePhase::Prepare, &digest) >= quorum
+            let Some(inst) = self.insts.get(&seq) else { return false };
+            let unacted = match phase {
+                VotePhase::Prepare => !inst.sent[VotePhase::Commit as usize],
+                VotePhase::Commit => inst.cert.is_none(),
             };
+            let ready = inst.block.as_ref().is_some_and(|b| b.digest == *digest)
+                && unacted
+                && inst.votes_for(phase, digest) >= quorum;
             if !ready {
-                return;
+                return false;
             }
-            if self.settle_deferred(seq, &digest, ctx) {
-                break;
+            if self.settle_deferred(seq, digest, ctx) {
+                return true;
             }
         }
-        self.send_commit(seq, digest, ctx);
     }
 
     fn send_commit(&mut self, seq: u64, digest: Hash, ctx: &mut Ctx<'_, PbftMsg>) {
@@ -790,23 +795,8 @@ impl Replica {
     }
 
     fn check_committed(&mut self, seq: u64, digest: Hash, ctx: &mut Ctx<'_, PbftMsg>) {
-        let quorum = self.quorum();
-        // Same settle-at-quorum loop as check_prepared: see the comment
-        // there for the termination argument.
-        loop {
-            let ready = {
-                let Some(inst) = self.insts.get(&seq) else { return };
-                let Some(block) = &inst.block else { return };
-                block.digest == digest
-                    && inst.cert.is_none()
-                    && inst.votes_for(VotePhase::Commit, &digest) >= quorum
-            };
-            if !ready {
-                return;
-            }
-            if self.settle_deferred(seq, &digest, ctx) {
-                break;
-            }
+        if !self.settled_quorum(VotePhase::Commit, seq, &digest, ctx) {
+            return;
         }
         let Some(inst) = self.insts.get_mut(&seq) else { return };
         let signers = inst.votes[VotePhase::Commit as usize].remove(&digest).unwrap_or_default();
@@ -841,7 +831,7 @@ impl Replica {
         if !self.verify_cert(ctx, &vote.cert, log, vote.replica, slot, &vote.digest) {
             return;
         }
-        let quorum = self.quorum();
+        let quorum = self.cfg.quorum();
         let inst = self.insts.entry(vote.seq).or_default();
         let relayed = inst.relay_votes[phase as usize].entry(vote.digest).or_default();
         relayed.insert(vote.replica);
@@ -985,21 +975,6 @@ impl Replica {
 
     // ---------- timers ----------
 
-    fn on_batch_timer(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
-        self.flush_partial_batch(ctx);
-        ctx.set_timer(self.batcher.timeout(), TIMER_BATCH);
-    }
-
-    fn on_heartbeat_timer(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
-        if self.is_leader() && self.byz.is_none() && !self.sync.paused() {
-            ctx.multicast(
-                self.others(),
-                PbftMsg::Heartbeat { view: self.view, exec_seq: self.exec_seq },
-            );
-        }
-        ctx.set_timer(self.cfg.vc_timeout.mul_f64(0.2), TIMER_HEARTBEAT);
-    }
-
     /// A heartbeat advertising an execution point far beyond ours means we
     /// missed blocks *and* the evidence (the committed instances never
     /// arrived — e.g. they committed while this node was syncing and
@@ -1020,11 +995,6 @@ impl Replica {
             ctx.stats().inc("consensus.heartbeat_syncs", 1);
             self.begin_sync(false, false, None, ctx);
         }
-    }
-
-    fn on_vc_timer(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
-        self.maybe_start_view_change(ctx);
-        ctx.set_timer(self.current_vc_timeout(), TIMER_VC);
     }
 
     /// Group index of a sender actor id (linear scan; groups are small).
@@ -1199,27 +1169,30 @@ impl Actor for Replica {
             TIMER_HEARTBEAT => "pbft.timer_heartbeat",
             _ => "pbft.timer_sync",
         });
-        if self.life.crashed() {
-            // Keep the periodic timer chains alive (each firing re-arms
-            // itself) without running any handler logic while dark.
-            let interval = match kind {
-                TIMER_BATCH => self.batcher.timeout(),
-                TIMER_VC => self.current_vc_timeout(),
-                TIMER_HEARTBEAT => self.cfg.vc_timeout.mul_f64(0.2),
-                // Crash cleared the sync run; Restart's begin_sync starts
-                // a fresh retry chain — re-arming here would duplicate it.
-                _ => return,
-            };
-            ctx.set_timer(interval, kind);
-            return;
-        }
+        // While dark, the periodic chains stay alive (each firing re-arms
+        // itself) without running any handler logic.
+        let dark = self.life.crashed();
         match kind {
-            TIMER_BATCH => self.on_batch_timer(ctx),
-            TIMER_VC => self.on_vc_timer(ctx),
-            TIMER_HEARTBEAT => self.on_heartbeat_timer(ctx),
-            TIMER_SYNC => self.on_sync_timer(ctx),
-            _ => {}
+            TIMER_BATCH if !dark => self.flush_partial_batch(ctx),
+            TIMER_VC if !dark => self.maybe_start_view_change(ctx),
+            TIMER_HEARTBEAT if !dark => {
+                if self.is_leader() && self.byz.is_none() && !self.sync.paused() {
+                    let beat = PbftMsg::Heartbeat { view: self.view, exec_seq: self.exec_seq };
+                    ctx.multicast(self.others(), beat);
+                }
+            }
+            TIMER_BATCH | TIMER_VC | TIMER_HEARTBEAT => {}
+            TIMER_SYNC if !dark => return self.on_sync_timer(ctx),
+            // A crash cleared the sync run; Restart's begin_sync starts a
+            // fresh retry chain — re-arming here would duplicate it.
+            _ => return,
         }
+        let interval = match kind {
+            TIMER_BATCH => self.batcher.timeout(),
+            TIMER_VC => self.current_vc_timeout(),
+            _ => self.cfg.vc_timeout.mul_f64(0.2),
+        };
+        ctx.set_timer(interval, kind);
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {

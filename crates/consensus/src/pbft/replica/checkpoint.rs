@@ -275,7 +275,7 @@ impl Replica {
         if vote.seq <= self.low_mark {
             return;
         }
-        let quorum = self.quorum();
+        let quorum = self.cfg.quorum();
         let Some(cert) = self.ckpt.votes.record(vote, quorum) else { return };
         if cert.seq > self.exec_seq && cert.seq <= self.exec_seq + PIPELINE_WIDTH {
             self.ckpt.pending_cert = Some(cert);

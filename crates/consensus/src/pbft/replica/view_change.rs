@@ -167,7 +167,7 @@ impl Replica {
             .filter(|(s, d)| {
                 self.insts
                     .get(s)
-                    .is_some_and(|i| i.votes_for(VotePhase::Prepare, d) >= self.quorum())
+                    .is_some_and(|i| i.votes_for(VotePhase::Prepare, d) >= self.cfg.quorum())
             })
             .collect();
         self.charge(ctx, NATIVE_SIGN);
@@ -193,7 +193,7 @@ impl Replica {
         votes_map.insert(vc.replica, (now, vc));
         votes_map.retain(|_, (at, _)| now.since(*at) <= horizon);
         let votes = votes_map.len();
-        let quorum = self.quorum();
+        let quorum = self.cfg.quorum();
         let f = self.cfg.f();
 
         // Liveness rule: join a view change supported by f+1 others.
