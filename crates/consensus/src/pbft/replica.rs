@@ -38,7 +38,7 @@ use crate::pbft::config::{
     PbftConfig, ReplyPolicy, COSTS, EXEC_COST_PER_OP, INGEST_COST, PIPELINE_WIDTH,
 };
 use crate::pbft::cert::{
-    enclave_key, logs, CertKind, QuorumCert, COMMIT_LOG, PREPARE_LOG, PREPREPARE_LOG,
+    enclave_key, logs, CertKind, QuorumCert, PREPREPARE_LOG,
 };
 use crate::pbft::durable::twopc_kind;
 use crate::pbft::msg::{MsgCert, PbftBlock, PbftMsg, Vote};
@@ -597,7 +597,7 @@ impl Replica {
             inst.cast(VotePhase::Prepare, digest, leader, proof);
         }
         if me != leader && !self.insts[&seq].sent[VotePhase::Prepare as usize] {
-            self.send_prepare(view, seq, digest, ctx);
+            self.send_vote(VotePhase::Prepare, view, seq, digest, ctx);
         } else {
             // Leader: its "prepare" is implicit; in AHLR it seeds the relay
             // aggregation set.
@@ -609,24 +609,40 @@ impl Replica {
         }
     }
 
-    fn send_prepare(&mut self, view: u64, seq: u64, digest: Hash, ctx: &mut Ctx<'_, PbftMsg>) {
-        let Some(cert) = self.certify(ctx, PREPARE_LOG, view, seq, digest) else {
+    /// Cast this replica's own `phase` vote for `digest` at `(view, seq)`:
+    /// certify and record it, then send it — to the leader to aggregate
+    /// (AHLR), as the attack has it, or to every peer.
+    fn send_vote(
+        &mut self,
+        phase: VotePhase,
+        view: u64,
+        seq: u64,
+        digest: Hash,
+        ctx: &mut Ctx<'_, PbftMsg>,
+    ) {
+        let Some(cert) = self.certify(ctx, logs(phase).0, view, seq, digest) else {
             return;
         };
         if let Some(inst) = self.insts.get_mut(&seq) {
-            inst.sent[VotePhase::Prepare as usize] = true;
-            inst.cast(VotePhase::Prepare, digest, self.me, cert.clone());
+            inst.sent[phase as usize] = true;
+            inst.cast(phase, digest, self.me, cert.clone());
         }
         let vote = Vote { view, seq, digest, replica: self.me, cert };
-        if self.cfg.variant.leader_aggregation() {
-            let leader = self.group[self.leader_of(view)];
-            ctx.send(leader, PbftMsg::RelayPrepare(vote));
+        let leader = self.leader_of(view);
+        if self.cfg.variant.leader_aggregation() && leader == self.me {
+            self.on_relay_vote(phase, vote, ctx);
+        } else if self.cfg.variant.leader_aggregation() {
+            let relay = match phase {
+                VotePhase::Prepare => PbftMsg::RelayPrepare(vote),
+                VotePhase::Commit => PbftMsg::RelayCommit(vote),
+            };
+            ctx.send(self.group[leader], relay);
         } else if let Some(attack) = self.attack() {
-            self.byzantine_vote(attack, vote, VotePhase::Prepare, ctx);
+            self.byzantine_vote(attack, vote, phase, ctx);
         } else {
-            ctx.multicast(self.others(), PbftMsg::Prepare(vote));
+            ctx.multicast(self.others(), vote_msg(phase, vote));
         }
-        self.check_prepared(seq, digest, ctx);
+        self.check_quorum(phase, seq, digest, ctx);
     }
 
     /// PBFT watermark window `(h, h + L]` anchored at the *stable
@@ -722,9 +738,14 @@ impl Replica {
         }
         let inst = self.insts.entry(vote.seq).or_default();
         inst.cast(phase, vote.digest, vote.replica, vote.cert);
+        self.check_quorum(phase, vote.seq, vote.digest, ctx);
+    }
+
+    /// A `phase` vote for `digest` at `seq` was recorded: act on a quorum.
+    fn check_quorum(&mut self, phase: VotePhase, seq: u64, digest: Hash, ctx: &mut Ctx<'_, PbftMsg>) {
         match phase {
-            VotePhase::Prepare => self.check_prepared(vote.seq, vote.digest, ctx),
-            VotePhase::Commit => self.check_committed(vote.seq, vote.digest, ctx),
+            VotePhase::Prepare => self.check_prepared(seq, digest, ctx),
+            VotePhase::Commit => self.check_committed(seq, digest, ctx),
         }
     }
 
@@ -733,7 +754,7 @@ impl Replica {
             return; // prepared is signalled by AggPrepare in AHLR
         }
         if self.settled_quorum(VotePhase::Prepare, seq, &digest, ctx) {
-            self.send_commit(seq, digest, ctx);
+            self.send_vote(VotePhase::Commit, self.view, seq, digest, ctx);
         }
     }
 
@@ -767,31 +788,6 @@ impl Replica {
                 return true;
             }
         }
-    }
-
-    fn send_commit(&mut self, seq: u64, digest: Hash, ctx: &mut Ctx<'_, PbftMsg>) {
-        let view = self.view;
-        let Some(cert) = self.certify(ctx, COMMIT_LOG, view, seq, digest) else {
-            return;
-        };
-        if let Some(inst) = self.insts.get_mut(&seq) {
-            inst.sent[VotePhase::Commit as usize] = true;
-            inst.cast(VotePhase::Commit, digest, self.me, cert.clone());
-        }
-        let vote = Vote { view, seq, digest, replica: self.me, cert };
-        if self.cfg.variant.leader_aggregation() {
-            let leader = self.group[self.leader_of(view)];
-            if self.leader_of(view) == self.me {
-                self.on_relay_vote(VotePhase::Commit, vote, ctx);
-            } else {
-                ctx.send(leader, PbftMsg::RelayCommit(vote));
-            }
-        } else if let Some(attack) = self.attack() {
-            self.byzantine_vote(attack, vote, VotePhase::Commit, ctx);
-        } else {
-            ctx.multicast(self.others(), PbftMsg::Commit(vote));
-        }
-        self.check_committed(seq, digest, ctx);
     }
 
     fn check_committed(&mut self, seq: u64, digest: Hash, ctx: &mut Ctx<'_, PbftMsg>) {
@@ -885,7 +881,9 @@ impl Replica {
             return;
         }
         match phase {
-            VotePhase::Prepare if !sent_commit => self.send_commit(cert.seq, cert.digest, ctx),
+            VotePhase::Prepare if !sent_commit => {
+                self.send_vote(VotePhase::Commit, self.view, cert.seq, cert.digest, ctx)
+            }
             VotePhase::Commit if !committed => self.commit(cert, ctx),
             _ => {}
         }
@@ -1000,6 +998,14 @@ impl Replica {
     /// Group index of a sender actor id (linear scan; groups are small).
     fn group_index(&self, actor: NodeId) -> Option<usize> {
         self.group.iter().position(|&g| g == actor)
+    }
+}
+
+/// The wire form of `vote` cast in `phase`.
+fn vote_msg(phase: VotePhase, vote: Vote) -> PbftMsg {
+    match phase {
+        VotePhase::Prepare => PbftMsg::Prepare(vote),
+        VotePhase::Commit => PbftMsg::Commit(vote),
     }
 }
 

@@ -12,7 +12,7 @@ use ahl_crypto::Hash;
 use ahl_ledger::{Key, Value};
 use ahl_simkit::{Ctx, NodeId};
 
-use super::Replica;
+use super::{vote_msg, Replica};
 use crate::adversary::{equivocation_half, Attack, EquivocationTracker};
 use crate::common::{CryptoMode, Request, VotePhase, NATIVE_SIGN};
 use crate::pbft::cert::QuorumCert;
@@ -223,14 +223,6 @@ impl Replica {
         let mut far = vote.clone();
         far.seq = vote.seq.wrapping_add(1_000_000);
         ctx.multicast(others, vote_msg(phase, far));
-    }
-}
-
-/// The wire form of `vote` cast in `phase`.
-fn vote_msg(phase: VotePhase, vote: Vote) -> PbftMsg {
-    match phase {
-        VotePhase::Prepare => PbftMsg::Prepare(vote),
-        VotePhase::Commit => PbftMsg::Commit(vote),
     }
 }
 
