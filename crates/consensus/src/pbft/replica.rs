@@ -903,19 +903,30 @@ impl Replica {
             };
             let Some(block) = inst.block.clone() else { break };
             inst.executed = true;
-            self.execute_block(&block, ctx);
-            if self.life.crashed() {
+            if !self.execute_next(&block, ctx) {
                 return;
-            }
-            self.exec_seq = next;
-
-            if self.exec_seq.is_multiple_of(self.cfg.checkpoint_interval) {
-                self.send_checkpoint(ctx);
             }
             self.release_pending_cert(self.exec_seq, ctx);
         }
         // Leader may have room to propose more now.
         self.try_propose(ctx);
+    }
+
+    /// Execute `block`, the next in sequence, and at a checkpoint height
+    /// snapshot and vote — a sync tail crosses those heights like normal
+    /// execution does, or this replica would neither contribute to those
+    /// certificates nor be able to serve chunks at them. False if an I/O
+    /// failure crashed the node.
+    fn execute_next(&mut self, block: &PbftBlock, ctx: &mut Ctx<'_, PbftMsg>) -> bool {
+        self.execute_block(block, ctx);
+        if self.life.crashed() {
+            return false;
+        }
+        self.exec_seq = block.seq;
+        if self.exec_seq.is_multiple_of(self.cfg.checkpoint_interval) {
+            self.send_checkpoint(ctx);
+        }
+        true
     }
 
     fn execute_block(&mut self, block: &PbftBlock, ctx: &mut Ctx<'_, PbftMsg>) {
@@ -968,30 +979,6 @@ impl Replica {
             if failed {
                 self.io_crash(ctx);
             }
-        }
-    }
-
-    // ---------- timers ----------
-
-    /// A heartbeat advertising an execution point far beyond ours means we
-    /// missed blocks *and* the evidence (the committed instances never
-    /// arrived — e.g. they committed while this node was syncing and
-    /// traffic has since stopped, so gap detection has nothing to see).
-    /// Request catch-up; the server answers with a block tail or a
-    /// chunked transfer as appropriate. The threshold keeps normal
-    /// pipelining lag from triggering spurious exchanges, and only the
-    /// *current view's leader* is believed — an unvalidated `exec_seq`
-    /// from an arbitrary replica would let one Byzantine node keep the
-    /// whole committee churning through pointless sync exchanges.
-    fn on_heartbeat(&mut self, from_idx: usize, view: u64, exec_seq: u64, ctx: &mut Ctx<'_, PbftMsg>) {
-        self.charge(ctx, SimDuration::from_micros(5));
-        if view != self.view || from_idx != self.leader_of(self.view) {
-            return;
-        }
-        let lag_threshold = (4 * PIPELINE_WIDTH).max(16);
-        if exec_seq > self.exec_seq + lag_threshold && !self.sync.running() && !self.sync.paused() {
-            ctx.stats().inc("consensus.heartbeat_syncs", 1);
-            self.begin_sync(false, false, None, ctx);
         }
     }
 

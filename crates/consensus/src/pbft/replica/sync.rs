@@ -19,7 +19,7 @@ use super::{CkptSnapshot, Replica, TIMER_SYNC};
 use crate::adversary::Attack;
 use crate::common::{stat, ExecutedCache, ExecutedWindow, VotePhase, NATIVE_VERIFY};
 use crate::pbft::cert::{CertKind, QuorumCert};
-use crate::pbft::config::COSTS;
+use crate::pbft::config::{COSTS, PIPELINE_WIDTH};
 use crate::pbft::msg::{chunk_entry_bytes, PbftBlock, PbftMsg};
 
 /// Requester-side phase of an in-flight state sync.
@@ -169,6 +169,28 @@ impl SyncState {
 }
 
 impl Replica {
+    /// A heartbeat advertising an execution point far beyond ours means we
+    /// missed blocks *and* the evidence (the committed instances never
+    /// arrived — e.g. they committed while this node was syncing and
+    /// traffic has since stopped, so gap detection has nothing to see).
+    /// Request catch-up; the server answers with a block tail or a
+    /// chunked transfer as appropriate. The threshold keeps normal
+    /// pipelining lag from triggering spurious exchanges, and only the
+    /// *current view's leader* is believed — an unvalidated `exec_seq`
+    /// from an arbitrary replica would let one Byzantine node keep the
+    /// whole committee churning through pointless sync exchanges.
+    pub(super) fn on_heartbeat(&mut self, from_idx: usize, view: u64, exec_seq: u64, ctx: &mut Ctx<'_, PbftMsg>) {
+        self.charge(ctx, SimDuration::from_micros(5));
+        if view != self.view || from_idx != self.leader_of(self.view) {
+            return;
+        }
+        let lag_threshold = (4 * PIPELINE_WIDTH).max(16);
+        if exec_seq > self.exec_seq + lag_threshold && !self.sync.running() && !self.sync.paused() {
+            ctx.stats().inc("consensus.heartbeat_syncs", 1);
+            self.begin_sync(false, false, None, ctx);
+        }
+    }
+
     pub(super) fn request_state_sync(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
         if self.sync.run.is_some() {
             return; // one exchange at a time; the sync timer handles stalls
@@ -526,17 +548,8 @@ impl Replica {
                     self.send_sync_request(ctx);
                     return;
                 }
-                self.execute_block(&block, ctx);
-                if self.life.crashed() {
+                if !self.execute_next(&block, ctx) {
                     return; // I/O failure while journaling the tail
-                }
-                self.exec_seq = block.seq;
-                // The tail crosses checkpoint heights like normal
-                // execution does: snapshot and vote, or this replica would
-                // neither contribute to those certificates nor be able to
-                // serve chunks at them.
-                if self.exec_seq.is_multiple_of(self.cfg.checkpoint_interval) {
-                    self.send_checkpoint(ctx);
                 }
             }
         }

@@ -225,22 +225,11 @@ impl Replica {
                 }
             }
             for (seq, digest) in wanted {
-                if seq <= self.exec_seq {
-                    continue;
-                }
-                if let Some(inst) = self.insts.get(&seq) {
-                    if let Some(block) = &inst.block {
-                        if block.digest == digest {
-                            let nb = Arc::new(PbftBlock::new(
-                                view,
-                                seq,
-                                self.me,
-                                block.reqs.as_ref().clone(),
-                            ));
-                            max_seq = max_seq.max(seq);
-                            repro.push(nb);
-                        }
-                    }
+                let held = self.insts.get(&seq).and_then(|i| i.block.as_ref());
+                if let Some(block) = held.filter(|b| seq > self.exec_seq && b.digest == digest) {
+                    let reqs = block.reqs.as_ref().clone();
+                    repro.push(Arc::new(PbftBlock::new(view, seq, self.me, reqs)));
+                    max_seq = max_seq.max(seq);
                 }
             }
         }
