@@ -315,9 +315,17 @@ impl SafetyChecker {
         // Deterministic representatives (lowest shard id per side), so a
         // re-reported decision dedups against the same violation value.
         let committed_in = decisions.iter().filter(|(_, a)| **a).map(|(s, _)| *s).min();
-        let aborted_in = decisions.iter().filter(|(_, a)| !**a).map(|(s, _)| *s).min();
+        let aborted_in = decisions
+            .iter()
+            .filter(|(_, a)| !**a)
+            .map(|(s, _)| *s)
+            .min();
         if let (Some(c), Some(a)) = (committed_in, aborted_in) {
-            let v = Violation::AtomicityBreak { txid, committed_in: c, aborted_in: a };
+            let v = Violation::AtomicityBreak {
+                txid,
+                committed_in: c,
+                aborted_in: a,
+            };
             if !inner.violations.contains(&v) {
                 inner.violations.push(v);
             }
@@ -328,14 +336,22 @@ impl SafetyChecker {
     /// repeat is a double execution.
     pub fn record_exec(&self, committee: usize, replica: usize, req_id: u64) {
         let mut inner = self.inner.lock().expect("checker lock");
-        let lineage = inner.lineage.get(&(committee, replica)).copied().unwrap_or(0);
+        let lineage = inner
+            .lineage
+            .get(&(committee, replica))
+            .copied()
+            .unwrap_or(0);
         if !inner
             .executed
             .entry((committee, replica, lineage))
             .or_default()
             .insert(req_id)
         {
-            inner.violations.push(Violation::DoubleExecution { committee, replica, req_id });
+            inner.violations.push(Violation::DoubleExecution {
+                committee,
+                replica,
+                req_id,
+            });
         }
     }
 
@@ -419,7 +435,11 @@ mod tests {
         c.record_commit(0, 5, h(3));
         assert!(matches!(
             c.violations()[0],
-            Violation::ConflictingCommit { committee: 0, height: 5, .. }
+            Violation::ConflictingCommit {
+                committee: 0,
+                height: 5,
+                ..
+            }
         ));
         assert_eq!(c.commit_records(), 4);
     }
@@ -433,7 +453,10 @@ mod tests {
         c.record_twopc(2, 7, false);
         c.record_twopc(2, 7, false); // duplicate report, one violation
         assert_eq!(c.violations().len(), 1);
-        assert!(matches!(c.violations()[0], Violation::AtomicityBreak { txid: 7, .. }));
+        assert!(matches!(
+            c.violations()[0],
+            Violation::AtomicityBreak { txid: 7, .. }
+        ));
     }
 
     #[test]
@@ -445,7 +468,11 @@ mod tests {
         c.record_exec(0, 1, 42);
         assert!(matches!(
             c.violations()[0],
-            Violation::DoubleExecution { committee: 0, replica: 1, req_id: 42 }
+            Violation::DoubleExecution {
+                committee: 0,
+                replica: 1,
+                req_id: 42
+            }
         ));
         // A restart opens a fresh lineage: replay is not a double-spend.
         c.record_reset(0, 2);

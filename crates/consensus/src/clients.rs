@@ -134,7 +134,11 @@ impl AimdWindow {
     /// A window capped at `max` in-flight items under policy `rc`.
     pub fn new(rc: RateControl, max: usize) -> Self {
         let max = max.max(1);
-        AimdWindow { rc, max, cwnd: max as f64 }
+        AimdWindow {
+            rc,
+            max,
+            cwnd: max as f64,
+        }
     }
 
     /// The configured maximum (policy changes rebuild from this).
@@ -272,9 +276,7 @@ impl<M: ClientProtocol + 'static> Actor for ClosedLoopClient<M> {
         // in-flight requests lost (queue drops, a faulty leader, or a pool
         // that dropped them without a rejection signal) and free their
         // window slots so the top-up below actually retransmits work.
-        if ctx.now().since(self.last_progress) >= self.retry_after
-            && !self.outstanding.is_empty()
-        {
+        if ctx.now().since(self.last_progress) >= self.retry_after && !self.outstanding.is_empty() {
             self.outstanding.clear();
             ctx.stats().inc("client.retries", 1);
         }
@@ -407,7 +409,11 @@ mod tests {
 
     fn run_capped(rc: RateControl, seed: u64) -> (u64, u64) {
         let mut sim: Sim<EchoMsg> = Sim::new(SimConfig::new(seed));
-        let server = CappedServer { capacity: 40, admitted: 0, window_start: SimTime::ZERO };
+        let server = CappedServer {
+            capacity: 40,
+            admitted: 0,
+            window_start: SimTime::ZERO,
+        };
         sim.add_actor(Box::new(server), QueueConfig::unbounded());
         let client = ClosedLoopClient::new(
             vec![0],
@@ -432,7 +438,10 @@ mod tests {
     fn aimd_cuts_rejections_without_losing_goodput() {
         let (fixed_done, fixed_rej) = run_capped(RateControl::Fixed, 7);
         let (aimd_done, aimd_rej) = run_capped(RateControl::Aimd, 7);
-        assert!(fixed_rej > 500, "fixed backoff keeps hammering: {fixed_rej}");
+        assert!(
+            fixed_rej > 500,
+            "fixed backoff keeps hammering: {fixed_rej}"
+        );
         assert!(
             aimd_rej * 4 < fixed_rej,
             "AIMD must cut rejections: {aimd_rej} vs {fixed_rej}"

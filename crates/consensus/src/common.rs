@@ -274,7 +274,11 @@ impl ExecutedCache {
         let end = self.open.ids.len();
         match self.open.runs.last_mut() {
             Some(run) if run.epoch == self.epoch && run.at == now => run.end = end,
-            _ => self.open.runs.push(Run { end, epoch: self.epoch, at: now }),
+            _ => self.open.runs.push(Run {
+                end,
+                epoch: self.epoch,
+                at: now,
+            }),
         }
         true
     }
@@ -339,7 +343,8 @@ impl ExecutedCache {
     fn seal(&mut self) {
         if !self.open.ids.is_empty() {
             self.open.ids.shrink_to_fit();
-            self.sealed.push_back(Arc::new(std::mem::take(&mut self.open)));
+            self.sealed
+                .push_back(Arc::new(std::mem::take(&mut self.open)));
         }
     }
 
@@ -385,7 +390,11 @@ impl ExecutedWindow {
 
     /// The ids in execution order.
     pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        self.0.segs.iter().flat_map(|seg| seg.ids.iter().copied()).skip(self.0.skip)
+        self.0
+            .segs
+            .iter()
+            .flat_map(|seg| seg.ids.iter().copied())
+            .skip(self.0.skip)
     }
 
     /// The shared segments, oldest first, each with its content address
@@ -393,10 +402,12 @@ impl ExecutedWindow {
     /// — the first one whole, [`ExecutedWindow::skip`] ids of it pruned.
     /// Every segment is non-empty.
     pub(crate) fn segments(&self) -> impl Iterator<Item = (Hash, &[u64])> + '_ {
-        self.0
-            .segs
-            .iter()
-            .map(|seg| (*seg.digest.get_or_init(|| ahl_wal::ids_hash(&seg.ids)), &seg.ids[..]))
+        self.0.segs.iter().map(|seg| {
+            (
+                *seg.digest.get_or_init(|| ahl_wal::ids_hash(&seg.ids)),
+                &seg.ids[..],
+            )
+        })
     }
 
     /// How many leading ids of the first segment are already pruned.
@@ -416,11 +427,19 @@ impl ExecutedWindow {
         let segs: Vec<Arc<Segment>> = segs
             .into_iter()
             .map(|(hash, ids)| {
-                Arc::new(Segment { ids, runs: Vec::new(), digest: OnceLock::from(hash) })
+                Arc::new(Segment {
+                    ids,
+                    runs: Vec::new(),
+                    digest: OnceLock::from(hash),
+                })
             })
             .collect();
         let total: usize = segs.iter().map(|seg| seg.ids.len()).sum();
-        let window = ExecutedWindow(Arc::new(WindowParts { segs, skip, len: total - skip }));
+        let window = ExecutedWindow(Arc::new(WindowParts {
+            segs,
+            skip,
+            len: total - skip,
+        }));
         let mut seen = HashSet::with_capacity(window.len());
         let distinct = window.iter().all(|id| seen.insert(id));
         distinct.then_some(window)
@@ -456,7 +475,10 @@ impl FromIterator<u64> for ExecutedWindow {
         let segs = if ids.is_empty() {
             Vec::new()
         } else {
-            vec![Arc::new(Segment { ids, ..Segment::default() })]
+            vec![Arc::new(Segment {
+                ids,
+                ..Segment::default()
+            })]
         };
         ExecutedWindow(Arc::new(WindowParts { segs, skip: 0, len }))
     }
@@ -525,7 +547,14 @@ impl BlockExecutor {
         for (req, outcome) in fresh.into_iter().zip(outcomes) {
             let ok = outcome.receipt.status.is_committed();
             if let Some(ck) = &self.checker {
-                ck.observe_exec(self.committee_id, self.me, req.id, &req.op, outcome.had_pending, ok);
+                ck.observe_exec(
+                    self.committee_id,
+                    self.me,
+                    req.id,
+                    &req.op,
+                    outcome.had_pending,
+                    ok,
+                );
             }
             each(req, ok);
         }
@@ -560,19 +589,26 @@ impl BlockExecutor {
             }
             if self.reporter {
                 let lat = ctx.now().since(req.submitted);
-                ctx.stats().record_latency_scoped(stat::TXN_LATENCY, scope, lat);
+                ctx.stats()
+                    .record_latency_scoped(stat::TXN_LATENCY, scope, lat);
             }
             each(req, ok, ctx);
         });
         if self.reporter {
             let now = ctx.now();
-            ctx.stats().inc_scoped(stat::TXN_COMMITTED, scope, committed);
+            ctx.stats()
+                .inc_scoped(stat::TXN_COMMITTED, scope, committed);
             ctx.stats().inc_scoped(stat::TXN_ABORTED, scope, aborted);
             ctx.stats().inc_scoped(stat::BLOCKS_COMMITTED, scope, 1);
-            ctx.stats().record_point(stat::COMMIT_SERIES, now, committed as f64);
+            ctx.stats()
+                .record_point(stat::COMMIT_SERIES, now, committed as f64);
         }
         if let Some(ck) = &self.checker {
-            ck.record_commit(self.committee_id, height, commit_digest(reqs.iter().map(|r| r.id)));
+            ck.record_commit(
+                self.committee_id,
+                height,
+                commit_digest(reqs.iter().map(|r| r.id)),
+            );
         }
         weight
     }
@@ -620,7 +656,8 @@ pub(crate) mod testkit {
         pub(crate) fn checkpoint_prune(&mut self, now: SimTime, min_age: SimDuration) -> usize {
             let epoch = self.epoch;
             let before = self.ids.len();
-            self.ids.retain(|_, (e, t)| *e >= epoch || now.since(*t) < min_age);
+            self.ids
+                .retain(|_, (e, t)| *e >= epoch || now.since(*t) < min_age);
             self.epoch += 1;
             before - self.ids.len()
         }
@@ -675,14 +712,22 @@ pub(crate) mod testkit {
                 _ => {
                     let min_age = SimDuration::from_secs([0, 1, 5][self.rng.gen_range(0..3usize)]);
                     let pruned = self.cache.checkpoint_prune(self.now, min_age);
-                    assert_eq!(pruned, self.model.checkpoint_prune(self.now, min_age), "prune count");
+                    assert_eq!(
+                        pruned,
+                        self.model.checkpoint_prune(self.now, min_age),
+                        "prune count"
+                    );
                     self.live.retain(|id| self.model.contains(*id));
                 }
             }
             assert_eq!(self.cache.len(), self.model.len());
             assert_eq!(self.cache.is_empty(), self.model.len() == 0);
             for id in &self.ever {
-                assert_eq!(self.cache.contains(*id), self.model.contains(*id), "contains({id})");
+                assert_eq!(
+                    self.cache.contains(*id),
+                    self.model.contains(*id),
+                    "contains({id})"
+                );
             }
         }
 
@@ -749,7 +794,10 @@ mod tests {
         let mut c = ExecutedCache::new();
         let t0 = SimTime::ZERO;
         assert!(c.insert(7, t0));
-        assert!(!c.insert(7, t0 + SimDuration::from_secs(1)), "replay detected");
+        assert!(
+            !c.insert(7, t0 + SimDuration::from_secs(1)),
+            "replay detected"
+        );
         // Two epoch boundaries pass almost immediately (high throughput):
         // without the age floor the id would be gone now.
         let soon = t0 + SimDuration::from_millis(10);
@@ -777,18 +825,34 @@ mod tests {
             c.insert(id, t1);
         }
         let whole = c.window(); // one segment, two runs
-        assert_eq!(c.checkpoint_prune(t1, SimDuration::from_secs(1)), 0, "same epoch: kept");
+        assert_eq!(
+            c.checkpoint_prune(t1, SimDuration::from_secs(1)),
+            0,
+            "same epoch: kept"
+        );
         // Second boundary: the t0 block is old enough, the t1 block is not.
-        assert_eq!(c.checkpoint_prune(t0 + SimDuration::from_secs(3), SimDuration::from_secs(2)), 3);
+        assert_eq!(
+            c.checkpoint_prune(t0 + SimDuration::from_secs(3), SimDuration::from_secs(2)),
+            3
+        );
         c.insert(6, t0 + SimDuration::from_secs(3));
         let rest = c.window();
         assert_eq!(rest.0.segs.len(), 2);
-        assert!(Arc::ptr_eq(&rest.0.segs[0], &whole.0.segs[0]), "the segment is shared, not copied");
+        assert!(
+            Arc::ptr_eq(&rest.0.segs[0], &whole.0.segs[0]),
+            "the segment is shared, not copied"
+        );
         assert_eq!((rest.0.skip, rest.len()), (3, 3));
         assert_eq!(rest.iter().collect::<Vec<_>>(), [4, 5, 6]);
         // Later prunes and inserts reach neither handle.
-        assert_eq!(c.checkpoint_prune(t0 + SimDuration::from_secs(60), SimDuration::ZERO), 2);
-        assert_eq!(c.checkpoint_prune(t0 + SimDuration::from_secs(60), SimDuration::ZERO), 1);
+        assert_eq!(
+            c.checkpoint_prune(t0 + SimDuration::from_secs(60), SimDuration::ZERO),
+            2
+        );
+        assert_eq!(
+            c.checkpoint_prune(t0 + SimDuration::from_secs(60), SimDuration::ZERO),
+            1
+        );
         assert!(c.is_empty());
         c.insert(1, t0 + SimDuration::from_secs(61));
         assert_eq!(whole.iter().collect::<Vec<_>>(), [1, 2, 3, 4, 5]);
@@ -797,8 +861,14 @@ mod tests {
         let mut back = ExecutedCache::from_window(&rest, t0);
         assert_eq!(back.len(), 3);
         assert!(back.contains(5) && !back.contains(1));
-        assert_eq!(back.checkpoint_prune(t0 + SimDuration::from_secs(9), SimDuration::ZERO), 0);
-        assert_eq!(back.checkpoint_prune(t0 + SimDuration::from_secs(9), SimDuration::ZERO), 3);
+        assert_eq!(
+            back.checkpoint_prune(t0 + SimDuration::from_secs(9), SimDuration::ZERO),
+            0
+        );
+        assert_eq!(
+            back.checkpoint_prune(t0 + SimDuration::from_secs(9), SimDuration::ZERO),
+            3
+        );
     }
 
     /// A checkpoint costs what changed since the last one. Counted, not
@@ -834,19 +904,37 @@ mod tests {
         interval(&mut c, &mut now);
         let after = c.window();
         assert_eq!(after.0.segs.len(), 51, "one new segment");
-        assert_eq!(after.0.segs[50].ids.len() as u64, INTERVAL, "holding one interval");
-        assert_eq!(after.0.segs[50].runs.len(), 32, "tagged per block, not per id");
+        assert_eq!(
+            after.0.segs[50].ids.len() as u64,
+            INTERVAL,
+            "holding one interval"
+        );
+        assert_eq!(
+            after.0.segs[50].runs.len(),
+            32,
+            "tagged per block, not per id"
+        );
         for (a, b) in before.0.segs.iter().zip(&after.0.segs) {
-            assert!(Arc::ptr_eq(a, b), "earlier segments are shared with the previous handle");
+            assert!(
+                Arc::ptr_eq(a, b),
+                "earlier segments are shared with the previous handle"
+            );
         }
 
         // Let exactly the first interval age out.
         let first_expires = SimTime::ZERO + SimDuration::from_millis(6 * 31) + ttl;
         assert_eq!(c.checkpoint_prune(first_expires, ttl) as u64, INTERVAL);
         assert_eq!(c.len() as u64, 50 * INTERVAL);
-        assert_eq!((c.sealed.len(), c.skip), (50, 0), "the expired segment is popped whole");
+        assert_eq!(
+            (c.sealed.len(), c.skip),
+            (50, 0),
+            "the expired segment is popped whole"
+        );
         for (mine, theirs) in c.sealed.iter().zip(&after.0.segs[1..]) {
-            assert!(Arc::ptr_eq(mine, theirs), "the live segments were not rebuilt");
+            assert!(
+                Arc::ptr_eq(mine, theirs),
+                "the live segments were not rebuilt"
+            );
         }
         assert!(!c.contains(0) && c.contains(INTERVAL));
         // Both handles still see what they captured.

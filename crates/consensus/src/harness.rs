@@ -194,7 +194,13 @@ pub fn run_shard_experiment(exp: ShardExperiment) -> RunMetrics {
     let mut pbft = exp.pbft;
     pbft.cpu_scale *= exp.net.cpu_scale();
     let network = exp.net.build(total_nodes);
-    let (mut sim, group) = build_group(&pbft, network, Some(exp.net.uplink_bps()), &exp.genesis, exp.seed);
+    let (mut sim, group) = build_group(
+        &pbft,
+        network,
+        Some(exp.net.uplink_bps()),
+        &exp.genesis,
+        exp.seed,
+    );
 
     let stop = SimTime::ZERO + exp.warmup + exp.duration;
     for c in 0..exp.clients {
@@ -260,7 +266,10 @@ mod tests {
         let mut i = client as u64 * 1_000_000;
         Box::new(move |_rng| {
             i += 1;
-            Op::Direct { txid: TxId(i), op: kvstore::kv_write(&[i % 1000], 16) }
+            Op::Direct {
+                txid: TxId(i),
+                op: kvstore::kv_write(&[i % 1000], 16),
+            }
         })
     }
 

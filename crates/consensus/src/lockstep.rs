@@ -661,7 +661,12 @@ impl LockstepNode {
         let weight = self
             .exec
             .commit(self.height, &block, stores, ctx, |_, _, _| {});
-        let exec = self.cfg.protocol.profile().exec_cost_per_op.saturating_mul(weight as u64);
+        let exec = self
+            .cfg
+            .protocol
+            .profile()
+            .exec_cost_per_op
+            .saturating_mul(weight as u64);
         ctx.consume_cpu(exec);
         ctx.stats().inc(stat::EXEC_CPU_NS, exec.as_nanos());
         // Lockstep: advance the height, then pause before the next round.

@@ -73,7 +73,10 @@ impl CertKind {
     ];
 
     pub(crate) fn tag(self) -> u8 {
-        Self::ALL.iter().position(|k| *k == self).expect("every kind is listed") as u8
+        Self::ALL
+            .iter()
+            .position(|k| *k == self)
+            .expect("every kind is listed") as u8
     }
 
     pub(crate) fn from_tag(tag: u8) -> Option<Self> {
@@ -103,7 +106,13 @@ impl QuorumCert {
     pub fn checkpoint_vote(seq: u64, root: Hash, me: usize, key: Option<&SigningKey>) -> Self {
         let sign = |k: &SigningKey| MsgCert::Sig(k.sign(&checkpoint_digest(seq, &root)));
         let signers = vec![(me, key.map_or(MsgCert::Simulated, sign))];
-        QuorumCert { kind: CertKind::Checkpoint, view: 0, seq, digest: root, signers }
+        QuorumCert {
+            kind: CertKind::Checkpoint,
+            view: 0,
+            seq,
+            digest: root,
+            signers,
+        }
     }
 
     /// Verify against a quorum of `quorum`: signers in strictly ascending
@@ -122,14 +131,21 @@ impl QuorumCert {
         if !ascending || !counted {
             return false;
         }
-        let Some(registry) = registry else { return true };
+        let Some(registry) = registry else {
+            return true;
+        };
         let attested = matches!(self.signers.first(), Some((_, MsgCert::Attested(_))));
-        let slot = Slot { view: self.view, seq: self.seq };
+        let slot = Slot {
+            view: self.view,
+            seq: self.seq,
+        };
         let signed = match (self.kind, attested) {
             (CertKind::Checkpoint, false) => checkpoint_digest(self.seq, &self.digest),
             (CertKind::Commit, false) => self.digest,
             (CertKind::Commit, true) => attestation_digest(COMMIT_LOG, slot, &self.digest),
-            (CertKind::Aggregate(phase), true) => attestation_digest(logs(phase).1, slot, &self.digest),
+            (CertKind::Aggregate(phase), true) => {
+                attestation_digest(logs(phase).1, slot, &self.digest)
+            }
             _ => return false,
         };
         let mut pairs: Vec<(KeyId, &Signature)> = Vec::with_capacity(self.signers.len());
@@ -180,8 +196,18 @@ impl QuorumCert {
         for _ in 0..n {
             signers.push((r.u64()? as usize, MsgCert::decode(r)?));
         }
-        let view = if kind == CertKind::Checkpoint { 0 } else { r.u64()? };
-        Some(QuorumCert { kind, view, seq, digest, signers })
+        let view = if kind == CertKind::Checkpoint {
+            0
+        } else {
+            r.u64()?
+        };
+        Some(QuorumCert {
+            kind,
+            view,
+            seq,
+            digest,
+            signers,
+        })
     }
 }
 
@@ -213,7 +239,10 @@ impl MsgCert {
             1 => MsgCert::Sig(sig(r)?),
             2 => MsgCert::Attested(Attestation {
                 log: LogId(r.u32()?),
-                slot: Slot { view: r.u64()?, seq: r.u64()? },
+                slot: Slot {
+                    view: r.u64()?,
+                    seq: r.u64()?,
+                },
                 digest: r.hash()?,
                 sig: sig(r)?,
             }),
@@ -253,7 +282,13 @@ impl CheckpointVotes {
             .map(|(i, (_, proof))| (*i, proof.clone()))
             .collect();
         self.adopt(seq);
-        Some(QuorumCert { kind: CertKind::Checkpoint, view: 0, seq, digest: root, signers })
+        Some(QuorumCert {
+            kind: CertKind::Checkpoint,
+            view: 0,
+            seq,
+            digest: root,
+            signers,
+        })
     }
 
     /// Treat `seq` as certified, if newer (a certificate formed, came by
@@ -287,13 +322,20 @@ mod tests {
     #[test]
     fn quorum_of_matching_votes_forms_cert() {
         let mut t = CheckpointVotes::default();
-        assert!(t.record(QuorumCert::checkpoint_vote(10, root(1), 0, None), 2).is_none());
+        assert!(t
+            .record(QuorumCert::checkpoint_vote(10, root(1), 0, None), 2)
+            .is_none());
         // A conflicting vote does not count toward the quorum.
-        assert!(t.record(QuorumCert::checkpoint_vote(10, root(9), 1, None), 2).is_none());
+        assert!(t
+            .record(QuorumCert::checkpoint_vote(10, root(9), 1, None), 2)
+            .is_none());
         let cert = t
             .record(QuorumCert::checkpoint_vote(10, root(1), 2, None), 2)
             .expect("quorum reached");
-        assert_eq!((cert.kind, cert.seq, cert.digest), (CertKind::Checkpoint, 10, root(1)));
+        assert_eq!(
+            (cert.kind, cert.seq, cert.digest),
+            (CertKind::Checkpoint, 10, root(1))
+        );
         assert_eq!(cert.signers.len(), 2);
         assert!(cert.verify(2, None));
         assert!(!cert.verify(3, None));
@@ -302,9 +344,14 @@ mod tests {
     #[test]
     fn older_heights_ignored_after_cert() {
         let mut t = CheckpointVotes::default();
-        t.record(QuorumCert::checkpoint_vote(10, root(1), 0, None), 1).expect("quorum of 1");
-        assert!(t.record(QuorumCert::checkpoint_vote(5, root(2), 1, None), 1).is_none());
-        assert!(t.record(QuorumCert::checkpoint_vote(10, root(1), 1, None), 1).is_none());
+        t.record(QuorumCert::checkpoint_vote(10, root(1), 0, None), 1)
+            .expect("quorum of 1");
+        assert!(t
+            .record(QuorumCert::checkpoint_vote(5, root(2), 1, None), 1)
+            .is_none());
+        assert!(t
+            .record(QuorumCert::checkpoint_vote(10, root(1), 1, None), 1)
+            .is_none());
     }
 
     /// The signer ↔ index binding, tampering, unsigned and duplicated
@@ -344,11 +391,17 @@ mod tests {
         };
         assert!(!forged.verify(3, reg));
         // And a vote claiming someone else's index fails verification.
-        let impostor = QuorumCert { signers: vec![(2, own)], ..cert.clone() };
+        let impostor = QuorumCert {
+            signers: vec![(2, own)],
+            ..cert.clone()
+        };
         assert!(!impostor.verify(1, reg));
         // A member's enclave key is not one of its native keys.
         let enclave_signed = QuorumCert {
-            signers: vec![(0, MsgCert::Sig(members[0].tee_key.sign(&checkpoint_digest(7, &root(4)))))],
+            signers: vec![(
+                0,
+                MsgCert::Sig(members[0].tee_key.sign(&checkpoint_digest(7, &root(4)))),
+            )],
             ..cert
         };
         assert!(!enclave_signed.verify(1, reg));
@@ -362,7 +415,11 @@ mod tests {
         let members = derive_committee(5, 9);
         let reg = members[0].registry.clone();
         let mut certs = Vec::new();
-        for order in [vec![0, 1, 2, 3, 4], vec![4, 3, 2, 1, 0], vec![2, 0, 4, 1, 3]] {
+        for order in [
+            vec![0, 1, 2, 3, 4],
+            vec![4, 3, 2, 1, 0],
+            vec![2, 0, 4, 1, 3],
+        ] {
             let mut t = CheckpointVotes::default();
             let mut cert = None;
             for i in order {
@@ -372,7 +429,10 @@ mod tests {
             certs.push(cert.expect("quorum of 5"));
         }
         for cert in &certs {
-            assert_eq!(cert.signers.iter().map(|(i, _)| *i).collect::<Vec<_>>(), [0, 1, 2, 3, 4]);
+            assert_eq!(
+                cert.signers.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
+                [0, 1, 2, 3, 4]
+            );
             assert_eq!(bytes(cert), bytes(&certs[0]));
             assert!(cert.verify(5, Some(&reg)));
         }
@@ -383,8 +443,12 @@ mod tests {
         let mut t = CheckpointVotes::default();
         t.adopt(20);
         t.adopt(10);
-        assert!(t.record(QuorumCert::checkpoint_vote(15, root(1), 0, None), 1).is_none());
-        assert!(t.record(QuorumCert::checkpoint_vote(25, root(1), 0, None), 1).is_some());
+        assert!(t
+            .record(QuorumCert::checkpoint_vote(15, root(1), 0, None), 1)
+            .is_none());
+        assert!(t
+            .record(QuorumCert::checkpoint_vote(25, root(1), 0, None), 1)
+            .is_some());
     }
 
     /// The checkpoint layout manifests on disk already hold: `seq`, root,
@@ -443,7 +507,10 @@ mod tests {
                 }
                 w.u64(0);
                 let b = w.into_bytes();
-                assert!(QuorumCert::decode(&mut Reader::new(&b), kind).is_none(), "{kind:?} {count}");
+                assert!(
+                    QuorumCert::decode(&mut Reader::new(&b), kind).is_none(),
+                    "{kind:?} {count}"
+                );
             }
         }
     }
@@ -464,18 +531,51 @@ mod tests {
             let att = AttestedLog::new(members[i].tee_key.clone()).append(log, slot, digest);
             MsgCert::Attested(att.expect("fresh slot"))
         };
-        let cert = |kind, signers: Vec<(usize, MsgCert)>| QuorumCert { kind, view: 1, seq: 4, digest, signers };
-        let commit = cert(CertKind::Commit, vec![(0, attest(0, COMMIT_LOG)), (2, attest(2, COMMIT_LOG))]);
+        let cert = |kind, signers: Vec<(usize, MsgCert)>| QuorumCert {
+            kind,
+            view: 1,
+            seq: 4,
+            digest,
+            signers,
+        };
+        let commit = cert(
+            CertKind::Commit,
+            vec![(0, attest(0, COMMIT_LOG)), (2, attest(2, COMMIT_LOG))],
+        );
         assert!(commit.verify(2, reg));
-        assert!(!commit.verify(3, reg), "two signers are not a quorum of three");
-        assert!(!QuorumCert { view: 2, ..commit.clone() }.verify(2, reg), "another slot");
-        let replayed = cert(CertKind::Commit, vec![(0, attest(0, COMMIT_LOG)), (1, attest(0, COMMIT_LOG))]);
+        assert!(
+            !commit.verify(3, reg),
+            "two signers are not a quorum of three"
+        );
+        assert!(
+            !QuorumCert {
+                view: 2,
+                ..commit.clone()
+            }
+            .verify(2, reg),
+            "another slot"
+        );
+        let replayed = cert(
+            CertKind::Commit,
+            vec![(0, attest(0, COMMIT_LOG)), (1, attest(0, COMMIT_LOG))],
+        );
         assert!(!replayed.verify(2, reg));
-        let prepares = cert(CertKind::Commit, vec![(0, attest(0, PREPARE_LOG)), (1, attest(1, PREPARE_LOG))]);
-        assert!(!prepares.verify(2, reg), "prepare attestations are not commit votes");
+        let prepares = cert(
+            CertKind::Commit,
+            vec![(0, attest(0, PREPARE_LOG)), (1, attest(1, PREPARE_LOG))],
+        );
+        assert!(
+            !prepares.verify(2, reg),
+            "prepare attestations are not commit votes"
+        );
         let native = attestation_digest(COMMIT_LOG, slot, &digest);
         let dodged = |i: usize| {
-            let att = Attestation { log: COMMIT_LOG, slot, digest, sig: members[i].key.sign(&native) };
+            let att = Attestation {
+                log: COMMIT_LOG,
+                slot,
+                digest,
+                sig: members[i].key.sign(&native),
+            };
             MsgCert::Attested(att)
         };
         assert!(!cert(CertKind::Commit, vec![(0, dodged(0)), (1, dodged(1))]).verify(2, reg));
@@ -483,18 +583,31 @@ mod tests {
         let agg = |phase, log| cert(CertKind::Aggregate(phase), vec![(1, attest(1, log))]);
         assert!(agg(VotePhase::Commit, AGG_COMMIT_LOG).verify(2, reg));
         assert!(agg(VotePhase::Prepare, AGG_PREPARE_LOG).verify(2, reg));
-        assert!(!agg(VotePhase::Commit, AGG_PREPARE_LOG).verify(2, reg), "a prepare aggregate");
-        assert!(!cert(CertKind::Aggregate(VotePhase::Commit), vec![(1, MsgCert::Simulated)]).verify(2, reg));
+        assert!(
+            !agg(VotePhase::Commit, AGG_PREPARE_LOG).verify(2, reg),
+            "a prepare aggregate"
+        );
+        assert!(!cert(
+            CertKind::Aggregate(VotePhase::Commit),
+            vec![(1, MsgCert::Simulated)]
+        )
+        .verify(2, reg));
         let two = cert(
             CertKind::Aggregate(VotePhase::Commit),
-            vec![(0, attest(0, AGG_COMMIT_LOG)), (1, attest(1, AGG_COMMIT_LOG))],
+            vec![
+                (0, attest(0, AGG_COMMIT_LOG)),
+                (1, attest(1, AGG_COMMIT_LOG)),
+            ],
         );
         assert!(!two.verify(2, reg), "an aggregate has one signer");
         // Every kind survives its codec.
         for c in [commit, agg(VotePhase::Prepare, AGG_PREPARE_LOG)] {
             let b = bytes(&c);
             let back = QuorumCert::decode(&mut Reader::new(&b), c.kind).expect("decodes");
-            assert_eq!((back.kind, back.view, bytes(&back)), (c.kind, c.view, bytes(&c)));
+            assert_eq!(
+                (back.kind, back.view, bytes(&back)),
+                (c.kind, c.view, bytes(&c))
+            );
             assert!(back.verify(2, reg));
         }
     }

@@ -174,7 +174,12 @@ pub fn decode_record(payload: &[u8]) -> Option<WalRecord> {
                 let client = r.u64()? as usize;
                 let submitted = SimTime(r.u64()?);
                 let op = decode_op(&mut r)?;
-                reqs.push(Request { id, client, op, submitted });
+                reqs.push(Request {
+                    id,
+                    client,
+                    op,
+                    submitted,
+                });
             }
             r.is_done().then_some(WalRecord::Batch { seq, reqs })
         }
@@ -294,7 +299,11 @@ impl NodeStore {
         let durable = node.manifest.as_ref().and_then(|m| {
             let (cert, executed, sidecar) = decode_meta(m, &node.pages)?;
             let snapshot = open_snapshot(&node.pages, m.root, sidecar).ok()?;
-            Some(DurableState { cert, snapshot, executed })
+            Some(DurableState {
+                cert,
+                snapshot,
+                executed,
+            })
         });
         let mut tail = Vec::with_capacity(node.tail.len());
         for payload in &node.tail {
@@ -303,7 +312,11 @@ impl NodeStore {
                 None => break,
             }
         }
-        let mut store = NodeStore { dir: dir.to_path_buf(), node, cfg: cfg.clone() };
+        let mut store = NodeStore {
+            dir: dir.to_path_buf(),
+            node,
+            cfg: cfg.clone(),
+        };
         // `node.tail` owns the raw payloads; drop them now that they are
         // decoded (a long tail of large batches would otherwise sit in
         // memory for the node's lifetime).
@@ -365,18 +378,25 @@ impl NodeStore {
         snapshot.sidecar().encode(&mut meta);
         write_manifest(
             &self.dir,
-            &Manifest { seq: cert.seq, root: cert.digest, meta: meta.into_bytes() },
+            &Manifest {
+                seq: cert.seq,
+                root: cert.digest,
+                meta: meta.into_bytes(),
+            },
             &self.cfg.kill,
         )?;
-        self.node.wal.append(encode_ckpt_record(cert.seq, &cert.digest));
+        self.node
+            .wal
+            .append(encode_ckpt_record(cert.seq, &cert.digest));
         self.node.wal.commit()?;
         self.node.wal.rotate_keep(2)?;
         // The manifest just published is the only checkpoint a restart
         // can anchor on, so its root and segments are the whole live set
         // — older checkpoints' unshared pages and pruned segments are
         // garbage from here on.
-        let live: Vec<Hash> =
-            std::iter::once(cert.digest).chain(refs.iter().map(|(hash, _)| *hash)).collect();
+        let live: Vec<Hash> = std::iter::once(cert.digest)
+            .chain(refs.iter().map(|(hash, _)| *hash))
+            .collect();
         let gc = self.node.pages.maybe_gc(&live)?;
         Ok(CheckpointIo { pages: stats, gc })
     }
@@ -394,17 +414,19 @@ mod tests {
     }
 
     fn req(id: u64, op: Op) -> Request {
-        Request { id, client: 9, op, submitted: SimTime::ZERO }
+        Request {
+            id,
+            client: 9,
+            op,
+            submitted: SimTime::ZERO,
+        }
     }
 
     #[test]
     fn wal_records_round_trip() {
         let b = block(
             4,
-            vec![
-                req(1, Op::Noop),
-                req(2, Op::Commit { txid: TxId(8) }),
-            ],
+            vec![req(1, Op::Noop), req(2, Op::Commit { txid: TxId(8) })],
         );
         let payload = encode_batch_record(&b);
         match decode_record(&payload) {
@@ -420,7 +442,10 @@ mod tests {
         let payload = encode_twopc_record(7, TwoPcKind::Abort);
         assert!(matches!(
             decode_record(&payload),
-            Some(WalRecord::TwoPc { txid: 7, kind: TwoPcKind::Abort })
+            Some(WalRecord::TwoPc {
+                txid: 7,
+                kind: TwoPcKind::Abort
+            })
         ));
         let root = ahl_crypto::sha256(b"r");
         let payload = encode_ckpt_record(11, &root);
@@ -447,11 +472,16 @@ mod tests {
         assert!(cert.verify(3, reg));
         let dir = TempDir::new("nodestore-cert");
         let (mut store, _, _) = NodeStore::open(dir.path(), &WalConfig::default()).expect("open");
-        store.persist_checkpoint(&cert, &snap, &ExecutedWindow::default()).expect("checkpoint");
+        store
+            .persist_checkpoint(&cert, &snap, &ExecutedWindow::default())
+            .expect("checkpoint");
         drop(store);
         let (_, durable, _) = NodeStore::open(dir.path(), &WalConfig::default()).expect("reopen");
         let decoded = durable.expect("durable checkpoint").cert;
-        assert_eq!((decoded.kind, decoded.seq, decoded.digest), (CertKind::Checkpoint, 6, snap.root()));
+        assert_eq!(
+            (decoded.kind, decoded.seq, decoded.digest),
+            (CertKind::Checkpoint, 6, snap.root())
+        );
         // The signatures still verify after the disk round trip.
         assert!(decoded.verify(3, reg));
     }
@@ -469,7 +499,11 @@ mod tests {
         w.u64(cert.seq);
         w.hash(&cert.digest);
         w.u32(u32::MAX);
-        let m = Manifest { seq: cert.seq, root: snap.root(), meta: w.into_bytes() };
+        let m = Manifest {
+            seq: cert.seq,
+            root: snap.root(),
+            meta: w.into_bytes(),
+        };
         assert!(decode_meta(&m, &store.node.pages).is_none());
         let honest = meta_with(&cert, &snap, |w| encode_window_refs(&[], 0, 0, w));
         assert!(decode_meta(&honest, &store.node.pages).is_some(), "control");
@@ -489,7 +523,9 @@ mod tests {
             assert!(durable.is_none() && tail.is_empty());
             store.log_batch(&block(6, vec![req(1, Op::Noop)]));
             store.commit().expect("commit");
-            store.persist_checkpoint(&cert, &snap, &executed).expect("checkpoint");
+            store
+                .persist_checkpoint(&cert, &snap, &executed)
+                .expect("checkpoint");
             // A post-checkpoint batch lands in the fresh segment.
             store.log_batch(&block(7, vec![req(2, Op::Noop)]));
             store.commit().expect("commit 2");
@@ -498,7 +534,11 @@ mod tests {
         let durable = durable.expect("durable checkpoint recovered");
         assert_eq!(durable.cert.seq, 5);
         assert_eq!(durable.snapshot.root(), snap.root());
-        assert_eq!(durable.executed.iter().collect::<Vec<_>>(), [9, 3], "window order kept");
+        assert_eq!(
+            durable.executed.iter().collect::<Vec<_>>(),
+            [9, 3],
+            "window order kept"
+        );
         // The tail still holds both batches (two-generation retention)
         // plus the checkpoint marker; recovery filters by sequence.
         let seqs: Vec<u64> = tail
@@ -508,13 +548,22 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert!(seqs.contains(&7), "post-checkpoint batch retained: {seqs:?}");
+        assert!(
+            seqs.contains(&7),
+            "post-checkpoint batch retained: {seqs:?}"
+        );
     }
 
     /// A checkpoint certificate from two cost-only votes.
     fn unsigned_cert(seq: u64, root: Hash) -> QuorumCert {
         let signers = vec![(0, MsgCert::Simulated), (1, MsgCert::Simulated)];
-        QuorumCert { kind: CertKind::Checkpoint, view: 0, seq, digest: root, signers }
+        QuorumCert {
+            kind: CertKind::Checkpoint,
+            view: 0,
+            seq,
+            digest: root,
+            signers,
+        }
     }
 
     fn one_key_checkpoint() -> (StateSnapshot, QuorumCert) {
@@ -564,11 +613,17 @@ mod tests {
     /// What a disk round trip must preserve: the segments, id for id,
     /// and the first one's pruned prefix.
     fn shape(window: &ExecutedWindow) -> (Vec<Vec<u64>>, usize) {
-        (window.segments().map(|(_, ids)| ids.to_vec()).collect(), window.skip())
+        (
+            window.segments().map(|(_, ids)| ids.to_vec()).collect(),
+            window.skip(),
+        )
     }
 
     fn refs_of(window: &ExecutedWindow) -> Vec<(Hash, usize)> {
-        window.segments().map(|(hash, ids)| (hash, ids.len())).collect()
+        window
+            .segments()
+            .map(|(hash, ids)| (hash, ids.len()))
+            .collect()
     }
 
     /// Manifest metadata in the current layout with the window section
@@ -583,7 +638,11 @@ mod tests {
         cert.encode(&mut w);
         window(&mut w);
         snap.sidecar().encode(&mut w);
-        Manifest { seq: cert.seq, root: cert.digest, meta: w.into_bytes() }
+        Manifest {
+            seq: cert.seq,
+            root: cert.digest,
+            meta: w.into_bytes(),
+        }
     }
 
     /// The whole-window layout (certificate, `u32` count, every id,
@@ -596,7 +655,9 @@ mod tests {
         let (snap, cert) = one_key_checkpoint();
         let executed: ExecutedWindow = [9, 3, 7].into_iter().collect();
         let (mut store, _, _) = NodeStore::open(dir.path(), &cfg).expect("open");
-        store.persist_checkpoint(&cert, &snap, &executed).expect("pages + manifest");
+        store
+            .persist_checkpoint(&cert, &snap, &executed)
+            .expect("pages + manifest");
         drop(store);
         let got = reopen_window(dir.path()).expect("the current layout loads");
         assert_eq!(shape(&got), shape(&executed));
@@ -607,7 +668,11 @@ mod tests {
             meta.u64(id);
         }
         snap.sidecar().encode(&mut meta);
-        let m = Manifest { seq: cert.seq, root: cert.digest, meta: meta.into_bytes() };
+        let m = Manifest {
+            seq: cert.seq,
+            root: cert.digest,
+            meta: meta.into_bytes(),
+        };
         write_manifest(dir.path(), &m, &cfg.kill).expect("republish");
         assert!(reopen_window(dir.path()).is_none(), "old layout refused");
     }
@@ -626,7 +691,9 @@ mod tests {
         let (snap, cert) = one_key_checkpoint();
         let (mut store, _, _) = NodeStore::open(dir.path(), &WalConfig::default()).expect("open");
         for w in &windows {
-            store.persist_checkpoint(&cert, &snap, w).expect("checkpoint");
+            store
+                .persist_checkpoint(&cert, &snap, w)
+                .expect("checkpoint");
         }
         drop(store);
         let manifest = ahl_wal::read_manifest(dir.path()).expect("manifest");
@@ -655,41 +722,70 @@ mod tests {
         let (a, b) = (&windows[14], &windows[15]);
         let (snap_a, cert_a) = checkpoint_with(5, 2);
         let (snap_b, cert_b) = checkpoint_with(10, 3);
-        let cfg = || WalConfig { segment_bytes: 2048, gc_trigger_bytes: 1, ..WalConfig::default() };
+        let cfg = || WalConfig {
+            segment_bytes: 2048,
+            gc_trigger_bytes: 1,
+            ..WalConfig::default()
+        };
         let setup = |cfg: &WalConfig| {
             let dir = TempDir::new("nodestore-segkill");
             let (mut store, _, _) = NodeStore::open(dir.path(), cfg).expect("open");
-            store.persist_checkpoint(&cert_a, &snap_a, a).expect("checkpoint a");
+            store
+                .persist_checkpoint(&cert_a, &snap_a, a)
+                .expect("checkpoint a");
             (dir, store)
         };
         let counting = cfg();
         let (_dir, mut store) = setup(&counting);
         let before = counting.kill.visited();
-        store.persist_checkpoint(&cert_b, &snap_b, b).expect("checkpoint b");
+        store
+            .persist_checkpoint(&cert_b, &snap_b, b)
+            .expect("checkpoint b");
         let sites = counting.kill.visited() - before;
-        let fresh = b.segments().filter(|(h, _)| !a.segments().any(|(g, _)| g == *h)).count();
-        assert!(fresh >= 1 && sites > fresh as u64 + 3, "{sites} sites, {fresh} new segments");
+        let fresh = b
+            .segments()
+            .filter(|(h, _)| !a.segments().any(|(g, _)| g == *h))
+            .count();
+        assert!(
+            fresh >= 1 && sites > fresh as u64 + 3,
+            "{sites} sites, {fresh} new segments"
+        );
         let mut recovered = [0u32; 2];
         for site in 0..sites {
             let armed = cfg();
             let (dir, mut store) = setup(&armed);
             armed.kill.arm(site);
-            assert!(store.persist_checkpoint(&cert_b, &snap_b, b).is_err(), "site {site} fires");
+            assert!(
+                store.persist_checkpoint(&cert_b, &snap_b, b).is_err(),
+                "site {site} fires"
+            );
             drop(store);
             let cfg = cfg();
             let (mut store, durable, _) = NodeStore::open(dir.path(), &cfg).expect("reopen");
             let durable = durable.expect("a checkpoint was durable before the crash");
             let got = shape(&durable.executed);
             let which = if got == shape(a) { 0 } else { 1 };
-            assert!(which == 0 || got == shape(b), "site {site}: a captured window");
-            assert_eq!(durable.cert.seq, [cert_a.seq, cert_b.seq][which], "site {site}");
+            assert!(
+                which == 0 || got == shape(b),
+                "site {site}: a captured window"
+            );
+            assert_eq!(
+                durable.cert.seq,
+                [cert_a.seq, cert_b.seq][which],
+                "site {site}"
+            );
             recovered[which] += 1;
-            store.persist_checkpoint(&cert_b, &snap_b, b).expect("completes after the crash");
+            store
+                .persist_checkpoint(&cert_b, &snap_b, b)
+                .expect("completes after the crash");
             drop(store);
             let done = reopen_window(dir.path()).expect("the completed checkpoint");
             assert_eq!(shape(&done), shape(b), "site {site}");
         }
-        assert!(recovered[0] > 0 && recovered[1] > 0, "both outcomes reached: {recovered:?}");
+        assert!(
+            recovered[0] > 0 && recovered[1] > 0,
+            "both outcomes reached: {recovered:?}"
+        );
     }
 
     /// A segment frame that is torn, missing or corrupt makes the manifest
@@ -701,20 +797,31 @@ mod tests {
         let window = windows.last().expect("windows");
         let (snap, cert) = one_key_checkpoint();
         // One frame per file: each damage hits exactly one segment.
-        let cfg = WalConfig { segment_bytes: 1, ..WalConfig::default() };
+        let cfg = WalConfig {
+            segment_bytes: 1,
+            ..WalConfig::default()
+        };
         for damage in ["torn", "missing", "corrupt"] {
             let dir = TempDir::new("nodestore-segdamage");
             let (mut store, _, _) = NodeStore::open(dir.path(), &cfg).expect("open");
-            store.persist_checkpoint(&cert, &snap, window).expect("checkpoint");
+            store
+                .persist_checkpoint(&cert, &snap, window)
+                .expect("checkpoint");
             drop(store);
-            assert!(reopen_window(dir.path()).is_some(), "{damage}: intact first");
+            assert!(
+                reopen_window(dir.path()).is_some(),
+                "{damage}: intact first"
+            );
             let (target, _) = window.segments().nth(3).expect("segment");
             let file = std::fs::read_dir(dir.path().join("pages"))
                 .expect("pages dir")
                 .map(|e| e.expect("entry").path())
                 .find(|p| {
                     p.extension().is_some_and(|x| x == "seg")
-                        && std::fs::read(p).expect("read").windows(32).any(|w| w == target.0)
+                        && std::fs::read(p)
+                            .expect("read")
+                            .windows(32)
+                            .any(|w| w == target.0)
                 })
                 .expect("the segment's file");
             let mut bytes = std::fs::read(&file).expect("read");
@@ -724,7 +831,10 @@ mod tests {
                 _ => *bytes.last_mut().expect("bytes") ^= 0x10,
             }
             std::fs::write(&file, &bytes).expect("damage");
-            assert!(reopen_window(dir.path()).is_none(), "{damage} segment refused");
+            assert!(
+                reopen_window(dir.path()).is_none(),
+                "{damage} segment refused"
+            );
         }
     }
 
@@ -735,12 +845,18 @@ mod tests {
     fn segment_gc_keeps_referenced_segments_and_reclaims_the_rest() {
         let windows = steady_windows(20);
         let (snap, cert) = one_key_checkpoint();
-        let cfg = WalConfig { segment_bytes: 1, gc_trigger_bytes: 1, ..WalConfig::default() };
+        let cfg = WalConfig {
+            segment_bytes: 1,
+            gc_trigger_bytes: 1,
+            ..WalConfig::default()
+        };
         let dir = TempDir::new("nodestore-seggc");
         let (mut store, _, _) = NodeStore::open(dir.path(), &cfg).expect("open");
         let mut written: Vec<Hash> = Vec::new();
         for (i, w) in windows.iter().enumerate() {
-            let io = store.persist_checkpoint(&cert, &snap, w).expect("checkpoint");
+            let io = store
+                .persist_checkpoint(&cert, &snap, w)
+                .expect("checkpoint");
             assert!(io.gc.is_some(), "the armed trigger collects");
             // The one-key tree's page, once; segment frames never count.
             assert_eq!(io.pages.pages_written, u64::from(i == 0));
@@ -774,7 +890,9 @@ mod tests {
         let (snap, cert) = one_key_checkpoint();
         let dir = TempDir::new("nodestore-seghostile");
         let (mut store, _, _) = NodeStore::open(dir.path(), &WalConfig::default()).expect("open");
-        store.persist_checkpoint(&cert, &snap, window).expect("checkpoint");
+        store
+            .persist_checkpoint(&cert, &snap, window)
+            .expect("checkpoint");
         let pages = &store.node.pages;
         let refs = refs_of(window);
         let (skip, len) = (window.skip(), window.len());
@@ -803,15 +921,27 @@ mod tests {
         let mut dup = refs.clone();
         dup.insert(1, refs[1]);
         refused(&with(&dup, skip, len + refs[1].1), "duplicate reference");
-        refused(&with(&refs, refs[0].1, len + skip - refs[0].1), "skip = first segment's length");
-        refused(&with(&refs, refs[0].1 + 3, len), "skip past the first segment");
+        refused(
+            &with(&refs, refs[0].1, len + skip - refs[0].1),
+            "skip = first segment's length",
+        );
+        refused(
+            &with(&refs, refs[0].1 + 3, len),
+            "skip past the first segment",
+        );
         for delta in [-1i64, 1] {
             let mut off = refs.clone();
             off[2].1 = (off[2].1 as i64 + delta) as usize;
-            refused(&with(&off, skip, (len as i64 + delta) as usize), "len disagrees with frame");
+            refused(
+                &with(&off, skip, (len as i64 + delta) as usize),
+                "len disagrees with frame",
+            );
         }
         refused(&with(&refs, skip, len + 1), "window length disagrees");
-        refused(&with(&refs, skip + 1, len), "pruned prefix disagrees with the length");
+        refused(
+            &with(&refs, skip + 1, len),
+            "pruned prefix disagrees with the length",
+        );
 
         // Bit flips: anywhere, no panic; in the tag or the window section,
         // always refused.
@@ -831,7 +961,10 @@ mod tests {
         }
         // Truncated at every length: refused, no panic.
         for cut in 0..honest.meta.len() {
-            let m = Manifest { meta: honest.meta[..cut].to_vec(), ..honest.clone() };
+            let m = Manifest {
+                meta: honest.meta[..cut].to_vec(),
+                ..honest.clone()
+            };
             refused(&m, "truncated");
         }
     }

@@ -8,9 +8,9 @@ mod replica;
 mod wire;
 
 pub use cert::{checkpoint_digest, CertKind, QuorumCert, MAX_SIGNERS};
+use config::QUEUE_CAPACITY;
 pub use config::{BftVariant, FaultModel, PbftConfig, ReplyPolicy};
 pub use durable::NodeStore;
-use config::QUEUE_CAPACITY;
 pub use msg::{chunk_entry_bytes, MsgCert, PbftBlock, PbftMsg, ViewChangeMsg, Vote};
 pub use replica::Replica;
 
@@ -43,9 +43,12 @@ pub struct Member {
 /// keys first, then all TEE keys (registry key ids follow that order).
 pub fn derive_committee(n: usize, seed: u64) -> Vec<Member> {
     let mut registry = KeyRegistry::new();
-    let keys: Vec<_> = (0..n).map(|i| registry.generate(seed ^ ((i as u64) << 8))).collect();
-    let tee_keys: Vec<_> =
-        (0..n).map(|i| registry.generate(seed ^ ((i as u64) << 8) ^ 1)).collect();
+    let keys: Vec<_> = (0..n)
+        .map(|i| registry.generate(seed ^ ((i as u64) << 8)))
+        .collect();
+    let tee_keys: Vec<_> = (0..n)
+        .map(|i| registry.generate(seed ^ ((i as u64) << 8) ^ 1))
+        .collect();
     let registry = Arc::new(registry);
     keys.into_iter()
         .zip(tee_keys)
@@ -121,7 +124,10 @@ pub fn add_committee(
             QueueConfig::shared(QUEUE_CAPACITY)
         };
         let expected = group[member.index];
-        let id = sim.add_actor(Box::new(member.into_replica(cfg, group.clone(), genesis)), queues);
+        let id = sim.add_actor(
+            Box::new(member.into_replica(cfg, group.clone(), genesis)),
+            queues,
+        );
         debug_assert_eq!(id, expected);
     }
     group
@@ -255,7 +261,14 @@ mod tests {
         assert!(max_seq > 0);
         for (s, d) in &digests {
             if *s == max_seq {
-                assert_eq!(*d, digests.iter().find(|(s2, _)| *s2 == max_seq).expect("exists").1);
+                assert_eq!(
+                    *d,
+                    digests
+                        .iter()
+                        .find(|(s2, _)| *s2 == max_seq)
+                        .expect("exists")
+                        .1
+                );
             }
         }
     }
@@ -270,15 +283,29 @@ mod tests {
     fn committee_derivation_is_the_documented_one() {
         let (n, seed) = (4usize, 0xC0FFEE_u64);
         let mut reference = KeyRegistry::new();
-        let keys: Vec<_> = (0..n).map(|i| reference.generate(seed ^ ((i as u64) << 8))).collect();
-        let tee_keys: Vec<_> =
-            (0..n).map(|i| reference.generate(seed ^ ((i as u64) << 8) ^ 1)).collect();
+        let keys: Vec<_> = (0..n)
+            .map(|i| reference.generate(seed ^ ((i as u64) << 8)))
+            .collect();
+        let tee_keys: Vec<_> = (0..n)
+            .map(|i| reference.generate(seed ^ ((i as u64) << 8) ^ 1))
+            .collect();
         let digest = ahl_crypto::sha256(b"any message");
         let check = |m: &Member| {
             let i = m.index;
-            assert_eq!((m.key.id(), m.tee_key.id()), (keys[i].id(), tee_keys[i].id()));
-            assert_eq!(m.key.sign(&digest), keys[i].sign(&digest), "signing key {i}");
-            assert_eq!(m.tee_key.sign(&digest), tee_keys[i].sign(&digest), "TEE key {i}");
+            assert_eq!(
+                (m.key.id(), m.tee_key.id()),
+                (keys[i].id(), tee_keys[i].id())
+            );
+            assert_eq!(
+                m.key.sign(&digest),
+                keys[i].sign(&digest),
+                "signing key {i}"
+            );
+            assert_eq!(
+                m.tee_key.sign(&digest),
+                tee_keys[i].sign(&digest),
+                "TEE key {i}"
+            );
             // Same registry contents: each side verifies the other's keys.
             assert_eq!(m.registry.len(), 2 * n);
             assert!(m.registry.verify(&digest, &tee_keys[i].sign(&digest)));
@@ -288,9 +315,15 @@ mod tests {
         let me = 2;
         check(&derive_committee(n, seed).swap_remove(me)); // the `node` way
         let all = derive_committee(n, seed); // the `add_committee` way
-        assert_eq!(all.iter().map(|m| m.index).collect::<Vec<_>>(), [0, 1, 2, 3]);
+        assert_eq!(
+            all.iter().map(|m| m.index).collect::<Vec<_>>(),
+            [0, 1, 2, 3]
+        );
         all.iter().for_each(check);
-        assert!(derive_committee(1, seed)[0].reporter, "a committee of one reports itself");
+        assert!(
+            derive_committee(1, seed)[0].reporter,
+            "a committee of one reports itself"
+        );
     }
 
     /// Deferred batch verification must not let a forged signature vote
@@ -327,7 +360,9 @@ mod tests {
             ..vote3_good.clone()
         };
 
-        let mut replica = committee.swap_remove(1).into_replica(&cfg, (0..4).collect(), &[]);
+        let mut replica = committee
+            .swap_remove(1)
+            .into_replica(&cfg, (0..4).collect(), &[]);
         let mut host = TestHost::new(4);
         let deliver = |r: &mut Replica, host: &mut TestHost, from: NodeId, msg: PbftMsg| {
             let mut ctx = Ctx::for_host(host, 1);
@@ -336,8 +371,15 @@ mod tests {
         };
 
         // Leader proposal: replica 1 accepts and multicasts its prepare.
-        let out =
-            deliver(&mut replica, &mut host, 0, PbftMsg::PrePrepare { block: block.clone(), cert: leader_cert });
+        let out = deliver(
+            &mut replica,
+            &mut host,
+            0,
+            PbftMsg::PrePrepare {
+                block: block.clone(),
+                cert: leader_cert,
+            },
+        );
         assert!(
             out.iter().any(|(_, m)| matches!(m, PbftMsg::Prepare(_))),
             "follower must prepare after a certified pre-prepare"
@@ -351,7 +393,11 @@ mod tests {
             !out.iter().any(|(_, m)| matches!(m, PbftMsg::Commit(_))),
             "forged vote must not complete a prepare quorum"
         );
-        assert_eq!(host.stats.counter("consensus.invalid_msg"), 1, "forgery counted");
+        assert_eq!(
+            host.stats.counter("consensus.invalid_msg"),
+            1,
+            "forgery counted"
+        );
 
         // A genuine third vote completes the quorum: commit goes out.
         let out = deliver(&mut replica, &mut host, 2, PbftMsg::Prepare(vote2));
@@ -392,9 +438,22 @@ mod tests {
         let commit_block = |r: &mut Replica, host: &mut TestHost, seq: u64| {
             let block = Arc::new(PbftBlock::new(0, seq, 0, vec![]));
             let digest = block.digest;
-            let mut out =
-                deliver(r, host, 0, PbftMsg::PrePrepare { block, cert: MsgCert::Simulated });
-            let vote = Vote { view: 0, seq, digest, replica: 0, cert: MsgCert::Simulated };
+            let mut out = deliver(
+                r,
+                host,
+                0,
+                PbftMsg::PrePrepare {
+                    block,
+                    cert: MsgCert::Simulated,
+                },
+            );
+            let vote = Vote {
+                view: 0,
+                seq,
+                digest,
+                replica: 0,
+                cert: MsgCert::Simulated,
+            };
             out.extend(deliver(r, host, 0, PbftMsg::Commit(vote)));
             out
         };
@@ -408,13 +467,22 @@ mod tests {
             let vote = QuorumCert::checkpoint_vote(2, root, voter, None);
             deliver(&mut replica, &mut host, voter, PbftMsg::Checkpoint { vote });
         }
-        assert_eq!(host.stats.counter(stat::CKPT_CERTS), 0, "applied above the execution point");
+        assert_eq!(
+            host.stats.counter(stat::CKPT_CERTS),
+            0,
+            "applied above the execution point"
+        );
 
         let out = commit_block(&mut replica, &mut host, 2);
         assert_eq!(replica.exec_seq(), 2, "the block in flight was refused");
-        assert_eq!(host.stats.counter(stat::CKPT_CERTS), 1, "the held certificate applies");
+        assert_eq!(
+            host.stats.counter(stat::CKPT_CERTS),
+            1,
+            "the held certificate applies"
+        );
         assert!(
-            !out.iter().any(|(_, m)| matches!(m, PbftMsg::SyncRequest { .. })),
+            !out.iter()
+                .any(|(_, m)| matches!(m, PbftMsg::SyncRequest { .. })),
             "caught up by state sync instead of by execution"
         );
     }
@@ -445,15 +513,30 @@ mod tests {
                     Request {
                         id: Request::make_id(client, n as u32),
                         client,
-                        op: Op::Direct { txid: TxId(n), op: kvstore::kv_write(&[n], 16) },
+                        op: Op::Direct {
+                            txid: TxId(n),
+                            op: kvstore::kv_write(&[n], 16),
+                        },
                         submitted: SimTime::ZERO,
                     }
                 })
                 .collect();
             let block = Arc::new(PbftBlock::new(0, seq, 0, reqs));
-            let vote = Vote { view: 0, seq, digest: block.digest, replica: 0, cert: MsgCert::Simulated };
+            let vote = Vote {
+                view: 0,
+                seq,
+                digest: block.digest,
+                replica: 0,
+                cert: MsgCert::Simulated,
+            };
             let mut out = Vec::new();
-            for msg in [PbftMsg::PrePrepare { block, cert: MsgCert::Simulated }, PbftMsg::Commit(vote)] {
+            for msg in [
+                PbftMsg::PrePrepare {
+                    block,
+                    cert: MsgCert::Simulated,
+                },
+                PbftMsg::Commit(vote),
+            ] {
                 let mut ctx = Ctx::for_host(&mut host, 1);
                 r.on_message(0, msg, &mut ctx);
                 out.extend(ctx.finish().1);
@@ -463,7 +546,10 @@ mod tests {
         };
         for seq in 1..cfg.checkpoint_interval {
             commit_block(&mut replica, seq);
-            assert!(!replica.state().smt().is_fresh(), "the tree was hashed at block {seq}");
+            assert!(
+                !replica.state().smt().is_fresh(),
+                "the tree was hashed at block {seq}"
+            );
         }
         let out = commit_block(&mut replica, cfg.checkpoint_interval);
         let voted = out
@@ -473,8 +559,13 @@ mod tests {
                 _ => None,
             })
             .expect("a checkpoint vote at the checkpoint height");
-        let entries =
-            replica.state().smt().view().iter().map(|(k, v)| (k.to_string(), v.clone())).collect();
+        let entries = replica
+            .state()
+            .smt()
+            .view()
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.clone()))
+            .collect();
         assert_eq!(voted, StateStore::from_entries(entries).state_digest());
         assert_eq!(replica.state().len(), 3 * cfg.checkpoint_interval as usize);
     }
@@ -504,10 +595,22 @@ mod tests {
                 CryptoMode::CostOnly => MsgCert::Simulated,
             };
             let agg = PbftMsg::AggCommit(cert(block.digest));
-            let mut replica =
-                members.into_iter().nth(1).expect("member 1").into_replica(&cfg, (0..3).collect(), &[]);
+            let mut replica = members.into_iter().nth(1).expect("member 1").into_replica(
+                &cfg,
+                (0..3).collect(),
+                &[],
+            );
             let mut host = TestHost::new(3);
-            for (sender, msg) in [(0, PbftMsg::PrePrepare { block, cert: leader_cert }), (from, agg)] {
+            for (sender, msg) in [
+                (
+                    0,
+                    PbftMsg::PrePrepare {
+                        block,
+                        cert: leader_cert,
+                    },
+                ),
+                (from, agg),
+            ] {
                 let mut ctx = Ctx::for_host(&mut host, 1);
                 replica.on_message(sender, msg, &mut ctx);
             }
@@ -517,13 +620,21 @@ mod tests {
         let aggregate = |phase: VotePhase, log: u32, enclave: usize, signer: usize| {
             let tee_key = members[enclave].tee_key.clone();
             move |digest: Hash| {
-                let proof = match AttestedLog::new(tee_key.clone())
-                    .append(LogId(log), Slot { view: 0, seq: 1 }, digest)
-                {
+                let proof = match AttestedLog::new(tee_key.clone()).append(
+                    LogId(log),
+                    Slot { view: 0, seq: 1 },
+                    digest,
+                ) {
                     Ok(att) => MsgCert::Attested(att),
                     Err(_) => MsgCert::Simulated,
                 };
-                QuorumCert { kind: CertKind::Aggregate(phase), view: 0, seq: 1, digest, signers: vec![(signer, proof)] }
+                QuorumCert {
+                    kind: CertKind::Aggregate(phase),
+                    view: 0,
+                    seq: 1,
+                    digest,
+                    signers: vec![(signer, proof)],
+                }
             }
         };
         let unsigned = |signer: usize| {
@@ -535,16 +646,43 @@ mod tests {
                 signers: vec![(signer, MsgCert::Simulated)],
             }
         };
-        assert!(!commits(CryptoMode::CostOnly, 2, &unsigned(2)), "a non-leader's aggregate");
-        assert!(!commits(CryptoMode::CostOnly, 2, &unsigned(0)), "the leader's, sent by another");
-        assert!(commits(CryptoMode::CostOnly, 0, &unsigned(0)), "cost-only control");
-        assert!(!commits(CryptoMode::Real, 0, &unsigned(0)), "an unsigned aggregate");
+        assert!(
+            !commits(CryptoMode::CostOnly, 2, &unsigned(2)),
+            "a non-leader's aggregate"
+        );
+        assert!(
+            !commits(CryptoMode::CostOnly, 2, &unsigned(0)),
+            "the leader's, sent by another"
+        );
+        assert!(
+            commits(CryptoMode::CostOnly, 0, &unsigned(0)),
+            "cost-only control"
+        );
+        assert!(
+            !commits(CryptoMode::Real, 0, &unsigned(0)),
+            "an unsigned aggregate"
+        );
         let commit = VotePhase::Commit;
-        assert!(!commits(CryptoMode::Real, 0, &aggregate(commit, 5, 2, 0)), "another enclave's");
-        assert!(!commits(CryptoMode::Real, 0, &aggregate(commit, 5, 2, 2)), "a non-leader signer");
-        assert!(!commits(CryptoMode::Real, 0, &aggregate(commit, 4, 0, 0)), "a prepare attestation");
-        assert!(!commits(CryptoMode::Real, 0, &aggregate(VotePhase::Prepare, 4, 0, 0)), "a prepare kind");
-        assert!(commits(CryptoMode::Real, 0, &aggregate(commit, 5, 0, 0)), "the leader enclave's");
+        assert!(
+            !commits(CryptoMode::Real, 0, &aggregate(commit, 5, 2, 0)),
+            "another enclave's"
+        );
+        assert!(
+            !commits(CryptoMode::Real, 0, &aggregate(commit, 5, 2, 2)),
+            "a non-leader signer"
+        );
+        assert!(
+            !commits(CryptoMode::Real, 0, &aggregate(commit, 4, 0, 0)),
+            "a prepare attestation"
+        );
+        assert!(
+            !commits(CryptoMode::Real, 0, &aggregate(VotePhase::Prepare, 4, 0, 0)),
+            "a prepare kind"
+        );
+        assert!(
+            commits(CryptoMode::Real, 0, &aggregate(commit, 5, 0, 0)),
+            "the leader enclave's"
+        );
     }
 
     /// State sync is a conversation among committee members. A syncing
@@ -573,16 +711,26 @@ mod tests {
 
         // A request naming replica 2, sent by replica 3 (or by a client),
         // gets no answer at all.
-        let forged =
-            PbftMsg::SyncRequest { requester: 2, have_seq: 0, full: false, old_roots: vec![] };
+        let forged = PbftMsg::SyncRequest {
+            requester: 2,
+            have_seq: 0,
+            full: false,
+            old_roots: vec![],
+        };
         let answer = deliver(&mut replica, &mut host, 3, forged.clone());
         assert!(answer.is_empty(), "answered a forged requester");
-        assert!(deliver(&mut replica, &mut host, client, forged).is_empty(), "answered a client");
+        assert!(
+            deliver(&mut replica, &mut host, client, forged).is_empty(),
+            "answered a client"
+        );
 
         let req = Request {
             id: Request::make_id(client, 1),
             client,
-            op: Op::Direct { txid: TxId(1), op: kvstore::kv_write(&[7], 16) },
+            op: Op::Direct {
+                txid: TxId(1),
+                op: kvstore::kv_write(&[7], 16),
+            },
             submitted: SimTime::ZERO,
         };
         let block = Arc::new(PbftBlock::new(0, 1, 0, vec![req]));
@@ -594,7 +742,10 @@ mod tests {
             digest: block.digest,
             signers: commit_quorum,
         };
-        let tail = PbftMsg::SyncTail { blocks: vec![(block, cert)], view: 0 };
+        let tail = PbftMsg::SyncTail {
+            blocks: vec![(block, cert)],
+            view: 0,
+        };
         let genesis_root = replica.state().state_digest();
         deliver(&mut replica, &mut host, client, tail.clone());
         assert_eq!(replica.exec_seq(), 0, "a client's tail must not execute");

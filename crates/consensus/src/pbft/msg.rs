@@ -365,7 +365,14 @@ impl PbftMsg {
             PbftMsg::Rejected { .. } | PbftMsg::RelayRejected { .. } => 90,
             PbftMsg::Heartbeat { .. } | PbftMsg::PoolPull { .. } => 60,
             PbftMsg::SyncRequest { old_roots, .. } => 80 + 32 * old_roots.len(),
-            PbftMsg::SyncManifest { cert, sidecar, executed, diff, diff_base, .. } => {
+            PbftMsg::SyncManifest {
+                cert,
+                sidecar,
+                executed,
+                diff,
+                diff_base,
+                ..
+            } => {
                 120 + cert.wire_size()
                     + sidecar.wire_size()
                     + 8 * executed.len()
@@ -383,7 +390,10 @@ impl PbftMsg {
                     + 32 * proof.len()
             }
             PbftMsg::SyncTail { blocks, .. } => {
-                120 + blocks.iter().map(|(b, c)| b.wire_size() + c.wire_size()).sum::<usize>()
+                120 + blocks
+                    .iter()
+                    .map(|(b, c)| b.wire_size() + c.wire_size())
+                    .sum::<usize>()
             }
             PbftMsg::SyncNack { .. } => 70,
             PbftMsg::Transition { .. } | PbftMsg::TransitionDone { .. } => 60,
@@ -491,12 +501,20 @@ mod tests {
         assert_eq!(PbftMsg::Request(req(1)).class(), MsgClass::REQUEST);
         assert_eq!(PbftMsg::Gossip(req(1)).class(), MsgClass::REQUEST);
         assert_eq!(
-            PbftMsg::Reply { req_id: 1, committed: true }.class(),
+            PbftMsg::Reply {
+                req_id: 1,
+                committed: true
+            }
+            .class(),
             MsgClass::REQUEST
         );
         let block = Arc::new(PbftBlock::new(0, 1, 0, vec![req(1)]));
         assert_eq!(
-            PbftMsg::PrePrepare { block, cert: MsgCert::Simulated }.class(),
+            PbftMsg::PrePrepare {
+                block,
+                cert: MsgCert::Simulated
+            }
+            .class(),
             MsgClass::CONSENSUS
         );
     }
@@ -505,8 +523,16 @@ mod tests {
     fn wire_sizes_scale() {
         let small = Arc::new(PbftBlock::new(0, 1, 0, vec![req(1)]));
         let large = Arc::new(PbftBlock::new(0, 1, 0, (0..100).map(req).collect()));
-        let s = PbftMsg::PrePrepare { block: small, cert: MsgCert::Simulated }.wire_size();
-        let l = PbftMsg::PrePrepare { block: large, cert: MsgCert::Simulated }.wire_size();
+        let s = PbftMsg::PrePrepare {
+            block: small,
+            cert: MsgCert::Simulated,
+        }
+        .wire_size();
+        let l = PbftMsg::PrePrepare {
+            block: large,
+            cert: MsgCert::Simulated,
+        }
+        .wire_size();
         assert!(l > s * 10);
     }
 }

@@ -31,14 +31,12 @@ use ahl_tee::{attestation_digest, AttestedLog, LogId, Slot, TeeOp};
 
 use crate::adversary::Attack;
 use crate::common::{
-    stat, BlockExecutor, CryptoMode, ExecutedCache, Request, Stores, VotePhase,
-    NATIVE_SIGN, NATIVE_VERIFY,
+    stat, BlockExecutor, CryptoMode, ExecutedCache, Request, Stores, VotePhase, NATIVE_SIGN,
+    NATIVE_VERIFY,
 };
+use crate::pbft::cert::{enclave_key, logs, CertKind, QuorumCert, PREPREPARE_LOG};
 use crate::pbft::config::{
     PbftConfig, ReplyPolicy, COSTS, EXEC_COST_PER_OP, INGEST_COST, PIPELINE_WIDTH,
-};
-use crate::pbft::cert::{
-    enclave_key, logs, CertKind, QuorumCert, PREPREPARE_LOG,
 };
 use crate::pbft::durable::twopc_kind;
 use crate::pbft::msg::{MsgCert, PbftBlock, PbftMsg, Vote};
@@ -325,7 +323,9 @@ impl Replica {
             // The signature covers the attestation's log, slot and digest.
             MsgCert::Attested(att) => {
                 att.sig.signer == enclave_key(&self.registry, signer)
-                    && self.registry.verify(&attestation_digest(log, slot, digest), &att.sig)
+                    && self
+                        .registry
+                        .verify(&attestation_digest(log, slot, digest), &att.sig)
             }
         }
     }
@@ -483,7 +483,10 @@ impl Replica {
     }
 
     fn flush_partial_batch(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
-        if self.is_leader() && !self.sync.paused() && self.next_seq <= self.exec_seq + PIPELINE_WIDTH {
+        if self.is_leader()
+            && !self.sync.paused()
+            && self.next_seq <= self.exec_seq + PIPELINE_WIDTH
+        {
             let now = ctx.now();
             if let Some(batch) = self.batcher.take_due(&mut self.pool, now, ctx.stats()) {
                 self.propose_batch(batch, ctx);
@@ -515,7 +518,9 @@ impl Replica {
         self.next_seq += 1;
         let view = self.view;
         // Digest cost: hashing the batch.
-        let hash_cost = COSTS.cost(TeeOp::Sha256).saturating_mul(1 + batch.len() as u64 / 8);
+        let hash_cost = COSTS
+            .cost(TeeOp::Sha256)
+            .saturating_mul(1 + batch.len() as u64 / 8);
         self.charge(ctx, hash_cost);
 
         if let Some(attack) = self.attack() {
@@ -537,7 +542,13 @@ impl Replica {
         let Some(cert) = self.certify(ctx, PREPREPARE_LOG, view, seq, block.digest) else {
             return;
         };
-        ctx.multicast(recipients, PbftMsg::PrePrepare { block: block.clone(), cert: cert.clone() });
+        ctx.multicast(
+            recipients,
+            PbftMsg::PrePrepare {
+                block: block.clone(),
+                cert: cert.clone(),
+            },
+        );
         self.accept_block(block, cert, ctx);
     }
 
@@ -557,13 +568,18 @@ impl Replica {
         {
             return;
         }
-        let slot = Slot { view: block.view, seq: block.seq };
+        let slot = Slot {
+            view: block.view,
+            seq: block.seq,
+        };
         if !self.verify_cert(ctx, &cert, PREPREPARE_LOG, from_idx, slot, &block.digest) {
             ctx.stats().inc("consensus.invalid_msg", 1);
             return;
         }
         // Hash the batch to validate the digest.
-        let hash_cost = COSTS.cost(TeeOp::Sha256).saturating_mul(1 + block.reqs.len() as u64 / 8);
+        let hash_cost = COSTS
+            .cost(TeeOp::Sha256)
+            .saturating_mul(1 + block.reqs.len() as u64 / 8);
         self.charge(ctx, hash_cost);
         if let Some(inst) = self.insts.get(&block.seq) {
             if let Some(existing) = &inst.block {
@@ -603,7 +619,10 @@ impl Replica {
             // aggregation set.
             if self.cfg.variant.leader_aggregation() {
                 let inst = self.insts.entry(seq).or_default();
-                inst.relay_votes[VotePhase::Prepare as usize].entry(digest).or_default().insert(me);
+                inst.relay_votes[VotePhase::Prepare as usize]
+                    .entry(digest)
+                    .or_default()
+                    .insert(me);
             }
             self.check_prepared(seq, digest, ctx);
         }
@@ -627,7 +646,13 @@ impl Replica {
             inst.sent[phase as usize] = true;
             inst.cast(phase, digest, self.me, cert.clone());
         }
-        let vote = Vote { view, seq, digest, replica: self.me, cert };
+        let vote = Vote {
+            view,
+            seq,
+            digest,
+            replica: self.me,
+            cert,
+        };
         let leader = self.leader_of(view);
         if self.cfg.variant.leader_aggregation() && leader == self.me {
             self.on_relay_vote(phase, vote, ctx);
@@ -668,8 +693,18 @@ impl Replica {
             self.charge(ctx, NATIVE_VERIFY);
             return true;
         }
-        let slot = Slot { view: vote.view, seq: vote.seq };
-        self.verify_cert(ctx, &vote.cert, logs(phase).0, vote.replica, slot, &vote.digest)
+        let slot = Slot {
+            view: vote.view,
+            seq: vote.seq,
+        };
+        self.verify_cert(
+            ctx,
+            &vote.cert,
+            logs(phase).0,
+            vote.replica,
+            slot,
+            &vote.digest,
+        )
     }
 
     /// Whether signature votes are checked at quorum rather than on
@@ -690,7 +725,9 @@ impl Replica {
             return true;
         }
         let registry = self.registry.clone();
-        let Some(inst) = self.insts.get_mut(&seq) else { return true };
+        let Some(inst) = self.insts.get_mut(&seq) else {
+            return true;
+        };
         let sigs: Vec<(usize, ahl_crypto::Signature)> = inst
             .votes
             .iter()
@@ -742,7 +779,13 @@ impl Replica {
     }
 
     /// A `phase` vote for `digest` at `seq` was recorded: act on a quorum.
-    fn check_quorum(&mut self, phase: VotePhase, seq: u64, digest: Hash, ctx: &mut Ctx<'_, PbftMsg>) {
+    fn check_quorum(
+        &mut self,
+        phase: VotePhase,
+        seq: u64,
+        digest: Hash,
+        ctx: &mut Ctx<'_, PbftMsg>,
+    ) {
         match phase {
             VotePhase::Prepare => self.check_prepared(seq, digest, ctx),
             VotePhase::Commit => self.check_committed(seq, digest, ctx),
@@ -773,7 +816,9 @@ impl Replica {
     ) -> bool {
         let quorum = self.cfg.quorum();
         loop {
-            let Some(inst) = self.insts.get(&seq) else { return false };
+            let Some(inst) = self.insts.get(&seq) else {
+                return false;
+            };
             let unacted = match phase {
                 VotePhase::Prepare => !inst.sent[VotePhase::Commit as usize],
                 VotePhase::Commit => inst.cert.is_none(),
@@ -794,16 +839,28 @@ impl Replica {
         if !self.settled_quorum(VotePhase::Commit, seq, &digest, ctx) {
             return;
         }
-        let Some(inst) = self.insts.get_mut(&seq) else { return };
-        let signers = inst.votes[VotePhase::Commit as usize].remove(&digest).unwrap_or_default();
-        let cert = QuorumCert { kind: CertKind::Commit, view: inst.view, seq, digest, signers };
+        let Some(inst) = self.insts.get_mut(&seq) else {
+            return;
+        };
+        let signers = inst.votes[VotePhase::Commit as usize]
+            .remove(&digest)
+            .unwrap_or_default();
+        let cert = QuorumCert {
+            kind: CertKind::Commit,
+            view: inst.view,
+            seq,
+            digest,
+            signers,
+        };
         self.commit(cert, ctx);
     }
 
     /// The block at `cert.seq` committed: keep the certificate with it and
     /// execute what is ready.
     fn commit(&mut self, cert: QuorumCert, ctx: &mut Ctx<'_, PbftMsg>) {
-        let Some(inst) = self.insts.get_mut(&cert.seq) else { return };
+        let Some(inst) = self.insts.get_mut(&cert.seq) else {
+            return;
+        };
         if let Some(block) = &inst.block {
             for r in block.reqs.iter() {
                 ctx.trace(r.id, Phase::Commit);
@@ -823,13 +880,18 @@ impl Replica {
             return;
         }
         let (log, agg_log) = logs(phase);
-        let slot = Slot { view: vote.view, seq: vote.seq };
+        let slot = Slot {
+            view: vote.view,
+            seq: vote.seq,
+        };
         if !self.verify_cert(ctx, &vote.cert, log, vote.replica, slot, &vote.digest) {
             return;
         }
         let quorum = self.cfg.quorum();
         let inst = self.insts.entry(vote.seq).or_default();
-        let relayed = inst.relay_votes[phase as usize].entry(vote.digest).or_default();
+        let relayed = inst.relay_votes[phase as usize]
+            .entry(vote.digest)
+            .or_default();
         relayed.insert(vote.replica);
         if inst.agg_sent[phase as usize] || relayed.len() < quorum {
             return;
@@ -870,12 +932,16 @@ impl Replica {
             return;
         }
         self.charge(ctx, NATIVE_VERIFY);
-        let Some(inst) = self.insts.get(&cert.seq) else { return };
+        let Some(inst) = self.insts.get(&cert.seq) else {
+            return;
+        };
         if inst.block.as_ref().is_none_or(|b| b.digest != cert.digest) {
             return;
         }
         let (sent_commit, committed) = (inst.sent[VotePhase::Commit as usize], inst.cert.is_some());
-        let CertKind::Aggregate(phase) = cert.kind else { return };
+        let CertKind::Aggregate(phase) = cert.kind else {
+            return;
+        };
         if from != self.leader_of(cert.view) || !self.verify_qc(&cert) {
             ctx.stats().inc("consensus.invalid_msg", 1);
             return;
@@ -897,11 +963,16 @@ impl Replica {
                 return; // an I/O failure mid-execution killed the node
             }
             let next = self.exec_seq + 1;
-            let Some(inst) = self.insts.get_mut(&next).filter(|i| i.cert.is_some() && !i.executed)
+            let Some(inst) = self
+                .insts
+                .get_mut(&next)
+                .filter(|i| i.cert.is_some() && !i.executed)
             else {
                 break;
             };
-            let Some(block) = inst.block.clone() else { break };
+            let Some(block) = inst.block.clone() else {
+                break;
+            };
             inst.executed = true;
             if !self.execute_next(&block, ctx) {
                 return;
@@ -944,29 +1015,41 @@ impl Replica {
         };
         // PBFT's own per-request work, in batch order after the shell's
         // `Exec` stamp: 2PC stamps and journal records, client replies.
-        let weight = self.exec.commit(block.seq, &block.reqs, stores, ctx, |req, ok, ctx| {
-            match &req.op {
-                ahl_ledger::Op::Prepare { txid, .. } => ctx.trace(txid.0, Phase::TwoPcPrepare),
-                ahl_ledger::Op::Commit { txid } | ahl_ledger::Op::Abort { txid } => {
-                    ctx.trace(txid.0, Phase::TwoPcDecide)
+        let weight = self
+            .exec
+            .commit(block.seq, &block.reqs, stores, ctx, |req, ok, ctx| {
+                match &req.op {
+                    ahl_ledger::Op::Prepare { txid, .. } => ctx.trace(txid.0, Phase::TwoPcPrepare),
+                    ahl_ledger::Op::Commit { txid } | ahl_ledger::Op::Abort { txid } => {
+                        ctx.trace(txid.0, Phase::TwoPcDecide)
+                    }
+                    _ => {}
                 }
-                _ => {}
-            }
-            if ok {
-                if let (Some(kind), Some(store), Some(txid)) =
-                    (twopc_kind(&req.op), self.ckpt.store(), req.op.txid())
-                {
-                    store.log_twopc(txid.0, kind);
+                if ok {
+                    if let (Some(kind), Some(store), Some(txid)) =
+                        (twopc_kind(&req.op), self.ckpt.store(), req.op.txid())
+                    {
+                        store.log_twopc(txid.0, kind);
+                    }
                 }
-            }
-            if self.cfg.reply_policy == ReplyPolicy::IngestReplica {
-                if let Some(client) = self.ingested.remove(&req.id) {
-                    ctx.send(client, PbftMsg::Reply { req_id: req.id, committed: ok });
+                if self.cfg.reply_policy == ReplyPolicy::IngestReplica {
+                    if let Some(client) = self.ingested.remove(&req.id) {
+                        ctx.send(
+                            client,
+                            PbftMsg::Reply {
+                                req_id: req.id,
+                                committed: ok,
+                            },
+                        );
+                    }
                 }
-            }
-        });
+            });
         // Execution cost: chaincode + validation per state access.
-        self.charge_to(ctx, EXEC_COST_PER_OP.saturating_mul(weight as u64), stat::EXEC_CPU_NS);
+        self.charge_to(
+            ctx,
+            EXEC_COST_PER_OP.saturating_mul(weight as u64),
+            stat::EXEC_CPU_NS,
+        );
         // Group commit: one write+policy-fsync for the batch record plus
         // its 2PC journal. An I/O failure here is a crash — the node goes
         // dark and recovers from whatever reached the disk.
@@ -999,8 +1082,14 @@ fn vote_msg(phase: VotePhase, vote: Vote) -> PbftMsg {
 /// An empty pool and its batch builder, as `cfg` sizes them (at start and
 /// after a restart).
 fn fresh_pool(cfg: &PbftConfig) -> (Mempool<Request>, BatchBuilder) {
-    let batch = BatchConfig { max_txs: cfg.batch_size, timeout: cfg.batch_timeout };
-    (Mempool::new(cfg.mempool.clone(), 0), BatchBuilder::new(batch))
+    let batch = BatchConfig {
+        max_txs: cfg.batch_size,
+        timeout: cfg.batch_timeout,
+    };
+    (
+        Mempool::new(cfg.mempool.clone(), 0),
+        BatchBuilder::new(batch),
+    )
 }
 
 /// Profiler span for one delivered message, named by its kind, so a
@@ -1089,7 +1178,9 @@ impl Actor for Replica {
             PbftMsg::Gossip(req) => self.on_gossip(req, ctx),
             PbftMsg::RelayRejected { req_id } => self.on_relay_rejected(req_id, ctx),
             PbftMsg::PrePrepare { block, cert } => {
-                let Some(idx) = self.group_index(from) else { return };
+                let Some(idx) = self.group_index(from) else {
+                    return;
+                };
                 self.on_preprepare(block, cert, idx, ctx);
             }
             PbftMsg::Prepare(v) => self.on_vote(VotePhase::Prepare, v, ctx),
@@ -1097,19 +1188,25 @@ impl Actor for Replica {
             PbftMsg::RelayPrepare(v) => self.on_relay_vote(VotePhase::Prepare, v, ctx),
             PbftMsg::RelayCommit(v) => self.on_relay_vote(VotePhase::Commit, v, ctx),
             PbftMsg::AggPrepare(cert) | PbftMsg::AggCommit(cert) => {
-                let Some(idx) = self.group_index(from) else { return };
+                let Some(idx) = self.group_index(from) else {
+                    return;
+                };
                 self.on_aggregate(idx, cert, ctx);
             }
             PbftMsg::Checkpoint { vote } => self.on_checkpoint(vote, ctx),
             PbftMsg::ViewChange(vc) => self.on_view_change(vc, ctx),
             PbftMsg::NewView { view, reproposals } => self.on_new_view(view, reproposals, ctx),
             PbftMsg::PoolPull { view } => {
-                let Some(idx) = self.group_index(from) else { return };
+                let Some(idx) = self.group_index(from) else {
+                    return;
+                };
                 self.on_pool_pull(idx, view, ctx);
             }
             PbftMsg::Reply { .. } | PbftMsg::Rejected { .. } => {}
             PbftMsg::Heartbeat { view, exec_seq } => {
-                let Some(idx) = self.group_index(from) else { return };
+                let Some(idx) = self.group_index(from) else {
+                    return;
+                };
                 self.on_heartbeat(idx, view, exec_seq, ctx);
             }
             // State sync is a conversation among committee members: its
@@ -1125,9 +1222,12 @@ impl Actor for Replica {
                 if self.group_index(from).is_none() => {}
             PbftMsg::SyncRequest { requester, .. } | PbftMsg::ChunkRequest { requester, .. }
                 if self.group_index(from) != Some(requester) || requester == self.me => {}
-            PbftMsg::SyncRequest { requester, have_seq, full, old_roots } => {
-                self.on_sync_request(requester, have_seq, full, old_roots, ctx)
-            }
+            PbftMsg::SyncRequest {
+                requester,
+                have_seq,
+                full,
+                old_roots,
+            } => self.on_sync_request(requester, have_seq, full, old_roots, ctx),
             PbftMsg::SyncManifest {
                 cert,
                 bits,
@@ -1138,12 +1238,17 @@ impl Actor for Replica {
                 diff,
                 diff_base,
             } => self.on_sync_manifest(cert, bits, sidecar, executed, view, diff, diff_base, ctx),
-            PbftMsg::ChunkRequest { requester, seq, chunk } => {
-                self.on_chunk_request(requester, seq, chunk, ctx)
-            }
-            PbftMsg::ChunkData { seq, chunk, entries, proof } => {
-                self.on_chunk_data(seq, chunk, entries, proof, ctx)
-            }
+            PbftMsg::ChunkRequest {
+                requester,
+                seq,
+                chunk,
+            } => self.on_chunk_request(requester, seq, chunk, ctx),
+            PbftMsg::ChunkData {
+                seq,
+                chunk,
+                entries,
+                proof,
+            } => self.on_chunk_data(seq, chunk, entries, proof, ctx),
             PbftMsg::SyncTail { blocks, view } => self.on_sync_tail(blocks, view, ctx),
             PbftMsg::SyncNack { .. } => self.on_sync_nack(ctx),
             PbftMsg::Transition { controller, rejoin } => {
@@ -1170,7 +1275,10 @@ impl Actor for Replica {
             TIMER_VC if !dark => self.maybe_start_view_change(ctx),
             TIMER_HEARTBEAT if !dark => {
                 if self.is_leader() && self.byz.is_none() && !self.sync.paused() {
-                    let beat = PbftMsg::Heartbeat { view: self.view, exec_seq: self.exec_seq };
+                    let beat = PbftMsg::Heartbeat {
+                        view: self.view,
+                        exec_seq: self.exec_seq,
+                    };
                     ctx.multicast(self.others(), beat);
                 }
             }

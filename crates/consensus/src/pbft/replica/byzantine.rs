@@ -29,7 +29,10 @@ pub(super) struct Byzantine {
 
 impl Byzantine {
     pub(super) fn new() -> Self {
-        Byzantine { stale_votes: [None, None], equiv: EquivocationTracker::new() }
+        Byzantine {
+            stale_votes: [None, None],
+            equiv: EquivocationTracker::new(),
+        }
     }
 }
 
@@ -58,8 +61,18 @@ impl Replica {
                 let block_b = Arc::new(PbftBlock::new(view, seq + 1_000_000, self.me, rev));
                 self.charge(ctx, NATIVE_SIGN);
                 for (i, peer) in self.others().into_iter().enumerate() {
-                    let block = if i % 2 == 0 { block_a.clone() } else { block_b.clone() };
-                    ctx.send(peer, PbftMsg::PrePrepare { block, cert: MsgCert::Simulated });
+                    let block = if i % 2 == 0 {
+                        block_a.clone()
+                    } else {
+                        block_b.clone()
+                    };
+                    ctx.send(
+                        peer,
+                        PbftMsg::PrePrepare {
+                            block,
+                            cert: MsgCert::Simulated,
+                        },
+                    );
                 }
             }
             Attack::Equivocate => self.equivocate_propose(batch, view, seq, ctx),
@@ -106,7 +119,11 @@ impl Replica {
         let alt: Vec<Request> = batch[1..].to_vec();
         let x = Arc::new(PbftBlock::new(view, seq, self.me, batch));
         let y = Arc::new(PbftBlock::new(view, seq, self.me, alt));
-        let (lo, hi) = if x.digest.0 <= y.digest.0 { (x, y) } else { (y, x) };
+        let (lo, hi) = if x.digest.0 <= y.digest.0 {
+            (x, y)
+        } else {
+            (y, x)
+        };
         self.charge(ctx, NATIVE_SIGN);
         for g in 0..self.cfg.n {
             if g == self.me {
@@ -122,7 +139,13 @@ impl Replica {
             };
             for block in blocks {
                 let cert = self.byz_cert(&block.digest);
-                ctx.send(peer, PbftMsg::PrePrepare { block: (*block).clone(), cert });
+                ctx.send(
+                    peer,
+                    PbftMsg::PrePrepare {
+                        block: (*block).clone(),
+                        cert,
+                    },
+                );
                 let vote = Vote {
                     view,
                     seq,
@@ -140,8 +163,17 @@ impl Replica {
     /// committee half its digest rank assigns — the two-faced voting that
     /// makes both forks complete once the Byzantine count exceeds the
     /// quorum-intersection bound.
-    pub(super) fn equivocate_echo(&mut self, view: u64, seq: u64, digest: Hash, ctx: &mut Ctx<'_, PbftMsg>) {
-        let Some((half, split)) = self.byz.as_mut().and_then(|b| b.equiv.observe(seq as u128, digest))
+    pub(super) fn equivocate_echo(
+        &mut self,
+        view: u64,
+        seq: u64,
+        digest: Hash,
+        ctx: &mut Ctx<'_, PbftMsg>,
+    ) {
+        let Some((half, split)) = self
+            .byz
+            .as_mut()
+            .and_then(|b| b.equiv.observe(seq as u128, digest))
         else {
             return;
         };
@@ -151,8 +183,20 @@ impl Replica {
             .filter(|g| *g != me && (!split || equivocation_half(*g) == half))
             .map(|g| self.group[g])
             .collect();
-        let prepare = Vote { view, seq, digest, replica: me, cert: self.byz_cert(&digest) };
-        let commit = Vote { view, seq, digest, replica: me, cert: self.byz_cert(&digest) };
+        let prepare = Vote {
+            view,
+            seq,
+            digest,
+            replica: me,
+            cert: self.byz_cert(&digest),
+        };
+        let commit = Vote {
+            view,
+            seq,
+            digest,
+            replica: me,
+            cert: self.byz_cert(&digest),
+        };
         ctx.multicast(targets.clone(), PbftMsg::Prepare(prepare));
         ctx.multicast(targets, PbftMsg::Commit(commit));
     }
@@ -175,7 +219,10 @@ impl Replica {
             // withholders say nothing at all.
             Attack::Equivocate | Attack::WithholdVotes => {}
             Attack::StaleReplay => {
-                let stale = self.byz.as_mut().and_then(|b| b.stale_votes[phase as usize].replace(vote));
+                let stale = self
+                    .byz
+                    .as_mut()
+                    .and_then(|b| b.stale_votes[phase as usize].replace(vote));
                 if let Some(stale) = stale {
                     ctx.stats().inc("adv.stale_replays", 1);
                     // Charge the send like the lockstep engine does, so
@@ -242,11 +289,25 @@ pub(super) fn corrupt_chunk(entries: &mut Vec<(Key, Value)>) {
 /// set a key no client writes. The block keeps its digest field and its
 /// certificate, so only a receiver that recomputes the digest can tell.
 pub(super) fn forge_tail(blocks: &mut [(Arc<PbftBlock>, QuorumCert)]) {
-    let Some((first, _)) = blocks.first_mut() else { return };
+    let Some((first, _)) = blocks.first_mut() else {
+        return;
+    };
     let mut reqs = first.reqs.as_ref().clone();
     let Some(req) = reqs.first_mut() else { return };
-    let forged = ("forged".to_string(), ahl_ledger::Mutation::Set(Value::Int(666)));
-    let op = ahl_ledger::StateOp { conditions: vec![], mutations: vec![forged] };
-    req.op = ahl_ledger::Op::Direct { txid: ahl_ledger::TxId(req.id), op };
-    *first = Arc::new(PbftBlock { reqs: Arc::new(reqs), ..first.as_ref().clone() });
+    let forged = (
+        "forged".to_string(),
+        ahl_ledger::Mutation::Set(Value::Int(666)),
+    );
+    let op = ahl_ledger::StateOp {
+        conditions: vec![],
+        mutations: vec![forged],
+    };
+    req.op = ahl_ledger::Op::Direct {
+        txid: ahl_ledger::TxId(req.id),
+        op,
+    };
+    *first = Arc::new(PbftBlock {
+        reqs: Arc::new(reqs),
+        ..first.as_ref().clone()
+    });
 }

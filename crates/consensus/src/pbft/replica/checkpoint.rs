@@ -83,13 +83,19 @@ impl Checkpoints {
     /// configuration error (unwritable path, typo): failing loudly
     /// beats silently running the whole simulation diskless.
     pub(super) fn new(cfg: &PbftConfig, actor: NodeId) -> Self {
-        let store_dir = cfg.data_dir.as_ref().map(|d| d.join(format!("node-{actor}")));
+        let store_dir = cfg
+            .data_dir
+            .as_ref()
+            .map(|d| d.join(format!("node-{actor}")));
         let durable_store = store_dir.as_ref().map(|d| {
             let (store, _, _) = NodeStore::open(d, &cfg.wal)
                 .unwrap_or_else(|e| panic!("data_dir {d:?} is unusable: {e}"));
             store
         });
-        Checkpoints { durable_store, ..Checkpoints::holding(None, store_dir) }
+        Checkpoints {
+            durable_store,
+            ..Checkpoints::holding(None, store_dir)
+        }
     }
 
     /// Checkpoint state that holds only `durable` and `store_dir`, with no
@@ -135,7 +141,10 @@ impl Checkpoints {
 
     /// The served snapshot certified at `seq`, if still in the window.
     pub(super) fn served_at(&self, seq: u64) -> Option<&CkptSnapshot> {
-        self.serving.iter().find(|(cert, _)| cert.seq == seq).map(|(_, s)| s)
+        self.serving
+            .iter()
+            .find(|(cert, _)| cert.seq == seq)
+            .map(|(_, s)| s)
     }
 
     /// A retained frozen snapshot whose root is exactly `root`, if any:
@@ -276,7 +285,9 @@ impl Replica {
             return;
         }
         let quorum = self.cfg.quorum();
-        let Some(cert) = self.ckpt.votes.record(vote, quorum) else { return };
+        let Some(cert) = self.ckpt.votes.record(vote, quorum) else {
+            return;
+        };
         if cert.seq > self.exec_seq && cert.seq <= self.exec_seq + PIPELINE_WIDTH {
             self.ckpt.pending_cert = Some(cert);
             return;
@@ -288,7 +299,9 @@ impl Replica {
     /// Apply the held certificate if it is at or below `upto`. One that a
     /// state transfer has already overtaken is dropped.
     pub(super) fn release_pending_cert(&mut self, upto: u64, ctx: &mut Ctx<'_, PbftMsg>) {
-        let Some(cert) = self.ckpt.pending_cert.take_if(|c| c.seq <= upto) else { return };
+        let Some(cert) = self.ckpt.pending_cert.take_if(|c| c.seq <= upto) else {
+            return;
+        };
         if cert.seq > self.low_mark {
             self.apply_stable_checkpoint(cert, ctx);
         }
@@ -306,15 +319,24 @@ impl Replica {
         self.insts_floor = floor;
         let pruned = self.state.checkpoint_prune();
         ctx.stats().inc(stat::RESOLVED_PRUNED, pruned as u64);
-        let pruned_exec = self.executed_reqs.checkpoint_prune(ctx.now(), self.cfg.request_ttl);
+        let pruned_exec = self
+            .executed_reqs
+            .checkpoint_prune(ctx.now(), self.cfg.request_ttl);
         ctx.stats().inc(stat::EXECUTED_PRUNED, pruned_exec as u64);
         if self.cfg.crypto == CryptoMode::Real {
             self.tee.truncate(cert.seq);
         }
-        if let Some(snap) = self.ckpt.snapshots.iter().find(|s| s.seq == cert.seq).cloned() {
+        if let Some(snap) = self
+            .ckpt
+            .snapshots
+            .iter()
+            .find(|s| s.seq == cert.seq)
+            .cloned()
+        {
             // The certified own snapshot doubles as the durable (on-disk)
             // checkpoint a crash cannot erase.
-            self.ckpt.install(cert.clone(), snap, self.cfg.snapshot_retention);
+            self.ckpt
+                .install(cert.clone(), snap, self.cfg.snapshot_retention);
             // With real persistence, "durable" means the disk says so:
             // pages (deduplicated against earlier checkpoints), manifest
             // swap, WAL compaction.
@@ -338,8 +360,10 @@ impl Replica {
             Ok(io) => {
                 let stats = io.pages;
                 ctx.stats().inc(stat::WAL_CHECKPOINTS, 1);
-                ctx.stats().inc(stat::WAL_PAGES_WRITTEN, stats.pages_written);
-                ctx.stats().inc(stat::WAL_PAGES_SHARED, stats.subtrees_shared);
+                ctx.stats()
+                    .inc(stat::WAL_PAGES_WRITTEN, stats.pages_written);
+                ctx.stats()
+                    .inc(stat::WAL_PAGES_SHARED, stats.subtrees_shared);
                 let mut gc_copied_bytes = 0;
                 if let Some(gc) = io.gc {
                     ctx.stats().inc(stat::WAL_GC_RUNS, gc.runs);

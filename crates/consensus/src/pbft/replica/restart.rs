@@ -28,7 +28,10 @@ pub(super) struct Lifecycle {
 
 impl Lifecycle {
     pub(super) fn new(genesis: Arc<Vec<(Key, Value)>>) -> Self {
-        Lifecycle { genesis, crashed: false }
+        Lifecycle {
+            genesis,
+            crashed: false,
+        }
     }
 
     /// Whether the replica is dark (crashed, not yet restarted).
@@ -191,11 +194,17 @@ impl Replica {
                         pool: &mut self.pool,
                     };
                     let weight = self.exec.execute(&reqs, stores, ctx.now(), |req, ok| {
-                        if let (true, Some(k), Some(txid)) = (ok, twopc_kind(&req.op), req.op.txid()) {
+                        if let (true, Some(k), Some(txid)) =
+                            (ok, twopc_kind(&req.op), req.op.txid())
+                        {
                             expected.push_back((txid.0, k));
                         }
                     });
-                    self.charge_to(ctx, EXEC_COST_PER_OP.saturating_mul(weight as u64), stat::EXEC_CPU_NS);
+                    self.charge_to(
+                        ctx,
+                        EXEC_COST_PER_OP.saturating_mul(weight as u64),
+                        stat::EXEC_CPU_NS,
+                    );
                     self.exec_seq = seq;
                     self.next_seq = seq + 1;
                     replayed += 1;
@@ -225,7 +234,10 @@ impl Replica {
             // back to exactly the verified checkpoint (or genesis) and
             // let state sync re-fetch the rest with proofs.
             self.resume_from_durable(ctx.now());
-            debug_assert_eq!(self.exec_seq, checkpoint_exec, "rollback lands on the checkpoint");
+            debug_assert_eq!(
+                self.exec_seq, checkpoint_exec,
+                "rollback lands on the checkpoint"
+            );
             return 0;
         }
         replayed

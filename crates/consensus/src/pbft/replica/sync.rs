@@ -148,7 +148,10 @@ pub(super) struct SyncState {
 
 impl SyncState {
     pub(super) fn new() -> Self {
-        SyncState { run: None, paused: false }
+        SyncState {
+            run: None,
+            paused: false,
+        }
     }
 
     /// Whether consensus participation is suspended until a sync completes.
@@ -164,7 +167,10 @@ impl SyncState {
     /// Drop the exchange in flight and pause until a sync completes: the
     /// replica went dark, or is restarting.
     pub(super) fn halt(&mut self) {
-        *self = SyncState { paused: true, ..SyncState::new() };
+        *self = SyncState {
+            paused: true,
+            ..SyncState::new()
+        };
     }
 }
 
@@ -179,7 +185,13 @@ impl Replica {
     /// *current view's leader* is believed — an unvalidated `exec_seq`
     /// from an arbitrary replica would let one Byzantine node keep the
     /// whole committee churning through pointless sync exchanges.
-    pub(super) fn on_heartbeat(&mut self, from_idx: usize, view: u64, exec_seq: u64, ctx: &mut Ctx<'_, PbftMsg>) {
+    pub(super) fn on_heartbeat(
+        &mut self,
+        from_idx: usize,
+        view: u64,
+        exec_seq: u64,
+        ctx: &mut Ctx<'_, PbftMsg>,
+    ) {
         self.charge(ctx, SimDuration::from_micros(5));
         if view != self.view || from_idx != self.leader_of(self.view) {
             return;
@@ -227,7 +239,9 @@ impl Replica {
     /// the tail: a gap catch-up (if a newer certificate formed meanwhile,
     /// the server re-anchors us with a near-empty diff).
     fn send_sync_request(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
-        let Some(run) = self.sync.run.as_ref() else { return };
+        let Some(run) = self.sync.run.as_ref() else {
+            return;
+        };
         let tail = matches!(run.phase, SyncPhase::AwaitTail);
         let eligible = self.cfg.diff_sync && !run.no_diff && (tail || !run.full || run.rejoin);
         let old_roots = if eligible {
@@ -238,7 +252,12 @@ impl Replica {
         let (peer, full) = (run.peer.at, run.full && !tail);
         ctx.send(
             self.group[peer],
-            PbftMsg::SyncRequest { requester: self.me, have_seq: self.exec_seq, full, old_roots },
+            PbftMsg::SyncRequest {
+                requester: self.me,
+                have_seq: self.exec_seq,
+                full,
+                old_roots,
+            },
         );
     }
 
@@ -267,7 +286,9 @@ impl Replica {
         diff_base: Option<Hash>,
         ctx: &mut Ctx<'_, PbftMsg>,
     ) {
-        let Some(run) = self.sync.run.as_ref() else { return };
+        let Some(run) = self.sync.run.as_ref() else {
+            return;
+        };
         // A manifest is valid in `AwaitManifest`, and also in `AwaitTail`:
         // if a newer certificate formed while we synced, the server cannot
         // serve our tail any more and re-anchors us on the newer one
@@ -280,19 +301,29 @@ impl Replica {
         // A full first-round fetch accepts any certificate (the node might
         // even be ahead of it on the old shard's timeline); re-anchors and
         // gap syncs only accept certificates ahead of the execution point.
-        let have_seq = if run.full && first_round { 0 } else { self.exec_seq };
+        let have_seq = if run.full && first_round {
+            0
+        } else {
+            self.exec_seq
+        };
         // Verify the certificate: quorum of distinct signers over the
         // advertised (seq, root) — the trust anchor for every chunk.
         let quorum = self.cfg.quorum();
         self.charge(ctx, NATIVE_VERIFY.saturating_mul(cert.signers.len() as u64));
         let certified =
             cert.kind == CertKind::Checkpoint && cert.verify(quorum, self.cert_registry());
-        let Some(run) = self.sync.run.as_mut() else { return };
+        let Some(run) = self.sync.run.as_mut() else {
+            return;
+        };
         // Monotonicity: a stale peer (itself mid-recovery) may answer with
         // a certificate older than the one this exchange already targets.
         // Accepting it would regress the transfer — refuse and rotate.
         if !certified || cert.seq < run.floor_seq {
-            let counter = if certified { stat::SYNC_STALE_MANIFESTS } else { stat::SYNC_BAD_CERTS };
+            let counter = if certified {
+                stat::SYNC_STALE_MANIFESTS
+            } else {
+                stat::SYNC_BAD_CERTS
+            };
             ctx.stats().inc(counter, 1);
             run.peer.rotate();
             return; // retry (rotated peer) via the sync timer
@@ -337,7 +368,15 @@ impl Replica {
         let anchor = anchor.filter(|_| session.is_diff());
         let done = session.is_complete();
         let (cert, inflight) = (Box::new(cert), Vec::new());
-        run.phase = SyncPhase::Chunks { session, anchor, cert, sidecar, executed, view, inflight };
+        run.phase = SyncPhase::Chunks {
+            session,
+            anchor,
+            cert,
+            sidecar,
+            executed,
+            view,
+            inflight,
+        };
         if done {
             // Empty diff: the retained snapshot already matches the
             // certified root — skip straight to the install + tail.
@@ -352,9 +391,19 @@ impl Replica {
     /// certified root, so order does not matter and slow peers only stall
     /// their own slot.
     fn pump_chunk_requests(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
-        let fanout = self.cfg.sync_fanout.clamp(1, self.cfg.n.saturating_sub(1).max(1));
-        let Some(run) = self.sync.run.as_mut() else { return };
-        let SyncPhase::Chunks { session, inflight, .. } = &mut run.phase else { return };
+        let fanout = self
+            .cfg
+            .sync_fanout
+            .clamp(1, self.cfg.n.saturating_sub(1).max(1));
+        let Some(run) = self.sync.run.as_mut() else {
+            return;
+        };
+        let SyncPhase::Chunks {
+            session, inflight, ..
+        } = &mut run.phase
+        else {
+            return;
+        };
         let seq = session.seq();
         for chunk in session.missing_chunks() {
             if inflight.len() >= fanout {
@@ -365,7 +414,14 @@ impl Replica {
             }
             let peer = run.peer.rotate();
             inflight.push(chunk);
-            ctx.send(self.group[peer], PbftMsg::ChunkRequest { requester: self.me, seq, chunk });
+            ctx.send(
+                self.group[peer],
+                PbftMsg::ChunkRequest {
+                    requester: self.me,
+                    seq,
+                    chunk,
+                },
+            );
         }
     }
 
@@ -379,8 +435,15 @@ impl Replica {
     ) {
         let now = ctx.now();
         let bytes: usize = entries.iter().map(|(k, v)| chunk_entry_bytes(k, v)).sum();
-        let Some(run) = self.sync.run.as_mut() else { return };
-        let SyncPhase::Chunks { session, inflight, .. } = &mut run.phase else { return };
+        let Some(run) = self.sync.run.as_mut() else {
+            return;
+        };
+        let SyncPhase::Chunks {
+            session, inflight, ..
+        } = &mut run.phase
+        else {
+            return;
+        };
         if session.seq() != seq || session.is_fetched(chunk) {
             // Wrong anchor, or a duplicate delivery (timeout retry raced
             // the original): nothing to verify, count, or charge.
@@ -388,7 +451,9 @@ impl Replica {
         }
         run.last_activity = now;
         // Verification cost: hash every leaf + fold the proof.
-        let verify_cost = COSTS.cost(TeeOp::Sha256).saturating_mul(1 + entries.len() as u64)
+        let verify_cost = COSTS
+            .cost(TeeOp::Sha256)
+            .saturating_mul(1 + entries.len() as u64)
             + SimDuration::from_nanos((bytes / 8) as u64);
         match session.accept_chunk(chunk, (*entries).clone(), &proof) {
             Ok(done) => {
@@ -399,7 +464,8 @@ impl Replica {
                 run.nack_strikes = 0;
                 self.charge(ctx, verify_cost);
                 let scope = Scope::committee(self.cfg.committee_id);
-                ctx.stats().inc_scoped(stat::SYNC_BYTES, scope, bytes as u64);
+                ctx.stats()
+                    .inc_scoped(stat::SYNC_BYTES, scope, bytes as u64);
                 if done {
                     self.install_synced_state(ctx);
                 } else {
@@ -413,7 +479,14 @@ impl Replica {
                 let peer = run.peer.rotate();
                 self.charge(ctx, verify_cost);
                 ctx.stats().inc(stat::SYNC_PROOF_FAILURES, 1);
-                ctx.send(self.group[peer], PbftMsg::ChunkRequest { requester: self.me, seq, chunk });
+                ctx.send(
+                    self.group[peer],
+                    PbftMsg::ChunkRequest {
+                        requester: self.me,
+                        seq,
+                        chunk,
+                    },
+                );
             }
             // Duplicate or out-of-plan delivery: ignore.
             Err(_) => {}
@@ -427,9 +500,18 @@ impl Replica {
     /// exactly on the certified root — a mismatch (server lied about the
     /// changed-chunk set) falls back to a full transfer.
     fn install_synced_state(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
-        let Some(mut run) = self.sync.run.take() else { return };
-        let SyncPhase::Chunks { session, anchor, cert, sidecar, executed, view, .. } =
-            std::mem::replace(&mut run.phase, SyncPhase::AwaitTail)
+        let Some(mut run) = self.sync.run.take() else {
+            return;
+        };
+        let SyncPhase::Chunks {
+            session,
+            anchor,
+            cert,
+            sidecar,
+            executed,
+            view,
+            ..
+        } = std::mem::replace(&mut run.phase, SyncPhase::AwaitTail)
         else {
             unreachable!("install follows the chunk phase")
         };
@@ -464,7 +546,11 @@ impl Replica {
             None => StateStore::from_entries(chunks.into_iter().flat_map(|(_, e)| e).collect()),
         };
         state.install_sidecar(&sidecar);
-        debug_assert_eq!(state.state_digest(), cert.digest, "chunks verified against root");
+        debug_assert_eq!(
+            state.state_digest(),
+            cert.digest,
+            "chunks verified against root"
+        );
         self.state = state;
         self.executed_reqs = ExecutedCache::from_window(&executed, ctx.now());
         if let Some(ck) = &self.exec.checker {
@@ -481,7 +567,8 @@ impl Replica {
             snap: Arc::new(self.state.snapshot()),
             executed: executed.clone(),
         };
-        self.ckpt.install(cert.clone(), installed, self.cfg.snapshot_retention);
+        self.ckpt
+            .install(cert.clone(), installed, self.cfg.snapshot_retention);
         // Installed certified state is the new durable checkpoint: put it
         // on disk before resuming (a crash right after install must
         // recover here, not at the pre-crash checkpoint).
@@ -527,7 +614,9 @@ impl Replica {
         view: u64,
         ctx: &mut Ctx<'_, PbftMsg>,
     ) {
-        let Some(run) = self.sync.run.as_mut() else { return };
+        let Some(run) = self.sync.run.as_mut() else {
+            return;
+        };
         if !matches!(run.phase, SyncPhase::AwaitTail | SyncPhase::AwaitManifest) {
             return;
         }
@@ -536,7 +625,10 @@ impl Replica {
             if block.seq == self.exec_seq + 1 {
                 let digest =
                     PbftBlock::compute_digest(block.view, block.seq, block.proposer, &block.reqs);
-                let kind = matches!(cert.kind, CertKind::Commit | CertKind::Aggregate(VotePhase::Commit));
+                let kind = matches!(
+                    cert.kind,
+                    CertKind::Commit | CertKind::Aggregate(VotePhase::Commit)
+                );
                 let proven = kind
                     && (cert.view, cert.seq, cert.digest) == (block.view, block.seq, digest)
                     && self.verify_qc(&cert);
@@ -561,7 +653,9 @@ impl Replica {
 
     pub(super) fn on_sync_nack(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
         let (n, now) = (self.cfg.n, ctx.now());
-        let Some(run) = self.sync.run.as_mut() else { return };
+        let Some(run) = self.sync.run.as_mut() else {
+            return;
+        };
         match &mut run.phase {
             // Nothing above the certificate (or we were already current).
             SyncPhase::AwaitTail => self.finish_sync(ctx),
@@ -603,13 +697,16 @@ impl Replica {
     /// Sync exchange complete: account for it, resume participation, and
     /// notify the transition controller if one is waiting.
     fn finish_sync(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
-        let Some(run) = self.sync.run.take() else { return };
+        let Some(run) = self.sync.run.take() else {
+            return;
+        };
         ctx.trace(self.exec_seq, Phase::SyncDone);
         if run.chunked {
             let elapsed = ctx.now().since(run.started);
             let scope = Scope::committee(self.cfg.committee_id);
             ctx.stats().inc_scoped(stat::SYNC_COMPLETED, scope, 1);
-            ctx.stats().record_latency_scoped(stat::SYNC_DURATION, scope, elapsed);
+            ctx.stats()
+                .record_latency_scoped(stat::SYNC_DURATION, scope, elapsed);
         } else {
             ctx.stats().inc(stat::SYNC_TAILS, 1);
         }
@@ -633,7 +730,9 @@ impl Replica {
     pub(super) fn on_sync_timer(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
         let retry_after = self.sync_retry_interval().saturating_mul(2);
         let now = ctx.now();
-        let Some(run) = self.sync.run.as_mut() else { return };
+        let Some(run) = self.sync.run.as_mut() else {
+            return;
+        };
         if now.since(run.last_activity) >= retry_after {
             run.retry(now);
             self.resume_sync(ctx);
@@ -680,7 +779,13 @@ impl Replica {
                     }
                     let bytes: usize = blocks.iter().map(|(b, _)| b.wire_size()).sum();
                     self.charge(ctx, SimDuration::from_nanos((bytes / 8) as u64));
-                    ctx.send(to, PbftMsg::SyncTail { blocks, view: self.view });
+                    ctx.send(
+                        to,
+                        PbftMsg::SyncTail {
+                            blocks,
+                            view: self.view,
+                        },
+                    );
                     return;
                 }
             }
@@ -701,18 +806,17 @@ impl Replica {
                     .filter(|_| self.cfg.diff_sync)
                     .find_map(|r| Some((*r, self.ckpt.retained_snapshot(r)?)));
                 let (diff, diff_base): (Option<Arc<Vec<u32>>>, Option<Hash>) = match shared {
-                    Some((root, old)) => {
-                        (Some(Arc::new(old.smt().diff_chunks(snap.snap.smt(), bits))), Some(root))
-                    }
+                    Some((root, old)) => (
+                        Some(Arc::new(old.smt().diff_chunks(snap.snap.smt(), bits))),
+                        Some(root),
+                    ),
                     None => (None, None),
                 };
                 let sidecar = Arc::new(snap.snap.sidecar().clone());
                 // Diff computation walks both trees' chunk roots (hash
                 // compares only — shared subtrees never hash again).
                 let serve_cost = SimDuration::from_micros(50)
-                    + SimDuration::from_nanos(
-                        diff.as_ref().map_or(0, |_| (1u64 << bits) * 50),
-                    );
+                    + SimDuration::from_nanos(diff.as_ref().map_or(0, |_| (1u64 << bits) * 50));
                 self.charge(ctx, serve_cost);
                 ctx.send(
                     to,
@@ -733,7 +837,13 @@ impl Replica {
     }
 
     /// `requester` is the sender's own group index (checked at dispatch).
-    pub(super) fn on_chunk_request(&mut self, requester: usize, seq: u64, chunk: u32, ctx: &mut Ctx<'_, PbftMsg>) {
+    pub(super) fn on_chunk_request(
+        &mut self,
+        requester: usize,
+        seq: u64,
+        chunk: u32,
+        ctx: &mut Ctx<'_, PbftMsg>,
+    ) {
         let to = self.group[requester];
         match self.ckpt.served_at(seq) {
             Some(snap) => {

@@ -74,7 +74,9 @@ impl ViewChange {
 
 impl Replica {
     pub(super) fn current_vc_timeout(&self) -> SimDuration {
-        self.cfg.vc_timeout.saturating_mul(1u64 << self.vc.backoff.min(5))
+        self.cfg
+            .vc_timeout
+            .saturating_mul(1u64 << self.vc.backoff.min(5))
     }
 
     pub(super) fn maybe_start_view_change(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
@@ -134,10 +136,7 @@ impl Replica {
     /// state transfer, not a view change.
     pub(super) fn has_execution_gap(&self) -> bool {
         let next = self.exec_seq + 1;
-        let next_committed = self
-            .insts
-            .get(&next)
-            .is_some_and(|i| i.cert.is_some());
+        let next_committed = self.insts.get(&next).is_some_and(|i| i.cert.is_some());
         if next_committed {
             return false;
         }
@@ -247,7 +246,10 @@ impl Replica {
         self.charge(ctx, NATIVE_SIGN);
         ctx.multicast(
             self.others(),
-            PbftMsg::NewView { view, reproposals: repro.clone() },
+            PbftMsg::NewView {
+                view,
+                reproposals: repro.clone(),
+            },
         );
         // Gossip round: pull the peers' ingest-pool contents. Requests
         // stranded at the deposed (possibly Byzantine) leader survive in
@@ -260,7 +262,12 @@ impl Replica {
         self.try_propose(ctx);
     }
 
-    pub(super) fn on_new_view(&mut self, view: u64, reproposals: Vec<Arc<PbftBlock>>, ctx: &mut Ctx<'_, PbftMsg>) {
+    pub(super) fn on_new_view(
+        &mut self,
+        view: u64,
+        reproposals: Vec<Arc<PbftBlock>>,
+        ctx: &mut Ctx<'_, PbftMsg>,
+    ) {
         if view < self.view {
             return;
         }
@@ -283,7 +290,8 @@ impl Replica {
         self.vc.highest_sent = self.vc.highest_sent.max(view);
         // Unexecuted instances from older views are abandoned; their
         // requests survive in pools and will be re-proposed.
-        self.insts.retain(|_, i| i.executed || i.view >= view || i.block.is_none());
+        self.insts
+            .retain(|_, i| i.executed || i.view >= view || i.block.is_none());
         // Optimization-2 mode: re-relay pooled requests to the new leader so
         // requests relayed to a dead leader are not lost.
         if self.cfg.variant.relay_to_leader() && !self.is_leader() {
@@ -293,7 +301,8 @@ impl Replica {
                 ctx.send(leader, PbftMsg::Relay(req.clone()));
                 regossiped += 1;
             }
-            ctx.stats().inc(ahl_mempool::stat::VIEWCHANGE_REGOSSIP, regossiped);
+            ctx.stats()
+                .inc(ahl_mempool::stat::VIEWCHANGE_REGOSSIP, regossiped);
         }
     }
 
@@ -316,6 +325,7 @@ impl Replica {
             ctx.send(leader, PbftMsg::Relay(req.clone()));
             regossiped += 1;
         }
-        ctx.stats().inc(ahl_mempool::stat::VIEWCHANGE_REGOSSIP, regossiped);
+        ctx.stats()
+            .inc(ahl_mempool::stat::VIEWCHANGE_REGOSSIP, regossiped);
     }
 }

@@ -101,7 +101,12 @@ fn dec_vc(r: &mut Reader<'_>) -> Option<ViewChangeMsg> {
     for _ in 0..n {
         prepared.push((r.u64()?, r.hash()?));
     }
-    Some(ViewChangeMsg { new_view, last_stable, prepared, replica: r.u64()? as usize })
+    Some(ViewChangeMsg {
+        new_view,
+        last_stable,
+        prepared,
+        replica: r.u64()? as usize,
+    })
 }
 
 fn enc_opt_hash(h: &Option<Hash>, w: &mut Writer) {
@@ -204,7 +209,12 @@ impl Wire for PbftMsg {
                 w.u64(*view);
                 w.u64(*exec_seq);
             }
-            PbftMsg::SyncRequest { requester, have_seq, full, old_roots } => {
+            PbftMsg::SyncRequest {
+                requester,
+                have_seq,
+                full,
+                old_roots,
+            } => {
                 w.u8(18);
                 w.u64(*requester as u64);
                 w.u64(*have_seq);
@@ -214,7 +224,16 @@ impl Wire for PbftMsg {
                     w.hash(h);
                 }
             }
-            PbftMsg::SyncManifest { cert, bits, leaves, sidecar, executed, view, diff, diff_base } => {
+            PbftMsg::SyncManifest {
+                cert,
+                bits,
+                leaves,
+                sidecar,
+                executed,
+                view,
+                diff,
+                diff_base,
+            } => {
                 w.u8(19);
                 cert.encode(w);
                 w.u8(*bits);
@@ -234,13 +253,22 @@ impl Wire for PbftMsg {
                 }
                 enc_opt_hash(diff_base, w);
             }
-            PbftMsg::ChunkRequest { requester, seq, chunk } => {
+            PbftMsg::ChunkRequest {
+                requester,
+                seq,
+                chunk,
+            } => {
                 w.u8(20);
                 w.u64(*requester as u64);
                 w.u64(*seq);
                 w.u32(*chunk);
             }
-            PbftMsg::ChunkData { seq, chunk, entries, proof } => {
+            PbftMsg::ChunkData {
+                seq,
+                chunk,
+                entries,
+                proof,
+            } => {
                 w.u8(21);
                 w.u64(*seq);
                 w.u32(*chunk);
@@ -293,14 +321,25 @@ impl Wire for PbftMsg {
             0 => PbftMsg::Request(dec_request(r)?),
             1 => PbftMsg::Relay(dec_request(r)?),
             2 => PbftMsg::Gossip(dec_request(r)?),
-            3 => PbftMsg::PrePrepare { block: dec_block(r)?, cert: MsgCert::decode(r)? },
+            3 => PbftMsg::PrePrepare {
+                block: dec_block(r)?,
+                cert: MsgCert::decode(r)?,
+            },
             4 => PbftMsg::Prepare(dec_vote(r)?),
             5 => PbftMsg::Commit(dec_vote(r)?),
             6 => PbftMsg::RelayPrepare(dec_vote(r)?),
             7 => PbftMsg::RelayCommit(dec_vote(r)?),
-            8 => PbftMsg::AggPrepare(QuorumCert::decode(r, CertKind::Aggregate(VotePhase::Prepare))?),
-            9 => PbftMsg::AggCommit(QuorumCert::decode(r, CertKind::Aggregate(VotePhase::Commit))?),
-            10 => PbftMsg::Checkpoint { vote: QuorumCert::decode(r, CertKind::Checkpoint)? },
+            8 => PbftMsg::AggPrepare(QuorumCert::decode(
+                r,
+                CertKind::Aggregate(VotePhase::Prepare),
+            )?),
+            9 => PbftMsg::AggCommit(QuorumCert::decode(
+                r,
+                CertKind::Aggregate(VotePhase::Commit),
+            )?),
+            10 => PbftMsg::Checkpoint {
+                vote: QuorumCert::decode(r, CertKind::Checkpoint)?,
+            },
             11 => PbftMsg::ViewChange(dec_vc(r)?),
             12 => PbftMsg::PoolPull { view: r.u64()? },
             13 => {
@@ -312,10 +351,16 @@ impl Wire for PbftMsg {
                 }
                 PbftMsg::NewView { view, reproposals }
             }
-            14 => PbftMsg::Reply { req_id: r.u64()?, committed: dec_bool(r)? },
+            14 => PbftMsg::Reply {
+                req_id: r.u64()?,
+                committed: dec_bool(r)?,
+            },
             15 => PbftMsg::Rejected { req_id: r.u64()? },
             16 => PbftMsg::RelayRejected { req_id: r.u64()? },
-            17 => PbftMsg::Heartbeat { view: r.u64()?, exec_seq: r.u64()? },
+            17 => PbftMsg::Heartbeat {
+                view: r.u64()?,
+                exec_seq: r.u64()?,
+            },
             18 => {
                 let requester = r.u64()? as usize;
                 let have_seq = r.u64()?;
@@ -325,7 +370,12 @@ impl Wire for PbftMsg {
                 for _ in 0..n {
                     old_roots.push(r.hash()?);
                 }
-                PbftMsg::SyncRequest { requester, have_seq, full, old_roots }
+                PbftMsg::SyncRequest {
+                    requester,
+                    have_seq,
+                    full,
+                    old_roots,
+                }
             }
             19 => {
                 let cert = QuorumCert::decode(r, CertKind::Checkpoint)?;
@@ -391,7 +441,10 @@ impl Wire for PbftMsg {
                     let kind = CertKind::from_tag(r.u8()?)?;
                     blocks.push((block, QuorumCert::decode(r, kind)?));
                 }
-                PbftMsg::SyncTail { blocks, view: r.u64()? }
+                PbftMsg::SyncTail {
+                    blocks,
+                    view: r.u64()?,
+                }
             }
             23 => PbftMsg::SyncNack { have_seq: r.u64()? },
             24 => {
@@ -400,9 +453,14 @@ impl Wire for PbftMsg {
                     1 => Some(r.u64()? as usize),
                     _ => return None,
                 };
-                PbftMsg::Transition { controller, rejoin: dec_bool(r)? }
+                PbftMsg::Transition {
+                    controller,
+                    rejoin: dec_bool(r)?,
+                }
             }
-            25 => PbftMsg::TransitionDone { replica: r.u64()? as usize },
+            25 => PbftMsg::TransitionDone {
+                replica: r.u64()? as usize,
+            },
             26 => PbftMsg::Crash,
             27 => PbftMsg::Restart,
             _ => return None,
@@ -451,7 +509,10 @@ mod tests {
             1 => MsgCert::Sig(sig(rng.gen())),
             _ => MsgCert::Attested(Attestation {
                 log: LogId(rng.gen()),
-                slot: Slot { view: rng.gen(), seq: rng.gen() },
+                slot: Slot {
+                    view: rng.gen(),
+                    seq: rng.gen(),
+                },
                 digest: sha256(rng.gen::<u64>().to_be_bytes()),
                 sig: sig(rng.gen()),
             }),
@@ -471,22 +532,37 @@ mod tests {
     fn block(rng: &mut SmallRng) -> Arc<PbftBlock> {
         let n = rng.gen_range(0..5usize);
         let reqs: Vec<Request> = (0..n).map(|_| req(rng)).collect();
-        Arc::new(PbftBlock::new(rng.gen_range(0..9u64), rng.gen_range(0..999u64), rng.gen_range(0..7usize), reqs))
+        Arc::new(PbftBlock::new(
+            rng.gen_range(0..9u64),
+            rng.gen_range(0..999u64),
+            rng.gen_range(0..7usize),
+            reqs,
+        ))
     }
 
     /// A certificate of `kind` with up to `max` signers of random proofs.
     fn quorum_cert(kind: CertKind, max: usize, rng: &mut SmallRng) -> QuorumCert {
         QuorumCert {
             kind,
-            view: if kind == CertKind::Checkpoint { 0 } else { rng.gen() },
+            view: if kind == CertKind::Checkpoint {
+                0
+            } else {
+                rng.gen()
+            },
             seq: rng.gen(),
             digest: sha256(rng.gen::<u64>().to_be_bytes()),
-            signers: (0..rng.gen_range(0..=max)).map(|i| (i, cert(rng))).collect(),
+            signers: (0..rng.gen_range(0..=max))
+                .map(|i| (i, cert(rng)))
+                .collect(),
         }
     }
 
     fn tail_cert(rng: &mut SmallRng) -> QuorumCert {
-        let kind = if rng.gen_bool(0.5) { CertKind::Commit } else { CertKind::Aggregate(VotePhase::Commit) };
+        let kind = if rng.gen_bool(0.5) {
+            CertKind::Commit
+        } else {
+            CertKind::Aggregate(VotePhase::Commit)
+        };
         quorum_cert(kind, 4, rng)
     }
 
@@ -497,14 +573,19 @@ mod tests {
             0 => PbftMsg::Request(req(rng)),
             1 => PbftMsg::Relay(req(rng)),
             2 => PbftMsg::Gossip(req(rng)),
-            3 => PbftMsg::PrePrepare { block: block(rng), cert: cert(rng) },
+            3 => PbftMsg::PrePrepare {
+                block: block(rng),
+                cert: cert(rng),
+            },
             4 => PbftMsg::Prepare(vote(rng)),
             5 => PbftMsg::Commit(vote(rng)),
             6 => PbftMsg::RelayPrepare(vote(rng)),
             7 => PbftMsg::RelayCommit(vote(rng)),
             8 => PbftMsg::AggPrepare(quorum_cert(CertKind::Aggregate(VotePhase::Prepare), 1, rng)),
             9 => PbftMsg::AggCommit(quorum_cert(CertKind::Aggregate(VotePhase::Commit), 1, rng)),
-            10 => PbftMsg::Checkpoint { vote: quorum_cert(CertKind::Checkpoint, 1, rng) },
+            10 => PbftMsg::Checkpoint {
+                vote: quorum_cert(CertKind::Checkpoint, 1, rng),
+            },
             11 => PbftMsg::ViewChange(ViewChangeMsg {
                 new_view: rng.gen(),
                 last_stable: rng.gen(),
@@ -518,10 +599,16 @@ mod tests {
                 view: rng.gen(),
                 reproposals: (0..rng.gen_range(0..3usize)).map(|_| block(rng)).collect(),
             },
-            14 => PbftMsg::Reply { req_id: rng.gen(), committed: rng.gen_bool(0.5) },
+            14 => PbftMsg::Reply {
+                req_id: rng.gen(),
+                committed: rng.gen_bool(0.5),
+            },
             15 => PbftMsg::Rejected { req_id: rng.gen() },
             16 => PbftMsg::RelayRejected { req_id: rng.gen() },
-            17 => PbftMsg::Heartbeat { view: rng.gen(), exec_seq: rng.gen() },
+            17 => PbftMsg::Heartbeat {
+                view: rng.gen(),
+                exec_seq: rng.gen(),
+            },
             18 => PbftMsg::SyncRequest {
                 requester: rng.gen_range(0..16usize),
                 have_seq: rng.gen(),
@@ -535,7 +622,9 @@ mod tests {
                 bits: rng.gen_range(0..12u8),
                 leaves: rng.gen(),
                 sidecar: Arc::new(StateSidecar::default()),
-                executed: (0..rng.gen_range(0..20u64)).map(|_| rng.gen::<u64>()).collect(),
+                executed: (0..rng.gen_range(0..20u64))
+                    .map(|_| rng.gen::<u64>())
+                    .collect(),
                 view: rng.gen(),
                 diff: rng
                     .gen_bool(0.5)
@@ -562,15 +651,21 @@ mod tests {
                 ),
             },
             22 => PbftMsg::SyncTail {
-                blocks: (0..rng.gen_range(0..3usize)).map(|_| (block(rng), tail_cert(rng))).collect(),
+                blocks: (0..rng.gen_range(0..3usize))
+                    .map(|_| (block(rng), tail_cert(rng)))
+                    .collect(),
                 view: rng.gen(),
             },
-            23 => PbftMsg::SyncNack { have_seq: rng.gen() },
+            23 => PbftMsg::SyncNack {
+                have_seq: rng.gen(),
+            },
             24 => PbftMsg::Transition {
                 controller: rng.gen_bool(0.5).then(|| rng.gen_range(0..32usize)),
                 rejoin: rng.gen_bool(0.5),
             },
-            25 => PbftMsg::TransitionDone { replica: rng.gen_range(0..16usize) },
+            25 => PbftMsg::TransitionDone {
+                replica: rng.gen_range(0..16usize),
+            },
             26 => PbftMsg::Crash,
             _ => PbftMsg::Restart,
         }
@@ -580,8 +675,7 @@ mod tests {
     /// in its own deterministic order, so equal messages encode equally.
     fn assert_roundtrip(m: &PbftMsg) {
         let bytes = m.to_vec();
-        let back = PbftMsg::from_slice(&bytes)
-            .unwrap_or_else(|| panic!("decode failed for {m:?}"));
+        let back = PbftMsg::from_slice(&bytes).unwrap_or_else(|| panic!("decode failed for {m:?}"));
         assert_eq!(bytes, back.to_vec(), "re-encode mismatch for {m:?}");
     }
 
@@ -650,7 +744,10 @@ mod tests {
     fn decoded_block_digest_is_recomputed() {
         let mut rng = SmallRng::seed_from_u64(3);
         let b = block(&mut rng);
-        let m = PbftMsg::PrePrepare { block: b.clone(), cert: MsgCert::Simulated };
+        let m = PbftMsg::PrePrepare {
+            block: b.clone(),
+            cert: MsgCert::Simulated,
+        };
         match PbftMsg::from_slice(&m.to_vec()).expect("decodes") {
             PbftMsg::PrePrepare { block: back, .. } => assert_eq!(back.digest, b.digest),
             other => panic!("wrong variant {other:?}"),

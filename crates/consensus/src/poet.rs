@@ -315,7 +315,10 @@ pub fn run_poet(
     sim_cfg.uplink_bps = uplink_bps;
     let mut sim: Sim<PoetMsg> = Sim::new(sim_cfg);
     for i in 0..cfg.n {
-        sim.add_actor(Box::new(PoetNode::new(cfg.clone(), i)), QueueConfig::unbounded());
+        sim.add_actor(
+            Box::new(PoetNode::new(cfg.clone(), i)),
+            QueueConfig::unbounded(),
+        );
     }
     sim.run_until(SimTime::ZERO + duration);
 
@@ -336,7 +339,11 @@ pub fn run_poet(
     PoetMetrics {
         main_chain_blocks: main,
         total_blocks: total,
-        stale_rate: if total == 0 { 0.0 } else { stale as f64 / total as f64 },
+        stale_rate: if total == 0 {
+            0.0
+        } else {
+            stale as f64 / total as f64
+        },
         tps: main as f64 * cfg.txns_per_block() as f64 / duration.as_secs_f64(),
     }
 }
@@ -410,7 +417,10 @@ mod tests {
         sim_cfg.uplink_bps = Some(50e6);
         let mut sim: Sim<PoetMsg> = Sim::new(sim_cfg);
         for i in 0..cfg.n {
-            sim.add_actor(Box::new(PoetNode::new(cfg.clone(), i)), QueueConfig::unbounded());
+            sim.add_actor(
+                Box::new(PoetNode::new(cfg.clone(), i)),
+                QueueConfig::unbounded(),
+            );
         }
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(300));
         let heights: Vec<u64> = (0..cfg.n)

@@ -193,7 +193,11 @@ impl RaftNode {
     /// Create a node; node 0 starts as leader of term 1 (stable-leader
     /// deployments like Quorum bootstrap with a designated minter).
     pub fn new(cfg: RaftConfig, group: Vec<NodeId>, me: usize, reporter: bool) -> Self {
-        let role = if me == 0 { Role::Leader } else { Role::Follower };
+        let role = if me == 0 {
+            Role::Leader
+        } else {
+            Role::Follower
+        };
         RaftNode {
             cfg,
             group,
@@ -248,7 +252,9 @@ impl RaftNode {
         }
         let mut batch = Vec::new();
         while batch.len() < self.cfg.max_block_txns {
-            let Some(r) = self.pool.pop_front() else { break };
+            let Some(r) = self.pool.pop_front() else {
+                break;
+            };
             self.pool_ids.remove(&r.id);
             if self.executed.contains(&r.id) {
                 continue;
@@ -284,7 +290,9 @@ impl RaftNode {
     fn apply_committed(&mut self, ctx: &mut Ctx<'_, RaftMsg>) {
         while self.applied_index < self.commit_index {
             let idx = self.applied_index as usize;
-            let Some(block) = self.log.get(idx).cloned() else { break };
+            let Some(block) = self.log.get(idx).cloned() else {
+                break;
+            };
             self.applied_index += 1;
             let mut committed = 0u64;
             let mut weight = 0usize;
@@ -312,7 +320,8 @@ impl RaftNode {
                 let now = ctx.now();
                 ctx.stats().inc(stat::TXN_COMMITTED, committed);
                 ctx.stats().inc(stat::BLOCKS_COMMITTED, 1);
-                ctx.stats().record_point(stat::COMMIT_SERIES, now, committed as f64);
+                ctx.stats()
+                    .record_point(stat::COMMIT_SERIES, now, committed as f64);
             }
         }
     }
@@ -373,7 +382,8 @@ impl Actor for RaftNode {
         match msg {
             RaftMsg::Request(req) => {
                 ctx.consume_cpu(self.cfg.ingest_cost);
-                ctx.stats().inc(stat::CONSENSUS_CPU_NS, self.cfg.ingest_cost.as_nanos());
+                ctx.stats()
+                    .inc(stat::CONSENSUS_CPU_NS, self.cfg.ingest_cost.as_nanos());
                 if self.role == Role::Leader {
                     self.pool_tx(req);
                     self.mint(ctx);
@@ -390,7 +400,13 @@ impl Actor for RaftNode {
                     self.mint(ctx);
                 }
             }
-            RaftMsg::AppendEntries { term, index, block, commit_index, leader } => {
+            RaftMsg::AppendEntries {
+                term,
+                index,
+                block,
+                commit_index,
+                leader,
+            } => {
                 if term < self.term {
                     return;
                 }
@@ -405,13 +421,21 @@ impl Actor for RaftNode {
                         self.log.push(block);
                         ctx.send(
                             self.group[leader],
-                            RaftMsg::AppendAck { term, index, follower: self.me },
+                            RaftMsg::AppendAck {
+                                term,
+                                index,
+                                follower: self.me,
+                            },
                         );
                     } else if index <= self.log.len() as u64 {
                         // Duplicate: re-ack.
                         ctx.send(
                             self.group[leader],
-                            RaftMsg::AppendAck { term, index, follower: self.me },
+                            RaftMsg::AppendAck {
+                                term,
+                                index,
+                                follower: self.me,
+                            },
                         );
                     }
                     // Gaps are ignored; the leader is lockstep so gaps only
@@ -422,7 +446,11 @@ impl Actor for RaftNode {
                     self.apply_committed(ctx);
                 }
             }
-            RaftMsg::AppendAck { term, index, follower } => {
+            RaftMsg::AppendAck {
+                term,
+                index,
+                follower,
+            } => {
                 if term != self.term || self.role != Role::Leader {
                     return;
                 }
@@ -437,12 +465,22 @@ impl Actor for RaftNode {
                     self.mint(ctx);
                 }
             }
-            RaftMsg::RequestVote { term, candidate, last_index } => {
+            RaftMsg::RequestVote {
+                term,
+                candidate,
+                last_index,
+            } => {
                 ctx.consume_cpu(self.cfg.msg_cost);
                 if term > self.term && last_index >= self.commit_index {
                     self.term = term;
                     self.role = Role::Follower;
-                    ctx.send(self.group[candidate], RaftMsg::VoteGranted { term, voter: self.me });
+                    ctx.send(
+                        self.group[candidate],
+                        RaftMsg::VoteGranted {
+                            term,
+                            voter: self.me,
+                        },
+                    );
                     self.arm_election_timer(ctx);
                 }
             }
@@ -473,20 +511,19 @@ impl Actor for RaftNode {
                 self.mint(ctx);
                 ctx.set_timer(self.cfg.mint_interval, TIMER_MINT);
             }
-            TIMER_HEARTBEAT
-                if self.role == Role::Leader => {
-                    ctx.multicast(
-                        self.others(),
-                        RaftMsg::AppendEntries {
-                            term: self.term,
-                            index: 0,
-                            block: Arc::new(Vec::new()),
-                            commit_index: self.commit_index,
-                            leader: self.me,
-                        },
-                    );
-                    ctx.set_timer(self.cfg.heartbeat, TIMER_HEARTBEAT);
-                }
+            TIMER_HEARTBEAT if self.role == Role::Leader => {
+                ctx.multicast(
+                    self.others(),
+                    RaftMsg::AppendEntries {
+                        term: self.term,
+                        index: 0,
+                        block: Arc::new(Vec::new()),
+                        commit_index: self.commit_index,
+                        leader: self.me,
+                    },
+                );
+                ctx.set_timer(self.cfg.heartbeat, TIMER_HEARTBEAT);
+            }
             TIMER_ELECTION => {
                 if (kind >> 8) != self.last_leader_contact_epoch {
                     return; // leader contact re-armed the timer
@@ -546,7 +583,10 @@ mod tests {
         let mut i = 0u64;
         Box::new(move |_r: &mut rand::rngs::SmallRng| {
             i += 1;
-            Op::Direct { txid: TxId(i), op: kvstore::kv_write(&[i % 50], 16) }
+            Op::Direct {
+                txid: TxId(i),
+                op: kvstore::kv_write(&[i % 50], 16),
+            }
         })
     }
 
@@ -556,7 +596,8 @@ mod tests {
         let net = Box::new(UniformNetwork::new(SimDuration::from_micros(300)));
         let (mut sim, group) = build_raft_group(&cfg, net, Some(1e9), 31);
         let stop = SimTime::ZERO + SimDuration::from_secs(5);
-        let client = OpenLoopClient::new(group.clone(), SimDuration::from_millis(2), stop, factory());
+        let client =
+            OpenLoopClient::new(group.clone(), SimDuration::from_millis(2), stop, factory());
         sim.add_actor(Box::new(client), QueueConfig::unbounded());
         sim.run_until(stop + SimDuration::from_secs(2));
         let committed = sim.stats().counter(stat::TXN_COMMITTED);
@@ -570,7 +611,8 @@ mod tests {
         let net = Box::new(UniformNetwork::new(SimDuration::from_micros(300)));
         let (mut sim, group) = build_raft_group(&cfg, net, Some(1e9), 32);
         let stop = SimTime::ZERO + SimDuration::from_secs(6);
-        let client = OpenLoopClient::new(group.clone(), SimDuration::from_millis(3), stop, factory());
+        let client =
+            OpenLoopClient::new(group.clone(), SimDuration::from_millis(3), stop, factory());
         sim.add_actor(Box::new(client), QueueConfig::unbounded());
         // Run 2 s, crash the leader, keep running.
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(2));
@@ -604,7 +646,8 @@ mod tests {
         let net = Box::new(UniformNetwork::new(SimDuration::from_micros(300)));
         let (mut sim, group) = build_raft_group(&cfg, net, Some(1e9), 33);
         let stop = SimTime::ZERO + SimDuration::from_secs(3);
-        let client = OpenLoopClient::new(group.clone(), SimDuration::from_millis(4), stop, factory());
+        let client =
+            OpenLoopClient::new(group.clone(), SimDuration::from_millis(4), stop, factory());
         sim.add_actor(Box::new(client), QueueConfig::unbounded());
         sim.run_until(stop + SimDuration::from_secs(3));
         let applied: Vec<u64> = group
