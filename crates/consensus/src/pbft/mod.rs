@@ -1,4 +1,23 @@
 //! PBFT and its TEE-assisted variants (paper §4.1): HL, AHL, AHL+, AHLR.
+//!
+//! [`Replica`] is the state machine (`replica`). Its core keeps the
+//! configuration, group, keys and enclave log, ledger state, view and
+//! sequence marks, protocol instances, pool, batcher and executed-request
+//! cache. Each seam is a child module owning its own state:
+//! * `replica::checkpoint` — checkpoint votes, the held certificate, the
+//!   snapshots, the serving window, and the durable checkpoint with its
+//!   node directory and store;
+//! * `replica::view_change` — view-change votes, timeout backoff, stall
+//!   strikes, the progress mark, the highest view voted for and the last
+//!   arrival time;
+//! * `replica::sync` — the in-flight state-sync exchange and whether
+//!   participation is paused until it completes;
+//! * `replica::restart` — the genesis state and the crashed flag;
+//! * `replica::byzantine` — the attack state, on a Byzantine replica only.
+//!
+//! Beside it: `cert` (quorum certificates and the checkpoint vote
+//! tracker), `config`, `durable` (the node store: WAL and checkpoint
+//! pages), `msg` and `wire` (the message set and its codec).
 
 mod cert;
 mod config;

@@ -19,6 +19,14 @@
 //!   enclave verifies a quorum and emits one aggregated proof (O(N)
 //!   messages, at the cost of leader CPU and fragility — reproducing the
 //!   paper's finding that AHL+ beats AHLR).
+//!
+//! This file is the core: the configuration, the group and this member's
+//! place in it, the keys and the enclave's attested log, the ledger state,
+//! the view and sequence marks, the protocol instances, request handling,
+//! proposing, the three-phase protocol with AHLR aggregation, execution,
+//! and message and timer dispatch. Each seam is a child module that owns
+//! its state in a struct whose fields only it can reach: `checkpoint`,
+//! `view_change`, `sync`, `restart` and `byzantine`.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;

@@ -5,6 +5,16 @@
 //!
 //! [`Lifecycle`] owns the genesis state a cold restart reloads and the
 //! crashed flag.
+//!
+//! A restart rebuilds the pool, batcher, executed-request cache and
+//! protocol instances, and each seam's crash-volatile state, with the
+//! constructors [`Replica::new`] uses. A simulated `Crash`/`Restart` does
+//! not erase the rest of the replica: the view, the enclave's attested
+//! log with its bindings, the view-change marks (the progress mark, the
+//! highest view voted for, the last arrival) and the attack state all
+//! survive it. A restarted `node` process builds its replica with
+//! `Replica::new` and gets every one of them fresh, so the two restart
+//! paths differ there.
 
 use std::sync::Arc;
 
