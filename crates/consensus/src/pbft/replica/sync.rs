@@ -261,15 +261,6 @@ impl Replica {
         );
     }
 
-    /// Ask again for whatever the exchange is waiting on: its missing
-    /// chunks, or else a manifest or tail.
-    fn resume_sync(&mut self, ctx: &mut Ctx<'_, PbftMsg>) {
-        match self.sync.run.as_ref().map(|run| &run.phase) {
-            Some(SyncPhase::Chunks { .. }) => self.pump_chunk_requests(ctx),
-            _ => self.send_sync_request(ctx),
-        }
-    }
-
     fn sync_retry_interval(&self) -> SimDuration {
         self.cfg.vc_timeout
     }
@@ -734,8 +725,14 @@ impl Replica {
             return;
         };
         if now.since(run.last_activity) >= retry_after {
+            // Ask again for whatever the exchange waits on: its missing
+            // chunks, or else a manifest or tail.
             run.retry(now);
-            self.resume_sync(ctx);
+            if matches!(run.phase, SyncPhase::Chunks { .. }) {
+                self.pump_chunk_requests(ctx);
+            } else {
+                self.send_sync_request(ctx);
+            }
         }
         ctx.set_timer(self.sync_retry_interval(), TIMER_SYNC);
     }
