@@ -159,11 +159,6 @@ impl SyncState {
         self.paused
     }
 
-    /// Whether an exchange is in flight.
-    pub(super) fn running(&self) -> bool {
-        self.run.is_some()
-    }
-
     /// Drop the exchange in flight and pause until a sync completes: the
     /// replica went dark, or is restarting.
     pub(super) fn halt(&mut self) {
@@ -197,7 +192,8 @@ impl Replica {
             return;
         }
         let lag_threshold = (4 * PIPELINE_WIDTH).max(16);
-        if exec_seq > self.exec_seq + lag_threshold && !self.sync.running() && !self.sync.paused() {
+        if exec_seq > self.exec_seq + lag_threshold && self.sync.run.is_none() && !self.sync.paused
+        {
             ctx.stats().inc("consensus.heartbeat_syncs", 1);
             self.begin_sync(false, false, None, ctx);
         }
