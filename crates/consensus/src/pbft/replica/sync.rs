@@ -302,9 +302,10 @@ impl Replica {
         let Some(run) = self.sync.run.as_mut() else {
             return;
         };
-        // Monotonicity: a stale peer (itself mid-recovery) may answer with
-        // a certificate older than the one this exchange already targets.
-        // Accepting it would regress the transfer — refuse and rotate.
+        // Refuse a certificate that does not verify, and (monotonicity)
+        // one older than the one this exchange already targets: a stale
+        // peer, itself mid-recovery, may answer with it, and accepting it
+        // would regress the transfer. Either way, rotate.
         if !certified || cert.seq < run.floor_seq {
             let counter = if certified {
                 stat::SYNC_STALE_MANIFESTS
