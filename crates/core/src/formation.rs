@@ -69,7 +69,11 @@ mod tests {
     fn paper_gcp_formation_25_percent() {
         // §7.3: 972 nodes at 25% → 79-node committees → 12 committees.
         let f = form(972, 0.25, Resilience::OneHalf, 20.0, false, 7).expect("formable");
-        assert!((70..=82).contains(&f.committee_size), "n = {}", f.committee_size);
+        assert!(
+            (70..=82).contains(&f.committee_size),
+            "n = {}",
+            f.committee_size
+        );
         assert_eq!(f.shards, 972 / f.committee_size);
     }
 
@@ -77,7 +81,11 @@ mod tests {
     fn paper_gcp_formation_12_5_percent() {
         // §7.3: 12.5% → 27-node committees → 36 shards at 972 nodes.
         let f = form(972, 0.125, Resilience::OneHalf, 20.0, false, 7).expect("formable");
-        assert!((25..=29).contains(&f.committee_size), "n = {}", f.committee_size);
+        assert!(
+            (25..=29).contains(&f.committee_size),
+            "n = {}",
+            f.committee_size
+        );
         assert!(f.shards >= 33, "k = {}", f.shards);
     }
 

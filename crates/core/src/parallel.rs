@@ -94,7 +94,9 @@ fn one_shard(cfg: &ScaleOutConfig, shard: usize) -> RunMetrics {
     }
     exp.net = cfg.net;
     exp.clients = cfg.clients_per_shard;
-    exp.client_mode = ClientMode::Closed { outstanding: cfg.outstanding };
+    exp.client_mode = ClientMode::Closed {
+        outstanding: cfg.outstanding,
+    };
     exp.duration = cfg.duration;
     exp.warmup = cfg.warmup;
     exp.seed = cfg.seed ^ ((shard as u64 + 1) << 32);

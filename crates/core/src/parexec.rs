@@ -42,7 +42,10 @@ pub fn run_exec_sweep(
         .map(|&w| {
             let mut cfg = make();
             cfg.exec_workers = w;
-            ExecSweepRow { workers: w, metrics: run_system(cfg) }
+            ExecSweepRow {
+                workers: w,
+                metrics: run_system(cfg),
+            }
         })
         .collect()
 }
@@ -51,7 +54,9 @@ pub fn run_exec_sweep(
 /// commits, aborts, latency percentiles, conservation audit, violation
 /// counts. Worker count must never leak into simulated outcomes.
 pub fn sweep_cells_identical(rows: &[ExecSweepRow]) -> bool {
-    let Some(first) = rows.first() else { return true };
+    let Some(first) = rows.first() else {
+        return true;
+    };
     rows.iter().all(|r| {
         let (a, b) = (&first.metrics, &r.metrics);
         a.committed == b.committed
@@ -73,7 +78,10 @@ mod tests {
 
     fn tiny_cfg() -> SystemConfig {
         let mut cfg = SystemConfig::new(2, 4);
-        cfg.workload = crate::system::SystemWorkload::SmallBank { accounts: 200, theta: 0.0 };
+        cfg.workload = crate::system::SystemWorkload::SmallBank {
+            accounts: 200,
+            theta: 0.0,
+        };
         cfg.clients = 2;
         cfg.outstanding = 8;
         cfg.duration = SimDuration::from_secs(2);
@@ -86,8 +94,14 @@ mod tests {
     #[test]
     fn exec_workers_do_not_change_system_outcomes() {
         let rows = run_exec_sweep(tiny_cfg, &[1, 4]);
-        assert!(rows[0].metrics.committed > 0, "sweep must actually commit work");
-        assert!(sweep_cells_identical(&rows), "worker count leaked into results: {rows:?}");
+        assert!(
+            rows[0].metrics.committed > 0,
+            "sweep must actually commit work"
+        );
+        assert!(
+            sweep_cells_identical(&rows),
+            "worker count leaked into results: {rows:?}"
+        );
     }
 
     #[test]

@@ -193,11 +193,15 @@ impl ReshardController {
     fn start_batch(&mut self, batch: Vec<usize>, ctx: &mut Ctx<'_, PbftMsg>) {
         self.awaiting = batch.iter().copied().collect();
         let me = ctx.id();
-        let rejoiners = (self.rejoin_fraction.clamp(0.0, 1.0) * batch.len() as f64).round() as usize;
+        let rejoiners =
+            (self.rejoin_fraction.clamp(0.0, 1.0) * batch.len() as f64).round() as usize;
         for (pos, idx) in batch.into_iter().enumerate() {
             ctx.send(
                 self.group[idx],
-                PbftMsg::Transition { controller: Some(me), rejoin: pos < rejoiners },
+                PbftMsg::Transition {
+                    controller: Some(me),
+                    rejoin: pos < rejoiners,
+                },
             );
         }
     }
@@ -252,11 +256,19 @@ pub fn run_reshard(cfg: &ReshardConfig) -> ReshardMetrics {
     for i in 0..cfg.state_pad_keys {
         genesis.push((
             format!("blob_{i}"),
-            Value::Opaque { size: cfg.state_pad_bytes, tag: i as u64 },
+            Value::Opaque {
+                size: cfg.state_pad_bytes,
+                tag: i as u64,
+            },
         ));
     }
-    let (mut sim, group) =
-        build_group(&pbft, Box::new(ClusterNetwork::new()), Some(1e9), &genesis, cfg.seed);
+    let (mut sim, group) = build_group(
+        &pbft,
+        Box::new(ClusterNetwork::new()),
+        Some(1e9),
+        &genesis,
+        cfg.seed,
+    );
 
     let stop = SimTime::ZERO + cfg.duration;
     // Clients attach to the first two members (their ingest keeps pooling
@@ -329,7 +341,10 @@ mod tests {
             .any(|(_, tps)| *tps < 10.0);
         assert!(hole, "expected a throughput hole: {:?}", m.series);
         // The outage came from real, verified transfer volume.
-        assert_eq!(m.state_syncs, 9, "all nine members complete a chunked fetch");
+        assert_eq!(
+            m.state_syncs, 9,
+            "all nine members complete a chunked fetch"
+        );
         assert_eq!(m.proof_failures, 0);
         assert!(
             m.bytes_synced >= 9 * 1_000_000_000,
@@ -357,7 +372,11 @@ mod tests {
             .any(|(_, tps)| *tps < 5.0);
         assert!(!collapsed, "swap-log should keep quorum: {:?}", swap.series);
         // The batched strategy still performs real transfers.
-        assert!(swap.state_syncs >= 3, "batched members fetched: {}", swap.state_syncs);
+        assert!(
+            swap.state_syncs >= 3,
+            "batched members fetched: {}",
+            swap.state_syncs
+        );
         assert_eq!(swap.proof_failures, 0);
     }
 
@@ -378,8 +397,16 @@ mod tests {
         cfg.rejoin_fraction = 1.0;
         let m = run_reshard(&cfg);
         assert_eq!(m.proof_failures, 0);
-        assert!(m.state_syncs >= 3, "rejoiners still complete syncs: {}", m.state_syncs);
-        assert!(m.diff_syncs >= 3, "rejoiners use diff sync: {}", m.diff_syncs);
+        assert!(
+            m.state_syncs >= 3,
+            "rejoiners still complete syncs: {}",
+            m.state_syncs
+        );
+        assert!(
+            m.diff_syncs >= 3,
+            "rejoiners use diff sync: {}",
+            m.diff_syncs
+        );
         // The whole event moved a small fraction of what full fetches
         // would (each full fetch is ≈1 GB; a rejoiner's diff covers only
         // the chunks the committee changed since its last checkpoint).
@@ -396,6 +423,11 @@ mod tests {
     fn swap_all_worse_than_swap_log() {
         let all = quick(ReshardStrategy::SwapAll);
         let log = quick(ReshardStrategy::SwapLog);
-        assert!(log.avg_tps > all.avg_tps, "log {} all {}", log.avg_tps, all.avg_tps);
+        assert!(
+            log.avg_tps > all.avg_tps,
+            "log {} all {}",
+            log.avg_tps,
+            all.avg_tps
+        );
     }
 }

@@ -155,7 +155,10 @@ impl SystemConfig {
             net: NetChoice::Cluster,
             clients: 4 * shards,
             outstanding: 128,
-            workload: SystemWorkload::SmallBank { accounts: 100_000, theta: 0.0 },
+            workload: SystemWorkload::SmallBank {
+                accounts: 100_000,
+                theta: 0.0,
+            },
             duration: SimDuration::from_secs(15),
             warmup: SimDuration::from_secs(5),
             batch_size: 100,
@@ -311,7 +314,10 @@ fn dump_violations(
     if implicated.is_empty() {
         implicated = (0..nodes).collect();
     }
-    eprint!("{}", stats.recorder().dump(implicated.iter().copied(), DUMP_TAIL));
+    eprint!(
+        "{}",
+        stats.recorder().dump(implicated.iter().copied(), DUMP_TAIL)
+    );
     for id in found.iter().filter_map(|(_, _, id)| *id) {
         eprintln!("--- lifecycle of id={id} ---");
         for ev in stats.recorder().lifecycle(id) {
@@ -417,7 +423,11 @@ pub fn run_system_report(mut cfg: SystemConfig) -> SystemReport {
 
     let end = stop + SimDuration::from_secs(10);
     sim.run_until(end);
-    let profile = if cfg.profile { Some(Profiler::take()) } else { None };
+    let profile = if cfg.profile {
+        Some(Profiler::take())
+    } else {
+        None
+    };
     if let Some(liveness) = &cfg.liveness {
         // Final sweep: demand still waiting at end of run is a stall even
         // if no late event triggered a periodic check.
@@ -463,7 +473,11 @@ pub fn run_system_report(mut cfg: SystemConfig) -> SystemReport {
         tps: stats.rate_in_window(sysstat::SYS_COMMIT_SERIES, from, stop),
         committed,
         aborted,
-        abort_rate: if finished == 0 { 0.0 } else { aborted as f64 / finished as f64 },
+        abort_rate: if finished == 0 {
+            0.0
+        } else {
+            aborted as f64 / finished as f64
+        },
         latency_mean: latency.map(|h| h.mean()).unwrap_or_default(),
         latency_p50: latency.map(|h| h.quantile(0.50)).unwrap_or_default(),
         latency_p99: latency.map(|h| h.quantile(0.99)).unwrap_or_default(),
@@ -496,18 +510,40 @@ pub fn run_system_report(mut cfg: SystemConfig) -> SystemReport {
     // Dump-on-anomaly: a safety or liveness violation prints a bounded
     // causal trace from the flight recorder.
     let nodes = committees * cfg.committee_size;
-    if let Some(checker) = cfg.safety.as_ref().filter(|_| metrics.safety_violations > 0) {
+    if let Some(checker) = cfg
+        .safety
+        .as_ref()
+        .filter(|_| metrics.safety_violations > 0)
+    {
         let violations = checker.violations();
-        let found = violations.iter().map(|v| (v.summary(), v.committee(), v.trace_id()));
+        let found = violations
+            .iter()
+            .map(|v| (v.summary(), v.committee(), v.trace_id()));
         dump_violations("SAFETY", found.collect(), stats, nodes, cfg.committee_size);
     }
-    if let Some(checker) = cfg.liveness.as_ref().filter(|_| metrics.liveness_violations > 0) {
+    if let Some(checker) = cfg
+        .liveness
+        .as_ref()
+        .filter(|_| metrics.liveness_violations > 0)
+    {
         let violations = checker.violations();
-        let found = violations.iter().map(|v| (v.summary(), v.committee(), v.trace_id()));
-        dump_violations("LIVENESS", found.collect(), stats, nodes, cfg.committee_size);
+        let found = violations
+            .iter()
+            .map(|v| (v.summary(), v.committee(), v.trace_id()));
+        dump_violations(
+            "LIVENESS",
+            found.collect(),
+            stats,
+            nodes,
+            cfg.committee_size,
+        );
     }
 
-    SystemReport { metrics, stats: stats.clone(), profile }
+    SystemReport {
+        metrics,
+        stats: stats.clone(),
+        profile,
+    }
 }
 
 #[cfg(test)]
@@ -519,7 +555,10 @@ mod tests {
         cfg.with_reference = with_reference;
         cfg.clients = 8;
         cfg.outstanding = 16;
-        cfg.workload = SystemWorkload::SmallBank { accounts: 2_000, theta };
+        cfg.workload = SystemWorkload::SmallBank {
+            accounts: 2_000,
+            theta,
+        };
         cfg.duration = SimDuration::from_secs(8);
         cfg.warmup = SimDuration::from_secs(2);
         cfg.batch_size = 20;
@@ -530,7 +569,11 @@ mod tests {
     fn cross_shard_transactions_commit() {
         let m = small_system(true, 0.0);
         assert!(m.committed > 500, "committed {}", m.committed);
-        assert!(m.cross_shard_fraction > 0.5, "xs {}", m.cross_shard_fraction);
+        assert!(
+            m.cross_shard_fraction > 0.5,
+            "xs {}",
+            m.cross_shard_fraction
+        );
         assert!(m.abort_rate < 0.2, "abort rate {}", m.abort_rate);
     }
 
@@ -543,7 +586,10 @@ mod tests {
             let mut cfg = SystemConfig::new(2, 3);
             cfg.clients = 8;
             cfg.outstanding = 64; // 512 concurrently open transactions
-            cfg.workload = SystemWorkload::SmallBank { accounts: 2_000, theta: 0.0 };
+            cfg.workload = SystemWorkload::SmallBank {
+                accounts: 2_000,
+                theta: 0.0,
+            };
             cfg.duration = SimDuration::from_secs(8);
             cfg.warmup = SimDuration::from_secs(2);
             cfg.batch_size = 20;
@@ -553,14 +599,21 @@ mod tests {
         // Baseline: pool far above the offered load — no rejections.
         let base = run(100_000);
         assert_eq!(base.rejected, 0, "baseline must not reject");
-        assert!(base.committed > 500, "baseline committed {}", base.committed);
+        assert!(
+            base.committed > 500,
+            "baseline committed {}",
+            base.committed
+        );
         // Overload: the pool is smaller than the concurrently offered
         // steps, so admission control engages (the bench's overload sweep
         // pushes much deeper, trading throughput for bounded memory).
         let over = run(256);
         assert!(over.rejected > 0, "overload must reject");
         assert!(over.pool_rejections > 0);
-        assert!(over.committed > 0, "overload must keep committing (no deadlock)");
+        assert!(
+            over.committed > 0,
+            "overload must keep committing (no deadlock)"
+        );
         let ratio = over.committed as f64 / base.committed as f64;
         assert!(
             ratio > 0.9,

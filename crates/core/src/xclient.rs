@@ -164,13 +164,34 @@ impl CrossShardClient {
         }
     }
 
-    fn send_request(&mut self, ctx: &mut Ctx<'_, PbftMsg>, target: NodeId, op: Op, txid: TxId, step: Step) {
+    fn send_request(
+        &mut self,
+        ctx: &mut Ctx<'_, PbftMsg>,
+        target: NodeId,
+        op: Op,
+        txid: TxId,
+        step: Step,
+    ) {
         let req_id = Request::make_id(ctx.id(), self.next_req);
         self.next_req = self.next_req.wrapping_add(1);
         let submitted = ctx.now();
-        self.req_index
-            .insert(req_id, Pending { req_id, txid, step, target, op: op.clone(), submitted });
-        let req = Request { id: req_id, client: ctx.id(), op, submitted };
+        self.req_index.insert(
+            req_id,
+            Pending {
+                req_id,
+                txid,
+                step,
+                target,
+                op: op.clone(),
+                submitted,
+            },
+        );
+        let req = Request {
+            id: req_id,
+            client: ctx.id(),
+            op,
+            submitted,
+        };
         ctx.trace(req_id, ahl_simkit::Phase::Submit);
         if self.sabotage {
             // Replay attack: every step goes out twice under the same
@@ -210,7 +231,9 @@ impl CrossShardClient {
     /// transaction whose steps keep bouncing is eventually reaped by the
     /// stall watchdog, so overload cannot wedge the driver.
     fn on_rejected(&mut self, req_id: u64, ctx: &mut Ctx<'_, PbftMsg>) {
-        let Some(pending) = self.req_index.remove(&req_id) else { return };
+        let Some(pending) = self.req_index.remove(&req_id) else {
+            return;
+        };
         if !self.inflight.contains_key(&pending.txid) && !Self::must_deliver(&pending.op) {
             return; // transaction already finished or reaped
         }
@@ -281,7 +304,16 @@ impl CrossShardClient {
             1 => {
                 let (shard, sub) = &parts[0];
                 let target = self.shard_targets[*shard];
-                self.send_request(ctx, target, Op::Direct { txid, op: sub.clone() }, txid, Step::SingleShard);
+                self.send_request(
+                    ctx,
+                    target,
+                    Op::Direct {
+                        txid,
+                        op: sub.clone(),
+                    },
+                    txid,
+                    Step::SingleShard,
+                );
             }
             n_parts => {
                 ctx.stats().inc(sysstat::SYS_CROSS_SHARD, 1);
@@ -289,7 +321,10 @@ impl CrossShardClient {
                 self.send_request(
                     ctx,
                     self.ref_target,
-                    Op::Direct { txid, op: begin_op(txid, n_parts) },
+                    Op::Direct {
+                        txid,
+                        op: begin_op(txid, n_parts),
+                    },
                     txid,
                     Step::Begin,
                 );
@@ -298,12 +333,16 @@ impl CrossShardClient {
     }
 
     fn finish(&mut self, txid: TxId, committed: bool, ctx: &mut Ctx<'_, PbftMsg>) {
-        let Some(entry) = self.inflight.remove(&txid) else { return };
+        let Some(entry) = self.inflight.remove(&txid) else {
+            return;
+        };
         let now = ctx.now();
-        ctx.stats().record_latency(sysstat::SYS_LATENCY, now.since(entry.started));
+        ctx.stats()
+            .record_latency(sysstat::SYS_LATENCY, now.since(entry.started));
         if committed {
             ctx.stats().inc(sysstat::SYS_COMMITTED, 1);
-            ctx.stats().record_point(sysstat::SYS_COMMIT_SERIES, now, 1.0);
+            ctx.stats()
+                .record_point(sysstat::SYS_COMMIT_SERIES, now, 1.0);
             self.window.on_success();
         } else {
             ctx.stats().inc(sysstat::SYS_ABORTED, 1);
@@ -314,8 +353,12 @@ impl CrossShardClient {
     }
 
     fn on_reply(&mut self, req_id: u64, committed: bool, ctx: &mut Ctx<'_, PbftMsg>) {
-        let Some(Pending { txid, step, .. }) = self.req_index.remove(&req_id) else { return };
-        let Some(entry) = self.inflight.get_mut(&txid) else { return };
+        let Some(Pending { txid, step, .. }) = self.req_index.remove(&req_id) else {
+            return;
+        };
+        let Some(entry) = self.inflight.get_mut(&txid) else {
+            return;
+        };
         entry.last_activity = ctx.now();
         match step {
             Step::SingleShard => {
@@ -334,7 +377,10 @@ impl CrossShardClient {
                     .map(|(shard, sub)| {
                         (
                             self.shard_targets[*shard],
-                            Op::Prepare { txid, op: sub.clone() },
+                            Op::Prepare {
+                                txid,
+                                op: sub.clone(),
+                            },
                             *shard,
                         )
                     })
@@ -355,7 +401,13 @@ impl CrossShardClient {
                     vote_not_ok_op(txid, shard)
                 };
                 let target = self.ref_target;
-                self.send_request(ctx, target, Op::Direct { txid, op: vote }, txid, Step::Vote(shard));
+                self.send_request(
+                    ctx,
+                    target,
+                    Op::Direct { txid, op: vote },
+                    txid,
+                    Step::Vote(shard),
+                );
             }
             Step::Vote(_) => {
                 entry.vote_replies += 1;
@@ -421,7 +473,11 @@ impl CrossShardClient {
                     .parts
                     .iter()
                     .map(|(shard, _)| {
-                        let op = if committed { Op::Commit { txid } } else { Op::Abort { txid } };
+                        let op = if committed {
+                            Op::Commit { txid }
+                        } else {
+                            Op::Abort { txid }
+                        };
                         (self.shard_targets[*shard], op)
                     })
                     .collect();
