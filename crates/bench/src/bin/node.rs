@@ -46,7 +46,8 @@ fn run() -> Result<(), String> {
     // Key material, pool seed and reporter flag: the simulator's own
     // derivation, so key ids and public keys agree across every process.
     let member = derive_committee(pbft.n, seed).swap_remove(me);
-    let replica = member.into_replica(&pbft, (0..pbft.n).collect(), &[]);
+    let group = (0..pbft.n).collect();
+    let replica = Replica::from_genesis(pbft.clone(), group, member, &Default::default());
 
     let (my_id, listen) = cf.replicas[me];
     let peers: Vec<_> = cf

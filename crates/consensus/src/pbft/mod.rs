@@ -12,7 +12,7 @@
 //!   arrival time;
 //! * `replica::sync` — the in-flight state-sync exchange and whether
 //!   participation is paused until it completes;
-//! * `replica::restart` — the genesis state and the crashed flag;
+//! * `replica::restart` — the genesis snapshot and the crashed flag;
 //! * `replica::byzantine` — the attack state, on a Byzantine replica only.
 //!
 //! Beside it: `cert` (quorum certificates and the checkpoint vote
@@ -36,7 +36,7 @@ pub use replica::Replica;
 use std::sync::Arc;
 
 use ahl_crypto::{KeyRegistry, SigningKey};
-use ahl_ledger::Value;
+use ahl_ledger::{StateStore, Value};
 use ahl_simkit::{Network, NodeId, QueueConfig, Sim, SimConfig};
 
 /// Everything about one committee member that derives from the run seed.
@@ -82,28 +82,6 @@ pub fn derive_committee(n: usize, seed: u64) -> Vec<Member> {
         .collect()
 }
 
-impl Member {
-    /// Build this member's replica for the committee `group` (actor ids in
-    /// group-index order) running `cfg` from `genesis`.
-    pub fn into_replica(
-        self,
-        cfg: &PbftConfig,
-        group: Vec<NodeId>,
-        genesis: &[(String, Value)],
-    ) -> Replica {
-        Replica::new(
-            cfg.clone(),
-            group,
-            self.index,
-            self.key,
-            self.tee_key,
-            self.registry,
-            genesis,
-            self.reporter,
-        )
-    }
-}
-
 /// Build a simulation containing one PBFT committee.
 ///
 /// Returns the simulation and the replicas' actor ids (group index order).
@@ -128,6 +106,13 @@ pub fn build_group(
 /// Add one PBFT committee to an existing simulation (used by the sharded
 /// system where many committees share one simulation). The committee's
 /// replicas receive the next `cfg.n` consecutive actor ids.
+///
+/// The genesis tree is built once and every member starts from a snapshot
+/// of it: the committee shares one tree lineage, and copy-on-write keeps
+/// each replica's writes its own. `ahl_store`'s view rule spans the whole
+/// committee: mutate, clone or drop no member's tree on a thread holding a
+/// view of any member's. Each call builds its own tree, so no lineage is
+/// shared between simulations.
 pub fn add_committee(
     sim: &mut Sim<PbftMsg>,
     cfg: &PbftConfig,
@@ -136,6 +121,7 @@ pub fn add_committee(
 ) -> Vec<NodeId> {
     let start = sim.num_actors();
     let group: Vec<NodeId> = (start..start + cfg.n).collect();
+    let genesis = StateStore::from_entries(genesis.to_vec()).snapshot();
     for member in derive_committee(cfg.n, seed) {
         let queues = if cfg.split_queues {
             QueueConfig::split(QUEUE_CAPACITY, QUEUE_CAPACITY)
@@ -143,10 +129,8 @@ pub fn add_committee(
             QueueConfig::shared(QUEUE_CAPACITY)
         };
         let expected = group[member.index];
-        let id = sim.add_actor(
-            Box::new(member.into_replica(cfg, group.clone(), genesis)),
-            queues,
-        );
+        let replica = Replica::from_genesis(cfg.clone(), group.clone(), member, &genesis);
+        let id = sim.add_actor(Box::new(replica), queues);
         debug_assert_eq!(id, expected);
     }
     group
@@ -159,7 +143,7 @@ mod tests {
     use crate::common::testkit::TestHost;
     use crate::common::{stat, CryptoMode, VotePhase};
     use ahl_crypto::Hash;
-    use ahl_ledger::{kvstore, Op, TxId};
+    use ahl_ledger::{kvstore, Op, StateSnapshot, TxId};
     use ahl_simkit::{SimDuration, SimTime, UniformNetwork};
 
     fn kv_factory() -> crate::common::OpFactory {
@@ -379,9 +363,12 @@ mod tests {
             ..vote3_good.clone()
         };
 
-        let mut replica = committee
-            .swap_remove(1)
-            .into_replica(&cfg, (0..4).collect(), &[]);
+        let mut replica = Replica::from_genesis(
+            cfg.clone(),
+            (0..4).collect(),
+            committee.swap_remove(1),
+            &StateSnapshot::default(),
+        );
         let mut host = TestHost::new(4);
         let deliver = |r: &mut Replica, host: &mut TestHost, from: NodeId, msg: PbftMsg| {
             let mut ctx = Ctx::for_host(host, 1);
@@ -445,7 +432,12 @@ mod tests {
         let mut cfg = PbftConfig::new(BftVariant::AhlPlus, 4);
         cfg.checkpoint_interval = 2;
         let member = derive_committee(cfg.n, 42).swap_remove(1);
-        let mut replica = member.into_replica(&cfg, (0..4).collect(), &[]);
+        let mut replica = Replica::from_genesis(
+            cfg.clone(),
+            (0..4).collect(),
+            member,
+            &StateSnapshot::default(),
+        );
         let mut host = TestHost::new(4);
         let deliver = |r: &mut Replica, host: &mut TestHost, from: NodeId, msg: PbftMsg| {
             let mut ctx = Ctx::for_host(host, 1);
@@ -520,7 +512,12 @@ mod tests {
         let mut cfg = PbftConfig::new(BftVariant::AhlPlus, 4);
         cfg.checkpoint_interval = 4;
         let member = derive_committee(cfg.n, 42).swap_remove(1);
-        let mut replica = member.into_replica(&cfg, (0..4).collect(), &[]);
+        let mut replica = Replica::from_genesis(
+            cfg.clone(),
+            (0..4).collect(),
+            member,
+            &StateSnapshot::default(),
+        );
         let mut host = TestHost::new(5);
         let client = 4;
         // Leader 0's pre-prepare and commit vote, with replica 1's own
@@ -614,10 +611,11 @@ mod tests {
                 CryptoMode::CostOnly => MsgCert::Simulated,
             };
             let agg = PbftMsg::AggCommit(cert(block.digest));
-            let mut replica = members.into_iter().nth(1).expect("member 1").into_replica(
-                &cfg,
+            let mut replica = Replica::from_genesis(
+                cfg.clone(),
                 (0..3).collect(),
-                &[],
+                members.into_iter().nth(1).expect("member 1"),
+                &StateSnapshot::default(),
             );
             let mut host = TestHost::new(3);
             for (sender, msg) in [
@@ -704,6 +702,85 @@ mod tests {
         );
     }
 
+    /// `add_committee` builds a committee's genesis tree once, and every
+    /// member starts from a snapshot of it: one lineage for the committee.
+    /// Each member begins at the bulk build's root, its writes stay its own
+    /// (copy-on-write), and a cold restart — no data dir, no durable
+    /// checkpoint — clones the genesis snapshot back while its peers keep
+    /// their post-load roots. `Replica::new` over the same slice, in a tree
+    /// of its own, reaches the same root.
+    #[test]
+    fn a_committee_shares_one_genesis_lineage() {
+        use ahl_ledger::smallbank;
+        use ahl_simkit::Ctx;
+
+        let genesis = smallbank::genesis(50, 1_000, 500);
+        let genesis_root = StateStore::from_entries(genesis.clone()).state_digest();
+        let mut cfg = PbftConfig::new(BftVariant::Hl, 4);
+        cfg.batch_size = 10;
+        // No checkpoint certifies during the run, so a restart is cold.
+        cfg.checkpoint_interval = 10_000;
+        let net = Box::new(UniformNetwork::new(SimDuration::from_micros(300)));
+        let (mut sim, group) = build_group(&cfg, net, Some(1e9), &genesis, 5);
+        let roots = |sim: &Sim<PbftMsg>| -> Vec<(u64, Hash)> {
+            group
+                .iter()
+                .map(|&id| {
+                    let r = sim
+                        .actor(id)
+                        .as_any()
+                        .and_then(|a| a.downcast_ref::<Replica>())
+                        .expect("replica actor");
+                    (r.exec_seq(), r.state().state_digest())
+                })
+                .collect()
+        };
+        assert!(roots(&sim).iter().all(|&r| r == (0, genesis_root)));
+
+        let stop = SimTime::ZERO + SimDuration::from_secs(1);
+        let client = OpenLoopClient::new(
+            group.clone(),
+            SimDuration::from_millis(2),
+            stop,
+            kv_factory(),
+        );
+        sim.add_actor(Box::new(client), QueueConfig::unbounded());
+        sim.run_until(stop + SimDuration::from_secs(1));
+        let loaded = roots(&sim);
+        assert!(loaded
+            .iter()
+            .all(|&(seq, root)| seq > 0 && root != genesis_root));
+
+        let (crashed, controller) = (2, 99);
+        let mut host = TestHost::new(group.len() + 1);
+        for msg in [PbftMsg::Crash, PbftMsg::Restart] {
+            let mut ctx = Ctx::for_host(&mut host, group[crashed]);
+            sim.actor_mut(group[crashed])
+                .on_message(controller, msg, &mut ctx);
+        }
+        for (i, now) in roots(&sim).into_iter().enumerate() {
+            let want = if i == crashed {
+                (0, genesis_root)
+            } else {
+                loaded[i]
+            };
+            assert_eq!(now, want, "replica {i}");
+        }
+
+        let member = derive_committee(cfg.n, 5).swap_remove(0);
+        let alone = Replica::new(
+            cfg.clone(),
+            group.clone(),
+            0,
+            member.key,
+            member.tee_key,
+            member.registry,
+            &genesis,
+            member.reporter,
+        );
+        assert_eq!(alone.state().state_digest(), genesis_root);
+    }
+
     /// State sync is a conversation among committee members. A syncing
     /// replica (restarted, so at genesis and waiting for a tail or a
     /// manifest) must not execute a block tail a non-member sends — any
@@ -717,7 +794,12 @@ mod tests {
 
         let cfg = PbftConfig::new(BftVariant::Hl, 4);
         let member = derive_committee(cfg.n, 42).swap_remove(1);
-        let mut replica = member.into_replica(&cfg, (0..4).collect(), &[]);
+        let mut replica = Replica::from_genesis(
+            cfg.clone(),
+            (0..4).collect(),
+            member,
+            &StateSnapshot::default(),
+        );
         let mut host = TestHost::new(5);
         let deliver = |r: &mut Replica, host: &mut TestHost, from: NodeId, msg: PbftMsg| {
             let mut ctx = Ctx::for_host(host, 1);

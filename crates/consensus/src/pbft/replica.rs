@@ -32,7 +32,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use ahl_crypto::{Hash, KeyId, KeyRegistry, SigningKey};
-use ahl_ledger::{Key, StateStore, Value};
+use ahl_ledger::{StateSnapshot, StateStore, Value};
 use ahl_mempool::{Admission, BatchBuilder, BatchConfig, Mempool};
 use ahl_simkit::{Actor, Ctx, NodeId, Phase, Scope, SimDuration};
 use ahl_tee::{attestation_digest, AttestedLog, LogId, Slot, TeeOp};
@@ -48,6 +48,7 @@ use crate::pbft::config::{
 };
 use crate::pbft::durable::twopc_kind;
 use crate::pbft::msg::{MsgCert, PbftBlock, PbftMsg, Vote};
+use crate::pbft::Member;
 
 mod byzantine;
 mod checkpoint;
@@ -162,11 +163,11 @@ impl Instance {
 }
 
 impl Replica {
-    /// Create a replica.
-    ///
-    /// `group` are the actor ids of the committee (index = group index),
-    /// `me` is this replica's group index, `key` its (enclave) signing key
-    /// and `registry` the shared verification oracle.
+    /// Create a replica. `group` are the actor ids of the committee (index =
+    /// group index), `me` is this replica's group index, `key` its signing
+    /// key, `tee_key` its enclave's and `registry` the shared verification
+    /// oracle. `genesis` is built into a tree of its own:
+    /// [`Replica::from_genesis`] with that tree's snapshot.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         cfg: PbftConfig,
@@ -178,27 +179,46 @@ impl Replica {
         genesis: &[(String, Value)],
         reporter: bool,
     ) -> Self {
+        let genesis = StateStore::from_entries(genesis.to_vec()).snapshot();
+        let member = Member {
+            index: me,
+            key,
+            tee_key,
+            registry,
+            reporter,
+        };
+        Self::from_genesis(cfg, group, member, &genesis)
+    }
+
+    /// Create `member`'s replica in the committee `group` (actor ids in
+    /// group-index order) running `cfg` from the `genesis` snapshot, in its
+    /// lineage: the state is an O(1) clone of it, and so is every cold
+    /// restart.
+    pub fn from_genesis(
+        cfg: PbftConfig,
+        group: Vec<NodeId>,
+        member: Member,
+        genesis: &StateSnapshot,
+    ) -> Self {
+        let me = member.index;
         let byzantine = cfg.is_byzantine(me);
-        let genesis: Arc<Vec<(Key, Value)>> = Arc::new(genesis.to_vec());
-        let mut state = StateStore::new();
-        state.load_genesis(&genesis);
         let ckpt = Checkpoints::new(&cfg, group[me]);
         let (pool, batcher) = fresh_pool(&cfg);
         Replica {
             exec: BlockExecutor {
                 committee_id: cfg.committee_id,
                 me,
-                reporter,
+                reporter: member.reporter,
                 exec_workers: cfg.exec_workers,
                 checker: if byzantine { None } else { cfg.safety.clone() },
             },
             cfg,
             group,
             me,
-            key,
-            registry,
-            tee: AttestedLog::new(tee_key),
-            state,
+            key: member.key,
+            registry: member.registry,
+            tee: AttestedLog::new(member.tee_key),
+            state: StateStore::from_snapshot(genesis),
             view: 0,
             next_seq: 1,
             exec_seq: 0,
@@ -211,7 +231,7 @@ impl Replica {
             insts_floor: 0,
             ckpt,
             sync: SyncState::new(),
-            life: Lifecycle::new(genesis),
+            life: Lifecycle::new(genesis.clone()),
             vc: ViewChange::new(),
             byz: byzantine.then(Byzantine::new),
         }

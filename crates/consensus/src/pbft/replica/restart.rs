@@ -3,22 +3,22 @@
 //! reopened from its node directory, WAL tail replayed, when it has one —
 //! and state-syncs the rest.
 //!
-//! [`Lifecycle`] owns the genesis state a cold restart reloads and the
-//! crashed flag.
+//! [`Lifecycle`] owns the crashed flag and the genesis snapshot: the
+//! committee's genesis tree, built once for all its members. A cold
+//! restart (no durable checkpoint, or a node directory that will not
+//! reopen) clones it — an O(1) root handle, not a rebuild.
 //!
 //! A restart rebuilds the pool, batcher, executed-request cache and
 //! protocol instances, and each seam's crash-volatile state, with the
-//! constructors [`Replica::new`] uses. A simulated `Crash`/`Restart` does
-//! not erase the rest of the replica: the view, the enclave's attested
-//! log with its bindings, the view-change marks (the progress mark, the
-//! highest view voted for, the last arrival) and the attack state all
-//! survive it. A restarted `node` process builds its replica with
-//! `Replica::new` and gets every one of them fresh, so the two restart
-//! paths differ there.
+//! constructors [`Replica::from_genesis`] uses. A simulated
+//! `Crash`/`Restart` does not erase the rest of the replica: the view, the
+//! enclave's attested log with its bindings, the view-change marks (the
+//! progress mark, the highest view voted for, the last arrival) and the
+//! attack state all survive it. A restarted `node` process builds a new
+//! replica and gets every one of them fresh, so the two restart paths
+//! differ there.
 
-use std::sync::Arc;
-
-use ahl_ledger::{Key, StateStore, Value};
+use ahl_ledger::{StateSnapshot, StateStore};
 use ahl_simkit::{Ctx, SimTime};
 
 use super::{fresh_pool, Replica};
@@ -29,15 +29,16 @@ use crate::pbft::msg::PbftMsg;
 
 /// The restart seam's state.
 pub(super) struct Lifecycle {
-    /// Genesis state (reloaded on a crash/restart before state sync).
-    genesis: Arc<Vec<(Key, Value)>>,
+    /// The genesis state, in the committee's lineage (cloned on a cold
+    /// restart before state sync).
+    genesis: StateSnapshot,
     /// Dark after a [`PbftMsg::Crash`] until the matching `Restart`: every
     /// message is dropped, timers idle.
     crashed: bool,
 }
 
 impl Lifecycle {
-    pub(super) fn new(genesis: Arc<Vec<(Key, Value)>>) -> Self {
+    pub(super) fn new(genesis: StateSnapshot) -> Self {
         Lifecycle {
             genesis,
             crashed: false,
@@ -92,8 +93,8 @@ impl Replica {
             // re-executes history, so its exactly-once scope resets.
             ck.record_reset(self.cfg.committee_id, self.me);
         }
-        // Everything else a crash erases, rebuilt as `Replica::new`
-        // builds it.
+        // Everything else a crash erases, rebuilt as
+        // `Replica::from_genesis` builds it.
         self.life.crashed = false;
         self.insts.clear();
         self.executed_reqs = ExecutedCache::new();
@@ -128,9 +129,7 @@ impl Replica {
 
     /// Reset the ledger to genesis (no durable checkpoint to resume from).
     fn cold_start_state(&mut self) {
-        let mut state = StateStore::new();
-        state.load_genesis(&self.life.genesis);
-        self.state = state;
+        self.state = StateStore::from_snapshot(&self.life.genesis);
         self.exec_seq = 0;
         self.next_seq = 1;
         self.low_mark = 0;

@@ -365,16 +365,15 @@ pub fn run_system_report(mut cfg: SystemConfig) -> SystemReport {
     // Building every committee's genesis state is set-up, not simulation:
     // its own span keeps it out of the engine's residual.
     let genesis_span = Profiler::span("core.genesis");
-    let genesis = cfg.workload.genesis();
 
-    // Shard committees own their slice of the genesis state.
+    // Shard committees own their slice of the genesis state: one pass
+    // puts each key in its shard's slice, in genesis order.
+    let mut slices: Vec<Vec<(String, Value)>> = vec![Vec::new(); cfg.shards];
+    for (k, v) in cfg.workload.genesis() {
+        slices[map.shard_of(&k)].push((k, v));
+    }
     let mut shard_entry: Vec<NodeId> = Vec::with_capacity(cfg.shards);
-    for shard in 0..cfg.shards {
-        let local: Vec<(String, Value)> = genesis
-            .iter()
-            .filter(|(k, _)| map.shard_of(k) == shard)
-            .cloned()
-            .collect();
+    for (shard, local) in slices.into_iter().enumerate() {
         let mut ccfg = pbft.clone();
         ccfg.committee_id = shard;
         let group = add_committee(&mut sim, &ccfg, &local, cfg.seed ^ (shard as u64 + 1) << 20);

@@ -169,7 +169,7 @@ impl StateSidecar {
 /// so the snapshot alone serves complete state-sync chunks — keys, values,
 /// and proofs. PBFT keeps one per certified checkpoint; diff sync compares
 /// two of them.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct StateSnapshot {
     smt: SparseMerkleTree<Value>,
     /// Live lock markers in `smt` (see [`StateStore::lock_markers`]).
@@ -263,18 +263,11 @@ impl StateStore {
         Self::default()
     }
 
-    /// Bulk-load genesis state into an empty store (one hash per tree node
-    /// instead of O(log n) per key — use for large genesis populations).
-    pub fn load_genesis(&mut self, entries: &[(Key, Value)]) {
-        debug_assert!(self.smt.is_empty(), "genesis load requires an empty store");
-        self.smt = SparseMerkleTree::build(entries.iter().cloned());
-        self.lock_markers = count_lock_markers(&self.smt);
-    }
-
-    /// Rebuild a store from a complete key-value enumeration (state-sync
-    /// install; the caller has verified every entry against a certified
-    /// root). Pending/resolved bookkeeping starts empty — install the
-    /// transferred [`StateSidecar`] afterwards.
+    /// Build a store from a complete key-value enumeration in one bulk pass
+    /// (one hash per tree node instead of O(log n) per key): a committee's
+    /// genesis, or a state-sync install whose entries the caller verified
+    /// against a certified root. Pending/resolved bookkeeping starts empty —
+    /// install the transferred [`StateSidecar`] afterwards.
     pub fn from_entries(entries: Vec<(Key, Value)>) -> Self {
         let smt = SparseMerkleTree::build(entries);
         StateStore {
@@ -1076,12 +1069,11 @@ mod tests {
     }
 
     #[test]
-    fn load_genesis_matches_incremental_puts() {
+    fn from_entries_matches_incremental_puts() {
         let entries: Vec<(Key, Value)> = (0..200)
             .map(|i| (format!("acc{i}"), Value::Int(i)))
             .collect();
-        let mut bulk = StateStore::new();
-        bulk.load_genesis(&entries);
+        let bulk = StateStore::from_entries(entries.clone());
         let mut inc = StateStore::new();
         for (k, v) in &entries {
             inc.put(k.clone(), v.clone());

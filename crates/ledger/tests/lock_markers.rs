@@ -5,7 +5,7 @@
 //! after any history of Direct / Prepare / Commit / Abort operations —
 //! executed one by one, or as blocks through `execute_ops` at any worker
 //! count — and after every way of constructing a store (snapshot and back,
-//! `from_entries`, `load_genesis`, `apply_diff`, persist and reopen) it must
+//! `from_entries`, a genesis snapshot, `apply_diff`, persist and reopen) it must
 //! equal a scan of the keys, and a key a prepared transaction holds must
 //! still be refused with `LockConflict`.
 
@@ -146,9 +146,9 @@ proptest::proptest! {
         let rebuilt = StateStore::from_entries(entries.clone());
         assert_markers_exact(&rebuilt, "from_entries");
 
-        let mut genesis = StateStore::new();
-        genesis.load_genesis(&entries);
-        assert_markers_exact(&genesis, "load_genesis");
+        // A committee's genesis: one bulk build, each replica a snapshot of it.
+        let genesis = StateStore::from_snapshot(&StateStore::from_entries(entries).snapshot());
+        assert_markers_exact(&genesis, "genesis snapshot");
 
         let base = base.expect("at least one block ran");
         let bits = 3u8;

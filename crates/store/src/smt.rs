@@ -42,7 +42,9 @@
 //! whose count reaches zero, so retiring a snapshot walks exactly the nodes
 //! no other handle shares. This is what makes per-checkpoint state
 //! snapshots free and lets a server retain several certified snapshots for
-//! diff computation.
+//! diff computation. A lineage can also span several owners: a PBFT
+//! committee builds its genesis tree once and every replica starts from a
+//! clone of it, so one slab holds the whole committee's state.
 //!
 //! Readers that lend out keys or values go through a [`SmtView`], which
 //! holds the slab read-locked for its lifetime; every other reader takes
